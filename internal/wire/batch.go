@@ -5,7 +5,8 @@ package wire
 // PRESUMED owner locally from the cluster's ring-ordered member list —
 // zero routing RPCs — and ships each owner ONE batched message, so
 // publishing a descriptor with a dozen index mappings costs a handful
-// of messages instead of a dozen routed put rounds (two RPCs each).
+// of messages instead of a dozen single puts. (Single-key operations
+// address the presumed owner the same way: Cluster.viaOwner.)
 // Staleness is handled on both ends: a receiving node forwards keys it
 // does not own through real Chord routing (handlePutBatch), and a
 // presumed owner that cannot serve at all makes the client fall back to
@@ -13,10 +14,8 @@ package wire
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
-	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 )
 
@@ -161,34 +160,16 @@ func (c *Cluster) groupPresumed(items []overlay.KeyEntry) (map[string][]KeyEntri
 	if len(items) == 0 {
 		return nil, nil
 	}
-	addrs := c.Addrs() // ring order
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("wire: cluster has no members")
+	members := c.ring()
+	if len(members) == 0 {
+		return nil, errNoMembers
 	}
 	groups := make(map[string][]KeyEntries)
 	for _, item := range foldItems(items) {
-		owner := presumedOwner(addrs, item.Key)
+		owner := members[ownerIndex(members, item.Key)].addr
 		groups[owner] = append(groups[owner], item)
 	}
 	return groups, nil
-}
-
-// presumedOwner returns the first member at or past key in ring order
-// (wrapping), assuming addrs is sorted by ring position.
-func presumedOwner(addrs []string, key keyspace.Key) string {
-	lo, hi := 0, len(addrs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if idOf(addrs[mid]).Cmp(key) >= 0 {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == len(addrs) {
-		lo = 0
-	}
-	return addrs[lo]
 }
 
 // groupRouted regroups a KV set by Chord-routed owner: one bounded

@@ -2,10 +2,13 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dhtindex/internal/keyspace"
@@ -21,16 +24,30 @@ import (
 const defaultEntryAttempts = 3
 
 // DefaultRouteTTL is the hop budget stamped on routed cluster RPCs
-// (FindSuccessor and the batched put/remove fast paths) when
-// Cluster.RouteTTL is unset: generous enough for any realistic ring's
-// finger-table routing, small enough to kill a routing loop fast.
+// (FindSuccessor and the owner-addressed single-key and batched
+// operations) when Cluster.RouteTTL is unset: generous enough for any
+// realistic ring's finger-table routing, small enough to kill a routing
+// loop fast.
 const DefaultRouteTTL = 64
+
+var errNoMembers = errors.New("wire: cluster has no members")
+
+// member is one tracked address with its ring position, hashed once at
+// Track so that picking a key's owner compares IDs instead of
+// re-deriving them.
+type member struct {
+	addr string
+	id   keyspace.Key
+}
 
 // Cluster adapts a set of live wire nodes to the overlay contract, so the
 // indexing layer runs unchanged over a real message-passing network. The
-// cluster tracks member addresses (the deployment's bootstrap knowledge);
-// requests enter the ring through a pseudo-randomly chosen member and are
-// routed by the Chord protocol itself.
+// cluster tracks member addresses (the deployment's bootstrap knowledge)
+// and addresses every operation to the key's PRESUMED owner — the first
+// tracked member at or past the key — in one RPC; a node handed a key it
+// does not own forwards it by the Chord protocol itself, and only when
+// the presumed owner cannot serve does the cluster spend a routing round
+// through a pseudo-randomly chosen member (DESIGN.md §12).
 type Cluster struct {
 	transport Transport
 	// replication mirrors the ring's Config.ReplicationFactor: reads
@@ -58,9 +75,12 @@ type Cluster struct {
 	// DefaultRouteTTL). Set before serving traffic.
 	RouteTTL int
 
-	mu    sync.Mutex
-	addrs []string
-	rng   *rand.Rand
+	// mu serializes Track/Untrack and guards rng. members is the
+	// ring-ordered membership, replaced whole on every change, so the
+	// per-operation paths read it without the lock.
+	mu      sync.Mutex
+	members atomic.Pointer[[]member]
+	rng     *rand.Rand
 
 	ownerReadFailures *telemetry.Counter
 	failoverReads     *telemetry.Counter
@@ -72,10 +92,12 @@ type Cluster struct {
 	batchRemoveRPCs   *telemetry.Counter
 	batchRemoveKeys   *telemetry.Counter
 	batchFallbacks    *telemetry.Counter
-	// hops and rpcLatency are nil until Instrument is called; observing
-	// on nil histograms is a no-op, so the hot paths stay unconditional.
-	hops       *telemetry.Histogram
-	rpcLatency *telemetry.Histogram
+	ownerFallbacks    *telemetry.Counter
+	// hops and rpcLatency are nil until Instrument sets them, once;
+	// observing on nil histograms is a no-op, so the hot paths stay
+	// unconditional and lock-free.
+	hops       atomic.Pointer[telemetry.Histogram]
+	rpcLatency atomic.Pointer[telemetry.Histogram]
 }
 
 // ClusterMetrics is a point-in-time snapshot of the cluster adapter's
@@ -141,6 +163,8 @@ func NewCluster(transport Transport, seed int64, replication int) *Cluster {
 			"(key, entry) items carried by batched removes."),
 		batchFallbacks: telemetry.NewCounter("wire_batch_fallbacks_total",
 			"Per-owner batch groups that fell back from one-hop presumed-owner routing to Chord-routed resolution."),
+		ownerFallbacks: telemetry.NewCounter("wire_owner_fallbacks_total",
+			"Single-key operations that fell back from the presumed owner to Chord-routed resolution."),
 	}
 }
 
@@ -151,13 +175,11 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 		return
 	}
 	reg.Attach(c.ownerReadFailures, c.failoverReads, c.entryRetries, c.hedgedGets, c.hedgeWins,
-		c.batchPutRPCs, c.batchPutKeys, c.batchRemoveRPCs, c.batchRemoveKeys, c.batchFallbacks)
-	c.mu.Lock()
-	c.hops = reg.Histogram("dht_lookup_hops",
-		"Routing hops taken to resolve the owner of a key.", telemetry.HopBuckets)
-	c.rpcLatency = reg.Histogram("wire_rpc_latency_seconds",
-		"Wall-clock latency of cluster-issued RPCs, in seconds.", telemetry.LatencyBuckets)
-	c.mu.Unlock()
+		c.batchPutRPCs, c.batchPutKeys, c.batchRemoveRPCs, c.batchRemoveKeys, c.batchFallbacks, c.ownerFallbacks)
+	c.hops.Store(reg.Histogram("dht_lookup_hops",
+		"Forwarding steps taken to reach the owner of a key (0: the presumed owner served).", telemetry.HopBuckets))
+	c.rpcLatency.Store(reg.Histogram("wire_rpc_latency_seconds",
+		"Wall-clock latency of cluster-issued RPCs, in seconds.", telemetry.LatencyBuckets))
 }
 
 // ctxCaller is the optional transport extension for deadline-aware
@@ -178,9 +200,6 @@ func (c *Cluster) call(addr string, req Message) (Message, error) {
 // to the retry layer when the transport supports it, so retries and
 // their backoff sleeps stop the moment the caller's budget runs out.
 func (c *Cluster) callCtx(ctx context.Context, addr string, req Message) (Message, error) {
-	c.mu.Lock()
-	lat := c.rpcLatency
-	c.mu.Unlock()
 	start := time.Now()
 	var resp Message
 	var err error
@@ -189,7 +208,7 @@ func (c *Cluster) callCtx(ctx context.Context, addr string, req Message) (Messag
 	} else if err = ctx.Err(); err == nil {
 		resp, err = c.transport.Call(addr, req)
 	}
-	if lat != nil {
+	if lat := c.rpcLatency.Load(); lat != nil {
 		lat.Observe(time.Since(start).Seconds())
 	}
 	return resp, err
@@ -206,53 +225,62 @@ func (c *Cluster) Metrics() ClusterMetrics {
 	}
 }
 
-// Track adds a member address to the entry-point set.
+// ring returns the ring-ordered membership. The slice is shared and
+// never modified: Track and Untrack replace it.
+func (c *Cluster) ring() []member {
+	if p := c.members.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Track adds a member address to the tracked membership.
 func (c *Cluster) Track(addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, a := range c.addrs {
-		if a == addr {
-			return
-		}
+	old := c.ring()
+	if slices.ContainsFunc(old, func(m member) bool { return m.addr == addr }) {
+		return
 	}
-	c.addrs = append(c.addrs, addr)
-	sort.Slice(c.addrs, func(i, j int) bool {
-		a, b := idOf(c.addrs[i]), idOf(c.addrs[j])
-		return a.Cmp(b) < 0
-	})
+	id := idOf(addr)
+	at := sort.Search(len(old), func(i int) bool { return old[i].id.Cmp(id) >= 0 })
+	next := slices.Insert(slices.Clone(old), at, member{addr, id})
+	c.members.Store(&next)
 }
 
 // Untrack removes a member address.
 func (c *Cluster) Untrack(addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, a := range c.addrs {
-		if a == addr {
-			c.addrs = append(c.addrs[:i], c.addrs[i+1:]...)
-			return
-		}
-	}
+	next := slices.DeleteFunc(slices.Clone(c.ring()), func(m member) bool { return m.addr == addr })
+	c.members.Store(&next)
 }
 
 func (c *Cluster) entry() (string, error) {
+	members := c.ring()
+	if len(members) == 0 {
+		return "", errNoMembers
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.addrs) == 0 {
-		return "", fmt.Errorf("wire: cluster has no members")
-	}
-	return c.addrs[c.rng.Intn(len(c.addrs))], nil
+	return members[c.rng.Intn(len(members))].addr, nil
 }
 
-// FindOwner routes to the node responsible for key. An unreachable
-// entry point is not fatal: up to EntryAttempts members are tried, so a
+// FindOwner routes to the node responsible for key. An entry point that
+// cannot route is not fatal: up to EntryAttempts members are tried, so a
 // lookup survives routing through a cluster whose member list includes
-// freshly-crashed nodes.
+// freshly-crashed nodes. Operations do not call it up front — they
+// address the presumed owner directly (viaOwner) and route only when
+// that fails.
 func (c *Cluster) FindOwner(key keyspace.Key) (overlay.Route, error) {
 	return c.FindOwnerCtx(context.Background(), key)
 }
 
 // FindOwnerCtx is FindOwner with a deadline budget: entry-point retries
-// stop once ctx is done.
+// stop once ctx is done. A routing error reported by a reachable entry
+// (a dead hop further along its path, or an exhausted TTL) moves on to
+// another entry just as an unreachable entry does — a different member
+// routes over different fingers.
 func (c *Cluster) FindOwnerCtx(ctx context.Context, key keyspace.Key) (overlay.Route, error) {
 	attempts := c.EntryAttempts
 	if attempts <= 0 {
@@ -270,29 +298,67 @@ func (c *Cluster) FindOwnerCtx(ctx context.Context, key keyspace.Key) (overlay.R
 		if err != nil {
 			return overlay.Route{}, err
 		}
-		resp, err := c.callCtx(ctx, via, Message{Op: OpFindSuccessor, Key: key, TTL: c.routeTTL()})
+		_, route, err := c.routedCall(ctx, via, Message{Op: OpFindSuccessor, Key: key})
 		if err == nil {
-			if rerr := remoteError(resp); rerr != nil {
-				return overlay.Route{}, rerr
-			}
-			c.mu.Lock()
-			hops := c.hops
-			c.mu.Unlock()
-			hops.Observe(float64(resp.Hops))
-			return overlay.Route{Node: resp.Addr, Hops: resp.Hops}, nil
+			return route, nil
 		}
 		if firstErr == nil {
 			firstErr = err
 		}
 		c.entryRetries.Inc()
-		c.mu.Lock()
-		single := len(c.addrs) <= 1
-		c.mu.Unlock()
-		if single {
+		if len(c.ring()) <= 1 {
 			break
 		}
 	}
 	return overlay.Route{}, firstErr
+}
+
+// routedCall sends a request under the routing TTL and reads the route
+// off the reply: the node that answered for the key and the forwarding
+// steps taken to reach it. On a single-key operation the TTL makes the
+// request owner-addressed — the receiving node checks that it owns the
+// key and forwards it to the Chord-routed owner if not — so Hops is 0
+// when the caller addressed the right node.
+func (c *Cluster) routedCall(ctx context.Context, addr string, req Message) (Message, overlay.Route, error) {
+	req.TTL = c.routeTTL()
+	resp, err := c.callCtx(ctx, addr, req)
+	if err == nil {
+		err = remoteError(resp)
+	}
+	if err != nil {
+		return resp, overlay.Route{}, err
+	}
+	c.hops.Load().Observe(float64(resp.Hops))
+	return resp, overlay.Route{Node: resp.Addr, Hops: resp.Hops}, nil
+}
+
+// viaOwner runs a single-key operation against key's presumed owner —
+// one RPC when the tracked membership is right, and still one from the
+// caller's side when it is stale, because the receiving node forwards.
+// Only when that node is unreachable or NACKs does it resolve the owner
+// through Chord routing and run op once more there, exactly as
+// groupRouted does for a batch group. An overload NACK is not routed
+// around: the owner is alive, and resolving it again would spend more
+// of the ring's capacity to reach the same node. tried is the last node
+// op ran against, for the caller's failover.
+func (c *Cluster) viaOwner(ctx context.Context, key keyspace.Key, op func(owner string) (overlay.Route, error)) (route overlay.Route, tried string, err error) {
+	members := c.ring()
+	if len(members) == 0 {
+		return overlay.Route{}, "", errNoMembers
+	}
+	tried = members[ownerIndex(members, key)].addr
+	route, err = op(tried)
+	if err == nil || ctx.Err() != nil || errors.Is(err, ErrOverload) {
+		return route, tried, err
+	}
+	c.ownerFallbacks.Inc()
+	routed, rerr := c.FindOwnerCtx(ctx, key)
+	if rerr != nil || routed.Node == tried {
+		return route, tried, err
+	}
+	route, err = op(routed.Node)
+	route.Hops += routed.Hops
+	return route, routed.Node, err
 }
 
 // Put implements overlay.Network.
@@ -300,88 +366,77 @@ func (c *Cluster) Put(key keyspace.Key, e overlay.Entry) (overlay.Route, error) 
 	return c.PutCtx(context.Background(), key, e)
 }
 
-// PutCtx is Put with a deadline budget threaded through routing and the
-// owner write, so an open-loop workload's abandoned writes release their
-// resources instead of queueing behind the deadline.
+// PutCtx is Put with a deadline budget threaded through the owner write
+// (and the routed fallback), so an open-loop workload's abandoned writes
+// release their resources instead of queueing behind the deadline.
 func (c *Cluster) PutCtx(ctx context.Context, key keyspace.Key, e overlay.Entry) (overlay.Route, error) {
-	route, err := c.FindOwnerCtx(ctx, key)
-	if err != nil {
-		return overlay.Route{}, err
-	}
-	resp, err := c.callCtx(ctx, route.Node, Message{Op: OpPut, Key: key, Entry: e})
-	if err != nil {
-		return overlay.Route{}, err
-	}
-	return route, remoteError(resp)
+	route, _, err := c.viaOwner(ctx, key, func(owner string) (overlay.Route, error) {
+		_, route, err := c.routedCall(ctx, owner, Message{Op: OpPut, Key: key, Entry: e})
+		return route, err
+	})
+	return route, err
 }
 
-// Get implements overlay.Network. When the routed owner cannot serve —
-// it crashed after routing resolved it, or routing itself failed against
-// a dying ring — the read fails over to the tracked members that follow
-// the key's ideal owner in ring order: exactly the nodes a replicating
-// ring pushes copies to. This is the live-wire analogue of the
-// simulation's replica failover (FailoverReads).
+// Get implements overlay.Network. When the owner cannot serve — it
+// crashed, or routing itself failed against a dying ring — the read
+// fails over to the tracked members that follow the key's ideal owner
+// in ring order: exactly the nodes a replicating ring pushes copies to.
+// This is the live-wire analogue of the simulation's replica failover
+// (FailoverReads).
 func (c *Cluster) Get(key keyspace.Key) ([]overlay.Entry, overlay.Route, error) {
 	return c.GetCtx(context.Background(), key)
 }
 
 // GetCtx implements overlay.ContextNetwork: Get with a deadline budget.
-// The budget is threaded through routing, the owner read, and failover
-// reads, so a recursive multi-hop search stops burning retries on a
-// dead hop the moment its budget is spent. With a deadline (or an
+// The budget is threaded through the owner read, the routed fallback and
+// failover reads, so a recursive multi-hop search stops burning retries
+// on a dead hop the moment its budget is spent. With a deadline (or an
 // explicit HedgeDelay) set, a slow owner also triggers a hedged replica
 // Get — first answer wins.
 func (c *Cluster) GetCtx(ctx context.Context, key keyspace.Key) ([]overlay.Entry, overlay.Route, error) {
-	route, err := c.FindOwnerCtx(ctx, key)
+	var entries []overlay.Entry
+	route, failed, err := c.viaOwner(ctx, key, func(owner string) (route overlay.Route, err error) {
+		entries, route, err = c.hedgedGet(ctx, key, owner)
+		return route, err
+	})
 	if err == nil {
-		entries, sroute, gerr := c.hedgedGet(ctx, key, route)
-		if gerr == nil {
-			return entries, sroute, nil
-		}
-		err = gerr
+		return entries, route, nil
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, route, cerr
 	}
-	entries, froute, ferr := c.failoverGet(ctx, key, route.Node)
+	entries, froute, ferr := c.failoverGet(ctx, key, failed)
 	if ferr != nil {
 		return nil, route, err
 	}
 	return entries, froute, nil
 }
 
-// hedgedGet reads key from the routed owner, racing a hedged replica
-// read if the owner has not answered within the hedge delay. Without a
-// delay (no deadline, no HedgeDelay) it is a plain owner read.
-func (c *Cluster) hedgedGet(ctx context.Context, key keyspace.Key, route overlay.Route) ([]overlay.Entry, overlay.Route, error) {
+// hedgedGet reads key through owner with an owner-addressed Get, racing
+// a hedged replica read if no answer arrived within the hedge delay.
+// Without a delay (no deadline, no HedgeDelay) it is a plain owner read.
+// The hedge is a local read (TTL 0): a replica answers from its own
+// copy and never forwards back to the slow owner.
+func (c *Cluster) hedgedGet(ctx context.Context, key keyspace.Key, owner string) ([]overlay.Entry, overlay.Route, error) {
 	delay := c.hedgeDelay(ctx)
 	if delay <= 0 {
-		resp, err := c.callCtx(ctx, route.Node, Message{Op: OpGet, Key: key})
-		if err != nil {
-			return nil, overlay.Route{}, err
-		}
-		if rerr := remoteError(resp); rerr != nil {
-			return nil, overlay.Route{}, rerr
-		}
-		return trimEntries(resp.Entries), route, nil
+		resp, route, err := c.routedCall(ctx, owner, Message{Op: OpGet, Key: key})
+		return trimEntries(resp.Entries), route, err
 	}
 	type result struct {
 		entries []overlay.Entry
-		node    string
+		route   overlay.Route
+		hedge   bool
 		err     error
 	}
 	// Buffered so a losing read's goroutine can deliver and exit even
 	// after the winner returned (transports cannot cancel in-flight
 	// sends).
 	ch := make(chan result, 2)
-	read := func(addr string) {
-		resp, err := c.callCtx(ctx, addr, Message{Op: OpGet, Key: key})
-		if err == nil {
-			err = remoteError(resp)
-		}
-		ch <- result{entries: trimEntries(resp.Entries), node: addr, err: err}
-	}
-	go read(route.Node)
+	go func() {
+		resp, route, err := c.routedCall(ctx, owner, Message{Op: OpGet, Key: key})
+		ch <- result{entries: trimEntries(resp.Entries), route: route, err: err}
+	}()
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	outstanding := 1
@@ -392,11 +447,10 @@ func (c *Cluster) hedgedGet(ctx context.Context, key keyspace.Key, route overlay
 		case r := <-ch:
 			outstanding--
 			if r.err == nil {
-				if r.node == route.Node {
-					return r.entries, route, nil
+				if r.hedge {
+					c.hedgeWins.Inc()
 				}
-				c.hedgeWins.Inc()
-				return r.entries, overlay.Route{Node: r.node, Hops: route.Hops + 1}, nil
+				return r.entries, r.route, nil
 			}
 			if firstErr == nil {
 				firstErr = r.err
@@ -409,15 +463,28 @@ func (c *Cluster) hedgedGet(ctx context.Context, key keyspace.Key, route overlay
 				continue
 			}
 			hedged = true
-			if peer := c.hedgePeer(key, route.Node); peer != "" {
+			if peer := c.hedgePeer(key, owner); peer != "" {
 				c.hedgedGets.Inc()
 				outstanding++
-				go read(peer)
+				go func() {
+					entries, err := c.localGet(ctx, peer, key)
+					ch <- result{entries: entries, route: overlay.Route{Node: peer, Hops: 1}, hedge: true, err: err}
+				}()
 			}
 		case <-ctx.Done():
 			return nil, overlay.Route{}, ctx.Err()
 		}
 	}
+}
+
+// localGet reads addr's own copy of key (TTL 0: the node neither checks
+// ownership nor forwards) — the form hedge and failover reads use.
+func (c *Cluster) localGet(ctx context.Context, addr string, key keyspace.Key) ([]overlay.Entry, error) {
+	resp, err := c.callCtx(ctx, addr, Message{Op: OpGet, Key: key})
+	if err == nil {
+		err = remoteError(resp)
+	}
+	return trimEntries(resp.Entries), err
 }
 
 // hedgeDelay resolves how long to wait for the owner before hedging.
@@ -446,24 +513,28 @@ func (c *Cluster) hedgePeer(key keyspace.Key, owner string) string {
 	return ""
 }
 
+// ownerIndex returns the position of key's presumed owner in the
+// non-empty ring-ordered members: the first at or past key, wrapping.
+func ownerIndex(members []member, key keyspace.Key) int {
+	i := sort.Search(len(members), func(i int) bool { return members[i].id.Cmp(key) >= 0 })
+	if i == len(members) {
+		return 0
+	}
+	return i
+}
+
 // replicaFollowers returns up to max tracked members clockwise from
 // key's ideal owner position, excluding exclude: the window a
 // replicating ring pushes copies to.
 func (c *Cluster) replicaFollowers(key keyspace.Key, exclude string, max int) []string {
-	addrs := c.Addrs() // ring order
-	if len(addrs) == 0 || max <= 0 {
+	members := c.ring()
+	if len(members) == 0 || max <= 0 {
 		return nil
 	}
-	start := 0
-	for i, addr := range addrs {
-		if idOf(addr).Cmp(key) >= 0 {
-			start = i
-			break
-		}
-	}
+	start := ownerIndex(members, key)
 	out := make([]string, 0, max)
-	for i := 0; i < len(addrs) && len(out) < max; i++ {
-		cand := addrs[(start+i)%len(addrs)]
+	for i := 0; i < len(members) && len(out) < max; i++ {
+		cand := members[(start+i)%len(members)].addr
 		if cand == exclude {
 			continue
 		}
@@ -483,12 +554,12 @@ func trimEntries(entries []overlay.Entry) []overlay.Entry {
 // failoverGet reads key from the tracked members clockwise from the
 // key's ideal owner, skipping the member that already failed. The
 // window is replication+1 candidates — the replica set plus one slot of
-// post-Leave migration slack. It returns the first successful replica's
-// answer.
+// post-Leave migration slack. Every read is local (TTL 0), and the
+// first successful replica's answer is returned.
 func (c *Cluster) failoverGet(ctx context.Context, key keyspace.Key, failed string) ([]overlay.Entry, overlay.Route, error) {
 	cands := c.replicaFollowers(key, failed, c.replication+1)
 	if len(cands) == 0 {
-		return nil, overlay.Route{}, fmt.Errorf("wire: cluster has no members")
+		return nil, overlay.Route{}, errNoMembers
 	}
 	c.ownerReadFailures.Inc()
 	var lastErr error = ErrUnreachable
@@ -496,17 +567,13 @@ func (c *Cluster) failoverGet(ctx context.Context, key keyspace.Key, failed stri
 		if err := ctx.Err(); err != nil {
 			return nil, overlay.Route{}, err
 		}
-		resp, err := c.callCtx(ctx, cand, Message{Op: OpGet, Key: key})
+		entries, err := c.localGet(ctx, cand, key)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if rerr := remoteError(resp); rerr != nil {
-			lastErr = rerr
-			continue
-		}
 		c.failoverReads.Inc()
-		return trimEntries(resp.Entries), overlay.Route{Node: cand, Hops: i + 1}, nil
+		return entries, overlay.Route{Node: cand, Hops: i + 1}, nil
 	}
 	return nil, overlay.Route{}, lastErr
 }
@@ -514,32 +581,33 @@ func (c *Cluster) failoverGet(ctx context.Context, key keyspace.Key, failed stri
 // Remove implements overlay.Network. The owner's handler already
 // propagates the delete to its CURRENT successors, but after churn the
 // key's tracked followers may not coincide with them — so the cluster
-// additionally sweeps the whole replica window best-effort, ensuring a
-// stale copy cannot be resurrected later by a failover read.
+// additionally sweeps the whole replica window best-effort with local
+// removes (OpRemoveReplica, TTL 0), ensuring a stale copy cannot be
+// resurrected later by a failover read.
 func (c *Cluster) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
-	route, err := c.FindOwner(key)
+	ctx := context.Background()
+	removed := false
+	route, _, err := c.viaOwner(ctx, key, func(owner string) (overlay.Route, error) {
+		resp, route, err := c.routedCall(ctx, owner, Message{Op: OpRemove, Key: key, Entry: e})
+		removed = resp.Ok
+		return route, err
+	})
 	if err != nil {
-		return false, err
-	}
-	resp, err := c.call(route.Node, Message{Op: OpRemove, Key: key, Entry: e})
-	if err != nil {
-		return false, err
-	}
-	if rerr := remoteError(resp); rerr != nil {
-		return resp.Ok, rerr
+		return removed, err
 	}
 	for _, cand := range c.replicaFollowers(key, route.Node, c.replication) {
 		_, _ = c.call(cand, Message{Op: OpRemoveReplica, Key: key, Entry: e})
 	}
-	return resp.Ok, nil
+	return removed, nil
 }
 
 // Addrs implements overlay.Network (tracked members in ring order).
 func (c *Cluster) Addrs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, len(c.addrs))
-	copy(out, c.addrs)
+	members := c.ring()
+	out := make([]string, len(members))
+	for i, m := range members {
+		out[i] = m.addr
+	}
 	return out
 }
 
@@ -560,11 +628,7 @@ func (c *Cluster) StatsOf(addr string) (overlay.NodeStats, error) {
 }
 
 // Size implements overlay.Network.
-func (c *Cluster) Size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.addrs)
-}
+func (c *Cluster) Size() int { return len(c.ring()) }
 
 // WaitConverged polls until every tracked node's successor pointer equals
 // its ideal ring neighbour, or the timeout elapses. It returns an error

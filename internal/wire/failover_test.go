@@ -225,7 +225,12 @@ func TestFailoverReadServedByReplica(t *testing.T) {
 		t.Fatalf("read claims to be served by the crashed owner %s", route.Node)
 	}
 	m := cluster.Metrics()
-	if m.FailoverReads < 1 {
+	if m.FailoverReads < 1 || m.OwnerReadFailures < 1 {
 		t.Fatalf("FailoverReads = %d, want ≥ 1 (metrics: %+v)", m.FailoverReads, m)
+	}
+	// The dead presumed owner sent the read through routed resolution
+	// first; routing still named the dead node, so replicas served.
+	if got := cluster.ownerFallbacks.Value(); got < 1 {
+		t.Fatalf("wire_owner_fallbacks_total = %d, want ≥ 1", got)
 	}
 }

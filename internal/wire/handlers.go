@@ -30,9 +30,7 @@ func (n *Node) handle(req Message) Message {
 	case OpPut:
 		return n.handlePut(req)
 	case OpGet:
-		// Store reads take only the key's stripe read-lock — a get never
-		// waits behind routing maintenance or writes to other stripes.
-		return Message{Op: req.Op, Entries: n.store.Get(req.Key), Ok: true}
+		return n.handleGet(req)
 	case OpRemove:
 		return n.handleRemove(req)
 	case OpTransfer, OpPutReplica:
@@ -70,7 +68,7 @@ func (n *Node) handleFindSuccessor(req Message) Message {
 	succ := n.succs[0]
 	n.mu.Unlock()
 
-	if succ == n.addr || req.Key.Between(n.id, idOf(succ)) {
+	if succ == n.addr || req.Key.Between(n.id, n.peerID(succ)) {
 		return Message{Op: req.Op, Addr: succ, Hops: req.Hops}
 	}
 	if req.TTL <= 0 {
@@ -103,18 +101,22 @@ func (n *Node) handleFindSuccessor(req Message) Message {
 func (n *Node) closestPreceding(key keyspace.Key) string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	last := ""
 	for i := keyspace.Bits - 1; i >= 0; i-- {
 		f := n.fingers[i]
-		if f == "" || f == n.addr {
+		// Runs of slots share one target (a ring of N nodes fills the 160
+		// slots with O(log N) distinct addresses): test each run once.
+		if f == "" || f == n.addr || f == last {
 			continue
 		}
-		if idOf(f).BetweenOpen(n.id, key) {
+		last = f
+		if n.peerID(f).BetweenOpen(n.id, key) {
 			return f
 		}
 	}
 	for i := len(n.succs) - 1; i >= 0; i-- {
 		s := n.succs[i]
-		if s != n.addr && idOf(s).BetweenOpen(n.id, key) {
+		if s != n.addr && n.peerID(s).BetweenOpen(n.id, key) {
 			return s
 		}
 	}
@@ -140,7 +142,7 @@ func (n *Node) handleNotify(req Message) Message {
 	// store access is serialized per key stripe instead.
 	n.mu.Lock()
 	changed := false
-	if n.pred == "" || idOf(cand).BetweenOpen(idOf(n.pred), n.id) {
+	if n.pred == "" || n.peerID(cand).BetweenOpen(n.peerID(n.pred), n.id) {
 		changed = n.pred != cand
 		n.pred = cand
 	}
@@ -163,7 +165,7 @@ func (n *Node) handleNotify(req Message) Message {
 	// is within the new owner's replica set, and deleting them here would
 	// strip the replicas faster than the repair loop restores them.
 	var kv []KeyEntries
-	predID := idOf(cand)
+	predID := n.peerID(cand)
 	for _, k := range n.localKeys() {
 		if k.Between(predID, n.id) {
 			continue
@@ -228,7 +230,7 @@ func (n *Node) splitForeign(kv []KeyEntries) (owned, foreign []KeyEntries) {
 	if pred == "" || pred == n.addr {
 		return kv, nil
 	}
-	predID := idOf(pred)
+	predID := n.peerID(pred)
 	for _, item := range kv {
 		if item.Key.Between(predID, n.id) {
 			owned = append(owned, item)
@@ -263,46 +265,70 @@ func (n *Node) routeForeign(foreign []KeyEntries) (groups map[string][]KeyEntrie
 	return groups, order, self, nil
 }
 
-// handlePut stores one entry at its owner. Like the batch path, the
-// handler defends against stale routing: a put for a key outside this
-// node's (pred, self] range — the client resolved this node as owner
-// while the ring was routing around an unresponsive peer, or churn
-// landed between routing and arrival — is re-routed to the true owner
-// instead of being stored where no lookup will find it once the ring
-// heals. Client puts carry no TTL, so the forward arms the node's own
-// routing TTL; disagreeing ownership views decrement it and cannot
-// loop a put forever. A forward failure NACKs the put: no ack is ever
-// issued for an entry resting on a node that disclaims the key.
+// owns reports whether key falls in this node's (pred, self] range. A
+// node without a predecessor owns everything it is handed.
+func (n *Node) owns(key keyspace.Key) bool {
+	n.mu.Lock()
+	pred := n.pred
+	n.mu.Unlock()
+	return pred == "" || pred == n.addr || key.Between(n.peerID(pred), n.id)
+}
+
+// forwardForeign is the first step of every single-key handler (OpPut,
+// OpGet, OpRemove). TTL > 0 marks the request OWNER-ADDRESSED: the
+// client computed this node as the key's owner from its membership
+// view, or resolved it while the ring was routing around an
+// unresponsive peer, and either may be stale. A key outside (pred, self]
+// is therefore forwarded to its Chord-routed owner with TTL-1 — views
+// that disagree decrement it and cannot loop a request forever — and
+// the owner's reply, which names the node that served (Addr) and the
+// forwarding steps taken (Hops), is relayed back with done = true. A
+// routing or forward failure NACKs: no ack is ever issued for an entry
+// resting on a node that disclaims the key. done = false means serve
+// here: the key is owned, or routing resolved it back to this node (the
+// predecessor pointer, not the client, was stale), or TTL is 0 — the
+// "exactly this node's copy" form of hedge, failover and replica-sweep
+// traffic, which must never be forwarded.
+func (n *Node) forwardForeign(req Message) (resp Message, done bool) {
+	if req.TTL <= 0 || n.owns(req.Key) {
+		return Message{}, false
+	}
+	if req.TTL == 1 {
+		// The budget cannot cover another hop, and arriving there with
+		// TTL 0 would read as a local request.
+		return Message{Op: req.Op, Err: ErrTTLExceeded.Error()}, true
+	}
+	r := n.handleFindSuccessor(Message{Op: OpFindSuccessor, Key: req.Key, TTL: n.cfg.TTL})
+	if r.Err != "" {
+		return Message{Op: req.Op, Err: r.Err}, true
+	}
+	if r.Addr == "" || r.Addr == n.addr {
+		return Message{}, false
+	}
+	n.ownerForwards.Inc()
+	req.TTL--
+	req.Hops += r.Hops + 1
+	resp, err := n.cfg.Transport.Call(r.Addr, req)
+	if err != nil && resp.Err == "" {
+		// Transport failure; an overload NACK already travels in resp.
+		resp = Message{Op: req.Op, Err: err.Error()}
+	}
+	return resp, true
+}
+
+// handleGet serves a read. Store reads take only the key's stripe
+// read-lock — a get never waits behind writes to other stripes.
+func (n *Node) handleGet(req Message) Message {
+	if resp, done := n.forwardForeign(req); done {
+		return resp
+	}
+	return Message{Op: req.Op, Entries: n.store.Get(req.Key), Ok: true, Addr: n.addr, Hops: req.Hops}
+}
+
+// handlePut stores one entry at its owner and replicates it.
 func (n *Node) handlePut(req Message) Message {
-	_, foreign := n.splitForeign([]KeyEntries{{Key: req.Key}})
-	if len(foreign) > 0 {
-		ttl := req.TTL
-		if ttl == 0 {
-			ttl = n.cfg.TTL
-		}
-		if ttl <= 0 {
-			return Message{Op: req.Op, Err: ErrTTLExceeded.Error()}
-		}
-		_, order, _, rerr := n.routeForeign(foreign)
-		if rerr != nil {
-			return Message{Op: req.Op, Err: rerr.Error()}
-		}
-		if len(order) > 0 {
-			target := order[0]
-			resp, err := n.cfg.Transport.Call(target, Message{
-				Op: OpPut, Key: req.Key, Entry: req.Entry, TTL: ttl - 1,
-			})
-			if err == nil && resp.Err != "" {
-				err = errors.New(resp.Err)
-			}
-			if err != nil {
-				return Message{Op: req.Op, Err: err.Error()}
-			}
-			// The true owner stored and replicated the entry.
-			return Message{Op: req.Op, Ok: true}
-		}
-		// Routing resolved the key back to this node: the predecessor
-		// pointer, not the client, was stale. Store locally.
+	if resp, done := n.forwardForeign(req); done {
+		return resp
 	}
 	_, err := n.store.Put(req.Key, req.Entry)
 	if err != nil {
@@ -312,7 +338,7 @@ func (n *Node) handlePut(req Message) Message {
 		return Message{Op: req.Op, Err: err.Error()}
 	}
 	n.replicateEntry(req.Key, req.Entry, OpPutReplica)
-	return Message{Op: req.Op, Ok: true}
+	return Message{Op: req.Op, Ok: true, Addr: n.addr, Hops: req.Hops}
 }
 
 // handlePutBatch stores a batch of entries in one round. Clients route
@@ -453,7 +479,13 @@ func (n *Node) replicateKV(kv []KeyEntries, op Op) {
 	}
 }
 
+// handleRemove deletes one entry: at the key's owner, which propagates
+// the deletion to its replicas (OpRemove), or from exactly this node's
+// copy (OpRemoveReplica, which carries no TTL and is never forwarded).
 func (n *Node) handleRemove(req Message) Message {
+	if resp, done := n.forwardForeign(req); done {
+		return resp
+	}
 	removed, err := n.store.Remove(req.Key, req.Entry)
 	if err != nil {
 		return Message{Op: req.Op, Err: err.Error()}
@@ -463,7 +495,7 @@ func (n *Node) handleRemove(req Message) Message {
 		// Propagate the deletion to replicas outside the lock.
 		n.replicateEntry(req.Key, req.Entry, OpRemoveReplica)
 	}
-	return Message{Op: req.Op, Ok: removed}
+	return Message{Op: req.Op, Ok: removed, Addr: n.addr, Hops: req.Hops}
 }
 
 func (n *Node) handleStats(req Message) Message {

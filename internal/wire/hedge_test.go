@@ -41,11 +41,14 @@ func (s *slowTransport) Call(addr string, req Message) (Message, error) {
 // TestHedgedGetWinsAgainstSlowOwner: with a hedge delay configured, a Get
 // whose owner read stalls is raced against the key's first replica, and
 // the replica's answer is served — tail latency capped by the hedge, not
-// the slow peer.
+// the slow peer. The owner read is owner-addressed (TTL set); the hedge
+// is a local read (TTL 0), so the replica answers from its own copy
+// instead of forwarding back to the slow owner.
 func TestHedgedGetWinsAgainstSlowOwner(t *testing.T) {
 	mem := NewMemTransport()
 	slow := &slowTransport{Transport: mem}
-	cluster := NewCluster(slow, 1, 1)
+	rec := &recordingTransport{Transport: slow}
+	cluster := NewCluster(rec, 1, 1)
 	cluster.HedgeDelay = 10 * time.Millisecond
 
 	var nodes []*Node
@@ -88,6 +91,7 @@ func TestHedgedGetWinsAgainstSlowOwner(t *testing.T) {
 	}
 	owner := route.Node
 	slow.setSlow(owner, 500*time.Millisecond)
+	rec.take()
 
 	start := time.Now()
 	entries, got, err := cluster.GetCtx(context.Background(), key)
@@ -97,6 +101,11 @@ func TestHedgedGetWinsAgainstSlowOwner(t *testing.T) {
 	}
 	if got.Node == owner {
 		t.Fatalf("answer came from the slow owner %s — hedge never raced", owner)
+	}
+	sent := rec.take()
+	if len(sent) != 2 || sent[0].addr != owner || sent[0].req.TTL <= 0 ||
+		sent[1].addr != got.Node || sent[1].req.TTL != 0 {
+		t.Fatalf("sent %+v, want an owner-addressed read to %s then a local read to %s", sent, owner, got.Node)
 	}
 	if elapsed >= 500*time.Millisecond {
 		t.Fatalf("get took %v: tail latency not capped by the hedge", elapsed)

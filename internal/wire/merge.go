@@ -334,7 +334,7 @@ func (n *Node) rejoinVia(boot string) bool {
 		return false
 	}
 	cur := n.succs[0]
-	adopt := cur == n.addr || idOf(cand).Between(n.id, idOf(cur)) && cand != cur
+	adopt := cur == n.addr || n.peerID(cand).Between(n.id, n.peerID(cur)) && cand != cur
 	if adopt {
 		n.succs[0] = cand
 		n.merge.adopts.Inc()

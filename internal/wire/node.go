@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dhtindex/internal/keyspace"
@@ -140,6 +141,9 @@ type Node struct {
 	repair repairCounters
 	merge  mergeCounters
 	tomb   tombstoneCounters
+	// ownerForwards counts owner-addressed requests this node forwarded
+	// because the key was foreign (forwardForeign).
+	ownerForwards *telemetry.Counter
 
 	// mu guards ROUTING state only: ring pointers, fingers, the
 	// known-peers set and lifecycle flags. The data store is NOT under
@@ -162,6 +166,9 @@ type Node struct {
 	// store is the node's synchronized data plane (not guarded by mu).
 	store ConcurrentStore
 
+	peerIDs     sync.Map // addr string -> keyspace.Key (peerID's memo)
+	peerIDCount atomic.Int64
+
 	listener io.Closer
 	stop     chan struct{}
 	done     sync.WaitGroup
@@ -170,6 +177,26 @@ type Node struct {
 // idOf derives a peer's ring position from its address (SHA-1), so
 // identifiers never need to travel on the wire.
 func idOf(addr string) keyspace.Key { return keyspace.NewKey(addr) }
+
+// maxPeerIDs bounds a node's peerID memo under unending churn.
+const maxPeerIDs = 4096
+
+// peerID is idOf memoised per node. Routing compares the positions of
+// the same few learned addresses (predecessor, successors, fingers) on
+// every request, so each is hashed once instead of once per comparison.
+// The memo is emptied when it outgrows maxPeerIDs.
+func (n *Node) peerID(addr string) keyspace.Key {
+	if id, ok := n.peerIDs.Load(addr); ok {
+		return id.(keyspace.Key)
+	}
+	id := idOf(addr)
+	if n.peerIDCount.Add(1) > maxPeerIDs {
+		n.peerIDs.Range(func(k, _ any) bool { n.peerIDs.Delete(k); return true })
+		n.peerIDCount.Store(1)
+	}
+	n.peerIDs.Store(addr, id)
+	return id
+}
 
 // Start listens and begins the maintenance loops. The node starts as a
 // one-node ring; call Join to enter an existing one.
@@ -185,7 +212,9 @@ func Start(cfg Config) (*Node, error) {
 		repair: newRepairCounters(),
 		merge:  newMergeCounters(),
 		tomb:   newTombstoneCounters(),
-		known:  make(map[string]bool),
+		ownerForwards: telemetry.NewCounter("wire_owner_forwards_total",
+			"Owner-addressed single-key requests forwarded to the routed owner because the key was foreign."),
+		known: make(map[string]bool),
 	}
 	if tp, ok := cfg.Transport.(*TCPTransport); ok && cfg.Codec != CodecDefault {
 		tp.Codec = cfg.Codec
@@ -411,7 +440,7 @@ func (n *Node) stabilizeOnce() {
 		}
 		return
 	}
-	if x := resp.Addr; x != "" && x != n.addr && idOf(x).BetweenOpen(n.id, idOf(succ)) {
+	if x := resp.Addr; x != "" && x != n.addr && n.peerID(x).BetweenOpen(n.id, n.peerID(succ)) {
 		// A node slipped in between us and our successor.
 		n.mu.Lock()
 		n.succs[0] = x
@@ -677,6 +706,7 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 	n.repair.attach(reg)
 	n.merge.attach(reg)
 	n.tomb.attach(reg)
+	reg.Attach(n.ownerForwards)
 	if n.retry != nil {
 		n.retry.Instrument(reg)
 	}

@@ -1,0 +1,417 @@
+package wire
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"dhtindex/internal/keyspace"
+	"dhtindex/internal/overlay"
+	"dhtindex/internal/telemetry"
+)
+
+// recordingTransport logs every request a client sends, so a test can
+// count RPCs and see which form (TTL > 0 owner-addressed, TTL 0 local)
+// each one took.
+type recordingTransport struct {
+	Transport
+	mu   sync.Mutex
+	sent []sentRequest
+}
+
+type sentRequest struct {
+	addr string
+	req  Message
+}
+
+func (r *recordingTransport) Call(addr string, req Message) (Message, error) {
+	r.mu.Lock()
+	r.sent = append(r.sent, sentRequest{addr, req})
+	r.mu.Unlock()
+	return r.Transport.Call(addr, req)
+}
+
+// take returns the requests logged since the last take.
+func (r *recordingTransport) take() []sentRequest {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := r.sent
+	r.sent = nil
+	return out
+}
+
+// keyWhere returns the first key of a seeded series that ok accepts.
+func keyWhere(t *testing.T, prefix string, ok func(keyspace.Key) bool) keyspace.Key {
+	t.Helper()
+	for i := 0; i < 10000; i++ {
+		if k := keyspace.NewKey(fmt.Sprintf("%s-%d", prefix, i)); ok(k) {
+			return k
+		}
+	}
+	t.Fatalf("no %s key satisfies the condition", prefix)
+	return keyspace.Key{}
+}
+
+// localEntries reads addr's own copy of key (TTL 0).
+func localEntries(t *testing.T, tr Transport, addr string, key keyspace.Key) []overlay.Entry {
+	t.Helper()
+	resp, err := tr.Call(addr, Message{Op: OpGet, Key: key})
+	if err != nil || resp.Err != "" {
+		t.Fatalf("local get at %s: %v %s", addr, err, resp.Err)
+	}
+	return resp.Entries
+}
+
+func totalForwards(nodes []*Node) int64 {
+	var sum int64
+	for _, n := range nodes {
+		sum += n.ownerForwards.Value()
+	}
+	return sum
+}
+
+// TestSingleKeyOpsCostOneRPC: over a converged ring whose members are all
+// tracked, Put, Get and Remove each cost the client exactly one
+// owner-addressed RPC, name the true owner in Route.Node with zero
+// forwarding steps, and record those zero steps in dht_lookup_hops.
+func TestSingleKeyOpsCostOneRPC(t *testing.T) {
+	full, nodes, mt := startBatchRing(t, 5, 0)
+	rec := &recordingTransport{Transport: mt}
+	cluster := NewCluster(rec, 3, 0)
+	cluster.Instrument(telemetry.NewRegistry())
+	for _, n := range nodes {
+		cluster.Track(n.Addr())
+	}
+	entry := overlay.Entry{Kind: "d", Value: "v"}
+	for i := 0; i < 20; i++ {
+		key := keyspace.NewKey(fmt.Sprintf("one-rpc-%d", i))
+		want, err := full.FindOwner(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(op string, route overlay.Route, err error) {
+			t.Helper()
+			sent := rec.take()
+			if err != nil || route.Node != want.Node || route.Hops != 0 {
+				t.Fatalf("%s key %d: route %+v, %v; want owner %s in 0 hops", op, i, route, err, want.Node)
+			}
+			if len(sent) != 1 || sent[0].addr != want.Node || sent[0].req.TTL <= 0 {
+				t.Fatalf("%s key %d: sent %+v, want one owner-addressed RPC to %s", op, i, sent, want.Node)
+			}
+		}
+		route, err := cluster.Put(key, entry)
+		check("put", route, err)
+		entries, route, err := cluster.Get(key)
+		check("get", route, err)
+		if len(entries) != 1 || entries[0] != entry {
+			t.Fatalf("get key %d = %v", i, entries)
+		}
+		removed, err := cluster.Remove(key, entry)
+		check("remove", overlay.Route{Node: want.Node}, err)
+		if !removed {
+			t.Fatalf("remove key %d reported nothing removed", i)
+		}
+	}
+	if h := cluster.hops.Load(); h.Count() != 60 || h.Sum() != 0 {
+		t.Fatalf("dht_lookup_hops: %d observations summing to %v, want 60 of 0 hops", h.Count(), h.Sum())
+	}
+	if got := totalForwards(nodes); got != 0 {
+		t.Fatalf("%d requests were forwarded in a converged, fully tracked ring", got)
+	}
+	if got := cluster.ownerFallbacks.Value(); got != 0 {
+		t.Fatalf("%d operations fell back to routed resolution", got)
+	}
+}
+
+// TestStaleViewIsForwardedToTrueOwner: a node that joined the ring but
+// was never Tracked owns the key. Put, Get and Remove through the
+// presumed (old) owner still cost the client one RPC each; the old owner
+// forwards them, Route.Node names the true owner, and a removed entry is
+// readable from neither node afterwards.
+func TestStaleViewIsForwardedToTrueOwner(t *testing.T) {
+	full, nodes, mt := startBatchRing(t, 5, 1)
+	untracked := nodes[4]
+	rec := &recordingTransport{Transport: mt}
+	stale := NewCluster(rec, 3, 1)
+	for _, n := range nodes[:4] {
+		stale.Track(n.Addr())
+	}
+	key := keyWhere(t, "stale-view", func(k keyspace.Key) bool {
+		route, err := full.FindOwner(k)
+		return err == nil && route.Node == untracked.Addr()
+	})
+	presumed := untracked.Successor()
+	entry := overlay.Entry{Kind: "d", Value: "v"}
+
+	route, err := stale.Put(key, entry)
+	if err != nil || route.Node != untracked.Addr() || route.Hops < 1 {
+		t.Fatalf("put: route %+v, %v; want true owner %s after ≥ 1 forward", route, err, untracked.Addr())
+	}
+	if sent := rec.take(); len(sent) != 1 || sent[0].addr != presumed {
+		t.Fatalf("put sent %+v, want one RPC to the presumed owner %s", sent, presumed)
+	}
+	if got := localEntries(t, mt, untracked.Addr(), key); len(got) != 1 {
+		t.Fatalf("true owner holds %v after the forwarded put", got)
+	}
+	entries, route, err := stale.Get(key)
+	if err != nil || route.Node != untracked.Addr() || len(entries) != 1 || entries[0] != entry {
+		t.Fatalf("get: %v via %+v, %v", entries, route, err)
+	}
+	if sent := rec.take(); len(sent) != 1 {
+		t.Fatalf("get sent %d RPCs, want 1", len(sent))
+	}
+	removed, err := stale.Remove(key, entry)
+	if err != nil || !removed {
+		t.Fatalf("remove = %v, %v", removed, err)
+	}
+	for _, addr := range []string{untracked.Addr(), presumed} {
+		if got := localEntries(t, mt, addr, key); len(got) != 0 {
+			t.Fatalf("%s still holds %v after the remove", addr, got)
+		}
+	}
+	if entries, _, err := full.Get(key); err != nil || len(entries) != 0 {
+		t.Fatalf("removed entry readable again: %v, %v", entries, err)
+	}
+	if got := totalForwards(nodes); got != 3 {
+		t.Fatalf("wire_owner_forwards_total = %d, want 3 (put, get, remove)", got)
+	}
+}
+
+// TestDeadPresumedOwnerFallsBackToRouting tracks a phantom member that
+// owns an arc of the ring but answers nothing: single-key operations
+// presumed to it fall back to Chord-routed resolution and still land on
+// (and read from) the live owner.
+func TestDeadPresumedOwnerFallsBackToRouting(t *testing.T) {
+	cluster, _, _ := startBatchRing(t, 4, 0)
+	const phantom = "mem:dead-phantom"
+	cluster.Track(phantom)
+	members := cluster.ring()
+	key := keyWhere(t, "dead-owner", func(k keyspace.Key) bool {
+		return members[ownerIndex(members, k)].addr == phantom
+	})
+	entry := overlay.Entry{Kind: "d", Value: "v"}
+	route, err := cluster.Put(key, entry)
+	if err != nil || route.Node == phantom || route.Node == "" {
+		t.Fatalf("put with dead presumed owner: %+v, %v", route, err)
+	}
+	entries, groute, err := cluster.Get(key)
+	if err != nil || len(entries) != 1 || groute.Node != route.Node {
+		t.Fatalf("get = %v via %+v, %v; want the entry from %s", entries, groute, err, route.Node)
+	}
+	if removed, err := cluster.Remove(key, entry); err != nil || !removed {
+		t.Fatalf("remove = %v, %v", removed, err)
+	}
+	if got := cluster.ownerFallbacks.Value(); got != 3 {
+		t.Fatalf("wire_owner_fallbacks_total = %d, want 3", got)
+	}
+	if m := cluster.Metrics(); m.OwnerReadFailures != 0 || m.FailoverReads != 0 {
+		t.Fatalf("routed fallback served, yet %+v", m)
+	}
+}
+
+// TestStalePredecessorServesLocally: the receiving node's predecessor
+// pointer names a peer that is alive but not part of the ring (so
+// neither stabilization nor the liveness check replaces it) and
+// disclaims the key; routing resolves the key back to the node itself,
+// which must serve it locally instead of bouncing it.
+func TestStalePredecessorServesLocally(t *testing.T) {
+	cluster, nodes, mt := startBatchRing(t, 4, 0)
+	node := nodes[1]
+	realPred := idOf(node.Predecessor())
+	var ghostAddr string
+	for i := 0; ghostAddr == ""; i++ {
+		if addr := fmt.Sprintf("mem:ghost-%d", i); idOf(addr).BetweenOpen(realPred, node.ID()) {
+			ghostAddr = addr
+		}
+	}
+	ghost, err := Start(Config{Transport: mt, Addr: ghostAddr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ghost.Stop)
+	node.mu.Lock()
+	node.pred = ghostAddr
+	node.mu.Unlock()
+
+	key := keyWhere(t, "stale-pred", func(k keyspace.Key) bool { return k.Between(realPred, ghost.ID()) })
+	if node.owns(key) {
+		t.Fatal("the node's stale predecessor does not disclaim the key")
+	}
+	entry := overlay.Entry{Kind: "d", Value: "v"}
+	route, err := cluster.Put(key, entry)
+	if err != nil || route.Node != node.Addr() {
+		t.Fatalf("put: %+v, %v; want served by %s itself", route, err, node.Addr())
+	}
+	entries, route, err := cluster.Get(key)
+	if err != nil || route.Node != node.Addr() || len(entries) != 1 || entries[0] != entry {
+		t.Fatalf("get: %v via %+v, %v", entries, route, err)
+	}
+	if removed, err := cluster.Remove(key, entry); err != nil || !removed {
+		t.Fatalf("remove = %v, %v", removed, err)
+	}
+	if got := node.Predecessor(); got != ghostAddr {
+		t.Fatalf("predecessor healed to %s mid-test; the stale path was not exercised", got)
+	}
+	if got := totalForwards(nodes); got != 0 {
+		t.Fatalf("%d requests were forwarded; want all served where they arrived", got)
+	}
+}
+
+// TestDisagreeingViewsExhaustTTL: two nodes each believe the other owns
+// the key. An owner-addressed request bounces between them one TTL step
+// at a time and is NACKed when the budget is spent — never served by a
+// node that disclaims the key, never looping.
+func TestDisagreeingViewsExhaustTTL(t *testing.T) {
+	mt := NewMemTransport()
+	var pair [2]*Node
+	for i := range pair {
+		// The maintenance loop never ticks: the planted state stays.
+		n, err := Start(Config{Transport: mt, Addr: "mem:0", StabilizeInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Stop)
+		pair[i] = n
+	}
+	a, b := pair[0], pair[1]
+	a.succs, a.pred = []string{b.addr}, b.addr
+	b.succs, b.pred = []string{a.addr}, a.addr
+	// a places b at idOf(b.addr) and hands it (a, b]; b believes it sits
+	// just past a, owning next to nothing, with everything else a's.
+	key := keyWhere(t, "disputed", func(k keyspace.Key) bool { return k.Between(a.id, b.id) })
+	b.id = a.id.Add(0)
+	if a.owns(key) || b.owns(key) {
+		t.Fatal("setup: one side claims the key")
+	}
+
+	const ttl = 8
+	for _, op := range []Op{OpGet, OpPut, OpRemove} {
+		before := totalForwards(pair[:])
+		resp, err := mt.Call(a.addr, Message{Op: op, Key: key, Entry: overlay.Entry{Kind: "d", Value: "v"}, TTL: ttl})
+		if err != nil || !strings.Contains(resp.Err, ErrTTLExceeded.Error()) {
+			t.Fatalf("%v: %+v, %v; want a TTL-exceeded NACK", op, resp, err)
+		}
+		if got := totalForwards(pair[:]) - before; got != ttl-1 {
+			t.Fatalf("%v was forwarded %d times, want %d", op, got, ttl-1)
+		}
+	}
+	cluster := NewCluster(mt, 1, 0)
+	cluster.Track(a.addr)
+	cluster.Track(b.addr)
+	if _, err := cluster.Put(key, overlay.Entry{Kind: "d", Value: "v"}); err == nil {
+		t.Fatal("put acked although both nodes disclaim the key")
+	}
+	if a.KeyCount()+b.KeyCount() != 0 {
+		t.Fatal("a disclaimed put was stored")
+	}
+}
+
+// TestLocalFormsNeverForward: with TTL 0, OpGet and OpRemoveReplica act
+// on exactly the addressed node's copy even when it does not own the
+// key; the same OpGet with a TTL is forwarded.
+func TestLocalFormsNeverForward(t *testing.T) {
+	cluster, nodes, mt := startBatchRing(t, 3, 0)
+	key := keyspace.NewKey("local-forms")
+	entry := overlay.Entry{Kind: "d", Value: "v"}
+	route, err := cluster.Put(key, entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var other string
+	for _, n := range nodes {
+		if n.Addr() != route.Node {
+			other = n.Addr()
+		}
+	}
+	if got := localEntries(t, mt, other, key); len(got) != 0 {
+		t.Fatalf("local get at a non-owner returned %v", got)
+	}
+	resp, err := mt.Call(other, Message{Op: OpRemoveReplica, Key: key, Entry: entry})
+	if err != nil || resp.Err != "" || resp.Ok {
+		t.Fatalf("local remove at a non-owner: %+v, %v", resp, err)
+	}
+	if got := totalForwards(nodes); got != 0 {
+		t.Fatalf("TTL-0 requests were forwarded %d times", got)
+	}
+	if got := localEntries(t, mt, route.Node, key); len(got) != 1 {
+		t.Fatalf("owner's copy = %v after a local remove elsewhere", got)
+	}
+	resp, err = mt.Call(other, Message{Op: OpGet, Key: key, TTL: 4})
+	if err != nil || len(resp.Entries) != 1 || resp.Addr != route.Node || resp.Hops < 1 {
+		t.Fatalf("owner-addressed get at a non-owner: %+v, %v", resp, err)
+	}
+}
+
+// TestFindOwnerRetriesRemoteRoutingError: an entry point that is
+// reachable but cannot route — its finger target crashed, so it answers
+// with the hop's error — is treated like an unreachable entry: another
+// member is tried, and the retry is counted.
+func TestFindOwnerRetriesRemoteRoutingError(t *testing.T) {
+	const broken, healthy, owner = "entry-broken", "entry-healthy", "the-owner"
+	ft := newFuncTransport(func(_ int, addr string, req Message) (Message, error) {
+		if addr == broken {
+			return Message{Op: req.Op, Err: ErrUnreachable.Error() + ": crashed-finger"}, nil
+		}
+		return Message{Op: req.Op, Addr: owner, Hops: 2}, nil
+	})
+	cluster := NewCluster(ft, 1, 0)
+	cluster.EntryAttempts = 8
+	cluster.Track(broken)
+	cluster.Track(healthy)
+	for i := 0; i < 20; i++ {
+		route, err := cluster.FindOwner(keyspace.NewKey(fmt.Sprintf("k%d", i)))
+		if err != nil || route.Node != owner {
+			t.Fatalf("lookup %d: %+v, %v", i, route, err)
+		}
+	}
+	if ft.callCount(broken) == 0 {
+		t.Fatal("the broken entry was never chosen; the test proved nothing")
+	}
+	if got := cluster.Metrics().EntryRetries; got != int64(ft.callCount(broken)) {
+		t.Fatalf("EntryRetries = %d, want one per answer of the broken entry (%d)", got, ft.callCount(broken))
+	}
+}
+
+// TestMembershipChangesUnderTraffic: Track and Untrack replace the
+// membership snapshot while readers pick owners from it without a lock.
+// Every read still succeeds — an untracked node's keys are forwarded to
+// it — and the race detector sees the two sides meet.
+func TestMembershipChangesUnderTraffic(t *testing.T) {
+	cluster, nodes, _ := startBatchRing(t, 4, 0)
+	entry := overlay.Entry{Kind: "d", Value: "v"}
+	keys := make([]keyspace.Key, 32)
+	for i := range keys {
+		keys[i] = keyspace.NewKey(fmt.Sprintf("traffic-%d", i))
+		if _, err := cluster.Put(keys[i], entry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				entries, _, err := cluster.Get(keys[i%len(keys)])
+				if err != nil || len(entries) != 1 {
+					t.Errorf("get under membership change: %v, %v", entries, err)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 200; i++ {
+		cluster.Untrack(nodes[i%len(nodes)].Addr())
+		cluster.Track(nodes[i%len(nodes)].Addr())
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -154,7 +154,7 @@ func (n *Node) ownedState(pred string) []KeyDigest {
 	keys := n.localKeys()
 	var owned []KeyDigest
 	for _, k := range keys {
-		if pred != "" && !k.Between(idOf(pred), n.id) {
+		if pred != "" && !k.Between(n.peerID(pred), n.id) {
 			continue // a replica held for another owner
 		}
 		var d uint64
@@ -300,7 +300,7 @@ func (n *Node) dropStaleCopies() {
 			return // wrapped: the ring fits inside the window
 		}
 	}
-	windowFrom := idOf(start)
+	windowFrom := n.peerID(start)
 
 	var stale []KeyEntries
 	for _, k := range n.localKeys() {

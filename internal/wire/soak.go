@@ -838,8 +838,9 @@ func pickVictim(rng *rand.Rand, ringOrder []string, alive map[string]*Node, part
 }
 
 // countCopies counts how many of the given nodes hold the key in their
-// LOCAL store. OpGet never forwards, so a direct per-node call observes
-// the key's physical replica placement rather than routed availability.
+// LOCAL store. An OpGet without a TTL never forwards, so a direct
+// per-node call observes the key's physical replica placement rather
+// than routed availability.
 func countCopies(t Transport, addrs []string, key keyspace.Key) int {
 	copies := 0
 	for _, addr := range addrs {

@@ -147,9 +147,15 @@ type Message struct {
 	Op   Op
 	Key  keyspace.Key
 	Addr string
-	// TTL bounds recursive FindSuccessor forwarding.
+	// TTL bounds forwarding: of recursive FindSuccessor routing, and of
+	// batches and single-key requests that carry keys the receiver does
+	// not own. On OpGet, OpPut and OpRemove it also selects the form:
+	// TTL > 0 is owner-addressed (check ownership, forward a foreign
+	// key), TTL 0 acts on exactly the addressed node's copy.
 	TTL int
-	// Hops counts forwarding steps, echoed back in responses.
+	// Hops counts forwarding steps, echoed back in responses. With Addr
+	// naming the node that served, it lets the sender of an
+	// owner-addressed request learn who answered and how far away.
 	Hops int
 	// BudgetMicros carries the caller's remaining deadline budget in
 	// microseconds (0 = no deadline). Admission control sheds requests
