@@ -1,8 +1,8 @@
 package main
 
 // The -bench-out mode: an in-process microbenchmark harness for the
-// wire fast path. It measures the pooled transport against
-// dial-per-call, batched cluster puts against sequential routed puts,
+// wire fast path. It measures the pooled transport's round trip,
+// batched cluster puts against sequential routed puts,
 // batched article publish against per-mapping inserts, and parallel
 // against sequential automated search — and writes one JSON report
 // (ops/s, p50/p99 latency, wire bytes per op) for CI to archive as
@@ -86,25 +86,12 @@ func runBenchOut(path string, seed int64) error {
 		return nil
 	}
 
-	// Transport round-trips: pooled (binary codec, the default) vs
-	// pooled forced onto gob vs dial-per-call (always gob). The
-	// binary-vs-gob pair isolates the codec's contribution on an
-	// otherwise identical fast path.
+	// Transport round-trips over one pooled connection.
 	const callOps = 2000
-	pooled, err := benchTransport(false, wire.CodecDefault, callOps)
+	pooled, err := benchTransport(callOps)
 	if err := add(pooled, err); err != nil {
 		return err
 	}
-	pooledGob, err := benchTransport(false, wire.CodecGob, callOps)
-	if err := add(pooledGob, err); err != nil {
-		return err
-	}
-	dial, err := benchTransport(true, wire.CodecDefault, callOps)
-	if err := add(dial, err); err != nil {
-		return err
-	}
-	report.Ratios["transport_pooled_vs_dial"] = ratio(pooled, dial)
-	report.Ratios["transport_binary_vs_gob"] = ratio(pooled, pooledGob)
 
 	// Cluster puts: one 16-key batch vs 16 sequential routed puts.
 	const putOps = 200
@@ -227,16 +214,8 @@ func measure(tp *wire.TCPTransport, n int, fn func(i int) error) ([]time.Duratio
 }
 
 // benchTransport measures one echo round-trip per op on loopback TCP.
-// codec selects the pooled path's wire encoding (CodecGob pins the
-// legacy gob stream; the default negotiates binary).
-func benchTransport(disablePool bool, codec wire.Codec, ops int) (benchResult, error) {
-	name := "transport_call/pooled"
-	if codec == wire.CodecGob {
-		name = "transport_call/pooled-gob"
-	}
-	if disablePool {
-		name = "transport_call/dial-per-call"
-	}
+func benchTransport(ops int) (benchResult, error) {
+	const name = "transport_call/pooled"
 	server := wire.NewTCPTransport()
 	addr, closer, err := server.Listen("127.0.0.1:0", func(req wire.Message) wire.Message {
 		return wire.Message{Op: req.Op, Ok: true, Addr: req.Addr}
@@ -246,10 +225,8 @@ func benchTransport(disablePool bool, codec wire.Codec, ops int) (benchResult, e
 	}
 	defer closer.Close()
 	client := wire.NewTCPTransport()
-	client.DisablePool = disablePool
-	client.Codec = codec
 	req := wire.Message{Op: wire.OpPing, Addr: "bench"}
-	if _, err := client.Call(addr, req); err != nil { // warm the pool / codec
+	if _, err := client.Call(addr, req); err != nil { // warm the pool
 		return benchResult{Name: name}, err
 	}
 	lats, bytes, allocs, err := measure(client, ops, func(int) error {

@@ -30,7 +30,7 @@
 // docs/OBSERVABILITY.md for the full catalog.
 //
 // With -bench-out it runs the wire fast-path microbenchmarks instead
-// (pooled vs dial-per-call transport, batched vs sequential puts and
+// (pooled transport round trip, batched vs sequential puts and
 // publish, parallel vs sequential search) and writes the ops/s and
 // latency-percentile report to the given JSON file — the source of the
 // repo's committed BENCH_wire.json.
@@ -92,7 +92,7 @@ func main() {
 		soakLatency = flag.Duration("soak-latency", 50*time.Millisecond, "soak: injected latency")
 		soakQueries = flag.Int("soak-queries", 2, "soak: indexed lookups per storm op")
 
-		benchOut   = flag.String("bench-out", "", "run the wire fast-path microbenchmarks (pooled transport with binary and gob codecs, batched puts, batched publish, parallel search) and write the JSON report to this file (e.g. BENCH_wire.json); with -load, merge the load trajectory into it instead")
+		benchOut   = flag.String("bench-out", "", "run the wire fast-path microbenchmarks (pooled transport, batched puts, batched publish, parallel search) and write the JSON report to this file (e.g. BENCH_wire.json); with -load, merge the load trajectory into it instead")
 		benchCheck = flag.String("bench-check", "", "re-measure the pooled transport's bytes/op and allocs/op and fail if they regressed past tolerance against the committed report at this path (e.g. BENCH_wire.json) — CI's cheap wire-efficiency gate")
 		profileDir = flag.String("profile", "", "write cpu.pprof and heap.pprof covering the run to this directory (created if missing)")
 

@@ -1,6 +1,6 @@
 package wire_test
 
-// Wire fast-path benchmarks: pooled vs dial-per-call transport, batched
+// Wire fast-path benchmarks: the pooled transport's round trip, batched
 // vs sequential cluster puts, batched vs sequential article publish, and
 // parallel vs sequential automated search. These are the numbers behind
 // BENCH_wire.json (cmd/dhtbench -bench-out) and CI's bench smoke step.
@@ -24,14 +24,9 @@ func benchEcho(req wire.Message) wire.Message {
 	return wire.Message{Op: req.Op, Ok: true, Addr: req.Addr}
 }
 
-// BenchmarkTransportCall measures one round-trip RPC on loopback TCP:
-// the pooled fast path (persistent framed conns, binary codec
-// negotiated at handshake) against the same path pinned to the legacy
-// gob stream and against dial-per-call mode (fresh conn and codec per
-// RPC). The acceptance bars: pooled ≥ 3× dial-per-call, and the binary
-// codec beats gob on the same pooled path. Run with -benchmem: the
-// allocs/op delta between pooled and pooled-gob is the codec's
-// reflection overhead made visible.
+// BenchmarkTransportCall measures one round-trip RPC on loopback TCP
+// over a persistent framed connection. Run with -benchmem for the
+// allocs/op column.
 func BenchmarkTransportCall(b *testing.B) {
 	server := wire.NewTCPTransport()
 	addr, closer, err := server.Listen("127.0.0.1:0", benchEcho)
@@ -40,9 +35,10 @@ func BenchmarkTransportCall(b *testing.B) {
 	}
 	defer closer.Close()
 
-	run := func(b *testing.B, client *wire.TCPTransport) {
+	b.Run("pooled", func(b *testing.B) {
+		client := wire.NewTCPTransport()
 		req := wire.Message{Op: wire.OpPing, Addr: "bench"}
-		if _, err := client.Call(addr, req); err != nil { // warm the pool / types
+		if _, err := client.Call(addr, req); err != nil { // warm the pool
 			b.Fatalf("warmup call: %v", err)
 		}
 		b.ReportAllocs()
@@ -52,19 +48,6 @@ func BenchmarkTransportCall(b *testing.B) {
 				b.Fatalf("call: %v", err)
 			}
 		}
-	}
-	b.Run("pooled", func(b *testing.B) {
-		run(b, wire.NewTCPTransport())
-	})
-	b.Run("pooled-gob", func(b *testing.B) {
-		client := wire.NewTCPTransport()
-		client.Codec = wire.CodecGob
-		run(b, client)
-	})
-	b.Run("dial-per-call", func(b *testing.B) {
-		client := wire.NewTCPTransport()
-		client.DisablePool = true
-		run(b, client)
 	})
 }
 

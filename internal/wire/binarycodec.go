@@ -1,10 +1,9 @@
 package wire
 
-// The compact binary encoding for Message spoken on persistent TCP
-// connections after a successful OpCodecSwitch handshake (DESIGN.md
-// §17). gob pays reflection plus a self-describing stream; the hot
-// path's messages are a small fixed set of flat fields, so a
-// hand-rolled encoding wins on both CPU and bytes:
+// The compact binary encoding for Message, the only payload format the
+// TCP transport speaks (DESIGN.md §17). The hot path's messages are a
+// small fixed set of flat fields, so a hand-rolled encoding beats a
+// reflective, self-describing one on both CPU and bytes:
 //
 //	[1-byte version | Op uvarint | field-presence bitmap uvarint |
 //	 present fields in bit order]
@@ -12,7 +11,7 @@ package wire
 // Scalars are varints (zigzag for signed), strings and slices carry a
 // uvarint length, keys travel as raw 20-byte values and digests as
 // fixed 8-byte big-endian words. Absent fields cost zero bytes: a ping
-// is 3 bytes of payload where gob needs a descriptor-laden stream.
+// is 3 bytes of payload.
 // Encoding appends into a caller-owned scratch slice and decoding
 // reads out of the frame buffer in place, so steady-state frames
 // allocate nothing beyond the strings and slices the decoded message
@@ -29,9 +28,10 @@ import (
 	"dhtindex/internal/overlay"
 )
 
-// binMsgVersion is the binary codec's format version byte; bump it when
-// the field layout changes (the handshake pins both ends to the same
-// build family, the byte guards against skew within it).
+// binMsgVersion is the binary codec's format version byte, the wire
+// format's evolution seam: bump it when the field layout changes. A peer
+// on any other version fails decodeMessage on its first frame and the
+// connection closes.
 const binMsgVersion = 1
 
 // Field-presence bits of the binary encoding, in encode order.

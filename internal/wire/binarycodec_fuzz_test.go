@@ -25,11 +25,11 @@ func fuzzSeeds() [][]byte {
 	rich := codecMessages()[7] // KV-bearing transfer
 	enc := appendMessage(nil, &rich)
 	seeds = append(seeds,
-		enc[:len(enc)/2],                      // truncated mid-payload
+		enc[:len(enc)/2], // truncated mid-payload
 		append(append([]byte(nil), enc...), 0xff), // trailing garbage
-		[]byte{},                              // empty
-		[]byte{binMsgVersion},                 // header only
-		[]byte{binMsgVersion + 1, 1, 0},       // wrong version
+		[]byte{},                        // empty
+		[]byte{binMsgVersion},           // header only
+		[]byte{binMsgVersion + 1, 1, 0}, // wrong version
 		[]byte{binMsgVersion, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // huge uvarint op
 	)
 	// A frame that declares a giant element count with no payload behind

@@ -392,13 +392,27 @@ func (c *Cluster) Get(key keyspace.Key) ([]overlay.Entry, overlay.Route, error) 
 // failover reads, so a recursive multi-hop search stops burning retries
 // on a dead hop the moment its budget is spent. With a deadline (or an
 // explicit HedgeDelay) set, a slow owner also triggers a hedged replica
-// Get — first answer wins.
+// Get — first answer wins. When no replica serves either, the error
+// returned is the owner read's, not the failover's.
 func (c *Cluster) GetCtx(ctx context.Context, key keyspace.Key) ([]overlay.Entry, overlay.Route, error) {
 	var entries []overlay.Entry
+	var presumed string
+	var presumedErr error
 	route, failed, err := c.viaOwner(ctx, key, func(owner string) (route overlay.Route, err error) {
 		entries, route, err = c.hedgedGet(ctx, key, owner)
+		if presumed == "" {
+			presumed, presumedErr = owner, err
+		}
 		return route, err
 	})
+	if err == nil && presumedErr != nil && len(entries) == 0 &&
+		!slices.Contains(c.replicaFollowers(key, "", c.replication+2), route.Node) {
+		// The presumed owner failed and routing, over a ring already
+		// healing around it, named a node outside the key's tracked owner
+		// and failover window. That node holds no copy yet, so its empty
+		// answer says nothing about the key: ask the replicas.
+		failed, err = presumed, presumedErr
+	}
 	if err == nil {
 		return entries, route, nil
 	}

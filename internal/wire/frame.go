@@ -5,22 +5,17 @@ package wire
 //
 //	[8-byte request ID | 4-byte payload length | payload]
 //
-// where the payload is one Message produced by the connection's
-// long-lived gob encoder. Keeping one encoder/decoder pair per
-// connection is the core of the fast path: gob transmits a type's
-// descriptor only once per encoder, so after the first frame each
-// message carries values only — the dial-per-call transport re-sent the
-// full descriptor set on every RPC. The explicit length prefix restores
-// the message boundaries that a shared gob stream hides: the reader can
-// enforce the size cap before allocating, and a request ID travels
-// outside the payload so responses multiplex over one connection in any
-// completion order.
+// where the payload is one Message in the compact binary encoding of
+// binarycodec.go, starting with its version byte. The explicit length
+// prefix lets the reader enforce the size cap before allocating, and the
+// request ID travels outside the payload so responses multiplex over one
+// connection in any completion order. Nothing is negotiated: a peer
+// speaking anything else fails decodeMessage on its first frame and the
+// connection closes.
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -33,69 +28,28 @@ import (
 // frameHeaderSize is the fixed per-frame overhead: request ID + length.
 const frameHeaderSize = 12
 
-// framePool recycles frame staging buffers across connections and
-// requests; a busy node would otherwise allocate one buffer per RPC.
-var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// maxKeptScratch is the largest frame whose buffer a connection keeps as
+// scratch for the next one. A rare huge frame (a leaving node's
+// OpTransfer, a repair batch) would otherwise pin up to MaxMessageSize on
+// each end of a connection that stabilization traffic keeps alive
+// forever; steady-state frames are far smaller and keep reusing their
+// scratch allocation-free.
+const maxKeptScratch = 64 << 10
 
-func getFrameBuf() *bytes.Buffer { return framePool.Get().(*bytes.Buffer) }
-
-func putFrameBuf(b *bytes.Buffer) {
-	b.Reset()
-	framePool.Put(b)
-}
-
-// switchWriter lets the connection's persistent gob encoder target a
-// different staging buffer for each frame: gob binds its writer at
-// construction, so the indirection is what keeps one encoder (and its
-// once-only type descriptors) alive across frames.
-type switchWriter struct{ w io.Writer }
-
-func (s *switchWriter) Write(p []byte) (int, error) { return s.w.Write(p) }
-
-// switchReader is the read-side counterpart: the persistent decoder
-// reads each frame's payload from a staging buffer. It forwards
-// ReadByte so gob uses the buffer directly instead of wrapping the
-// reader in another bufio layer that could buffer across frames.
-type switchReader struct{ buf *bytes.Buffer }
-
-func (s *switchReader) Read(p []byte) (int, error) { return s.buf.Read(p) }
-func (s *switchReader) ReadByte() (byte, error)    { return s.buf.ReadByte() }
-
-// codec is one connection's framing state: a gob encoder/decoder pair
-// that lives as long as the connection, plus the frame staging
-// machinery. Writes are serialized by wmu so concurrent requests
-// interleave at frame granularity; the read side is owned by a single
-// reader goroutine and needs no lock. After any writeFrame or readFrame
-// error the gob streams may be desynchronized from the peer — the
-// connection must be torn down, never reused.
-//
-// A connection starts in gob mode; a successful OpCodecSwitch handshake
-// (always the first frame on a pooled connection, see DESIGN.md §17)
-// flips it to the compact binary payload encoding in binarycodec.go.
-// The frame header is identical in both modes — only the payload bytes
-// change — so the request-ID multiplexing and size-cap enforcement are
-// codec-independent.
+// codec is one connection's framing state. Writes are serialized by wmu
+// so concurrent requests interleave at frame granularity; the read side
+// is owned by a single reader goroutine and needs no lock. After any
+// writeFrame or readFrame error the stream may be desynchronized from
+// the peer — the connection must be torn down, never reused.
 type codec struct {
 	conn   net.Conn
 	maxMsg int64
 
-	// bin selects the binary payload encoding. It flips at most once,
-	// between the handshake exchange and all subsequent frames; atomic
-	// because the flipping goroutine is not the writer on the server
-	// side (the ack write and the flip happen in the frame-loop
-	// goroutine while response writers run concurrently only AFTER the
-	// handshake, but the flag itself must still be race-clean).
-	bin atomic.Bool
-
 	wmu  sync.Mutex
-	sw   *switchWriter
-	enc  *gob.Encoder
-	wbuf []byte // binary-mode frame staging, guarded by wmu
+	wbuf []byte // frame staging, guarded by wmu
 
 	br   *bufio.Reader
-	sr   *switchReader
-	dec  *gob.Decoder
-	rbuf []byte // binary-mode payload staging, owned by the reader
+	rbuf []byte // payload staging, owned by the reader
 
 	// bytesIn/bytesOut aggregate wire bytes into the owning transport's
 	// counters (never nil).
@@ -103,55 +57,33 @@ type codec struct {
 	bytesOut *atomic.Int64
 }
 
-// setBinary flips the connection to the binary payload encoding; called
-// exactly once per connection, after the OpCodecSwitch ack has been
-// written (server) or read (client).
-func (c *codec) setBinary() { c.bin.Store(true) }
-
-// isBinary reports whether the connection speaks the binary encoding.
-func (c *codec) isBinary() bool { return c.bin.Load() }
-
 func newCodec(conn net.Conn, maxMsg int64, bytesIn, bytesOut *atomic.Int64) *codec {
-	sw := &switchWriter{}
-	sr := &switchReader{}
 	return &codec{
 		conn:     conn,
 		maxMsg:   maxMsg,
-		sw:       sw,
-		enc:      gob.NewEncoder(sw),
 		br:       bufio.NewReader(conn),
-		sr:       sr,
-		dec:      gob.NewDecoder(sr),
 		bytesIn:  bytesIn,
 		bytesOut: bytesOut,
 	}
 }
 
-// writeFrame encodes msg through the persistent encoder and sends it as
-// one frame under a write deadline. Header and payload are staged in one
-// pooled buffer and flushed with a single Write (the transport sets
-// TCP_NODELAY implicitly — Go's default — so split writes would cost two
-// packets). Any error leaves the encoder stream unsynchronized; the
-// caller must discard the connection.
+// writeFrame encodes msg and sends it as one frame under a write
+// deadline. Header and payload are appended into the codec's own scratch
+// slice — which reaches its steady-state capacity after a few frames and
+// then makes the encode side allocation-free — and flushed with a single
+// Write (the transport sets TCP_NODELAY implicitly — Go's default — so
+// split writes would cost two packets). The caller treats any error as
+// fatal to the connection.
 func (c *codec) writeFrame(id uint64, msg *Message, timeout time.Duration) error {
-	if c.isBinary() {
-		return c.writeBinaryFrame(id, msg, timeout)
-	}
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	var hdr [frameHeaderSize]byte
-	buf.Write(hdr[:]) // reserved; patched below
-	c.sw.w = buf
-	if err := c.enc.Encode(msg); err != nil {
-		return fmt.Errorf("wire: encode frame: %w", err)
+	b := appendMessage(append(c.wbuf[:0], hdr[:]...), msg)
+	if len(b) <= maxKeptScratch {
+		c.wbuf = b
 	}
-	b := buf.Bytes()
 	payload := int64(len(b) - frameHeaderSize)
 	if payload > c.maxMsg {
-		// The descriptors for this message are already woven into the
-		// encoder stream; the peer will never see them. Unsynchronized.
 		return fmt.Errorf("wire: frame of %d bytes exceeds cap %d", payload, c.maxMsg)
 	}
 	binary.BigEndian.PutUint64(b[0:8], id)
@@ -168,46 +100,14 @@ func (c *codec) writeFrame(id uint64, msg *Message, timeout time.Duration) error
 	return nil
 }
 
-// writeBinaryFrame is writeFrame's binary-mode path: header and payload
-// are appended into the codec's own scratch slice, which reaches its
-// steady-state capacity after a few frames and then makes the encode
-// side allocation-free.
-func (c *codec) writeBinaryFrame(id uint64, msg *Message, timeout time.Duration) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	var hdr [frameHeaderSize]byte
-	c.wbuf = append(c.wbuf[:0], hdr[:]...)
-	c.wbuf = appendMessage(c.wbuf, msg)
-	b := c.wbuf
-	payload := int64(len(b) - frameHeaderSize)
-	if payload > c.maxMsg {
-		// Unlike gob, nothing reached the stream — but the caller treats
-		// any writeFrame error as fatal to the connection, so keep the
-		// same contract.
-		return fmt.Errorf("wire: frame of %d bytes exceeds cap %d", payload, c.maxMsg)
-	}
-	binary.BigEndian.PutUint64(b[0:8], id)
-	binary.BigEndian.PutUint32(b[8:12], uint32(payload))
-	if timeout > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-			return err
-		}
-	}
-	if _, err := c.conn.Write(b); err != nil {
-		return err
-	}
-	c.bytesOut.Add(int64(len(b)))
-	return nil
-}
-
-// readFrame reads one frame into buf (a pooled staging buffer owned by
-// the calling read loop) and decodes it through the persistent decoder.
-// The declared payload length is validated against the size cap BEFORE
-// any allocation, so a corrupt or hostile peer cannot make the node
-// allocate unboundedly. The read deadline is the caller's job — the
+// readFrame reads one frame and decodes it in place from the codec's
+// reader-owned scratch; scalar-only frames decode without allocating at
+// all. The declared payload length is validated against the size cap
+// BEFORE any allocation, so a corrupt or hostile peer cannot make the
+// node allocate unboundedly. The read deadline is the caller's job — the
 // client read loop and the server frame loop have different idle
 // semantics.
-func (c *codec) readFrame(buf *bytes.Buffer) (uint64, Message, error) {
+func (c *codec) readFrame() (uint64, Message, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		return 0, Message{}, err
@@ -217,32 +117,20 @@ func (c *codec) readFrame(buf *bytes.Buffer) (uint64, Message, error) {
 	if n > c.maxMsg {
 		return 0, Message{}, fmt.Errorf("wire: frame of %d bytes exceeds cap %d", n, c.maxMsg)
 	}
-	if c.isBinary() {
-		// Binary payloads decode in place from the codec's reader-owned
-		// scratch (the size cap above bounds its growth); scalar-only
-		// frames decode without allocating at all.
-		if int64(cap(c.rbuf)) < n {
-			c.rbuf = make([]byte, n)
+	p := c.rbuf
+	if int64(cap(p)) < n {
+		p = make([]byte, n)
+		if n <= maxKeptScratch {
+			c.rbuf = p
 		}
-		p := c.rbuf[:n]
-		if _, err := io.ReadFull(c.br, p); err != nil {
-			return 0, Message{}, err
-		}
-		c.bytesIn.Add(frameHeaderSize + n)
-		var msg Message
-		if err := decodeMessage(p, &msg); err != nil {
-			return id, Message{}, fmt.Errorf("wire: decode frame: %w", err)
-		}
-		return id, msg, nil
 	}
-	buf.Reset()
-	if _, err := io.CopyN(buf, c.br, n); err != nil {
+	p = p[:n]
+	if _, err := io.ReadFull(c.br, p); err != nil {
 		return 0, Message{}, err
 	}
 	c.bytesIn.Add(frameHeaderSize + n)
-	c.sr.buf = buf
 	var msg Message
-	if err := c.dec.Decode(&msg); err != nil {
+	if err := decodeMessage(p, &msg); err != nil {
 		return id, Message{}, fmt.Errorf("wire: decode frame: %w", err)
 	}
 	return id, msg, nil

@@ -85,14 +85,6 @@ type Config struct {
 	// an answer other than this node means the peer is on a divergent
 	// ring and a merge is coordinated (default 8; negative disables).
 	MergeProbeEvery int
-	// Codec selects the wire payload encoding when Transport is a
-	// *TCPTransport (default CodecBinary via CodecDefault: the compact
-	// binary codec, negotiated per connection with gob fallback —
-	// DESIGN.md §17). Set CodecGob to pin the node's transport to gob,
-	// the A/B baseline for soaks and benches. Ignored for other
-	// transports, and for a shared TCPTransport the last node started
-	// wins — give each A/B arm its own transport instance.
-	Codec Codec
 }
 
 func (c Config) withDefaults() Config {
@@ -215,9 +207,6 @@ func Start(cfg Config) (*Node, error) {
 		ownerForwards: telemetry.NewCounter("wire_owner_forwards_total",
 			"Owner-addressed single-key requests forwarded to the routed owner because the key was foreign."),
 		known: make(map[string]bool),
-	}
-	if tp, ok := cfg.Transport.(*TCPTransport); ok && cfg.Codec != CodecDefault {
-		tp.Codec = cfg.Codec
 	}
 	if cfg.Retry != nil {
 		n.retry = NewRetryingTransport(cfg.Transport, *cfg.Retry)

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -371,6 +373,72 @@ func TestFindOwnerRetriesRemoteRoutingError(t *testing.T) {
 	}
 	if got := cluster.Metrics().EntryRetries; got != int64(ft.callCount(broken)) {
 		t.Fatalf("EntryRetries = %d, want one per answer of the broken entry (%d)", got, ft.callCount(broken))
+	}
+}
+
+// TestRoutedAnswerOutsideReplicaWindow: the key's presumed owner and its
+// whole failover window crashed, and routing — over a ring already
+// healing around them — names a live node outside that window. Data from
+// it is served as it is; its empty answer is not trusted: the replicas
+// are asked, and when none serves the presumed owner's error comes back.
+func TestRoutedAnswerOutsideReplicaWindow(t *testing.T) {
+	const replication = 1
+	entry := overlay.Entry{Kind: "d", Value: "v"}
+	for _, tc := range []struct {
+		name         string
+		outsiderHas  bool // the routed node outside the window holds the entry
+		replicaAlive bool // the window's last replica is up and holds the entry
+		wantErr      bool
+	}{
+		{name: "empty outside the window is not an answer", wantErr: true},
+		{name: "data outside the window is served", outsiderHas: true},
+		{name: "a replica outranks the empty outsider", replicaAlive: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var window []string
+			var outsider, replica string
+			key := keyspace.NewKey("outside-window")
+			ft := newFuncTransport(func(_ int, addr string, req Message) (Message, error) {
+				switch {
+				case addr == replica && tc.replicaAlive:
+					return Message{Op: req.Op, Addr: addr, Entries: []overlay.Entry{entry}}, nil
+				case slices.Contains(window, addr):
+					return Message{}, fmt.Errorf("%w: %s (crashed)", ErrUnreachable, addr)
+				case req.Op == OpGet && addr == outsider && tc.outsiderHas:
+					return Message{Op: req.Op, Addr: addr, Entries: []overlay.Entry{entry}}, nil
+				default: // live nodes route every key to the outsider
+					return Message{Op: req.Op, Addr: outsider, Hops: 1}, nil
+				}
+			})
+			cluster := NewCluster(ft, 1, replication)
+			cluster.EntryAttempts = 64 // some entry point outside the crashed window is found
+			for i := 0; i < 8; i++ {
+				cluster.Track(fmt.Sprintf("member-%d", i))
+			}
+			window = cluster.replicaFollowers(key, "", replication+2)
+			replica = window[len(window)-1]
+			outsider = cluster.replicaFollowers(key, "", len(window)+1)[len(window)]
+
+			entries, route, err := cluster.Get(key)
+			if tc.wantErr {
+				if !errors.Is(err, ErrUnreachable) || !strings.Contains(err.Error(), window[0]) {
+					t.Fatalf("get = %v via %+v, %v; want the presumed owner %s's unreachable error", entries, route, err, window[0])
+				}
+				for _, cand := range window[1:] {
+					if ft.callCount(cand) == 0 {
+						t.Fatalf("replica %s was never asked", cand)
+					}
+				}
+				return
+			}
+			want := outsider
+			if tc.replicaAlive {
+				want = replica
+			}
+			if err != nil || len(entries) != 1 || entries[0] != entry || route.Node != want {
+				t.Fatalf("get = %v via %+v, %v; want the entry from %s", entries, route, err, want)
+			}
+		})
 	}
 }
 

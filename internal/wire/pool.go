@@ -5,9 +5,7 @@ package wire
 // multiplex over one connection by request ID (pipelining), idle
 // connections are reaped by a read-deadline timer, and any protocol or
 // transport error evicts the connection back to redial — the retry /
-// breaker layers above see exactly the error surface the dial-per-call
-// transport produced (ErrUnreachable-wrapped), so their behaviour is
-// unchanged.
+// breaker layers above see every such failure as ErrUnreachable.
 
 import (
 	"context"
@@ -127,8 +125,6 @@ func (p *persistConn) teardown(err error, idle bool) {
 // pending the callers' own timers bound the wait, so the loop's
 // deadline only has to be generous enough not to fire under them.
 func (p *persistConn) readLoop() {
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
 	idleTimeout := p.t.poolIdleTimeout()
 	busyTimeout := p.t.callTimeout() + time.Second
 	for {
@@ -138,7 +134,7 @@ func (p *persistConn) readLoop() {
 			d = idleTimeout
 		}
 		_ = p.conn.SetReadDeadline(time.Now().Add(d))
-		id, msg, err := p.c.readFrame(buf)
+		id, msg, err := p.c.readFrame()
 		if err != nil {
 			if isTimeoutErr(err) && p.inflight.Load() == 0 {
 				p.teardown(fmt.Errorf("%w: %s: pooled conn idle-reaped", ErrUnreachable, p.addr), true)
@@ -224,14 +220,6 @@ func (p *connPool) get(ctx context.Context, addr string) (*persistConn, error) {
 	p.mu.Unlock()
 
 	conn, err := net.DialTimeout("tcp", addr, p.t.dialTimeout())
-	var c *codec
-	if err == nil {
-		// Codec negotiation happens here, between the dial landing and
-		// the read loop starting: the handshake is strictly the first
-		// exchange on the connection, so both ends flip codecs (or agree
-		// to stay on gob) before any request frame exists.
-		conn, c, err = p.t.negotiate(conn, addr)
-	}
 
 	p.mu.Lock()
 	p.dialing[addr]--
@@ -247,7 +235,7 @@ func (p *connPool) get(ctx context.Context, addr string) (*persistConn, error) {
 		t:       p.t,
 		addr:    addr,
 		conn:    conn,
-		c:       c,
+		c:       newCodec(conn, p.t.maxMessageSize(), &p.t.bytesIn, &p.t.bytesOut),
 		pending: make(map[uint64]chan poolResult),
 	}
 	p.peers[addr] = append(p.peers[addr], pc)

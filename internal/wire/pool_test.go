@@ -254,33 +254,6 @@ func TestPoolDeadPeerEvictsAndRedials(t *testing.T) {
 	}
 }
 
-// TestDialPerCallInterop verifies the legacy dial-per-call client mode
-// speaks the same framed protocol as the pooled server.
-func TestDialPerCallInterop(t *testing.T) {
-	server := NewTCPTransport()
-	addr, closer, err := server.Listen("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer closer.Close()
-
-	client := NewTCPTransport()
-	client.DisablePool = true
-	for i := 0; i < 3; i++ {
-		tag := fmt.Sprintf("c%d", i)
-		resp, err := client.Call(addr, Message{Op: OpPing, Addr: tag})
-		if err != nil {
-			t.Fatalf("dial-per-call %d: %v", i, err)
-		}
-		if resp.Addr != "echo:"+tag {
-			t.Fatalf("dial-per-call %d got %q", i, resp.Addr)
-		}
-	}
-	if st := client.PoolStats(); st.Conns != 0 {
-		t.Errorf("dial-per-call client pooled %d conns, want 0", st.Conns)
-	}
-}
-
 // TestPooledRingEndToEnd runs a full live ring over the pooled transport
 // and checks puts and gets route correctly — the stack above the
 // transport (retry, cluster, node) must work unchanged.

@@ -7,8 +7,7 @@ package wire
 // the store synchronizes itself behind ConcurrentStore: the default is
 // a key-striped shard set where concurrent reads of different keys (and
 // reads of the SAME key) proceed in parallel, and a store that cannot
-// be striped (one durable WAL directory) gets a single reader-writer
-// lock so its reads still stop contending with each other.
+// be striped (one durable WAL directory) is its one-stripe case.
 
 import (
 	"sync"
@@ -32,8 +31,7 @@ const DefaultStoreStripes = 16
 //
 // Plain Store implementations (MemStore, internal/wire/durable) remain
 // NOT concurrent-safe by contract; the node wraps whatever Config.Store
-// it is given — see NewShardedMemStore and the automatic single-lock
-// wrapping in Start.
+// it is given — see NewShardedMemStore and asConcurrentStore.
 type ConcurrentStore interface {
 	Store
 	// Update runs fn as one atomic critical section over key's state:
@@ -309,127 +307,12 @@ func (st *ShardedStore) Instrument(reg *telemetry.Registry) {
 	}
 }
 
-// lockedStore adapts a single unsynchronized Store (a durable WAL
-// directory, or a MemStore a test handed in) to the ConcurrentStore
-// seam with one reader-writer lock: reads stop contending with each
-// other, writes serialize — the store's own consistency model is
-// unchanged.
-type lockedStore struct {
-	mu sync.RWMutex
-	s  Store
-}
-
-var _ ConcurrentStore = (*lockedStore)(nil)
-
-func (l *lockedStore) Get(key keyspace.Key) []overlay.Entry {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.s.Get(key)
-}
-
-func (l *lockedStore) Put(key keyspace.Key, e overlay.Entry) (bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.s.Put(key, e)
-}
-
-func (l *lockedStore) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.s.Remove(key, e)
-}
-
-func (l *lockedStore) Replace(key keyspace.Key, entries []overlay.Entry, tombs []Tombstone) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.s.Replace(key, entries, tombs)
-}
-
-func (l *lockedStore) Tombstoned(key keyspace.Key, e overlay.Entry) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.s.Tombstoned(key, e)
-}
-
-func (l *lockedStore) Tombstones(key keyspace.Key) []Tombstone {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.s.Tombstones(key)
-}
-
-func (l *lockedStore) Entomb(key keyspace.Key, tombs []Tombstone) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.s.Entomb(key, tombs)
-}
-
-func (l *lockedStore) ForEachTombstone(fn func(key keyspace.Key, tombs []Tombstone) bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	l.s.ForEachTombstone(fn)
-}
-
-func (l *lockedStore) GCTombstones(before int64) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.s.GCTombstones(before)
-}
-
-func (l *lockedStore) ForEach(fn func(key keyspace.Key, entries []overlay.Entry) bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	l.s.ForEach(fn)
-}
-
-func (l *lockedStore) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.s.Len()
-}
-
-func (l *lockedStore) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.s.Sync()
-}
-
-func (l *lockedStore) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.s.Close()
-}
-
-func (l *lockedStore) Update(_ keyspace.Key, fn func(s Store) error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return fn(l.s)
-}
-
-func (l *lockedStore) View(_ keyspace.Key, fn func(s Store) error) error {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return fn(l.s)
-}
-
-// RecoveryStats forwards to the wrapped store when it is recoverable.
-func (l *lockedStore) RecoveryStats() RecoveryStats {
-	if rs, ok := l.s.(RecoverableStore); ok {
-		return rs.RecoveryStats()
-	}
-	return RecoveryStats{}
-}
-
-// Instrument forwards to the wrapped store when it exports telemetry.
-func (l *lockedStore) Instrument(reg *telemetry.Registry) {
-	if is, ok := l.s.(InstrumentedStore); ok {
-		is.Instrument(reg)
-	}
-}
-
 // asConcurrentStore adapts a Config.Store to the node's synchronized
 // seam: nil gets the default striped MemStore, an implementation that
-// already synchronizes itself is used as-is, and anything else is
-// wrapped behind one reader-writer lock.
+// already synchronizes itself is used as-is, and anything else (one
+// durable WAL directory, a MemStore a test handed in) becomes the
+// one-stripe ShardedStore: a single reader-writer lock, so its reads
+// still stop contending with each other.
 func asConcurrentStore(s Store) ConcurrentStore {
 	switch t := s.(type) {
 	case nil:
@@ -437,6 +320,6 @@ func asConcurrentStore(s Store) ConcurrentStore {
 	case ConcurrentStore:
 		return t
 	default:
-		return &lockedStore{s: s}
+		return NewShardedStore([]Store{s})
 	}
 }

@@ -125,7 +125,7 @@ func TestShardedStoreUpdateAtomicity(t *testing.T) {
 
 // TestLockedStoreWrapsSuppliedStore pins the asConcurrentStore
 // adaptation rules: nil → sharded default, ConcurrentStore → as-is,
-// anything else → lockedStore.
+// anything else → the one-stripe ShardedStore.
 func TestLockedStoreWrapsSuppliedStore(t *testing.T) {
 	if _, ok := asConcurrentStore(nil).(*ShardedStore); !ok {
 		t.Fatal("nil store did not become a ShardedStore")
@@ -135,9 +135,9 @@ func TestLockedStoreWrapsSuppliedStore(t *testing.T) {
 		t.Fatal("ConcurrentStore was re-wrapped")
 	}
 	mem := NewMemStore()
-	ls, ok := asConcurrentStore(mem).(*lockedStore)
-	if !ok {
-		t.Fatal("plain store was not wrapped in lockedStore")
+	ls, ok := asConcurrentStore(mem).(*ShardedStore)
+	if !ok || ls.Stripes() != 1 {
+		t.Fatalf("plain store did not become a one-stripe ShardedStore: %T", ls)
 	}
 	k := keyspace.NewKey("wrapped")
 	if ok, err := ls.Put(k, overlay.Entry{Kind: "a", Value: "b"}); err != nil || !ok {

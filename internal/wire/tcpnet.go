@@ -27,13 +27,10 @@ const DefaultMaxConnsPerPeer = 4
 const DefaultIdleTimeout = 60 * time.Second
 
 // TCPTransport moves messages over the length-prefixed framed protocol
-// (see frame.go). By default calls go through a per-peer pool of
-// persistent connections: multiple in-flight calls multiplex over one
-// connection by request ID, gob codec sessions live as long as the
-// connection (type descriptors are transmitted once instead of per
-// call), idle connections are reaped, and dead ones are evicted back to
-// redial. Set DisablePool for the legacy dial-per-call behaviour (one
-// framed exchange per connection) — also the benchmark baseline.
+// (see frame.go). Calls go through a per-peer pool of persistent
+// connections: multiple in-flight calls multiplex over one connection by
+// request ID, idle connections are reaped, and dead ones are evicted
+// back to redial.
 type TCPTransport struct {
 	// DialTimeout bounds connection establishment (default 2s).
 	DialTimeout time.Duration
@@ -46,26 +43,12 @@ type TCPTransport struct {
 	// DefaultMaxMessageSize). Enforced on the length prefix before any
 	// allocation.
 	MaxMessageSize int64
-	// DisablePool reverts Call to dial-per-call: one fresh connection,
-	// one framed exchange, close. The wire format is identical, so
-	// pooled and unpooled endpoints interoperate.
-	DisablePool bool
 	// MaxConnsPerPeer bounds the pool per peer address (default
 	// DefaultMaxConnsPerPeer).
 	MaxConnsPerPeer int
 	// IdleTimeout reaps pooled connections with no traffic (default
 	// DefaultIdleTimeout). Server connections idle out on the same knob.
 	IdleTimeout time.Duration
-	// Codec selects the payload encoding negotiated on pooled
-	// connections (default CodecBinary; see DESIGN.md §17). CodecGob
-	// pins both roles to gob: outbound connections skip the handshake
-	// and inbound handshakes are declined, giving the A/B baseline.
-	Codec Codec
-
-	// dropHandshake makes the server side close the connection instead
-	// of answering an OpCodecSwitch frame, simulating a peer whose
-	// handshake path fails at transport level (interop tests only).
-	dropHandshake bool
 
 	poolOnce sync.Once
 	connPool *connPool
@@ -78,9 +61,6 @@ type TCPTransport struct {
 	poolIdleReaps    *telemetry.Counter
 	respEncodeErrors *telemetry.Counter
 	poolInFlight     *telemetry.Gauge
-	codecBinaryConns *telemetry.Counter
-	codecGobConns    *telemetry.Counter
-	codecFallbacks   *telemetry.Counter
 
 	bytesIn  atomic.Int64
 	bytesOut atomic.Int64
@@ -112,8 +92,8 @@ type PoolStats struct {
 	// Conns is the number of currently pooled connections.
 	Conns int
 	// BytesSent / BytesReceived count wire bytes including frame
-	// headers, across pooled, dial-per-call and server-side traffic of
-	// this transport instance.
+	// headers, across client and server-side traffic of this transport
+	// instance.
 	BytesSent     int64
 	BytesReceived int64
 }
@@ -140,8 +120,7 @@ func (t *TCPTransport) Instrument(reg *telemetry.Registry) {
 	}
 	t.ensureMetrics()
 	reg.Attach(t.poolDials, t.poolReuses, t.poolEvictions, t.poolIdleReaps,
-		t.respEncodeErrors, t.poolInFlight,
-		t.codecBinaryConns, t.codecGobConns, t.codecFallbacks)
+		t.respEncodeErrors, t.poolInFlight)
 	reg.GaugeFunc("wire_pool_conns",
 		"Currently pooled persistent connections.",
 		func() float64 { return float64(len(t.pool().snapshot())) })
@@ -152,7 +131,7 @@ func (t *TCPTransport) Instrument(reg *telemetry.Registry) {
 func (t *TCPTransport) ensureMetrics() {
 	t.metricsOnce.Do(func() {
 		t.poolDials = telemetry.NewCounter("wire_pool_dials_total",
-			"Fresh TCP connections established by the pool (or dial-per-call mode).")
+			"Fresh TCP connections established by the pool.")
 		t.poolReuses = telemetry.NewCounter("wire_pool_reuses_total",
 			"Calls served over an already-pooled connection.")
 		t.poolEvictions = telemetry.NewCounter("wire_pool_evictions_total",
@@ -163,21 +142,7 @@ func (t *TCPTransport) ensureMetrics() {
 			"Server responses that failed to encode or send; the connection is closed so the client fails fast.")
 		t.poolInFlight = telemetry.NewGauge("wire_pool_in_flight",
 			"Calls currently awaiting a response over pooled connections.")
-		t.codecBinaryConns = telemetry.NewCounter("wire_codec_binary_conns_total",
-			"Connections switched to the compact binary codec (each end counts its own side).")
-		t.codecGobConns = telemetry.NewCounter("wire_codec_gob_conns_total",
-			"Pooled client connections left on gob: codec pinned to gob, or the peer declined the handshake.")
-		t.codecFallbacks = telemetry.NewCounter("wire_codec_fallbacks_total",
-			"Codec handshakes that failed at transport level; the dial was retried as a plain gob connection.")
 	})
-}
-
-// codecChoice resolves the configured codec (CodecDefault → binary).
-func (t *TCPTransport) codecChoice() Codec {
-	if t.Codec == CodecGob {
-		return CodecGob
-	}
-	return CodecBinary
 }
 
 // pool lazily creates the client connection pool.
@@ -253,9 +218,9 @@ func (t *TCPTransport) poolIdleTimeout() time.Duration {
 }
 
 // Call implements Transport: one request/response exchange over a
-// pooled persistent connection (or a fresh one with DisablePool). A
-// call timeout evicts the whole connection — its response stream can no
-// longer be trusted to be prompt — and the retry layer above redials.
+// pooled persistent connection. A call timeout evicts the whole
+// connection — its response stream can no longer be trusted to be
+// prompt — and the retry layer above redials.
 func (t *TCPTransport) Call(addr string, req Message) (Message, error) {
 	return t.CallCtx(context.Background(), addr, req)
 }
@@ -268,9 +233,6 @@ func (t *TCPTransport) Call(addr string, req Message) (Message, error) {
 // it only releases this caller.
 func (t *TCPTransport) CallCtx(ctx context.Context, addr string, req Message) (Message, error) {
 	t.ensureMetrics()
-	if t.DisablePool {
-		return t.dialCall(addr, req)
-	}
 	// Two attempts to absorb the register/teardown race: a pooled conn
 	// can break between the pool handing it out and the caller
 	// registering on it.
@@ -299,8 +261,8 @@ func (t *TCPTransport) exchange(ctx context.Context, pc *persistConn, id uint64,
 	defer t.poolInFlight.Add(-1)
 	if err := pc.c.writeFrame(id, &req, t.callTimeout()); err != nil {
 		pc.unregister(id)
-		// The encoder stream is unsynchronized; nothing on this conn can
-		// be trusted anymore.
+		// A partial frame may be on the wire; nothing on this conn can be
+		// trusted anymore.
 		pc.teardown(fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err), false)
 		return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
 	}
@@ -323,86 +285,6 @@ func (t *TCPTransport) exchange(ctx context.Context, pc *persistConn, id uint64,
 		pc.teardown(err, false)
 		return Message{}, err
 	}
-}
-
-// dialCall is the legacy dial-per-call path: one connection, one framed
-// exchange. Same wire format, none of the reuse.
-func (t *TCPTransport) dialCall(addr string, req Message) (Message, error) {
-	conn, err := net.DialTimeout("tcp", addr, t.dialTimeout())
-	if err != nil {
-		return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
-	}
-	defer conn.Close()
-	t.poolDials.Inc()
-	if err := conn.SetDeadline(time.Now().Add(t.callTimeout())); err != nil {
-		return Message{}, fmt.Errorf("wire: deadline: %w", err)
-	}
-	c := newCodec(conn, t.maxMessageSize(), &t.bytesIn, &t.bytesOut)
-	if err := c.writeFrame(1, &req, t.callTimeout()); err != nil {
-		return Message{}, fmt.Errorf("wire: encode to %s: %w", addr, err)
-	}
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	_, resp, err := c.readFrame(buf)
-	if err != nil {
-		return Message{}, fmt.Errorf("wire: decode from %s: %w", addr, err)
-	}
-	return resp, nil
-}
-
-// negotiate runs the client half of the per-connection codec handshake
-// on a freshly dialed pooled connection, before its read loop starts.
-// It returns the connection (possibly a redial) and its codec, switched
-// to binary when the peer accepted. A peer that declines — or answers
-// with the "unknown operation" error a pre-handshake node produces —
-// leaves the connection on gob; a handshake that fails in transit
-// abandons the connection and redials once as plain gob, because the
-// codec streams on the first connection can no longer be trusted.
-func (t *TCPTransport) negotiate(conn net.Conn, addr string) (net.Conn, *codec, error) {
-	c := newCodec(conn, t.maxMessageSize(), &t.bytesIn, &t.bytesOut)
-	if t.codecChoice() != CodecBinary {
-		t.codecGobConns.Inc()
-		return conn, c, nil
-	}
-	ok, err := t.handshake(conn, c)
-	if err == nil {
-		if ok {
-			c.setBinary()
-			t.codecBinaryConns.Inc()
-		} else {
-			t.codecGobConns.Inc()
-		}
-		return conn, c, nil
-	}
-	_ = conn.Close()
-	t.codecFallbacks.Inc()
-	conn2, derr := net.DialTimeout("tcp", addr, t.dialTimeout())
-	if derr != nil {
-		return nil, nil, derr
-	}
-	t.codecGobConns.Inc()
-	return conn2, newCodec(conn2, t.maxMessageSize(), &t.bytesIn, &t.bytesOut), nil
-}
-
-// handshake sends the OpCodecSwitch frame under request ID 0 (the
-// pool's real IDs start at 1, so the reserved ID can never collide) and
-// reads the peer's ack synchronously — safe because the connection's
-// read loop has not started yet.
-func (t *TCPTransport) handshake(conn net.Conn, c *codec) (bool, error) {
-	req := Message{Op: OpCodecSwitch}
-	if err := c.writeFrame(0, &req, t.callTimeout()); err != nil {
-		return false, err
-	}
-	if err := conn.SetReadDeadline(time.Now().Add(t.callTimeout())); err != nil {
-		return false, err
-	}
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	_, resp, err := c.readFrame(buf)
-	if err != nil {
-		return false, err
-	}
-	return resp.Ok, nil
 }
 
 // CloseConnections tears down every pooled client connection. Pending
@@ -467,8 +349,6 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	c := newCodec(conn, s.maxMsg, &s.t.bytesIn, &s.t.bytesOut)
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
 	var inflight sync.WaitGroup
 	defer inflight.Wait()
 	for {
@@ -477,28 +357,9 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 		if err := conn.SetReadDeadline(time.Now().Add(s.idleTimeout + time.Second)); err != nil {
 			return
 		}
-		id, req, err := c.readFrame(buf)
+		id, req, err := c.readFrame()
 		if err != nil {
 			return // client went away, idled out, or sent garbage
-		}
-		if req.Op == OpCodecSwitch {
-			// Codec negotiation is answered by the transport itself,
-			// inline: it is always the first frame on a connection that
-			// sends it, so no concurrent response writers exist and the
-			// flip below cannot interleave with a gob frame.
-			if s.t.dropHandshake {
-				return
-			}
-			resp := Message{Ok: s.t.codecChoice() == CodecBinary}
-			if werr := c.writeFrame(id, &resp, s.callTimeout); werr != nil {
-				s.t.respEncodeErrors.Inc()
-				return
-			}
-			if resp.Ok {
-				c.setBinary()
-				s.t.codecBinaryConns.Inc()
-			}
-			continue
 		}
 		inflight.Add(1)
 		go func(id uint64, req Message) {

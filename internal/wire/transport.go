@@ -2,8 +2,8 @@
 // protocol the simulation computes instantaneously (internal/dht), but as
 // long-running peers that join, stabilize, repair fingers and transfer
 // keys by exchanging messages over a pluggable transport. Two transports
-// are provided — an in-memory one for deterministic tests and a TCP/gob
-// one for real deployments — and a Cluster handle adapts a set of live
+// are provided — an in-memory one for deterministic tests and a framed
+// TCP one for real deployments — and a Cluster handle adapts a set of live
 // nodes to the overlay contract so the paper's indexing layer runs
 // unchanged on top of a real network.
 package wire
@@ -39,14 +39,6 @@ const (
 	OpPutBatch
 	OpRemoveBatch
 	OpMerge
-	// OpCodecSwitch is the per-connection codec negotiation handshake:
-	// the first frame a binary-capable pooled client sends. It is
-	// answered by the transport layer itself (never dispatched to the
-	// node handler): Ok=true means both sides switch every subsequent
-	// frame on this connection to the compact binary encoding, any
-	// other response (including the "unknown operation" error an old
-	// peer produces) leaves the connection on gob.
-	OpCodecSwitch
 )
 
 // String returns the wire name of the operation.
@@ -86,8 +78,6 @@ func (o Op) String() string {
 		return "remove-batch"
 	case OpMerge:
 		return "merge"
-	case OpCodecSwitch:
-		return "codec-switch"
 	default:
 		return "unknown"
 	}
@@ -142,7 +132,7 @@ const (
 	CodeOverload = 1
 )
 
-// Message is the single request/response envelope (flat for gob).
+// Message is the single request/response envelope.
 type Message struct {
 	Op   Op
 	Key  keyspace.Key
@@ -182,56 +172,6 @@ type Message struct {
 
 // Handler processes one request and produces one response.
 type Handler func(req Message) Message
-
-// Codec selects the payload encoding spoken on persistent pooled
-// connections (DESIGN.md §17). Dial-per-call exchanges always use gob —
-// they pay a fresh descriptor set per call either way, and keeping them
-// on gob gives every binary-capable node a wire-compatible path to any
-// peer.
-type Codec int
-
-// Codec choices.
-const (
-	// CodecDefault leaves the choice to the component's default: binary
-	// for the TCP transport. The zero value, so untouched configs get
-	// the fast path.
-	CodecDefault Codec = iota
-	// CodecBinary negotiates the compact binary encoding per connection
-	// at handshake, falling back to gob when the peer declines or
-	// predates the handshake.
-	CodecBinary
-	// CodecGob pins every connection to gob: no handshake is attempted
-	// and inbound handshakes are declined. The A/B baseline and the
-	// escape hatch.
-	CodecGob
-)
-
-// String returns the codec's config-file name.
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	default:
-		return "default"
-	}
-}
-
-// ParseCodec maps a config-file name ("binary", "gob", "" for default)
-// to a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "default":
-		return CodecDefault, nil
-	case "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return CodecDefault, fmt.Errorf("wire: unknown codec %q (want binary or gob)", s)
-	}
-}
 
 // Transport moves messages between addresses.
 type Transport interface {
