@@ -6,6 +6,7 @@ import (
 
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
+	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/xpath"
 )
@@ -217,7 +218,7 @@ func (s *Service) IndexArticle(a descriptor.Article, scheme Scheme) error {
 // the year chain) so the batch carries each mapping once.
 func mappingItems(a descriptor.Article, scheme Scheme) ([]overlay.KeyEntry, error) {
 	var items []overlay.KeyEntry
-	seen := make(map[string]bool)
+	seen := make(map[overlay.KeyEntry]bool)
 	for _, chain := range scheme.Chains(a) {
 		for i := 0; i+1 < len(chain); i++ {
 			q, target := chain[i], chain[i+1]
@@ -227,12 +228,12 @@ func mappingItems(a descriptor.Article, scheme Scheme) ([]overlay.KeyEntry, erro
 			if !q.Covers(target) {
 				return nil, fmt.Errorf("index: scheme %s: %w: (%s ; %s)", scheme.Name(), ErrNotCovering, q, target)
 			}
-			pair := q.String() + "\x00" + target.String()
-			if seen[pair] {
+			item := overlay.KeyEntry{Key: q.Key(), Entry: overlay.Entry{Kind: KindIndex, Value: target.String()}}
+			if seen[item] {
 				continue
 			}
-			seen[pair] = true
-			items = append(items, overlay.KeyEntry{Key: q.Key(), Entry: overlay.Entry{Kind: KindIndex, Value: target.String()}})
+			seen[item] = true
+			items = append(items, item)
 		}
 	}
 	return items, nil
@@ -241,26 +242,43 @@ func mappingItems(a descriptor.Article, scheme Scheme) ([]overlay.KeyEntry, erro
 // UnpublishArticle removes the article's data and cleans up the scheme's
 // index entries bottom-up, deleting a mapping (q; qi) only when qi no
 // longer leads anywhere — the recursive cleanup of §IV-C for read/write
-// systems.
+// systems. Chains share their tails (every chain ends in the MSD, and the
+// schemes funnel several chains through one pair query), so within one
+// call each key is probed and each mapping removed at most once.
 func (s *Service) UnpublishArticle(file string, a descriptor.Article, scheme Scheme) error {
 	msd := dataset.MSD(a)
 	if _, err := s.net.Remove(msd.Key(), overlay.Entry{Kind: KindData, Value: file}); err != nil {
 		return fmt.Errorf("index: unpublish %q: %w", file, err)
 	}
+	empty := make(map[keyspace.Key]bool)       // this call's probe results
+	removed := make(map[overlay.KeyEntry]bool) // mappings this call already removed
 	for _, chain := range scheme.Chains(a) {
 		// Walk bottom-up: drop (q_i ; q_{i+1}) only if q_{i+1} is now
 		// empty (no data, no outgoing mappings).
 		for i := len(chain) - 2; i >= 0; i-- {
-			empty, err := s.keyEmpty(chain[i+1])
-			if err != nil {
-				return err
+			q, target := chain[i], chain[i+1]
+			isEmpty, probed := empty[target.Key()]
+			if !probed {
+				var err error
+				if isEmpty, err = s.keyEmpty(target); err != nil {
+					return err
+				}
+				empty[target.Key()] = isEmpty
 			}
-			if !empty {
+			if !isEmpty {
 				break
 			}
-			if _, err := s.RemoveMapping(chain[i], chain[i+1]); err != nil {
+			pair := overlay.KeyEntry{Key: q.Key(), Entry: overlay.Entry{Kind: KindIndex, Value: target.String()}}
+			if removed[pair] {
+				continue
+			}
+			if _, err := s.RemoveMapping(q, target); err != nil {
 				return err
 			}
+			removed[pair] = true
+			// q just lost a mapping: what an earlier chain saw under it
+			// no longer holds.
+			delete(empty, q.Key())
 		}
 	}
 	return nil

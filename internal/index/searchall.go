@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"dhtindex/internal/xpath"
@@ -167,14 +168,7 @@ func (s *Searcher) maxFanout() int {
 }
 
 func dedupeResults(in []Result) []Result {
-	out := in[:0]
-	var prev string
-	for i, r := range in {
-		key := r.File + "\x00" + r.MSD.String()
-		if i == 0 || key != prev {
-			out = append(out, r)
-		}
-		prev = key
-	}
-	return out
+	return slices.CompactFunc(in, func(a, b Result) bool {
+		return a.File == b.File && a.MSD.Equal(b.MSD)
+	})
 }

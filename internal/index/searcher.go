@@ -233,7 +233,7 @@ func (s *Searcher) FindCtx(ctx context.Context, q, target xpath.Query) (trace Tr
 			}
 			trace.Found = true
 			trace.File = resp.Files[0]
-			s.installShortcuts(&trace, q, path, targetStr)
+			s.installShortcuts(&trace, q, path, target)
 			return trace, nil
 		}
 		path = append(path, visit{query: current, node: resp.Node})
@@ -332,6 +332,7 @@ func responseCost(resp Response, hit xpath.Query) int64 {
 // the winner stay unbooked, so the trace's interaction accounting matches
 // the sequential walk.
 func (s *Searcher) generalize(ctx context.Context, trace *Trace, at *telemetry.Active, q, target xpath.Query) (xpath.Query, Response, bool, error) {
+	targetStr := target.String()
 	var cands []xpath.Query
 	for _, g := range q.Generalizations() {
 		if g.Covers(target) {
@@ -373,7 +374,7 @@ func (s *Searcher) generalize(ctx context.Context, trace *Trace, at *telemetry.A
 				})
 				return xpath.Query{}, Response{}, false, out.err
 			}
-			hit := findEqual(out.resp.Cached, target.String())
+			hit := findEqual(out.resp.Cached, targetStr)
 			s.account(trace, g, out.resp, responseCost(out.resp, hit))
 			trace.GeneralizationProbes++
 			at.Hop(telemetry.TraceHop{
@@ -395,7 +396,8 @@ func (s *Searcher) generalize(ctx context.Context, trace *Trace, at *telemetry.A
 // according to the policy (§V-D), and — when AdaptiveIndexing is on and
 // the query needed the generalization fallback — inserts a permanent
 // on-demand index entry.
-func (s *Searcher) installShortcuts(trace *Trace, original xpath.Query, path []visit, targetStr string) {
+func (s *Searcher) installShortcuts(trace *Trace, original xpath.Query, path []visit, target xpath.Query) {
+	targetStr := target.String()
 	switch s.svc.Policy() {
 	case cache.None:
 	case cache.Multi:
@@ -415,11 +417,9 @@ func (s *Searcher) installShortcuts(trace *Trace, original xpath.Query, path []v
 		}
 	}
 	if s.AdaptiveIndexing && trace.NonIndexed && !trace.CacheHit {
-		if target, err := xpath.Parse(targetStr); err == nil {
-			// Best effort: a covering violation cannot happen here because
-			// the directed search only reaches targets the query covers.
-			_ = s.svc.InsertMapping(original, target)
-		}
+		// Best effort: a covering violation cannot happen here because
+		// the directed search only reaches targets the query covers.
+		_ = s.svc.InsertMapping(original, target)
 	}
 }
 

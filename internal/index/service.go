@@ -16,7 +16,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"dhtindex/internal/cache"
@@ -57,16 +58,23 @@ type Service struct {
 	policy   cache.Policy
 	capacity int
 
-	// mu guards caches and parsed: the parallel search fan-out issues
-	// concurrent LookupCtx calls against one service, and the memo table
-	// and per-node shortcut stores are its only shared mutable state.
-	mu     sync.Mutex
-	caches map[string]*cache.Store
+	// The parallel search fan-out and concurrent clients issue LookupCtx
+	// calls against one service; the shortcut stores and the memo table
+	// are its only shared mutable state, each behind its own lock, and
+	// neither lock is held across the other, a substrate call or a sort.
+
+	// cacheMu guards caches and every store in it (cache.Store is not
+	// safe for concurrent use by itself).
+	cacheMu sync.Mutex
+	caches  map[string]*cache.Store
 
 	// parsed memoizes canonical-form parsing: stored entries are re-read
 	// on every lookup and large result sets would otherwise dominate the
-	// simulation's CPU profile.
-	parsed map[string]xpath.Query
+	// CPU profile. It is read-mostly — once the index is warm every
+	// entry is a hit — so parsedMu is taken shared, once per response,
+	// and exclusively only to record a first-time parse.
+	parsedMu sync.RWMutex
+	parsed   map[string]xpath.Query
 
 	// vocabulary, when enabled, registers every published descriptor's
 	// values in the field dictionaries used for fuzzy correction (§VI).
@@ -297,62 +305,85 @@ func (s *Service) LookupCtx(ctx context.Context, q xpath.Query) (Response, error
 		return Response{}, fmt.Errorf("index: lookup %s: %w", q, err)
 	}
 	resp := Response{Node: route.Node, Hops: route.Hops}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	var shortcuts []string
+	if s.policy != cache.None {
+		s.cacheMu.Lock()
+		if store := s.caches[resp.Node]; store != nil {
+			shortcuts = store.Targets(q.String())
+		}
+		s.cacheMu.Unlock()
+	}
+	nIndex := 0
+	for _, e := range entries {
+		if e.Kind == KindIndex {
+			nIndex++
+		}
+	}
+	if nIndex > 0 {
+		resp.Index = make([]xpath.Query, 0, nIndex)
+	}
+	if len(shortcuts) > 0 {
+		resp.Cached = make([]xpath.Query, 0, len(shortcuts))
+	}
+	s.parsedMu.RLock()
 	for _, e := range entries {
 		switch e.Kind {
 		case KindIndex:
-			target, ok := s.parseCachedLocked(e.Value)
-			if !ok {
-				// A corrupted entry must not poison the lookup.
-				continue
+			// A corrupted entry must not poison the lookup.
+			if target, ok := s.parseCachedRLocked(e.Value); ok {
+				resp.Index = append(resp.Index, target)
+				resp.Bytes += int64(len(e.Value))
 			}
-			resp.Index = append(resp.Index, target)
-			resp.Bytes += int64(len(e.Value))
 		case KindData:
 			resp.Files = append(resp.Files, e.Value)
 			resp.Bytes += int64(len(e.Value))
 		}
 	}
-	if store := s.caches[resp.Node]; store != nil {
-		for _, tgt := range store.Targets(q.String()) {
-			target, ok := s.parseCachedLocked(tgt)
-			if !ok {
-				continue
-			}
+	for _, tgt := range shortcuts {
+		if target, ok := s.parseCachedRLocked(tgt); ok {
 			resp.Cached = append(resp.Cached, target)
 			resp.CachePortion += int64(len(tgt))
 		}
-		resp.Bytes += resp.CachePortion
-		sort.Slice(resp.Cached, func(i, j int) bool {
-			return resp.Cached[i].String() < resp.Cached[j].String()
-		})
 	}
-	sort.Slice(resp.Index, func(i, j int) bool {
-		return resp.Index[i].String() < resp.Index[j].String()
-	})
+	s.parsedMu.RUnlock()
+	resp.Bytes += resp.CachePortion
+	// The wire stores keep each entry set in (Kind, Value) order, which
+	// for index entries is canonical-form order, so a live ring's answer
+	// arrives sorted and is only verified. The simulated substrates,
+	// foreign nodes and non-canonical stored values are not bound by
+	// that contract, and a shortcut store lists targets in map order:
+	// those get sorted here, so a response reads the same whoever
+	// served it.
+	sortCanonical(resp.Index)
+	sortCanonical(resp.Cached)
 	return resp, nil
 }
 
-// parseCached parses a canonical query string through the memo table.
-func (s *Service) parseCached(canonical string) (xpath.Query, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.parseCachedLocked(canonical)
+// sortCanonical puts qs in canonical-form order, sorting only when a
+// linear check finds them out of order.
+func sortCanonical(qs []xpath.Query) {
+	if !slices.IsSortedFunc(qs, compareForms) {
+		slices.SortFunc(qs, compareForms)
+	}
 }
 
-// parseCachedLocked is parseCached with s.mu already held.
-func (s *Service) parseCachedLocked(canonical string) (xpath.Query, bool) {
-	if q, ok := s.parsed[canonical]; ok {
-		return q, !q.IsZero()
+func compareForms(a, b xpath.Query) int { return strings.Compare(a.String(), b.String()) }
+
+// parseCachedRLocked parses a canonical query string through the memo
+// table. The caller holds parsedMu shared and holds it shared again on
+// return; a first-time parse gives it up to record the result.
+func (s *Service) parseCachedRLocked(canonical string) (xpath.Query, bool) {
+	q, known := s.parsed[canonical]
+	if !known {
+		s.parsedMu.RUnlock()
+		// An unparsable string memoizes the zero query (negative cache).
+		q, _ = xpath.Parse(canonical)
+		s.parsedMu.Lock()
+		s.parsed[canonical] = q
+		s.parsedMu.Unlock()
+		s.parsedMu.RLock()
 	}
-	q, err := xpath.Parse(canonical)
-	if err != nil {
-		s.parsed[canonical] = xpath.Query{} // negative cache
-		return xpath.Query{}, false
-	}
-	s.parsed[canonical] = q
-	return q, true
+	return q, !q.IsZero()
 }
 
 // AddShortcut installs the cache entry (q → target) on the given node,
@@ -362,8 +393,8 @@ func (s *Service) AddShortcut(nodeAddr string, q xpath.Query, target string) (bo
 	if s.policy == cache.None {
 		return false, 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
 	store := s.caches[nodeAddr]
 	if store == nil {
 		capacity := 0
@@ -383,8 +414,8 @@ func (s *Service) AddShortcut(nodeAddr string, q xpath.Query, target string) (bo
 
 // TouchShortcut freshens a followed shortcut's LRU recency.
 func (s *Service) TouchShortcut(nodeAddr string, q xpath.Query, target string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
 	if store := s.caches[nodeAddr]; store != nil {
 		store.Touch(q.String(), target)
 	}
@@ -392,8 +423,8 @@ func (s *Service) TouchShortcut(nodeAddr string, q xpath.Query, target string) {
 
 // CacheStore returns the shortcut store of a node (nil if none exists).
 func (s *Service) CacheStore(nodeAddr string) *cache.Store {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
 	return s.caches[nodeAddr]
 }
 
@@ -422,8 +453,8 @@ func (s *Service) CacheStats() CacheStats {
 		return stats
 	}
 	full, empty := 0, 0
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
 	for _, addr := range addrs {
 		store := s.caches[addr]
 		if store == nil || store.Len() == 0 {

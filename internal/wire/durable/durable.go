@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -270,32 +270,15 @@ func (s *Store) openWAL() error {
 func (s *Store) apply(rec record) {
 	switch rec.op {
 	case recPut:
-	put:
 		for _, e := range rec.entries {
-			for _, have := range s.mem[rec.key] {
-				if have == e {
-					continue put
-				}
+			if set, added := wire.InsertEntry(s.mem[rec.key], e); added {
+				s.mem[rec.key] = set
 			}
-			s.mem[rec.key] = append(s.mem[rec.key], e)
 		}
-	case recReplace:
-		if len(rec.entries) == 0 {
-			delete(s.mem, rec.key)
-		} else {
-			entries := make([]overlay.Entry, len(rec.entries))
-			copy(entries, rec.entries)
-			s.mem[rec.key] = entries
-		}
-		delete(s.tombs, rec.key)
-	case recReplaceFull:
-		if len(rec.entries) == 0 {
-			delete(s.mem, rec.key)
-		} else {
-			entries := make([]overlay.Entry, len(rec.entries))
-			copy(entries, rec.entries)
-			s.mem[rec.key] = entries
-		}
+	case recReplace, recReplaceFull:
+		// A record written before entry sets were kept in order carries
+		// its set as the writes arrived; the map never does.
+		s.setEntries(rec.key, wire.SortedEntries(rec.entries))
 		delete(s.tombs, rec.key)
 		for _, t := range rec.tombs {
 			s.entombMem(rec.key, t)
@@ -314,19 +297,21 @@ func (s *Store) apply(rec record) {
 // was present. Callers hold s.mu (or own the store exclusively during
 // replay).
 func (s *Store) removeLive(key keyspace.Key, e overlay.Entry) bool {
-	entries := s.mem[key]
-	for i, have := range entries {
-		if have == e {
-			entries = append(entries[:i], entries[i+1:]...)
-			if len(entries) == 0 {
-				delete(s.mem, key)
-			} else {
-				s.mem[key] = entries
-			}
-			return true
-		}
+	entries, removed := wire.DeleteEntry(s.mem[key], e)
+	if removed {
+		s.setEntries(key, entries)
 	}
-	return false
+	return removed
+}
+
+// setEntries stores key's (sorted) entry set; an empty set deletes the
+// key from the live map.
+func (s *Store) setEntries(key keyspace.Key, entries []overlay.Entry) {
+	if len(entries) == 0 {
+		delete(s.mem, key)
+	} else {
+		s.mem[key] = entries
+	}
 }
 
 // entombMem records t under key in the in-memory tombstone map keeping
@@ -520,15 +505,14 @@ func (s *Store) Put(key keyspace.Key, e overlay.Entry) (bool, error) {
 	if _, dead := s.tombs[key][e]; dead {
 		return false, nil
 	}
-	for _, have := range s.mem[key] {
-		if have == e {
-			return false, nil
-		}
+	i, found := slices.BinarySearchFunc(s.mem[key], e, wire.CompareEntries)
+	if found {
+		return false, nil
 	}
 	if err := s.appendLocked(record{op: recPut, key: key, entries: []overlay.Entry{e}}); err != nil {
 		return false, err
 	}
-	s.mem[key] = append(s.mem[key], e)
+	s.mem[key] = slices.Insert(s.mem[key], i, e)
 	s.maybeCompactLocked()
 	return true, nil
 }
@@ -553,18 +537,13 @@ func (s *Store) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
 func (s *Store) Replace(key keyspace.Key, entries []overlay.Entry, tombs []wire.Tombstone) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]overlay.Entry, len(entries))
-	copy(out, entries)
+	out := wire.SortedEntries(entries)
 	tout := make([]wire.Tombstone, len(tombs))
 	copy(tout, tombs)
 	if err := s.appendLocked(record{op: recReplaceFull, key: key, entries: out, tombs: tout}); err != nil {
 		return err
 	}
-	if len(out) == 0 {
-		delete(s.mem, key)
-	} else {
-		s.mem[key] = out
-	}
+	s.setEntries(key, out)
 	delete(s.tombs, key)
 	for _, t := range tout {
 		s.entombMem(key, t)
@@ -665,12 +644,7 @@ func tombstoneSlice(m map[overlay.Entry]int64) []wire.Tombstone {
 	for e, at := range m {
 		out = append(out, wire.Tombstone{Entry: e, At: at})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Entry.Kind != out[j].Entry.Kind {
-			return out[i].Entry.Kind < out[j].Entry.Kind
-		}
-		return out[i].Entry.Value < out[j].Entry.Value
-	})
+	slices.SortFunc(out, func(a, b wire.Tombstone) int { return wire.CompareEntries(a.Entry, b.Entry) })
 	return out
 }
 

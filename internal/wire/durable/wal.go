@@ -23,7 +23,7 @@ import (
 //
 //	uint32 LE payload length | uint32 LE CRC-32 (IEEE) of payload | payload
 //
-// A frame's payload is one record: an op byte (recPut appends a single
+// A frame's payload is one record: an op byte (recPut adds a single
 // entry, recReplace sets a key's whole entry set — zero entries means
 // delete), the 20-byte ring key, then a uvarint entry count followed by
 // uvarint-length-prefixed kind and value strings per entry.
@@ -42,7 +42,7 @@ const (
 
 	headerSize = 16
 
-	// recPut appends one entry to a key's set.
+	// recPut adds one entry to a key's set.
 	recPut = 1
 	// recReplace sets a key's whole entry set (empty = delete) and
 	// clears its tombstones. Legacy: written before deletion records

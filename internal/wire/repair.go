@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"sort"
+	"slices"
 
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
@@ -92,29 +90,46 @@ func (c repairCounters) attach(reg *telemetry.Registry) {
 	reg.Attach(c.rounds, c.syncs, c.pushes, c.forwards, c.drops)
 }
 
+// FNV-1a, 64 bit (hash/fnv's New64a, written out so a digest allocates
+// nothing: ownedState digests every owned key every repair round).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
+	}
+	return h
+}
+
+// fnvEntry folds one entry and a terminator byte into h.
+func fnvEntry(h uint64, e overlay.Entry, term byte) uint64 {
+	return fnvByte(fnvString(fnvByte(fnvString(h, e.Kind), 0), e.Value), term)
+}
+
 // entriesDigest hashes a key's entry set order-independently (FNV-1a
-// over the sorted entries), so two replicas agree on the digest no
-// matter what order writes arrived in. Empty sets digest to 0.
+// over the entries in CompareEntries order), so two replicas agree on
+// the digest no matter what order writes arrived in. Empty sets digest
+// to 0. A set read from a Store is in that order already and is hashed
+// as it stands; one that came off the wire from a node that does not
+// keep the order is sorted first.
 func entriesDigest(entries []overlay.Entry) uint64 {
 	if len(entries) == 0 {
 		return 0
 	}
-	sorted := make([]overlay.Entry, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Kind != sorted[j].Kind {
-			return sorted[i].Kind < sorted[j].Kind
-		}
-		return sorted[i].Value < sorted[j].Value
-	})
-	h := fnv.New64a()
-	for _, e := range sorted {
-		_, _ = h.Write([]byte(e.Kind))
-		_, _ = h.Write([]byte{0})
-		_, _ = h.Write([]byte(e.Value))
-		_, _ = h.Write([]byte{0xff})
+	if !slices.IsSortedFunc(entries, CompareEntries) {
+		entries = slices.Clone(entries)
+		slices.SortFunc(entries, CompareEntries)
 	}
-	return h.Sum64()
+	h := uint64(fnvOffset64)
+	for _, e := range entries {
+		h = fnvEntry(h, e, 0xff)
+	}
+	return h
 }
 
 // stateDigest extends entriesDigest with the key's tombstone
@@ -125,25 +140,19 @@ func stateDigest(entries []overlay.Entry, tombs []Tombstone) uint64 {
 	if len(tombs) == 0 {
 		return entriesDigest(entries)
 	}
-	sorted := make([]Tombstone, len(tombs))
-	copy(sorted, tombs)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Entry.Kind != sorted[j].Entry.Kind {
-			return sorted[i].Entry.Kind < sorted[j].Entry.Kind
-		}
-		return sorted[i].Entry.Value < sorted[j].Entry.Value
-	})
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], entriesDigest(entries))
-	_, _ = h.Write(buf[:])
-	for _, t := range sorted {
-		_, _ = h.Write([]byte(t.Entry.Kind))
-		_, _ = h.Write([]byte{0})
-		_, _ = h.Write([]byte(t.Entry.Value))
-		_, _ = h.Write([]byte{0xfe})
+	if !slices.IsSortedFunc(tombs, compareTombstones) {
+		tombs = slices.Clone(tombs)
+		slices.SortFunc(tombs, compareTombstones)
 	}
-	return h.Sum64()
+	h := uint64(fnvOffset64)
+	live := entriesDigest(entries)
+	for shift := 0; shift < 64; shift += 8 { // little-endian bytes
+		h = fnvByte(h, byte(live>>shift))
+	}
+	for _, t := range tombs {
+		h = fnvEntry(h, t.Entry, 0xfe)
+	}
+	return h
 }
 
 // ownedState collects the keys this node owns (live entries or

@@ -1,7 +1,12 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -27,6 +32,71 @@ func TestEntriesDigest(t *testing.T) {
 	e := []overlay.Entry{{Kind: "k1", Value: "v1"}}
 	if entriesDigest(d) == entriesDigest(e) {
 		t.Errorf("kind/value boundary ambiguity")
+	}
+}
+
+// referenceStateDigest is the digest as first written: copy, sort, then
+// hash/fnv over byte slices. Mixed-version rings compare digests across
+// nodes, so the one-pass form must produce these exact values.
+func referenceStateDigest(entries []overlay.Entry, tombs []Tombstone) uint64 {
+	hashSet := func(seed []byte, set []overlay.Entry, term byte) uint64 {
+		set = slices.Clone(set)
+		sort.Slice(set, func(i, j int) bool {
+			if set[i].Kind != set[j].Kind {
+				return set[i].Kind < set[j].Kind
+			}
+			return set[i].Value < set[j].Value
+		})
+		h := fnv.New64a()
+		_, _ = h.Write(seed)
+		for _, e := range set {
+			_, _ = h.Write([]byte(e.Kind))
+			_, _ = h.Write([]byte{0})
+			_, _ = h.Write([]byte(e.Value))
+			_, _ = h.Write([]byte{term})
+		}
+		return h.Sum64()
+	}
+	var d uint64
+	if len(entries) > 0 {
+		d = hashSet(nil, entries, 0xff)
+	}
+	if len(tombs) == 0 {
+		return d
+	}
+	dead := make([]overlay.Entry, len(tombs))
+	for i, t := range tombs {
+		dead[i] = t.Entry
+	}
+	return hashSet(binary.LittleEndian.AppendUint64(nil, d), dead, 0xfe)
+}
+
+// TestStateDigestOnePass: sorted or shuffled, the digest equals the
+// reference, and a set in store order — the only kind ownedState hashes,
+// once per owned key per repair round — is digested without allocating.
+func TestStateDigestOnePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for round := 0; round < 200; round++ {
+		entries := make([]overlay.Entry, rng.Intn(12))
+		for i := range entries {
+			entries[i] = overlay.Entry{Kind: []string{"index", "data"}[rng.Intn(2)], Value: fmt.Sprintf("/q[v=%d]", rng.Intn(1000))}
+		}
+		tombs := make([]Tombstone, rng.Intn(4))
+		for i := range tombs {
+			tombs[i] = Tombstone{Entry: overlay.Entry{Kind: "index", Value: fmt.Sprintf("/dead[v=%d]", rng.Intn(1000))}, At: rng.Int63()}
+		}
+		want := referenceStateDigest(entries, tombs)
+		if got := stateDigest(entries, tombs); got != want {
+			t.Fatalf("shuffled: digest %d, reference %d (%v %v)", got, want, entries, tombs)
+		}
+		slices.SortFunc(entries, CompareEntries)
+		slices.SortFunc(tombs, compareTombstones)
+		if got := stateDigest(entries, tombs); got != want {
+			t.Fatalf("sorted: digest %d, reference %d (%v %v)", got, want, entries, tombs)
+		}
+		if allocs := testing.AllocsPerRun(1, func() { _ = stateDigest(entries, tombs) }); allocs != 0 {
+			t.Fatalf("digest of a sorted set allocated %v times", allocs)
+		}
 	}
 }
 

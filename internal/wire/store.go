@@ -1,7 +1,8 @@
 package wire
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"dhtindex/internal/keyspace"
@@ -26,17 +27,25 @@ import (
 // Mutators return an error when the write could not be made durable;
 // the node then refuses to acknowledge the operation, so "acked" always
 // means "recorded to the configured durability level".
+//
+// Order contract: a key's entry set is kept strictly sorted by
+// CompareEntries — (Kind, Value), no duplicates — at all times. Writers
+// establish it (Put inserts in place, Replace and recovery normalize
+// whatever arrives), so Get and ForEach hand out sorted sets and no
+// reader has to sort: digests hash in one pass and the index layer only
+// verifies the order of a response (DESIGN.md §18).
 type Store interface {
-	// Get returns a copy of the entries stored under key (nil if none).
+	// Get returns a copy of the entries stored under key (nil if none),
+	// in CompareEntries order.
 	Get(key keyspace.Key) []overlay.Entry
-	// Put appends e under key unless an identical entry is already
-	// present or a live tombstone for e suppresses the write, reporting
-	// whether it was added. A suppressed put returns (false, nil);
-	// callers that must distinguish suppression from a duplicate check
-	// Tombstoned. Tombstones win until they are garbage-collected: the
-	// index's entries are write-once, so re-adding an identical removed
-	// entry within the TTL is the one unsupported pattern (DESIGN.md
-	// §15).
+	// Put inserts e under key at its CompareEntries position unless an
+	// identical entry is already present or a live tombstone for e
+	// suppresses the write, reporting whether it was added. A
+	// suppressed put returns (false, nil); callers that must distinguish
+	// suppression from a duplicate check Tombstoned. Tombstones win
+	// until they are garbage-collected: the index's entries are
+	// write-once, so re-adding an identical removed entry within the TTL
+	// is the one unsupported pattern (DESIGN.md §15).
 	Put(key keyspace.Key, e overlay.Entry) (bool, error)
 	// Remove deletes the exact entry under key, reporting whether it
 	// existed, and records a tombstone for it either way — a removal
@@ -46,7 +55,9 @@ type Store interface {
 	// while tombstones remain.
 	Remove(key keyspace.Key, e overlay.Entry) (bool, error)
 	// Replace sets key's whole entry set and tombstone set at once
-	// (repair-sync ship semantics); both empty deletes the key.
+	// (repair-sync ship semantics); both empty deletes the key. entries
+	// may arrive in any order and with repeats: the store keeps the
+	// sorted, duplicate-free set.
 	Replace(key keyspace.Key, entries []overlay.Entry, tombs []Tombstone) error
 	// Tombstoned reports whether a live tombstone suppresses e under key.
 	Tombstoned(key keyspace.Key, e overlay.Entry) bool
@@ -129,6 +140,55 @@ type InstrumentedStore interface {
 	Instrument(reg *telemetry.Registry)
 }
 
+// CompareEntries orders entries by (Kind, Value): the order every Store
+// keeps a key's entry set in. Index entries' values are canonical query
+// forms, so within one kind it is canonical-form order.
+func CompareEntries(a, b overlay.Entry) int {
+	if c := strings.Compare(a.Kind, b.Kind); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Value, b.Value)
+}
+
+// compareTombstones orders tombstones by the entry they suppress.
+func compareTombstones(a, b Tombstone) int { return CompareEntries(a.Entry, b.Entry) }
+
+// InsertEntry inserts e into the sorted set at its CompareEntries
+// position, reporting false (and returning set as it was) when e is
+// already there. The binary search is the duplicate check.
+func InsertEntry(set []overlay.Entry, e overlay.Entry) ([]overlay.Entry, bool) {
+	i, found := slices.BinarySearchFunc(set, e, CompareEntries)
+	if found {
+		return set, false
+	}
+	return slices.Insert(set, i, e), true
+}
+
+// DeleteEntry removes e from the sorted set, reporting whether it was
+// there. The remaining entries keep their order.
+func DeleteEntry(set []overlay.Entry, e overlay.Entry) ([]overlay.Entry, bool) {
+	i, found := slices.BinarySearchFunc(set, e, CompareEntries)
+	if !found {
+		return set, false
+	}
+	return slices.Delete(set, i, i+1), true
+}
+
+// SortedEntries returns a copy of entries in CompareEntries order
+// without duplicates (nil when empty): what a store keeps of a set that
+// arrived from outside — a repair ship, a WAL or snapshot record. A set
+// another store shipped is sorted already and is only checked.
+func SortedEntries(entries []overlay.Entry) []overlay.Entry {
+	if len(entries) == 0 {
+		return nil
+	}
+	out := slices.Clone(entries)
+	if !slices.IsSortedFunc(out, CompareEntries) {
+		slices.SortFunc(out, CompareEntries)
+	}
+	return slices.Compact(out)
+}
+
 // MemStore is the default Store: a plain in-memory map with no
 // durability. Mutators never fail; a crash-stop loses everything, which
 // is exactly the behaviour the replicated ring's anti-entropy repair is
@@ -164,13 +224,11 @@ func (s *MemStore) Put(key keyspace.Key, e overlay.Entry) (bool, error) {
 	if _, dead := s.tombs[key][e]; dead {
 		return false, nil
 	}
-	for _, have := range s.m[key] {
-		if have == e {
-			return false, nil
-		}
+	set, added := InsertEntry(s.m[key], e)
+	if added {
+		s.m[key] = set
 	}
-	s.m[key] = append(s.m[key], e)
-	return true, nil
+	return added, nil
 }
 
 // Remove implements Store.
@@ -183,19 +241,16 @@ func (s *MemStore) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
 // removeLive deletes the live entry e under key, reporting whether it
 // was present.
 func (s *MemStore) removeLive(key keyspace.Key, e overlay.Entry) bool {
-	entries := s.m[key]
-	for i, have := range entries {
-		if have == e {
-			entries = append(entries[:i], entries[i+1:]...)
-			if len(entries) == 0 {
-				delete(s.m, key)
-			} else {
-				s.m[key] = entries
-			}
-			return true
-		}
+	entries, removed := DeleteEntry(s.m[key], e)
+	if !removed {
+		return false
 	}
-	return false
+	if len(entries) == 0 {
+		delete(s.m, key)
+	} else {
+		s.m[key] = entries
+	}
+	return true
 }
 
 // entombOne records t under key keeping the latest At, reporting
@@ -218,9 +273,7 @@ func (s *MemStore) Replace(key keyspace.Key, entries []overlay.Entry, tombs []To
 	if len(entries) == 0 {
 		delete(s.m, key)
 	} else {
-		out := make([]overlay.Entry, len(entries))
-		copy(out, entries)
-		s.m[key] = out
+		s.m[key] = SortedEntries(entries)
 	}
 	if len(tombs) == 0 {
 		delete(s.tombs, key)
@@ -298,12 +351,7 @@ func tombstoneSlice(m map[overlay.Entry]int64) []Tombstone {
 	for e, at := range m {
 		out = append(out, Tombstone{Entry: e, At: at})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Entry.Kind != out[j].Entry.Kind {
-			return out[i].Entry.Kind < out[j].Entry.Kind
-		}
-		return out[i].Entry.Value < out[j].Entry.Value
-	})
+	slices.SortFunc(out, compareTombstones)
 	return out
 }
 

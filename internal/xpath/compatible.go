@@ -12,7 +12,7 @@ func Compatible(a, b Query) bool {
 	if a.root.desc || b.root.desc {
 		return true // floating patterns: never a definite conflict
 	}
-	return compatibleNodes(a.root, b.root)
+	return compatibleNodes(&a.root.node, &b.root.node)
 }
 
 func compatibleNodes(a, b *node) bool {

@@ -1,0 +1,164 @@
+package xpath_test
+
+import (
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"dhtindex/internal/dataset"
+	"dhtindex/internal/descriptor"
+	"dhtindex/internal/keyspace"
+	"dhtindex/internal/xpath"
+)
+
+// goldenPath lists every query shape the dataset package builds, for 50
+// generated articles, as "shape<TAB>canonical form" lines. The file was
+// written by datasetQueryLines at the commit before h(q) and the
+// constraint count moved into the query (PR 16). Canonical forms are
+// what gets hashed into ring keys, so a diff against it re-keys every
+// stored index: it is a frozen contract, not a snapshot to refresh.
+const goldenPath = "testdata/dataset_queries.golden"
+
+func datasetQueryLines(t testing.TB) []string {
+	corpus, err := dataset.Generate(dataset.Config{Articles: 50, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	add := func(shape string, q xpath.Query) {
+		lines = append(lines, shape+"\t"+q.String())
+	}
+	for _, a := range corpus.Articles {
+		add("last", dataset.LastNameQuery(a.AuthorLast))
+		add("author", dataset.AuthorQuery(a.AuthorFirst, a.AuthorLast))
+		add("title", dataset.TitleQuery(a.Title))
+		add("conf", dataset.ConfQuery(a.Conf))
+		add("year", dataset.YearQuery(a.Year))
+		add("author+title", dataset.AuthorTitleQuery(a.AuthorFirst, a.AuthorLast, a.Title))
+		add("conf+year", dataset.ConfYearQuery(a.Conf, a.Year))
+		add("author+conf", dataset.AuthorConfQuery(a.AuthorFirst, a.AuthorLast, a.Conf))
+		add("author+conf+year", dataset.AuthorConfYearQuery(a.AuthorFirst, a.AuthorLast, a.Conf, a.Year))
+		add("author+year", dataset.AuthorYearQuery(a.AuthorFirst, a.AuthorLast, a.Year))
+		add("title+year", dataset.TitleYearQuery(a.Title, a.Year))
+		add("msd", dataset.MSD(a))
+		add("initial", dataset.InitialQuery(a.AuthorLast[0]))
+		add("last-prefix", dataset.LastNamePrefixQuery(a.AuthorLast[:2]))
+		for _, w := range dataset.TitleWords(a.Title, 4) {
+			add("title-word", dataset.TitleKeywordQuery(w))
+		}
+	}
+	return lines
+}
+
+func goldenLines(t testing.TB) []string {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+}
+
+// checkDerived holds a query to what its canonical form determines: the
+// key is the SHA-1 of the form, the constraint count is the node count of
+// the tree, and the form parses back to itself.
+func checkDerived(t *testing.T, origin string, q xpath.Query) {
+	t.Helper()
+	if got, want := q.Key(), keyspace.NewKey(q.String()); got != want {
+		t.Errorf("%s %s: Key() = %s, want h(canonical form) = %s", origin, q, got, want)
+	}
+	if got, want := q.Constraints(), xpath.CountNodes(q); got != want {
+		t.Errorf("%s %s: Constraints() = %d, tree has %d nodes", origin, q, got, want)
+	}
+	if q.IsZero() {
+		return
+	}
+	back, err := xpath.Parse(q.String())
+	if err != nil || back.String() != q.String() {
+		t.Errorf("%s %s: canonical form parses back to %q, %v", origin, q, back, err)
+	}
+}
+
+// checkConstructors runs checkDerived on q and on everything the other
+// constructors derive from it.
+func checkConstructors(t *testing.T, origin string, q xpath.Query) {
+	t.Helper()
+	checkDerived(t, origin, q)
+	for i, g := range q.Generalizations() {
+		checkDerived(t, fmt.Sprintf("%s generalization %d", origin, i), g)
+	}
+	for _, vc := range q.ValueConstraints() {
+		checkDerived(t, origin+" WithValue", q.WithValue(vc.Path, vc.Value+"x"))
+	}
+}
+
+// TestDerivedFieldsEveryConstructor: Builder and MostSpecific (the dataset
+// shapes), Parse (their canonical forms), Generalizations and WithValue
+// all freeze the same key and constraint count a fresh derivation gives,
+// and the dataset's canonical forms are the golden file's.
+func TestDerivedFieldsEveryConstructor(t *testing.T) {
+	lines := datasetQueryLines(t)
+	golden := goldenLines(t)
+	if len(lines) != len(golden) {
+		t.Fatalf("%d dataset queries, golden file has %d", len(lines), len(golden))
+	}
+	for i, line := range lines {
+		if line != golden[i] {
+			t.Fatalf("line %d: canonical form changed\n got %s\nwant %s", i+1, line, golden[i])
+		}
+		shape, form, _ := strings.Cut(line, "\t")
+		q, err := xpath.Parse(form)
+		if err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		checkConstructors(t, shape, q)
+	}
+	for _, a := range descriptor.Fig1Articles() {
+		checkConstructors(t, "msd", xpath.MostSpecific(a.Descriptor()))
+		checkConstructors(t, "builder", dataset.AuthorConfYearQuery(a.AuthorFirst, a.AuthorLast, a.Conf, a.Year))
+	}
+	checkDerived(t, "zero", xpath.Query{})
+}
+
+// FuzzDerivedFields: whatever parses keeps the same three properties,
+// through every constructor. The seed corpus is the dataset's query
+// shapes plus dialect corners the dataset never builds.
+func FuzzDerivedFields(f *testing.F) {
+	seen := make(map[string]bool)
+	for _, line := range goldenLines(f) {
+		shape, form, _ := strings.Cut(line, "\t")
+		if !seen[shape] { // one seed per shape keeps the corpus small
+			seen[shape] = true
+			f.Add(form)
+		}
+	}
+	for _, s := range []string{
+		"//author[last=Smith]", "/article/title=TCP", "/*[b][a][b]", "/a[c=2][//b=1]", "/a=x y[b]",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		q, err := xpath.Parse(input)
+		if err != nil {
+			return
+		}
+		checkConstructors(t, "parse", q)
+	})
+}
+
+// TestMostSpecificAllocCeiling pins the construction cost of an article's
+// MSD. With every predicate rendered twice per sort comparison it took 55
+// allocations (measured at the commit before PR 16, same article); with
+// one render per subtree it takes 20. The ceiling leaves room for
+// toolchain drift, far below the old count.
+func TestMostSpecificAllocCeiling(t *testing.T) {
+	const (
+		parentAllocs = 55
+		ceiling      = 24
+	)
+	d := descriptor.Fig1Articles()[0].Descriptor()
+	allocs := testing.AllocsPerRun(200, func() { _ = xpath.MostSpecific(d) })
+	if allocs > ceiling || allocs >= parentAllocs {
+		t.Fatalf("MostSpecific(article) = %v allocs, want <= %d (was %d)", allocs, ceiling, parentAllocs)
+	}
+}

@@ -98,9 +98,9 @@ func (q Query) Matches(d descriptor.Descriptor) bool {
 		return false
 	}
 	if q.root.desc {
-		return matchesAnywhere(q.root, d.Root)
+		return matchesAnywhere(&q.root.node, d.Root)
 	}
-	return matches(q.root, d.Root)
+	return matches(&q.root.node, d.Root)
 }
 
 // matches tests the pattern node against exactly this element.
@@ -170,14 +170,14 @@ func (q Query) Covers(other Query) bool {
 	}
 	if q.root.desc {
 		// `//x` is satisfied by x anywhere; other must pin x at some depth.
-		return impliedAnywhere(q.root, other.root)
+		return impliedAnywhere(&q.root.node, &other.root.node)
 	}
 	if other.root.desc {
 		// other floats while q pins the root: only a wildcard-rooted q
 		// with no further constraints could cover it; be conservative.
 		return false
 	}
-	return implies(q.root, other.root)
+	return implies(&q.root.node, &other.root.node)
 }
 
 // implies reports that any element matching spec (the more specific

@@ -16,7 +16,7 @@ package xpath
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"strings"
 
 	"dhtindex/internal/descriptor"
@@ -37,9 +37,23 @@ type node struct {
 // Query is an immutable, normalized tree pattern. The zero Query is empty
 // and matches nothing; build queries with Parse, MostSpecific, or Builder.
 type Query struct {
-	root *node
+	root *pattern
 	str  string // canonical form, computed at construction
 }
+
+// pattern is a frozen query's root constraint together with what newQuery
+// derives from the canonical form. It sits behind Query's pointer so that a
+// Query stays pointer + string however much is precomputed: responses are
+// []Query and are copied by value.
+type pattern struct {
+	node
+	key         keyspace.Key // h(q), the SHA-1 of the canonical form
+	constraints int          // pattern nodes in the tree
+}
+
+// zeroKey is h("") — the key of the zero Query, whose canonical form is
+// empty.
+var zeroKey = keyspace.NewKey("")
 
 // ErrEmptyQuery is returned when parsing or building yields no constraint.
 var ErrEmptyQuery = errors.New("xpath: empty query")
@@ -51,68 +65,72 @@ func (q Query) IsZero() bool { return q.root == nil }
 // queries (within the normalization the package performs).
 func (q Query) String() string { return q.str }
 
-// Key returns the DHT key of the canonical form — the paper's h(q).
-func (q Query) Key() keyspace.Key { return keyspace.NewKey(q.str) }
+// Key returns the DHT key of the canonical form — the paper's h(q). The
+// hash is taken once, when the query is constructed; Key only reads it.
+func (q Query) Key() keyspace.Key {
+	if q.root == nil {
+		return zeroKey
+	}
+	return q.root.key
+}
 
 // Equal reports whether two queries have identical canonical forms.
 func (q Query) Equal(other Query) bool { return q.str == other.str }
 
 // Constraints returns the number of pattern nodes, a rough measure of query
-// specificity used in diagnostics.
+// specificity; the directed search prefers the response entry with the most.
+// Like the key it is counted once, at construction.
 func (q Query) Constraints() int {
-	return countNodes(q.root)
-}
-
-func countNodes(n *node) int {
-	if n == nil {
+	if q.root == nil {
 		return 0
 	}
-	total := 1
-	for _, k := range n.kids {
-		total += countNodes(k)
-	}
-	return total
+	return q.root.constraints
 }
 
-// newQuery normalizes the pattern and freezes its canonical form.
+// newQuery normalizes the pattern and freezes its canonical form, its key
+// and its constraint count.
 func newQuery(root *node) Query {
 	if root == nil {
 		return Query{}
 	}
-	normalize(root)
-	return Query{root: root, str: render(root, true)}
+	str, constraints := canonicalize(root, true)
+	return Query{
+		root: &pattern{node: *root, key: keyspace.NewKey(str), constraints: constraints},
+		str:  str,
+	}
 }
 
-// normalize sorts predicates by canonical form and removes exact duplicate
-// sibling constraints, recursively.
-func normalize(n *node) {
-	for _, k := range n.kids {
-		normalize(k)
+// canonicalize sorts n's predicates by canonical form and removes exact
+// duplicate sibling constraints, recursively, and returns n's canonical
+// form and node count. Top-level nodes are prefixed with their axis;
+// predicate heads omit the child-axis slash. Each subtree is rendered
+// once: a parent orders its predicates by the strings they returned and
+// assembles its own form from them.
+func canonicalize(n *node, top bool) (string, int) {
+	type rendered struct {
+		kid   *node
+		str   string
+		count int
 	}
-	sort.SliceStable(n.kids, func(i, j int) bool {
-		return render(n.kids[i], false) < render(n.kids[j], false)
-	})
-	out := n.kids[:0]
-	var prev string
-	for i, k := range n.kids {
-		r := render(k, false)
-		if i == 0 || r != prev {
-			out = append(out, k)
+	var buf [8]rendered // most nodes have a handful of predicates: no heap
+	kids := buf[:0]
+	size, count := len(n.name), 1
+	if len(n.kids) > 0 {
+		for _, k := range n.kids {
+			str, c := canonicalize(k, false)
+			kids = append(kids, rendered{kid: k, str: str, count: c})
 		}
-		prev = r
+		slices.SortStableFunc(kids, func(a, b rendered) int { return strings.Compare(a.str, b.str) })
+		kids = slices.CompactFunc(kids, func(a, b rendered) bool { return a.str == b.str })
+		n.kids = n.kids[:len(kids)]
+		for i, r := range kids {
+			n.kids[i] = r.kid
+			size += len(r.str) + 2
+			count += r.count
+		}
 	}
-	n.kids = out
-}
-
-// render produces the canonical textual form. Top-level nodes are prefixed
-// with their axis; predicate heads omit the child-axis slash.
-func render(n *node, top bool) string {
 	var sb strings.Builder
-	writeNode(&sb, n, top)
-	return sb.String()
-}
-
-func writeNode(sb *strings.Builder, n *node, top bool) {
+	sb.Grow(size + len(n.value) + 3)
 	switch {
 	case n.desc:
 		sb.WriteString("//")
@@ -124,11 +142,12 @@ func writeNode(sb *strings.Builder, n *node, top bool) {
 		sb.WriteByte('=')
 		sb.WriteString(n.value)
 	}
-	for _, k := range n.kids {
+	for _, r := range kids {
 		sb.WriteByte('[')
-		writeNode(sb, k, false)
+		sb.WriteString(r.str)
 		sb.WriteByte(']')
 	}
+	return sb.String(), count
 }
 
 // clone deep-copies a pattern subtree.
@@ -178,7 +197,7 @@ func (q Query) Descriptor() (descriptor.Descriptor, error) {
 	if q.root == nil {
 		return descriptor.Descriptor{}, ErrEmptyQuery
 	}
-	root, err := nodeToElement(q.root)
+	root, err := nodeToElement(&q.root.node)
 	if err != nil {
 		return descriptor.Descriptor{}, err
 	}

@@ -28,7 +28,7 @@ func (q Query) ValueConstraints() []ValueConstraint {
 			walk(k, append(path, k.name))
 		}
 	}
-	walk(q.root, nil)
+	walk(&q.root.node, nil)
 	return out
 }
 
