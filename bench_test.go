@@ -394,3 +394,31 @@ func BenchmarkDirectedFind(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSearchAll measures one automated search — the level-by-level
+// walk of the index DAG from an author query — over the simulated ring,
+// one lookup at a time (the live ring's batched frontier is
+// BenchmarkSearchAllParallel in internal/wire).
+func BenchmarkSearchAll(b *testing.B) {
+	net := dht.NewNetwork(1)
+	if _, err := net.Populate(64); err != nil {
+		b.Fatal(err)
+	}
+	svc := index.New(dht.AsOverlay(net, 1), cache.None, 0)
+	corpus := fig1Corpus(b)
+	arts := corpus.Articles[:500]
+	for i, a := range arts {
+		if err := svc.PublishArticle(fmt.Sprintf("f%d", i), a, index.Simple); err != nil {
+			b.Fatal(err)
+		}
+	}
+	searcher := index.NewSearcher(svc)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := arts[i%len(arts)]
+		results, trace, err := searcher.SearchAll(dataset.AuthorQuery(a.AuthorFirst, a.AuthorLast))
+		if err != nil || !trace.Found || len(results) == 0 {
+			b.Fatalf("search: %d results, %v", len(results), err)
+		}
+	}
+}

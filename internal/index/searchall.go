@@ -36,123 +36,78 @@ func (s *Searcher) SearchAll(q xpath.Query) ([]Result, Trace, error) {
 // of the index DAG could deliver plus an exact account of what is
 // missing — instead of an all-or-nothing error.
 //
-// With Parallelism > 1 the frontier expands through a sliding lookahead
-// window: while the caller processes the head branch, up to
-// Parallelism-1 of the branches right behind it are already being
-// looked up concurrently, and a branch's completion immediately frees
-// its slot for the next pending one. Branches are still PROCESSED in
-// strict frontier order, so the exploration order, the result set and
-// the trace accounting match the sequential walk exactly — but unlike a
-// wave with a barrier, one slow branch only delays its own processing
-// slot: the lookups behind it keep streaming instead of parking the
-// whole wave on the straggler, which is what made the parallel walk's
-// tail latency worse than the sequential one's. The first branch is
-// always the original query alone (the window only opens behind it),
-// which keeps the not-indexed generalization fallback exact.
+// The walk is level-synchronous: the branches of one level are
+// independent lookups, fetched together by Service.lookupBatch — one at
+// a time with Parallelism ≤ 1, otherwise in one owner-grouped read (a
+// level of k branches on m owners is m messages) — and PROCESSED in
+// frontier order, which is the order a FIFO walk visits them in. The
+// exploration order, the result set and every trace field are therefore
+// the same at any Parallelism. Level 0 is the original query alone,
+// which keeps the not-indexed generalization fallback exact, and a
+// level is cut to what is left of the MaxFanout budget.
 func (s *Searcher) SearchAllCtx(ctx context.Context, q xpath.Query) ([]Result, Trace, error) {
 	var trace Trace
 	if q.IsZero() {
 		return nil, trace, xpath.ErrEmptyQuery
 	}
 	var results []Result
-	seen := map[string]bool{}
+	seen := map[string]bool{q.String(): true}
 	frontier := []xpath.Query{q}
-	seen[q.String()] = true
-	explored := 0
+	budget := s.maxFanout()
 
-	type lookupOut struct {
-		resp Response
-		err  error
-	}
-	window := s.parallelism()
-	// issued maps a frontier query to its in-flight lookup. Issued
-	// queries always form a contiguous prefix of the frontier (slots are
-	// filled front to back and only the head is popped), so the top-up
-	// scan below stays O(window) per iteration.
-	issued := make(map[string]chan lookupOut)
-	for len(frontier) > 0 && explored < s.maxFanout() {
-		// Top up the lookahead window behind the head. The head itself is
-		// left for the caller to run inline: on a single-CPU host the
-		// caller doing real lookup work while the window drains beats it
-		// parking on a channel. The adaptive threshold gate is unchanged
-		// from the wave design — tiny frontiers are not worth goroutines —
-		// and speculation never exceeds the MaxFanout budget.
-		if window > 1 && len(frontier) >= s.fanoutThreshold() {
-			for i := 1; i < len(frontier) && len(issued) < window-1 && explored+1+len(issued) < s.maxFanout(); i++ {
-				key := frontier[i].String()
-				if _, ok := issued[key]; ok {
-					continue
+walk:
+	for level := 0; len(frontier) > 0 && budget > 0; level++ {
+		batch := frontier[:min(len(frontier), budget)]
+		frontier = frontier[len(batch):]
+		budget -= len(batch)
+		for i, out := range s.svc.lookupBatch(ctx, batch, s.parallelism()) {
+			current, resp := batch[i], out.resp
+			if out.err != nil {
+				trace.Incomplete = true
+				trace.Unresolved = append(trace.Unresolved, Unresolved{
+					Query: current.String(), Reason: out.err.Error(),
+				})
+				if cerr := ctx.Err(); cerr != nil {
+					// Budget spent: the rest of the level and everything
+					// queued behind it is unreachable too.
+					for _, rest := range slices.Concat(batch[i+1:], frontier) {
+						trace.Unresolved = append(trace.Unresolved, Unresolved{
+							Query: rest.String(), Reason: cerr.Error(),
+						})
+					}
+					break walk
 				}
-				ch := make(chan lookupOut, 1)
-				issued[key] = ch
-				go func(q xpath.Query) {
-					resp, err := s.svc.LookupCtx(ctx, q)
-					ch <- lookupOut{resp: resp, err: err}
-				}(frontier[i])
-			}
-		}
-		current := frontier[0]
-		frontier = frontier[1:]
-		var out lookupOut
-		if ch, ok := issued[current.String()]; ok {
-			out = <-ch
-			delete(issued, current.String())
-		} else {
-			resp, err := s.svc.LookupCtx(ctx, current)
-			out = lookupOut{resp: resp, err: err}
-		}
-
-		explored++
-		resp, err := out.resp, out.err
-		if err != nil {
-			trace.Incomplete = true
-			trace.Unresolved = append(trace.Unresolved, Unresolved{
-				Query: current.String(), Reason: err.Error(),
-			})
-			if cerr := ctx.Err(); cerr != nil {
-				// Budget spent: the rest of the frontier is unreachable too.
-				// In-flight speculative lookups drain into their buffered
-				// channels and are dropped.
-				for _, rest := range frontier {
-					trace.Unresolved = append(trace.Unresolved, Unresolved{
-						Query: rest.String(), Reason: cerr.Error(),
-					})
-				}
-				break
-			}
-			continue
-		}
-		s.account(&trace, current, resp, resp.Bytes)
-
-		for _, file := range resp.Files {
-			if q.Covers(current) {
-				results = append(results, Result{File: file, MSD: current})
-				trace.Found = true
-			}
-		}
-		next := make([]xpath.Query, 0, len(resp.Index)+len(resp.Cached))
-		next = append(next, resp.Index...)
-		next = append(next, resp.Cached...)
-		if explored == 1 && len(next) == 0 && len(resp.Files) == 0 {
-			// Original query not indexed: generalize, keep filtering by q.
-			trace.NonIndexed = true
-			for _, g := range q.Generalizations() {
-				if !seen[g.String()] {
-					seen[g.String()] = true
-					frontier = append(frontier, g)
-				}
-			}
-			continue
-		}
-		for _, cand := range next {
-			if seen[cand.String()] {
 				continue
 			}
-			if !xpath.Compatible(q, cand) {
-				continue // definite conflict: nothing below matches q
+			s.account(&trace, current, resp, resp.Bytes)
+
+			if len(resp.Files) > 0 && q.Covers(current) {
+				for _, file := range resp.Files {
+					results = append(results, Result{File: file, MSD: current})
+				}
+				trace.Found = true
 			}
-			seen[cand.String()] = true
-			frontier = append(frontier, cand)
+			if level == 0 && len(resp.Index)+len(resp.Cached)+len(resp.Files) == 0 {
+				// Original query not indexed: generalize, keep filtering by q.
+				trace.NonIndexed = true
+				for _, g := range q.Generalizations() {
+					if form := g.String(); !seen[form] {
+						seen[form] = true
+						frontier = append(frontier, g)
+					}
+				}
+				continue
+			}
+			for _, next := range [2][]xpath.Query{resp.Index, resp.Cached} {
+				for _, cand := range next {
+					form := cand.String()
+					if seen[form] || !xpath.Compatible(q, cand) {
+						continue // visited, or a definite conflict: nothing below matches q
+					}
+					seen[form] = true
+					frontier = append(frontier, cand)
+				}
+			}
 		}
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].File < results[j].File })

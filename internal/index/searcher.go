@@ -3,7 +3,6 @@ package index
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"dhtindex/internal/cache"
@@ -33,20 +32,17 @@ type Searcher struct {
 	// and cache outcome. A nil recorder disables tracing at zero cost.
 	Recorder *telemetry.Recorder
 
-	// Parallelism bounds the concurrent lookups of the automated search
-	// mode's frontier expansion and the generalization fallback's probes.
-	// Values ≤ 1 keep the exact sequential behaviour (and byte-for-byte
-	// accounting) of the paper's model; higher values need a thread-safe
-	// substrate (the live wire Cluster is, the simulations are not).
+	// Parallelism says how the independent lookups of one step — a level
+	// of the automated search's frontier, a wave of the generalization
+	// fallback's probes — reach the substrate. Values ≤ 1 issue them one
+	// at a time, the paper's model, which the simulators and
+	// EXPERIMENTS.md depend on. Higher values fetch the step's keys
+	// together: one message per owning node on a substrate with
+	// overlay.BatchGetNetwork (the live wire Cluster), concurrent single
+	// reads on a thread-safe substrate without it (the simulations are not
+	// thread-safe); the value bounds how many of those messages or reads
+	// are in flight at once. Results and traces are the same either way.
 	Parallelism int
-
-	// FanoutThreshold is the minimum number of pending branches before a
-	// parallel wave is launched (default 4). Below it branches are looked
-	// up sequentially: a goroutine wave over a near-empty frontier costs
-	// more in scheduling and wave-barrier waits than it recovers in I/O
-	// overlap, which is what made small-frontier parallel searches slower
-	// than sequential ones.
-	FanoutThreshold int
 
 	// MaxFanout bounds the number of index nodes the automated search
 	// mode visits before giving up (default 100000 — effectively "the
@@ -63,26 +59,20 @@ func (s *Searcher) parallelism() int {
 	return 1
 }
 
-// fanoutThreshold resolves the adaptive-fanout gate (≥ 1).
-func (s *Searcher) fanoutThreshold() int {
-	if s.FanoutThreshold > 0 {
-		return s.FanoutThreshold
-	}
-	return 4
-}
+// minWave is the fewest pending generalization candidates worth probing
+// together: the first candidate is usually decisive, so below it a wave
+// mostly fetches probes that are never booked.
+const minWave = 4
 
-// waveSize decides how many of the pending branches the next wave looks
-// up concurrently: 1 (sequential, no goroutines) while pending is below
-// FanoutThreshold, otherwise up to Parallelism.
+// waveSize decides how many of the pending generalization candidates
+// the next wave probes together: 1 while pending is below minWave,
+// otherwise up to Parallelism.
 func (s *Searcher) waveSize(pending int) int {
 	par := s.parallelism()
-	if par <= 1 || pending < s.fanoutThreshold() {
+	if par <= 1 || pending < minWave {
 		return 1
 	}
-	if par > pending {
-		return pending
-	}
-	return par
+	return min(par, pending)
 }
 
 // NewSearcher creates a searcher over the service.
@@ -326,11 +316,12 @@ func responseCost(resp Response, hit xpath.Query) int64 {
 // probe costs one more — matching the paper's "one extra interaction is
 // generally necessary (two in a few rare cases)".
 //
-// With Parallelism > 1 the candidates are probed in waves: the wave's
-// lookups run concurrently, but their outcomes are booked in candidate
-// order up to the first decisive one — probes issued speculatively after
-// the winner stay unbooked, so the trace's interaction accounting matches
-// the sequential walk.
+// With Parallelism > 1 the candidates are probed in waves: a wave's
+// lookups are fetched together (Service.lookupBatch), but their outcomes
+// are booked in candidate order up to the first decisive one — probes
+// fetched speculatively after the winner stay unbooked, so the trace's
+// interaction accounting matches the sequential walk. A hop's latency
+// is its wave's.
 func (s *Searcher) generalize(ctx context.Context, trace *Trace, at *telemetry.Active, q, target xpath.Query) (xpath.Query, Response, bool, error) {
 	targetStr := target.String()
 	var cands []xpath.Query
@@ -339,38 +330,19 @@ func (s *Searcher) generalize(ctx context.Context, trace *Trace, at *telemetry.A
 			cands = append(cands, g)
 		}
 	}
-	type probe struct {
-		resp Response
-		err  error
-		lat  int64
-	}
 	for off := 0; off < len(cands); {
 		wave := s.waveSize(len(cands) - off)
 		batch := cands[off : off+wave]
 		off += wave
-		outs := make([]probe, len(batch))
-		// As in SearchAllCtx, the first probe runs inline on the caller so
-		// a wave costs one goroutine hand-off fewer.
-		var wg sync.WaitGroup
-		for i := 1; i < len(batch); i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				start := time.Now()
-				resp, err := s.svc.LookupCtx(ctx, batch[i])
-				outs[i] = probe{resp: resp, err: err, lat: time.Since(start).Microseconds()}
-			}(i)
-		}
 		start := time.Now()
-		resp0, err0 := s.svc.LookupCtx(ctx, batch[0])
-		outs[0] = probe{resp: resp0, err: err0, lat: time.Since(start).Microseconds()}
-		wg.Wait()
+		outs := s.svc.lookupBatch(ctx, batch, s.parallelism())
+		lat := time.Since(start).Microseconds()
 		for i, g := range batch {
 			out := outs[i]
 			if out.err != nil {
 				at.Hop(telemetry.TraceHop{
 					Kind: "generalization", Key: g.String(),
-					LatencyMicros: out.lat, Err: out.err.Error(),
+					LatencyMicros: lat, Err: out.err.Error(),
 				})
 				return xpath.Query{}, Response{}, false, out.err
 			}
@@ -382,7 +354,7 @@ func (s *Searcher) generalize(ctx context.Context, trace *Trace, at *telemetry.A
 				CacheHit:      !hit.IsZero(),
 				Entries:       len(out.resp.Index) + len(out.resp.Cached) + len(out.resp.Files),
 				DHTHops:       out.resp.Hops,
-				LatencyMicros: out.lat,
+				LatencyMicros: lat,
 			})
 			if len(out.resp.Index) > 0 || len(out.resp.Cached) > 0 {
 				return g, out.resp, true, nil

@@ -22,6 +22,7 @@ import (
 
 	"dhtindex/internal/cache"
 	"dhtindex/internal/descriptor"
+	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/telemetry"
 	"dhtindex/internal/xpath"
@@ -290,21 +291,97 @@ func (s *Service) Lookup(q xpath.Query) (Response, error) {
 // transport-level (the substrate read is the only error source), which
 // is what lets the searcher degrade such failures to partial results.
 func (s *Service) LookupCtx(ctx context.Context, q xpath.Query) (Response, error) {
-	s.tel.recordLookup()
-	var (
-		entries []overlay.Entry
-		route   overlay.Route
-		err     error
-	)
+	entries, route, err := s.get(ctx, q.Key())
+	return s.respond(q, overlay.GetResult{Entries: entries, Route: route, Err: err})
+}
+
+// get is the substrate read behind one lookup.
+func (s *Service) get(ctx context.Context, key keyspace.Key) ([]overlay.Entry, overlay.Route, error) {
 	if cn, ok := s.net.(overlay.ContextNetwork); ok {
-		entries, route, err = cn.GetCtx(ctx, q.Key())
-	} else if err = ctx.Err(); err == nil {
-		entries, route, err = s.net.Get(q.Key())
+		return cn.GetCtx(ctx, key)
 	}
-	if err != nil {
-		return Response{}, fmt.Errorf("index: lookup %s: %w", q, err)
+	if err := ctx.Err(); err != nil {
+		return nil, overlay.Route{}, err
 	}
-	resp := Response{Node: route.Node, Hops: route.Hops}
+	return s.net.Get(key)
+}
+
+// lookupOut is one lookup's outcome within a batch.
+type lookupOut struct {
+	resp Response
+	err  error
+}
+
+// lookupBatch performs one interaction per query of qs — independent
+// lookups, such as one level of the automated search's frontier — and
+// returns their outcomes in order. With parallel ≤ 1 (or a single
+// query) it is LookupCtx one query at a time, the paper's model, and it
+// issues nothing further once ctx is spent. Otherwise the substrate
+// reads happen together: in one owner-grouped GetBatch when the
+// substrate offers overlay.BatchGetNetwork, else as up to parallel
+// concurrent single reads. Either way every response is built by the
+// function LookupCtx uses, so what a query's lookup returns does not
+// depend on how its entries were fetched.
+func (s *Service) lookupBatch(ctx context.Context, qs []xpath.Query, parallel int) []lookupOut {
+	outs := make([]lookupOut, len(qs))
+	if len(qs) == 1 || parallel <= 1 {
+		for i, q := range qs {
+			outs[i].resp, outs[i].err = s.LookupCtx(ctx, q)
+			if outs[i].err != nil && ctx.Err() != nil {
+				for j := i + 1; j < len(qs); j++ {
+					outs[j].err = ctx.Err()
+				}
+				break
+			}
+		}
+		return outs
+	}
+	keys := make([]keyspace.Key, len(qs))
+	for i, q := range qs {
+		keys[i] = q.Key()
+	}
+	var gets []overlay.GetResult
+	if bn, ok := s.net.(overlay.BatchGetNetwork); ok {
+		gets = bn.GetBatch(ctx, keys, parallel)
+	} else {
+		gets = s.getEach(ctx, keys, parallel)
+	}
+	for i, q := range qs {
+		outs[i].resp, outs[i].err = s.respond(q, gets[i])
+	}
+	return outs
+}
+
+// getEach is GetBatch for a substrate without the batch read: one
+// single-key read per key, at most parallel of them in flight.
+func (s *Service) getEach(ctx context.Context, keys []keyspace.Key, parallel int) []overlay.GetResult {
+	gets := make([]overlay.GetResult, len(keys))
+	sem := make(chan struct{}, parallel)
+	var wg sync.WaitGroup
+	for i := range keys {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			g := &gets[i]
+			g.Entries, g.Route, g.Err = s.get(ctx, keys[i])
+		}(i)
+	}
+	wg.Wait()
+	return gets
+}
+
+// respond turns one substrate read into the lookup's Response: the
+// node's shortcuts for q, the memoised parse of every index entry,
+// canonical order and the byte accounting. It books the lookup.
+func (s *Service) respond(q xpath.Query, got overlay.GetResult) (Response, error) {
+	s.tel.recordLookup()
+	if got.Err != nil {
+		return Response{}, fmt.Errorf("index: lookup %s: %w", q, got.Err)
+	}
+	entries := got.Entries
+	resp := Response{Node: got.Route.Node, Hops: got.Route.Hops}
 	var shortcuts []string
 	if s.policy != cache.None {
 		s.cacheMu.Lock()

@@ -6,6 +6,14 @@
 // ring; Kademlia (internal/kademlia) performs α-parallel iterative
 // lookups over an XOR metric. docs/SUBSTRATES.md documents the
 // contract field by field and what adding a fourth substrate takes.
+//
+// Network is the whole required contract. Three optional extensions,
+// each found by type assertion and each with a per-key fallback in the
+// index layer, let a substrate do better where it can: ContextNetwork
+// (deadline-aware reads), BatchNetwork (owner-grouped writes and
+// removes) and BatchGetNetwork (owner-grouped reads). Only the live
+// wire.Cluster implements them; the simulated substrates keep the
+// one-message-per-key accounting the evaluation depends on.
 package overlay
 
 import (
@@ -96,4 +104,34 @@ type BatchNetwork interface {
 type ContextNetwork interface {
 	// GetCtx is Get bounded by ctx.
 	GetCtx(ctx context.Context, key keyspace.Key) ([]Entry, Route, error)
+}
+
+// GetResult is one key's outcome of a batched read: what Get would have
+// returned for that key alone.
+type GetResult struct {
+	// Entries are the entries stored under the key.
+	Entries []Entry
+	// Route names the node that answered for the key.
+	Route Route
+	// Err is the key's own failure; other keys of the batch are
+	// unaffected by it.
+	Err error
+}
+
+// BatchGetNetwork is the optional bulk-read extension of Network, the
+// read-side counterpart of BatchNetwork: a substrate that implements it
+// fetches many independent keys in one round, grouping them by owner so
+// each responsible node receives a single message — a frontier of k
+// keys on m owners costs m messages instead of k. It is its own
+// interface rather than a third BatchNetwork method so that a decorator
+// written against BatchNetwork keeps compiling; callers type-assert,
+// and substrates without it are read one GetCtx/Get at a time.
+type BatchGetNetwork interface {
+	// GetBatch reads every key, with at most parallel per-owner
+	// messages in flight. The result has one element per key, in the
+	// order given (a repeated key gets the same answer at each
+	// position). A key fails alone: its error never hides another
+	// key's entries, and a key that could not be read reports an error,
+	// never an empty success.
+	GetBatch(ctx context.Context, keys []keyspace.Key, parallel int) []GetResult
 }

@@ -93,7 +93,8 @@ const (
 
 // classOf assigns each op to a priority class. Maintenance covers the
 // background protocol traffic a node generates on its own schedule;
-// everything a client waits on is classClient.
+// everything a client waits on — single-key operations and the three
+// batch opcodes, OpGetBatch included — is classClient.
 func classOf(op Op) admissionClass {
 	switch op {
 	case OpPing, OpNotify, OpGetPredecessor, OpGetSuccessor, OpRepairSync, OpTransfer, OpStats, OpLeave:

@@ -1,21 +1,27 @@
 package wire
 
-// Batched cluster mutations: the client half of OpPutBatch /
-// OpRemoveBatch. A batch folds duplicate keys, computes each key's
-// PRESUMED owner locally from the cluster's ring-ordered member list —
-// zero routing RPCs — and ships each owner ONE batched message, so
-// publishing a descriptor with a dozen index mappings costs a handful
-// of messages instead of a dozen single puts. (Single-key operations
+// Batched cluster operations: the client half of OpPutBatch,
+// OpRemoveBatch and OpGetBatch. A batch folds duplicate keys, computes
+// each key's PRESUMED owner locally from the cluster's ring-ordered
+// member list — zero routing RPCs — and ships each owner ONE batched
+// message, so publishing a descriptor with a dozen index mappings, or
+// reading a search frontier of a dozen keys, costs a handful of
+// messages instead of a dozen single ones. (Single-key operations
 // address the presumed owner the same way: Cluster.viaOwner.)
-// Staleness is handled on both ends: a receiving node forwards keys it
-// does not own through real Chord routing (handlePutBatch), and a
-// presumed owner that cannot serve at all makes the client fall back to
-// Chord-routed owner resolution for just that group.
+// Staleness is handled on both ends. For mutations a receiving node
+// forwards keys it does not own through real Chord routing
+// (handlePutBatch), and a presumed owner that cannot serve at all makes
+// the client fall back to Chord-routed owner resolution for just that
+// group. For reads the node answers only what it owns and the client
+// re-reads every other key through the single-key GetCtx (DESIGN.md
+// §19).
 
 import (
 	"context"
+	"errors"
 	"sync"
 
+	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 )
 
@@ -24,7 +30,10 @@ import (
 // unset.
 const defaultBatchParallelism = 4
 
-var _ overlay.BatchNetwork = (*Cluster)(nil)
+var (
+	_ overlay.BatchNetwork    = (*Cluster)(nil)
+	_ overlay.BatchGetNetwork = (*Cluster)(nil)
+)
 
 // batchParallelism resolves the fan-out bound.
 func (c *Cluster) batchParallelism() int {
@@ -40,13 +49,14 @@ func (c *Cluster) batchParallelism() int {
 // retries a NACKed or lost batch, and a failed call here may be retried
 // whole.
 func (c *Cluster) PutBatch(ctx context.Context, items []overlay.KeyEntry) error {
-	groups, err := c.groupPresumed(items)
+	groups, err := c.groupPresumed(foldItems(items))
 	if err != nil || len(groups) == 0 {
 		return err
 	}
 	c.batchPutRPCs.Add(int64(len(groups)))
 	c.batchPutKeys.Add(int64(len(items)))
-	return c.forEachOwner(groups, func(owner string, kv []KeyEntries) error {
+	par := c.batchParallelism()
+	return forEachOwner(groups, par, func(owner string, kv []KeyEntries) error {
 		if err := c.putGroup(ctx, owner, kv); err == nil {
 			return nil
 		}
@@ -58,7 +68,7 @@ func (c *Cluster) PutBatch(ctx context.Context, items []overlay.KeyEntry) error 
 		if rerr != nil {
 			return rerr
 		}
-		return c.forEachOwner(regroups, func(owner string, kv []KeyEntries) error {
+		return forEachOwner(regroups, par, func(owner string, kv []KeyEntries) error {
 			return c.putGroup(ctx, owner, kv)
 		})
 	})
@@ -78,7 +88,7 @@ func (c *Cluster) putGroup(ctx context.Context, owner string, kv []KeyEntries) e
 // batched OpRemoveReplica, mirroring Remove's stale-copy sweep. The
 // returned count is how many entries the ring actually removed.
 func (c *Cluster) RemoveBatch(ctx context.Context, items []overlay.KeyEntry) (int, error) {
-	groups, err := c.groupPresumed(items)
+	groups, err := c.groupPresumed(foldItems(items))
 	if err != nil || len(groups) == 0 {
 		return 0, err
 	}
@@ -91,7 +101,8 @@ func (c *Cluster) RemoveBatch(ctx context.Context, items []overlay.KeyEntry) (in
 		removed += n
 		mu.Unlock()
 	}
-	err = c.forEachOwner(groups, func(owner string, kv []KeyEntries) error {
+	par := c.batchParallelism()
+	err = forEachOwner(groups, par, func(owner string, kv []KeyEntries) error {
 		if n, err := c.removeGroup(ctx, owner, kv); err == nil {
 			tally(n)
 			return nil
@@ -101,7 +112,7 @@ func (c *Cluster) RemoveBatch(ctx context.Context, items []overlay.KeyEntry) (in
 		if rerr != nil {
 			return rerr
 		}
-		return c.forEachOwner(regroups, func(owner string, kv []KeyEntries) error {
+		return forEachOwner(regroups, par, func(owner string, kv []KeyEntries) error {
 			n, err := c.removeGroup(ctx, owner, kv)
 			if err == nil {
 				tally(n)
@@ -115,7 +126,10 @@ func (c *Cluster) RemoveBatch(ctx context.Context, items []overlay.KeyEntry) (in
 // removeGroup ships one per-owner remove batch and sweeps the tracked
 // replica window of every key in it — post-churn stale copies may sit
 // outside the owner's CURRENT successor set, exactly like Remove's
-// sweep.
+// sweep. Each follower gets the keys it may hold in one KV-carrying
+// OpRemoveReplica: the keys of a presumed-owner group all share that
+// owner's followers, so the sweep is one message per follower (keys
+// regrouped by routed owner can differ in theirs).
 func (c *Cluster) removeGroup(ctx context.Context, owner string, kv []KeyEntries) (int, error) {
 	resp, err := c.callCtx(ctx, owner, Message{Op: OpRemoveBatch, KV: kv, TTL: c.routeTTL()})
 	if err != nil {
@@ -124,12 +138,93 @@ func (c *Cluster) removeGroup(ctx context.Context, owner string, kv []KeyEntries
 	if rerr := remoteError(resp); rerr != nil {
 		return 0, rerr
 	}
+	sweep := make(map[string][]KeyEntries)
 	for _, item := range kv {
 		for _, cand := range c.replicaFollowers(item.Key, owner, c.replication) {
-			_, _ = c.callCtx(ctx, cand, Message{Op: OpRemoveReplica, KV: []KeyEntries{item}})
+			sweep[cand] = append(sweep[cand], item)
 		}
 	}
+	for cand, items := range sweep {
+		_, _ = c.callCtx(ctx, cand, Message{Op: OpRemoveReplica, KV: items})
+	}
 	return resp.Keys, nil
+}
+
+// GetBatch implements overlay.BatchGetNetwork: every distinct key goes
+// to its presumed owner in one OpGetBatch per owner, at most parallel
+// of them in flight. The batch is an optimisation over GetCtx, never a
+// second read protocol: a node answers only the keys it owns, and every
+// key left unanswered — the owner disclaimed it, or the group's RPC
+// failed — is read again through the single-key GetCtx, which brings
+// its node-side forwarding, routed fallback, replica failover and
+// hedging along. A key therefore fails exactly when GetCtx fails for
+// it, and an empty result always means an owner (or replica) said so.
+func (c *Cluster) GetBatch(ctx context.Context, keys []keyspace.Key, parallel int) []overlay.GetResult {
+	out := make([]overlay.GetResult, len(keys))
+	// at maps each distinct key to its first position in keys; results
+	// are written there and copied to the key's repeats at the end.
+	at := make(map[keyspace.Key]int, len(keys))
+	kv := make([]KeyEntries, 0, len(keys))
+	for i, k := range keys {
+		if _, dup := at[k]; !dup {
+			at[k] = i
+			kv = append(kv, KeyEntries{Key: k})
+		}
+	}
+	groups, err := c.groupPresumed(kv)
+	if err != nil {
+		for i := range out {
+			out[i].Err = err
+		}
+		return out
+	}
+	c.batchGetRPCs.Add(int64(len(groups)))
+	c.batchGetKeys.Add(int64(len(kv)))
+	// Groups hold disjoint keys, so they write disjoint elements of out.
+	_ = forEachOwner(groups, parallel, func(owner string, kv []KeyEntries) error {
+		for i, r := range c.getGroup(ctx, owner, kv) {
+			out[at[kv[i].Key]] = r
+		}
+		return nil
+	})
+	for i, k := range keys {
+		out[i] = out[at[k]]
+	}
+	return out
+}
+
+// getGroup reads one owner's keys with a single OpGetBatch and returns
+// one result per element of kv. The reply lists the keys the node owns
+// in request order; whatever it leaves out takes the single-key path.
+func (c *Cluster) getGroup(ctx context.Context, owner string, kv []KeyEntries) []overlay.GetResult {
+	resp, err := c.callCtx(ctx, owner, Message{Op: OpGetBatch, KV: kv})
+	if err == nil {
+		err = remoteError(resp)
+	}
+	var answered []KeyEntries
+	if err == nil {
+		answered = resp.KV
+	}
+	hops := c.hops.Load()
+	out := make([]overlay.GetResult, len(kv))
+	for i, item := range kv {
+		r := &out[i]
+		switch {
+		case len(answered) > 0 && answered[0].Key == item.Key:
+			r.Entries, r.Route.Node = trimEntries(answered[0].Entries), resp.Addr
+			answered = answered[1:]
+			hops.Observe(0)
+		case errors.Is(err, ErrOverload):
+			// The owner is alive and shedding: as in GetCtx, it is neither
+			// asked again nor routed around — its replicas are read.
+			if r.Entries, r.Route, r.Err = c.failoverGet(ctx, item.Key, owner); r.Err != nil {
+				r.Err = err
+			}
+		default:
+			r.Entries, r.Route, r.Err = c.GetCtx(ctx, item.Key)
+		}
+	}
+	return out
 }
 
 // foldItems dedupes a batch into one KeyEntries per distinct key,
@@ -150,14 +245,14 @@ func foldItems(items []overlay.KeyEntry) []KeyEntries {
 	return kv
 }
 
-// groupPresumed folds the items and groups them by presumed owner — the
-// first tracked member at or past each key in ring order, computed
-// locally from the membership the cluster already maintains for replica
-// failover. No RPC is spent: a stale presumption is corrected by the
-// receiving node's forwarding (common case) or the caller's routed
-// fallback (unreachable owner).
-func (c *Cluster) groupPresumed(items []overlay.KeyEntry) (map[string][]KeyEntries, error) {
-	if len(items) == 0 {
+// groupPresumed groups a folded KV set (one element per distinct key)
+// by presumed owner — the first tracked member at or past each key in
+// ring order, computed locally from the membership the cluster already
+// maintains for replica failover. No RPC is spent: a stale presumption
+// is corrected by the receiving node's forwarding (common case) or the
+// caller's fallback (unreachable owner).
+func (c *Cluster) groupPresumed(kv []KeyEntries) (map[string][]KeyEntries, error) {
+	if len(kv) == 0 {
 		return nil, nil
 	}
 	members := c.ring()
@@ -165,7 +260,7 @@ func (c *Cluster) groupPresumed(items []overlay.KeyEntry) (map[string][]KeyEntri
 		return nil, errNoMembers
 	}
 	groups := make(map[string][]KeyEntries)
-	for _, item := range foldItems(items) {
+	for _, item := range kv {
 		owner := members[ownerIndex(members, item.Key)].addr
 		groups[owner] = append(groups[owner], item)
 	}
@@ -209,13 +304,16 @@ func (c *Cluster) groupRouted(ctx context.Context, kv []KeyEntries) (map[string]
 	return groups, nil
 }
 
-// forEachOwner runs fn for every owner group with bounded parallelism,
-// returning the first error.
-func (c *Cluster) forEachOwner(groups map[string][]KeyEntries, fn func(owner string, kv []KeyEntries) error) error {
-	if len(groups) == 0 {
-		return nil
+// forEachOwner runs fn for every owner group, at most parallel of them
+// at a time, returning the first error. A lone group runs on the
+// caller's goroutine.
+func forEachOwner(groups map[string][]KeyEntries, parallel int, fn func(owner string, kv []KeyEntries) error) error {
+	if len(groups) == 1 {
+		for owner, kv := range groups {
+			return fn(owner, kv)
+		}
 	}
-	sem := make(chan struct{}, c.batchParallelism())
+	sem := make(chan struct{}, max(parallel, 1))
 	errs := make(chan error, len(groups))
 	var wg sync.WaitGroup
 	for owner, kv := range groups {

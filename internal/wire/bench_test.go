@@ -153,8 +153,9 @@ func BenchmarkPublish(b *testing.B) {
 }
 
 // BenchmarkSearchAllParallel explores the index DAG of a published
-// corpus from a one-constraint query: the sequential BFS against the
-// wave-parallel frontier expansion (Parallelism 8).
+// corpus from a one-constraint query: the walk that looks its frontier
+// up one key at a time (Parallelism 1) against the one that fetches each
+// level in one owner-grouped GetBatch (Parallelism 8).
 func BenchmarkSearchAllParallel(b *testing.B) {
 	corpus, err := dataset.Generate(dataset.Config{Articles: 48, Seed: 4})
 	if err != nil {

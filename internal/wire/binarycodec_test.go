@@ -11,7 +11,7 @@ import (
 // opUnassigned is an op value this build assigns to nothing: the codec
 // carries it like any other (the committed fuzz corpus holds a seed with
 // it), dispatch answers "unknown operation".
-const opUnassigned = OpMerge + 1
+const opUnassigned = OpGetBatch + 1
 
 // codecMessages is a spread of message shapes covering every field of
 // the envelope, shared by the round-trip test and the fuzz seed corpus.
@@ -37,6 +37,13 @@ func codecMessages() []Message {
 			BytesByKind:   map[string]int64{"article": 1 << 40}},
 		{Op: opUnassigned, Ok: true},
 		{Op: OpMerge, Key: k2, Addr: "merge", TTL: -1, Hops: -2, BudgetMicros: -3, Code: 5, Keys: -9},
+		// A batched read: keys only on the way out; on the way back the
+		// owned keys with their entries, one of them holding nothing.
+		{Op: OpGetBatch, BudgetMicros: 900, KV: []KeyEntries{{Key: k1}, {Key: k2}}},
+		{Op: OpGetBatch, Ok: true, Addr: "127.0.0.1:9002", KV: []KeyEntries{
+			{Key: k1, Entries: []overlay.Entry{{Kind: "index", Value: "/article[author]"}, {Kind: "index", Value: "/article[title]"}}},
+			{Key: k2},
+		}},
 	}
 }
 

@@ -91,6 +91,8 @@ type Cluster struct {
 	batchPutKeys      *telemetry.Counter
 	batchRemoveRPCs   *telemetry.Counter
 	batchRemoveKeys   *telemetry.Counter
+	batchGetRPCs      *telemetry.Counter
+	batchGetKeys      *telemetry.Counter
 	batchFallbacks    *telemetry.Counter
 	ownerFallbacks    *telemetry.Counter
 	// hops and rpcLatency are nil until Instrument sets them, once;
@@ -161,6 +163,10 @@ func NewCluster(transport Transport, seed int64, replication int) *Cluster {
 			"Per-owner OpRemoveBatch messages sent by batched removes."),
 		batchRemoveKeys: telemetry.NewCounter("wire_batch_remove_keys_total",
 			"(key, entry) items carried by batched removes."),
+		batchGetRPCs: telemetry.NewCounter("wire_batch_get_rpcs_total",
+			"Per-owner OpGetBatch messages sent by batched gets."),
+		batchGetKeys: telemetry.NewCounter("wire_batch_get_keys_total",
+			"Distinct keys carried by batched gets."),
 		batchFallbacks: telemetry.NewCounter("wire_batch_fallbacks_total",
 			"Per-owner batch groups that fell back from one-hop presumed-owner routing to Chord-routed resolution."),
 		ownerFallbacks: telemetry.NewCounter("wire_owner_fallbacks_total",
@@ -175,7 +181,8 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 		return
 	}
 	reg.Attach(c.ownerReadFailures, c.failoverReads, c.entryRetries, c.hedgedGets, c.hedgeWins,
-		c.batchPutRPCs, c.batchPutKeys, c.batchRemoveRPCs, c.batchRemoveKeys, c.batchFallbacks, c.ownerFallbacks)
+		c.batchPutRPCs, c.batchPutKeys, c.batchRemoveRPCs, c.batchRemoveKeys, c.batchGetRPCs, c.batchGetKeys,
+		c.batchFallbacks, c.ownerFallbacks)
 	c.hops.Store(reg.Histogram("dht_lookup_hops",
 		"Forwarding steps taken to reach the owner of a key (0: the presumed owner served).", telemetry.HopBuckets))
 	c.rpcLatency.Store(reg.Histogram("wire_rpc_latency_seconds",

@@ -42,6 +42,8 @@ func (n *Node) handle(req Message) Message {
 		return n.handlePutBatch(req)
 	case OpRemoveBatch:
 		return n.handleRemoveBatch(req)
+	case OpGetBatch:
+		return n.handleGetBatch(req)
 	case OpRemoveReplica:
 		if len(req.KV) > 0 {
 			// Batched replica removal (fan-out of an OpRemoveBatch); no
@@ -323,6 +325,22 @@ func (n *Node) handleGet(req Message) Message {
 		return resp
 	}
 	return Message{Op: req.Op, Entries: n.store.Get(req.Key), Ok: true, Addr: n.addr, Hops: req.Hops}
+}
+
+// handleGetBatch serves the keys of a batched read that this node owns:
+// the reply's KV lists each key in (pred, self] with its entries — an
+// owned key that holds nothing is listed empty — in request order, and
+// Addr names this node. Foreign keys are left out, not forwarded: the
+// client re-reads each unanswered key through the single-key OpGet,
+// whose forwarding, fallback and failover already cover a stale view,
+// so a batch never fans out a second time from inside the ring.
+func (n *Node) handleGetBatch(req Message) Message {
+	owned, _ := n.splitForeign(req.KV)
+	kv := make([]KeyEntries, len(owned))
+	for i, item := range owned {
+		kv[i] = KeyEntries{Key: item.Key, Entries: n.store.Get(item.Key)}
+	}
+	return Message{Op: req.Op, Ok: true, Addr: n.addr, KV: kv}
 }
 
 // handlePut stores one entry at its owner and replicates it.

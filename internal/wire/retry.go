@@ -146,6 +146,8 @@ var retryableByDefault = map[Op]bool{
 	// application converges. OpRemoveBatch is excluded for the same
 	// reason as OpRemove: its Ok/count result flips on a repeat.
 	OpPutBatch: true,
+	// OpGetBatch is a pure read of the keys the receiver owns.
+	OpGetBatch: true,
 }
 
 // attemptsFor resolves how many times op may be tried under p.

@@ -39,6 +39,7 @@ const (
 	OpPutBatch
 	OpRemoveBatch
 	OpMerge
+	OpGetBatch
 )
 
 // String returns the wire name of the operation.
@@ -78,6 +79,8 @@ func (o Op) String() string {
 		return "remove-batch"
 	case OpMerge:
 		return "merge"
+	case OpGetBatch:
+		return "get-batch"
 	default:
 		return "unknown"
 	}
