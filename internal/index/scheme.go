@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
@@ -240,56 +241,84 @@ func mappingItems(a descriptor.Article, scheme Scheme) ([]overlay.KeyEntry, erro
 }
 
 // UnpublishArticle removes the article's data and cleans up the scheme's
-// index entries bottom-up, deleting a mapping (q; qi) only when qi no
-// longer leads anywhere — the recursive cleanup of §IV-C for read/write
-// systems. Chains share their tails (every chain ends in the MSD, and the
-// schemes funnel several chains through one pair query), so within one
-// call each key is probed and each mapping removed at most once.
+// index entries, deleting a mapping (q; qi) only when qi no longer leads
+// anywhere — the recursive cleanup of §IV-C for read/write systems. It
+// is a cascade by level: level 0 removes the data entry; each further
+// level removes, in one prune, every mapping of the scheme's chains
+// whose target the previous level left empty; it ends when a level
+// empties no key that a chain maps into. A key with several outgoing
+// mappings (conf+year under two chains, a scheme that forks) needs no
+// special care: every prune that touches a key evaluates its emptiness
+// afresh, so the key is reported by whichever level removes its last
+// entry. Each mapping is removed at most once per call. Emptiness is
+// the key's state, not this call's effect, so a call that repeats one
+// interrupted half-way (or one that already ran) walks the same levels
+// over the entries that are left and finishes the cleanup.
 func (s *Service) UnpublishArticle(file string, a descriptor.Article, scheme Scheme) error {
-	msd := dataset.MSD(a)
-	if _, err := s.net.Remove(msd.Key(), overlay.Entry{Kind: KindData, Value: file}); err != nil {
-		return fmt.Errorf("index: unpublish %q: %w", file, err)
-	}
-	empty := make(map[keyspace.Key]bool)       // this call's probe results
-	removed := make(map[overlay.KeyEntry]bool) // mappings this call already removed
+	// into lists, per target key, the not-yet-removed mappings into it.
+	into := make(map[keyspace.Key][]overlay.KeyEntry)
 	for _, chain := range scheme.Chains(a) {
-		// Walk bottom-up: drop (q_i ; q_{i+1}) only if q_{i+1} is now
-		// empty (no data, no outgoing mappings).
-		for i := len(chain) - 2; i >= 0; i-- {
-			q, target := chain[i], chain[i+1]
-			isEmpty, probed := empty[target.Key()]
-			if !probed {
-				var err error
-				if isEmpty, err = s.keyEmpty(target); err != nil {
-					return err
-				}
-				empty[target.Key()] = isEmpty
+		for i := 0; i+1 < len(chain); i++ {
+			target := chain[i+1]
+			pair := overlay.KeyEntry{Key: chain[i].Key(), Entry: overlay.Entry{Kind: KindIndex, Value: target.String()}}
+			if !slices.Contains(into[target.Key()], pair) {
+				into[target.Key()] = append(into[target.Key()], pair)
 			}
-			if !isEmpty {
-				break
-			}
-			pair := overlay.KeyEntry{Key: q.Key(), Entry: overlay.Entry{Kind: KindIndex, Value: target.String()}}
-			if removed[pair] {
-				continue
-			}
-			if _, err := s.RemoveMapping(q, target); err != nil {
-				return err
-			}
-			removed[pair] = true
-			// q just lost a mapping: what an earlier chain saw under it
-			// no longer holds.
-			delete(empty, q.Key())
+		}
+	}
+	level := []overlay.KeyEntry{{Key: dataset.MSD(a).Key(), Entry: overlay.Entry{Kind: KindData, Value: file}}}
+	for len(level) > 0 {
+		emptied, err := s.prune(level, func(k keyspace.Key) bool { return len(into[k]) > 0 })
+		if err != nil {
+			return fmt.Errorf("index: unpublish %q: %w", file, err)
+		}
+		level = nil
+		for _, k := range emptied {
+			level = append(level, into[k]...)
+			delete(into, k)
 		}
 	}
 	return nil
 }
 
-// keyEmpty reports whether a query's key holds neither data nor index
-// entries.
-func (s *Service) keyEmpty(q xpath.Query) (bool, error) {
-	entries, _, err := s.net.Get(q.Key())
+// prune removes items and returns the keys among them that now hold
+// neither data nor index entries: in one owner-grouped round when the
+// substrate offers overlay.PruneNetwork, whose removes answer for every
+// key they touch. Any other substrate — the simulators, a decorator
+// that predates the extension — gets one Remove per item and then one
+// Get per touched key for which matters reports true; the cascade above
+// asks only about keys some chain maps into, because the emptiness of
+// any other key decides nothing.
+func (s *Service) prune(items []overlay.KeyEntry, matters func(keyspace.Key) bool) ([]keyspace.Key, error) {
+	if pn, ok := s.net.(overlay.PruneNetwork); ok {
+		return pn.Prune(context.Background(), items)
+	}
+	var touched, emptied []keyspace.Key
+	for _, it := range items {
+		if _, err := s.net.Remove(it.Key, it.Entry); err != nil {
+			return nil, fmt.Errorf("remove %s entry %q: %w", it.Entry.Kind, it.Entry.Value, err)
+		}
+		if matters(it.Key) && !slices.Contains(touched, it.Key) {
+			touched = append(touched, it.Key)
+		}
+	}
+	for _, k := range touched {
+		empty, err := s.keyEmpty(k)
+		if err != nil {
+			return nil, err
+		}
+		if empty {
+			emptied = append(emptied, k)
+		}
+	}
+	return emptied, nil
+}
+
+// keyEmpty reports whether a key holds neither data nor index entries.
+func (s *Service) keyEmpty(key keyspace.Key) (bool, error) {
+	entries, _, err := s.net.Get(key)
 	if err != nil {
-		return false, fmt.Errorf("index: probe %s: %w", q, err)
+		return false, fmt.Errorf("probe %s: %w", key, err)
 	}
 	return len(entries) == 0, nil
 }

@@ -30,6 +30,28 @@ func (c *countingTransport) Call(addr string, req wire.Message) (wire.Message, e
 	return c.Transport.Call(addr, req)
 }
 
+// startRing boots nodes live nodes on mt, joined into one ring, and
+// returns their addresses; the caller tracks them and waits for
+// convergence.
+func startRing(t *testing.T, mt wire.Transport, nodes, replication int) []string {
+	t.Helper()
+	var addrs []string
+	for i := 0; i < nodes; i++ {
+		n, err := wire.Start(wire.Config{Transport: mt, Addr: "mem:0", StabilizeInterval: 5 * time.Millisecond, ReplicationFactor: replication})
+		if err != nil {
+			t.Fatalf("start node %d: %v", i, err)
+		}
+		t.Cleanup(n.Stop)
+		if i > 0 {
+			if err := n.Join(addrs[0]); err != nil {
+				t.Fatalf("join node %d: %v", i, err)
+			}
+		}
+		addrs = append(addrs, n.Addr())
+	}
+	return addrs
+}
+
 // liveRing boots a converged MemTransport ring and returns a cluster
 // over it together with the count of calls that cluster sends.
 func liveRing(t *testing.T, nodes int) (*wire.Cluster, *countingTransport) {
@@ -37,19 +59,8 @@ func liveRing(t *testing.T, nodes int) (*wire.Cluster, *countingTransport) {
 	mt := wire.NewMemTransport()
 	counted := &countingTransport{Transport: mt}
 	cluster := wire.NewCluster(counted, 1, 0)
-	var bootstrap string
-	for i := 0; i < nodes; i++ {
-		n, err := wire.Start(wire.Config{Transport: mt, Addr: "mem:0", StabilizeInterval: 5 * time.Millisecond})
-		if err != nil {
-			t.Fatalf("start node %d: %v", i, err)
-		}
-		t.Cleanup(n.Stop)
-		if bootstrap == "" {
-			bootstrap = n.Addr()
-		} else if err := n.Join(bootstrap); err != nil {
-			t.Fatalf("join node %d: %v", i, err)
-		}
-		cluster.Track(n.Addr())
+	for _, addr := range startRing(t, mt, nodes, 0) {
+		cluster.Track(addr)
 	}
 	if err := cluster.WaitConverged(20 * time.Second); err != nil {
 		t.Fatal(err)

@@ -7,12 +7,13 @@
 // lookups over an XOR metric. docs/SUBSTRATES.md documents the
 // contract field by field and what adding a fourth substrate takes.
 //
-// Network is the whole required contract. Three optional extensions,
+// Network is the whole required contract. Four optional extensions,
 // each found by type assertion and each with a per-key fallback in the
 // index layer, let a substrate do better where it can: ContextNetwork
 // (deadline-aware reads), BatchNetwork (owner-grouped writes and
-// removes) and BatchGetNetwork (owner-grouped reads). Only the live
-// wire.Cluster implements them; the simulated substrates keep the
+// removes), BatchGetNetwork (owner-grouped reads) and PruneNetwork
+// (owner-grouped removes that report which keys they emptied). Only the
+// live wire.Cluster implements them; the simulated substrates keep the
 // one-message-per-key accounting the evaluation depends on.
 package overlay
 
@@ -134,4 +135,25 @@ type BatchGetNetwork interface {
 	// key's entries, and a key that could not be read reports an error,
 	// never an empty success.
 	GetBatch(ctx context.Context, keys []keyspace.Key, parallel int) []GetResult
+}
+
+// PruneNetwork is the optional remove-and-report extension of Network:
+// RemoveBatch whose answer is the emptiness probe an unpublish would
+// otherwise send after it. The index layer deletes a mapping (q; t)
+// only once t leads nowhere (§IV-C), so every remove is followed by the
+// question "does that key hold anything now?"; a substrate that
+// implements Prune answers it from inside the remove, at the node that
+// holds the key. It is its own interface rather than a changed
+// RemoveBatch so that a decorator written against BatchNetwork keeps
+// compiling; callers type-assert, and substrates without it get one
+// Remove per item and one Get per key that matters.
+type PruneNetwork interface {
+	// Prune deletes every item and returns, in the order the keys first
+	// appear in items, each key of the batch that holds no entry once
+	// its removals are applied. Emptiness is the key's state, not the
+	// batch's effect: a key that was already empty is returned although
+	// nothing was removed from it, which is what lets a caller repeat an
+	// interrupted cleanup and have it finish. On error the keys are
+	// those of the groups that did succeed.
+	Prune(ctx context.Context, items []KeyEntry) (emptied []keyspace.Key, err error)
 }

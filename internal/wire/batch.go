@@ -19,6 +19,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 
 	"dhtindex/internal/keyspace"
@@ -33,6 +34,7 @@ const defaultBatchParallelism = 4
 var (
 	_ overlay.BatchNetwork    = (*Cluster)(nil)
 	_ overlay.BatchGetNetwork = (*Cluster)(nil)
+	_ overlay.PruneNetwork    = (*Cluster)(nil)
 )
 
 // batchParallelism resolves the fan-out bound.
@@ -55,22 +57,28 @@ func (c *Cluster) PutBatch(ctx context.Context, items []overlay.KeyEntry) error 
 	}
 	c.batchPutRPCs.Add(int64(len(groups)))
 	c.batchPutKeys.Add(int64(len(items)))
+	return c.mutateGroups(ctx, groups, func(owner string, kv []KeyEntries) error {
+		return c.putGroup(ctx, owner, kv)
+	})
+}
+
+// mutateGroups sends every presumed-owner group of a batched mutation,
+// at most batchParallelism at a time. A group whose presumed owner
+// could not serve (crashed, or its view NACKed the batch) has its keys
+// resolved through real Chord routing and is sent once more, regrouped
+// by routed owner.
+func (c *Cluster) mutateGroups(ctx context.Context, groups map[string][]KeyEntries, send func(owner string, kv []KeyEntries) error) error {
 	par := c.batchParallelism()
 	return forEachOwner(groups, par, func(owner string, kv []KeyEntries) error {
-		if err := c.putGroup(ctx, owner, kv); err == nil {
+		if send(owner, kv) == nil {
 			return nil
 		}
-		// The presumed owner could not serve (crashed, or its view NACKed
-		// the batch): resolve this group's keys through real Chord routing
-		// and retry against the routed owners.
 		c.batchFallbacks.Inc()
 		regroups, rerr := c.groupRouted(ctx, kv)
 		if rerr != nil {
 			return rerr
 		}
-		return forEachOwner(regroups, par, func(owner string, kv []KeyEntries) error {
-			return c.putGroup(ctx, owner, kv)
-		})
+		return forEachOwner(regroups, par, send)
 	})
 }
 
@@ -84,70 +92,97 @@ func (c *Cluster) putGroup(ctx context.Context, owner string, kv []KeyEntries) e
 }
 
 // RemoveBatch implements overlay.BatchNetwork: it deletes every item in
-// per-owner batches and sweeps each owner's replica window with one
-// batched OpRemoveReplica, mirroring Remove's stale-copy sweep. The
-// returned count is how many entries the ring actually removed.
+// per-owner batches and makes sure each key's tracked replica window
+// received the delete too, mirroring Remove. The returned count is how
+// many entries the ring actually removed.
 func (c *Cluster) RemoveBatch(ctx context.Context, items []overlay.KeyEntry) (int, error) {
-	groups, err := c.groupPresumed(foldItems(items))
+	removed, _, err := c.removeBatch(ctx, items)
+	return removed, err
+}
+
+// Prune implements overlay.PruneNetwork: RemoveBatch, returning what
+// the owners' replies say about the keys instead of the count — each
+// key of the batch that holds nothing once its removals are applied,
+// in first-appearance order (DESIGN.md §20).
+func (c *Cluster) Prune(ctx context.Context, items []overlay.KeyEntry) ([]keyspace.Key, error) {
+	_, emptied, err := c.removeBatch(ctx, items)
+	return emptied, err
+}
+
+// removeBatch is the batched remove under RemoveBatch and Prune: one
+// OpRemoveBatch per presumed owner, with PutBatch's fallback for a
+// group whose owner cannot serve.
+func (c *Cluster) removeBatch(ctx context.Context, items []overlay.KeyEntry) (removed int, emptied []keyspace.Key, err error) {
+	kv := foldItems(items)
+	groups, err := c.groupPresumed(kv)
 	if err != nil || len(groups) == 0 {
-		return 0, err
+		return 0, nil, err
 	}
 	c.batchRemoveRPCs.Add(int64(len(groups)))
 	c.batchRemoveKeys.Add(int64(len(items)))
 	var mu sync.Mutex
-	removed := 0
-	tally := func(n int) {
-		mu.Lock()
-		removed += n
-		mu.Unlock()
-	}
-	par := c.batchParallelism()
-	err = forEachOwner(groups, par, func(owner string, kv []KeyEntries) error {
-		if n, err := c.removeGroup(ctx, owner, kv); err == nil {
-			tally(n)
-			return nil
-		}
-		c.batchFallbacks.Inc()
-		regroups, rerr := c.groupRouted(ctx, kv)
-		if rerr != nil {
-			return rerr
-		}
-		return forEachOwner(regroups, par, func(owner string, kv []KeyEntries) error {
-			n, err := c.removeGroup(ctx, owner, kv)
-			if err == nil {
-				tally(n)
-			}
+	empty := make(map[keyspace.Key]bool)
+	err = c.mutateGroups(ctx, groups, func(owner string, kv []KeyEntries) error {
+		resp, err := c.removeGroup(ctx, owner, kv)
+		if err != nil {
 			return err
-		})
+		}
+		mu.Lock()
+		removed += resp.Keys
+		for _, item := range resp.KV {
+			empty[item.Key] = true
+		}
+		mu.Unlock()
+		return nil
 	})
-	return removed, err
+	// Reading the verdicts off the request, not the replies, keeps the
+	// order the caller's and drops any key a reply names that nobody
+	// asked about.
+	for _, item := range kv {
+		if empty[item.Key] {
+			emptied = append(emptied, item.Key)
+		}
+	}
+	return removed, emptied, err
 }
 
-// removeGroup ships one per-owner remove batch and sweeps the tracked
-// replica window of every key in it — post-churn stale copies may sit
-// outside the owner's CURRENT successor set, exactly like Remove's
-// sweep. Each follower gets the keys it may hold in one KV-carrying
-// OpRemoveReplica: the keys of a presumed-owner group all share that
-// owner's followers, so the sweep is one message per follower (keys
-// regrouped by routed owner can differ in theirs).
-func (c *Cluster) removeGroup(ctx context.Context, owner string, kv []KeyEntries) (int, error) {
+// removeGroup ships one per-owner remove batch and returns the owner's
+// reply. The owner propagates the delete to its CURRENT successors, but
+// after churn a key's tracked followers may not coincide with them, so
+// the tracked replica window of every key in the group must see the
+// delete as well — a stale copy there would be resurrected by a later
+// failover read. The reply's Addrs says which successors acknowledged
+// the owner's propagation; only a tracked follower NOT named there is
+// swept, with the keys it may hold in one KV-carrying OpRemoveReplica
+// (the keys of a presumed-owner group share that owner's followers;
+// keys regrouped by routed owner can differ in theirs). Every node that
+// would have been sent the delete still receives it, once: an owner
+// that removed nothing, forwarded any key, or whose propagation failed
+// names nobody, and its whole window is swept.
+func (c *Cluster) removeGroup(ctx context.Context, owner string, kv []KeyEntries) (Message, error) {
 	resp, err := c.callCtx(ctx, owner, Message{Op: OpRemoveBatch, KV: kv, TTL: c.routeTTL()})
+	if err == nil {
+		err = remoteError(resp)
+	}
 	if err != nil {
-		return 0, err
+		return resp, err
 	}
-	if rerr := remoteError(resp); rerr != nil {
-		return 0, rerr
-	}
-	sweep := make(map[string][]KeyEntries)
+	var sweep map[string][]KeyEntries
 	for _, item := range kv {
 		for _, cand := range c.replicaFollowers(item.Key, owner, c.replication) {
+			if slices.Contains(resp.Addrs, cand) {
+				continue
+			}
+			if sweep == nil {
+				sweep = make(map[string][]KeyEntries)
+			}
 			sweep[cand] = append(sweep[cand], item)
 		}
 	}
 	for cand, items := range sweep {
 		_, _ = c.callCtx(ctx, cand, Message{Op: OpRemoveReplica, KV: items})
 	}
-	return resp.Keys, nil
+	return resp, nil
 }
 
 // GetBatch implements overlay.BatchGetNetwork: every distinct key goes
@@ -230,14 +265,13 @@ func (c *Cluster) getGroup(ctx context.Context, owner string, kv []KeyEntries) [
 // foldItems dedupes a batch into one KeyEntries per distinct key,
 // preserving first-appearance order.
 func foldItems(items []overlay.KeyEntry) []KeyEntries {
-	idx := make(map[string]int, len(items))
+	idx := make(map[keyspace.Key]int, len(items))
 	kv := make([]KeyEntries, 0, len(items))
 	for _, it := range items {
-		ks := it.Key.String()
-		i, ok := idx[ks]
+		i, ok := idx[it.Key]
 		if !ok {
 			i = len(kv)
-			idx[ks] = i
+			idx[it.Key] = i
 			kv = append(kv, KeyEntries{Key: it.Key})
 		}
 		kv[i].Entries = append(kv[i].Entries, it.Entry)

@@ -309,60 +309,6 @@ func TestGetBatchIgnoresUnaskedReplyKeys(t *testing.T) {
 	}
 }
 
-// TestRemoveBatchSweepsEachFollowerOnce: the keys of one owner's group
-// share that owner's tracked followers, so the replica sweep behind a
-// RemoveBatch is one KV-carrying OpRemoveReplica per follower, not one
-// per item per follower.
-func TestRemoveBatchSweepsEachFollowerOnce(t *testing.T) {
-	full, nodes, mt := startBatchRing(t, 4, 1)
-	rec := &recordingTransport{Transport: mt}
-	cluster := NewCluster(rec, 3, 1)
-	for _, n := range nodes {
-		cluster.Track(n.Addr())
-	}
-	owner := nodes[0].Addr()
-	members := cluster.ring()
-	var items []overlay.KeyEntry
-	for i := 0; len(items) < 6; i++ {
-		k := keyspace.NewKey(fmt.Sprintf("sweep-%d", i))
-		if members[ownerIndex(members, k)].addr == owner {
-			items = append(items, overlay.KeyEntry{Key: k, Entry: overlay.Entry{Kind: "index", Value: fmt.Sprint(i)}})
-		}
-	}
-	if err := cluster.PutBatch(context.Background(), items); err != nil {
-		t.Fatal(err)
-	}
-	follower := cluster.replicaFollowers(items[0].Key, owner, 1)[0]
-	for _, it := range items {
-		if got := localEntries(t, mt, follower, it.Key); len(got) != 1 {
-			t.Fatalf("follower %s holds %v before the remove", follower, got)
-		}
-	}
-	rec.take()
-
-	removed, err := cluster.RemoveBatch(context.Background(), items)
-
-	if err != nil || removed != len(items) {
-		t.Fatalf("RemoveBatch = %d, %v; want %d", removed, err, len(items))
-	}
-	sent := rec.take()
-	if len(sent) != 2 || sent[0].req.Op != OpRemoveBatch || sent[0].addr != owner ||
-		sent[1].req.Op != OpRemoveReplica || sent[1].addr != follower || len(sent[1].req.KV) != len(items) {
-		t.Fatalf("sent %d requests (%v); want one OpRemoveBatch to %s and one %d-key OpRemoveReplica to %s",
-			len(sent), opCounts(sent), owner, len(items), follower)
-	}
-	for _, it := range items {
-		for _, addr := range []string{owner, follower} {
-			if got := localEntries(t, mt, addr, it.Key); len(got) != 0 {
-				t.Fatalf("%s still holds %v after the remove", addr, got)
-			}
-		}
-		if entries, _, err := full.Get(it.Key); err != nil || len(entries) != 0 {
-			t.Fatalf("removed entry readable again: %v, %v", entries, err)
-		}
-	}
-}
-
 // TestOpGetBatchIsAClientRead pins the two tables a new opcode has to be
 // entered in: the retry layer repeats it (it is a read) and admission
 // schedules it with the operations a client waits on.

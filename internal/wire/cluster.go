@@ -599,25 +599,29 @@ func (c *Cluster) failoverGet(ctx context.Context, key keyspace.Key, failed stri
 	return nil, overlay.Route{}, lastErr
 }
 
-// Remove implements overlay.Network. The owner's handler already
-// propagates the delete to its CURRENT successors, but after churn the
-// key's tracked followers may not coincide with them — so the cluster
-// additionally sweeps the whole replica window best-effort with local
-// removes (OpRemoveReplica, TTL 0), ensuring a stale copy cannot be
-// resurrected later by a failover read.
+// Remove implements overlay.Network. The owner's handler propagates the
+// delete to its CURRENT successors, but after churn the key's tracked
+// followers may not coincide with them — so the cluster additionally
+// sweeps, best-effort with local removes (OpRemoveReplica, TTL 0), every
+// tracked follower the owner's reply does not name as having
+// acknowledged that propagation, ensuring a stale copy cannot be
+// resurrected later by a failover read (the rule removeGroup states).
 func (c *Cluster) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
 	ctx := context.Background()
 	removed := false
+	var acked []string
 	route, _, err := c.viaOwner(ctx, key, func(owner string) (overlay.Route, error) {
 		resp, route, err := c.routedCall(ctx, owner, Message{Op: OpRemove, Key: key, Entry: e})
-		removed = resp.Ok
+		removed, acked = resp.Ok, resp.Addrs
 		return route, err
 	})
 	if err != nil {
 		return removed, err
 	}
 	for _, cand := range c.replicaFollowers(key, route.Node, c.replication) {
-		_, _ = c.call(cand, Message{Op: OpRemoveReplica, Key: key, Entry: e})
+		if !slices.Contains(acked, cand) {
+			_, _ = c.call(cand, Message{Op: OpRemoveReplica, Key: key, Entry: e})
+		}
 	}
 	return removed, nil
 }

@@ -194,10 +194,14 @@ func (n *Node) handleNotify(req Message) Message {
 	return Message{Op: req.Op, Ok: true, KV: kv}
 }
 
-// replicateEntry forwards one entry operation to the successor replicas.
-func (n *Node) replicateEntry(key keyspace.Key, e overlay.Entry, op Op) {
+// replicate sends msg to this node's replication successors — the first
+// ReplicationFactor entries of its successor list other than itself —
+// and returns those that acknowledged it. Delivery is best effort (the
+// repair loop restores what a lost message leaves behind); the acks are
+// what lets a remove's reply tell the client whom the delete reached.
+func (n *Node) replicate(msg Message) (acked []string) {
 	if n.cfg.ReplicationFactor == 0 {
-		return
+		return nil
 	}
 	n.mu.Lock()
 	succs := make([]string, len(n.succs))
@@ -211,13 +215,12 @@ func (n *Node) replicateEntry(key keyspace.Key, e overlay.Entry, op Op) {
 		if sent >= n.cfg.ReplicationFactor {
 			break
 		}
-		msg := Message{Op: op, Key: key, Entry: e}
-		if op == OpPutReplica {
-			msg = Message{Op: op, KV: []KeyEntries{{Key: key, Entries: []overlay.Entry{e}}}}
+		if resp, err := n.cfg.Transport.Call(succ, msg); err == nil && resp.Err == "" {
+			acked = append(acked, succ)
 		}
-		_, _ = n.cfg.Transport.Call(succ, msg)
 		sent++
 	}
+	return acked
 }
 
 // splitForeign partitions a batch into the items this node owns (keys
@@ -355,7 +358,7 @@ func (n *Node) handlePut(req Message) Message {
 		// that would not survive a restart.
 		return Message{Op: req.Op, Err: err.Error()}
 	}
-	n.replicateEntry(req.Key, req.Entry, OpPutReplica)
+	n.replicate(Message{Op: OpPutReplica, KV: []KeyEntries{{Key: req.Key, Entries: []overlay.Entry{req.Entry}}}})
 	return Message{Op: req.Op, Ok: true, Addr: n.addr, Hops: req.Hops}
 }
 
@@ -406,17 +409,31 @@ func (n *Node) handlePutBatch(req Message) Message {
 
 // handleRemoveBatch deletes a batch of (key, entry) pairs, each key's
 // removals under that key's own critical section. The response's Keys
-// field carries how many entries were actually removed. An origin batch (OpRemoveBatch) forwards keys
-// this node does not own to their Chord-routed owners like
-// handlePutBatch (summing their removed counts into the response) and
-// propagates its local deletions to the replica set as one KV-carrying
-// OpRemoveReplica; replica copies (OpRemoveReplica with KV) neither
-// forward nor propagate — they target exactly the node they arrive at.
+// field carries how many entries were actually removed. An origin batch
+// (OpRemoveBatch) forwards keys this node does not own to their
+// Chord-routed owners like handlePutBatch (summing their removed counts
+// into the response) and propagates its local deletions to the replica
+// set as one KV-carrying OpRemoveReplica; replica copies
+// (OpRemoveReplica with KV) neither forward nor propagate — they target
+// exactly the node they arrive at.
+//
+// An origin batch's reply also answers the two questions its sender
+// would otherwise spend messages on (DESIGN.md §20). KV lists, key
+// only and in request order, every key that holds no live entry once
+// its removals are applied — decided inside the key's critical section,
+// so no concurrent put can fall between the removal and the verdict,
+// and as the key's state rather than the batch's effect: a key that was
+// empty before is listed too, and the keys forwarded owners report are
+// merged in. Addrs names the successors that acknowledged the
+// propagated OpRemoveReplica, and is set only when every key of the
+// request was served here: whoever is named there has applied the whole
+// batch's deletions and need not be sent them again.
 func (n *Node) handleRemoveBatch(req Message) Message {
 	kv := req.KV
+	origin := req.Op == OpRemoveBatch
 	var fwdGroups map[string][]KeyEntries
 	var fwdOrder []string
-	if req.Op == OpRemoveBatch {
+	if origin {
 		owned, foreign := n.splitForeign(kv)
 		kv = owned
 		if len(foreign) > 0 {
@@ -432,6 +449,10 @@ func (n *Node) handleRemoveBatch(req Message) Message {
 		}
 	}
 	removed := 0
+	var emptied map[keyspace.Key]bool
+	if origin {
+		emptied = make(map[keyspace.Key]bool, len(req.KV))
+	}
 	var firstErr error
 	for _, item := range kv {
 		item := item
@@ -449,6 +470,9 @@ func (n *Node) handleRemoveBatch(req Message) Message {
 					removed++
 				}
 			}
+			if origin && len(s.Get(item.Key)) == 0 {
+				emptied[item.Key] = true
+			}
 			return uerr
 		})
 		if err != nil && firstErr == nil {
@@ -458,8 +482,9 @@ func (n *Node) handleRemoveBatch(req Message) Message {
 	if firstErr != nil {
 		return Message{Op: req.Op, Err: firstErr.Error(), Keys: removed}
 	}
-	if removed > 0 && req.Op == OpRemoveBatch {
-		n.replicateKV(kv, OpRemoveReplica)
+	var acked []string
+	if removed > 0 && origin {
+		acked = n.replicateKV(kv, OpRemoveReplica)
 	}
 	for _, target := range fwdOrder {
 		resp, err := n.cfg.Transport.Call(target, Message{Op: OpRemoveBatch, KV: fwdGroups[target], TTL: req.TTL - 1})
@@ -470,36 +495,36 @@ func (n *Node) handleRemoveBatch(req Message) Message {
 			return Message{Op: req.Op, Err: err.Error(), Keys: removed}
 		}
 		removed += resp.Keys
+		for _, item := range resp.KV {
+			emptied[item.Key] = true
+		}
 	}
-	return Message{Op: req.Op, Ok: removed > 0, Keys: removed}
+	reply := Message{Op: req.Op, Ok: removed > 0, Keys: removed}
+	if len(fwdOrder) == 0 {
+		reply.Addrs = acked
+	}
+	for _, item := range req.KV {
+		if emptied[item.Key] {
+			reply.KV = append(reply.KV, KeyEntries{Key: item.Key})
+		}
+	}
+	return reply
 }
 
 // replicateKV forwards a batch mutation to the successor replicas as
-// one message each — the batched analogue of replicateEntry.
-func (n *Node) replicateKV(kv []KeyEntries, op Op) {
-	if n.cfg.ReplicationFactor == 0 || len(kv) == 0 {
-		return
+// one message each; an empty batch sends nothing.
+func (n *Node) replicateKV(kv []KeyEntries, op Op) (acked []string) {
+	if len(kv) == 0 {
+		return nil
 	}
-	n.mu.Lock()
-	succs := make([]string, len(n.succs))
-	copy(succs, n.succs)
-	n.mu.Unlock()
-	sent := 0
-	for _, succ := range succs {
-		if succ == n.addr {
-			continue
-		}
-		if sent >= n.cfg.ReplicationFactor {
-			break
-		}
-		_, _ = n.cfg.Transport.Call(succ, Message{Op: op, KV: kv})
-		sent++
-	}
+	return n.replicate(Message{Op: op, KV: kv})
 }
 
 // handleRemove deletes one entry: at the key's owner, which propagates
 // the deletion to its replicas (OpRemove), or from exactly this node's
 // copy (OpRemoveReplica, which carries no TTL and is never forwarded).
+// The owner's reply names in Addrs the successors that acknowledged the
+// propagated delete, as handleRemoveBatch's does.
 func (n *Node) handleRemove(req Message) Message {
 	if resp, done := n.forwardForeign(req); done {
 		return resp
@@ -509,11 +534,12 @@ func (n *Node) handleRemove(req Message) Message {
 		return Message{Op: req.Op, Err: err.Error()}
 	}
 	n.tomb.created.Inc()
+	resp := Message{Op: req.Op, Ok: removed, Addr: n.addr, Hops: req.Hops}
 	if removed && req.Op == OpRemove {
 		// Propagate the deletion to replicas outside the lock.
-		n.replicateEntry(req.Key, req.Entry, OpRemoveReplica)
+		resp.Addrs = n.replicate(Message{Op: OpRemoveReplica, Key: req.Key, Entry: req.Entry})
 	}
-	return Message{Op: req.Op, Ok: removed, Addr: n.addr, Hops: req.Hops}
+	return resp
 }
 
 func (n *Node) handleStats(req Message) Message {
