@@ -26,9 +26,8 @@ import (
 	"dhtindex/internal/overlay"
 )
 
-// defaultBatchParallelism bounds the concurrent per-owner batch RPCs
-// (and fallback owner resolutions) when Cluster.BatchParallelism is
-// unset.
+// defaultBatchParallelism bounds the concurrent per-owner RPCs (and
+// fallback owner resolutions) of a PutBatch/RemoveBatch.
 const defaultBatchParallelism = 4
 
 var (
@@ -36,14 +35,6 @@ var (
 	_ overlay.BatchGetNetwork = (*Cluster)(nil)
 	_ overlay.PruneNetwork    = (*Cluster)(nil)
 )
-
-// batchParallelism resolves the fan-out bound.
-func (c *Cluster) batchParallelism() int {
-	if c.BatchParallelism > 0 {
-		return c.BatchParallelism
-	}
-	return defaultBatchParallelism
-}
 
 // PutBatch implements overlay.BatchNetwork: it stores every item,
 // grouping by presumed owner so each responsible node receives one
@@ -63,13 +54,12 @@ func (c *Cluster) PutBatch(ctx context.Context, items []overlay.KeyEntry) error 
 }
 
 // mutateGroups sends every presumed-owner group of a batched mutation,
-// at most batchParallelism at a time. A group whose presumed owner
+// at most defaultBatchParallelism at a time. A group whose presumed owner
 // could not serve (crashed, or its view NACKed the batch) has its keys
 // resolved through real Chord routing and is sent once more, regrouped
 // by routed owner.
 func (c *Cluster) mutateGroups(ctx context.Context, groups map[string][]KeyEntries, send func(owner string, kv []KeyEntries) error) error {
-	par := c.batchParallelism()
-	return forEachOwner(groups, par, func(owner string, kv []KeyEntries) error {
+	return forEachOwner(groups, defaultBatchParallelism, func(owner string, kv []KeyEntries) error {
 		if send(owner, kv) == nil {
 			return nil
 		}
@@ -78,13 +68,13 @@ func (c *Cluster) mutateGroups(ctx context.Context, groups map[string][]KeyEntri
 		if rerr != nil {
 			return rerr
 		}
-		return forEachOwner(regroups, par, send)
+		return forEachOwner(regroups, defaultBatchParallelism, send)
 	})
 }
 
 // putGroup ships one per-owner put batch.
 func (c *Cluster) putGroup(ctx context.Context, owner string, kv []KeyEntries) error {
-	resp, err := c.callCtx(ctx, owner, Message{Op: OpPutBatch, KV: kv, TTL: c.routeTTL()})
+	resp, err := c.callCtx(ctx, owner, Message{Op: OpPutBatch, KV: kv, TTL: DefaultRouteTTL})
 	if err != nil {
 		return err
 	}
@@ -160,7 +150,7 @@ func (c *Cluster) removeBatch(ctx context.Context, items []overlay.KeyEntry) (re
 // that removed nothing, forwarded any key, or whose propagation failed
 // names nobody, and its whole window is swept.
 func (c *Cluster) removeGroup(ctx context.Context, owner string, kv []KeyEntries) (Message, error) {
-	resp, err := c.callCtx(ctx, owner, Message{Op: OpRemoveBatch, KV: kv, TTL: c.routeTTL()})
+	resp, err := c.callCtx(ctx, owner, Message{Op: OpRemoveBatch, KV: kv, TTL: DefaultRouteTTL})
 	if err == nil {
 		err = remoteError(resp)
 	}
@@ -309,7 +299,7 @@ func (c *Cluster) groupPresumed(kv []KeyEntries) (map[string][]KeyEntries, error
 func (c *Cluster) groupRouted(ctx context.Context, kv []KeyEntries) (map[string][]KeyEntries, error) {
 	owners := make([]string, len(kv))
 	errs := make([]error, len(kv))
-	sem := make(chan struct{}, c.batchParallelism())
+	sem := make(chan struct{}, defaultBatchParallelism)
 	var wg sync.WaitGroup
 	for i := range kv {
 		wg.Add(1)

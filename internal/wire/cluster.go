@@ -25,9 +25,8 @@ const defaultEntryAttempts = 3
 
 // DefaultRouteTTL is the hop budget stamped on routed cluster RPCs
 // (FindSuccessor and the owner-addressed single-key and batched
-// operations) when Cluster.RouteTTL is unset: generous enough for any
-// realistic ring's finger-table routing, small enough to kill a routing
-// loop fast.
+// operations): generous enough for any realistic ring's finger-table
+// routing, small enough to kill a routing loop fast.
 const DefaultRouteTTL = 64
 
 var errNoMembers = errors.New("wire: cluster has no members")
@@ -65,15 +64,6 @@ type Cluster struct {
 	// EntryAttempts bounds how many entry points FindOwner tries before
 	// giving up on routing (default 3). Set before serving traffic.
 	EntryAttempts int
-
-	// BatchParallelism bounds the concurrent owner resolutions and
-	// per-owner RPCs of a PutBatch/RemoveBatch (default 4). Set before
-	// serving traffic.
-	BatchParallelism int
-
-	// RouteTTL is the hop budget stamped on routed RPCs (default
-	// DefaultRouteTTL). Set before serving traffic.
-	RouteTTL int
 
 	// mu serializes Track/Untrack and guards rng. members is the
 	// ring-ordered membership, replaced whole on every change, so the
@@ -126,14 +116,6 @@ var (
 	_ overlay.Network        = (*Cluster)(nil)
 	_ overlay.ContextNetwork = (*Cluster)(nil)
 )
-
-// routeTTL resolves the configured hop budget.
-func (c *Cluster) routeTTL() int {
-	if c.RouteTTL > 0 {
-		return c.RouteTTL
-	}
-	return DefaultRouteTTL
-}
 
 // NewCluster creates a cluster handle over the transport. replication
 // must equal the ring nodes' Config.ReplicationFactor — it sizes the
@@ -327,7 +309,7 @@ func (c *Cluster) FindOwnerCtx(ctx context.Context, key keyspace.Key) (overlay.R
 // key and forwards it to the Chord-routed owner if not — so Hops is 0
 // when the caller addressed the right node.
 func (c *Cluster) routedCall(ctx context.Context, addr string, req Message) (Message, overlay.Route, error) {
-	req.TTL = c.routeTTL()
+	req.TTL = DefaultRouteTTL
 	resp, err := c.callCtx(ctx, addr, req)
 	if err == nil {
 		err = remoteError(resp)

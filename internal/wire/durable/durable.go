@@ -18,9 +18,9 @@ package durable
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"time"
 
@@ -70,20 +70,33 @@ type Options struct {
 // serializes access through its store wrapper (one reader-writer lock,
 // or per-stripe locks when opened via OpenSharded); Store nonetheless
 // carries its own lock so telemetry snapshots and offline inspection
-// stay safe.
+// stay safe. All state lives in one wire.MemStore: the log in front of
+// it only decides what reaches it, and in which order.
 type Store struct {
 	mu         sync.Mutex
 	dir        string
 	opts       Options
-	mem        map[keyspace.Key][]overlay.Entry
-	tombs      map[keyspace.Key]map[overlay.Entry]int64
-	wal        *os.File
+	mem        *wire.MemStore
+	wal        logFile
+	walEnd     int64 // offset just past the last complete record: where the next append lands
+	broken     error // sticky: a failed append or rotation left bytes in the WAL that nothing may follow
 	seq        uint64
 	walRecords int
 	sinceSync  int
 	closed     bool
 	recovery   wire.RecoveryStats
 	c          counters
+}
+
+// logFile is what the store asks of its open WAL: an *os.File, or a test's
+// stand-in that fails where a disk would.
+type logFile interface {
+	io.Writer
+	io.WriterAt
+	io.Seeker
+	Truncate(size int64) error
+	Sync() error
+	Close() error
 }
 
 var (
@@ -142,104 +155,117 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	s := &Store{
-		dir:   dir,
-		opts:  opts,
-		mem:   make(map[keyspace.Key][]overlay.Entry),
-		tombs: make(map[keyspace.Key]map[overlay.Entry]int64),
-		c:     newCounters(),
-	}
-	if err := s.loadSnapshot(); err != nil {
+	r, err := replay(dir)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.openWAL(); err != nil {
+	s := &Store{dir: dir, opts: opts, mem: r.mem, seq: r.LastSeq, walRecords: r.WALRecords, c: newCounters()}
+	s.recovery = wire.RecoveryStats{
+		SnapshotKeys:    int64(r.SnapshotKeys),
+		ReplayedRecords: int64(r.WALRecords - r.SkippedRecords),
+		SkippedRecords:  int64(r.SkippedRecords),
+		LastSeq:         r.LastSeq,
+	}
+	if r.TornTail {
+		s.recovery.TornRecords = 1
+	}
+	if err := s.openWAL(r); err != nil {
 		return nil, err
 	}
-	s.recovery.LastSeq = s.seq
 	s.c.recoveryRuns.Inc()
 	s.c.recoveryReplays.Add(s.recovery.ReplayedRecords)
 	s.c.recoveryTorn.Add(s.recovery.TornRecords)
 	return s, nil
 }
 
-// loadSnapshot replays snapshot.db into the in-memory map, if present.
-// Snapshots are written atomically (temp + rename), so a malformed one
-// is genuine corruption and fails the open rather than silently losing
-// a full compaction's worth of state.
-func (s *Store) loadSnapshot() error {
-	path := filepath.Join(s.dir, snapFile)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("durable: read snapshot: %w", err)
-	}
-	seq, err := parseHeader(data, snapMagic)
-	if err != nil {
-		return fmt.Errorf("durable: snapshot %s corrupt: bad header", path)
-	}
-	rest := data[headerSize:]
-	for len(rest) > 0 {
-		rec, n, err := parseFrame(rest)
-		if err != nil {
-			return fmt.Errorf("durable: snapshot %s corrupt: %w", path, err)
-		}
-		s.apply(rec)
-		rest = rest[n:]
-	}
-	s.seq = seq
-	s.recovery.SnapshotKeys = int64(len(s.mem))
-	return nil
+// replayed is what a read-only recovery replay found in a data
+// directory: the recovered state, the file shapes Inspect reports (the
+// Summary up to LastSeq; the per-key part is Inspect's to fill) and
+// where the WAL's complete records end.
+type replayed struct {
+	Summary
+	mem *wire.MemStore
+	// walEnd is the offset just past wal.log's last complete record
+	// (TornTail says whether bytes follow it) — 0 when there is no usable
+	// WAL: no file, an empty one, an unreadable header.
+	walEnd int
 }
 
-// openWAL replays wal.log on top of the snapshot and leaves the file
-// open for appending. Records whose sequence the snapshot already
-// covers are skipped (a crash landed between the snapshot rename and
-// the WAL rotation); a torn tail is truncated.
-func (s *Store) openWAL() error {
-	path := filepath.Join(s.dir, walFile)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("durable: read wal: %w", err)
-	}
-	fresh := len(data) == 0
-	base, herr := parseHeader(data, walMagic)
-	if herr != nil && !fresh {
-		// Unreadable header: a crash mid-rotation. The snapshot covers
-		// everything up to s.seq, so resetting the WAL loses nothing
-		// that was ever acked from a complete record.
-		s.recovery.TornRecords++
-		fresh = true
-	}
-	offset := headerSize
-	if !fresh {
-		i := 0
-		rest := data[headerSize:]
-		for len(rest) > 0 {
+// replay reads snapshot.db and then wal.log from dir into a fresh
+// MemStore. It is the only reader of the on-disk format and changes
+// nothing on disk: Open truncates and positions the WAL afterwards,
+// Inspect and Dump only report. Snapshots are written atomically (temp +
+// rename), so a malformed one is genuine corruption and an error rather
+// than a silent loss of a full compaction's worth of state; a torn WAL
+// frame is where replay stops.
+func replay(dir string) (replayed, error) {
+	r := replayed{Summary: Summary{Dir: dir}, mem: wire.NewMemStore()}
+	path := filepath.Join(dir, snapFile)
+	snap, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		seq, herr := parseHeader(snap, snapMagic)
+		if herr != nil {
+			return r, fmt.Errorf("durable: snapshot %s corrupt: bad header", path)
+		}
+		for rest := snap[headerSize:]; len(rest) > 0; {
 			rec, n, perr := parseFrame(rest)
 			if perr != nil {
-				s.recovery.TornRecords++
-				break
+				return r, fmt.Errorf("durable: snapshot %s corrupt: %w", path, perr)
 			}
-			i++
-			if base+uint64(i) <= s.seq {
-				s.recovery.SkippedRecords++
-			} else {
-				s.apply(rec)
-				s.seq = base + uint64(i)
-				s.recovery.ReplayedRecords++
-			}
+			apply(r.mem, rec)
 			rest = rest[n:]
-			offset += n
 		}
-		s.walRecords = i
+		r.HasSnapshot, r.SnapshotSeq, r.LastSeq = true, seq, seq
+		r.SnapshotKeys = r.mem.Len()
+	case !os.IsNotExist(err):
+		return r, fmt.Errorf("durable: read snapshot: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	wal, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil && !os.IsNotExist(err) {
+		return r, fmt.Errorf("durable: read wal: %w", err)
+	}
+	if len(wal) == 0 {
+		return r, nil
+	}
+	base, herr := parseHeader(wal, walMagic)
+	if herr != nil {
+		r.TornTail = true
+		return r, nil
+	}
+	r.WALBaseSeq, r.walEnd = base, headerSize
+	for rest := wal[headerSize:]; len(rest) > 0; {
+		rec, n, perr := parseFrame(rest)
+		if perr != nil {
+			r.TornTail = true
+			break
+		}
+		r.WALRecords++
+		if seq := base + uint64(r.WALRecords); seq <= r.LastSeq {
+			r.SkippedRecords++
+		} else {
+			apply(r.mem, rec)
+			r.LastSeq = seq
+		}
+		rest = rest[n:]
+		r.walEnd += n
+	}
+	return r, nil
+}
+
+// openWAL leaves wal.log open for appending after the last complete
+// record replay found, cutting a torn tail off first.
+func (s *Store) openWAL(r replayed) error {
+	f, err := os.OpenFile(filepath.Join(s.dir, walFile), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: open wal: %w", err)
 	}
-	if fresh {
+	end := int64(r.walEnd)
+	switch {
+	case r.walEnd == 0:
+		// No WAL yet, or an unreadable header: a crash mid-rotation. The
+		// snapshot covers everything up to s.seq, so resetting the WAL
+		// loses nothing that was ever acked from a complete record.
 		if err := f.Truncate(0); err == nil {
 			_, err = f.WriteAt(encodeHeader(walMagic, s.seq), 0)
 		}
@@ -247,114 +273,91 @@ func (s *Store) openWAL() error {
 			_ = f.Close()
 			return fmt.Errorf("durable: init wal: %w", err)
 		}
-		offset = headerSize
-		s.walRecords = 0
-	} else if offset < len(data) {
-		// Torn tail: cut back to the last complete record.
-		if err := f.Truncate(int64(offset)); err != nil {
+		end = headerSize
+	case r.TornTail:
+		// Cut back to the last complete record.
+		if err := f.Truncate(end); err != nil {
 			_ = f.Close()
 			return fmt.Errorf("durable: truncate torn wal: %w", err)
 		}
 	}
-	if _, err := f.Seek(int64(offset), 0); err != nil {
+	if _, err := f.Seek(end, 0); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("durable: seek wal: %w", err)
 	}
-	s.wal = f
+	s.wal, s.walEnd = f, end
 	return nil
 }
 
-// apply folds one replayed record into the in-memory maps. Replay is
-// order-faithful, so a put logged before an entomb of the same entry
-// re-converges to the entombed state.
-func (s *Store) apply(rec record) {
+// apply folds one record into m. It is the one way the state changes —
+// at replay, and on the write path once the record is in the log — so
+// what a restart recovers is what the running store held. It returns how
+// many entries the record added, or tombstones it recorded, refreshed
+// or collected; MemStore's mutators never fail, so their errors are
+// dropped. Replay is order-faithful, so a put logged before an
+// entomb of the same entry re-converges to the entombed state; a record
+// written before entry sets were kept in order carries its set as the
+// writes arrived, and MemStore normalizes it.
+func apply(m *wire.MemStore, rec record) (n int) {
 	switch rec.op {
 	case recPut:
 		for _, e := range rec.entries {
-			if set, added := wire.InsertEntry(s.mem[rec.key], e); added {
-				s.mem[rec.key] = set
+			if added, _ := m.Put(rec.key, e); added {
+				n++
 			}
 		}
 	case recReplace, recReplaceFull:
-		// A record written before entry sets were kept in order carries
-		// its set as the writes arrived; the map never does.
-		s.setEntries(rec.key, wire.SortedEntries(rec.entries))
-		delete(s.tombs, rec.key)
-		for _, t := range rec.tombs {
-			s.entombMem(rec.key, t)
-		}
+		_ = m.Replace(rec.key, rec.entries, rec.tombs)
 	case recTomb:
-		for _, t := range rec.tombs {
-			s.removeLive(rec.key, t.Entry)
-			s.entombMem(rec.key, t)
-		}
+		n, _ = m.Entomb(rec.key, rec.tombs)
 	case recTombGC:
-		s.gcMem(rec.gcBefore)
+		n, _ = m.GCTombstones(rec.gcBefore)
 	}
+	return n
 }
 
-// removeLive deletes the live entry e under key, reporting whether it
-// was present. Callers hold s.mu (or own the store exclusively during
-// replay).
-func (s *Store) removeLive(key keyspace.Key, e overlay.Entry) bool {
-	entries, removed := wire.DeleteEntry(s.mem[key], e)
-	if removed {
-		s.setEntries(key, entries)
-	}
-	return removed
-}
-
-// setEntries stores key's (sorted) entry set; an empty set deletes the
-// key from the live map.
-func (s *Store) setEntries(key keyspace.Key, entries []overlay.Entry) {
-	if len(entries) == 0 {
-		delete(s.mem, key)
-	} else {
-		s.mem[key] = entries
-	}
-}
-
-// entombMem records t under key in the in-memory tombstone map keeping
-// the latest At, reporting whether it was new or refreshed.
-func (s *Store) entombMem(key keyspace.Key, t wire.Tombstone) bool {
-	m := s.tombs[key]
-	if m == nil {
-		m = make(map[overlay.Entry]int64)
-		s.tombs[key] = m
-	}
-	if at, ok := m[t.Entry]; ok && at >= t.At {
-		return false
-	}
-	m[t.Entry] = t.At
-	return true
-}
-
-// gcMem drops tombstones older than before from the in-memory map,
-// returning how many were collected.
-func (s *Store) gcMem(before int64) int {
-	collected := 0
-	for k, m := range s.tombs {
-		for e, at := range m {
-			if at < before {
-				delete(m, e)
-				collected++
-			}
+// forEachKey calls fn once for every key m holds anything under — live
+// entries, tombstones or both. The slices may be m's own: fn keeps them
+// only if nothing will change m again (Dump).
+func forEachKey(m *wire.MemStore, fn func(key keyspace.Key, entries []overlay.Entry, tombs []wire.Tombstone)) {
+	m.ForEach(func(k keyspace.Key, entries []overlay.Entry) bool {
+		fn(k, entries, m.Tombstones(k))
+		return true
+	})
+	m.ForEachTombstone(func(k keyspace.Key, tombs []wire.Tombstone) bool {
+		if !m.Holds(k) {
+			fn(k, nil, tombs)
 		}
-		if len(m) == 0 {
-			delete(s.tombs, k)
-		}
+		return true
+	})
+}
+
+// commitLocked is the write path of every mutator: rec goes into the
+// log first and into memory only once it is there, so a failed append
+// changes nothing and refuses the ack. It returns what apply counted.
+func (s *Store) commitLocked(rec record) (int, error) {
+	if err := s.appendLocked(rec); err != nil {
+		return 0, err
 	}
-	return collected
+	n := apply(s.mem, rec)
+	s.maybeCompactLocked()
+	return n, nil
 }
 
 // appendLocked frames rec into the WAL (write-ahead: the caller updates
 // the map only after this succeeds). A non-nil return means the write
-// must not be acked; it may still have partially reached the disk,
-// where replay either truncates it (torn) or re-applies it (complete —
-// harmless, records are idempotent).
+// must not be acked. A frame a failed write left part of is cut off
+// again: replay stops at a torn frame, so one left in place would drop
+// every record acked after it at the next open. If it cannot be cut off
+// the store refuses all further appends. A record whose fsync failed
+// stays whole in the log and replay re-applies it (harmless, records are
+// idempotent).
 func (s *Store) appendLocked(rec record) error {
 	if s.closed {
 		return os.ErrClosed
+	}
+	if s.broken != nil {
+		return s.broken
 	}
 	if f := s.opts.Faults.AppendErr; f != nil {
 		if err := f(); err != nil {
@@ -365,8 +368,16 @@ func (s *Store) appendLocked(rec record) error {
 	frame := encodeRecord(rec)
 	if _, err := s.wal.Write(frame); err != nil {
 		s.c.walAppendErrs.Inc()
+		rerr := s.wal.Truncate(s.walEnd)
+		if rerr == nil {
+			_, rerr = s.wal.Seek(s.walEnd, 0)
+		}
+		if rerr != nil {
+			s.broken = fmt.Errorf("durable: wal closed to appends: rolling back a failed write: %w", rerr)
+		}
 		return err
 	}
+	s.walEnd += int64(len(frame))
 	s.seq++
 	s.walRecords++
 	s.c.walAppends.Inc()
@@ -425,17 +436,9 @@ func (s *Store) snapshotLocked() error {
 		return fail(err)
 	}
 	buf := encodeHeader(snapMagic, s.seq)
-	for k, entries := range s.mem {
-		buf = append(buf, encodeRecord(record{
-			op: recReplaceFull, key: k, entries: entries, tombs: tombstoneSlice(s.tombs[k]),
-		})...)
-	}
-	for k, m := range s.tombs {
-		if len(s.mem[k]) > 0 || len(m) == 0 {
-			continue // covered above, or empty
-		}
-		buf = append(buf, encodeRecord(record{op: recReplaceFull, key: k, tombs: tombstoneSlice(m)})...)
-	}
+	forEachKey(s.mem, func(k keyspace.Key, entries []overlay.Entry, tombs []wire.Tombstone) {
+		buf = append(buf, encodeRecord(record{op: recReplaceFull, key: k, entries: entries, tombs: tombs})...)
+	})
 	if _, err := f.Write(buf); err != nil {
 		_ = f.Close()
 		return fail(err)
@@ -461,12 +464,17 @@ func (s *Store) snapshotLocked() error {
 	if err := s.wal.Truncate(0); err != nil {
 		return fail(err)
 	}
-	if _, err := s.wal.WriteAt(encodeHeader(walMagic, s.seq), 0); err != nil {
+	_, err = s.wal.WriteAt(encodeHeader(walMagic, s.seq), 0)
+	if err == nil {
+		_, err = s.wal.Seek(headerSize, 0)
+	}
+	if err != nil {
+		// An emptied WAL with no header, or appends landing past a hole:
+		// either reads as an unusable WAL at the next open.
+		s.broken = fmt.Errorf("durable: wal closed to appends: rotation failed: %w", err)
 		return fail(err)
 	}
-	if _, err := s.wal.Seek(headerSize, 0); err != nil {
-		return fail(err)
-	}
+	s.walEnd = headerSize
 	s.walRecords = 0
 	s.c.snapWrites.Inc()
 	return nil
@@ -487,34 +495,21 @@ func (s *Store) syncDir() {
 func (s *Store) Get(key keyspace.Key) []overlay.Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entries := s.mem[key]
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make([]overlay.Entry, len(entries))
-	copy(out, entries)
-	return out
+	return s.mem.Get(key)
 }
 
-// Put implements wire.Store: WAL append first, map second. A put
-// suppressed by a live tombstone is refused without touching the log
-// (the suppression is already durable through the tombstone record).
+// Put implements wire.Store: WAL append first, map second. A duplicate
+// and a put suppressed by a live tombstone are refused without touching
+// the log (the suppression is already durable through the tombstone
+// record).
 func (s *Store) Put(key keyspace.Key, e overlay.Entry) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dead := s.tombs[key][e]; dead {
+	if s.mem.Tombstoned(key, e) || s.mem.Has(key, e) {
 		return false, nil
 	}
-	i, found := slices.BinarySearchFunc(s.mem[key], e, wire.CompareEntries)
-	if found {
-		return false, nil
-	}
-	if err := s.appendLocked(record{op: recPut, key: key, entries: []overlay.Entry{e}}); err != nil {
-		return false, err
-	}
-	s.mem[key] = slices.Insert(s.mem[key], i, e)
-	s.maybeCompactLocked()
-	return true, nil
+	n, err := s.commitLocked(record{op: recPut, key: key, entries: []overlay.Entry{e}})
+	return n > 0, err
 }
 
 // Remove implements wire.Store: the WAL records a tombstone whose
@@ -523,48 +518,34 @@ func (s *Store) Put(key keyspace.Key, e overlay.Entry) (bool, error) {
 func (s *Store) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	removed := s.mem.Has(key, e)
 	t := wire.Tombstone{Entry: e, At: time.Now().UnixNano()}
-	if err := s.appendLocked(record{op: recTomb, key: key, tombs: []wire.Tombstone{t}}); err != nil {
+	if _, err := s.commitLocked(record{op: recTomb, key: key, tombs: []wire.Tombstone{t}}); err != nil {
 		return false, err
 	}
-	removed := s.removeLive(key, e)
-	s.entombMem(key, t)
-	s.maybeCompactLocked()
 	return removed, nil
 }
 
-// Replace implements wire.Store.
+// Replace implements wire.Store. The log carries the sorted entry set.
 func (s *Store) Replace(key keyspace.Key, entries []overlay.Entry, tombs []wire.Tombstone) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := wire.SortedEntries(entries)
-	tout := make([]wire.Tombstone, len(tombs))
-	copy(tout, tombs)
-	if err := s.appendLocked(record{op: recReplaceFull, key: key, entries: out, tombs: tout}); err != nil {
-		return err
-	}
-	s.setEntries(key, out)
-	delete(s.tombs, key)
-	for _, t := range tout {
-		s.entombMem(key, t)
-	}
-	s.maybeCompactLocked()
-	return nil
+	_, err := s.commitLocked(record{op: recReplaceFull, key: key, entries: wire.SortedEntries(entries), tombs: tombs})
+	return err
 }
 
 // Tombstoned implements wire.Store.
 func (s *Store) Tombstoned(key keyspace.Key, e overlay.Entry) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, dead := s.tombs[key][e]
-	return dead
+	return s.mem.Tombstoned(key, e)
 }
 
 // Tombstones implements wire.Store.
 func (s *Store) Tombstones(key keyspace.Key) []wire.Tombstone {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return tombstoneSlice(s.tombs[key])
+	return s.mem.Tombstones(key)
 }
 
 // Entomb implements wire.Store: one WAL record covers the batch, then
@@ -576,94 +557,41 @@ func (s *Store) Entomb(key keyspace.Key, tombs []wire.Tombstone) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tout := make([]wire.Tombstone, len(tombs))
-	copy(tout, tombs)
-	if err := s.appendLocked(record{op: recTomb, key: key, tombs: tout}); err != nil {
-		return 0, err
-	}
-	fresh := 0
-	for _, t := range tout {
-		s.removeLive(key, t.Entry)
-		if s.entombMem(key, t) {
-			fresh++
-		}
-	}
-	s.maybeCompactLocked()
-	return fresh, nil
+	return s.commitLocked(record{op: recTomb, key: key, tombs: tombs})
 }
 
 // ForEachTombstone implements wire.Store.
 func (s *Store) ForEachTombstone(fn func(key keyspace.Key, tombs []wire.Tombstone) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k, m := range s.tombs {
-		if len(m) == 0 {
-			continue
-		}
-		if !fn(k, tombstoneSlice(m)) {
-			return
-		}
-	}
+	s.mem.ForEachTombstone(fn)
 }
 
 // GCTombstones implements wire.Store: the cutoff is logged before the
 // in-memory collection so the GC survives restart (otherwise replay
 // would resurrect every collected tombstone from its recTomb record).
+// A round with nothing to collect writes no record.
 func (s *Store) GCTombstones(before int64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	any := false
-	for _, m := range s.tombs {
-		for _, at := range m {
-			if at < before {
-				any = true
-				break
-			}
-		}
-		if any {
-			break
-		}
-	}
-	if !any {
+	if !s.mem.TombstonesBefore(before) {
 		return 0, nil
 	}
-	if err := s.appendLocked(record{op: recTombGC, gcBefore: before}); err != nil {
-		return 0, err
-	}
-	collected := s.gcMem(before)
-	s.maybeCompactLocked()
-	return collected, nil
-}
-
-// tombstoneSlice copies a tombstone map into a sorted slice.
-func tombstoneSlice(m map[overlay.Entry]int64) []wire.Tombstone {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]wire.Tombstone, 0, len(m))
-	for e, at := range m {
-		out = append(out, wire.Tombstone{Entry: e, At: at})
-	}
-	slices.SortFunc(out, func(a, b wire.Tombstone) int { return wire.CompareEntries(a.Entry, b.Entry) })
-	return out
+	return s.commitLocked(record{op: recTombGC, gcBefore: before})
 }
 
 // ForEach implements wire.Store.
 func (s *Store) ForEach(fn func(key keyspace.Key, entries []overlay.Entry) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k, entries := range s.mem {
-		if !fn(k, entries) {
-			return
-		}
-	}
+	s.mem.ForEach(fn)
 }
 
 // Len implements wire.Store.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.mem)
+	return s.mem.Len()
 }
 
 // Sync implements wire.Store: an explicit WAL fsync regardless of

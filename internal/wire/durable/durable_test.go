@@ -276,6 +276,153 @@ func TestAppendErrorRefusesWrite(t *testing.T) {
 	}
 }
 
+// cutWriter is a WAL file whose next failWrites writes stop half-way
+// through the frame and report an error — a disk filling up — and whose
+// Truncate and WriteAt can be made to fail too.
+type cutWriter struct {
+	*os.File
+	failWrites   int
+	failTruncate bool
+	failWriteAt  bool
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *cutWriter) Write(b []byte) (int, error) {
+	if w.failWrites == 0 {
+		return w.File.Write(b)
+	}
+	w.failWrites--
+	n, _ := w.File.Write(b[:len(b)/2])
+	return n, errDiskFull
+}
+
+func (w *cutWriter) Truncate(size int64) error {
+	if w.failTruncate {
+		return errors.New("truncate: I/O error")
+	}
+	return w.File.Truncate(size)
+}
+
+func (w *cutWriter) WriteAt(b []byte, off int64) (int, error) {
+	if w.failWriteAt {
+		return 0, errDiskFull
+	}
+	return w.File.WriteAt(b, off)
+}
+
+// TestFailedWALWriteIsRolledBack: a write that fails mid-frame must not
+// leave the half frame in the log — replay stops at a torn frame, so
+// every put acked after it would be dropped at the next open. When the
+// half frame cannot be cut off, nothing more may be acked.
+func TestFailedWALWriteIsRolledBack(t *testing.T) {
+	put := func(t *testing.T, s *Store, name string) error {
+		t.Helper()
+		added, err := s.Put(k(name), e("index", name))
+		if err == nil && !added {
+			t.Fatalf("put %s: acked but not added", name)
+		}
+		return err
+	}
+	t.Run("later acks survive reopen", func(t *testing.T) {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{})
+		if err := put(t, s, "before"); err != nil {
+			t.Fatal(err)
+		}
+		s.wal = &cutWriter{File: s.wal.(*os.File), failWrites: 1}
+		if err := put(t, s, "cut"); !errors.Is(err, errDiskFull) {
+			t.Fatalf("put over a failing write: err=%v", err)
+		}
+		if got := s.Get(k("cut")); got != nil {
+			t.Fatalf("refused put visible in memory: %v", got)
+		}
+		acked := []string{"before", "after-1", "after-2", "cut"} // the refused put, retried, is acked too
+		for _, name := range acked[1:] {
+			if err := put(t, s, name); err != nil {
+				t.Fatalf("put %s after the failed write: %v", name, err)
+			}
+		}
+		if removed, err := s.Remove(k("after-1"), e("index", "after-1")); err != nil || !removed {
+			t.Fatalf("remove after the failed write: removed=%v err=%v", removed, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r := mustOpen(t, dir, Options{})
+		defer r.Close()
+		if st := r.RecoveryStats(); st.TornRecords != 0 || st.ReplayedRecords != 5 {
+			t.Fatalf("recovery stats: %+v, want 5 replayed and nothing torn", st)
+		}
+		for _, name := range acked {
+			want := 1
+			if name == "after-1" {
+				want = 0
+			}
+			if got := r.Get(k(name)); len(got) != want {
+				t.Fatalf("key %s after reopen: %v, want %d entries", name, got, want)
+			}
+		}
+	})
+	t.Run("no ack after a failed rollback", func(t *testing.T) {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{})
+		if err := put(t, s, "before"); err != nil {
+			t.Fatal(err)
+		}
+		s.wal = &cutWriter{File: s.wal.(*os.File), failWrites: 1, failTruncate: true}
+		if err := put(t, s, "cut"); !errors.Is(err, errDiskFull) {
+			t.Fatalf("put over a failing write: err=%v", err)
+		}
+		for _, name := range []string{"after", "cut"} {
+			if err := put(t, s, name); err == nil {
+				t.Fatalf("put %s acked behind a torn frame", name)
+			}
+			if got := s.Get(k(name)); got != nil {
+				t.Fatalf("refused put %s visible in memory: %v", name, got)
+			}
+		}
+		if _, err := s.Remove(k("before"), e("index", "before")); err == nil {
+			t.Fatal("remove acked behind a torn frame")
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r := mustOpen(t, dir, Options{})
+		defer r.Close()
+		if st := r.RecoveryStats(); st.TornRecords != 1 || st.ReplayedRecords != 1 {
+			t.Fatalf("recovery stats: %+v, want the one acked put and the torn frame", st)
+		}
+		if got := r.Get(k("before")); len(got) != 1 {
+			t.Fatalf("acked put lost: %v", got)
+		}
+	})
+	// A rotation that empties the WAL and then cannot write its header
+	// leaves a file the next open resets: nothing may be acked into it.
+	t.Run("no ack after a failed rotation", func(t *testing.T) {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{SnapshotEvery: -1})
+		if err := put(t, s, "before"); err != nil {
+			t.Fatal(err)
+		}
+		s.wal = &cutWriter{File: s.wal.(*os.File), failWriteAt: true}
+		if err := s.Snapshot(); !errors.Is(err, errDiskFull) {
+			t.Fatalf("Snapshot over a failing rotation: err=%v", err)
+		}
+		if err := put(t, s, "after"); err == nil {
+			t.Fatal("put acked into a WAL with no header")
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r := mustOpen(t, dir, Options{})
+		defer r.Close()
+		if got := r.Get(k("before")); len(got) != 1 {
+			t.Fatalf("acked put lost: %v", got)
+		}
+	})
+}
+
 func TestFsyncErrorInjection(t *testing.T) {
 	dir := t.TempDir()
 	fail := errors.New("fsync: I/O error")

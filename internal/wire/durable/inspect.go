@@ -1,10 +1,7 @@
 package durable
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
@@ -63,7 +60,7 @@ type KeySummary struct {
 type DumpedKey struct {
 	// Key is the ring key.
 	Key keyspace.Key
-	// Entries are the recovered entries, in replay order.
+	// Entries are the recovered entries, in wire.CompareEntries order.
 	Entries []overlay.Entry
 	// Tombstones are the key's recovered deletion records.
 	Tombstones []wire.Tombstone
@@ -75,64 +72,15 @@ type DumpedKey struct {
 // or creates missing files; a torn trailing record is simply where the
 // replay stops.
 func Dump(dir string) ([]DumpedKey, error) {
-	s := &Store{mem: make(map[keyspace.Key][]overlay.Entry), tombs: make(map[keyspace.Key]map[overlay.Entry]int64)}
-	lastSeq := uint64(0)
-
-	snap, err := os.ReadFile(filepath.Join(dir, snapFile))
-	if err == nil {
-		seq, herr := parseHeader(snap, snapMagic)
-		if herr != nil {
-			return nil, fmt.Errorf("durable: snapshot corrupt: bad header")
-		}
-		rest := snap[headerSize:]
-		for len(rest) > 0 {
-			rec, n, perr := parseFrame(rest)
-			if perr != nil {
-				return nil, fmt.Errorf("durable: snapshot corrupt: %w", perr)
-			}
-			s.apply(rec)
-			rest = rest[n:]
-		}
-		lastSeq = seq
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("durable: read snapshot: %w", err)
+	r, err := replay(dir)
+	if err != nil {
+		return nil, err
 	}
-
-	wal, err := os.ReadFile(filepath.Join(dir, walFile))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("durable: read wal: %w", err)
-	}
-	if len(wal) > 0 {
-		if base, herr := parseHeader(wal, walMagic); herr == nil {
-			i := 0
-			rest := wal[headerSize:]
-			for len(rest) > 0 {
-				rec, n, perr := parseFrame(rest)
-				if perr != nil {
-					break // torn tail: recovery would truncate here
-				}
-				i++
-				if base+uint64(i) > lastSeq {
-					s.apply(rec)
-					lastSeq = base + uint64(i)
-				}
-				rest = rest[n:]
-			}
-		}
-	}
-
-	out := make([]DumpedKey, 0, len(s.mem))
-	seen := make(map[keyspace.Key]bool, len(s.mem))
-	for k, entries := range s.mem {
-		out = append(out, DumpedKey{Key: k, Entries: entries, Tombstones: tombstoneSlice(s.tombs[k])})
-		seen[k] = true
-	}
-	for k, m := range s.tombs {
-		if !seen[k] && len(m) > 0 {
-			out = append(out, DumpedKey{Key: k, Tombstones: tombstoneSlice(m)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Cmp(out[j].Key) < 0 })
+	out := make([]DumpedKey, 0, r.mem.Len())
+	forEachKey(r.mem, func(k keyspace.Key, entries []overlay.Entry, tombs []wire.Tombstone) {
+		out = append(out, DumpedKey{Key: k, Entries: entries, Tombstones: tombs})
+	})
+	slices.SortFunc(out, func(a, b DumpedKey) int { return a.Key.Cmp(b.Key) })
 	return out, nil
 }
 
@@ -141,82 +89,20 @@ func Dump(dir string) ([]DumpedKey, error) {
 // it never truncates a torn WAL tail or creates missing files, so it
 // is safe to point at a live node's directory or a post-mortem copy.
 func Inspect(dir string) (Summary, error) {
-	sum := Summary{Dir: dir}
-	mem := make(map[keyspace.Key][]overlay.Entry)
-	s := &Store{mem: mem, tombs: make(map[keyspace.Key]map[overlay.Entry]int64)}
-
-	snap, err := os.ReadFile(filepath.Join(dir, snapFile))
-	if err == nil {
-		seq, herr := parseHeader(snap, snapMagic)
-		if herr != nil {
-			return sum, fmt.Errorf("durable: snapshot corrupt: bad header")
-		}
-		rest := snap[headerSize:]
-		for len(rest) > 0 {
-			rec, n, perr := parseFrame(rest)
-			if perr != nil {
-				return sum, fmt.Errorf("durable: snapshot corrupt: %w", perr)
-			}
-			s.apply(rec)
-			rest = rest[n:]
-		}
-		sum.HasSnapshot = true
-		sum.SnapshotSeq = seq
-		sum.SnapshotKeys = len(mem)
-		sum.LastSeq = seq
-	} else if !os.IsNotExist(err) {
-		return sum, fmt.Errorf("durable: read snapshot: %w", err)
+	r, err := replay(dir)
+	sum := r.Summary
+	if err != nil {
+		return sum, err
 	}
-
-	wal, err := os.ReadFile(filepath.Join(dir, walFile))
-	if err != nil && !os.IsNotExist(err) {
-		return sum, fmt.Errorf("durable: read wal: %w", err)
-	}
-	if len(wal) > 0 {
-		base, herr := parseHeader(wal, walMagic)
-		if herr != nil {
-			sum.TornTail = true
-		} else {
-			sum.WALBaseSeq = base
-			i := 0
-			rest := wal[headerSize:]
-			for len(rest) > 0 {
-				rec, n, perr := parseFrame(rest)
-				if perr != nil {
-					sum.TornTail = true
-					break
-				}
-				i++
-				if base+uint64(i) <= sum.LastSeq {
-					sum.SkippedRecords++
-				} else {
-					s.apply(rec)
-					sum.LastSeq = base + uint64(i)
-				}
-				rest = rest[n:]
-			}
-			sum.WALRecords = i
-		}
-	}
-
-	for k, entries := range mem {
-		ks := KeySummary{Key: k, Entries: len(entries), Kinds: make(map[string]int), Tombstones: len(s.tombs[k])}
+	forEachKey(r.mem, func(k keyspace.Key, entries []overlay.Entry, tombs []wire.Tombstone) {
+		ks := KeySummary{Key: k, Entries: len(entries), Kinds: make(map[string]int), Tombstones: len(tombs)}
 		for _, e := range entries {
 			ks.Kinds[e.Kind]++
 		}
 		sum.Keys = append(sum.Keys, ks)
-		sum.TotalEntries += len(entries)
+		sum.TotalEntries += ks.Entries
 		sum.TotalTombstones += ks.Tombstones
-	}
-	for k, m := range s.tombs {
-		if len(mem[k]) > 0 {
-			continue
-		}
-		sum.Keys = append(sum.Keys, KeySummary{Key: k, Kinds: make(map[string]int), Tombstones: len(m)})
-		sum.TotalTombstones += len(m)
-	}
-	sort.Slice(sum.Keys, func(i, j int) bool {
-		return sum.Keys[i].Key.Cmp(sum.Keys[j].Key) < 0
 	})
+	slices.SortFunc(sum.Keys, func(a, b KeySummary) int { return a.Key.Cmp(b.Key) })
 	return sum, nil
 }

@@ -62,6 +62,13 @@ const (
 	// maxRecordSize bounds a frame payload; anything larger is treated
 	// as a torn length prefix rather than an allocation request.
 	maxRecordSize = 16 << 20
+
+	// minEntrySize and minTombSize are the least an encoded entry (its
+	// two length prefixes) and tombstone (those plus At) take. A declared
+	// count is trusted — and allocated for — only if the bytes behind it
+	// could pay for that many.
+	minEntrySize = 2
+	minTombSize  = minEntrySize + 8
 )
 
 // errTorn marks a torn or corrupt frame found during replay.
@@ -209,7 +216,7 @@ func decodePayload(payload []byte) (record, error) {
 // readEntries decodes a uvarint-counted entry list.
 func readEntries(b []byte) ([]overlay.Entry, []byte, error) {
 	count, n := binary.Uvarint(b)
-	if n <= 0 || count > maxRecordSize {
+	if n <= 0 || count > uint64(len(b)-n)/minEntrySize {
 		return nil, nil, errTorn
 	}
 	b = b[n:]
@@ -232,7 +239,7 @@ func readEntries(b []byte) ([]overlay.Entry, []byte, error) {
 // readTombs decodes a uvarint-counted tombstone list.
 func readTombs(b []byte) ([]wire.Tombstone, []byte, error) {
 	count, n := binary.Uvarint(b)
-	if n <= 0 || count > maxRecordSize {
+	if n <= 0 || count > uint64(len(b)-n)/minTombSize {
 		return nil, nil, errTorn
 	}
 	b = b[n:]

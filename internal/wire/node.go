@@ -60,13 +60,13 @@ type Config struct {
 	// instead of queueing without bound. Nil disables admission control
 	// (every request is served, the pre-overload-protection behaviour).
 	Admission *AdmissionConfig
-	// Store is the node's local entry store (default: a fresh
-	// MemStore). Pass a durable store (internal/wire/durable) to make
-	// the node's state survive restarts: re-open the same directory,
-	// Start with the same Addr — the ring ID is derived from it — and
-	// Join; the anti-entropy repair loop reconciles whatever was missed
-	// while down. The node assumes ownership and closes the store on
-	// Stop/Leave.
+	// Store is the node's local entry store (default: a ShardedStore of
+	// DefaultStoreStripes MemStores). Pass a durable store
+	// (internal/wire/durable) to make the node's state survive restarts:
+	// re-open the same directory, Start with the same Addr — the ring ID
+	// is derived from it — and Join; the anti-entropy repair loop
+	// reconciles whatever was missed while down. The node assumes
+	// ownership and closes the store on Stop/Leave.
 	Store Store
 	// TombstoneTTL is how long deletion records are kept before garbage
 	// collection (default 5 minutes). It must exceed the longest

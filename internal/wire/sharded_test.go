@@ -123,10 +123,10 @@ func TestShardedStoreUpdateAtomicity(t *testing.T) {
 	}
 }
 
-// TestLockedStoreWrapsSuppliedStore pins the asConcurrentStore
+// TestAsConcurrentStoreAdaptsSuppliedStore pins the asConcurrentStore
 // adaptation rules: nil → sharded default, ConcurrentStore → as-is,
 // anything else → the one-stripe ShardedStore.
-func TestLockedStoreWrapsSuppliedStore(t *testing.T) {
+func TestAsConcurrentStoreAdaptsSuppliedStore(t *testing.T) {
 	if _, ok := asConcurrentStore(nil).(*ShardedStore); !ok {
 		t.Fatal("nil store did not become a ShardedStore")
 	}

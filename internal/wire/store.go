@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 	"time"
@@ -15,15 +16,17 @@ import (
 // copies). Implementations need not be safe for concurrent use by
 // themselves: the node wraps whatever Config.Store supplies in a
 // ConcurrentStore (asConcurrentStore) that serializes access — a nil
-// Config.Store becomes a ShardedStore striping MemStores by key, and a
-// supplied store gets a single reader-writer lock. Handler goroutines
-// and the maintenance loop therefore interleave calls one at a time per
-// key stripe, never concurrently against the same underlying Store
-// stripe.
+// Config.Store becomes a ShardedStore striping MemStores by key, a
+// store that is a ConcurrentStore already is used as it is, and any
+// other becomes a one-stripe ShardedStore. Handler goroutines and the
+// maintenance loop therefore interleave calls one at a time per key
+// stripe, never concurrently against the same underlying Store stripe.
 //
-// Two implementations exist: MemStore (the default, a plain RAM map
-// that dies with the process) and the disk-backed WAL+snapshot store in
-// internal/wire/durable, which turns a crash-stop into crash-recovery.
+// One type holds the per-key state — MemStore, a plain RAM map that
+// dies with the process — and the others are built around it:
+// ShardedStore stripes any Stores by key, and the disk-backed store in
+// internal/wire/durable is a write-ahead log and snapshot in front of a
+// MemStore, which turns a crash-stop into crash-recovery.
 // Mutators return an error when the write could not be made durable;
 // the node then refuses to acknowledge the operation, so "acked" always
 // means "recorded to the configured durability level".
@@ -189,13 +192,37 @@ func SortedEntries(entries []overlay.Entry) []overlay.Entry {
 	return slices.Compact(out)
 }
 
-// MemStore is the default Store: a plain in-memory map with no
+// sortedTombstones returns a copy of tombs in CompareEntries order with
+// one record per entry, the one with the latest At (nil when empty):
+// what a store keeps of a shipped or replayed tombstone set.
+func sortedTombstones(tombs []Tombstone) []Tombstone {
+	if len(tombs) == 0 {
+		return nil
+	}
+	latestFirst := func(a, b Tombstone) int {
+		if c := CompareEntries(a.Entry, b.Entry); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.At, a.At)
+	}
+	out := slices.Clone(tombs)
+	if !slices.IsSortedFunc(out, latestFirst) {
+		slices.SortFunc(out, latestFirst)
+	}
+	return slices.CompactFunc(out, func(a, b Tombstone) bool { return a.Entry == b.Entry })
+}
+
+// MemStore is the default Store: plain in-memory maps with no
 // durability. Mutators never fail; a crash-stop loses everything, which
 // is exactly the behaviour the replicated ring's anti-entropy repair is
-// sized for.
+// sized for. It is also the one implementation of the per-key state
+// machine: the durable store is a write-ahead log in front of a MemStore
+// (DESIGN.md §21). A key's tombstones are kept the way its entries are —
+// one CompareEntries-sorted slice with one record per entry — so reads
+// hand them out without sorting.
 type MemStore struct {
 	m     map[keyspace.Key][]overlay.Entry
-	tombs map[keyspace.Key]map[overlay.Entry]int64
+	tombs map[keyspace.Key][]Tombstone
 }
 
 var _ Store = (*MemStore)(nil)
@@ -204,7 +231,7 @@ var _ Store = (*MemStore)(nil)
 func NewMemStore() *MemStore {
 	return &MemStore{
 		m:     make(map[keyspace.Key][]overlay.Entry),
-		tombs: make(map[keyspace.Key]map[overlay.Entry]int64),
+		tombs: make(map[keyspace.Key][]Tombstone),
 	}
 }
 
@@ -219,9 +246,20 @@ func (s *MemStore) Get(key keyspace.Key) []overlay.Entry {
 	return out
 }
 
+// Has reports whether e is a live entry under key, without copying the
+// set.
+func (s *MemStore) Has(key keyspace.Key, e overlay.Entry) bool {
+	_, found := slices.BinarySearchFunc(s.m[key], e, CompareEntries)
+	return found
+}
+
+// Holds reports whether key has live entries: the keys ForEach visits
+// and Len counts.
+func (s *MemStore) Holds(key keyspace.Key) bool { return len(s.m[key]) > 0 }
+
 // Put implements Store.
 func (s *MemStore) Put(key keyspace.Key, e overlay.Entry) (bool, error) {
-	if _, dead := s.tombs[key][e]; dead {
+	if s.Tombstoned(key, e) {
 		return false, nil
 	}
 	set, added := InsertEntry(s.m[key], e)
@@ -233,78 +271,66 @@ func (s *MemStore) Put(key keyspace.Key, e overlay.Entry) (bool, error) {
 
 // Remove implements Store.
 func (s *MemStore) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
-	removed := s.removeLive(key, e)
+	removed := s.Has(key, e)
 	s.entombOne(key, Tombstone{Entry: e, At: time.Now().UnixNano()})
 	return removed, nil
 }
 
-// removeLive deletes the live entry e under key, reporting whether it
-// was present.
-func (s *MemStore) removeLive(key keyspace.Key, e overlay.Entry) bool {
-	entries, removed := DeleteEntry(s.m[key], e)
-	if !removed {
+// entombOne deletes t's live entry under key and records t keeping the
+// latest At, reporting whether the tombstone was new or refreshed.
+func (s *MemStore) entombOne(key keyspace.Key, t Tombstone) bool {
+	if entries, removed := DeleteEntry(s.m[key], t.Entry); removed {
+		s.setEntries(key, entries)
+	}
+	set := s.tombs[key]
+	i, found := slices.BinarySearchFunc(set, t, compareTombstones)
+	if !found {
+		s.tombs[key] = slices.Insert(set, i, t)
+		return true
+	}
+	if set[i].At >= t.At {
 		return false
 	}
+	set[i].At = t.At
+	return true
+}
+
+// setEntries stores key's (sorted) entry set; an empty set deletes the
+// key from the live map.
+func (s *MemStore) setEntries(key keyspace.Key, entries []overlay.Entry) {
 	if len(entries) == 0 {
 		delete(s.m, key)
 	} else {
 		s.m[key] = entries
 	}
-	return true
-}
-
-// entombOne records t under key keeping the latest At, reporting
-// whether the tombstone was new or refreshed.
-func (s *MemStore) entombOne(key keyspace.Key, t Tombstone) bool {
-	m := s.tombs[key]
-	if m == nil {
-		m = make(map[overlay.Entry]int64)
-		s.tombs[key] = m
-	}
-	if at, ok := m[t.Entry]; ok && at >= t.At {
-		return false
-	}
-	m[t.Entry] = t.At
-	return true
 }
 
 // Replace implements Store.
 func (s *MemStore) Replace(key keyspace.Key, entries []overlay.Entry, tombs []Tombstone) error {
-	if len(entries) == 0 {
-		delete(s.m, key)
-	} else {
-		s.m[key] = SortedEntries(entries)
-	}
+	s.setEntries(key, SortedEntries(entries))
 	if len(tombs) == 0 {
 		delete(s.tombs, key)
 	} else {
-		m := make(map[overlay.Entry]int64, len(tombs))
-		for _, t := range tombs {
-			if at, ok := m[t.Entry]; !ok || t.At > at {
-				m[t.Entry] = t.At
-			}
-		}
-		s.tombs[key] = m
+		s.tombs[key] = sortedTombstones(tombs)
 	}
 	return nil
 }
 
 // Tombstoned implements Store.
 func (s *MemStore) Tombstoned(key keyspace.Key, e overlay.Entry) bool {
-	_, dead := s.tombs[key][e]
+	_, dead := slices.BinarySearchFunc(s.tombs[key], Tombstone{Entry: e}, compareTombstones)
 	return dead
 }
 
 // Tombstones implements Store.
 func (s *MemStore) Tombstones(key keyspace.Key) []Tombstone {
-	return tombstoneSlice(s.tombs[key])
+	return slices.Clone(s.tombs[key])
 }
 
 // Entomb implements Store.
 func (s *MemStore) Entomb(key keyspace.Key, tombs []Tombstone) (int, error) {
 	fresh := 0
 	for _, t := range tombs {
-		s.removeLive(key, t.Entry)
 		if s.entombOne(key, t) {
 			fresh++
 		}
@@ -314,45 +340,39 @@ func (s *MemStore) Entomb(key keyspace.Key, tombs []Tombstone) (int, error) {
 
 // ForEachTombstone implements Store.
 func (s *MemStore) ForEachTombstone(fn func(key keyspace.Key, tombs []Tombstone) bool) {
-	for k, m := range s.tombs {
-		if len(m) == 0 {
-			continue
-		}
-		if !fn(k, tombstoneSlice(m)) {
+	for k, tombs := range s.tombs {
+		if !fn(k, tombs) {
 			return
 		}
 	}
 }
 
+// TombstonesBefore reports whether GCTombstones(before) would collect
+// anything, without collecting it.
+func (s *MemStore) TombstonesBefore(before int64) bool {
+	for _, tombs := range s.tombs {
+		for _, t := range tombs {
+			if t.At < before {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // GCTombstones implements Store.
 func (s *MemStore) GCTombstones(before int64) (int, error) {
 	collected := 0
-	for k, m := range s.tombs {
-		for e, at := range m {
-			if at < before {
-				delete(m, e)
-				collected++
-			}
-		}
-		if len(m) == 0 {
+	for k, tombs := range s.tombs {
+		kept := slices.DeleteFunc(tombs, func(t Tombstone) bool { return t.At < before })
+		collected += len(tombs) - len(kept)
+		if len(kept) == 0 {
 			delete(s.tombs, k)
+		} else {
+			s.tombs[k] = kept
 		}
 	}
 	return collected, nil
-}
-
-// tombstoneSlice copies a tombstone map into a sorted slice (stable
-// order keeps digests and tests deterministic).
-func tombstoneSlice(m map[overlay.Entry]int64) []Tombstone {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]Tombstone, 0, len(m))
-	for e, at := range m {
-		out = append(out, Tombstone{Entry: e, At: at})
-	}
-	slices.SortFunc(out, compareTombstones)
-	return out
 }
 
 // ForEach implements Store.

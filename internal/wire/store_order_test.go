@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -73,26 +74,34 @@ func checkStore(t *testing.T, st wire.Store, m *storeModel, keys []keyspace.Key,
 	}
 }
 
-// TestStoreKeepsEntrySetsSorted drives every Store shape through a random
-// interleaving of all its mutators — Replace fed shuffled sets with a
-// repeated entry — and, for the durable shapes, through a close and
-// reopen that recovers by WAL replay alone or by snapshot plus WAL tail.
-func TestStoreKeepsEntrySetsSorted(t *testing.T) {
-	type shape struct {
-		name string
-		open func(dir string) (wire.Store, error)
-		disk bool // recovers from dir: reopened and checked again
-	}
-	durableShape := func(name string, stripes, snapshotEvery int) shape {
-		return shape{name: name, disk: true, open: func(dir string) (wire.Store, error) {
+// storeShape is one way of assembling a wire.Store; the order contract
+// and the reference comparison below bind all of them alike.
+type storeShape struct {
+	name string
+	open func(dir string) (wire.Store, error)
+	disk bool // recovers from dir: reopened and checked again
+	// dirs lists the durable data directories under dir (durable.Dump
+	// reads one at a time).
+	dirs func(dir string) []string
+}
+
+func storeShapes() []storeShape {
+	durableShape := func(name string, stripes, snapshotEvery int) storeShape {
+		return storeShape{name: name, disk: true, open: func(dir string) (wire.Store, error) {
 			opts := durable.Options{SnapshotEvery: snapshotEvery}
 			if stripes == 0 {
 				return durable.Open(dir, opts)
 			}
 			return durable.OpenSharded(dir, stripes, opts)
+		}, dirs: func(dir string) []string {
+			if stripes == 0 {
+				return []string{dir}
+			}
+			stripeDirs, _ := filepath.Glob(filepath.Join(dir, "stripe-*"))
+			return stripeDirs
 		}}
 	}
-	shapes := []shape{
+	return []storeShape{
 		{name: "MemStore", open: func(string) (wire.Store, error) { return wire.NewMemStore(), nil }},
 		{name: "ShardedStore", open: func(string) (wire.Store, error) { return wire.NewShardedMemStore(4), nil }},
 		durableShape("durable.Store/wal-replay", 0, -1),
@@ -100,17 +109,35 @@ func TestStoreKeepsEntrySetsSorted(t *testing.T) {
 		durableShape("durable.OpenSharded/wal-replay", 4, -1),
 		durableShape("durable.OpenSharded/snapshot", 4, 8),
 	}
+}
+
+// orderKeys and orderPool are the small key and entry universes both
+// tests draw from, so that puts, removes and ships keep colliding.
+func orderKeys() []keyspace.Key {
 	keys := make([]keyspace.Key, 6)
 	for i := range keys {
 		keys[i] = keyspace.NewKey(fmt.Sprintf("key-%d", i))
 	}
+	return keys
+}
+
+func orderPool() []overlay.Entry {
 	var pool []overlay.Entry
 	for _, kind := range []string{"index", "data"} {
 		for v := 0; v < 10; v++ {
 			pool = append(pool, overlay.Entry{Kind: kind, Value: fmt.Sprintf("v%02d", 9-v)})
 		}
 	}
-	for _, sh := range shapes {
+	return pool
+}
+
+// TestStoreKeepsEntrySetsSorted drives every Store shape through a random
+// interleaving of all its mutators — Replace fed shuffled sets with a
+// repeated entry — and, for the durable shapes, through a close and
+// reopen that recovers by WAL replay alone or by snapshot plus WAL tail.
+func TestStoreKeepsEntrySetsSorted(t *testing.T) {
+	keys, pool := orderKeys(), orderPool()
+	for _, sh := range storeShapes() {
 		t.Run(sh.name, func(t *testing.T) {
 			dir := t.TempDir()
 			st, err := sh.open(dir)
@@ -190,6 +217,228 @@ func TestStoreKeepsEntrySetsSorted(t *testing.T) {
 				t.Fatalf("reopen recovered nothing: %+v", rs)
 			}
 			must(st.Close())
+		})
+	}
+}
+
+// Tombstone times in the reference sequence come from three ranges that
+// cannot meet: "old" stamps (below 1000), whatever the local clock gives a
+// Remove, and "late" stamps a century ahead. Remove's stamps differ from
+// store to store, so comparisons fold them onto localAt, which sorts
+// between the other two like the clock itself does.
+const (
+	lateAt  = int64(4102444800) * int64(time.Second) // 2100-01-01
+	localAt = int64(2000)
+)
+
+// keyState is what one key holds, with local-clock stamps folded.
+type keyState struct {
+	Entries []overlay.Entry
+	Tombs   []wire.Tombstone
+}
+
+func foldLocal(tombs []wire.Tombstone) []wire.Tombstone {
+	for i := range tombs {
+		if tombs[i].At > 1000 && tombs[i].At < lateAt {
+			tombs[i].At = localAt
+		}
+	}
+	return tombs
+}
+
+// stateOf reads every key's state through the Store interface, failing
+// the test if Tombstones, Tombstoned and ForEachTombstone disagree with
+// one another or a tombstone set is not strictly CompareEntries-sorted.
+func stateOf(t *testing.T, st wire.Store, when string) map[keyspace.Key]keyState {
+	t.Helper()
+	state := make(map[keyspace.Key]keyState)
+	walked := make(map[keyspace.Key][]wire.Tombstone)
+	st.ForEachTombstone(func(k keyspace.Key, tombs []wire.Tombstone) bool {
+		if _, twice := walked[k]; twice || len(tombs) == 0 {
+			t.Errorf("%s: ForEachTombstone(%s) visited twice or empty: %v", when, k.Short(), tombs)
+		}
+		walked[k] = slices.Clone(tombs)
+		return true
+	})
+	for _, k := range orderKeys() {
+		tombs := st.Tombstones(k)
+		if !slices.Equal(tombs, walked[k]) {
+			t.Fatalf("%s: Tombstones(%s) = %v, ForEachTombstone gave %v", when, k.Short(), tombs, walked[k])
+		}
+		for i := 1; i < len(tombs); i++ {
+			if wire.CompareEntries(tombs[i-1].Entry, tombs[i].Entry) >= 0 {
+				t.Fatalf("%s: Tombstones(%s) not strictly sorted: %v", when, k.Short(), tombs)
+			}
+		}
+		for _, e := range orderPool() {
+			held := slices.ContainsFunc(tombs, func(t wire.Tombstone) bool { return t.Entry == e })
+			if st.Tombstoned(k, e) != held {
+				t.Fatalf("%s: Tombstoned(%s, %v) = %v, Tombstones lists it: %v", when, k.Short(), e, !held, held)
+			}
+		}
+		delete(walked, k)
+		if entries := st.Get(k); len(entries)+len(tombs) > 0 {
+			state[k] = keyState{Entries: entries, Tombs: foldLocal(tombs)}
+		}
+	}
+	if len(walked) > 0 {
+		t.Fatalf("%s: ForEachTombstone visited keys nobody wrote: %v", when, walked)
+	}
+	return state
+}
+
+// driveReference applies one seeded sequence of every mutator to st — the
+// same sequence whatever st answers — and returns the tombstones it must
+// leave behind: per key and entry the latest At given (localAt where a
+// Remove's stamp is the latest), less what a GC round collected.
+func driveReference(t *testing.T, st wire.Store) map[keyspace.Key]map[overlay.Entry]int64 {
+	t.Helper()
+	keys, pool := orderKeys(), orderPool()
+	rng := rand.New(rand.NewSource(19))
+	want := make(map[keyspace.Key]map[overlay.Entry]int64)
+	entomb := func(k keyspace.Key, tombs []wire.Tombstone) {
+		if want[k] == nil {
+			want[k] = make(map[overlay.Entry]int64)
+		}
+		for _, tomb := range tombs {
+			if at, ok := want[k][tomb.Entry]; !ok || tomb.At > at {
+				want[k][tomb.Entry] = tomb.At
+			}
+		}
+	}
+	// tombs draws n tombstones, the first entry twice: re-entombed at an
+	// older or a newer time, in no particular order.
+	tombs := func(n int) []wire.Tombstone {
+		out := make([]wire.Tombstone, 0, n+1)
+		for i := 0; i < n; i++ {
+			at := 100 + rng.Int63n(800) // the repeat below stays inside the range
+			if rng.Intn(2) == 0 {
+				at += lateAt
+			}
+			out = append(out, wire.Tombstone{Entry: pool[rng.Intn(len(pool))], At: at})
+		}
+		return append(out, wire.Tombstone{Entry: out[0].Entry, At: out[0].At + rng.Int63n(100) - 50})
+	}
+	for op := 0; op < 1200; op++ {
+		k, e := keys[rng.Intn(len(keys))], pool[rng.Intn(len(pool))]
+		var err error
+		switch r := rng.Intn(20); {
+		case r < 8:
+			_, err = st.Put(k, e) // a duplicate or a suppressed put, often
+		case r < 11:
+			_, err = st.Remove(k, e)
+			entomb(k, []wire.Tombstone{{Entry: e, At: localAt}})
+		case r < 15:
+			ts := tombs(1 + rng.Intn(3))
+			_, err = st.Entomb(k, ts)
+			entomb(k, ts)
+		case r < 18:
+			set := make([]overlay.Entry, 0, 8)
+			for _, i := range rng.Perm(len(pool))[:rng.Intn(7)] {
+				set = append(set, pool[i])
+			}
+			if len(set) > 0 {
+				set = append(set, set[0])
+			}
+			var ts []wire.Tombstone
+			if rng.Intn(4) > 0 {
+				ts = tombs(1 + rng.Intn(3))
+			}
+			err = st.Replace(k, set, ts)
+			delete(want, k)
+			entomb(k, ts)
+		default:
+			before := int64(500) // half the old stamps
+			if r == 19 {
+				before = lateAt // every old and every local one
+			}
+			_, err = st.GCTombstones(before)
+			for _, m := range want {
+				for e, at := range m {
+					if at < before {
+						delete(m, e)
+					}
+				}
+			}
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+	}
+	return want
+}
+
+// TestStoreOrderMatchesReference holds every Store shape to the plain
+// MemStore: after the same sequence of all five mutators — duplicate
+// puts, re-entombs at older and newer times, ships in arbitrary order
+// with repeats, partial and full GC rounds — each must read exactly as
+// the reference does through Get, Tombstones, Tombstoned and
+// ForEachTombstone, and the reference's tombstones must be the latest
+// ones given. The durable shapes must do so again after a reopen, and
+// offline through durable.Dump.
+func TestStoreOrderMatchesReference(t *testing.T) {
+	ref := wire.NewMemStore()
+	want := driveReference(t, ref)
+	refState := stateOf(t, ref, "reference")
+	kept := 0
+	for _, k := range orderKeys() {
+		got := make(map[overlay.Entry]int64)
+		for _, tomb := range refState[k].Tombs {
+			got[tomb.Entry] = tomb.At
+		}
+		if len(got) != len(want[k]) {
+			t.Fatalf("reference key %s holds tombstones %v, want %v", k.Short(), got, want[k])
+		}
+		for e, at := range want[k] {
+			if got[e] != at {
+				t.Fatalf("reference key %s: tombstone %v at %d, want the latest given, %d", k.Short(), e, got[e], at)
+			}
+		}
+		kept += len(got)
+	}
+	if kept == 0 {
+		t.Fatal("the sequence left no tombstone behind: it proves nothing")
+	}
+	for _, sh := range storeShapes() {
+		t.Run(sh.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := sh.open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveReference(t, st)
+			if got := stateOf(t, st, "after the last op"); !reflect.DeepEqual(got, refState) {
+				t.Fatalf("after the last op:\n got %v\nwant %v", got, refState)
+			}
+			if st.Len() != ref.Len() {
+				t.Fatalf("Len() = %d, reference %d", st.Len(), ref.Len())
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !sh.disk {
+				return
+			}
+			dumped := make(map[keyspace.Key]keyState)
+			for _, d := range sh.dirs(dir) {
+				keys, err := durable.Dump(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, dk := range keys {
+					dumped[dk.Key] = keyState{Entries: dk.Entries, Tombs: foldLocal(dk.Tombstones)}
+				}
+			}
+			if !reflect.DeepEqual(dumped, refState) {
+				t.Fatalf("durable.Dump:\n got %v\nwant %v", dumped, refState)
+			}
+			if st, err = sh.open(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if got := stateOf(t, st, "after reopen"); !reflect.DeepEqual(got, refState) {
+				t.Fatalf("after reopen:\n got %v\nwant %v", got, refState)
+			}
 		})
 	}
 }
