@@ -18,7 +18,6 @@ import (
 
 	"dhtindex/internal/soak"
 	"dhtindex/internal/telemetry"
-	"dhtindex/internal/wire"
 )
 
 // ingestOpts bundles the -ingest flag values.
@@ -41,16 +40,14 @@ var errIngestGate = errors.New("ingest gate failed")
 // runIngestMode executes the continuous-ingest soak and holds it to the
 // scenario gates.
 func runIngestMode(o ingestOpts, reg *telemetry.Registry, metricsAddr, metricsOut string) error {
-	report, err := soak.RunIngest(soak.IngestConfig{
-		Wire: wire.SoakConfig{
-			Nodes:    o.nodes,
-			Ops:      o.ops,
-			DropProb: o.drop,
-			Latency:  o.latency,
-			Seed:     o.seed,
-			Log: func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			},
+	report, err := soak.RunIngest(soak.Config{
+		Nodes:    o.nodes,
+		Ops:      o.ops,
+		DropProb: o.drop,
+		Latency:  o.latency,
+		Seed:     o.seed,
+		Log: func(format string, args ...any) {
+			fmt.Printf(format+"\n", args...)
 		},
 		Documents:       o.docs,
 		FreshnessBudget: o.budget,
@@ -58,12 +55,12 @@ func runIngestMode(o ingestOpts, reg *telemetry.Registry, metricsAddr, metricsOu
 		Telemetry:       reg,
 	})
 	if err != nil {
-		return err
+		return failWithMetrics(reg, metricsOut, err)
 	}
 
 	fmt.Printf("\ningest report (seed %d)\n", o.seed)
 	fmt.Printf("  ring:      %d -> %d nodes, converged=%v, %d wire keys acked, %d lost\n",
-		o.nodes, report.SurvivingNodes, report.Converged, report.SoakReport.Acked, len(report.LostKeys))
+		o.nodes, report.SurvivingNodes, report.Converged, report.StormReport.Acked, len(report.LostKeys))
 	fmt.Printf("  stream:    %d enqueued, %d acked (%d poison), %d published, %d dead-lettered\n",
 		report.Enqueued, report.Acked, report.Poison, report.Published, report.DeadLettered)
 	fmt.Printf("  retries:   %d budgeted retries, %d overload backoffs, %d shed\n",

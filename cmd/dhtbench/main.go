@@ -234,15 +234,13 @@ func runSoak(o soakOpts, reg *telemetry.Registry, metricsAddr, metricsOut string
 	sink := telemetry.NewJSONLSink(tf)
 
 	report, err := soak.Run(soak.Config{
-		Wire: wire.SoakConfig{
-			Nodes:    o.nodes,
-			Ops:      o.ops,
-			DropProb: o.drop,
-			Latency:  o.latency,
-			Seed:     o.seed,
-			Log: func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			},
+		Nodes:    o.nodes,
+		Ops:      o.ops,
+		DropProb: o.drop,
+		Latency:  o.latency,
+		Seed:     o.seed,
+		Log: func(format string, args ...any) {
+			fmt.Printf(format+"\n", args...)
 		},
 		Repair:       o.repair,
 		Restart:      o.restart,
@@ -252,11 +250,13 @@ func runSoak(o soakOpts, reg *telemetry.Registry, metricsAddr, metricsOut string
 		Telemetry:    reg,
 		TraceSink:    sink,
 	})
-	if err != nil {
-		return err
+	// Flush before looking at the harness error (a failed degraded-lookup
+	// probe included): that run's traces are the ones worth inspecting.
+	if ferr := sink.Flush(); ferr != nil && err == nil {
+		err = fmt.Errorf("flush traces: %w", ferr)
 	}
-	if err := sink.Flush(); err != nil {
-		return fmt.Errorf("flush traces: %w", err)
+	if err != nil {
+		return failWithMetrics(reg, metricsOut, err)
 	}
 	fmt.Fprintf(os.Stderr, "dhtbench: %d traces written to %s\n", report.Traces, tracePath)
 
@@ -400,7 +400,7 @@ func writeSplitReport(path string, report soak.Report) error {
 		RemoveFailures    int
 		Resurrections     []string
 		ReplicaViolations []string
-		Episodes          []wire.PartitionEpisode
+		Episodes          []soak.PartitionEpisode
 		Merges            wire.MergeStats
 		Tombstones        wire.TombstoneStats
 		Faults            wire.FaultStats
@@ -426,6 +426,16 @@ func writeSplitReport(path string, report soak.Report) error {
 	}
 	fmt.Fprintf(os.Stderr, "dhtbench: split-brain report written to %s\n", path)
 	return nil
+}
+
+// failWithMetrics returns a harness error after writing the metrics
+// snapshot all the same, so CI's always() uploads hold the snapshot of
+// exactly the runs worth inspecting.
+func failWithMetrics(reg *telemetry.Registry, path string, err error) error {
+	if merr := emitMetrics(reg, path); merr != nil {
+		fmt.Fprintln(os.Stderr, "dhtbench:", merr)
+	}
+	return err
 }
 
 // emitMetrics writes the registry's text snapshot to a file when asked.

@@ -15,104 +15,27 @@ import (
 	"dhtindex/internal/wire"
 )
 
-// IngestConfig parameterizes the continuous-ingest soak: a crawl-rate
-// document stream fed through an ingest.Pipeline into a ring that is
-// simultaneously being stormed (drops, latency, crashes, partitions),
-// with the ingester itself crash-restarted mid-stream. The zero value
-// gets scenario-shaped defaults; the wire storm is configured through
-// Wire.
-type IngestConfig struct {
-	// Wire is the underlying churn-soak configuration. Its
-	// Telemetry/Setup/OnOp/PostStorm hooks are owned by this package and
-	// must be left nil.
-	Wire wire.SoakConfig
-	// Pipeline tunes the ingest pipeline under test. Zero fields get
-	// soak-shaped defaults rather than ingest's production defaults: a
-	// short FreshnessTTL (4s) and RepublishInterval (500ms) so the
-	// republisher demonstrably fires within the run, and a publish retry
-	// cap of 8 so storm-transient failures don't quarantine healthy
-	// documents.
-	Pipeline ingest.Config
-	// Documents is the corpus size streamed through the pipeline during
-	// the storm (default 40).
-	Documents int
-	// PoisonEvery injects one poison document (blank title — its MSD is
-	// not concrete, so publication can never succeed) per this many
-	// documents (default 10; negative disables). Every acked poison
-	// document must end up dead-lettered, never visible.
-	PoisonEvery int
-	// FreshnessBudget is the ack-to-visibility SLO: every acked
-	// non-poison document must be observable at its MSD key within this
-	// budget of its enqueue ack (default 15s).
-	FreshnessBudget time.Duration
-	// RestartAtOp is the storm op at which the ingester is crash-stopped
-	// (ingest.Pipeline.Kill — no graceful drain) and reopened on the
-	// same spool directory (default Ops/2; negative disables). The
-	// restarted pipeline must recover its spool and lose nothing.
-	RestartAtOp int
-	// ProbePerOp is how many acked-but-unverified documents are probed
-	// for visibility per storm op (default 4).
-	ProbePerOp int
-	// SpoolDir is the pipeline's durable spool directory. Empty means a
-	// fresh temporary directory, removed when the run finishes; a
-	// caller-provided directory is kept (inspect it afterwards with
-	// `indexctl queue`).
-	SpoolDir string
-	// Scheme selects the indexing scheme documents are published under
-	// (default index.Simple).
-	Scheme index.Scheme
-	// Telemetry, when non-nil, receives the wire layer's series plus the
-	// index service's counters and the pipeline's ingest_* series.
-	Telemetry *telemetry.Registry
+// probePerOp is how many acked-but-unverified documents RunIngest probes
+// for visibility per storm op, so probing never dominates the storm.
+const probePerOp = 4
+
+// ingestPipeline tunes the pipeline RunIngest puts under test. It is
+// soak-shaped rather than ingest's production defaults: a short
+// FreshnessTTL and RepublishInterval so the republisher demonstrably
+// fires within the run, and a publish retry cap of 8 so storm-transient
+// failures don't quarantine healthy documents.
+var ingestPipeline = ingest.Config{
+	QueueBound:        16,
+	PublishRetryCap:   8,
+	FreshnessTTL:      4 * time.Second,
+	RepublishInterval: 500 * time.Millisecond,
 }
 
-func (c IngestConfig) withDefaults() IngestConfig {
-	if c.Documents == 0 {
-		c.Documents = 40
-	}
-	if c.PoisonEvery == 0 {
-		c.PoisonEvery = 10
-	}
-	if c.FreshnessBudget == 0 {
-		c.FreshnessBudget = 15 * time.Second
-	}
-	if c.RestartAtOp == 0 {
-		c.RestartAtOp = c.wireOps() / 2
-	}
-	if c.ProbePerOp == 0 {
-		c.ProbePerOp = 4
-	}
-	if c.Scheme == nil {
-		c.Scheme = index.Simple
-	}
-	if c.Pipeline.QueueBound == 0 {
-		c.Pipeline.QueueBound = 16
-	}
-	if c.Pipeline.PublishRetryCap == 0 {
-		c.Pipeline.PublishRetryCap = 8
-	}
-	if c.Pipeline.FreshnessTTL == 0 {
-		c.Pipeline.FreshnessTTL = 4 * time.Second
-	}
-	if c.Pipeline.RepublishInterval == 0 {
-		c.Pipeline.RepublishInterval = 500 * time.Millisecond
-	}
-	return c
-}
-
-// wireOps mirrors wire.SoakConfig's Ops default for schedule math.
-func (c IngestConfig) wireOps() int {
-	if c.Wire.Ops > 0 {
-		return c.Wire.Ops
-	}
-	return 150
-}
-
-// IngestReport is the outcome of a continuous-ingest soak: the wire
-// layer's own report plus the ingest stream's accounting and the
+// IngestReport is the outcome of a continuous-ingest soak: the storm's
+// own report plus the ingest stream's accounting and the
 // scenario's pass/fail gates.
 type IngestReport struct {
-	wire.SoakReport
+	StormReport
 
 	// Enqueued is the number of documents offered to the pipeline.
 	Enqueued int `json:"enqueued"`
@@ -154,7 +77,7 @@ type IngestReport struct {
 	// DeadLetterReasons counts quarantined documents by reason.
 	DeadLetterReasons map[string]int `json:"dead_letter_reasons,omitempty"`
 	// SpoolDir is where the pipeline's spool lived (already removed when
-	// IngestConfig.SpoolDir was empty).
+	// Config.SpoolDir was empty).
 	SpoolDir string `json:"spool_dir,omitempty"`
 	// Violations lists every unmet scenario gate; empty is a pass.
 	Violations []string `json:"violations,omitempty"`
@@ -162,6 +85,18 @@ type IngestReport struct {
 
 // Passed reports whether every ingest-scenario gate held.
 func (r IngestReport) Passed() bool { return len(r.Violations) == 0 }
+
+// addPipeline adds one pipeline incarnation's final counters to the
+// report's totals.
+func (r *IngestReport) addPipeline(st ingest.Stats) {
+	r.Shed += st.Shed
+	r.Published += st.Published
+	r.Retries += st.Retries
+	r.OverloadBackoffs += st.OverloadBackoffs
+	r.DeadLettered += st.DeadLettered
+	r.Republished += st.Republished
+	r.RepublishFailures += st.RepublishFailures
+}
 
 // ingestDoc is one streamed document's scenario-side state.
 type ingestDoc struct {
@@ -173,16 +108,24 @@ type ingestDoc struct {
 	visibleAt time.Time
 }
 
-// RunIngest executes the continuous-ingest soak. The error is non-nil
-// only for harness failures (corpus generation, node boot, the ingester
-// refusing to reopen); scenario misbehaviour — lost acked documents,
-// freshness misses, surviving poison — is reported in the
+// RunIngest executes the continuous-ingest soak: a crawl-rate document
+// stream (Config.Documents, PoisonEvery, FreshnessBudget, SpoolDir) fed
+// through an ingest.Pipeline into a ring that is simultaneously being
+// stormed, with the ingester itself crash-restarted mid-stream. The error
+// is non-nil only for harness failures (corpus generation, node boot, the
+// ingester refusing to reopen); scenario misbehaviour — lost acked
+// documents, freshness misses, surviving poison — is reported in the
 // IngestReport's Violations for the caller to judge.
-func RunIngest(cfg IngestConfig) (IngestReport, error) {
+func RunIngest(cfg Config) (IngestReport, error) {
 	cfg = cfg.withDefaults()
 	var report IngestReport
+	// The ingester is crash-stopped (ingest.Pipeline.Kill — no graceful
+	// drain) halfway through the storm and reopened on the same spool
+	// directory; the restarted pipeline must recover its spool and lose
+	// nothing.
+	restartAtOp := cfg.Ops / 2
 
-	corpus, err := dataset.Generate(dataset.Config{Articles: cfg.Documents, Seed: cfg.Wire.Seed})
+	corpus, err := dataset.Generate(dataset.Config{Articles: cfg.Documents, Seed: cfg.Seed})
 	if err != nil {
 		return report, fmt.Errorf("soak: corpus: %w", err)
 	}
@@ -221,21 +164,20 @@ func RunIngest(cfg IngestConfig) (IngestReport, error) {
 
 	// Finish enqueuing by ~3/4 of the storm so late acks still get probe
 	// time before the storm ends.
-	spacing := (cfg.wireOps() * 3 / 4) / cfg.Documents
+	spacing := (cfg.Ops * 3 / 4) / cfg.Documents
 	if spacing < 1 {
 		spacing = 1
 	}
 
-	// Setup/OnOp/PostStorm run sequentially on the soak goroutine, so
-	// plain closure state suffices (the pipeline's own concurrency is
-	// internal to it).
+	// The hooks run sequentially on the storm's goroutine, so plain
+	// closure state suffices (the pipeline's own concurrency is internal
+	// to it).
 	var (
 		pipe        *ingest.Pipeline
 		pub         ingest.IndexPublisher
 		nextDoc     int
 		probeCursor int
 		restartErr  error
-		base        ingest.Stats // counters accumulated before the restart
 	)
 	defer func() {
 		if pipe != nil {
@@ -280,16 +222,14 @@ func RunIngest(cfg IngestConfig) (IngestReport, error) {
 		}
 	}
 
-	wcfg := cfg.Wire
-	wcfg.Telemetry = cfg.Telemetry
-
-	wcfg.Setup = func(c *wire.Cluster) error {
+	var h hooks
+	h.setup = func(c *wire.Cluster) error {
 		svc := index.New(c, cache.None, 0)
 		if cfg.Telemetry != nil {
-			svc.Instrument(cfg.Telemetry, telemetry.L("scheme", "ingest/"+cfg.Scheme.Name()))
+			svc.Instrument(cfg.Telemetry, telemetry.L("scheme", "ingest/"+scheme.Name()))
 		}
-		pub = ingest.IndexPublisher{Service: svc, Scheme: cfg.Scheme}
-		p, err := ingest.Open(spoolDir, pub, cfg.Pipeline)
+		pub = ingest.IndexPublisher{Service: svc, Scheme: scheme}
+		p, err := ingest.Open(spoolDir, pub, ingestPipeline)
 		if err != nil {
 			return fmt.Errorf("open ingest pipeline: %w", err)
 		}
@@ -300,14 +240,14 @@ func RunIngest(cfg IngestConfig) (IngestReport, error) {
 		return nil
 	}
 
-	wcfg.OnOp = func(op int, c *wire.Cluster) {
+	h.onOp = func(op int, c *wire.Cluster) {
 		if restartErr != nil {
 			return
 		}
 		if op%spacing == 0 {
 			enqueueNext()
 		}
-		if cfg.RestartAtOp > 0 && op == cfg.RestartAtOp && report.IngesterRestarts == 0 {
+		if restartAtOp > 0 && op == restartAtOp && report.IngesterRestarts == 0 {
 			// Crash the ingester mid-stream. Enqueue a small burst first
 			// so the spool very likely holds pending (not just published)
 			// records across the crash; Kill skips the graceful drain.
@@ -319,15 +259,8 @@ func RunIngest(cfg IngestConfig) (IngestReport, error) {
 			// counters are final — a publish completing between a
 			// pre-kill snapshot and the kill would otherwise vanish from
 			// the accumulated totals.
-			st := pipe.Stats()
-			base.Shed += st.Shed
-			base.Published += st.Published
-			base.Retries += st.Retries
-			base.OverloadBackoffs += st.OverloadBackoffs
-			base.DeadLettered += st.DeadLettered
-			base.Republished += st.Republished
-			base.RepublishFailures += st.RepublishFailures
-			p, err := ingest.Open(spoolDir, pub, cfg.Pipeline)
+			report.addPipeline(pipe.Stats())
+			p, err := ingest.Open(spoolDir, pub, ingestPipeline)
 			if err != nil {
 				restartErr = fmt.Errorf("reopen ingest pipeline after crash: %w", err)
 				return
@@ -343,7 +276,7 @@ func RunIngest(cfg IngestConfig) (IngestReport, error) {
 		// Round-robin visibility probes over acked-but-unverified
 		// documents, bounded per op so probing never dominates the storm.
 		probed := 0
-		for i := 0; i < len(docs) && probed < cfg.ProbePerOp; i++ {
+		for i := 0; i < len(docs) && probed < probePerOp; i++ {
 			d := &docs[(probeCursor+i)%len(docs)]
 			if !d.acked || d.poison || !d.visibleAt.IsZero() {
 				continue
@@ -354,7 +287,7 @@ func RunIngest(cfg IngestConfig) (IngestReport, error) {
 		probeCursor++
 	}
 
-	wcfg.PostStorm = func(c *wire.Cluster, _ *wire.FaultTransport) error {
+	h.postStorm = func(c *wire.Cluster, _ *wire.FaultTransport) error {
 		// Flush the stream: any documents the crawl schedule didn't reach
 		// go in now, then the queue must drain to terminal states.
 		for nextDoc < len(docs) {
@@ -389,9 +322,9 @@ func RunIngest(cfg IngestConfig) (IngestReport, error) {
 		// Hold the run until the republisher demonstrably fired: with the
 		// soak's short FreshnessTTL at least one refresh must land well
 		// within two TTL windows.
-		repDeadline := time.Now().Add(2 * cfg.Pipeline.FreshnessTTL)
+		repDeadline := time.Now().Add(2 * ingestPipeline.FreshnessTTL)
 		for time.Now().Before(repDeadline) {
-			if base.Republished+pipe.Stats().Republished > 0 {
+			if report.Republished+pipe.Stats().Republished > 0 {
 				break
 			}
 			time.Sleep(50 * time.Millisecond)
@@ -399,7 +332,7 @@ func RunIngest(cfg IngestConfig) (IngestReport, error) {
 		return nil
 	}
 
-	report.SoakReport, err = wire.RunSoak(wcfg)
+	report.StormReport, err = runStorm(cfg, h)
 	if err != nil {
 		return report, err
 	}
@@ -409,14 +342,7 @@ func RunIngest(cfg IngestConfig) (IngestReport, error) {
 
 	// Aggregate the pipeline's counters across the restart and fold the
 	// per-document outcomes into the report.
-	st := pipe.Stats()
-	report.Shed = base.Shed + st.Shed
-	report.Published = base.Published + st.Published
-	report.Retries = base.Retries + st.Retries
-	report.OverloadBackoffs = base.OverloadBackoffs + st.OverloadBackoffs
-	report.DeadLettered = base.DeadLettered + st.DeadLettered
-	report.Republished = base.Republished + st.Republished
-	report.RepublishFailures = base.RepublishFailures + st.RepublishFailures
+	report.addPipeline(pipe.Stats())
 
 	deadIDs := make(map[string]bool)
 	for _, dl := range pipe.DeadLetters() {
@@ -451,13 +377,13 @@ func RunIngest(cfg IngestConfig) (IngestReport, error) {
 		}
 	}
 
-	report.Violations = evaluateIngest(cfg, report)
+	report.Violations = evaluateIngest(restartAtOp > 0, report)
 	return report, nil
 }
 
 // evaluateIngest turns the report into the scenario's gate list; every
 // unmet criterion becomes one line. Empty is a pass.
-func evaluateIngest(cfg IngestConfig, r IngestReport) []string {
+func evaluateIngest(restarted bool, r IngestReport) []string {
 	var v []string
 	if !r.Converged {
 		v = append(v, "ring did not re-converge after the storm")
@@ -480,7 +406,7 @@ func evaluateIngest(cfg IngestConfig, r IngestReport) []string {
 	if n := len(r.PoisonSurvivors); n > 0 {
 		v = append(v, fmt.Sprintf("%d poison documents escaped quarantine: %v", n, r.PoisonSurvivors))
 	}
-	if cfg.RestartAtOp > 0 {
+	if restarted {
 		if r.IngesterRestarts != 1 {
 			v = append(v, fmt.Sprintf("ingester restarted %d times, want 1", r.IngesterRestarts))
 		} else if r.SpoolRecovered == 0 {

@@ -7,7 +7,6 @@ import (
 
 	"dhtindex/internal/soak"
 	"dhtindex/internal/telemetry"
-	"dhtindex/internal/wire"
 )
 
 // TestIngestSoakFreshnessUnderChurn runs the continuous-ingest scenario
@@ -22,15 +21,13 @@ func TestIngestSoakFreshnessUnderChurn(t *testing.T) {
 		t.Skip("ingest soak is a multi-second live-ring test")
 	}
 	reg := telemetry.NewRegistry()
-	report, err := soak.RunIngest(soak.IngestConfig{
-		Wire: wire.SoakConfig{
-			Nodes:      10,
-			Ops:        80,
-			Seed:       31,
-			DropProb:   0.08,
-			Latency:    2 * time.Millisecond,
-			CrashEvery: 45,
-		},
+	report, err := soak.RunIngest(soak.Config{
+		Nodes:       10,
+		Ops:         80,
+		Seed:        31,
+		DropProb:    0.08,
+		Latency:     2 * time.Millisecond,
+		CrashEvery:  45,
 		Documents:   18,
 		PoisonEvery: 6,
 		Telemetry:   reg,

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/index"
 	"dhtindex/internal/keyspace"
@@ -35,36 +34,11 @@ import (
 // at a rated arrival rate and then at a multiple of it with a flash
 // crowd concentrated on the most popular article. The zero value gets
 // defaults sized so the overload phase genuinely saturates the hot
-// node's admission controller on a single-core host.
+// node's admission controller on a single-core host. The ring, the
+// traffic mix and the SLO thresholds are the constants below.
 type LoadConfig struct {
-	// Nodes is the ring size (default 5 — small enough that the popularity
-	// skew concentrates real load on one node's key range).
-	Nodes int
-	// ReplicationFactor for the ring (default 1), so overloaded reads have
-	// a replica to fail over to.
-	ReplicationFactor int
-	// Articles is the corpus size (default 24; the paper's popularity fit
-	// renormalized to 24 articles puts ~39% of queries on rank 0).
-	Articles int
 	// Seed drives corpus generation, the query stream and the write coin.
 	Seed int64
-	// StabilizeInterval for the ring (default 50ms).
-	StabilizeInterval time.Duration
-	// RepairEvery is the number of stabilize rounds between anti-entropy
-	// repair rounds (default 1000 — effectively quiescent for a short
-	// run). Repair scans every owned key through the slowed store, so a
-	// production cadence would stall client traffic on scan artifacts
-	// rather than genuine overload; puts replicate synchronously, so
-	// read failover works without it, and the post-storm readback
-	// forces one RepairNow round per node to re-home anything overload
-	// routing misplaced.
-	RepairEvery int
-	// ServiceTime is the injected per-data-op store latency (default 3ms).
-	// The slowed store serializes its own data ops (see slowStore), so
-	// this makes each node a single-server queue with capacity
-	// ≈ 1/ServiceTime data ops/s — the knob that lets a test-sized
-	// arrival rate saturate a node.
-	ServiceTime time.Duration
 	// RatedRPS is the rated-phase arrival rate (default 150/s). Each
 	// directed lookup costs a few delayed store ops, concentrated by the
 	// popularity skew on the hottest node's key range, so the default
@@ -78,66 +52,14 @@ type LoadConfig struct {
 	// (default 3s each).
 	RatedDuration    time.Duration
 	OverloadDuration time.Duration
-	// FlashFraction is the share of overload-phase lookups aimed at the
-	// single hottest article (default 0.5).
-	FlashFraction float64
-	// WriteFraction is the share of arrivals that are writes — fresh
-	// unique keys whose acks are verified after the run (default 0.15).
-	WriteFraction float64
-	// MaxOutstanding bounds dispatched-but-unfinished operations; arrivals
-	// beyond it are counted as generator drops, not dispatched (default
-	// 512). This is a harness safety valve, not admission control — a
-	// healthy run never reaches it.
-	MaxOutstanding int
-	// RequestTimeout is the per-operation deadline (default 400ms). The
-	// retry layer stamps the remaining budget into each RPC, so servers
-	// can deadline-shed work the client has already abandoned.
-	RequestTimeout time.Duration
-	// Admission is each member's admission control; nil gets a
-	// load-harness default tighter than the server default (MaxInflight
-	// 32, MaxQueue 32, QueueTimeout 30ms) so saturation is reachable at
-	// test-sized rates. Handlers hold their slot across nested routing
-	// calls, so the inflight bound must stay well above the routing
-	// fan-through or slot-holding, not the store, becomes the bottleneck.
-	Admission *wire.AdmissionConfig
-	// Retry is the client retry policy; its Budget is armed with defaults
-	// when nil so retries stay a bounded fraction of fresh traffic.
-	Retry *wire.RetryPolicy
-	// Breaker is the per-peer circuit breaker policy; nil arms a default
-	// breaker (the product path diverts around an overloaded peer).
-	Breaker *wire.BreakerPolicy
-	// Scheme selects the indexing scheme (default index.Simple).
-	Scheme index.Scheme
-	// Policy selects the shortcut-cache policy (default cache.Single).
-	Policy cache.Policy
 	// Telemetry, when non-nil, receives every layer's metrics including
 	// the admission controllers' shed counters and load gauges.
 	Telemetry *telemetry.Registry
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
-	// SLO is the pass/fail gate (defaults applied per field).
-	SLO SLO
 }
 
 func (c LoadConfig) withDefaults() LoadConfig {
-	if c.Nodes == 0 {
-		c.Nodes = 5
-	}
-	if c.ReplicationFactor == 0 {
-		c.ReplicationFactor = 1
-	}
-	if c.Articles == 0 {
-		c.Articles = 24
-	}
-	if c.StabilizeInterval == 0 {
-		c.StabilizeInterval = 50 * time.Millisecond
-	}
-	if c.RepairEvery == 0 {
-		c.RepairEvery = 1000
-	}
-	if c.ServiceTime == 0 {
-		c.ServiceTime = 3 * time.Millisecond
-	}
 	if c.RatedRPS == 0 {
 		c.RatedRPS = 150
 	}
@@ -150,77 +72,86 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.OverloadDuration == 0 {
 		c.OverloadDuration = 3 * time.Second
 	}
-	if c.FlashFraction == 0 {
-		c.FlashFraction = 0.5
-	}
-	if c.WriteFraction == 0 {
-		c.WriteFraction = 0.15
-	}
-	if c.MaxOutstanding == 0 {
-		c.MaxOutstanding = 512
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 400 * time.Millisecond
-	}
-	if c.Admission == nil {
-		c.Admission = &wire.AdmissionConfig{
-			MaxInflight:  32,
-			MaxQueue:     32,
-			QueueTimeout: 30 * time.Millisecond,
-		}
-	}
-	if c.Breaker == nil {
-		c.Breaker = &wire.BreakerPolicy{Seed: c.Seed + 9}
-	}
-	if c.Scheme == nil {
-		c.Scheme = index.Simple
-	}
-	if c.Policy == 0 {
-		c.Policy = cache.Single
-	}
-	if c.Log == nil {
-		c.Log = func(string, ...any) {}
-	}
-	c.SLO = c.SLO.withDefaults()
 	return c
 }
 
-// SLO is the load run's pass/fail gate. Every unmet criterion becomes a
-// line in LoadReport.Violations; an empty list is a pass.
-type SLO struct {
-	// RatedP99 is the maximum p99 latency of successful operations at
-	// rated load (default 300ms — queueing on the skew-hot node puts a
-	// real tail on even a healthy rated phase).
-	RatedP99 time.Duration
-	// MinRatedSuccess is the minimum fraction of dispatched rated-phase
-	// operations that must succeed (default 0.9).
-	MinRatedSuccess float64
-	// MinGoodputFraction is the minimum overload-phase goodput as a
-	// fraction of rated-phase goodput (default 0.6): under 2–4x overload
-	// the ring must keep serving a proportional share, shedding the rest,
-	// instead of collapsing.
-	MinGoodputFraction float64
-	// MaxRetryFraction is the maximum fleet-wide retries-per-call ratio
-	// (default 0.25): the retry budget must keep retry traffic a bounded
-	// fraction of fresh traffic even while every retryable error fires.
-	MaxRetryFraction float64
+// The load run's fixed shape. These were configuration once; no test,
+// command or example ever set them, so each is its former default.
+const (
+	// loadNodes is the ring size — small enough that the popularity skew
+	// concentrates real load on one node's key range.
+	loadNodes = 5
+	// loadReplication gives overloaded reads a replica to fail over to.
+	loadReplication = 1
+	// loadArticles is the corpus size; the paper's popularity fit
+	// renormalized to 24 articles puts ~39% of queries on rank 0.
+	loadArticles      = 24
+	loadStabilizeTick = 50 * time.Millisecond
+	// loadRepairEvery is the number of stabilize rounds between
+	// anti-entropy repair rounds — effectively quiescent for a short run.
+	// Repair scans every owned key through the slowed store, so a
+	// production cadence would stall client traffic on scan artifacts
+	// rather than genuine overload; puts replicate synchronously, so
+	// read failover works without it, and the post-storm readback
+	// forces one RepairNow round per node to re-home anything overload
+	// routing misplaced.
+	loadRepairEvery = 1000
+	// serviceTime is the injected per-data-op store latency. The slowed
+	// store serializes its own data ops (see slowStore), so this makes
+	// each node a single-server queue with capacity ≈ 1/serviceTime data
+	// ops/s — what lets a test-sized arrival rate saturate a node.
+	serviceTime = 3 * time.Millisecond
+	// flashFraction is the share of overload-phase lookups aimed at the
+	// single hottest article.
+	flashFraction = 0.5
+	// writeFraction is the share of arrivals that are writes — fresh
+	// unique keys whose acks are verified after the run.
+	writeFraction = 0.15
+	// maxOutstanding bounds dispatched-but-unfinished operations;
+	// arrivals beyond it are counted as generator drops, not dispatched.
+	// This is a harness safety valve, not admission control — a healthy
+	// run never reaches it.
+	maxOutstanding = 512
+	// requestTimeout is the per-operation deadline. The retry layer
+	// stamps the remaining budget into each RPC, so servers can
+	// deadline-shed work the client has already abandoned.
+	requestTimeout = 400 * time.Millisecond
+	// loadReadbackTimeout is how long one acked write may take to read
+	// back once the load is gone.
+	loadReadbackTimeout = 10 * time.Second
+)
+
+// loadAdmission is each member's admission control, tighter than the
+// server default so saturation is reachable at test-sized rates.
+// Handlers hold their slot across nested routing calls, so the inflight
+// bound must stay well above the routing fan-through or slot-holding,
+// not the store, becomes the bottleneck.
+var loadAdmission = wire.AdmissionConfig{
+	MaxInflight:  32,
+	MaxQueue:     32,
+	QueueTimeout: 30 * time.Millisecond,
 }
 
-func (s SLO) withDefaults() SLO {
-	if s.RatedP99 == 0 {
-		s.RatedP99 = 300 * time.Millisecond
-	}
-	if s.MinRatedSuccess == 0 {
-		s.MinRatedSuccess = 0.9
-	}
-	if s.MinGoodputFraction == 0 {
-		s.MinGoodputFraction = 0.6
-	}
-	if s.MaxRetryFraction == 0 {
-		s.MaxRetryFraction = 0.25
-	}
-	return s
-}
+// The load run's pass/fail gate. Every unmet criterion becomes a line in
+// LoadReport.Violations; an empty list is a pass.
+const (
+	// sloRatedP99 is the maximum p99 latency of successful operations at
+	// rated load — queueing on the skew-hot node puts a real tail on
+	// even a healthy rated phase.
+	sloRatedP99 = 300 * time.Millisecond
+	// sloMinRatedSuccess is the minimum fraction of dispatched
+	// rated-phase operations that must succeed.
+	sloMinRatedSuccess = 0.9
+	// sloMinGoodputFraction is the minimum overload-phase goodput as a
+	// fraction of rated-phase goodput: under 2–4x overload the ring must
+	// keep serving a proportional share, shedding the rest, instead of
+	// collapsing.
+	sloMinGoodputFraction = 0.6
+	// sloMaxRetryFraction is the maximum fleet-wide retries-per-call
+	// ratio: the retry budget must keep retry traffic a bounded fraction
+	// of fresh traffic even while every retryable error fires.
+	sloMaxRetryFraction = 0.25
+)
 
 // PhaseReport is one load phase's accounting.
 type PhaseReport struct {
@@ -282,7 +213,7 @@ func (r LoadReport) Passed() bool { return len(r.Violations) == 0 }
 // slowStore injects a fixed service time into a store's data operations
 // (Get/Put — the ops client traffic lands on). The sleep happens under
 // the store's OWN mutex, turning each node into a single-server queue
-// with capacity ≈ 1/delay data ops per second. The mutex is load-bearing:
+// with capacity ≈ 1/serviceTime data ops per second. The mutex is load-bearing:
 // since the node's data path was sharded off the routing lock (DESIGN.md
 // §17), concurrent reads no longer serialize anywhere else, and an
 // unserialized sleep would model infinite parallel servers — pure added
@@ -291,20 +222,19 @@ func (r LoadReport) Passed() bool { return len(r.Violations) == 0 }
 // so repair and handoff are not throttled.
 type slowStore struct {
 	wire.Store
-	delay time.Duration
-	mu    *sync.Mutex
+	mu *sync.Mutex
 }
 
 func (s slowStore) Get(key keyspace.Key) []overlay.Entry {
 	s.mu.Lock()
-	time.Sleep(s.delay)
+	time.Sleep(serviceTime)
 	s.mu.Unlock()
 	return s.Store.Get(key)
 }
 
 func (s slowStore) Put(key keyspace.Key, e overlay.Entry) (bool, error) {
 	s.mu.Lock()
-	time.Sleep(s.delay)
+	time.Sleep(serviceTime)
 	s.mu.Unlock()
 	return s.Store.Put(key, e)
 }
@@ -359,85 +289,46 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	start := time.Now()
 	var report LoadReport
 
-	corpus, err := dataset.Generate(dataset.Config{Articles: cfg.Articles, Seed: cfg.Seed})
+	articles, gen, err := corpusAndQueries(loadArticles, cfg.Seed)
 	if err != nil {
-		return report, fmt.Errorf("load: corpus: %w", err)
+		return report, fmt.Errorf("load: %w", err)
 	}
-	gen, err := workload.NewGeneratorWith(corpus.Articles, workload.PaperStructureModel(), cfg.Seed+41, 0.063, 0.3)
+	flash := workload.NewFlashCrowd(gen, flashFraction, cfg.Seed+7)
+
+	// Boot the ring with its fault layer idle: every member runs
+	// admission control over a slowed store; members and the cluster
+	// client retry under a token budget — so retries stay a bounded
+	// fraction of fresh traffic — and a per-peer breaker (the product
+	// path diverts around an overloaded peer).
+	r, err := bootRing(Config{
+		Nodes:             loadNodes,
+		Seed:              cfg.Seed,
+		ReplicationFactor: loadReplication,
+		StabilizeInterval: loadStabilizeTick,
+		Telemetry:         cfg.Telemetry,
+		Log:               cfg.Log,
+		StoreFor: func(int) (wire.Store, error) {
+			return slowStore{Store: wire.NewMemStore(), mu: new(sync.Mutex)}, nil
+		},
+	}.withDefaults(), wire.Config{
+		RepairEvery: loadRepairEvery,
+		Admission:   &loadAdmission,
+		Retry: &wire.RetryPolicy{
+			Budget:  &wire.RetryBudget{},
+			Breaker: &wire.BreakerPolicy{Seed: cfg.Seed + 9},
+		},
+	})
 	if err != nil {
-		return report, fmt.Errorf("load: generator: %w", err)
+		return report, fmt.Errorf("load: %w", err)
 	}
-	flash := workload.NewFlashCrowd(gen, cfg.FlashFraction, cfg.Seed+7)
-
-	// Boot the ring: every member runs admission control over a slowed
-	// store; the cluster client runs retries under a token budget and a
-	// per-peer breaker.
-	base := wire.NewMemTransport()
-	var policy wire.RetryPolicy
-	if cfg.Retry != nil {
-		policy = *cfg.Retry
-	}
-	policy.Seed = cfg.Seed + 2
-	if policy.Budget == nil {
-		policy.Budget = &wire.RetryBudget{}
-	}
-	policy.Breaker = cfg.Breaker
-	rt := wire.NewRetryingTransport(base, policy)
-	cluster := wire.NewCluster(rt, cfg.Seed+3, cfg.ReplicationFactor)
-
-	nodes := make([]*wire.Node, 0, cfg.Nodes)
-	defer func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
-	var bootstrap string
-	for i := 0; i < cfg.Nodes; i++ {
-		p := policy
-		p.Seed = cfg.Seed + 10 + int64(i)
-		n, err := wire.Start(wire.Config{
-			Transport:         base,
-			Addr:              "mem:0",
-			StabilizeInterval: cfg.StabilizeInterval,
-			RepairEvery:       cfg.RepairEvery,
-			ReplicationFactor: cfg.ReplicationFactor,
-			Retry:             &p,
-			SuccFailThreshold: 2,
-			Admission:         cfg.Admission,
-			Store:             slowStore{Store: wire.NewMemStore(), delay: cfg.ServiceTime, mu: new(sync.Mutex)},
-		})
-		if err != nil {
-			return report, fmt.Errorf("load: start node %d: %w", i, err)
-		}
-		nodes = append(nodes, n)
-		if bootstrap == "" {
-			bootstrap = n.Addr()
-		} else if err := n.Join(bootstrap); err != nil {
-			return report, fmt.Errorf("load: join node %d: %w", i, err)
-		}
-		cluster.Track(n.Addr())
-	}
-	if cfg.Telemetry != nil {
-		cluster.Instrument(cfg.Telemetry)
-		rt.Instrument(cfg.Telemetry)
-		for _, n := range nodes {
-			n.Instrument(cfg.Telemetry)
-		}
-	}
-	if err := cluster.WaitConverged(30 * time.Second); err != nil {
-		return report, fmt.Errorf("load: ring never formed: %w", err)
-	}
+	defer r.stop()
+	cluster, log := r.cluster, r.cfg.Log // Config.withDefaults made Log callable
 
 	// Publish the corpus on the idle ring (sequential, so well under the
 	// admission limits even with the slowed stores).
-	svc := index.New(cluster, cfg.Policy, 30)
-	if cfg.Telemetry != nil {
-		svc.Instrument(cfg.Telemetry, telemetry.L("scheme", fmt.Sprintf("load/%s/%s", cfg.Scheme.Name(), cfg.Policy)))
-	}
-	for i, a := range corpus.Articles {
-		if err := svc.PublishArticle(fmt.Sprintf("load-%04d.pdf", i), a, cfg.Scheme); err != nil {
-			return report, fmt.Errorf("load: publish article %d: %w", i, err)
-		}
+	svc, err := publishCorpus(cluster, cfg.Telemetry, "load", "load", articles)
+	if err != nil {
+		return report, fmt.Errorf("load: %w", err)
 	}
 	searcher := index.NewSearcher(svc)
 
@@ -476,7 +367,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 				time.Sleep(d)
 			}
 			offered++
-			isWrite := writeRng.Float64() < cfg.WriteFraction
+			isWrite := writeRng.Float64() < writeFraction
 			var (
 				wq     workload.Query
 				wkey   keyspace.Key
@@ -489,7 +380,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 			} else {
 				wq = draw()
 			}
-			if int(outstanding.Load()) >= cfg.MaxOutstanding {
+			if int(outstanding.Load()) >= maxOutstanding {
 				dropped++
 				continue
 			}
@@ -498,7 +389,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 			go func() {
 				defer wg.Done()
 				defer outstanding.Add(-1)
-				ctx, cancel := context.WithTimeout(context.Background(), cfg.RequestTimeout)
+				ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 				defer cancel()
 				t0 := time.Now()
 				var out int
@@ -551,17 +442,17 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		if dispatched > 0 {
 			pr.ShedRate = float64(shed) / float64(dispatched)
 		}
-		cfg.Log("load: %s phase: offered=%d dropped=%d ok=%d shed=%d failed=%d goodput=%.1f/s p50=%v p99=%v",
+		log("load: %s phase: offered=%d dropped=%d ok=%d shed=%d failed=%d goodput=%.1f/s p50=%v p99=%v",
 			name, offered, dropped, ok, shed, failed, pr.GoodputRPS,
 			pr.P50.Round(time.Millisecond), pr.P99.Round(time.Millisecond))
 		return pr
 	}
 
-	cfg.Log("load: ring of %d converged, rated phase at %.0f/s for %v", cfg.Nodes, cfg.RatedRPS, cfg.RatedDuration)
+	log("load: ring of %d converged, rated phase at %.0f/s for %v", loadNodes, cfg.RatedRPS, cfg.RatedDuration)
 	report.Rated = runPhase("rated", cfg.RatedRPS, cfg.RatedDuration, gen.Next)
 	overloadRPS := cfg.RatedRPS * cfg.OverloadFactor
-	cfg.Log("load: overload phase at %.0f/s (%.1fx) for %v, flash=%.0f%%",
-		overloadRPS, cfg.OverloadFactor, cfg.OverloadDuration, 100*cfg.FlashFraction)
+	log("load: overload phase at %.0f/s (%.1fx) for %v, flash=%.0f%%",
+		overloadRPS, cfg.OverloadFactor, cfg.OverloadDuration, 100*flashFraction)
 	report.Overload = runPhase("overload", overloadRPS, cfg.OverloadDuration, flash.Next)
 
 	// Zero acked-write loss: every write the ring acknowledged — in
@@ -573,38 +464,21 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	// to a quiescent cadence for clean latency numbers. Force the
 	// convergence it suppressed: one synchronous repair round per node
 	// re-homes any stranded entries before the readback gate.
-	for _, n := range nodes {
+	for _, n := range r.nodes {
 		n.RepairNow()
 	}
 	report.AckedWrites = len(acked)
-	// The deadline is per key, not shared: a single slow key (open
-	// breakers, post-storm drain) must not starve the keys verified
-	// after it into false "lost" verdicts.
 	for _, key := range acked {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			entries, _, err := cluster.Get(key)
-			if err == nil && len(entries) > 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				report.LostWrites = append(report.LostWrites, key.String())
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
+		if !awaitKey(loadReadbackTimeout, 10*time.Millisecond, func() bool { return readable(cluster, key) }) {
+			report.LostWrites = append(report.LostWrites, key.String())
 		}
 	}
 
-	for _, n := range nodes {
-		report.Admission.Merge(n.AdmissionStats())
-		report.Retry.Merge(n.RetryStats())
-		report.Breaker.Merge(n.BreakerStats())
-	}
-	report.Retry.Merge(rt.Stats())
-	report.Breaker.Merge(rt.BreakerStats())
+	fleet := r.stats()
+	report.Admission, report.Retry, report.Breaker = fleet.Admission, fleet.Retry, fleet.Breaker
 	report.Elapsed = time.Since(start)
 	report.Violations = evaluateSLO(cfg, report)
-	cfg.Log("load: done in %v: acked=%d lost=%d sheds=%d (fleet) retries=%d/%d calls, violations=%d",
+	log("load: done in %v: acked=%d lost=%d sheds=%d (fleet) retries=%d/%d calls, violations=%d",
 		report.Elapsed.Round(time.Millisecond), report.AckedWrites, len(report.LostWrites),
 		report.Admission.Shed(), report.Retry.Retries, report.Retry.Calls, len(report.Violations))
 	return report, nil
@@ -612,19 +486,18 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 
 // evaluateSLO holds a finished run against the gate.
 func evaluateSLO(cfg LoadConfig, r LoadReport) []string {
-	slo := cfg.SLO
 	var v []string
-	if r.Rated.P99 > slo.RatedP99 {
-		v = append(v, fmt.Sprintf("rated p99 %v exceeds %v", r.Rated.P99.Round(time.Millisecond), slo.RatedP99))
+	if r.Rated.P99 > sloRatedP99 {
+		v = append(v, fmt.Sprintf("rated p99 %v exceeds %v", r.Rated.P99.Round(time.Millisecond), sloRatedP99))
 	}
 	if dispatched := r.Rated.OK + r.Rated.Shed + r.Rated.Failed; dispatched > 0 {
-		if got := float64(r.Rated.OK) / float64(dispatched); got < slo.MinRatedSuccess {
-			v = append(v, fmt.Sprintf("rated success rate %.2f below %.2f", got, slo.MinRatedSuccess))
+		if got := float64(r.Rated.OK) / float64(dispatched); got < sloMinRatedSuccess {
+			v = append(v, fmt.Sprintf("rated success rate %.2f below %.2f", got, sloMinRatedSuccess))
 		}
 	}
-	if r.Overload.GoodputRPS < slo.MinGoodputFraction*r.Rated.GoodputRPS {
+	if r.Overload.GoodputRPS < sloMinGoodputFraction*r.Rated.GoodputRPS {
 		v = append(v, fmt.Sprintf("overload goodput %.1f/s below %.0f%% of rated %.1f/s",
-			r.Overload.GoodputRPS, 100*slo.MinGoodputFraction, r.Rated.GoodputRPS))
+			r.Overload.GoodputRPS, 100*sloMinGoodputFraction, r.Rated.GoodputRPS))
 	}
 	if cfg.OverloadFactor >= 2 && r.Admission.Shed() == 0 {
 		// Fleet-wide, not client-terminal: a shed the client recovered from
@@ -635,8 +508,8 @@ func evaluateSLO(cfg LoadConfig, r LoadReport) []string {
 		v = append(v, fmt.Sprintf("%d acked writes lost", len(r.LostWrites)))
 	}
 	if r.Retry.Calls > 0 {
-		if got := float64(r.Retry.Retries) / float64(r.Retry.Calls); got > slo.MaxRetryFraction {
-			v = append(v, fmt.Sprintf("retry fraction %.2f exceeds %.2f", got, slo.MaxRetryFraction))
+		if got := float64(r.Retry.Retries) / float64(r.Retry.Calls); got > sloMaxRetryFraction {
+			v = append(v, fmt.Sprintf("retry fraction %.2f exceeds %.2f", got, sloMaxRetryFraction))
 		}
 	}
 	return v

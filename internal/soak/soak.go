@@ -1,135 +1,90 @@
-// Package soak layers the paper's index workload over the live wire
-// substrate's churn soak: it publishes a bibliographic corpus through a
-// message-passing Chord ring, then keeps resolving indexed queries while
-// the wire.RunSoak storm drops messages, injects latency, partitions and
-// crashes nodes. Every lookup is traced (telemetry.LookupTrace) and every
-// layer — faults, retries, failover, DHT hops, index interactions, cache
-// hits — reports into one telemetry.Registry, so a single soak run
-// produces both the Prometheus-style snapshot and the JSONL trace stream
-// documented in docs/OBSERVABILITY.md.
+// Package soak is the storm harness for the live wire substrate
+// (internal/wire), built on that package's exported API only. One
+// unexported ring boots and churns the members of a faulted live ring;
+// one runner storms it — drops, latency, partitions, crashes, joins,
+// leaves, restarts — while write-once entries are written and read back,
+// then holds the settled ring to its promises. Three scenarios share the
+// ring: Run layers the paper's index workload on the storm (a
+// bibliographic corpus published through the ring, indexed queries
+// resolved while it is stormed), RunIngest a continuous document stream,
+// and RunLoad drives an unfaulted ring open-loop past its capacity.
+// RunSubstrate is the in-process companion over the simulated substrates.
+// Every lookup is traced (telemetry.LookupTrace) and every layer —
+// faults, retries, failover, DHT hops, index interactions, cache hits —
+// reports into one telemetry.Registry, so a single run produces both the
+// Prometheus-style snapshot and the JSONL trace stream documented in
+// docs/OBSERVABILITY.md.
 package soak
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
 	"dhtindex/internal/index"
+	"dhtindex/internal/overlay"
 	"dhtindex/internal/telemetry"
 	"dhtindex/internal/wire"
-	"dhtindex/internal/wire/durable"
 	"dhtindex/internal/workload"
 )
 
-// Config parameterizes an indexed churn soak. The zero value of the
-// index-layer fields gets paper-shaped defaults (24 articles, 2 queries
-// per storm op, the simple indexing scheme with single-entry caching);
-// the wire storm itself is configured through Wire.
-type Config struct {
-	// Wire is the underlying churn-soak configuration (ring size, fault
-	// schedule, retry policy). Its Telemetry/Setup/OnOp/PostStorm hooks
-	// are owned by this package and must be left nil.
-	Wire wire.SoakConfig
-	// Repair turns the run into the self-healing soak: fresh nodes join
-	// and members leave gracefully during the storm (on top of crashes),
-	// the per-peer circuit breaker is armed, post-storm replica coverage
-	// is verified back to 100% (wire.SoakReport.ReplicaViolations), and
-	// a degraded-lookup probe crash-stops one key's entire replica set
-	// and asserts a search through it returns a partial result flagged
-	// Incomplete within the deadline budget instead of an error.
-	Repair bool
-	// Restart turns the run into the crash-restart soak: every member
-	// runs on a disk-backed durable store (internal/wire/durable), and
-	// the storm periodically crash-stops a whole replica set of adjacent
-	// members keeping their data directories, then restarts them from
-	// disk (wire.SoakConfig.RestartEvery). Post-storm the run verifies
-	// zero acked-write loss and exact replica coverage — the writes that
-	// lived only on the downed replica set must come back from the WAL.
-	Restart bool
-	// SplitBrain turns the run into the split-brain soak: mid-storm the
-	// ring is group-partitioned into two halves that keep serving writes
-	// AND removes independently, then healed link by link. Post-storm
-	// the run verifies single-ring re-convergence (which requires the
-	// merge coordinator — stabilization alone cannot bridge two complete
-	// rings), zero acked-write loss, exact replica coverage, and zero
-	// resurrections of removed entries (wire.SoakReport.Resurrections).
-	SplitBrain bool
-	// DataDir is the root directory for the Restart mode's per-member
-	// stores. Empty means a fresh temporary directory, removed when the
-	// run finishes; a caller-provided directory is kept.
-	DataDir string
-	// SnapshotEvery is the Restart mode's per-member WAL compaction
-	// threshold (default 256 records) — how much un-snapshotted WAL a
-	// member may accumulate before its restart replay gets slow.
-	SnapshotEvery int
-	// ProbeBudget is the deadline budget of the repair mode's degraded-
-	// lookup probe (default 3s).
-	ProbeBudget time.Duration
-	// Articles is the corpus size published over the ring before the
-	// storm starts (default 24).
-	Articles int
-	// QueriesPerOp is the number of indexed lookups issued per storm op
-	// (default 2). Lookups run against the faulted topology; failures are
-	// tolerated and counted.
-	QueriesPerOp int
-	// Scheme selects the indexing scheme (default index.Simple).
-	Scheme index.Scheme
-	// Policy selects the shortcut-cache policy (default cache.Single).
-	Policy cache.Policy
-	// LRUCapacity bounds the per-node cache when Policy is cache.LRU
-	// (default 30).
-	LRUCapacity int
-	// Telemetry, when non-nil, receives every layer's metrics: the wire
-	// fault/retry/failover counters and hop/latency histograms plus the
-	// index layer's counters labeled with the run's scheme/policy.
-	Telemetry *telemetry.Registry
-	// TraceSink, when non-nil, additionally receives every LookupTrace
-	// the indexed workload produces (e.g. a telemetry.JSONLSink). Traces
-	// are always collected internally for the report.
-	TraceSink telemetry.Sink
-}
+// What every scenario indexes with: the paper's simple scheme and, where
+// a scenario caches at all, single-entry shortcut caches. No caller ever
+// chose otherwise (the schemes and policies are compared in the
+// simulator, EXPERIMENTS.md), so they are not configuration.
+var scheme = index.Simple
 
-func (c Config) withDefaults() Config {
-	if c.Articles == 0 {
-		c.Articles = 24
-	}
-	if c.QueriesPerOp == 0 {
-		c.QueriesPerOp = 2
-	}
-	if c.Scheme == nil {
-		c.Scheme = index.Simple
-	}
-	if c.Policy == 0 {
-		c.Policy = cache.Single
-	}
-	if c.LRUCapacity == 0 {
-		c.LRUCapacity = 30
-	}
-	if c.ProbeBudget == 0 {
-		c.ProbeBudget = 3 * time.Second
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 256
-	}
-	return c
-}
+const policy = cache.Single
 
-// label tags the run's metrics and traces with its scheme/policy
-// combination, prefixed "live/" to distinguish soak traces from
+// probeBudget is the deadline budget of the Repair preset's
+// degraded-lookup probe.
+const probeBudget = 3 * time.Second
+
+// label tags a scenario's metrics and traces with its name and the
+// scheme/policy combination — "live/..." distinguishes storm traces from
 // simulation traces in a mixed JSONL stream.
-func (c Config) label() string {
-	return fmt.Sprintf("live/%s/%s", c.Scheme.Name(), c.Policy)
+func label(scenario string) string {
+	return fmt.Sprintf("%s/%s/%s", scenario, scheme.Name(), policy)
 }
 
-// Report is the outcome of an indexed soak: the wire layer's own report
-// plus the indexed workload's accounting.
+// corpusAndQueries generates a scenario's bibliographic corpus and the
+// paper-shaped query stream over it.
+func corpusAndQueries(articles int, seed int64) ([]descriptor.Article, *workload.Generator, error) {
+	corpus, err := dataset.Generate(dataset.Config{Articles: articles, Seed: seed})
+	if err != nil {
+		return nil, nil, fmt.Errorf("corpus: %w", err)
+	}
+	gen, err := workload.NewGeneratorWith(corpus.Articles, workload.PaperStructureModel(), seed+41, 0.063, 0.3)
+	if err != nil {
+		return nil, nil, fmt.Errorf("generator: %w", err)
+	}
+	return corpus.Articles, gen, nil
+}
+
+// publishCorpus creates a scenario's index service over net, labelled
+// for reg, and publishes every article through it as <file>-NNNN.pdf.
+// The LRU capacity is read only under cache.LRU, so there is none to
+// pass.
+func publishCorpus(net overlay.Network, reg *telemetry.Registry, scenario, file string, articles []descriptor.Article) (*index.Service, error) {
+	svc := index.New(net, policy, 0)
+	if reg != nil {
+		svc.Instrument(reg, telemetry.L("scheme", label(scenario)))
+	}
+	for i, a := range articles {
+		if err := svc.PublishArticle(fmt.Sprintf("%s-%04d.pdf", file, i), a, scheme); err != nil {
+			return nil, fmt.Errorf("publish article %d: %w", i, err)
+		}
+	}
+	return svc, nil
+}
+
+// Report is the outcome of an indexed soak: the storm's own report plus
+// the indexed workload's accounting.
 type Report struct {
-	wire.SoakReport
+	StormReport
 
 	// Queries is the number of indexed lookups issued during the storm.
 	Queries int
@@ -144,11 +99,8 @@ type Report struct {
 	// lookup, found or not).
 	Traces int
 	// IncompleteProbe is the degraded-lookup probe's outcome (Repair
-	// mode only; Ran is false otherwise).
+	// preset only; Ran is false otherwise).
 	IncompleteProbe ProbeResult
-	// DataDir is where the Restart mode's member stores lived (empty
-	// unless Restart; already removed when Config.DataDir was empty).
-	DataDir string
 }
 
 // ProbeResult is the outcome of the repair mode's degraded-lookup probe:
@@ -176,13 +128,9 @@ func Run(cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
 	var report Report
 
-	corpus, err := dataset.Generate(dataset.Config{Articles: cfg.Articles, Seed: cfg.Wire.Seed})
+	articles, gen, err := corpusAndQueries(cfg.Articles, cfg.Seed)
 	if err != nil {
-		return report, fmt.Errorf("soak: corpus: %w", err)
-	}
-	gen, err := workload.NewGeneratorWith(corpus.Articles, workload.PaperStructureModel(), cfg.Wire.Seed+41, 0.063, 0.3)
-	if err != nil {
-		return report, fmt.Errorf("soak: generator: %w", err)
+		return report, fmt.Errorf("soak: %w", err)
 	}
 
 	collector := &telemetry.Collector{}
@@ -191,118 +139,55 @@ func Run(cfg Config) (Report, error) {
 		sink = telemetry.Tee(collector, cfg.TraceSink)
 	}
 
-	// The searcher is created inside Setup (it needs the converged
-	// cluster) and driven from OnOp; both hooks run sequentially on the
-	// soak goroutine, so plain fields suffice.
+	// The searcher is created in setup (it needs the converged cluster)
+	// and driven from onOp and the probe.
 	var searcher *index.Searcher
-	wcfg := cfg.Wire
-	wcfg.Telemetry = cfg.Telemetry
-	if cfg.Restart {
-		dir := cfg.DataDir
-		if dir == "" {
-			dir, err = os.MkdirTemp("", "dht-restart-soak-")
+	h := hooks{
+		setup: func(c *wire.Cluster) error {
+			svc, err := publishCorpus(c, cfg.Telemetry, "live", "soak", articles)
 			if err != nil {
-				return report, fmt.Errorf("soak: data dir: %w", err)
+				return err
 			}
-			defer os.RemoveAll(dir)
-		}
-		report.DataDir = dir
-		wcfg.StoreFor = func(member int) (wire.Store, error) {
-			return durable.Open(filepath.Join(dir, fmt.Sprintf("node-%03d", member)),
-				durable.Options{SnapshotEvery: cfg.SnapshotEvery})
-		}
-		if wcfg.RestartEvery == 0 {
-			ops := wcfg.Ops
-			if ops == 0 {
-				ops = 150 // mirror wire.SoakConfig's default
+			searcher = index.NewSearcher(svc)
+			searcher.Recorder = telemetry.NewRecorder(sink, label("live"))
+			return nil
+		},
+		onOp: func(op int, c *wire.Cluster) {
+			for i := 0; i < cfg.QueriesPerOp; i++ {
+				wq := gen.Next()
+				report.Queries++
+				trace, err := searcher.Find(wq.Query, dataset.MSD(wq.Target))
+				if err != nil || !trace.Found {
+					report.QueryFailures++
+					continue
+				}
+				report.Found++
+				if trace.CacheHit {
+					report.CacheHits++
+				}
 			}
-			wcfg.RestartEvery = ops / 3
-		}
-		wcfg.VerifyReplicas = true
-	}
-	if cfg.SplitBrain {
-		nodes := wcfg.Nodes
-		if nodes == 0 {
-			nodes = 16 // mirror wire.SoakConfig's default
-		}
-		ops := wcfg.Ops
-		if ops == 0 {
-			ops = 150 // mirror wire.SoakConfig's default
-		}
-		if wcfg.PartitionWidth == 0 {
-			wcfg.PartitionWidth = nodes / 2
-		}
-		if wcfg.RemoveEvery == 0 {
-			wcfg.RemoveEvery = ops / 15
-		}
-		wcfg.VerifyReplicas = true
+		},
 	}
 	if cfg.Repair {
-		ops := wcfg.Ops
-		if ops == 0 {
-			ops = 150 // mirror wire.SoakConfig's default
-		}
-		if wcfg.JoinEvery == 0 {
-			wcfg.JoinEvery = ops / 4
-		}
-		if wcfg.LeaveEvery == 0 {
-			wcfg.LeaveEvery = ops / 3
-		}
-		if wcfg.Breaker == nil {
-			wcfg.Breaker = &wire.BreakerPolicy{Seed: wcfg.Seed + 9}
-		}
-		wcfg.VerifyReplicas = true
-		wcfg.PostStorm = func(c *wire.Cluster, ft *wire.FaultTransport) error {
-			return incompleteProbe(cfg, corpus.Articles[0], searcher, c, ft, &report.IncompleteProbe)
-		}
-	}
-	wcfg.Setup = func(c *wire.Cluster) error {
-		svc := index.New(c, cfg.Policy, cfg.LRUCapacity)
-		if cfg.Telemetry != nil {
-			svc.Instrument(cfg.Telemetry, telemetry.L("scheme", cfg.label()))
-		}
-		for i, a := range corpus.Articles {
-			if err := svc.PublishArticle(fmt.Sprintf("soak-%04d.pdf", i), a, cfg.Scheme); err != nil {
-				return fmt.Errorf("publish article %d: %w", i, err)
-			}
-		}
-		searcher = index.NewSearcher(svc)
-		searcher.Recorder = telemetry.NewRecorder(sink, cfg.label())
-		return nil
-	}
-	wcfg.OnOp = func(op int, c *wire.Cluster) {
-		for i := 0; i < cfg.QueriesPerOp; i++ {
-			wq := gen.Next()
-			report.Queries++
-			trace, err := searcher.Find(wq.Query, dataset.MSD(wq.Target))
-			if err != nil || !trace.Found {
-				report.QueryFailures++
-				continue
-			}
-			report.Found++
-			if trace.CacheHit {
-				report.CacheHits++
-			}
+		h.postStorm = func(c *wire.Cluster, ft *wire.FaultTransport) error {
+			return incompleteProbe(cfg.ReplicationFactor, articles[0], searcher, c, ft, &report.IncompleteProbe)
 		}
 	}
 
-	report.SoakReport, err = wire.RunSoak(wcfg)
+	report.StormReport, err = runStorm(cfg, h)
 	report.Traces = len(collector.Traces())
-	if err != nil {
-		return report, err
-	}
-	return report, nil
+	return report, err
 }
 
-// incompleteProbe is the repair mode's degradation check, run by the
-// wire soak after the storm has healed and replica coverage has been
+// incompleteProbe is the Repair preset's degradation check, run by the
+// storm after it has healed and replica coverage has been
 // verified. It crash-stops the owner of one published article's MSD key
 // together with the whole failover window behind it, then issues a
 // directed search whose chain ends at that key under a deadline budget.
 // The required outcome is graceful degradation: a nil error, a trace
 // flagged Incomplete naming the unreachable branch, and a return within
 // the budget. The crashed nodes are restored before the probe returns.
-func incompleteProbe(cfg Config, target descriptor.Article, searcher *index.Searcher, c *wire.Cluster, ft *wire.FaultTransport, out *ProbeResult) error {
+func incompleteProbe(replication int, target descriptor.Article, searcher *index.Searcher, c *wire.Cluster, ft *wire.FaultTransport, out *ProbeResult) error {
 	msd := dataset.MSD(target)
 	key := msd.Key()
 	route, err := c.FindOwner(key)
@@ -322,11 +207,7 @@ func incompleteProbe(cfg Config, target descriptor.Article, searcher *index.Sear
 	}
 	// Crash the owner, its replica set, and the failover slack slot — the
 	// whole window a degraded read would otherwise fall back through.
-	rf := cfg.Wire.ReplicationFactor
-	if rf == 0 {
-		rf = 2 // mirror wire.SoakConfig's default
-	}
-	crashN := rf + 2
+	crashN := replication + 2
 	if crashN > len(addrs)-1 {
 		crashN = len(addrs) - 1 // always leave a live node to search from
 	}
@@ -342,7 +223,7 @@ func incompleteProbe(cfg Config, target descriptor.Article, searcher *index.Sear
 		}
 	}()
 
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.ProbeBudget)
+	ctx, cancel := context.WithTimeout(context.Background(), probeBudget)
 	defer cancel()
 	start := time.Now()
 	trace, err := searcher.FindCtx(ctx, dataset.AuthorQuery(target.AuthorFirst, target.AuthorLast), msd)
@@ -362,8 +243,8 @@ func incompleteProbe(cfg Config, target descriptor.Article, searcher *index.Sear
 	}
 	// Grace on top of the budget: the ctx stops retries, not an RPC
 	// already on the wire.
-	if elapsed > cfg.ProbeBudget+2*time.Second {
-		return fmt.Errorf("probe: degraded search took %v, budget %v", elapsed, cfg.ProbeBudget)
+	if elapsed > probeBudget+2*time.Second {
+		return fmt.Errorf("probe: degraded search took %v, budget %v", elapsed, probeBudget)
 	}
 	return nil
 }

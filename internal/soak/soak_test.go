@@ -7,7 +7,6 @@ import (
 
 	"dhtindex/internal/soak"
 	"dhtindex/internal/telemetry"
-	"dhtindex/internal/wire"
 )
 
 // TestIndexedSoakTracesComplete runs a small indexed soak under real
@@ -22,14 +21,12 @@ func TestIndexedSoakTracesComplete(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	col := &telemetry.Collector{}
 	report, err := soak.Run(soak.Config{
-		Wire: wire.SoakConfig{
-			Nodes:      8,
-			Ops:        30,
-			Seed:       11,
-			DropProb:   0.15,
-			Latency:    2 * time.Millisecond,
-			CrashEvery: 20,
-		},
+		Nodes:        8,
+		Ops:          30,
+		Seed:         11,
+		DropProb:     0.15,
+		Latency:      2 * time.Millisecond,
+		CrashEvery:   20,
 		Articles:     12,
 		QueriesPerOp: 2,
 		Telemetry:    reg,
@@ -116,14 +113,12 @@ func TestIndexedRepairSoak(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	report, err := soak.Run(soak.Config{
-		Wire: wire.SoakConfig{
-			Nodes:      10,
-			Ops:        80,
-			Seed:       23,
-			DropProb:   0.08,
-			Latency:    2 * time.Millisecond,
-			CrashEvery: 35,
-		},
+		Nodes:        10,
+		Ops:          80,
+		Seed:         23,
+		DropProb:     0.08,
+		Latency:      2 * time.Millisecond,
+		CrashEvery:   35,
 		Repair:       true,
 		Articles:     12,
 		QueriesPerOp: 1,

@@ -1,0 +1,429 @@
+package soak
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"dhtindex/internal/telemetry"
+	"dhtindex/internal/wire"
+	"dhtindex/internal/wire/durable"
+)
+
+// bareStorm runs the storm with no workload layered on it.
+func bareStorm(t *testing.T, cfg Config) StormReport {
+	t.Helper()
+	report, err := runStorm(cfg.withDefaults(), hooks{})
+	if err != nil {
+		t.Fatalf("soak harness: %v", err)
+	}
+	return report
+}
+
+// TestChurnSoak is the acceptance soak: a 16-node ring under 10% message
+// drop, 50ms injected latency, one partition/heal cycle and one crash
+// per 100 operations, with write-once entries continuously written and
+// read back. The ring must re-converge, no acked entry may be lost with
+// replication ≥ 1, retry amplification must stay bounded, and every
+// fault counter must be nonzero — proving the schedule actually fired.
+func TestChurnSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak skipped in -short mode")
+	}
+	report := bareStorm(t, Config{
+		Seed: 42,
+		Log:  t.Logf,
+	})
+
+	if !report.Converged {
+		t.Errorf("ring did not re-converge after the storm")
+	}
+	if len(report.LostKeys) > 0 {
+		t.Errorf("lost %d write-once entries despite replication: %v",
+			len(report.LostKeys), report.LostKeys)
+	}
+	if report.Crashes < 1 {
+		t.Errorf("schedule executed no crashes")
+	}
+	if report.Partitions < 1 {
+		t.Errorf("schedule executed no partition cycle")
+	}
+	if report.Acked == 0 {
+		t.Fatalf("no put ever acked")
+	}
+	// Puts may fail under the storm, but not wholesale.
+	total := report.Acked + report.PutFailures
+	if report.Acked*10 < total*9 {
+		t.Errorf("only %d/%d puts acked under the storm", report.Acked, total)
+	}
+
+	// Every injected-fault counter must be nonzero.
+	f := report.Faults
+	checks := []struct {
+		name string
+		v    int64
+	}{
+		{"Calls", f.Calls},
+		{"DroppedRequests", f.DroppedRequests},
+		{"DroppedResponses", f.DroppedResponses},
+		{"Delayed", f.Delayed},
+		{"PartitionBlocked", f.PartitionBlocked},
+		{"CrashBlocked", f.CrashBlocked},
+	}
+	for _, c := range checks {
+		if c.v == 0 {
+			t.Errorf("fault counter %s = 0: that fault class never fired", c.name)
+		}
+	}
+	if f.DelayTotal < 50*time.Millisecond {
+		t.Errorf("DelayTotal = %v, latency injection ineffective", f.DelayTotal)
+	}
+
+	// Retried RPCs are observable, and amplification is bounded: with
+	// 10% drop and 3 attempts the expected amplification is ~1.1; 2.0
+	// leaves headroom without hiding a retry storm.
+	r := report.Retry
+	if r.Calls == 0 || r.Attempts <= r.Calls {
+		t.Errorf("retry stats implausible: %+v (faults were injected, retries must show)", r)
+	}
+	if r.Retries == 0 {
+		t.Errorf("no retries recorded under a 10%% drop schedule")
+	}
+	if amp := report.RetryAmplification(); amp > 2.0 {
+		t.Errorf("retry amplification %.2f exceeds bound 2.0", amp)
+	}
+}
+
+// TestRepairSoak is the self-healing acceptance soak: on top of the
+// fault storm, fresh nodes join and members leave gracefully mid-run,
+// the per-peer circuit breaker is armed, and after the storm the ring is
+// held to the repair loop's full invariant — every acked key at exactly
+// ReplicationFactor+1 live copies, not merely readable. This is the
+// "entry coverage returns to 100% after churn" check.
+func TestRepairSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak skipped in -short mode")
+	}
+	report := bareStorm(t, Config{
+		Nodes:          12,
+		Ops:            120,
+		Seed:           1,
+		CrashEvery:     50,
+		JoinEvery:      35,
+		LeaveEvery:     55,
+		Breaker:        &wire.BreakerPolicy{},
+		VerifyReplicas: true,
+		Log:            t.Logf,
+	})
+	if !report.Converged {
+		t.Errorf("ring did not re-converge after the storm")
+	}
+	if len(report.LostKeys) > 0 {
+		t.Errorf("lost %d write-once entries: %v", len(report.LostKeys), report.LostKeys)
+	}
+	if len(report.ReplicaViolations) > 0 {
+		t.Errorf("replica sets did not heal to full coverage: %v", report.ReplicaViolations)
+	}
+	if report.Crashes < 1 || report.Joins < 1 || report.Leaves < 1 {
+		t.Errorf("churn schedule incomplete: crashes=%d joins=%d leaves=%d",
+			report.Crashes, report.Joins, report.Leaves)
+	}
+	// The repair loop must have done real work: digest syncs every round,
+	// and pushes re-covering what the churn disturbed.
+	if report.Repair.Rounds == 0 || report.Repair.Syncs == 0 || report.Repair.Pushes == 0 {
+		t.Errorf("repair loop idle under churn: %+v", report.Repair)
+	}
+}
+
+// TestSoakDeterministicFaultSchedule runs two small soaks with the same
+// seed and asserts the injected-fault totals that are scheduling-
+// independent (crash and partition events) match, and that both runs
+// keep the data-safety invariant.
+func TestSoakDeterministicFaultSchedule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak skipped in -short mode")
+	}
+	run := func() StormReport {
+		return bareStorm(t, Config{
+			Nodes:    8,
+			Ops:      40,
+			Seed:     7,
+			Latency:  10 * time.Millisecond,
+			DropProb: 0.05,
+		})
+	}
+	a, b := run(), run()
+	if a.Crashes != b.Crashes || a.Partitions != b.Partitions {
+		t.Errorf("seeded schedules diverged: %d/%d crashes, %d/%d partitions",
+			a.Crashes, b.Crashes, a.Partitions, b.Partitions)
+	}
+	for _, r := range []StormReport{a, b} {
+		if len(r.LostKeys) > 0 {
+			t.Errorf("lost keys in seeded soak: %v", r.LostKeys)
+		}
+		if !r.Converged {
+			t.Errorf("seeded soak did not converge")
+		}
+	}
+}
+
+// TestChurnSoakTCP runs the churn soak over the pooled TCP transport on
+// loopback instead of the in-memory transport: real sockets, framed
+// multiplexed connections, crash-stops that tear pooled conns down
+// mid-flight, and restarts that rebind the same concrete address. The
+// schedule is kept lighter than the MemTransport soak (real dial and
+// teardown latency), but every survival invariant is the same.
+func TestChurnSoakTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak skipped in -short mode")
+	}
+	tp := wire.NewTCPTransport()
+	tp.CallTimeout = 2 * time.Second
+	report := bareStorm(t, Config{
+		Nodes:      8,
+		Ops:        80,
+		Seed:       13,
+		DropProb:   0.05,
+		Latency:    10 * time.Millisecond,
+		CrashEvery: 40,
+		Transport:  tp,
+		ListenAddr: "127.0.0.1:0",
+		Log:        t.Logf,
+	})
+	if !report.Converged {
+		t.Errorf("ring did not re-converge after the storm")
+	}
+	if len(report.LostKeys) > 0 {
+		t.Errorf("lost %d write-once entries despite replication: %v",
+			len(report.LostKeys), report.LostKeys)
+	}
+	if report.Acked == 0 {
+		t.Fatalf("no put ever acked")
+	}
+	if report.Crashes < 1 {
+		t.Errorf("schedule executed no crashes")
+	}
+	st := tp.PoolStats()
+	if st.Reuses == 0 {
+		t.Errorf("soak traffic produced no pooled-connection reuse: %+v", st)
+	}
+	if st.Dials == 0 {
+		t.Errorf("no pooled dials recorded: %+v", st)
+	}
+	t.Logf("pool after soak: %+v", st)
+}
+
+// TestSplitBrainSoak is the acceptance storm: the ring is group-
+// partitioned into two halves mid-storm while writes AND removes keep
+// landing on both sides, healed link by link, and held to zero
+// acked-write loss, zero resurrections, full replica coverage and
+// single-ring convergence — which requires the merge path end to end.
+func TestSplitBrainSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("split-brain soak skipped in -short mode")
+	}
+	report := bareStorm(t, Config{
+		Nodes:          12,
+		Ops:            120,
+		Seed:           77,
+		PartitionWidth: 6,
+		RemoveEvery:    10,
+		VerifyReplicas: true,
+		Log:            t.Logf,
+	})
+	if !report.Converged {
+		t.Error("ring did not re-merge into a single ring after the storm")
+	}
+	if len(report.Episodes) == 0 {
+		t.Fatal("no partition episode executed")
+	}
+	ep := report.Episodes[0]
+	if ep.SideA != 6 || ep.SideB != 6 {
+		t.Errorf("episode sides %d|%d, want 6|6", ep.SideA, ep.SideB)
+	}
+	if ep.HealOp < 0 {
+		t.Error("episode never healed mid-storm")
+	}
+	if report.Merges.Detected == 0 {
+		t.Errorf("no ring divergence detected — the merge path went unexercised: %+v", report.Merges)
+	}
+	if len(report.LostKeys) > 0 {
+		t.Errorf("lost %d acked writes across the split: %v", len(report.LostKeys), report.LostKeys)
+	}
+	if report.Removes == 0 {
+		t.Error("no remove ever acked — the tombstone path went unexercised")
+	}
+	if len(report.Resurrections) > 0 {
+		t.Errorf("%d removed entries resurrected: %v", len(report.Resurrections), report.Resurrections)
+	}
+	if len(report.ReplicaViolations) > 0 {
+		t.Errorf("%d keys off full replica coverage after the merge: %v",
+			len(report.ReplicaViolations), report.ReplicaViolations)
+	}
+	if report.Tombstones.Created == 0 {
+		t.Error("no tombstones created despite acked removes")
+	}
+	if report.Faults.LinksCut == 0 || report.Faults.LinksHealed == 0 {
+		t.Errorf("partition link accounting silent: %+v", report.Faults)
+	}
+}
+
+// durableStores returns a Config.StoreFor that opens each member's
+// durable store in its own directory under dir.
+func durableStores(dir string) func(member int) (wire.Store, error) {
+	return func(member int) (wire.Store, error) {
+		return durable.Open(filepath.Join(dir, fmt.Sprintf("node-%03d", member)),
+			durable.Options{SnapshotEvery: 32})
+	}
+}
+
+// TestRestartSoak is the durable store's scenario: a ring of durable
+// nodes where every restart event crash-stops a full replica set (R+1
+// adjacent members) keeping their data directories. While a burst is
+// down, its key ranges exist only on disk — so zero acked-write loss at
+// the post-storm probe proves recovery actually replays state, and the
+// VerifyReplicas hold proves the rejoined members reconverge to exact
+// replica coverage through the anti-entropy loop.
+func TestRestartSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak test skipped in -short mode")
+	}
+	report := bareStorm(t, Config{
+		Nodes:             10,
+		Ops:               90,
+		Seed:              42,
+		ReplicationFactor: 2,
+		CrashEvery:        100000, // isolate the restart schedule
+		PartitionAt:       -1,     // ditto
+		RestartEvery:      30,
+		RestartDowntime:   12,
+		VerifyReplicas:    true,
+		StabilizeInterval: 15 * time.Millisecond,
+		Telemetry:         telemetry.NewRegistry(),
+		StoreFor:          durableStores(t.TempDir()),
+		Log:               t.Logf,
+	})
+	if report.Restarts == 0 {
+		t.Fatal("soak executed no crash-restarts")
+	}
+	if report.Acked == 0 {
+		t.Fatal("soak acked no writes")
+	}
+	if len(report.LostKeys) > 0 {
+		t.Errorf("acked writes lost across crash-restart: %v", report.LostKeys)
+	}
+	if len(report.ReplicaViolations) > 0 {
+		t.Errorf("replica coverage never reconverged: %v", report.ReplicaViolations)
+	}
+	if !report.Converged {
+		t.Error("ring did not re-converge after the storm")
+	}
+	rec := report.Recovery
+	if rec.SnapshotKeys+rec.ReplayedRecords == 0 {
+		t.Errorf("restarts recovered nothing from disk: %+v", rec)
+	}
+	if rec.TornRecords != 0 {
+		t.Errorf("clean crash-stops produced torn records: %+v", rec)
+	}
+	t.Logf("restart soak: acked=%d restarts=%d recovery=%+v", report.Acked, report.Restarts, rec)
+}
+
+// TestToyStorm is the storm `go test -short` still runs: small enough to
+// finish in a few seconds (no injected latency, 8 nodes, 40 ops), yet
+// every schedule must fire at least once — crash, join, leave, a restart
+// burst and its revival from durable stores, the adjacent-pair partition
+// and its heal, a remove — and the settled ring must have lost nothing
+// and resurrected nothing.
+func TestToyStorm(t *testing.T) {
+	report := bareStorm(t, Config{
+		Nodes:    8,
+		Ops:      40,
+		Seed:     5,
+		DropProb: 0.02,
+		Latency:  -1, // none; 0 would mean the 50ms default
+		// Ops with no injected latency take a few milliseconds, so the
+		// maintenance loops tick faster too: the ring gets the same few
+		// stabilize and repair rounds between events as in the full storms.
+		StabilizeInterval: 5 * time.Millisecond,
+		PartitionAt:       4, // heals at op 12
+		JoinEvery:         14,
+		RestartEvery:      17,
+		RestartDowntime:   4,
+		CrashEvery:        26,
+		LeaveEvery:        31,
+		RemoveEvery:       5,
+		VerifyReplicas:    true,
+		StoreFor:          durableStores(t.TempDir()),
+		Log:               t.Logf,
+	})
+	for _, c := range []struct {
+		schedule string
+		fired    int
+	}{
+		{"crash", report.Crashes},
+		{"join", report.Joins},
+		{"leave", report.Leaves},
+		{"restart", report.Restarts},
+		{"partition", report.Partitions},
+		{"remove", report.Removes},
+	} {
+		if c.fired == 0 {
+			t.Errorf("the %s schedule never fired", c.schedule)
+		}
+	}
+	if len(report.Episodes) != 1 || report.Episodes[0].HealOp != 12 {
+		t.Errorf("partition episodes = %+v, want one, healed at op 12", report.Episodes)
+	}
+	if report.Recovery.SnapshotKeys+report.Recovery.ReplayedRecords == 0 {
+		t.Errorf("restarts recovered nothing from disk: %+v", report.Recovery)
+	}
+	if !report.Converged {
+		t.Error("ring did not re-converge after the storm")
+	}
+	if len(report.LostKeys) > 0 {
+		t.Errorf("lost %d acked writes: %v", len(report.LostKeys), report.LostKeys)
+	}
+	if len(report.Resurrections) > 0 {
+		t.Errorf("%d removed entries resurrected: %v", len(report.Resurrections), report.Resurrections)
+	}
+	if len(report.ReplicaViolations) > 0 {
+		t.Errorf("%d keys off full replica coverage: %v", len(report.ReplicaViolations), report.ReplicaViolations)
+	}
+}
+
+// TestVictimPickerSparesOpenCutOnly pins the partition episode's effect
+// on the crash/leave/restart schedules: while the adjacent-pair cut is
+// open its two members are never picked, and once it heals they are
+// eligible again.
+func TestVictimPickerSparesOpenCutOnly(t *testing.T) {
+	order := []string{"a", "b", "c", "d", "e"}
+	alive := map[string]*wire.Node{"a": nil, "b": nil, "c": nil, "d": nil, "e": nil}
+	rng := rand.New(rand.NewSource(1))
+	picked := func(open cut) map[string]bool {
+		seen := map[string]bool{}
+		for i := 0; i < 200; i++ {
+			seen[pickVictim(rng, order, alive, open)] = true
+		}
+		return seen
+	}
+
+	open := cut{sideA: []string{"b"}, sideB: []string{"c"}}
+	if seen := picked(open); seen["b"] || seen["c"] || len(seen) != 3 {
+		t.Fatalf("open cut b|c: picked %v, want exactly a, d, e", seen)
+	}
+	ft := wire.NewFaultTransport(wire.NewMemTransport(), 1)
+	ft.PartitionGroups(open.sideA, open.sideB)
+	open.heal(ft)
+	if st := ft.Stats(); st.LinksHealed != st.LinksCut || st.LinksCut == 0 {
+		t.Fatalf("heal left links cut: %+v", st)
+	}
+	if seen := picked(open); !seen["b"] || !seen["c"] {
+		t.Fatalf("after heal: picked %v, want b and c eligible again", seen)
+	}
+	delete(alive, "d")
+	if picked(open)["d"] {
+		t.Fatal("picked a member that is not alive")
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/dht"
 	"dhtindex/internal/index"
@@ -14,7 +13,6 @@ import (
 	"dhtindex/internal/pastry"
 	"dhtindex/internal/stats"
 	"dhtindex/internal/telemetry"
-	"dhtindex/internal/workload"
 )
 
 // SubstrateConfig parameterizes the in-process cross-substrate churn
@@ -32,21 +30,11 @@ type SubstrateConfig struct {
 	// (default 24).
 	Articles int
 	// Ops is the number of soak operations (default 120). Each op issues
-	// QueriesPerOp indexed lookups; every ChurnEvery ops a membership
+	// QueriesPerOp indexed lookups; every churnEvery ops a membership
 	// event fires first.
 	Ops int
 	// QueriesPerOp is the number of indexed lookups per op (default 2).
 	QueriesPerOp int
-	// ChurnEvery fires a membership event every N ops (default 10):
-	// joins and graceful leaves on every substrate, plus hard crashes on
-	// Kademlia, whose replication is expected to absorb them.
-	ChurnEvery int
-	// Scheme selects the indexing scheme (default index.Simple).
-	Scheme index.Scheme
-	// Policy selects the shortcut-cache policy (default cache.Single).
-	Policy cache.Policy
-	// LRUCapacity bounds the per-node cache for cache.LRU (default 30).
-	LRUCapacity int
 	// Seed drives the corpus, workload and churn victim selection.
 	Seed int64
 	// Telemetry, when non-nil, receives the substrate and index metric
@@ -70,20 +58,13 @@ func (c SubstrateConfig) withDefaults() SubstrateConfig {
 	if c.QueriesPerOp == 0 {
 		c.QueriesPerOp = 2
 	}
-	if c.ChurnEvery == 0 {
-		c.ChurnEvery = 10
-	}
-	if c.Scheme == nil {
-		c.Scheme = index.Simple
-	}
-	if c.Policy == 0 {
-		c.Policy = cache.Single
-	}
-	if c.LRUCapacity == 0 {
-		c.LRUCapacity = 30
-	}
 	return c
 }
+
+// churnEvery fires a membership event every this many ops: joins and
+// graceful leaves on every substrate, plus hard crashes on Kademlia,
+// whose replication is expected to absorb them.
+const churnEvery = 10
 
 // SubstrateReport is the outcome of one cross-substrate churn soak —
 // one row of the substrate matrix.
@@ -234,30 +215,20 @@ func RunSubstrate(cfg SubstrateConfig) (SubstrateReport, error) {
 	cfg = cfg.withDefaults()
 	report := SubstrateReport{Substrate: cfg.Substrate, Ops: cfg.Ops}
 
-	corpus, err := dataset.Generate(dataset.Config{Articles: cfg.Articles, Seed: cfg.Seed})
+	articles, gen, err := corpusAndQueries(cfg.Articles, cfg.Seed)
 	if err != nil {
-		return report, fmt.Errorf("soak: corpus: %w", err)
-	}
-	gen, err := workload.NewGeneratorWith(corpus.Articles, workload.PaperStructureModel(), cfg.Seed+41, 0.063, 0.3)
-	if err != nil {
-		return report, fmt.Errorf("soak: generator: %w", err)
+		return report, fmt.Errorf("soak: %w", err)
 	}
 	h, err := buildHarness(cfg)
 	if err != nil {
 		return report, err
 	}
 
-	svc := index.New(h.ov, cfg.Policy, cfg.LRUCapacity)
-	if cfg.Telemetry != nil {
-		svc.Instrument(cfg.Telemetry, telemetry.L("scheme",
-			fmt.Sprintf("soak/%s/%s/%s", cfg.Substrate, cfg.Scheme.Name(), cfg.Policy)))
+	svc, err := publishCorpus(h.ov, cfg.Telemetry, "soak/"+cfg.Substrate, "soak", articles)
+	if err != nil {
+		return report, fmt.Errorf("soak: %w", err)
 	}
-	for i, a := range corpus.Articles {
-		if err := svc.PublishArticle(fmt.Sprintf("soak-%04d.pdf", i), a, cfg.Scheme); err != nil {
-			return report, fmt.Errorf("soak: publish article %d: %w", i, err)
-		}
-	}
-	report.AckedArticles = len(corpus.Articles)
+	report.AckedArticles = len(articles)
 	searcher := index.NewSearcher(svc)
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 7))
@@ -266,7 +237,7 @@ func RunSubstrate(cfg SubstrateConfig) (SubstrateReport, error) {
 	churn := func(op int) error {
 		// Rotate join / graceful leave / crash (crash only where the
 		// substrate claims to absorb it).
-		kind := (op / cfg.ChurnEvery) % 3
+		kind := (op / churnEvery) % 3
 		if kind == 2 && h.crash == nil {
 			kind = 1
 		}
@@ -301,7 +272,7 @@ func RunSubstrate(cfg SubstrateConfig) (SubstrateReport, error) {
 	}
 
 	for op := 0; op < cfg.Ops; op++ {
-		if op > 0 && op%cfg.ChurnEvery == 0 {
+		if op > 0 && op%churnEvery == 0 {
 			if err := churn(op); err != nil {
 				return report, err
 			}
@@ -326,7 +297,7 @@ func RunSubstrate(cfg SubstrateConfig) (SubstrateReport, error) {
 	// Final repair pass, then the acked-write-loss sweep: every article
 	// acked at publish time must still resolve.
 	h.maintain()
-	for _, a := range corpus.Articles {
+	for _, a := range articles {
 		trace, err := searcher.Find(dataset.AuthorQuery(a.AuthorFirst, a.AuthorLast), dataset.MSD(a))
 		if err != nil || !trace.Found {
 			report.LostArticles++

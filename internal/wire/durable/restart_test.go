@@ -2,74 +2,13 @@ package durable
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
-	"dhtindex/internal/telemetry"
 	"dhtindex/internal/wire"
 )
-
-// TestRestartSoak is the tentpole scenario: a ring of durable nodes
-// where every restart event crash-stops a full replica set (R+1
-// adjacent members) keeping their data directories. While a burst is
-// down, its key ranges exist only on disk — so zero acked-write loss at
-// the post-storm probe proves recovery actually replays state, and the
-// VerifyReplicas hold proves the rejoined members reconverge to exact
-// replica coverage through the anti-entropy loop.
-func TestRestartSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test skipped in -short mode")
-	}
-	dir := t.TempDir()
-	reg := telemetry.NewRegistry()
-	report, err := wire.RunSoak(wire.SoakConfig{
-		Nodes:             10,
-		Ops:               90,
-		Seed:              42,
-		ReplicationFactor: 2,
-		CrashEvery:        100000, // isolate the restart schedule
-		PartitionAt:       -1,     // ditto
-		RestartEvery:      30,
-		RestartDowntime:   12,
-		VerifyReplicas:    true,
-		StabilizeInterval: 15 * time.Millisecond,
-		Telemetry:         reg,
-		StoreFor: func(member int) (wire.Store, error) {
-			return Open(filepath.Join(dir, fmt.Sprintf("node-%03d", member)),
-				Options{SnapshotEvery: 32})
-		},
-		Log: t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("soak: %v", err)
-	}
-	if report.Restarts == 0 {
-		t.Fatal("soak executed no crash-restarts")
-	}
-	if report.Acked == 0 {
-		t.Fatal("soak acked no writes")
-	}
-	if len(report.LostKeys) > 0 {
-		t.Errorf("acked writes lost across crash-restart: %v", report.LostKeys)
-	}
-	if len(report.ReplicaViolations) > 0 {
-		t.Errorf("replica coverage never reconverged: %v", report.ReplicaViolations)
-	}
-	if !report.Converged {
-		t.Error("ring did not re-converge after the storm")
-	}
-	rec := report.Recovery
-	if rec.SnapshotKeys+rec.ReplayedRecords == 0 {
-		t.Errorf("restarts recovered nothing from disk: %+v", rec)
-	}
-	if rec.TornRecords != 0 {
-		t.Errorf("clean crash-stops produced torn records: %+v", rec)
-	}
-	t.Logf("restart soak: acked=%d restarts=%d recovery=%+v", report.Acked, report.Restarts, rec)
-}
 
 // TestSingleNodeCrashRestartRejoin exercises the documented restart
 // recipe directly: put through a small ring, crash-stop one member (no

@@ -543,61 +543,3 @@ func TestRepairAntiResurrection(t *testing.T) {
 		}
 	}
 }
-
-// TestSplitBrainSoak is the acceptance storm: the ring is group-
-// partitioned into two halves mid-storm while writes AND removes keep
-// landing on both sides, healed link by link, and held to zero
-// acked-write loss, zero resurrections, full replica coverage and
-// single-ring convergence — which requires the merge path end to end.
-func TestSplitBrainSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("split-brain soak skipped in -short mode")
-	}
-	report, err := RunSoak(SoakConfig{
-		Nodes:          12,
-		Ops:            120,
-		Seed:           77,
-		PartitionWidth: 6,
-		RemoveEvery:    10,
-		VerifyReplicas: true,
-		Log:            t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("soak harness: %v", err)
-	}
-	if !report.Converged {
-		t.Error("ring did not re-merge into a single ring after the storm")
-	}
-	if len(report.Episodes) == 0 {
-		t.Fatal("no partition episode executed")
-	}
-	ep := report.Episodes[0]
-	if ep.SideA != 6 || ep.SideB != 6 {
-		t.Errorf("episode sides %d|%d, want 6|6", ep.SideA, ep.SideB)
-	}
-	if ep.HealOp < 0 {
-		t.Error("episode never healed mid-storm")
-	}
-	if report.Merges.Detected == 0 {
-		t.Errorf("no ring divergence detected — the merge path went unexercised: %+v", report.Merges)
-	}
-	if len(report.LostKeys) > 0 {
-		t.Errorf("lost %d acked writes across the split: %v", len(report.LostKeys), report.LostKeys)
-	}
-	if report.Removes == 0 {
-		t.Error("no remove ever acked — the tombstone path went unexercised")
-	}
-	if len(report.Resurrections) > 0 {
-		t.Errorf("%d removed entries resurrected: %v", len(report.Resurrections), report.Resurrections)
-	}
-	if len(report.ReplicaViolations) > 0 {
-		t.Errorf("%d keys off full replica coverage after the merge: %v",
-			len(report.ReplicaViolations), report.ReplicaViolations)
-	}
-	if report.Tombstones.Created == 0 {
-		t.Error("no tombstones created despite acked removes")
-	}
-	if report.Faults.LinksCut == 0 || report.Faults.LinksHealed == 0 {
-		t.Errorf("partition link accounting silent: %+v", report.Faults)
-	}
-}

@@ -36,6 +36,34 @@ func startRing(t *testing.T, transport Transport, count int) (*Cluster, []*Node)
 	return cluster, nodes
 }
 
+// putWithRetry performs an op-level put retry loop on top of the RPC
+// retry layer: under injected faults a put can fail end-to-end and the
+// test, like any real client, tries again.
+func putWithRetry(cluster *Cluster, key keyspace.Key, e overlay.Entry, tries int) bool {
+	for i := 0; i < tries; i++ {
+		if _, err := cluster.Put(key, e); err == nil {
+			return true
+		}
+		time.Sleep(time.Duration(10*(i+1)) * time.Millisecond)
+	}
+	return false
+}
+
+// countCopies counts how many of the given nodes hold the key in their
+// LOCAL store. An OpGet without a TTL never forwards, so a direct
+// per-node call observes the key's physical replica placement rather
+// than routed availability.
+func countCopies(t Transport, addrs []string, key keyspace.Key) int {
+	copies := 0
+	for _, addr := range addrs {
+		resp, err := t.Call(addr, Message{Op: OpGet, Key: key})
+		if err == nil && resp.Err == "" && len(resp.Entries) > 0 {
+			copies++
+		}
+	}
+	return copies
+}
+
 func TestSingleNodeRing(t *testing.T) {
 	transport := NewMemTransport()
 	cluster, nodes := startRing(t, transport, 1)
