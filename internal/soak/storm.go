@@ -356,8 +356,9 @@ type StormReport struct {
 	// Recovery aggregates what the restarted members' durable stores
 	// replayed (zero without durable stores).
 	Recovery wire.RecoveryStats
-	// Converged reports whether the surviving ring re-converged to the
-	// ideal successor cycle after the storm.
+	// Converged reports whether the surviving ring re-converged to one
+	// ring in both directions (every successor and predecessor ideal)
+	// after the storm.
 	Converged bool
 	// LostKeys lists acked write-once keys that could not be read back
 	// after the storm — must be empty with replication ≥ 1.

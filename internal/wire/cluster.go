@@ -637,9 +637,11 @@ func (c *Cluster) StatsOf(addr string) (overlay.NodeStats, error) {
 // Size implements overlay.Network.
 func (c *Cluster) Size() int { return len(c.ring()) }
 
-// WaitConverged polls until every tracked node's successor pointer equals
-// its ideal ring neighbour, or the timeout elapses. It returns an error
-// describing the first unconverged node on timeout.
+// WaitConverged polls until the tracked nodes form one ring in both
+// directions — every node's successor and predecessor pointers name its
+// ideal ring neighbours — or the timeout elapses. It returns an error
+// describing the first unconverged node on timeout. A one-node ring's
+// predecessor is not checked: it is never notified.
 func (c *Cluster) WaitConverged(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -668,6 +670,17 @@ func (c *Cluster) converged() error {
 		}
 		if resp.Addr != want {
 			return fmt.Errorf("%s successor = %s, want %s", addr, resp.Addr, want)
+		}
+		if count == 1 {
+			continue
+		}
+		want = addrs[(i+count-1)%count]
+		resp, err = c.transport.Call(addr, Message{Op: OpGetPredecessor})
+		if err != nil {
+			return fmt.Errorf("%s unreachable: %v", addr, err)
+		}
+		if resp.Addr != want {
+			return fmt.Errorf("%s predecessor = %s, want %s", addr, resp.Addr, want)
 		}
 	}
 	return nil

@@ -134,6 +134,14 @@ func (n *Node) closestPreceding(key keyspace.Key) string {
 // round would re-ship this node's entire retained replica set each
 // stabilize tick, with the predecessor re-putting every entry through
 // its store (and, for a durable store, re-appending it to the WAL).
+//
+// A predecessor taken from a notify reply (a hint, see stabilizeOnce)
+// has not notified this node itself, so its first notify still counts as
+// a change and gets the handover. The reply to a notifier that replaced
+// the predecessor names the displaced one in Addr — the notifier's own
+// predecessor — and a lone node, its own predecessor, names itself and
+// takes the notifier as successor at once, closing a two-node ring
+// (DESIGN.md §23).
 func (n *Node) handleNotify(req Message) Message {
 	cand := req.Addr
 	if cand == "" || cand == n.addr {
@@ -143,16 +151,27 @@ func (n *Node) handleNotify(req Message) Message {
 	// The key handover below walks the store and must NOT hold n.mu —
 	// store access is serialized per key stripe instead.
 	n.mu.Lock()
-	changed := false
+	changed, displaced := false, ""
 	if n.pred == "" || n.peerID(cand).BetweenOpen(n.peerID(n.pred), n.id) {
-		changed = n.pred != cand
-		n.pred = cand
+		displaced = n.pred
+		if displaced == "" && n.succs[0] == n.addr {
+			displaced = n.addr
+		}
+		n.pred, changed = cand, true
+	} else if n.pred == cand && n.predHinted {
+		changed = true
+	}
+	if changed {
+		n.predHinted = false
 	}
 	accepted := n.pred == cand
 	var due bool
 	if accepted {
 		n.notifySeen++
 		due = n.cfg.RepairEvery > 0 && n.notifySeen%n.cfg.RepairEvery == 0
+		if n.succs[0] == n.addr {
+			n.succs[0] = cand
+		}
 	}
 	n.mu.Unlock()
 	if !accepted {
@@ -191,7 +210,7 @@ func (n *Node) handleNotify(req Message) Message {
 			_ = n.store.Replace(item.Key, nil, nil)
 		}
 	}
-	return Message{Op: req.Op, Ok: true, KV: kv}
+	return Message{Op: req.Op, Ok: true, KV: kv, Addr: displaced}
 }
 
 // replicate sends msg to this node's replication successors — the first

@@ -136,6 +136,9 @@ type Node struct {
 	// ownerForwards counts owner-addressed requests this node forwarded
 	// because the key was foreign (forwardForeign).
 	ownerForwards *telemetry.Counter
+	// adoptions counts successors adopted by stabilize walk steps; hints
+	// counts predecessors taken from a notify reply (DESIGN.md §23).
+	adoptions, hints *telemetry.Counter
 
 	// mu guards ROUTING state only: ring pointers, fingers, the
 	// known-peers set and lifecycle flags. The data store is NOT under
@@ -145,6 +148,7 @@ type Node struct {
 	// sections over one key's state go through store.Update.
 	mu         sync.Mutex
 	pred       string
+	predHinted bool     // pred came from a notify reply and has not notified us itself
 	succs      []string // succs[0] is the immediate successor (never empty)
 	succFails  int      // consecutive failed stabilize contacts of succs[0]
 	notifySeen int      // notifies from the current predecessor (handover cadence)
@@ -206,6 +210,10 @@ func Start(cfg Config) (*Node, error) {
 		tomb:   newTombstoneCounters(),
 		ownerForwards: telemetry.NewCounter("wire_owner_forwards_total",
 			"Owner-addressed single-key requests forwarded to the routed owner because the key was foreign."),
+		adoptions: telemetry.NewCounter("wire_stabilize_adoptions_total",
+			"Successors adopted by stabilize walk steps."),
+		hints: telemetry.NewCounter("wire_predecessor_hints_total",
+			"Predecessors taken from a notify reply."),
 		known: make(map[string]bool),
 	}
 	if cfg.Retry != nil {
@@ -239,7 +247,11 @@ func (n *Node) Addr() string { return n.addr }
 // ID returns the node's ring identifier.
 func (n *Node) ID() keyspace.Key { return n.id }
 
-// Join enters the ring that bootstrap belongs to.
+// Join enters the ring that bootstrap belongs to. The answer to the
+// lookup may be a stale successor; the prompt stabilize round walks back
+// from it to the true one, notifies it and takes the predecessor it
+// displaced, so joins made back to back leave every predecessor right
+// and every successor one round from right (DESIGN.md §23).
 func (n *Node) Join(bootstrap string) error {
 	resp, err := n.cfg.Transport.Call(bootstrap, Message{
 		Op: OpFindSuccessor, Key: n.id, TTL: n.cfg.TTL,
@@ -399,8 +411,16 @@ func (n *Node) gcTombstones() {
 }
 
 // stabilizeOnce runs one round of the Chord stabilize protocol: verify the
-// successor, adopt a closer one if its predecessor is between us, notify
-// it, and refresh the successor list.
+// successor, walk back to the closest node between us and it, notify
+// that node, and refresh the successor list.
+//
+// The walk is Chord's step repeated within the round: while the
+// successor's predecessor lies strictly between this node and the
+// successor, it becomes the successor. A candidate is adopted only once
+// it has answered its own OpGetPredecessor, so a stale pointer to a dead
+// node never displaces a live successor, and walkBound caps the steps.
+// On a converged ring the first answer names this node, and the round
+// costs OpGetPredecessor, OpNotify and OpGetSuccessor (DESIGN.md §23).
 func (n *Node) stabilizeOnce() {
 	n.mu.Lock()
 	succ := n.succs[0]
@@ -408,8 +428,9 @@ func (n *Node) stabilizeOnce() {
 	n.mu.Unlock()
 
 	if succ == n.addr {
-		// Single-node ring; if someone notified us, they become our
-		// successor too, closing a two-node ring.
+		// Alone, yet holding a predecessor: the successor list emptied
+		// after the notify that set it (handleNotify closes a two-node
+		// ring itself). Take the predecessor back as successor.
 		if pred != "" && pred != n.addr {
 			n.mu.Lock()
 			n.succs[0] = pred
@@ -429,16 +450,28 @@ func (n *Node) stabilizeOnce() {
 		}
 		return
 	}
-	if x := resp.Addr; x != "" && x != n.addr && n.peerID(x).BetweenOpen(n.id, n.peerID(succ)) {
-		// A node slipped in between us and our successor.
+	first := succ
+	for step := 0; step < walkBound; step++ {
+		x := resp.Addr
 		n.mu.Lock()
-		n.succs[0] = x
-		succ = x
+		n.notePeersLocked(x)
+		n.mu.Unlock()
+		if x == "" || x == n.addr || !n.peerID(x).BetweenOpen(n.id, n.peerID(succ)) {
+			break
+		}
+		// A node slipped in between us and our successor.
+		xresp, err := n.cfg.Transport.Call(x, Message{Op: OpGetPredecessor})
+		if err != nil {
+			break
+		}
+		succ, resp = x, xresp
+		n.adoptions.Inc()
+	}
+	if succ != first {
+		n.mu.Lock()
+		n.succs[0] = succ
 		n.mu.Unlock()
 	}
-	n.mu.Lock()
-	n.notePeersLocked(resp.Addr)
-	n.mu.Unlock()
 
 	// Notify the successor; it may hand us keys we now own.
 	nresp, err := n.cfg.Transport.Call(succ, Message{Op: OpNotify, Addr: n.addr})
@@ -450,6 +483,14 @@ func (n *Node) stabilizeOnce() {
 	}
 	n.mu.Lock()
 	n.succFails = 0 // the successor answered; it is alive
+	if h := nresp.Addr; h != "" && h != n.addr && n.pred == "" {
+		// The successor took us as its predecessor and named the one we
+		// displaced, which precedes us: our predecessor, provisionally —
+		// checkPredecessor verifies it, and its own first notify still
+		// counts as a change in handleNotify.
+		n.pred, n.predHinted = h, true
+		n.hints.Inc()
+	}
 	n.mu.Unlock()
 	if len(nresp.KV) > 0 {
 		n.adoptKeys(nresp.KV)
@@ -510,7 +551,8 @@ func (n *Node) advanceSuccessor() {
 	n.succs = []string{n.addr}
 }
 
-// checkPredecessor clears a dead predecessor so Notify can replace it.
+// checkPredecessor clears a dead predecessor — a hinted one included —
+// so Notify can replace it.
 func (n *Node) checkPredecessor() {
 	n.mu.Lock()
 	pred := n.pred
@@ -521,7 +563,7 @@ func (n *Node) checkPredecessor() {
 	if _, err := n.cfg.Transport.Call(pred, Message{Op: OpPing}); err != nil && !errors.Is(err, ErrOverload) {
 		n.mu.Lock()
 		if n.pred == pred {
-			n.pred = ""
+			n.pred, n.predHinted = "", false
 		}
 		n.mu.Unlock()
 	}
@@ -695,7 +737,7 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 	n.repair.attach(reg)
 	n.merge.attach(reg)
 	n.tomb.attach(reg)
-	reg.Attach(n.ownerForwards)
+	reg.Attach(n.ownerForwards, n.adoptions, n.hints)
 	if n.retry != nil {
 		n.retry.Instrument(reg)
 	}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"time"
 
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
@@ -212,28 +211,6 @@ func TestPruneOrdersAndFiltersTheVerdicts(t *testing.T) {
 	}
 }
 
-// waitPredecessors blocks until every node's predecessor pointer is its
-// ideal ring neighbour, so that which keys a node disclaims is settled.
-func waitPredecessors(t *testing.T, c *Cluster, tr Transport) {
-	t.Helper()
-	addrs := c.Addrs()
-	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		settled := true
-		for i, addr := range addrs {
-			resp, err := tr.Call(addr, Message{Op: OpGetPredecessor})
-			if err != nil || resp.Addr != addrs[(i+len(addrs)-1)%len(addrs)] {
-				settled = false
-			}
-		}
-		if settled {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("predecessor pointers never settled")
-		}
-	}
-}
-
 // TestRemoveReplyNamesEmptiedKeysAndAckedReplicas drives the node side
 // of the contract on a live replicated ring. An origin OpRemoveBatch
 // lists, in request order, the keys holding nothing once the batch is
@@ -244,8 +221,7 @@ func waitPredecessors(t *testing.T, c *Cluster, tr Transport) {
 // replica form of the message reports neither. OpRemove does the same
 // for one key, and whoever is named really holds no copy any more.
 func TestRemoveReplyNamesEmptiedKeysAndAckedReplicas(t *testing.T) {
-	cluster, nodes, mt := startBatchRing(t, 4, 1)
-	waitPredecessors(t, cluster, mt)
+	cluster, nodes, mt := startBatchRing(t, 4, 1) // converged: which keys a node disclaims is settled
 	here, successor := nodes[0].Addr(), nodes[0].Successor()
 	members := cluster.ring()
 	last, other := overlay.Entry{Kind: "index", Value: "last"}, overlay.Entry{Kind: "index", Value: "other"}

@@ -1,0 +1,256 @@
+package wire
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"dhtindex/internal/keyspace"
+	"dhtindex/internal/overlay"
+)
+
+// idleNodes starts count nodes whose maintenance never ticks within a
+// test, so every stabilize round is one the test runs by hand. It
+// returns them in ring order (ascending id).
+func idleNodes(t *testing.T, transport func() Transport, count int) []*Node {
+	t.Helper()
+	nodes := make([]*Node, count)
+	for i := range nodes {
+		n, err := Start(Config{Transport: transport(), Addr: "mem:0", StabilizeInterval: time.Hour})
+		if err != nil {
+			t.Fatalf("start node %d: %v", i, err)
+		}
+		t.Cleanup(n.Stop)
+		nodes[i] = n
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id.Cmp(nodes[j].id) < 0 })
+	return nodes
+}
+
+// burstJoin joins every node but the first back to back through the
+// first, with no stabilize round in between — the way the benchmark and
+// the storm harness boot a ring.
+func burstJoin(t *testing.T, nodes []*Node) {
+	t.Helper()
+	boot := nodes[0].Addr()
+	for i, n := range nodes[1:] {
+		if err := n.Join(boot); err != nil {
+			t.Fatalf("join node %d: %v", i+1, err)
+		}
+	}
+}
+
+// stabilizeRound runs one manual stabilize round: every node once, in a
+// seeded shuffled order.
+func stabilizeRound(nodes []*Node, seed int64) {
+	order := slices.Clone(nodes)
+	rand.New(rand.NewSource(seed)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for _, n := range order {
+		n.stabilizeOnce()
+	}
+}
+
+// ringErr names the first node of ring (in ring order) whose successor
+// or predecessor is not its ideal neighbour.
+func ringErr(ring []*Node) error {
+	for i, n := range ring {
+		succ, pred := ring[(i+1)%len(ring)], ring[(i+len(ring)-1)%len(ring)]
+		if got := n.Successor(); got != succ.Addr() {
+			return fmt.Errorf("node %d (%s): successor %s, want %s", i, n.Addr(), got, succ.Addr())
+		}
+		if got := n.Predecessor(); got != pred.Addr() {
+			return fmt.Errorf("node %d (%s): predecessor %s, want %s", i, n.Addr(), got, pred.Addr())
+		}
+	}
+	return nil
+}
+
+// TestBurstJoinConvergesInOneRound: after a back-to-back join burst one
+// stabilize round, in any order, leaves every successor and predecessor
+// ideal. Chord's one step per round needs on the order of N/2 rounds
+// here; the walk back along the predecessor chain takes them all in one.
+func TestBurstJoinConvergesInOneRound(t *testing.T) {
+	for _, count := range []int{64, 512} {
+		t.Run(fmt.Sprint(count), func(t *testing.T) {
+			mt := NewMemTransport()
+			ring := idleNodes(t, func() Transport { return mt }, count)
+			// Join in start order, not ring order: the burst's bootstrap
+			// and joiners fall anywhere on the ring.
+			burstJoin(t, startOrder(ring))
+			stabilizeRound(ring, int64(count))
+			if err := ringErr(ring); err != nil {
+				t.Fatalf("one round after a %d-node join burst: %v", count, err)
+			}
+			var adoptions, hints int64
+			for _, n := range ring {
+				adoptions += n.adoptions.Value()
+				hints += n.hints.Value()
+			}
+			if hints != int64(count-1) {
+				t.Fatalf("%d predecessor hints, want one per joiner (%d)", hints, count-1)
+			}
+			if adoptions == 0 {
+				t.Fatal("no stabilize walk step adopted a successor: the burst never left one stale")
+			}
+		})
+	}
+}
+
+// startOrder returns nodes in the order they were started (their
+// MemTransport addresses count up).
+func startOrder(nodes []*Node) []*Node {
+	out := slices.Clone(nodes)
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr() < out[j].Addr() })
+	return out
+}
+
+// TestConvergedRoundCostsThreeRPCs: on a converged ring a stabilize
+// round sends each node's successor exactly OpGetPredecessor, OpNotify
+// and OpGetSuccessor — the walk takes no step.
+func TestConvergedRoundCostsThreeRPCs(t *testing.T) {
+	rec := &recordingTransport{Transport: NewMemTransport()}
+	ring := idleNodes(t, func() Transport { return rec }, 8)
+	burstJoin(t, startOrder(ring))
+	stabilizeRound(ring, 1)
+	if err := ringErr(ring); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range ring {
+		rec.take()
+		n.stabilizeOnce()
+		sent := rec.take()
+		var ops []Op
+		for _, s := range sent {
+			if s.addr != n.Successor() {
+				t.Fatalf("node %d sent %s to %s, not its successor", i, s.req.Op, s.addr)
+			}
+			ops = append(ops, s.req.Op)
+		}
+		if want := []Op{OpGetPredecessor, OpNotify, OpGetSuccessor}; !slices.Equal(ops, want) {
+			t.Fatalf("node %d's converged round sent %v, want %v", i, ops, want)
+		}
+	}
+}
+
+// TestTwoNodeRingClosesOnJoin: a lone node takes its first notifier as
+// successor inside the notify, and names itself as the predecessor the
+// notifier displaced, so the two-node ring is whole when Join returns.
+func TestTwoNodeRingClosesOnJoin(t *testing.T) {
+	mt := NewMemTransport()
+	ring := idleNodes(t, func() Transport { return mt }, 2)
+	if err := ring[1].Join(ring[0].Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ringErr(ring); err != nil {
+		t.Fatalf("two-node ring after one join, no round: %v", err)
+	}
+}
+
+// TestDeadPredecessorOfSuccessorIsNotAdopted: n's successor s still
+// names a crash-stopped x as its predecessor (s's checkPredecessor has
+// not run yet). The walk asks x for its predecessor, x does not answer,
+// and s stays n's successor — adopting x and then failing to notify it
+// used to drop the live s from the list too.
+func TestDeadPredecessorOfSuccessorIsNotAdopted(t *testing.T) {
+	ft := NewFaultTransport(NewMemTransport(), 1)
+	ring := idleNodes(t, ft.Endpoint, 4)
+	n, x, s, s2 := ring[0], ring[1], ring[2], ring[3]
+	n.mu.Lock()
+	n.succs = []string{s.addr, s2.addr}
+	n.mu.Unlock()
+	s.mu.Lock()
+	s.pred, s.succs = x.addr, []string{s2.addr, n.addr}
+	s.mu.Unlock()
+	ft.Crash(x.addr)
+
+	n.stabilizeOnce()
+	if got := n.Successors(); got[0] != s.addr {
+		t.Fatalf("successors %v: the live %s was displaced past the dead %s", got, s.addr, x.addr)
+	}
+	if got := n.adoptions.Value(); got != 0 {
+		t.Fatalf("%d adoptions of a node that never answered", got)
+	}
+}
+
+// hintRing plants three idle nodes p < n < s where s still has p as its
+// predecessor and n, with no predecessor, has s as its successor: n's
+// next notify displaces p at s.
+func hintRing(t *testing.T, transport func() Transport) (p, n, s *Node) {
+	t.Helper()
+	ring := idleNodes(t, transport, 3)
+	p, n, s = ring[0], ring[1], ring[2]
+	s.mu.Lock()
+	s.pred = p.addr
+	s.mu.Unlock()
+	n.mu.Lock()
+	n.succs = []string{s.addr}
+	n.mu.Unlock()
+	return p, n, s
+}
+
+// TestDeadHintIsClearedByCheckPredecessor: the predecessor a notify
+// reply names is taken even if it is dead — it is only a hint — and the
+// next checkPredecessor clears it as it would any dead predecessor.
+func TestDeadHintIsClearedByCheckPredecessor(t *testing.T) {
+	ft := NewFaultTransport(NewMemTransport(), 1)
+	p, n, s := hintRing(t, ft.Endpoint)
+	ft.Crash(p.addr)
+	n.stabilizeOnce()
+	if s.Predecessor() != n.addr || n.Predecessor() != p.addr || n.hints.Value() != 1 {
+		t.Fatalf("after n's notify: s.pred %s, n.pred %s, hints %d; want %s, the displaced %s, 1",
+			s.Predecessor(), n.Predecessor(), n.hints.Value(), n.addr, p.addr)
+	}
+	n.checkPredecessor()
+	if got := n.Predecessor(); got != "" {
+		t.Fatalf("dead hinted predecessor %s survived checkPredecessor (pred %s)", p.addr, got)
+	}
+}
+
+// TestHintNeverReplacesKnownPredecessor: a hint only narrows a range
+// that was everything; a node that knows a predecessor keeps it.
+func TestHintNeverReplacesKnownPredecessor(t *testing.T) {
+	mt := NewMemTransport()
+	p, n, s := hintRing(t, func() Transport { return mt })
+	n.mu.Lock()
+	n.pred = s.addr // any known predecessor, right or wrong, is not the hint's to replace
+	n.mu.Unlock()
+	n.stabilizeOnce()
+	if s.Predecessor() != n.addr {
+		t.Fatalf("s.pred = %s: n's notify did not displace %s", s.Predecessor(), p.addr)
+	}
+	if got := n.Predecessor(); got != s.addr || n.hints.Value() != 0 {
+		t.Fatalf("n.pred = %s with %d hints; the known %s must stay", got, n.hints.Value(), s.addr)
+	}
+}
+
+// TestHintedPredecessorGetsHandoverOnFirstNotify: a key the notifier
+// holds but the hinted predecessor owns is handed over when that
+// predecessor notifies for the first time, as it is when the predecessor
+// was unknown; the next notify is no change and ships nothing.
+func TestHintedPredecessorGetsHandoverOnFirstNotify(t *testing.T) {
+	mt := NewMemTransport()
+	p, n, s := hintRing(t, func() Transport { return mt })
+	key := keyWhere(t, "hinted", func(k keyspace.Key) bool { return k.Between(s.id, p.id) })
+	entry := overlay.Entry{Kind: "d", Value: "misplaced"}
+	if _, err := n.store.Put(key, entry); err != nil {
+		t.Fatal(err)
+	}
+	n.stabilizeOnce()
+	if n.Predecessor() != p.addr {
+		t.Fatalf("n.pred = %s, want the hinted %s", n.Predecessor(), p.addr)
+	}
+	notify := Message{Op: OpNotify, Addr: p.addr}
+	resp, err := mt.Call(n.addr, notify)
+	if err != nil || !resp.Ok || len(resp.KV) != 1 || resp.KV[0].Key != key {
+		t.Fatalf("first notify from the hinted predecessor: %+v, %v; want the key %s handed over", resp, err, key.Short())
+	}
+	if got := localEntries(t, mt, n.addr, key); len(got) != 0 {
+		t.Fatalf("n kept %v after handing the key over at replication 0", got)
+	}
+	if resp, err = mt.Call(n.addr, notify); err != nil || !resp.Ok || len(resp.KV) != 0 {
+		t.Fatalf("second notify: %+v, %v; want an unchanged predecessor and no handover", resp, err)
+	}
+}
