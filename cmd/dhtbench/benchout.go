@@ -1,22 +1,30 @@
 package main
 
-// The -bench-out mode: an in-process microbenchmark harness for the
-// wire fast path. It measures the pooled transport's round trip,
-// batched cluster puts against sequential routed puts,
-// batched article publish against per-mapping inserts, and batched
-// against one-lookup-at-a-time automated search — and writes one JSON report
-// (ops/s, p50/p99 latency, wire bytes per op) for CI to archive as
-// BENCH_wire.json. The same scenarios exist as `go test -bench`
-// benchmarks in internal/wire; this mode exists so a deployment can
-// produce the report without the Go toolchain's test machinery.
+// The bench subcommand. With -out it is an in-process microbenchmark
+// harness for the wire fast path: the pooled transport's round trip,
+// batched cluster puts against sequential routed puts, batched article
+// publish against per-mapping inserts, and batched against
+// one-lookup-at-a-time automated search, merged as rows (ops/s, p50/p99
+// latency, wire bytes and allocations per op) into a JSON report — the
+// source of the committed BENCH_wire.json. The same scenarios exist as
+// `go test -bench` benchmarks in internal/wire; this subcommand produces
+// the report without the Go toolchain's test machinery. With -check it
+// is the cheap regression gate over that report (benchcheck.go).
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"path/filepath"
 	"runtime"
+	"runtime/pprof"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -40,11 +48,13 @@ type benchResult struct {
 	// AllocsPerOp is the process-wide heap allocation count per op
 	// (runtime Mallocs delta / ops). Background goroutines contribute, so
 	// it is an upper bound on the scenario's own allocations — the
-	// -bench-check regression gate compares it with tolerance.
+	// bench -check regression gate compares it with tolerance.
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// benchReport is the whole BENCH_wire.json document.
+// benchReport is the whole BENCH_wire.json document. Three writers share
+// it — bench -out, load -bench and matrix -bench — each replacing only
+// its own rows, ratios or matrix through updateBench.
 type benchReport struct {
 	GeneratedBy string             `json:"generated_by"`
 	Seed        int64              `json:"seed"`
@@ -53,36 +63,142 @@ type benchReport struct {
 
 	// SubstrateMatrix holds the cross-substrate churn-soak comparison
 	// (hops, query percentiles, maintenance traffic, acked-write loss)
-	// produced by -matrix; see matrixout.go.
+	// produced by the matrix subcommand; see matrixout.go.
 	SubstrateMatrix []soak.SubstrateReport `json:"substrate_matrix,omitempty"`
+}
+
+// updateBench is the one read-modify-write of a bench report: it reads
+// the report at path (a missing file starts empty), lets update replace
+// its writer's part, and writes the result back with the rows in name
+// order, so the writers compose in any order.
+func updateBench(path string, update func(*benchReport)) error {
+	var b benchReport
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(raw, &b)
+	} else if errors.Is(err, os.ErrNotExist) {
+		err = nil
+	}
+	if err != nil {
+		return fmt.Errorf("bench report %s: %w", path, err)
+	}
+	b.GeneratedBy = "dhtbench"
+	update(&b)
+	slices.SortFunc(b.Results, func(x, y benchResult) int { return strings.Compare(x.Name, y.Name) })
+	if err := writeJSON(path, b); err != nil {
+		return fmt.Errorf("bench report %s: %w", path, err)
+	}
+	return nil
+}
+
+// replace swaps the rows and ratios own selects for fresh ones, keeping
+// every other writer's.
+func (b *benchReport) replace(own func(name string) bool, rows []benchResult, ratios map[string]float64) {
+	b.Results = append(slices.DeleteFunc(b.Results, func(r benchResult) bool { return own(r.Name) }), rows...)
+	if b.Ratios == nil {
+		b.Ratios = make(map[string]float64)
+	}
+	maps.DeleteFunc(b.Ratios, func(name string, _ float64) bool { return own(name) })
+	maps.Copy(b.Ratios, ratios)
+}
+
+// isLoad reports whether a row or ratio belongs to the load writer;
+// every other one is the microbenchmarks'.
+func isLoad(name string) bool { return strings.HasPrefix(name, "load") }
+
+// setMicro replaces the microbenchmark rows and ratios.
+func (b *benchReport) setMicro(seed int64, rows []benchResult, ratios map[string]float64) {
+	b.Seed = seed
+	b.replace(func(name string) bool { return !isLoad(name) }, rows, ratios)
 }
 
 // seqPublishNet hides the cluster's BatchNetwork extension so the index
 // layer publishes over the sequential per-entry path.
 type seqPublishNet struct{ overlay.Network }
 
-// runBenchOut executes every wire fast-path scenario and writes the
-// JSON report to path.
-func runBenchOut(path string, seed int64) error {
-	var report benchReport
-	// Regenerating the microbenchmark rows must not discard a substrate
-	// matrix a previous -matrix run merged into the same file.
-	if raw, err := os.ReadFile(path); err == nil {
-		var prev benchReport
-		if err := json.Unmarshal(raw, &prev); err == nil {
-			report.SubstrateMatrix = prev.SubstrateMatrix
+func runBench(args []string, out io.Writer) error {
+	fs := newFlagSet("bench", "run the wire fast-path microbenchmarks into a bench report (-out), or gate the pooled transport's bytes and allocations per op against one (-check)", out)
+	var g gate // no registry, report or snapshot: only the verdict applies
+	fs.Int64Var(&g.seed, "seed", 1, "seed of the -out scenarios' rings and corpora")
+	outPath := fs.String("out", "", "run every scenario and, on a pass, merge the rows and ratios into this bench report (e.g. BENCH_wire.json)")
+	check := fs.String("check", "", "re-measure the pooled transport's bytes/op and allocs/op and fail past tolerance against the committed bench report at this path")
+	profile := fs.String("profile", "", "write cpu.pprof and heap.pprof covering the run to this directory (created if missing)")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	if (*outPath == "") == (*check == "") {
+		return usagef(fs, "bench takes exactly one of -out and -check")
+	}
+	if *check != "" {
+		if err := onlyWith(fs, "-out", "seed"); err != nil {
+			return err
 		}
 	}
-	report.GeneratedBy = "dhtbench -bench-out"
-	report.Seed = seed
-	report.Ratios = make(map[string]float64)
+	if *profile != "" {
+		stop, err := startProfiles(out, *profile)
+		if err != nil {
+			return err
+		}
+		defer stop()
+	}
+	var violations []string
+	var err error
+	if *check != "" {
+		violations, err = benchCheck(out, *check)
+	} else {
+		violations, err = benchOut(out, *outPath, g.seed)
+	}
+	return g.finish(out, nil, violations, err)
+}
 
+// startProfiles begins a CPU profile in dir and returns a stop function
+// that ends it and writes a heap profile next to it. The artifacts
+// (cpu.pprof, heap.pprof) are what CI uploads for offline `go tool
+// pprof` triage of bench regressions.
+func startProfiles(out io.Writer, dir string) (func(), error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("profile dir: %w", err)
+	}
+	cpuPath := filepath.Join(dir, "cpu.pprof")
+	cf, err := os.Create(cpuPath)
+	if err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(cf); err != nil {
+		cf.Close()
+		return nil, fmt.Errorf("profile: %w", err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		cf.Close()
+		heapPath := filepath.Join(dir, "heap.pprof")
+		hf, err := os.Create(heapPath)
+		if err != nil {
+			fmt.Fprintln(out, "heap profile:", err)
+			return
+		}
+		defer hf.Close()
+		runtime.GC() // capture live objects, not garbage awaiting collection
+		if err := pprof.Lookup("heap").WriteTo(hf, 0); err != nil {
+			fmt.Fprintln(out, "heap profile:", err)
+			return
+		}
+		fmt.Fprintf(out, "profiles written to %s and %s\n", cpuPath, heapPath)
+	}, nil
+}
+
+// benchOut executes every wire fast-path scenario and, when the batched
+// search sent fewer RPCs than the sequential one, merges the rows and
+// ratios into the bench report at path.
+func benchOut(out io.Writer, path string, seed int64) ([]string, error) {
+	var rows []benchResult
+	ratios := make(map[string]float64)
 	add := func(r benchResult, err error) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.Name, err)
 		}
-		report.Results = append(report.Results, r)
-		fmt.Printf("%-28s %8d ops  %12.0f ops/s  p50 %8.1fµs  p99 %8.1fµs  %7d B/op  %8.1f allocs/op\n",
+		rows = append(rows, r)
+		fmt.Fprintf(out, "%-28s %8d ops  %12.0f ops/s  p50 %8.1fµs  p99 %8.1fµs  %7d B/op  %8.1f allocs/op\n",
 			r.Name, r.Ops, r.OpsPerSec, r.P50Micros, r.P99Micros, r.BytesPerOp, r.AllocsPerOp)
 		return nil
 	}
@@ -91,33 +207,33 @@ func runBenchOut(path string, seed int64) error {
 	const callOps = 2000
 	pooled, err := benchTransport(callOps)
 	if err := add(pooled, err); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Cluster puts: one 16-key batch vs 16 sequential routed puts.
 	const putOps = 200
 	batch, err := benchClusterPut(true, putOps, seed)
 	if err := add(batch, err); err != nil {
-		return err
+		return nil, err
 	}
 	seqPut, err := benchClusterPut(false, putOps, seed)
 	if err := add(seqPut, err); err != nil {
-		return err
+		return nil, err
 	}
-	report.Ratios["put_batch_vs_sequential"] = ratio(batch, seqPut)
+	ratios["put_batch_vs_sequential"] = ratio(batch, seqPut)
 
 	// Article publish with the Complex scheme (1 data entry + 9 index
 	// mappings): batched vs per-mapping inserts.
 	const pubOps = 200
 	pubBatch, err := benchPublish(true, pubOps, seed)
 	if err := add(pubBatch, err); err != nil {
-		return err
+		return nil, err
 	}
 	pubSeq, err := benchPublish(false, pubOps, seed)
 	if err := add(pubSeq, err); err != nil {
-		return err
+		return nil, err
 	}
-	report.Ratios["publish_batch_vs_sequential"] = ratio(pubBatch, pubSeq)
+	ratios["publish_batch_vs_sequential"] = ratio(pubBatch, pubSeq)
 
 	// Automated search over the index DAG: the frontier fetched one
 	// lookup at a time (Parallelism 1) vs one owner-grouped GetBatch per
@@ -129,35 +245,23 @@ func runBenchOut(path string, seed int64) error {
 	const searchOps = 300
 	searchSeq, seqRPCs, err := benchSearchAll(1, searchOps, seed)
 	if err := add(searchSeq, err); err != nil {
-		return err
+		return nil, err
 	}
 	searchPar, parRPCs, err := benchSearchAll(8, searchOps, seed)
 	if err := add(searchPar, err); err != nil {
-		return err
+		return nil, err
 	}
-	report.Ratios["search_parallel_vs_sequential"] = ratio(searchPar, searchSeq)
-	report.Ratios["search_rpcs_parallel_vs_sequential"] = parRPCs / seqRPCs
-	fmt.Printf("search_all client RPCs per search: sequential %.1f, parallel-8 %.1f\n", seqRPCs, parRPCs)
+	ratios["search_parallel_vs_sequential"] = ratio(searchPar, searchSeq)
+	ratios["search_rpcs_parallel_vs_sequential"] = parRPCs / seqRPCs
+	fmt.Fprintf(out, "search_all client RPCs per search: sequential %.1f, parallel-8 %.1f\n", seqRPCs, parRPCs)
+	for name, r := range ratios {
+		fmt.Fprintf(out, "ratio %-36s %.2fx\n", name, r)
+	}
 	if parRPCs >= seqRPCs {
-		return fmt.Errorf("batched search sends %.1f client RPCs per search, the sequential walk %.1f: grouping saved nothing",
-			parRPCs, seqRPCs)
+		return []string{fmt.Sprintf("batched search sends %.1f client RPCs per search, the sequential walk %.1f: grouping saved nothing",
+			parRPCs, seqRPCs)}, nil
 	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&report); err != nil {
-		return fmt.Errorf("write bench report: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "dhtbench: bench report written to %s\n", path)
-	for name, r := range report.Ratios {
-		fmt.Printf("ratio %-32s %.2fx\n", name, r)
-	}
-	return nil
+	return nil, updateBench(path, func(b *benchReport) { b.setMicro(seed, rows, ratios) })
 }
 
 // ratio compares two scenarios by throughput (fast / slow baseline).

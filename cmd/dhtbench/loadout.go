@@ -1,111 +1,57 @@
 package main
 
-// The -load mode: the open-loop overload harness (internal/soak.RunLoad)
-// as a CI gate. It drives a rated phase and a 2-4x overload phase with a
-// flash crowd, prints the phase accounting plus the admission / retry /
-// breaker totals, optionally writes the full JSON LoadReport (-load-out)
-// and merges trajectory rows into the committed BENCH_wire.json
-// (-bench-out), and exits non-zero when any SLO criterion is violated —
-// p99 at rated load, proportional goodput under overload, bounded retry
-// traffic, zero acked-write loss.
+// The load subcommand: the open-loop overload run (soak.RunLoad). It
+// drives a rated phase and a 4x overload phase with a flash crowd,
+// prints the phase accounting plus the admission / retry / breaker
+// totals, and is held to the SLO gate the report carries — p99 at rated
+// load, proportional goodput under overload, admission engaged, bounded
+// retry traffic, zero acked-write loss. On a pass, -bench merges the
+// goodput trajectory into a bench report.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"dhtindex/internal/soak"
-	"dhtindex/internal/telemetry"
 )
 
-// loadOpts bundles the -load flag values.
-type loadOpts struct {
-	rated    float64
-	factor   float64
-	duration time.Duration
-	seed     int64
-	out      string
-	benchOut string
-}
-
-// errSLO marks an SLO-gate failure (as opposed to a harness error).
-var errSLO = errors.New("load SLO gate failed")
-
-// runLoadMode executes the overload run and holds it to the SLO gate.
-func runLoadMode(o loadOpts, reg *telemetry.Registry, metricsAddr, metricsOut string) error {
-	cfg := soak.LoadConfig{
-		Seed:           o.seed,
-		RatedRPS:       o.rated,
-		OverloadFactor: o.factor,
-		Telemetry:      reg,
-		Log: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
-	}
-	if o.duration > 0 {
-		// -duration is the total arrival window, split across the phases.
-		cfg.RatedDuration = o.duration / 2
-		cfg.OverloadDuration = o.duration / 2
-	}
-	report, err := soak.RunLoad(cfg)
-	if err != nil {
+func runLoad(args []string, out io.Writer) error {
+	fs := newFlagSet("load", "drive a ring open-loop at its rated rate, then at 4x with a flash crowd, and hold it to the SLO gate", out)
+	g := newGate(fs)
+	g.reportFlag(fs)
+	duration := fs.Duration("duration", 0, "total arrival window, split evenly across the rated and overload phases (0: the harness default, 6s)")
+	bench := fs.String("bench", "", "on a pass, merge the load/* rows into this bench report (e.g. BENCH_wire.json)")
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-
-	fmt.Printf("\nload report (seed %d)\n", o.seed)
-	for _, p := range []soak.PhaseReport{report.Rated, report.Overload} {
-		fmt.Printf("  %-9s %6.0f/s target: offered=%d dropped=%d ok=%d shed=%d failed=%d goodput=%.1f/s shed-rate=%.2f p50=%v p99=%v\n",
-			p.Name, p.TargetRPS, p.Offered, p.Dropped, p.OK, p.Shed, p.Failed,
-			p.GoodputRPS, p.ShedRate, p.P50.Round(time.Millisecond), p.P99.Round(time.Millisecond))
-	}
-	a := report.Admission
-	fmt.Printf("  admission: %d admitted (%d waited), sheds: %d queue_full, %d queue_timeout, %d deadline, %d priority\n",
-		a.Admitted, a.Waited, a.ShedQueueFull, a.ShedQueueTimeout, a.ShedDeadline, a.ShedPriority)
-	r := report.Retry
-	fmt.Printf("  retry:     %d calls, %d retries, %d overload NACKs, %d budget-exhausted, %d gave up\n",
-		r.Calls, r.Retries, r.Overloads, r.BudgetExhausted, r.GaveUp)
-	b := report.Breaker
-	fmt.Printf("  breaker:   %d trips (%d on overload), %d fast-fails, %d probes, %d closes, %d open\n",
-		b.Trips, b.OverloadTrips, b.FastFails, b.Probes, b.Closes, b.Open)
-	fmt.Printf("  writes:    %d acked, %d lost\n", report.AckedWrites, len(report.LostWrites))
-
-	if o.out != "" {
-		if err := writeJSON(o.out, report); err != nil {
-			return fmt.Errorf("write load report: %w", err)
+	r, err := soak.RunLoad(soak.LoadConfig{
+		Seed:             g.seed,
+		RatedDuration:    *duration / 2,
+		OverloadDuration: *duration / 2,
+		Telemetry:        g.reg,
+		Log:              logTo(out),
+	})
+	if err == nil {
+		fmt.Fprintf(out, "\nload report\n")
+		for _, p := range []soak.PhaseReport{r.Rated, r.Overload} {
+			fmt.Fprintf(out, "  %-9s %6.0f/s target: offered=%d dropped=%d ok=%d shed=%d failed=%d goodput=%.1f/s shed-rate=%.2f p50=%v p99=%v\n",
+				p.Name, p.TargetRPS, p.Offered, p.Dropped, p.OK, p.Shed, p.Failed,
+				p.GoodputRPS, p.ShedRate, p.P50.Round(time.Millisecond), p.P99.Round(time.Millisecond))
 		}
-		fmt.Fprintf(os.Stderr, "dhtbench: load report written to %s\n", o.out)
-	}
-	if o.benchOut != "" {
-		if err := mergeLoadIntoBench(o.benchOut, o.seed, report); err != nil {
-			return fmt.Errorf("merge load trajectory into %s: %w", o.benchOut, err)
+		a, rt, b := r.Admission, r.Retry, r.Breaker
+		fmt.Fprintf(out, "  admission: %d admitted (%d waited), sheds: %d queue_full, %d queue_timeout, %d deadline, %d priority\n",
+			a.Admitted, a.Waited, a.ShedQueueFull, a.ShedQueueTimeout, a.ShedDeadline, a.ShedPriority)
+		fmt.Fprintf(out, "  retry:     %d calls, %d retries, %d overload NACKs, %d budget-exhausted, %d gave up\n",
+			rt.Calls, rt.Retries, rt.Overloads, rt.BudgetExhausted, rt.GaveUp)
+		fmt.Fprintf(out, "  breaker:   %d trips (%d on overload), %d fast-fails, %d probes, %d closes, %d open\n",
+			b.Trips, b.OverloadTrips, b.FastFails, b.Probes, b.Closes, b.Open)
+		fmt.Fprintf(out, "  writes:    %d acked, %d lost\n", r.AckedWrites, len(r.LostWrites))
+		if *bench != "" && r.Passed() {
+			err = updateBench(*bench, func(b *benchReport) { b.setLoad(r) })
 		}
-		fmt.Fprintf(os.Stderr, "dhtbench: load trajectory merged into %s\n", o.benchOut)
 	}
-	if err := emitMetrics(reg, metricsOut); err != nil {
-		return err
-	}
-	if !report.Passed() {
-		for _, v := range report.Violations {
-			fmt.Fprintf(os.Stderr, "dhtbench: SLO violation: %s\n", v)
-		}
-		return fmt.Errorf("%w: %d violations", errSLO, len(report.Violations))
-	}
-	fmt.Println("  SLO gate:  PASS")
-	return serveMetrics(reg, metricsAddr)
-}
-
-// writeJSON writes v to path as indented JSON.
-func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	return g.finish(out, r, r.Violations, err)
 }
 
 // phaseRow folds one load phase into a bench-report row: throughput is
@@ -121,35 +67,12 @@ func phaseRow(p soak.PhaseReport) benchResult {
 	}
 }
 
-// mergeLoadIntoBench read-modify-writes the bench report: existing
-// microbenchmark rows are preserved, any previous load rows are replaced
-// by this run's trajectory, and the overload-vs-rated goodput ratio is
-// recorded alongside the fast-path ratios. A missing file starts fresh.
-func mergeLoadIntoBench(path string, seed int64, lr soak.LoadReport) error {
-	var report benchReport
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &report); err != nil {
-			return fmt.Errorf("existing report unreadable: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
+// setLoad replaces the load writer's rows and ratio with this run's
+// trajectory.
+func (b *benchReport) setLoad(r soak.LoadReport) {
+	ratios := map[string]float64{}
+	if r.Rated.GoodputRPS > 0 {
+		ratios["load_goodput_overload_vs_rated"] = r.Overload.GoodputRPS / r.Rated.GoodputRPS
 	}
-	if report.GeneratedBy == "" {
-		report.GeneratedBy = "dhtbench -load"
-		report.Seed = seed
-	}
-	if report.Ratios == nil {
-		report.Ratios = make(map[string]float64)
-	}
-	kept := report.Results[:0]
-	for _, r := range report.Results {
-		if r.Name != "load/rated" && r.Name != "load/overload" {
-			kept = append(kept, r)
-		}
-	}
-	report.Results = append(kept, phaseRow(lr.Rated), phaseRow(lr.Overload))
-	if lr.Rated.GoodputRPS > 0 {
-		report.Ratios["load_goodput_overload_vs_rated"] = lr.Overload.GoodputRPS / lr.Rated.GoodputRPS
-	}
-	return writeJSON(path, report)
+	b.replace(isLoad, []benchResult{phaseRow(r.Rated), phaseRow(r.Overload)}, ratios)
 }

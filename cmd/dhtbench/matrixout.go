@@ -1,95 +1,58 @@
 package main
 
-// The -matrix mode: the cross-substrate comparison. It runs the
-// in-process indexed churn soak (internal/soak.RunSubstrate) on Chord,
-// Pastry and Kademlia with one shared configuration, prints the
-// comparison table, and — with -bench-out — merges the rows into the
-// committed BENCH_wire.json next to the wire fast-path and load rows.
-// The run fails if any substrate loses an acked article.
+// The matrix subcommand: the cross-substrate comparison. It runs the
+// in-process indexed churn soak (soak.RunSubstrate) on Chord, Pastry
+// and Kademlia with one shared configuration, prints the comparison
+// table, and fails if any substrate loses an acked article. On a pass,
+// -bench replaces the substrate matrix in a bench report, next to the
+// wire fast-path and load rows.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 
 	"dhtindex/internal/soak"
-	"dhtindex/internal/telemetry"
 )
 
 // matrixSubstrates is the comparison set, in report order.
 var matrixSubstrates = []string{"chord", "pastry", "kademlia"}
 
-// matrixOpts bundles the matrix flag values.
-type matrixOpts struct {
-	nodes, ops, queries int
-	seed                int64
-	benchOut            string
-}
-
-// runMatrix executes one soak per substrate and publishes the matrix.
-func runMatrix(o matrixOpts, reg *telemetry.Registry, metricsAddr, metricsOut string) error {
+func runMatrix(args []string, out io.Writer) error {
+	fs := newFlagSet("matrix", "run the indexed churn soak on every substrate and compare them", out)
+	g := newGate(fs)
+	nodes := fs.Int("nodes", 0, "overlay size per substrate (0: the harness default)")
+	ops := fs.Int("ops", 0, "churn-storm operations per substrate (0: the harness default)")
+	bench := fs.String("bench", "", "on a pass, replace the substrate matrix in this bench report (e.g. BENCH_wire.json)")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	var violations []string
 	rows := make([]soak.SubstrateReport, 0, len(matrixSubstrates))
 	for _, substrate := range matrixSubstrates {
 		rep, err := soak.RunSubstrate(soak.SubstrateConfig{
-			Substrate:    substrate,
-			Nodes:        o.nodes,
-			Ops:          o.ops,
-			QueriesPerOp: o.queries,
-			Seed:         o.seed,
-			Telemetry:    reg,
+			Substrate: substrate, Nodes: *nodes, Ops: *ops, Seed: g.seed, Telemetry: g.reg,
 		})
 		if err != nil {
-			return fmt.Errorf("matrix %s: %w", substrate, err)
+			return g.finish(out, nil, violations, fmt.Errorf("matrix %s: %w", substrate, err))
 		}
 		rows = append(rows, rep)
+		violations = append(violations, rep.Violations...)
 	}
 
-	fmt.Printf("substrate matrix (seed %d: %d nodes, %d ops, %d queries)\n",
-		o.seed, rows[0].Nodes, rows[0].Ops, rows[0].Queries)
-	fmt.Printf("%-10s %6s %6s %7s %8s %9s %10s %10s %11s %11s %6s\n",
+	fmt.Fprintf(out, "substrate matrix (seed %d: %d nodes, %d ops, %d queries)\n",
+		g.seed, rows[0].Nodes, rows[0].Ops, rows[0].Queries)
+	fmt.Fprintf(out, "%-10s %6s %6s %7s %8s %9s %10s %10s %11s %11s %6s\n",
 		"substrate", "nodes", "churn", "queries", "found", "failures",
 		"mean hops", "p99 query", "maint items", "maint bytes", "lost")
 	for _, r := range rows {
-		fmt.Printf("%-10s %6d %6d %7d %8d %9d %10.2f %9.0fµs %11d %11d %6d\n",
+		fmt.Fprintf(out, "%-10s %6d %6d %7d %8d %9d %10.2f %9.0fµs %11d %11d %6d\n",
 			r.Substrate, r.Nodes, r.Joins+r.Leaves+r.Crashes, r.Queries, r.Found,
 			r.QueryFailures, r.MeanLookupHops, r.P99QueryMicros,
 			r.MaintenanceItems, r.MaintenanceBytes, r.LostArticles)
 	}
-
-	if o.benchOut != "" {
-		if err := mergeMatrixIntoBench(o.benchOut, o.seed, rows); err != nil {
-			return fmt.Errorf("merge matrix into %s: %w", o.benchOut, err)
-		}
-		fmt.Fprintf(os.Stderr, "dhtbench: substrate matrix merged into %s\n", o.benchOut)
+	var err error
+	if *bench != "" && len(violations) == 0 {
+		err = updateBench(*bench, func(b *benchReport) { b.SubstrateMatrix = rows })
 	}
-	if err := emitMetrics(reg, metricsOut); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if r.LostArticles > 0 {
-			return fmt.Errorf("matrix failed: %s lost %d of %d acked articles",
-				r.Substrate, r.LostArticles, r.AckedArticles)
-		}
-	}
-	return serveMetrics(reg, metricsAddr)
-}
-
-// mergeMatrixIntoBench read-modify-writes the bench report: the
-// microbenchmark and load rows are preserved and the substrate matrix
-// is replaced by this run's rows. A missing file starts fresh.
-func mergeMatrixIntoBench(path string, seed int64, rows []soak.SubstrateReport) error {
-	var report benchReport
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &report); err != nil {
-			return fmt.Errorf("existing report unreadable: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	if report.GeneratedBy == "" {
-		report.GeneratedBy = "dhtbench -matrix"
-		report.Seed = seed
-	}
-	report.SubstrateMatrix = rows
-	return writeJSON(path, report)
+	return g.finish(out, nil, violations, err)
 }

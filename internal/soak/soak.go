@@ -81,8 +81,8 @@ func publishCorpus(net overlay.Network, reg *telemetry.Registry, scenario, file 
 	return svc, nil
 }
 
-// Report is the outcome of an indexed soak: the storm's own report plus
-// the indexed workload's accounting.
+// Report is the outcome of an indexed soak: the storm's own report, its
+// Violations included, plus the indexed workload's accounting.
 type Report struct {
 	StormReport
 
@@ -170,7 +170,11 @@ func Run(cfg Config) (Report, error) {
 	}
 	if cfg.Repair {
 		h.postStorm = func(c *wire.Cluster, ft *wire.FaultTransport) error {
-			return incompleteProbe(cfg.ReplicationFactor, articles[0], searcher, c, ft, &report.IncompleteProbe)
+			err := incompleteProbe(cfg.ReplicationFactor, articles[0], searcher, c, ft, &report.IncompleteProbe)
+			p := report.IncompleteProbe
+			cfg.Log("soak: degraded-lookup probe crashed %d nodes: incomplete=%v (%d unresolved) in %v",
+				p.Crashed, p.Incomplete, p.Unresolved, p.Elapsed.Round(time.Millisecond))
+			return err
 		}
 	}
 

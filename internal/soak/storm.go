@@ -160,10 +160,6 @@ type Config struct {
 	// per this many documents (default 10; negative disables). Every
 	// acked poison document must end up dead-lettered, never visible.
 	PoisonEvery int
-	// FreshnessBudget is RunIngest's ack-to-visibility SLO: every acked
-	// non-poison document must be observable at its MSD key within this
-	// budget of its enqueue ack (default 15s).
-	FreshnessBudget time.Duration
 	// SpoolDir is RunIngest's durable spool directory. Empty means a
 	// fresh temporary directory, removed when the run finishes; a
 	// caller-provided directory is kept (inspect it afterwards with
@@ -268,9 +264,6 @@ func (c Config) withDefaults() Config {
 	if c.PoisonEvery == 0 {
 		c.PoisonEvery = 10
 	}
-	if c.FreshnessBudget == 0 {
-		c.FreshnessBudget = 15 * time.Second
-	}
 	return c
 }
 
@@ -373,10 +366,48 @@ type StormReport struct {
 	// DataDir is where the Restart preset's member stores lived (empty
 	// without it; already removed when Config.DataDir was empty).
 	DataDir string `json:",omitempty"`
+	// Violations lists every promise the settled ring broke, one line
+	// each, judged against the storm's config; empty is a pass. A
+	// scenario layered on the storm appends its own gates.
+	Violations []string `json:",omitempty"`
 }
 
 // RetryAmplification is wire sends per logical RPC across the fleet.
 func (r StormReport) RetryAmplification() float64 { return r.Retry.Amplification() }
+
+// Passed reports whether every gate held.
+func (r StormReport) Passed() bool { return len(r.Violations) == 0 }
+
+// evaluateStorm holds a finished storm to what its config promised: one
+// line per broken promise. Replica coverage is judged only under
+// VerifyReplicas and resurrections only under RemoveEvery, because only
+// then does verify fill those lists.
+func evaluateStorm(cfg Config, r StormReport) []string {
+	var v []string
+	if !r.Converged {
+		v = append(v, "ring did not re-converge after the storm")
+	}
+	if n := len(r.LostKeys); n > 0 {
+		v = append(v, fmt.Sprintf("%d acked keys lost: %v", n, r.LostKeys))
+	}
+	if n := len(r.ReplicaViolations); n > 0 {
+		v = append(v, fmt.Sprintf("%d keys off full replica coverage: %v", n, r.ReplicaViolations))
+	}
+	if n := len(r.Resurrections); n > 0 {
+		v = append(v, fmt.Sprintf("%d removed entries resurrected: %v", n, r.Resurrections))
+	}
+	if cfg.RestartEvery > 0 && r.Restarts == 0 {
+		v = append(v, "no member was crash-restarted")
+	}
+	if cfg.PartitionWidth > 0 {
+		if len(r.Episodes) == 0 {
+			v = append(v, "no group partition episode ran")
+		} else if r.Merges.Detected == 0 {
+			v = append(v, "no ring divergence was detected: the merge path went unexercised")
+		}
+	}
+	return v
+}
 
 // cut is the partition episode currently open: the two sides whose
 // cross links are blocked (one member each for the adjacent-pair cut).
@@ -512,6 +543,7 @@ func runStorm(cfg Config, h hooks) (StormReport, error) {
 	report.Restarts, report.Recovery = r.restarts, r.recovery
 	report.Cluster = r.cluster.Metrics()
 	report.Elapsed = time.Since(start)
+	report.Violations = evaluateStorm(cfg, report)
 	cfg.Log("soak: done in %v: acked=%d lost=%d badreplicas=%d removes=%d resurrections=%d crashes=%d partitions=%d joins=%d leaves=%d restarts=%d amplification=%.2f repair=[pushes=%d drops=%d] merge=[probes=%d detected=%d rejoins=%d] tombstones=[created=%d merged=%d suppressed=%d] recovery=[snap=%d replayed=%d torn=%d]",
 		report.Elapsed.Round(time.Millisecond), report.Acked, len(report.LostKeys),
 		len(report.ReplicaViolations), report.Removes, len(report.Resurrections),

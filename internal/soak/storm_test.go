@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,12 +38,8 @@ func TestChurnSoak(t *testing.T) {
 		Log:  t.Logf,
 	})
 
-	if !report.Converged {
-		t.Errorf("ring did not re-converge after the storm")
-	}
-	if len(report.LostKeys) > 0 {
-		t.Errorf("lost %d write-once entries despite replication: %v",
-			len(report.LostKeys), report.LostKeys)
+	if !report.Passed() {
+		t.Errorf("storm gates failed: %v", report.Violations)
 	}
 	if report.Crashes < 1 {
 		t.Errorf("schedule executed no crashes")
@@ -117,14 +114,8 @@ func TestRepairSoak(t *testing.T) {
 		VerifyReplicas: true,
 		Log:            t.Logf,
 	})
-	if !report.Converged {
-		t.Errorf("ring did not re-converge after the storm")
-	}
-	if len(report.LostKeys) > 0 {
-		t.Errorf("lost %d write-once entries: %v", len(report.LostKeys), report.LostKeys)
-	}
-	if len(report.ReplicaViolations) > 0 {
-		t.Errorf("replica sets did not heal to full coverage: %v", report.ReplicaViolations)
+	if !report.Passed() {
+		t.Errorf("storm gates failed: %v", report.Violations)
 	}
 	if report.Crashes < 1 || report.Joins < 1 || report.Leaves < 1 {
 		t.Errorf("churn schedule incomplete: crashes=%d joins=%d leaves=%d",
@@ -160,11 +151,8 @@ func TestSoakDeterministicFaultSchedule(t *testing.T) {
 			a.Crashes, b.Crashes, a.Partitions, b.Partitions)
 	}
 	for _, r := range []StormReport{a, b} {
-		if len(r.LostKeys) > 0 {
-			t.Errorf("lost keys in seeded soak: %v", r.LostKeys)
-		}
-		if !r.Converged {
-			t.Errorf("seeded soak did not converge")
+		if !r.Passed() {
+			t.Errorf("seeded soak failed its gates: %v", r.Violations)
 		}
 	}
 }
@@ -192,12 +180,8 @@ func TestChurnSoakTCP(t *testing.T) {
 		ListenAddr: "127.0.0.1:0",
 		Log:        t.Logf,
 	})
-	if !report.Converged {
-		t.Errorf("ring did not re-converge after the storm")
-	}
-	if len(report.LostKeys) > 0 {
-		t.Errorf("lost %d write-once entries despite replication: %v",
-			len(report.LostKeys), report.LostKeys)
+	if !report.Passed() {
+		t.Errorf("storm gates failed: %v", report.Violations)
 	}
 	if report.Acked == 0 {
 		t.Fatalf("no put ever acked")
@@ -233,11 +217,8 @@ func TestSplitBrainSoak(t *testing.T) {
 		VerifyReplicas: true,
 		Log:            t.Logf,
 	})
-	if !report.Converged {
-		t.Error("ring did not re-merge into a single ring after the storm")
-	}
-	if len(report.Episodes) == 0 {
-		t.Fatal("no partition episode executed")
+	if !report.Passed() {
+		t.Fatalf("storm gates failed: %v", report.Violations)
 	}
 	ep := report.Episodes[0]
 	if ep.SideA != 6 || ep.SideB != 6 {
@@ -246,21 +227,8 @@ func TestSplitBrainSoak(t *testing.T) {
 	if ep.HealOp < 0 {
 		t.Error("episode never healed mid-storm")
 	}
-	if report.Merges.Detected == 0 {
-		t.Errorf("no ring divergence detected — the merge path went unexercised: %+v", report.Merges)
-	}
-	if len(report.LostKeys) > 0 {
-		t.Errorf("lost %d acked writes across the split: %v", len(report.LostKeys), report.LostKeys)
-	}
 	if report.Removes == 0 {
 		t.Error("no remove ever acked — the tombstone path went unexercised")
-	}
-	if len(report.Resurrections) > 0 {
-		t.Errorf("%d removed entries resurrected: %v", len(report.Resurrections), report.Resurrections)
-	}
-	if len(report.ReplicaViolations) > 0 {
-		t.Errorf("%d keys off full replica coverage after the merge: %v",
-			len(report.ReplicaViolations), report.ReplicaViolations)
 	}
 	if report.Tombstones.Created == 0 {
 		t.Error("no tombstones created despite acked removes")
@@ -305,20 +273,11 @@ func TestRestartSoak(t *testing.T) {
 		StoreFor:          durableStores(t.TempDir()),
 		Log:               t.Logf,
 	})
-	if report.Restarts == 0 {
-		t.Fatal("soak executed no crash-restarts")
+	if !report.Passed() {
+		t.Errorf("storm gates failed: %v", report.Violations)
 	}
 	if report.Acked == 0 {
 		t.Fatal("soak acked no writes")
-	}
-	if len(report.LostKeys) > 0 {
-		t.Errorf("acked writes lost across crash-restart: %v", report.LostKeys)
-	}
-	if len(report.ReplicaViolations) > 0 {
-		t.Errorf("replica coverage never reconverged: %v", report.ReplicaViolations)
-	}
-	if !report.Converged {
-		t.Error("ring did not re-converge after the storm")
 	}
 	rec := report.Recovery
 	if rec.SnapshotKeys+rec.ReplayedRecords == 0 {
@@ -379,17 +338,60 @@ func TestToyStorm(t *testing.T) {
 	if report.Recovery.SnapshotKeys+report.Recovery.ReplayedRecords == 0 {
 		t.Errorf("restarts recovered nothing from disk: %+v", report.Recovery)
 	}
-	if !report.Converged {
-		t.Error("ring did not re-converge after the storm")
+	if !report.Passed() {
+		t.Errorf("storm gates failed: %v", report.Violations)
 	}
-	if len(report.LostKeys) > 0 {
-		t.Errorf("lost %d acked writes: %v", len(report.LostKeys), report.LostKeys)
+}
+
+// TestEvaluateStormOneLinePerDefect holds each preset's gate to
+// hand-built reports: a clean report passes, and each defect yields
+// exactly one Violations line under the presets that promise otherwise
+// and none under the rest.
+func TestEvaluateStormOneLinePerDefect(t *testing.T) {
+	clean := StormReport{
+		Converged: true,
+		Restarts:  1,
+		Episodes:  []PartitionEpisode{{StartOp: 30, HealOp: 60, SideA: 8, SideB: 8}},
+		Merges:    wire.MergeStats{Detected: 1},
 	}
-	if len(report.Resurrections) > 0 {
-		t.Errorf("%d removed entries resurrected: %v", len(report.Resurrections), report.Resurrections)
+	defects := []struct {
+		name     string
+		judgedBy string // the one preset that judges it; "" for every preset
+		line     string
+		breaks   func(r *StormReport)
+	}{
+		{"unconverged", "", "re-converge", func(r *StormReport) { r.Converged = false }},
+		{"lost key", "", "1 acked keys lost", func(r *StormReport) { r.LostKeys = []string{"soak-3"} }},
+		{"under-replicated", "", "1 keys off full replica coverage",
+			func(r *StormReport) { r.ReplicaViolations = []string{"soak-3: 2 copies, want 3"} }},
+		{"resurrection", "", "1 removed entries resurrected",
+			func(r *StormReport) { r.Resurrections = []string{"soak-5: 1 nodes still serve the removed entry"} }},
+		{"no restart", "restart", "crash-restarted", func(r *StormReport) { r.Restarts = 0 }},
+		{"no episode", "split-brain", "no group partition episode", func(r *StormReport) { r.Episodes = nil }},
+		{"no divergence", "split-brain", "no ring divergence", func(r *StormReport) { r.Merges.Detected = 0 }},
 	}
-	if len(report.ReplicaViolations) > 0 {
-		t.Errorf("%d keys off full replica coverage: %v", len(report.ReplicaViolations), report.ReplicaViolations)
+	for preset, cfg := range map[string]Config{
+		"churn":       {},
+		"repair":      {Repair: true},
+		"restart":     {Restart: true},
+		"split-brain": {SplitBrain: true},
+	} {
+		cfg = cfg.withDefaults()
+		if v := evaluateStorm(cfg, clean); len(v) != 0 {
+			t.Errorf("%s: clean report judged %v", preset, v)
+		}
+		for _, d := range defects {
+			r := clean
+			d.breaks(&r)
+			got := evaluateStorm(cfg, r)
+			want := 0
+			if d.judgedBy == "" || d.judgedBy == preset {
+				want = 1
+			}
+			if len(got) != want || (want == 1 && !strings.Contains(got[0], d.line)) {
+				t.Errorf("%s, %s: violations %q, want %d line(s) naming %q", preset, d.name, got, want, d.line)
+			}
+		}
 	}
 }
 

@@ -30,11 +30,9 @@ type SubstrateConfig struct {
 	// (default 24).
 	Articles int
 	// Ops is the number of soak operations (default 120). Each op issues
-	// QueriesPerOp indexed lookups; every churnEvery ops a membership
+	// substrateQueries indexed lookups; every churnEvery ops a membership
 	// event fires first.
 	Ops int
-	// QueriesPerOp is the number of indexed lookups per op (default 2).
-	QueriesPerOp int
 	// Seed drives the corpus, workload and churn victim selection.
 	Seed int64
 	// Telemetry, when non-nil, receives the substrate and index metric
@@ -55,16 +53,17 @@ func (c SubstrateConfig) withDefaults() SubstrateConfig {
 	if c.Ops == 0 {
 		c.Ops = 120
 	}
-	if c.QueriesPerOp == 0 {
-		c.QueriesPerOp = 2
-	}
 	return c
 }
 
-// churnEvery fires a membership event every this many ops: joins and
-// graceful leaves on every substrate, plus hard crashes on Kademlia,
-// whose replication is expected to absorb them.
-const churnEvery = 10
+const (
+	// churnEvery fires a membership event every this many ops: joins and
+	// graceful leaves on every substrate, plus hard crashes on Kademlia,
+	// whose replication is expected to absorb them.
+	churnEvery = 10
+	// substrateQueries is the number of indexed lookups per op.
+	substrateQueries = 2
+)
 
 // SubstrateReport is the outcome of one cross-substrate churn soak —
 // one row of the substrate matrix.
@@ -100,7 +99,13 @@ type SubstrateReport struct {
 	// MaintenanceBytes their payload volume.
 	MaintenanceItems int   `json:"maintenance_items"`
 	MaintenanceBytes int64 `json:"maintenance_bytes"`
+	// Violations lists the soak's broken promises, one line each; empty
+	// is a pass.
+	Violations []string `json:"violations,omitempty"`
 }
+
+// Passed reports whether every gate held.
+func (r SubstrateReport) Passed() bool { return len(r.Violations) == 0 }
 
 // substrateHarness is the per-substrate churn surface: the overlay
 // contract plus the membership and maintenance hooks the soak drives.
@@ -209,8 +214,8 @@ func buildHarness(cfg SubstrateConfig) (*substrateHarness, error) {
 
 // RunSubstrate executes the cross-substrate indexed churn soak. The
 // error is non-nil only for harness failures (corpus generation,
-// publishing, membership plumbing); storm-time query failures and
-// post-storm article loss are reported, not fatal.
+// publishing, membership plumbing); storm-time query failures are
+// counted and post-storm article loss is a line in Violations.
 func RunSubstrate(cfg SubstrateConfig) (SubstrateReport, error) {
 	cfg = cfg.withDefaults()
 	report := SubstrateReport{Substrate: cfg.Substrate, Ops: cfg.Ops}
@@ -277,7 +282,7 @@ func RunSubstrate(cfg SubstrateConfig) (SubstrateReport, error) {
 				return report, err
 			}
 		}
-		for i := 0; i < cfg.QueriesPerOp; i++ {
+		for i := 0; i < substrateQueries; i++ {
 			wq := gen.Next()
 			report.Queries++
 			startT := time.Now()
@@ -302,6 +307,10 @@ func RunSubstrate(cfg SubstrateConfig) (SubstrateReport, error) {
 		if err != nil || !trace.Found {
 			report.LostArticles++
 		}
+	}
+	if report.LostArticles > 0 {
+		report.Violations = append(report.Violations, fmt.Sprintf("%s: %d of %d acked articles lost",
+			cfg.Substrate, report.LostArticles, report.AckedArticles))
 	}
 
 	report.Nodes = h.ov.Size()

@@ -22,8 +22,8 @@ func TestRunSubstrateZeroAckedWriteLoss(t *testing.T) {
 			if err != nil {
 				t.Fatalf("soak: %v (report %+v)", err, rep)
 			}
-			if rep.LostArticles != 0 {
-				t.Fatalf("lost %d of %d acked articles: %+v", rep.LostArticles, rep.AckedArticles, rep)
+			if !rep.Passed() {
+				t.Fatalf("soak gates failed: %v", rep.Violations)
 			}
 			if rep.Queries == 0 || rep.Found == 0 {
 				t.Fatalf("no queries resolved: %+v", rep)

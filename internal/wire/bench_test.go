@@ -3,7 +3,7 @@ package wire_test
 // Wire fast-path benchmarks: the pooled transport's round trip, batched
 // vs sequential cluster puts, batched vs sequential article publish, and
 // parallel vs sequential automated search. These are the numbers behind
-// BENCH_wire.json (cmd/dhtbench -bench-out) and CI's bench smoke step.
+// BENCH_wire.json (dhtbench bench -out) and CI's bench smoke step.
 
 import (
 	"context"
