@@ -35,8 +35,8 @@ func runIngest(args []string, out io.Writer) error {
 			r.SurvivingNodes, r.Converged, r.StormReport.Acked, len(r.LostKeys))
 		fmt.Fprintf(out, "  stream:    %d enqueued, %d acked (%d poison), %d published, %d dead-lettered\n",
 			r.Enqueued, r.Acked, r.Poison, r.Published, r.DeadLettered)
-		fmt.Fprintf(out, "  retries:   %d budgeted retries, %d overload backoffs, %d shed\n",
-			r.Retries, r.OverloadBackoffs, r.Shed)
+		fmt.Fprintf(out, "  retries:   %d budgeted retries, %d overload backoffs\n",
+			r.Retries, r.OverloadBackoffs)
 		fmt.Fprintf(out, "  restart:   %d ingester crash-restarts, %d spool records recovered\n",
 			r.IngesterRestarts, r.SpoolRecovered)
 		fmt.Fprintf(out, "  freshness: max ack-to-visible %v, %d violations, %d lost docs\n",

@@ -5,11 +5,11 @@
 // production index ingests forever, which makes the ingest path a
 // robustness problem in its own right:
 //
-//   - Backpressure: the queue is bounded, and an enqueue either blocks
-//     (Block policy) or fails fast (Shed policy) when the pipeline is
-//     full or the DHT is shedding load (wire.ErrOverload opens a
-//     pressure window during which Shed-policy enqueues are refused
-//     immediately).
+//   - Backpressure: the queue is bounded and an enqueue against a full
+//     queue blocks, so a producer runs no faster than the DHT absorbs
+//     documents. A worker refused with wire.ErrOverload backs off
+//     without spending the document's retry budget, which slows the
+//     queue and through it the producer.
 //   - Durability: an acked Enqueue is spooled through the same WAL
 //     machinery the wire nodes persist with (internal/wire/durable)
 //     before the ack, so acked documents survive an ingester crash and
@@ -26,7 +26,7 @@
 //     set.
 //
 // soak.RunIngest drives the pipeline at crawl rate under node churn and
-// an ingester crash-restart; `dhtbench -ingest` gates CI on zero
+// an ingester crash-restart; `dhtbench ingest` gates CI on zero
 // acked-document loss and the freshness SLO.
 package ingest
 
@@ -47,39 +47,12 @@ import (
 
 // Errors returned by the pipeline.
 var (
-	// ErrShed is returned by Enqueue under the Shed policy when the
-	// queue is full or the DHT's overload pressure window is open. A
-	// shed document was NOT spooled: the caller keeps ownership.
-	ErrShed = errors.New("ingest: document shed by backpressure")
 	// ErrClosed is returned by operations on a closed pipeline.
 	ErrClosed = errors.New("ingest: pipeline closed")
 	// ErrNoID is returned by Enqueue for a document without an ID (the
 	// ID keys the spool record and the republish set).
 	ErrNoID = errors.New("ingest: document has no ID")
 )
-
-// BackpressurePolicy selects what a full (or pressured) pipeline does
-// with new documents.
-type BackpressurePolicy int
-
-const (
-	// Block makes Enqueue wait until queue space frees up — the right
-	// policy for a producer that can pause (a crawler).
-	Block BackpressurePolicy = iota
-	// Shed makes Enqueue fail fast with ErrShed when the queue is full
-	// or the DHT has recently shed load with wire.ErrOverload — the
-	// right policy for a producer that must not stall (a request
-	// handler) and can retry or drop on its own terms.
-	Shed
-)
-
-// String returns the policy's label.
-func (p BackpressurePolicy) String() string {
-	if p == Shed {
-		return "shed"
-	}
-	return "block"
-}
 
 // Document is one unit of ingest: an article plus the opaque file
 // reference it publishes, identified by a caller-chosen stable ID. The
@@ -142,12 +115,10 @@ func (p IndexPublisher) Publish(doc Document) error {
 // Config tunes a pipeline. The zero value gets documented defaults.
 type Config struct {
 	// QueueBound caps the in-memory queue (default 64). An enqueue
-	// against a full queue blocks or sheds per Policy.
+	// against a full queue blocks until a worker takes a document.
 	QueueBound int
 	// Workers is the number of concurrent publish workers (default 2).
 	Workers int
-	// Policy selects the backpressure behaviour (default Block).
-	Policy BackpressurePolicy
 	// PublishRetryCap bounds publish attempts per document before it is
 	// dead-lettered (default 5). Overload backoffs do not consume this
 	// budget — overload is the DHT's problem, not the document's.
@@ -155,9 +126,9 @@ type Config struct {
 	// RetryBackoff is the base sleep between publish attempts, scaled
 	// linearly by the attempt number (default 25ms).
 	RetryBackoff time.Duration
-	// OverloadCooldown is how long a wire.ErrOverload keeps the
-	// pressure window open, during which Shed-policy enqueues are
-	// refused immediately (default 250ms).
+	// OverloadCooldown is how long a worker backs off after a publish
+	// refused with wire.ErrOverload before trying the document again
+	// (default 250ms).
 	OverloadCooldown time.Duration
 	// FreshnessTTL is the lifetime stamped on each published document;
 	// the republish loop refreshes a document before its deadline
@@ -221,8 +192,6 @@ type Stats struct {
 	// Enqueued counts acked (spooled) enqueues, including documents
 	// re-enqueued from the spool at Open.
 	Enqueued int64
-	// Shed counts enqueues refused by the Shed policy.
-	Shed int64
 	// Published counts first-time publish acks.
 	Published int64
 	// Retries counts failed publish attempts that consumed retry
@@ -284,17 +253,16 @@ type Pipeline struct {
 	pub   Publisher
 	spool *durable.Store
 
-	mu            sync.Mutex
-	notFull       *sync.Cond
-	notEmpty      *sync.Cond
-	idle          *sync.Cond
-	queue         []queued
-	inflight      int
-	overloadUntil time.Time
-	published     map[string]tracked
-	dead          []DeadLetter
-	closed        bool
-	killed        bool
+	mu        sync.Mutex
+	notFull   *sync.Cond
+	notEmpty  *sync.Cond
+	idle      *sync.Cond
+	queue     []queued
+	inflight  int
+	published map[string]tracked
+	dead      []DeadLetter
+	closed    bool
+	killed    bool
 
 	recoveredPending   int
 	recoveredPublished int
@@ -310,7 +278,6 @@ type Pipeline struct {
 // regardless; attached to a registry by Instrument).
 type pipelineCounters struct {
 	enqueued          *telemetry.Counter
-	shed              *telemetry.Counter
 	published         *telemetry.Counter
 	retries           *telemetry.Counter
 	overloadBackoffs  *telemetry.Counter
@@ -325,8 +292,6 @@ func newPipelineCounters() pipelineCounters {
 	return pipelineCounters{
 		enqueued: telemetry.NewCounter("ingest_enqueued_total",
 			"Documents acked into the durable spool (including restart re-enqueues)."),
-		shed: telemetry.NewCounter("ingest_shed_total",
-			"Enqueues refused by the Shed backpressure policy."),
 		published: telemetry.NewCounter("ingest_published_total",
 			"Documents published into the DHT for the first time."),
 		retries: telemetry.NewCounter("ingest_publish_retries_total",
@@ -388,7 +353,7 @@ func (p *Pipeline) Instrument(reg *telemetry.Registry) {
 		return
 	}
 	c := p.c
-	reg.Attach(c.enqueued, c.shed, c.published, c.retries, c.overloadBackoffs,
+	reg.Attach(c.enqueued, c.published, c.retries, c.overloadBackoffs,
 		c.deadLetters, c.republished, c.republishFailures, c.spoolErrors, c.latency)
 	reg.GaugeFunc("ingest_queue_depth",
 		"Documents waiting in the bounded ingest queue.",
@@ -425,31 +390,19 @@ func (p *Pipeline) Instrument(reg *telemetry.Registry) {
 
 // Enqueue hands one document to the pipeline. A nil return is the
 // durable ack: the document has been spooled and will be published at
-// least once even across an ingester crash. Under the Block policy a
-// full queue blocks the caller; under Shed a full queue or an open
-// overload pressure window returns ErrShed without spooling.
+// least once even across an ingester crash. A full queue blocks the
+// caller.
 func (p *Pipeline) Enqueue(doc Document) error {
 	if doc.ID == "" {
 		return ErrNoID
 	}
 	p.mu.Lock()
-	for {
-		if p.closed {
-			p.mu.Unlock()
-			return ErrClosed
-		}
-		if p.cfg.Policy == Shed {
-			if len(p.queue) >= p.cfg.QueueBound || p.cfg.Clock().Before(p.overloadUntil) {
-				p.c.shed.Inc()
-				p.mu.Unlock()
-				return ErrShed
-			}
-			break
-		}
-		if len(p.queue) < p.cfg.QueueBound {
-			break
-		}
+	for !p.closed && len(p.queue) >= p.cfg.QueueBound {
 		p.notFull.Wait()
+	}
+	if p.closed {
+		p.mu.Unlock()
+		return ErrClosed
 	}
 	q := queued{doc: doc, enqueuedAt: p.cfg.Clock()}
 	if err := p.spoolPendingLocked(q); err != nil {
@@ -513,7 +466,6 @@ func (p *Pipeline) process(q queued) {
 			return
 		case errors.Is(err, wire.ErrOverload):
 			p.c.overloadBackoffs.Inc()
-			p.notePressure()
 			if !p.sleep(p.cfg.OverloadCooldown) {
 				return // closing; record stays pending in the spool
 			}
@@ -551,16 +503,6 @@ func (p *Pipeline) sleep(d time.Duration) bool {
 	case <-p.stop:
 		return false
 	}
-}
-
-// notePressure opens (or extends) the overload pressure window.
-func (p *Pipeline) notePressure() {
-	p.mu.Lock()
-	until := p.cfg.Clock().Add(p.cfg.OverloadCooldown)
-	if until.After(p.overloadUntil) {
-		p.overloadUntil = until
-	}
-	p.mu.Unlock()
 }
 
 // markPublished transitions a document to the published spool state,
@@ -702,7 +644,6 @@ func (p *Pipeline) Stats() Stats {
 	defer p.mu.Unlock()
 	s := Stats{
 		Enqueued:           p.c.enqueued.Value(),
-		Shed:               p.c.shed.Value(),
 		Published:          p.c.published.Value(),
 		Retries:            p.c.retries.Value(),
 		OverloadBackoffs:   p.c.overloadBackoffs.Value(),

@@ -178,50 +178,16 @@ func TestBlockPolicyBlocksUntilSpace(t *testing.T) {
 	drain(t, p)
 }
 
-func TestShedPolicyFailsFastWhenFull(t *testing.T) {
-	pub, release := gatedPub()
-	cfg := fastConfig()
-	cfg.QueueBound = 2
-	cfg.Workers = 1
-	cfg.Policy = Shed
-	p, err := Open(t.TempDir(), pub, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	defer release()
-	// Let the single worker pick up doc 0 (and park on the gate) so the
-	// queue's two slots are genuinely free before filling them.
-	if err := p.Enqueue(doc(0)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().QueueDepth != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up doc 0")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for i := 1; i < 3; i++ {
-		if err := p.Enqueue(doc(i)); err != nil {
-			t.Fatalf("enqueue %d: %v", i, err)
-		}
-	}
-	if err := p.Enqueue(doc(3)); !errors.Is(err, ErrShed) {
-		t.Fatalf("got %v, want ErrShed", err)
-	}
-	if st := p.Stats(); st.Shed != 1 {
-		t.Fatalf("shed count %d, want 1", st.Shed)
-	}
-}
-
-func TestOverloadOpensPressureWindow(t *testing.T) {
+// TestOverloadBackoffSpendsNoRetryBudget: a publish refused with
+// wire.ErrOverload backs off for OverloadCooldown and tries again without
+// spending the document's retry budget — overload is the DHT's problem,
+// not the document's.
+func TestOverloadBackoffSpendsNoRetryBudget(t *testing.T) {
 	pub := newFakePub()
 	pub.failErr = fmt.Errorf("put: %w", wire.ErrOverload)
-	pub.failFirst["doc-000"] = 2
 	cfg := fastConfig()
-	cfg.Policy = Shed
-	cfg.OverloadCooldown = 200 * time.Millisecond
+	// More overloads than the retry cap would allow failures.
+	pub.failFirst["doc-000"] = cfg.PublishRetryCap + 1
 	p, err := Open(t.TempDir(), pub, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -230,29 +196,14 @@ func TestOverloadOpensPressureWindow(t *testing.T) {
 	if err := p.Enqueue(doc(0)); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the worker has hit the overload at least once.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().OverloadBackoffs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("overload backoff never recorded")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The pressure window is open: Shed-policy enqueues are refused even
-	// though the queue itself has space.
-	if err := p.Enqueue(doc(1)); !errors.Is(err, ErrShed) {
-		t.Fatalf("enqueue during pressure window: got %v, want ErrShed", err)
-	}
-	// Overload retries must not consume the document's retry budget: the
-	// document eventually publishes despite failing more times than the
-	// retry cap would allow.
 	drain(t, p)
 	st := p.Stats()
 	if st.Published != 1 || st.DeadLettered != 0 {
 		t.Fatalf("after overload recovery: %+v", st)
 	}
-	if st.Retries != 0 {
-		t.Fatalf("overload consumed retry budget: %+v", st)
+	if st.OverloadBackoffs != int64(cfg.PublishRetryCap+1) || st.Retries != 0 {
+		t.Fatalf("overload backoffs %d, retries %d; want %d and 0 (overload consumed retry budget)",
+			st.OverloadBackoffs, st.Retries, cfg.PublishRetryCap+1)
 	}
 }
 

@@ -50,18 +50,17 @@ type IngestReport struct {
 	// Poison is the number of acked poison documents.
 	Poison int `json:"poison"`
 	// EnqueueFailures counts enqueues the pipeline refused — must be
-	// zero under the Block policy.
+	// zero: an enqueue blocks on a full queue instead of failing.
 	EnqueueFailures int `json:"enqueue_failures"`
 	// Published / Retries / OverloadBackoffs / DeadLettered /
-	// Republished / RepublishFailures / Shed aggregate the pipeline's
-	// counters across the ingester restart.
+	// Republished / RepublishFailures aggregate the pipeline's counters
+	// across the ingester restart.
 	Published         int64 `json:"published"`
 	Retries           int64 `json:"retries"`
 	OverloadBackoffs  int64 `json:"overload_backoffs"`
 	DeadLettered      int64 `json:"dead_lettered"`
 	Republished       int64 `json:"republished"`
 	RepublishFailures int64 `json:"republish_failures"`
-	Shed              int64 `json:"shed"`
 	// IngesterRestarts counts executed ingester crash-restarts.
 	IngesterRestarts int `json:"ingester_restarts"`
 	// SpoolRecovered is what the restarted pipeline replayed from its
@@ -89,7 +88,6 @@ type IngestReport struct {
 // addPipeline adds one pipeline incarnation's final counters to the
 // report's totals.
 func (r *IngestReport) addPipeline(st ingest.Stats) {
-	r.Shed += st.Shed
 	r.Published += st.Published
 	r.Retries += st.Retries
 	r.OverloadBackoffs += st.OverloadBackoffs
@@ -389,7 +387,7 @@ func evaluateIngest(restarted bool, r IngestReport) []string {
 		v = append(v, "no document was acked — the stream never ran")
 	}
 	if r.EnqueueFailures > 0 {
-		v = append(v, fmt.Sprintf("%d enqueues refused under the Block policy", r.EnqueueFailures))
+		v = append(v, fmt.Sprintf("%d enqueues refused", r.EnqueueFailures))
 	}
 	if n := len(r.LostDocs); n > 0 {
 		v = append(v, fmt.Sprintf("%d acked documents lost: %v", n, r.LostDocs))

@@ -26,12 +26,10 @@ import (
 //     engages only past saturation: on an unsaturated node the estimate
 //     (inflated by queue waits during the last burst) would shed healthy
 //     traffic from idle slots.
-//   - Priority classes: when all slots are busy, low-priority traffic is
-//     shed immediately instead of queueing, so it never starves the
-//     high-priority class. By default maintenance RPCs (ping, notify,
-//     stabilize queries, repair, transfers) yield to client operations;
-//     MaintenanceFirst flips the classes for rings that prioritize healing
-//     over serving.
+//   - Priority classes: when all slots are busy, maintenance RPCs (ping,
+//     notify, stabilize queries, repair, transfers) are shed immediately
+//     instead of queueing, so they never starve the client operations
+//     the node exists to serve.
 type AdmissionConfig struct {
 	// MaxInflight is the maximum number of concurrently executing
 	// requests (default 64).
@@ -43,15 +41,12 @@ type AdmissionConfig struct {
 	// QueueTimeout bounds how long a queued request waits for a slot
 	// before being shed with reason "queue_timeout" (default 250ms).
 	QueueTimeout time.Duration
-	// MaintenanceFirst inverts the priority classes: maintenance traffic
-	// (stabilize, repair, transfers) queues and client operations are
-	// shed when the node is saturated. Default false: clients first.
-	MaintenanceFirst bool
-	// EWMAAlpha weights the exponentially-weighted moving average of
-	// per-class service time used for deadline-aware shedding, in (0, 1]
-	// (default 0.2). Higher values track load shifts faster.
-	EWMAAlpha float64
 }
+
+// ewmaAlpha weights the exponentially-weighted moving average of
+// per-class service time used for deadline-aware shedding, in (0, 1].
+// Higher values track load shifts faster.
+const ewmaAlpha = 0.2
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.MaxInflight == 0 {
@@ -62,9 +57,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if c.QueueTimeout == 0 {
 		c.QueueTimeout = 250 * time.Millisecond
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = 0.2
 	}
 	return c
 }
@@ -78,7 +70,7 @@ const (
 	// ShedDeadline: the request's remaining budget could not cover the
 	// observed service time.
 	ShedDeadline = "deadline"
-	// ShedPriority: all slots busy and the request was low-priority.
+	// ShedPriority: all slots busy and the request was maintenance.
 	ShedPriority = "priority"
 )
 
@@ -180,14 +172,9 @@ func (a *admission) acquire(req Message) (reason string, ok bool) {
 	default:
 	}
 
-	// Saturated. The low-priority class never queues: shedding it
-	// immediately keeps the whole queue budget for the class the operator
-	// chose to protect.
-	low := class == classMaintenance
-	if a.cfg.MaintenanceFirst {
-		low = class == classClient
-	}
-	if low {
+	// Saturated. Maintenance never queues: shedding it immediately keeps
+	// the whole queue budget for client operations.
+	if class == classMaintenance {
 		a.shed(shedIdxPriority)
 		return ShedPriority, false
 	}
@@ -237,7 +224,7 @@ func (a *admission) release(class admissionClass, took time.Duration) {
 		old := a.ewmaMicros[class].Load()
 		next := sample
 		if old > 0 {
-			next = old + int64(a.cfg.EWMAAlpha*float64(sample-old))
+			next = old + int64(ewmaAlpha*float64(sample-old))
 		}
 		if a.ewmaMicros[class].CompareAndSwap(old, next) {
 			return

@@ -106,8 +106,8 @@ func TestAdmissionQueueTimeoutShed(t *testing.T) {
 }
 
 func TestAdmissionPriorityShed(t *testing.T) {
-	// Default classes: maintenance yields to clients. A saturated node
-	// sheds maintenance immediately — no queue slot, no wait.
+	// Maintenance yields to clients: a saturated node sheds maintenance
+	// immediately — no queue slot, no wait.
 	a := newAdmission(AdmissionConfig{MaxInflight: 1, MaxQueue: 8, QueueTimeout: 5 * time.Second})
 	h := a.wrap(func(req Message) Message { return Message{Op: req.Op, Ok: true} })
 	release, holders := occupy(t, a, OpGet)
@@ -123,23 +123,6 @@ func TestAdmissionPriorityShed(t *testing.T) {
 	}
 	if s := a.stats(); s.ShedPriority != 1 {
 		t.Fatalf("stats = %+v, want ShedPriority=1", s)
-	}
-	release()
-	holders.Wait()
-}
-
-func TestAdmissionMaintenanceFirstFlipsClasses(t *testing.T) {
-	a := newAdmission(AdmissionConfig{
-		MaxInflight: 1, MaxQueue: 8, QueueTimeout: 5 * time.Second,
-		MaintenanceFirst: true,
-	})
-	h := a.wrap(func(req Message) Message { return Message{Op: req.Op, Ok: true} })
-	release, holders := occupy(t, a, OpNotify)
-	defer release()
-
-	resp := h(Message{Op: OpGet})
-	if resp.Code != CodeOverload || !strings.Contains(resp.Err, ShedPriority) {
-		t.Fatalf("client op under MaintenanceFirst = %+v, want priority shed", resp)
 	}
 	release()
 	holders.Wait()

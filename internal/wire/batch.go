@@ -74,7 +74,7 @@ func (c *Cluster) mutateGroups(ctx context.Context, groups map[string][]KeyEntri
 
 // putGroup ships one per-owner put batch.
 func (c *Cluster) putGroup(ctx context.Context, owner string, kv []KeyEntries) error {
-	resp, err := c.callCtx(ctx, owner, Message{Op: OpPutBatch, KV: kv, TTL: DefaultRouteTTL})
+	resp, err := c.callCtx(ctx, owner, Message{Op: OpPutBatch, KV: kv, TTL: routeTTL})
 	if err != nil {
 		return err
 	}
@@ -150,7 +150,7 @@ func (c *Cluster) removeBatch(ctx context.Context, items []overlay.KeyEntry) (re
 // that removed nothing, forwarded any key, or whose propagation failed
 // names nobody, and its whole window is swept.
 func (c *Cluster) removeGroup(ctx context.Context, owner string, kv []KeyEntries) (Message, error) {
-	resp, err := c.callCtx(ctx, owner, Message{Op: OpRemoveBatch, KV: kv, TTL: DefaultRouteTTL})
+	resp, err := c.callCtx(ctx, owner, Message{Op: OpRemoveBatch, KV: kv, TTL: routeTTL})
 	if err == nil {
 		err = remoteError(resp)
 	}

@@ -170,7 +170,7 @@ func TestGetBatchCrashedOwner(t *testing.T) {
 				StabilizeInterval: 10 * time.Millisecond,
 				ReplicationFactor: replication,
 			})
-			cluster := NewCluster(NewRetryingTransport(ft, RetryPolicy{MaxAttempts: 1}), 5, replication)
+			cluster := NewCluster(NewRetryingTransport(ft, RetryPolicy{}), 5, replication)
 			for _, addr := range ring.Addrs() {
 				cluster.Track(addr)
 			}
@@ -313,7 +313,7 @@ func TestGetBatchIgnoresUnaskedReplyKeys(t *testing.T) {
 // entered in: the retry layer repeats it (it is a read) and admission
 // schedules it with the operations a client waits on.
 func TestOpGetBatchIsAClientRead(t *testing.T) {
-	if got := (RetryPolicy{}).withDefaults().attemptsFor(OpGetBatch); got < 2 {
+	if got := attemptsFor(OpGetBatch); got < 2 {
 		t.Fatalf("OpGetBatch gets %d attempt(s); a read is retryable", got)
 	}
 	if classOf(OpGetBatch) != classClient {

@@ -8,70 +8,52 @@ import (
 	"dhtindex/internal/telemetry"
 )
 
-// BreakerPolicy parameterizes the per-peer circuit breaker in the retry
-// layer. A peer whose calls fail Threshold times in a row has its
+// The circuit breaker's constants.
+const (
+	// breakerThreshold is the number of consecutive failed calls that
+	// opens a peer's circuit.
+	breakerThreshold = 5
+	// breakerProbeProb is the probability an open circuit lets a
+	// half-open probe through. Probes are driven by the policy's seeded
+	// RNG, so fault schedules stay reproducible.
+	breakerProbeProb = 0.125
+	// breakerCooldown is the open duration after which a probe is always
+	// allowed, bounding how long a recovered peer waits for the dice.
+	breakerCooldown = 500 * time.Millisecond
+	// breakerOverloadThreshold is the number of consecutive ErrOverload
+	// NACKs that opens the circuit. Overload is tracked separately from
+	// connectivity failure: an overloaded peer is alive and making
+	// progress, so it takes far more sheds — and a shorter open period —
+	// before the caller backs off from it entirely.
+	breakerOverloadThreshold = 3 * breakerThreshold
+	// breakerOverloadCooldown is the open duration used for circuits
+	// opened by overload. Overload typically clears in milliseconds once
+	// callers divert, so probing resumes sooner than after a crash.
+	breakerOverloadCooldown = breakerCooldown / 4
+)
+
+// BreakerPolicy switches on the per-peer circuit breaker in the retry
+// layer. A peer whose calls fail breakerThreshold times in a row has its
 // circuit opened: further calls to it fail fast with ErrCircuitOpen
 // instead of re-spending the full retry budget on every hop through a
-// dead node. While open, seeded half-open probes (probability ProbeProb
-// per call, and always once Cooldown has elapsed since the circuit
-// opened or last probed) let a recovered peer close its circuit again.
-// The zero value is usable — defaults are applied on first use.
+// dead node. While open, seeded half-open probes (probability
+// breakerProbeProb per call, and always once breakerCooldown has elapsed
+// since the circuit opened or last probed) let a recovered peer close
+// its circuit again.
 type BreakerPolicy struct {
-	// Threshold is the number of consecutive failed calls that opens the
-	// circuit (default 5).
-	Threshold int
-	// ProbeProb is the probability an open circuit lets a half-open
-	// probe through, in [0,1] (default 0.125). Probes are driven by the
-	// policy's seeded RNG, so fault schedules stay reproducible. A
-	// negative value disables random probes entirely — only the Cooldown
-	// path half-opens the circuit (useful in tests).
-	ProbeProb float64
-	// Cooldown is the open duration after which a probe is always
-	// allowed, bounding how long a recovered peer waits for the dice
-	// (default 500ms).
-	Cooldown time.Duration
 	// Seed makes the probe sequence reproducible.
 	Seed int64
-	// OverloadThreshold is the number of consecutive ErrOverload NACKs
-	// that opens the circuit (default 3×Threshold). Overload is tracked
-	// separately from connectivity failure: an overloaded peer is alive
-	// and making progress, so it takes far more sheds — and a shorter
-	// open period — before the caller backs off from it entirely.
-	OverloadThreshold int
-	// OverloadCooldown is the open duration used for circuits opened by
-	// overload (default Cooldown/4). Overload typically clears in
-	// milliseconds once callers divert, so probing resumes sooner than
-	// after a crash.
-	OverloadCooldown time.Duration
-}
-
-func (p BreakerPolicy) withDefaults() BreakerPolicy {
-	if p.Threshold == 0 {
-		p.Threshold = 5
-	}
-	if p.ProbeProb == 0 {
-		p.ProbeProb = 0.125
-	}
-	if p.Cooldown == 0 {
-		p.Cooldown = 500 * time.Millisecond
-	}
-	if p.OverloadThreshold == 0 {
-		p.OverloadThreshold = 3 * p.Threshold
-	}
-	if p.OverloadCooldown == 0 {
-		p.OverloadCooldown = p.Cooldown / 4
-	}
-	return p
 }
 
 // BreakerStats is a point-in-time snapshot of the breaker layer's work.
 // The live counters behind it are atomic, so snapshots are race-free.
 type BreakerStats struct {
-	// Trips counts circuits opened (consecutive failures hit Threshold).
+	// Trips counts circuits opened (consecutive failures hit
+	// breakerThreshold).
 	Trips int64
 	// OverloadTrips counts circuits opened by consecutive ErrOverload
-	// NACKs hitting OverloadThreshold (tracked apart from Trips: the peer
-	// was alive, just saturated).
+	// NACKs hitting breakerOverloadThreshold (tracked apart from Trips:
+	// the peer was alive, just saturated).
 	OverloadTrips int64
 	// FastFails counts calls refused without touching the wire because
 	// the peer's circuit was open.
@@ -105,8 +87,6 @@ type breakerState struct {
 
 // breakerSet is the per-transport collection of peer circuits.
 type breakerSet struct {
-	policy BreakerPolicy
-
 	mu    sync.Mutex
 	rng   *rand.Rand
 	peers map[string]*breakerState
@@ -119,11 +99,9 @@ type breakerSet struct {
 }
 
 func newBreakerSet(policy BreakerPolicy) *breakerSet {
-	policy = policy.withDefaults()
 	return &breakerSet{
-		policy: policy,
-		rng:    rand.New(rand.NewSource(policy.Seed)),
-		peers:  make(map[string]*breakerState),
+		rng:   rand.New(rand.NewSource(policy.Seed)),
+		peers: make(map[string]*breakerState),
 		trips: telemetry.NewCounter("wire_breaker_trips_total",
 			"Peer circuits opened after consecutive call failures."),
 		overloadTrips: telemetry.NewCounter("wire_breaker_overload_trips_total",
@@ -146,11 +124,11 @@ func (b *breakerSet) allow(addr string) bool {
 	if st == nil || !st.open {
 		return true
 	}
-	cooldown := b.policy.Cooldown
+	cooldown := breakerCooldown
 	if st.byOverload {
-		cooldown = b.policy.OverloadCooldown
+		cooldown = breakerOverloadCooldown
 	}
-	if b.rng.Float64() < b.policy.ProbeProb || time.Since(st.lastOpen) >= cooldown {
+	if b.rng.Float64() < breakerProbeProb || time.Since(st.lastOpen) >= cooldown {
 		st.lastOpen = time.Now() // space cooldown-driven probes apart
 		b.probes.Inc()
 		return true
@@ -184,7 +162,7 @@ func (b *breakerSet) onResult(addr string, err error) {
 		return
 	}
 	st.fails++
-	if st.fails >= b.policy.Threshold {
+	if st.fails >= breakerThreshold {
 		st.open = true
 		st.lastOpen = time.Now()
 		b.trips.Inc()
@@ -193,9 +171,9 @@ func (b *breakerSet) onResult(addr string, err error) {
 
 // onOverload records an overload NACK from addr. Overload streaks are
 // tracked apart from connectivity failures: they need a (much higher)
-// OverloadThreshold to open the circuit, and the opened circuit uses the
-// shorter OverloadCooldown, because a saturated peer recovers as soon as
-// load diverts — unlike a crashed one.
+// breakerOverloadThreshold to open the circuit, and the opened circuit
+// uses the shorter breakerOverloadCooldown, because a saturated peer
+// recovers as soon as load diverts — unlike a crashed one.
 func (b *breakerSet) onOverload(addr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -210,7 +188,7 @@ func (b *breakerSet) onOverload(addr string) {
 		return
 	}
 	st.overloads++
-	if st.overloads >= b.policy.OverloadThreshold {
+	if st.overloads >= breakerOverloadThreshold {
 		st.open = true
 		st.byOverload = true
 		st.lastOpen = time.Now()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -44,88 +46,123 @@ func (f *flakyTransport) callCount() int {
 	return f.calls
 }
 
-// noRetryPolicy keeps the breaker observable: one attempt per call, so
-// each logical failure is exactly one transport failure.
-func noRetryPolicy(b *BreakerPolicy) RetryPolicy {
-	return RetryPolicy{MaxAttempts: 1, Breaker: b}
+// singleShot is the op the breaker tests call with: the retry layer
+// never repeats it, so each logical failure is exactly one transport
+// failure.
+const singleShot = OpRemove
+
+// probes replays a breaker seed's draws: probes(seed, n)[i] reports
+// whether the i-th call through an open circuit is let through as a
+// half-open probe before the cooldown has elapsed.
+func probes(seed int64, n int) []bool {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = rng.Float64() < breakerProbeProb
+	}
+	return out
+}
+
+// seedWithoutProbes returns the smallest seed whose first n draws all
+// fast-fail, so that within those calls only the cooldown can half-open
+// a circuit.
+func seedWithoutProbes(n int) int64 {
+	for seed := int64(0); ; seed++ {
+		if !slices.Contains(probes(seed, n), true) {
+			return seed
+		}
+	}
 }
 
 func TestBreakerTripsAndFastFails(t *testing.T) {
+	const seed = 1
 	ft := &flakyTransport{failing: true}
-	rt := NewRetryingTransport(ft, noRetryPolicy(&BreakerPolicy{
-		Threshold: 3,
-		ProbeProb: -1, // no random probes: only Cooldown can half-open
-		Cooldown:  time.Hour,
-	}))
+	rt := NewRetryingTransport(ft, RetryPolicy{Breaker: &BreakerPolicy{Seed: seed}})
 
-	for i := 0; i < 3; i++ {
-		if _, err := rt.Call("peer-a", Message{Op: OpGet}); err == nil {
+	for i := 0; i < breakerThreshold; i++ {
+		if _, err := rt.Call("peer-a", Message{Op: singleShot}); err == nil {
 			t.Fatalf("call %d: expected failure", i)
 		}
 	}
-	wire := ft.callCount()
-	if wire != 3 {
-		t.Fatalf("wire sends before trip = %d, want 3", wire)
+	if got := ft.callCount(); got != breakerThreshold {
+		t.Fatalf("wire sends before trip = %d, want %d", got, breakerThreshold)
 	}
 	if s := rt.BreakerStats(); s.Trips != 1 || s.Open != 1 {
 		t.Fatalf("after threshold: stats = %+v, want 1 trip and 1 open circuit", s)
 	}
 
-	// The circuit is open with an hour-long cooldown and no probes: the
-	// next calls must fast-fail with ErrCircuitOpen without a wire send.
-	for i := 0; i < 5; i++ {
-		_, err := rt.Call("peer-a", Message{Op: OpGet})
-		if !errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("fast-fail %d: err = %v, want ErrCircuitOpen", i, err)
+	// Inside the cooldown, a call through the open circuit goes to the
+	// wire exactly when the seeded draw makes it a probe (which fails
+	// and keeps the circuit open); every other call fails fast with
+	// ErrCircuitOpen without a wire send.
+	const calls = 40
+	var fastFails int64
+	for i, probe := range probes(seed, calls) {
+		before := ft.callCount()
+		_, err := rt.Call("peer-a", Message{Op: singleShot})
+		sent := ft.callCount() - before
+		switch {
+		case probe && (sent != 1 || err == nil || errors.Is(err, ErrCircuitOpen)):
+			t.Fatalf("call %d draws a probe: %d wire sends, err %v; want 1 send and a transport error", i, sent, err)
+		case !probe && (sent != 0 || !errors.Is(err, ErrCircuitOpen)):
+			t.Fatalf("call %d draws no probe: %d wire sends, err %v; want a fast-fail", i, sent, err)
+		case !probe:
+			fastFails++
 		}
 	}
-	if got := ft.callCount(); got != wire {
-		t.Fatalf("wire sends grew %d -> %d during fast-fail window", wire, got)
+	if fastFails == 0 || fastFails == calls {
+		t.Fatalf("seed %d draws %d fast-fails in %d calls; the test needs both kinds", seed, fastFails, calls)
 	}
-	if s := rt.BreakerStats(); s.FastFails != 5 {
-		t.Fatalf("FastFails = %d, want 5", s.FastFails)
+	if s := rt.BreakerStats(); s.FastFails != fastFails || s.Probes != calls-fastFails || s.Open != 1 {
+		t.Fatalf("stats = %+v, want %d fast-fails, %d probes, the circuit still open", s, fastFails, calls-fastFails)
 	}
 
 	// Other peers are unaffected: the breaker is per-peer.
 	ft.setFailing(false)
-	if _, err := rt.Call("peer-b", Message{Op: OpGet}); err != nil {
+	if _, err := rt.Call("peer-b", Message{Op: singleShot}); err != nil {
 		t.Fatalf("healthy peer blocked by another peer's circuit: %v", err)
 	}
 }
 
+// callUntil calls addr until done accepts a call's outcome, failing the
+// test after max calls.
+func callUntil(t *testing.T, rt *RetryingTransport, ft *flakyTransport, max int, done func(sent int, err error) bool) error {
+	t.Helper()
+	for i := 0; i < max; i++ {
+		before := ft.callCount()
+		_, err := rt.Call("peer-a", Message{Op: singleShot})
+		if done(ft.callCount()-before, err) {
+			return err
+		}
+	}
+	t.Fatalf("no call in %d met the condition: %+v", max, rt.BreakerStats())
+	return nil
+}
+
 func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	ft := &flakyTransport{failing: true}
-	rt := NewRetryingTransport(ft, noRetryPolicy(&BreakerPolicy{
-		Threshold: 2,
-		ProbeProb: 1, // every allowed call through an open circuit is a probe
-		Cooldown:  time.Hour,
-	}))
+	rt := NewRetryingTransport(ft, RetryPolicy{Breaker: &BreakerPolicy{Seed: 2}})
 
-	for i := 0; i < 2; i++ {
-		rt.Call("peer-a", Message{Op: OpGet})
+	for i := 0; i < breakerThreshold; i++ {
+		rt.Call("peer-a", Message{Op: singleShot})
 	}
 	if s := rt.BreakerStats(); s.Open != 1 {
 		t.Fatalf("circuit not open after threshold: %+v", s)
 	}
 
-	// Still failing: the probe goes to the wire and fails, circuit stays
-	// open.
-	before := ft.callCount()
-	if _, err := rt.Call("peer-a", Message{Op: OpGet}); err == nil || errors.Is(err, ErrCircuitOpen) {
+	// Still failing: the first probe the seed draws reaches the wire and
+	// fails, and the circuit stays open.
+	err := callUntil(t, rt, ft, 200, func(sent int, _ error) bool { return sent > 0 })
+	if err == nil || errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("probe should reach the wire and fail, got %v", err)
 	}
-	if ft.callCount() != before+1 {
-		t.Fatalf("probe did not reach the wire")
-	}
-	if s := rt.BreakerStats(); s.Open != 1 || s.Probes == 0 {
-		t.Fatalf("after failed probe: %+v, want circuit still open with probes counted", s)
+	if s := rt.BreakerStats(); s.Open != 1 || s.Probes != 1 {
+		t.Fatalf("after failed probe: %+v, want circuit still open with one probe counted", s)
 	}
 
 	// Peer heals: the next probe succeeds and closes the circuit.
 	ft.setFailing(false)
-	if _, err := rt.Call("peer-a", Message{Op: OpGet}); err != nil {
-		t.Fatalf("healed probe failed: %v", err)
-	}
+	callUntil(t, rt, ft, 200, func(_ int, err error) bool { return err == nil })
 	s := rt.BreakerStats()
 	if s.Open != 0 || s.Closes != 1 {
 		t.Fatalf("after healed probe: %+v, want closed circuit", s)
@@ -133,7 +170,7 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	// And normal traffic flows again without fast-fails.
 	fastFails := s.FastFails
 	for i := 0; i < 3; i++ {
-		if _, err := rt.Call("peer-a", Message{Op: OpGet}); err != nil {
+		if _, err := rt.Call("peer-a", Message{Op: singleShot}); err != nil {
 			t.Fatalf("post-close call %d failed: %v", i, err)
 		}
 	}
@@ -143,21 +180,19 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 }
 
 func TestBreakerCooldownAllowsProbe(t *testing.T) {
+	// Neither call through the open circuit draws a probe: the first
+	// fast-fails, and only the elapsed cooldown lets the second through.
 	ft := &flakyTransport{failing: true}
-	rt := NewRetryingTransport(ft, noRetryPolicy(&BreakerPolicy{
-		Threshold: 2,
-		ProbeProb: -1, // cooldown is the only path to half-open
-		Cooldown:  10 * time.Millisecond,
-	}))
-	for i := 0; i < 2; i++ {
-		rt.Call("peer-a", Message{Op: OpGet})
+	rt := NewRetryingTransport(ft, RetryPolicy{Breaker: &BreakerPolicy{Seed: seedWithoutProbes(2)}})
+	for i := 0; i < breakerThreshold; i++ {
+		rt.Call("peer-a", Message{Op: singleShot})
 	}
-	if _, err := rt.Call("peer-a", Message{Op: OpGet}); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := rt.Call("peer-a", Message{Op: singleShot}); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("inside cooldown: err = %v, want ErrCircuitOpen", err)
 	}
 	ft.setFailing(false)
-	time.Sleep(20 * time.Millisecond)
-	if _, err := rt.Call("peer-a", Message{Op: OpGet}); err != nil {
+	time.Sleep(breakerCooldown + 20*time.Millisecond)
+	if _, err := rt.Call("peer-a", Message{Op: singleShot}); err != nil {
 		t.Fatalf("post-cooldown probe failed: %v", err)
 	}
 	if s := rt.BreakerStats(); s.Open != 0 || s.Closes != 1 {
@@ -167,17 +202,13 @@ func TestBreakerCooldownAllowsProbe(t *testing.T) {
 
 func TestBreakerIgnoresSpentBudget(t *testing.T) {
 	ft := &flakyTransport{failing: true}
-	rt := NewRetryingTransport(ft, noRetryPolicy(&BreakerPolicy{
-		Threshold: 2,
-		ProbeProb: -1,
-		Cooldown:  time.Hour,
-	}))
+	rt := NewRetryingTransport(ft, RetryPolicy{Breaker: &BreakerPolicy{}})
 	// Calls that die because the CALLER's budget expired must not count
 	// against the peer.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i := 0; i < 5; i++ {
-		if _, err := rt.CallCtx(ctx, "peer-a", Message{Op: OpGet}); err == nil {
+	for i := 0; i < 2*breakerThreshold; i++ {
+		if _, err := rt.CallCtx(ctx, "peer-a", Message{Op: singleShot}); err == nil {
 			t.Fatalf("expected ctx error")
 		}
 	}

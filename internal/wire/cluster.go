@@ -16,18 +16,11 @@ import (
 	"dhtindex/internal/telemetry"
 )
 
-// defaultEntryAttempts bounds how many entry points FindOwner tries
-// before giving up on routing when Cluster.EntryAttempts is unset. This
-// is bootstrap redundancy, deliberately independent of the replication
-// factor: even an unreplicated ring wants a second entry point when the
-// first tracked member just crashed.
-const defaultEntryAttempts = 3
-
-// DefaultRouteTTL is the hop budget stamped on routed cluster RPCs
-// (FindSuccessor and the owner-addressed single-key and batched
-// operations): generous enough for any realistic ring's finger-table
-// routing, small enough to kill a routing loop fast.
-const DefaultRouteTTL = 64
+// entryAttempts bounds how many entry points FindOwner tries before
+// giving up on routing. This is bootstrap redundancy, deliberately
+// independent of the replication factor: even an unreplicated ring wants
+// a second entry point when the first tracked member just crashed.
+const entryAttempts = 3
 
 var errNoMembers = errors.New("wire: cluster has no members")
 
@@ -54,16 +47,6 @@ type Cluster struct {
 	// set writes fan out to, plus one slot of post-Leave migration
 	// slack) and removes sweep the same window.
 	replication int
-
-	// HedgeDelay, when positive, fires a hedged replica Get if the owner
-	// has not answered within the delay. Zero derives the delay from the
-	// caller's context deadline (half the remaining budget); with neither
-	// set, reads are unhedged. Set before serving traffic.
-	HedgeDelay time.Duration
-
-	// EntryAttempts bounds how many entry points FindOwner tries before
-	// giving up on routing (default 3). Set before serving traffic.
-	EntryAttempts int
 
 	// mu serializes Track/Untrack and guards rng. members is the
 	// ring-ordered membership, replaced whole on every change, so the
@@ -120,8 +103,10 @@ var (
 // NewCluster creates a cluster handle over the transport. replication
 // must equal the ring nodes' Config.ReplicationFactor — it sizes the
 // read-failover and remove-sweep window, so passing the write fan-out
-// here is what keeps the two from ever disagreeing (0 for an
-// unreplicated ring).
+// here is what keeps the two from ever disagreeing. 0 is the paper's
+// unreplicated ring (DESIGN.md §25): reads are never hedged, and a key
+// whose owner crashed reads as an empty success from the node that
+// inherited its range.
 func NewCluster(transport Transport, seed int64, replication int) *Cluster {
 	return &Cluster{
 		transport:   transport,
@@ -256,7 +241,7 @@ func (c *Cluster) entry() (string, error) {
 }
 
 // FindOwner routes to the node responsible for key. An entry point that
-// cannot route is not fatal: up to EntryAttempts members are tried, so a
+// cannot route is not fatal: up to entryAttempts members are tried, so a
 // lookup survives routing through a cluster whose member list includes
 // freshly-crashed nodes. Operations do not call it up front — they
 // address the presumed owner directly (viaOwner) and route only when
@@ -271,12 +256,8 @@ func (c *Cluster) FindOwner(key keyspace.Key) (overlay.Route, error) {
 // another entry just as an unreachable entry does — a different member
 // routes over different fingers.
 func (c *Cluster) FindOwnerCtx(ctx context.Context, key keyspace.Key) (overlay.Route, error) {
-	attempts := c.EntryAttempts
-	if attempts <= 0 {
-		attempts = defaultEntryAttempts
-	}
 	var firstErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < entryAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -309,7 +290,7 @@ func (c *Cluster) FindOwnerCtx(ctx context.Context, key keyspace.Key) (overlay.R
 // key and forwards it to the Chord-routed owner if not — so Hops is 0
 // when the caller addressed the right node.
 func (c *Cluster) routedCall(ctx context.Context, addr string, req Message) (Message, overlay.Route, error) {
-	req.TTL = DefaultRouteTTL
+	req.TTL = routeTTL
 	resp, err := c.callCtx(ctx, addr, req)
 	if err == nil {
 		err = remoteError(resp)
@@ -379,10 +360,11 @@ func (c *Cluster) Get(key keyspace.Key) ([]overlay.Entry, overlay.Route, error) 
 // GetCtx implements overlay.ContextNetwork: Get with a deadline budget.
 // The budget is threaded through the owner read, the routed fallback and
 // failover reads, so a recursive multi-hop search stops burning retries
-// on a dead hop the moment its budget is spent. With a deadline (or an
-// explicit HedgeDelay) set, a slow owner also triggers a hedged replica
-// Get — first answer wins. When no replica serves either, the error
-// returned is the owner read's, not the failover's.
+// on a dead hop the moment its budget is spent. With a deadline set, an
+// owner that has not answered within half the remaining budget also
+// triggers a hedged replica Get — first answer wins. When no replica
+// serves either, the error returned is the owner read's, not the
+// failover's.
 func (c *Cluster) GetCtx(ctx context.Context, key keyspace.Key) ([]overlay.Entry, overlay.Route, error) {
 	var entries []overlay.Entry
 	var presumed string
@@ -417,11 +399,11 @@ func (c *Cluster) GetCtx(ctx context.Context, key keyspace.Key) ([]overlay.Entry
 
 // hedgedGet reads key through owner with an owner-addressed Get, racing
 // a hedged replica read if no answer arrived within the hedge delay.
-// Without a delay (no deadline, no HedgeDelay) it is a plain owner read.
+// Without a deadline it is a plain owner read.
 // The hedge is a local read (TTL 0): a replica answers from its own
 // copy and never forwards back to the slow owner.
 func (c *Cluster) hedgedGet(ctx context.Context, key keyspace.Key, owner string) ([]overlay.Entry, overlay.Route, error) {
-	delay := c.hedgeDelay(ctx)
+	delay := hedgeDelay(ctx)
 	if delay <= 0 {
 		resp, route, err := c.routedCall(ctx, owner, Message{Op: OpGet, Key: key})
 		return trimEntries(resp.Entries), route, err
@@ -490,11 +472,9 @@ func (c *Cluster) localGet(ctx context.Context, addr string, key keyspace.Key) (
 	return trimEntries(resp.Entries), err
 }
 
-// hedgeDelay resolves how long to wait for the owner before hedging.
-func (c *Cluster) hedgeDelay(ctx context.Context) time.Duration {
-	if c.HedgeDelay > 0 {
-		return c.HedgeDelay
-	}
+// hedgeDelay is how long to wait for the owner before hedging: half the
+// caller's remaining budget, or 0 (never hedge) without a deadline.
+func hedgeDelay(ctx context.Context) time.Duration {
 	if dl, ok := ctx.Deadline(); ok {
 		if rem := time.Until(dl); rem > 0 {
 			return rem / 2

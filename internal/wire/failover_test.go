@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -108,9 +109,7 @@ func TestLeaveHandsOffPastDeadSuccessor(t *testing.T) {
 // must re-converge around the hole (regression for advanceSuccessor).
 func TestSuccessorListWipeHealsViaPredecessor(t *testing.T) {
 	transport := NewMemTransport()
-	cluster, nodes := startRingCfg(t, func() Transport { return transport }, 8, Config{
-		SuccListLen: 3,
-	})
+	cluster, nodes := startRingCfg(t, func() Transport { return transport }, 2*succListLen, Config{})
 	byAddr := make(map[string]*Node, len(nodes))
 	for _, n := range nodes {
 		byAddr[n.Addr()] = n
@@ -118,12 +117,11 @@ func TestSuccessorListWipeHealsViaPredecessor(t *testing.T) {
 	ring := cluster.Addrs() // ring order
 	x := byAddr[ring[0]]
 
-	// Wait for x's successor list to hold its three ring successors.
-	want := []string{ring[1], ring[2], ring[3]}
+	// Wait for x's successor list to hold its succListLen ring successors.
+	want := ring[1 : 1+succListLen]
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		succs := x.Successors()
-		if len(succs) >= 3 && succs[0] == want[0] && succs[1] == want[1] && succs[2] == want[2] {
+		if slices.Equal(x.Successors(), want) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -159,7 +157,7 @@ func TestSuccessorListWipeHealsViaPredecessor(t *testing.T) {
 	if err := cluster.WaitConverged(30 * time.Second); err != nil {
 		t.Fatalf("ring did not heal after losing a full successor list: %v", err)
 	}
-	if got, wantSucc := x.Successor(), ring[4]; got != wantSucc {
+	if got, wantSucc := x.Successor(), ring[1+succListLen]; got != wantSucc {
 		t.Fatalf("x's successor = %s, want next live node %s", got, wantSucc)
 	}
 	close(stopWatch)

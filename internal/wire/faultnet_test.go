@@ -209,7 +209,7 @@ func TestFaultTransportSeededDeterminism(t *testing.T) {
 func TestFaultyRingSurvivesWithRetries(t *testing.T) {
 	ft := NewFaultTransport(NewMemTransport(), 5)
 	ft.SetDefaultRule(FaultRule{DropProb: 0.08})
-	policy := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 5}
+	policy := RetryPolicy{Seed: 5}
 	cluster := NewCluster(NewRetryingTransport(ft, policy), 5, 0)
 	var bootstrap string
 	for i := 0; i < 6; i++ {
@@ -225,8 +225,17 @@ func TestFaultyRingSurvivesWithRetries(t *testing.T) {
 		t.Cleanup(n.Stop)
 		if bootstrap == "" {
 			bootstrap = n.Addr()
-		} else if err := n.Join(bootstrap); err != nil {
-			t.Fatalf("join under 8%% loss (retried): %v", err)
+		} else {
+			// Like a put, a join is retried at the operation level on top
+			// of the RPC retries.
+			for try := 0; ; try++ {
+				if err = n.Join(bootstrap); err == nil {
+					break
+				}
+				if try == 2 {
+					t.Fatalf("join under 8%% loss (retried): %v", err)
+				}
+			}
 		}
 		cluster.Track(n.Addr())
 	}

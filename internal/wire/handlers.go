@@ -273,7 +273,7 @@ func (n *Node) splitForeign(kv []KeyEntries) (owned, foreign []KeyEntries) {
 func (n *Node) routeForeign(foreign []KeyEntries) (groups map[string][]KeyEntries, order []string, self []KeyEntries, err error) {
 	groups = make(map[string][]KeyEntries)
 	for _, item := range foreign {
-		r := n.handleFindSuccessor(Message{Op: OpFindSuccessor, Key: item.Key, TTL: n.cfg.TTL})
+		r := n.handleFindSuccessor(Message{Op: OpFindSuccessor, Key: item.Key, TTL: routeTTL})
 		if r.Err != "" {
 			return nil, nil, nil, errors.New(r.Err)
 		}
@@ -322,7 +322,7 @@ func (n *Node) forwardForeign(req Message) (resp Message, done bool) {
 		// TTL 0 would read as a local request.
 		return Message{Op: req.Op, Err: ErrTTLExceeded.Error()}, true
 	}
-	r := n.handleFindSuccessor(Message{Op: OpFindSuccessor, Key: req.Key, TTL: n.cfg.TTL})
+	r := n.handleFindSuccessor(Message{Op: OpFindSuccessor, Key: req.Key, TTL: routeTTL})
 	if r.Err != "" {
 		return Message{Op: req.Op, Err: r.Err}, true
 	}

@@ -38,10 +38,10 @@ func (s *slowTransport) Call(addr string, req Message) (Message, error) {
 	return s.Transport.Call(addr, req)
 }
 
-// TestHedgedGetWinsAgainstSlowOwner: with a hedge delay configured, a Get
-// whose owner read stalls is raced against the key's first replica, and
-// the replica's answer is served — tail latency capped by the hedge, not
-// the slow peer. The owner read is owner-addressed (TTL set); the hedge
+// TestHedgedGetWinsAgainstSlowOwner: with a deadline set, a Get whose
+// owner read stalls past half the remaining budget is raced against the
+// key's first replica, and the replica's answer is served — tail latency
+// capped by the hedge, not the slow peer. The owner read is owner-addressed (TTL set); the hedge
 // is a local read (TTL 0), so the replica answers from its own copy
 // instead of forwarding back to the slow owner.
 func TestHedgedGetWinsAgainstSlowOwner(t *testing.T) {
@@ -49,7 +49,6 @@ func TestHedgedGetWinsAgainstSlowOwner(t *testing.T) {
 	slow := &slowTransport{Transport: mem}
 	rec := &recordingTransport{Transport: slow}
 	cluster := NewCluster(rec, 1, 1)
-	cluster.HedgeDelay = 10 * time.Millisecond
 
 	var nodes []*Node
 	var bootstrap string
@@ -93,8 +92,11 @@ func TestHedgedGetWinsAgainstSlowOwner(t *testing.T) {
 	slow.setSlow(owner, 500*time.Millisecond)
 	rec.take()
 
+	// The hedge fires at half the remaining budget, 100 ms in.
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	entries, got, err := cluster.GetCtx(context.Background(), key)
+	entries, got, err := cluster.GetCtx(ctx, key)
 	elapsed := time.Since(start)
 	if err != nil || len(entries) != 1 || entries[0].Value != "v" {
 		t.Fatalf("hedged get = %v, %v", entries, err)

@@ -11,7 +11,7 @@ package wire
 //
 // The bridge is memory. Each node keeps a bounded set of peers it has
 // ever learned about (join bootstrap, successor lists, predecessor
-// reports, finger results). Every MergeProbeEvery maintenance rounds a
+// reports, finger results). Every mergeProbeEvery maintenance rounds a
 // node samples one known peer OUTSIDE its current view and asks it to
 // locate the successor of the node's own id. In a single ring the
 // answer is the node itself; any other answer proves the peer routes on
@@ -113,7 +113,7 @@ type TombstoneStats struct {
 	// Suppressed counts puts refused because a live tombstone covered
 	// the entry.
 	Suppressed int64
-	// GCd counts tombstones dropped after TombstoneTTL.
+	// GCd counts tombstones dropped after tombstoneTTL.
 	GCd int64
 }
 
@@ -142,7 +142,7 @@ func newTombstoneCounters() tombstoneCounters {
 		suppressed: telemetry.NewCounter("wire_tombstones_suppressed_total",
 			"Puts refused because a live tombstone covered the entry."),
 		gcd: telemetry.NewCounter("wire_tombstones_gcd_total",
-			"Tombstones dropped after TombstoneTTL."),
+			"Tombstones dropped after the tombstone TTL."),
 	}
 }
 
@@ -160,7 +160,7 @@ func (n *Node) notePeersLocked(addrs ...string) {
 			continue
 		}
 		n.known[a] = true
-		if len(n.known) > n.cfg.KnownPeersMax {
+		if len(n.known) > knownPeersMax {
 			// Evict a uniformly random victim (reservoir over map order
 			// would bias toward iteration artifacts; n.rng keeps the
 			// choice deterministic per node).
@@ -208,7 +208,7 @@ func (n *Node) mergeProbe() {
 	n.mu.Unlock()
 
 	n.merge.probes.Inc()
-	resp, err := n.cfg.Transport.Call(peer, Message{Op: OpFindSuccessor, Key: n.id, TTL: n.cfg.TTL})
+	resp, err := n.cfg.Transport.Call(peer, Message{Op: OpFindSuccessor, Key: n.id, TTL: routeTTL})
 	if err != nil || resp.Err != "" || resp.Addr == "" {
 		// Unreachable or unable to answer: keep the peer — transient
 		// failure is what a partition looks like from here.
@@ -323,7 +323,7 @@ func (n *Node) rejoinVia(boot string) bool {
 	if boot == "" || boot == n.addr {
 		return false
 	}
-	resp, err := n.cfg.Transport.Call(boot, Message{Op: OpFindSuccessor, Key: n.id, TTL: n.cfg.TTL})
+	resp, err := n.cfg.Transport.Call(boot, Message{Op: OpFindSuccessor, Key: n.id, TTL: routeTTL})
 	if err != nil || resp.Err != "" || resp.Addr == "" || resp.Addr == n.addr {
 		return false
 	}

@@ -14,6 +14,41 @@ import (
 	"dhtindex/internal/telemetry"
 )
 
+// Protocol constants of a live node. Like K and α in a Kademlia node,
+// they are properties of the protocol, not of a deployment.
+const (
+	// succListLen bounds the successor list. A node steps over up to
+	// succListLen-1 successors that die at once; losing the whole list
+	// falls back to its predecessor (advanceSuccessor).
+	succListLen = 4
+	// routeTTL bounds recursive routing: the hop budget stamped on every
+	// FindSuccessor lookup and on routed cluster RPCs (the owner-addressed
+	// single-key and batched operations). Generous enough for any
+	// realistic ring's finger-table routing, small enough to kill a
+	// routing loop fast.
+	routeTTL = 64
+	// fingerFixesPerRound is the number of finger-table entries refreshed
+	// per stabilize round: the table has keyspace.Bits = 160 slots, so
+	// the whole table is swept every 10 rounds.
+	fingerFixesPerRound = 16
+	// tombstoneTTL is how long deletion records are kept before garbage
+	// collection. It must exceed the longest partition or node downtime
+	// after which a stale copy can reappear, or a healed replica may
+	// resurrect a removed entry (DESIGN.md §15).
+	tombstoneTTL = 5 * time.Minute
+	// knownPeersMax bounds the node's known-peers set — addresses gleaned
+	// from successor lists, notifies, fingers and joins, kept beyond the
+	// node's current ring view so a split ring still remembers the other
+	// side.
+	knownPeersMax = 64
+	// mergeProbeEvery is the number of stabilize rounds between cross-ring
+	// merge probes: each probe samples one known peer outside the node's
+	// current view and asks it to locate this node's own id; an answer
+	// other than this node means the peer is on a divergent ring and a
+	// merge is coordinated.
+	mergeProbeEvery = 8
+)
+
 // Config parameterizes a live node.
 type Config struct {
 	// Transport moves messages (required).
@@ -24,16 +59,18 @@ type Config struct {
 	// check-predecessor loops. Default 25ms (tests); production would use
 	// seconds.
 	StabilizeInterval time.Duration
-	// SuccListLen bounds the successor list (default 4).
-	SuccListLen int
-	// TTL bounds recursive routing (default 64).
-	TTL int
 	// ReplicationFactor is the number of successor replicas that receive
-	// copies of each stored entry (0 disables replication). Replica sets
-	// are continuously re-derived from the current ring by the
-	// anti-entropy repair loop, so data survives crashes once the ring
-	// re-stabilizes. The same value sizes the Cluster's read failover
-	// width, so reads always probe exactly the set writes fan out to.
+	// copies of each stored entry. Replica sets are continuously
+	// re-derived from the current ring by the anti-entropy repair loop,
+	// so data survives crashes once the ring re-stabilizes. The same
+	// value sizes the Cluster's read failover width, so reads always
+	// probe exactly the set writes fan out to.
+	//
+	// The zero value is the paper's unreplicated model, kept on purpose
+	// (DESIGN.md §25): each key lives on its owner alone, a handover
+	// moves keys instead of copying them, no repair loop runs, and a
+	// crashed owner's keys are gone — a read of one gets an empty
+	// success. examples/live and `dhtbench bench` run it.
 	ReplicationFactor int
 	// RepairEvery is the number of stabilize rounds between anti-entropy
 	// repair rounds (default 4). A repair round also fires immediately
@@ -50,11 +87,6 @@ type Config struct {
 	// pre-retry behaviour). Raise it so a slow peer — one that fails
 	// even its retried RPC once — is distinguished from a dead one.
 	SuccFailThreshold int
-	// FingerFixesPerRound is the number of finger-table entries
-	// refreshed per stabilize round (default 16; the table has
-	// keyspace.Bits = 160 slots, so the default sweeps the whole table
-	// every 10 rounds).
-	FingerFixesPerRound int
 	// Admission, when set, bounds the work this node accepts: requests
 	// beyond the inflight and queue limits are NACKed with ErrOverload
 	// instead of queueing without bound. Nil disables admission control
@@ -68,34 +100,11 @@ type Config struct {
 	// reconciles whatever was missed while down. The node assumes
 	// ownership and closes the store on Stop/Leave.
 	Store Store
-	// TombstoneTTL is how long deletion records are kept before garbage
-	// collection (default 5 minutes). It must exceed the longest
-	// partition or node downtime after which a stale copy can reappear,
-	// or a healed replica may resurrect a removed entry (DESIGN.md §15).
-	// Negative disables GC entirely.
-	TombstoneTTL time.Duration
-	// KnownPeersMax bounds the node's known-peers set — addresses
-	// gleaned from successor lists, notifies, fingers and joins, kept
-	// beyond the node's current ring view so a split ring still
-	// remembers the other side (default 64).
-	KnownPeersMax int
-	// MergeProbeEvery is the number of stabilize rounds between
-	// cross-ring merge probes: each probe samples one known peer outside
-	// the node's current view and asks it to locate this node's own id;
-	// an answer other than this node means the peer is on a divergent
-	// ring and a merge is coordinated (default 8; negative disables).
-	MergeProbeEvery int
 }
 
 func (c Config) withDefaults() Config {
 	if c.StabilizeInterval == 0 {
 		c.StabilizeInterval = 25 * time.Millisecond
-	}
-	if c.SuccListLen == 0 {
-		c.SuccListLen = 4
-	}
-	if c.TTL == 0 {
-		c.TTL = 64
 	}
 	if c.SuccFailThreshold == 0 {
 		c.SuccFailThreshold = 1
@@ -103,21 +112,9 @@ func (c Config) withDefaults() Config {
 	if c.RepairEvery == 0 {
 		c.RepairEvery = 4
 	}
-	if c.FingerFixesPerRound == 0 {
-		c.FingerFixesPerRound = 16
-	}
 	// A nil Store becomes the default striped MemStore in Start
 	// (asConcurrentStore); withDefaults leaves it alone so Start can
 	// tell "defaulted" from "supplied" when wrapping.
-	if c.TombstoneTTL == 0 {
-		c.TombstoneTTL = 5 * time.Minute
-	}
-	if c.KnownPeersMax == 0 {
-		c.KnownPeersMax = 64
-	}
-	if c.MergeProbeEvery == 0 {
-		c.MergeProbeEvery = 8
-	}
 	return c
 }
 
@@ -254,7 +251,7 @@ func (n *Node) ID() keyspace.Key { return n.id }
 // and every successor one round from right (DESIGN.md §23).
 func (n *Node) Join(bootstrap string) error {
 	resp, err := n.cfg.Transport.Call(bootstrap, Message{
-		Op: OpFindSuccessor, Key: n.id, TTL: n.cfg.TTL,
+		Op: OpFindSuccessor, Key: n.id, TTL: routeTTL,
 	})
 	if err != nil {
 		return fmt.Errorf("wire: join via %s: %w", bootstrap, err)
@@ -376,7 +373,7 @@ func (n *Node) maintenanceLoop() {
 		case <-ticker.C:
 			n.stabilizeOnce()
 			n.checkPredecessor()
-			n.fixFingers(n.cfg.FingerFixesPerRound)
+			n.fixFingers()
 			round++
 			if n.cfg.ReplicationFactor > 0 {
 				// Repair on cadence, and immediately when the immediate
@@ -389,10 +386,10 @@ func (n *Node) maintenanceLoop() {
 					n.repairOnce()
 				}
 			}
-			if n.cfg.MergeProbeEvery > 0 && round%n.cfg.MergeProbeEvery == 0 {
+			if round%mergeProbeEvery == 0 {
 				n.mergeProbe()
 			}
-			if n.cfg.TombstoneTTL > 0 && n.cfg.RepairEvery > 0 && round%n.cfg.RepairEvery == 0 {
+			if round%n.cfg.RepairEvery == 0 {
 				n.gcTombstones()
 			}
 		case <-n.stop:
@@ -401,9 +398,9 @@ func (n *Node) maintenanceLoop() {
 	}
 }
 
-// gcTombstones collects deletion records older than TombstoneTTL.
+// gcTombstones collects deletion records older than tombstoneTTL.
 func (n *Node) gcTombstones() {
-	cutoff := time.Now().Add(-n.cfg.TombstoneTTL).UnixNano()
+	cutoff := time.Now().Add(-tombstoneTTL).UnixNano()
 	collected, err := n.store.GCTombstones(cutoff)
 	if err == nil && collected > 0 {
 		n.tomb.gcd.Add(int64(collected))
@@ -502,8 +499,8 @@ func (n *Node) stabilizeOnce() {
 		return
 	}
 	list := append([]string{succ}, sresp.Addrs...)
-	if len(list) > n.cfg.SuccListLen {
-		list = list[:n.cfg.SuccListLen]
+	if len(list) > succListLen {
+		list = list[:succListLen]
 	}
 	n.mu.Lock()
 	n.succs = list
@@ -569,15 +566,16 @@ func (n *Node) checkPredecessor() {
 	}
 }
 
-// fixFingers repairs count finger-table entries per round, round-robin.
-func (n *Node) fixFingers(count int) {
-	for i := 0; i < count; i++ {
+// fixFingers repairs fingerFixesPerRound finger-table entries,
+// round-robin.
+func (n *Node) fixFingers() {
+	for i := 0; i < fingerFixesPerRound; i++ {
 		n.mu.Lock()
 		idx := n.fingerIdx
 		n.fingerIdx = (n.fingerIdx + 1) % keyspace.Bits
 		n.mu.Unlock()
 		target := n.id.Add(uint(idx))
-		resp := n.handleFindSuccessor(Message{Op: OpFindSuccessor, Key: target, TTL: n.cfg.TTL})
+		resp := n.handleFindSuccessor(Message{Op: OpFindSuccessor, Key: target, TTL: routeTTL})
 		if resp.Err != "" {
 			continue
 		}

@@ -51,11 +51,7 @@ func TestOverloadNACKNotRetried(t *testing.T) {
 	inner := newFuncTransport(func(n int, addr string, req Message) (Message, error) {
 		return overloadNACK(req)
 	})
-	rt := NewRetryingTransport(inner, RetryPolicy{
-		MaxAttempts: 5,
-		BaseDelay:   time.Millisecond,
-		Seed:        1,
-	})
+	rt := NewRetryingTransport(inner, RetryPolicy{Seed: 1})
 	_, err := rt.Call("hot", Message{Op: OpGet})
 	if !errors.Is(err, ErrOverload) {
 		t.Fatalf("err = %v, want ErrOverload", err)
@@ -70,18 +66,13 @@ func TestOverloadNACKNotRetried(t *testing.T) {
 }
 
 // TestRetryBudgetCapsRetryStorm: under total peer failure, the token
-// bucket bounds retry amplification near 1× instead of MaxAttempts×.
+// bucket bounds retry amplification near 1× instead of retryAttempts×.
 func TestRetryBudgetCapsRetryStorm(t *testing.T) {
 	inner := newFuncTransport(func(n int, addr string, req Message) (Message, error) {
 		return Message{}, fmt.Errorf("%w: %s (down)", ErrUnreachable, addr)
 	})
-	rt := NewRetryingTransport(inner, RetryPolicy{
-		MaxAttempts: 4,
-		BaseDelay:   time.Microsecond,
-		Seed:        1,
-		Budget:      &RetryBudget{Ratio: 0.1, Burst: 2},
-	})
-	const calls = 50
+	rt := NewRetryingTransport(inner, RetryPolicy{Seed: 1, Budget: &RetryBudget{}})
+	const calls = 200
 	for i := 0; i < calls; i++ {
 		if _, err := rt.Call("down", Message{Op: OpGet}); !errors.Is(err, ErrUnreachable) {
 			t.Fatalf("call %d: err = %v, want ErrUnreachable", i, err)
@@ -91,10 +82,11 @@ func TestRetryBudgetCapsRetryStorm(t *testing.T) {
 	if s.BudgetExhausted == 0 {
 		t.Fatalf("stats = %+v, want budget-suppressed retries", s)
 	}
-	// 2 banked tokens + 0.1 earned per call: at most 2 + 50×0.1 = 7
-	// retries against 150 uncapped (50 calls × 3 re-sends each).
-	if s.Retries > 7 {
-		t.Fatalf("retries = %d, want <= 7 (budget must cap the storm)", s.Retries)
+	// 10 banked tokens + 0.1 earned per call: at most 10 + 200×0.1 = 30
+	// retries against 400 uncapped (200 calls × 2 re-sends each).
+	const capped = retryBudgetBurst + calls*retryBudgetRatio
+	if s.Retries > capped {
+		t.Fatalf("retries = %d, want <= %d (budget must cap the storm)", s.Retries, int(capped))
 	}
 	if amp := s.Amplification(); amp > 1.2 {
 		t.Fatalf("amplification = %.2f, want ~1.0 under exhausted budget", amp)
@@ -117,17 +109,12 @@ func TestRetryBudgetRefillsOnFreshTraffic(t *testing.T) {
 		}
 		return Message{Op: req.Op, Ok: true}, nil
 	})
-	rt := NewRetryingTransport(inner, RetryPolicy{
-		MaxAttempts: 2,
-		BaseDelay:   time.Microsecond,
-		Seed:        1,
-		Budget:      &RetryBudget{Ratio: 0.5, Burst: 1},
-	})
+	rt := NewRetryingTransport(inner, RetryPolicy{Seed: 1, Budget: &RetryBudget{}})
 	// Drain the bucket with failures, then refill it with healthy calls.
 	mu.Lock()
 	down = true
 	mu.Unlock()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < retryBudgetBurst; i++ {
 		rt.Call("peer", Message{Op: OpGet})
 	}
 	drained := rt.Stats().BudgetExhausted
@@ -137,7 +124,8 @@ func TestRetryBudgetRefillsOnFreshTraffic(t *testing.T) {
 	mu.Lock()
 	down = false
 	mu.Unlock()
-	for i := 0; i < 4; i++ {
+	// Enough fresh calls to bank a token for each re-send of one call.
+	for i := 0; i < retryAttempts/retryBudgetRatio; i++ {
 		if _, err := rt.Call("peer", Message{Op: OpGet}); err != nil {
 			t.Fatalf("healthy call: %v", err)
 		}
@@ -170,48 +158,40 @@ func TestBreakerTracksOverloadApartFromUnreachable(t *testing.T) {
 		}
 		return Message{}, fmt.Errorf("%w: %s (down)", ErrUnreachable, addr)
 	})
-	rt := NewRetryingTransport(inner, RetryPolicy{
-		MaxAttempts: 1,
-		Seed:        1,
-		Breaker: &BreakerPolicy{
-			Threshold:         100, // connectivity can't trip in this test
-			OverloadThreshold: 4,
-			ProbeProb:         -1, // no random probes: deterministic
-			Cooldown:          time.Hour,
-			OverloadCooldown:  time.Hour,
-			Seed:              1,
-		},
-	})
+	// The first call through the open circuit draws no probe, so it
+	// fails fast.
+	rt := NewRetryingTransport(inner, RetryPolicy{Breaker: &BreakerPolicy{Seed: seedWithoutProbes(1)}})
 
-	// Three sheds: streak below threshold, circuit stays closed.
-	for i := 0; i < 3; i++ {
-		if _, err := rt.Call("hot", Message{Op: OpGet}); !errors.Is(err, ErrOverload) {
+	// Sheds one short of the threshold: the circuit stays closed.
+	for i := 0; i < breakerOverloadThreshold-1; i++ {
+		if _, err := rt.Call("hot", Message{Op: singleShot}); !errors.Is(err, ErrOverload) {
 			t.Fatalf("shed %d: err = %v", i, err)
 		}
 	}
-	// A connectivity blip resets the overload streak.
+	// A connectivity blip — one failure, far below breakerThreshold —
+	// resets the overload streak.
 	mu.Lock()
 	shedding = false
 	mu.Unlock()
-	rt.Call("hot", Message{Op: OpGet})
+	rt.Call("hot", Message{Op: singleShot})
 	mu.Lock()
 	shedding = true
 	mu.Unlock()
-	for i := 0; i < 3; i++ {
-		rt.Call("hot", Message{Op: OpGet})
+	for i := 0; i < breakerOverloadThreshold-1; i++ {
+		rt.Call("hot", Message{Op: singleShot})
 	}
 	if s := rt.BreakerStats(); s.OverloadTrips != 0 || s.Trips != 0 {
 		t.Fatalf("stats after reset streak = %+v, want no trips yet", s)
 	}
-	// One more shed completes a fresh streak of 4: overload trip.
-	rt.Call("hot", Message{Op: OpGet})
+	// One more shed completes a fresh streak: overload trip.
+	rt.Call("hot", Message{Op: singleShot})
 	s := rt.BreakerStats()
 	if s.OverloadTrips != 1 || s.Trips != 0 || s.Open != 1 {
 		t.Fatalf("stats = %+v, want OverloadTrips=1 Trips=0 Open=1", s)
 	}
 	// Open circuit fails fast without touching the wire.
 	sends := inner.callCount("hot")
-	if _, err := rt.Call("hot", Message{Op: OpGet}); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := rt.Call("hot", Message{Op: singleShot}); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen", err)
 	}
 	if inner.callCount("hot") != sends {
@@ -223,7 +203,7 @@ func TestBreakerTracksOverloadApartFromUnreachable(t *testing.T) {
 }
 
 // TestBreakerOverloadRecoveryUnderLoad: a circuit opened by overload
-// probes again after the (short) OverloadCooldown, closes on the first
+// probes again by breakerOverloadCooldown at the latest, closes on the first
 // success, and sustained traffic then flows with no further fast-fails.
 func TestBreakerOverloadRecoveryUnderLoad(t *testing.T) {
 	shedding := true
@@ -236,26 +216,15 @@ func TestBreakerOverloadRecoveryUnderLoad(t *testing.T) {
 		}
 		return Message{Op: req.Op, Ok: true}, nil
 	})
-	rt := NewRetryingTransport(inner, RetryPolicy{
-		MaxAttempts: 1,
-		Seed:        1,
-		Breaker: &BreakerPolicy{
-			Threshold:         100,
-			OverloadThreshold: 3,
-			ProbeProb:         -1,
-			Cooldown:          time.Hour,
-			OverloadCooldown:  20 * time.Millisecond,
-			Seed:              1,
-		},
-	})
-	for i := 0; i < 3; i++ {
+	rt := NewRetryingTransport(inner, RetryPolicy{Breaker: &BreakerPolicy{Seed: 1}})
+	for i := 0; i < breakerOverloadThreshold; i++ {
 		rt.Call("hot", Message{Op: OpGet})
 	}
 	if s := rt.BreakerStats(); s.OverloadTrips != 1 || s.Open != 1 {
 		t.Fatalf("stats = %+v, want the circuit open on overload", s)
 	}
-	// The peer recovers; after the overload cooldown a probe must get
-	// through and close the circuit.
+	// The peer recovers; a seeded probe, or the overload cooldown at the
+	// latest, must get a call through and close the circuit.
 	mu.Lock()
 	shedding = false
 	mu.Unlock()
@@ -296,7 +265,7 @@ func TestOverloadedSuccessorNotAmputated(t *testing.T) {
 			Addr:              "mem:0",
 			StabilizeInterval: time.Hour, // drive stabilize by hand
 			SuccFailThreshold: 2,
-			Retry:             &RetryPolicy{MaxAttempts: 1, Seed: 1},
+			Retry:             &RetryPolicy{Seed: 1},
 			Admission:         &AdmissionConfig{MaxInflight: 1, MaxQueue: 1, QueueTimeout: 20 * time.Millisecond},
 		})
 		if err != nil {

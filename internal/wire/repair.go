@@ -336,7 +336,7 @@ func (n *Node) dropStaleCopies() {
 	groups := make(map[string][]KeyEntries)
 	var owners []string
 	for _, item := range stale {
-		resp := n.handleFindSuccessor(Message{Op: OpFindSuccessor, Key: item.Key, TTL: n.cfg.TTL})
+		resp := n.handleFindSuccessor(Message{Op: OpFindSuccessor, Key: item.Key, TTL: routeTTL})
 		if resp.Err != "" {
 			continue // can't route; retry next round
 		}
@@ -415,7 +415,7 @@ func (n *Node) handleRepairSync(req Message) Message {
 // ownerOf is a small helper for tests and diagnostics: it routes key
 // from this node and returns the owner's address.
 func (n *Node) ownerOf(key keyspace.Key) (string, error) {
-	resp := n.handleFindSuccessor(Message{Op: OpFindSuccessor, Key: key, TTL: n.cfg.TTL})
+	resp := n.handleFindSuccessor(Message{Op: OpFindSuccessor, Key: key, TTL: routeTTL})
 	if resp.Err != "" {
 		return "", remoteError(resp)
 	}

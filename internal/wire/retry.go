@@ -10,86 +10,69 @@ import (
 	"dhtindex/internal/telemetry"
 )
 
-// RetryPolicy parameterizes the RPC retry stack: how many times an
-// idempotent operation is attempted and how the backoff between attempts
-// grows. The zero value is usable — withDefaults fills in sane numbers.
+// The retry stack's constants: how many times an idempotent operation
+// is attempted and how the backoff between attempts grows.
+const (
+	// retryAttempts is the total number of tries per idempotent call;
+	// every other op is tried once.
+	retryAttempts = 3
+	// retryBaseDelay is the backoff before the first retry.
+	retryBaseDelay = 5 * time.Millisecond
+	// retryMaxDelay caps the grown backoff.
+	retryMaxDelay = 250 * time.Millisecond
+	// retryMultiplier grows the backoff per attempt.
+	retryMultiplier = 2
+	// retryJitter randomizes each backoff by ±retryJitter/2 of its value.
+	// Jitter decorrelates retry storms.
+	retryJitter = 0.5
+	// retryBudgetRatio is the number of tokens a fresh logical call earns:
+	// retries are capped at ~10% of fresh traffic.
+	retryBudgetRatio = 0.1
+	// retryBudgetBurst caps the bucket, bounding how many retries a quiet
+	// period can bank for the next failure burst.
+	retryBudgetBurst = 10
+)
+
+// RetryPolicy switches on the RPC retry stack and its two optional
+// guards. The zero value retries idempotent ops with jittered
+// exponential backoff.
 type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per call (default 3).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 5ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the grown backoff (default 250ms).
-	MaxDelay time.Duration
-	// Multiplier grows the backoff per attempt (default 2).
-	Multiplier float64
-	// Jitter randomizes each backoff by ±Jitter/2 of its value, in
-	// [0,1] (default 0.5). Jitter decorrelates retry storms.
-	Jitter float64
 	// Seed makes the jitter sequence reproducible.
 	Seed int64
-	// Retryable overrides the default idempotent-op set: ops mapped to
-	// true are retried, ops mapped to false never are, unmapped ops use
-	// the default set.
-	Retryable map[Op]bool
-	// PerOpAttempts overrides MaxAttempts for specific ops (e.g. give
-	// OpTransfer more tries than OpPing).
-	PerOpAttempts map[Op]int
 	// Breaker, when non-nil, enables the per-peer circuit breaker: a
 	// peer whose calls keep failing gets further calls refused with
 	// ErrCircuitOpen (fail fast) until a half-open probe succeeds. Nil
 	// keeps the PR 1 retry behaviour byte-for-byte.
 	Breaker *BreakerPolicy
 	// Budget, when non-nil, enables the retry budget: a token bucket in
-	// which every fresh logical call earns Ratio tokens and every retry
-	// spends one, capping retry traffic at roughly Ratio× the fresh
-	// traffic. Under widespread failure, uncapped retries multiply
-	// offered load by MaxAttempts exactly when capacity is scarcest — the
-	// retry-storm feedback loop the budget breaks. Nil keeps retries
-	// uncapped.
+	// which every fresh logical call earns retryBudgetRatio tokens and
+	// every retry spends one, capping retry traffic at roughly that
+	// fraction of the fresh traffic. Under widespread failure, uncapped
+	// retries multiply offered load by retryAttempts exactly when
+	// capacity is scarcest — the retry-storm feedback loop the budget
+	// breaks. Nil keeps retries uncapped.
 	Budget *RetryBudget
 }
 
-// RetryBudget parameterizes the retry token bucket. The zero value is
-// usable — defaults are applied on first use.
-type RetryBudget struct {
-	// Ratio is the number of tokens a fresh logical call earns (default
-	// 0.1: retries capped at ~10% of fresh traffic).
-	Ratio float64
-	// Burst caps the bucket (default 10), bounding how many retries a
-	// quiet period can bank for the next failure burst.
-	Burst float64
-}
+// RetryBudget switches on the retry token bucket: its presence in a
+// RetryPolicy is the whole setting.
+type RetryBudget struct{}
 
-func (b RetryBudget) withDefaults() RetryBudget {
-	if b.Ratio == 0 {
-		b.Ratio = 0.1
-	}
-	if b.Burst == 0 {
-		b.Burst = 10
-	}
-	return b
-}
-
-// retryBudget is the live token bucket behind a RetryBudget policy.
+// retryBudget is the live token bucket behind a RetryBudget.
 type retryBudget struct {
 	mu     sync.Mutex
-	policy RetryBudget
 	tokens float64
 }
 
-func newRetryBudget(policy RetryBudget) *retryBudget {
-	policy = policy.withDefaults()
+func newRetryBudget() *retryBudget {
 	// Start full: the first failures after startup may retry.
-	return &retryBudget{policy: policy, tokens: policy.Burst}
+	return &retryBudget{tokens: retryBudgetBurst}
 }
 
 // earn credits a fresh logical call.
 func (b *retryBudget) earn() {
 	b.mu.Lock()
-	b.tokens += b.policy.Ratio
-	if b.tokens > b.policy.Burst {
-		b.tokens = b.policy.Burst
-	}
+	b.tokens = min(b.tokens+retryBudgetRatio, retryBudgetBurst)
 	b.mu.Unlock()
 }
 
@@ -104,31 +87,12 @@ func (b *retryBudget) spend() bool {
 	return true
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseDelay == 0 {
-		p.BaseDelay = 5 * time.Millisecond
-	}
-	if p.MaxDelay == 0 {
-		p.MaxDelay = 250 * time.Millisecond
-	}
-	if p.Multiplier == 0 {
-		p.Multiplier = 2
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.5
-	}
-	return p
-}
-
-// retryableByDefault holds the ops that are safe to repeat: pure reads,
+// retryable holds the ops that are safe to repeat: pure reads,
 // and writes whose handlers deduplicate (Put/PutReplica/Transfer add an
 // entry only once; Notify recomputes the same predecessor decision).
 // OpRemove and OpRemoveReplica are excluded — their Ok result flips on a
 // repeat, so the caller would misreport "not found".
-var retryableByDefault = map[Op]bool{
+var retryable = map[Op]bool{
 	OpPing:           true,
 	OpFindSuccessor:  true,
 	OpGetPredecessor: true,
@@ -150,19 +114,11 @@ var retryableByDefault = map[Op]bool{
 	OpGetBatch: true,
 }
 
-// attemptsFor resolves how many times op may be tried under p.
-func (p RetryPolicy) attemptsFor(op Op) int {
-	if n, ok := p.PerOpAttempts[op]; ok && n > 0 {
-		return n
-	}
-	if allowed, ok := p.Retryable[op]; ok {
-		if !allowed {
-			return 1
-		}
-		return p.MaxAttempts
-	}
-	if retryableByDefault[op] {
-		return p.MaxAttempts
+// attemptsFor is how many times op may be tried: retryAttempts for the
+// idempotent set, once for everything else.
+func attemptsFor(op Op) int {
+	if retryable[op] {
+		return retryAttempts
 	}
 	return 1
 }
@@ -220,7 +176,6 @@ func (s RetryStats) Amplification() float64 {
 // being survived.
 type RetryingTransport struct {
 	inner   Transport
-	policy  RetryPolicy
 	breaker *breakerSet
 	budget  *retryBudget
 
@@ -240,7 +195,6 @@ type RetryingTransport struct {
 func NewRetryingTransport(inner Transport, policy RetryPolicy) *RetryingTransport {
 	t := &RetryingTransport{
 		inner:     inner,
-		policy:    policy.withDefaults(),
 		rng:       rand.New(rand.NewSource(policy.Seed)),
 		calls:     telemetry.NewCounter("wire_retry_calls_total", "Logical RPCs issued through the retry layer."),
 		attempts:  telemetry.NewCounter("wire_retry_attempts_total", "Wire sends, including first tries."),
@@ -256,7 +210,7 @@ func NewRetryingTransport(inner Transport, policy RetryPolicy) *RetryingTranspor
 		t.breaker = newBreakerSet(*policy.Breaker)
 	}
 	if policy.Budget != nil {
-		t.budget = newRetryBudget(*policy.Budget)
+		t.budget = newRetryBudget()
 	}
 	return t
 }
@@ -315,7 +269,7 @@ func (t *RetryingTransport) CallCtx(ctx context.Context, addr string, req Messag
 	if t.breaker != nil && !t.breaker.allow(addr) {
 		return Message{}, ErrCircuitOpen
 	}
-	attempts := t.policy.attemptsFor(req.Op)
+	attempts := attemptsFor(req.Op)
 	t.calls.Inc()
 	if t.budget != nil {
 		t.budget.earn()
@@ -407,11 +361,11 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // backoff computes the jittered exponential delay before retry number
 // attempt (1-based).
 func (t *RetryingTransport) backoff(attempt int) time.Duration {
-	d := float64(t.policy.BaseDelay)
+	d := float64(retryBaseDelay)
 	for i := 1; i < attempt; i++ {
-		d *= t.policy.Multiplier
-		if d >= float64(t.policy.MaxDelay) {
-			d = float64(t.policy.MaxDelay)
+		d *= retryMultiplier
+		if d >= float64(retryMaxDelay) {
+			d = float64(retryMaxDelay)
 			break
 		}
 	}
@@ -419,9 +373,6 @@ func (t *RetryingTransport) backoff(attempt int) time.Duration {
 	r := t.rng.Float64()
 	t.mu.Unlock()
 	// Spread over [1-J/2, 1+J/2] of the nominal delay.
-	d *= 1 - t.policy.Jitter/2 + t.policy.Jitter*r
-	if d > float64(t.policy.MaxDelay) {
-		d = float64(t.policy.MaxDelay)
-	}
-	return time.Duration(d)
+	d *= 1 - retryJitter/2 + retryJitter*r
+	return time.Duration(min(d, float64(retryMaxDelay)))
 }

@@ -43,11 +43,7 @@ func (s *scriptedTransport) callCount(addr string) int {
 
 func TestRetryRecoversTransientFailure(t *testing.T) {
 	inner := newScriptedTransport(2)
-	rt := NewRetryingTransport(inner, RetryPolicy{
-		MaxAttempts: 4,
-		BaseDelay:   time.Millisecond,
-		Seed:        1,
-	})
+	rt := NewRetryingTransport(inner, RetryPolicy{Seed: 1})
 	resp, err := rt.Call("peer", Message{Op: OpPing})
 	if err != nil || !resp.Ok {
 		t.Fatalf("call should recover on attempt 3: %+v, %v", resp, err)
@@ -63,17 +59,13 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 
 func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 	inner := newScriptedTransport(100)
-	rt := NewRetryingTransport(inner, RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   time.Millisecond,
-		Seed:        1,
-	})
+	rt := NewRetryingTransport(inner, RetryPolicy{Seed: 1})
 	_, err := rt.Call("peer", Message{Op: OpGet})
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("want the final ErrUnreachable, got %v", err)
 	}
-	if got := inner.callCount("peer"); got != 3 {
-		t.Fatalf("wire sends = %d, want exactly MaxAttempts", got)
+	if got := inner.callCount("peer"); got != retryAttempts {
+		t.Fatalf("wire sends = %d, want exactly retryAttempts (%d)", got, retryAttempts)
 	}
 	if s := rt.Stats(); s.GaveUp != 1 || s.Recovered != 0 {
 		t.Fatalf("stats = %+v", s)
@@ -84,7 +76,7 @@ func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 // so the retry layer must never resend it.
 func TestRetryNonIdempotentSingleShot(t *testing.T) {
 	inner := newScriptedTransport(100)
-	rt := NewRetryingTransport(inner, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond})
+	rt := NewRetryingTransport(inner, RetryPolicy{})
 	if _, err := rt.Call("peer", Message{Op: OpRemove}); err == nil {
 		t.Fatal("scripted failure swallowed")
 	}
@@ -99,48 +91,74 @@ func TestRetryNonIdempotentSingleShot(t *testing.T) {
 	}
 }
 
-func TestRetryPerOpOverrides(t *testing.T) {
-	inner := newScriptedTransport(100)
-	rt := NewRetryingTransport(inner, RetryPolicy{
-		MaxAttempts:   3,
-		BaseDelay:     time.Millisecond,
-		PerOpAttempts: map[Op]int{OpTransfer: 5},
-		Retryable:     map[Op]bool{OpGet: false},
-	})
-	_, _ = rt.Call("xfer", Message{Op: OpTransfer})
-	if got := inner.callCount("xfer"); got != 5 {
-		t.Fatalf("OpTransfer sends = %d, want PerOpAttempts 5", got)
+// TestRetryAndAdmissionTablesCoverEveryOp walks every opcode and pins
+// the two tables each one must be entered in: how many times the retry
+// layer tries it (the idempotent set retryAttempts, the removes whose
+// result flips on a repeat once) and the admission class it is
+// scheduled in. A new opcode fails here until it is placed in both.
+func TestRetryAndAdmissionTablesCoverEveryOp(t *testing.T) {
+	const r, once = retryAttempts, 1
+	const client, maint = classClient, classMaintenance
+	want := map[Op]struct {
+		attempts int
+		class    admissionClass
+	}{
+		OpPing:           {r, maint},
+		OpFindSuccessor:  {r, client},
+		OpGetPredecessor: {r, maint},
+		OpGetSuccessor:   {r, maint},
+		OpNotify:         {r, maint},
+		OpPut:            {r, client},
+		OpGet:            {r, client},
+		OpRemove:         {once, client},
+		OpTransfer:       {r, maint},
+		OpStats:          {r, maint},
+		OpLeave:          {r, maint},
+		OpPutReplica:     {r, client},
+		OpRemoveReplica:  {once, client},
+		OpRepairSync:     {r, maint},
+		OpPutBatch:       {r, client},
+		OpRemoveBatch:    {once, client},
+		OpMerge:          {once, client},
+		OpGetBatch:       {r, client},
 	}
-	_, _ = rt.Call("get", Message{Op: OpGet})
-	if got := inner.callCount("get"); got != 1 {
-		t.Fatalf("OpGet marked non-retryable but sent %d times", got)
+	walked := 0
+	for op := OpPing; op.String() != "unknown"; op++ {
+		walked++
+		w, ok := want[op]
+		if !ok {
+			t.Errorf("%v: new opcode; enter it in retryable and classOf, then here", op)
+			continue
+		}
+		if got := attemptsFor(op); got != w.attempts {
+			t.Errorf("%v: %d attempt(s), want %d", op, got, w.attempts)
+		}
+		if got := classOf(op); got != w.class {
+			t.Errorf("%v: admission class %d, want %d", op, got, w.class)
+		}
+	}
+	if walked != len(want) {
+		t.Errorf("walked %d opcodes, the table has %d", walked, len(want))
 	}
 }
 
 func TestRetryBackoffGrowsAndIsCapped(t *testing.T) {
-	rt := NewRetryingTransport(newScriptedTransport(0), RetryPolicy{
-		MaxAttempts: 10,
-		BaseDelay:   4 * time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      0.5,
-		Seed:        3,
-	})
+	rt := NewRetryingTransport(newScriptedTransport(0), RetryPolicy{Seed: 3})
 	prevMax := time.Duration(0)
 	for attempt := 1; attempt <= 8; attempt++ {
 		d := rt.backoff(attempt)
 		if d <= 0 {
 			t.Fatalf("attempt %d: non-positive backoff %v", attempt, d)
 		}
-		if d > 20*time.Millisecond {
-			t.Fatalf("attempt %d: backoff %v exceeds MaxDelay", attempt, d)
+		if d > retryMaxDelay {
+			t.Fatalf("attempt %d: backoff %v exceeds retryMaxDelay", attempt, d)
 		}
-		if d > prevMax {
-			prevMax = d
-		}
+		prevMax = max(prevMax, d)
 	}
-	if prevMax < 8*time.Millisecond {
-		t.Fatalf("backoff never grew beyond %v despite multiplier 2", prevMax)
+	// Jitter spreads a delay down to half its nominal value, so only a
+	// grown delay reaches twice the base.
+	if prevMax < 2*retryBaseDelay {
+		t.Fatalf("backoff never grew beyond %v despite multiplier %d", prevMax, retryMultiplier)
 	}
 }
 
@@ -148,7 +166,7 @@ func TestRetryBackoffGrowsAndIsCapped(t *testing.T) {
 // its retry counters (the observability half of the acceptance bar).
 func TestNodeExposesRetryStats(t *testing.T) {
 	ft := NewFaultTransport(NewMemTransport(), 11)
-	policy := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 11}
+	policy := RetryPolicy{Seed: 11}
 	a, err := Start(Config{Transport: ft.Endpoint(), Addr: "mem:0", Retry: &policy})
 	if err != nil {
 		t.Fatal(err)

@@ -215,10 +215,10 @@ func TestStateDigestTombstones(t *testing.T) {
 
 // startFaultRing boots n nodes over a FaultTransport and converges the
 // ring. Returns the cluster, the fault layer, and the nodes by address.
-func startFaultRing(t *testing.T, n, rf int, probeEvery int) (*Cluster, *FaultTransport, map[string]*Node) {
+func startFaultRing(t *testing.T, n, rf int) (*Cluster, *FaultTransport, map[string]*Node) {
 	t.Helper()
 	ft := NewFaultTransport(NewMemTransport(), 7)
-	policy := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 7}
+	policy := RetryPolicy{Seed: 7}
 	cluster := NewCluster(NewRetryingTransport(ft, policy), 7, rf)
 	nodes := make(map[string]*Node, n)
 	var bootstrap string
@@ -230,7 +230,6 @@ func startFaultRing(t *testing.T, n, rf int, probeEvery int) (*Cluster, *FaultTr
 			ReplicationFactor: rf,
 			Retry:             &policy,
 			SuccFailThreshold: 2,
-			MergeProbeEvery:   probeEvery,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -261,10 +260,7 @@ func TestOneWayPartitionKeepsSuccessor(t *testing.T) {
 		t.Skip("asymmetric partition test skipped in -short mode")
 	}
 	ft := NewFaultTransport(NewMemTransport(), 11)
-	policy := RetryPolicy{
-		MaxAttempts: 2, BaseDelay: time.Millisecond, Seed: 11,
-		Breaker: &BreakerPolicy{Threshold: 3, ProbeProb: 0.2, Cooldown: 100 * time.Millisecond, Seed: 11},
-	}
+	policy := RetryPolicy{Seed: 11, Breaker: &BreakerPolicy{Seed: 11}}
 	cluster := NewCluster(NewRetryingTransport(ft, policy), 11, 1)
 	nodes := make(map[string]*Node, 4)
 	var bootstrap string
@@ -379,7 +375,7 @@ func TestRingMergeAfterGroupPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("merge test skipped in -short mode")
 	}
-	cluster, ft, nodes := startFaultRing(t, 8, 1, 4)
+	cluster, ft, nodes := startFaultRing(t, 8, 1)
 
 	ring := cluster.Addrs()
 	sideA, sideB := ring[:4], ring[4:]
@@ -443,7 +439,7 @@ func TestRepairAntiResurrection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("anti-resurrection test skipped in -short mode")
 	}
-	cluster, ft, nodes := startFaultRing(t, 6, 2, 4)
+	cluster, ft, nodes := startFaultRing(t, 6, 2)
 
 	key := keyspace.NewKey("resurrect-me")
 	entry := overlay.Entry{Kind: "d", Value: "doomed"}

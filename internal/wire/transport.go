@@ -91,7 +91,7 @@ func (o Op) String() string {
 // stale copy (a replica that missed the removal, or the far side of a
 // healed partition). While a tombstone is live, re-adding the identical
 // entry is suppressed everywhere; tombstones are garbage-collected
-// after Config.TombstoneTTL, which must exceed the longest partition or
+// after tombstoneTTL, which must exceed the longest partition or
 // downtime a stale copy can hide behind.
 type Tombstone struct {
 	// Entry is the removed entry.
