@@ -5,8 +5,7 @@ package main
 // prints the phase accounting plus the admission / retry / breaker
 // totals, and is held to the SLO gate the report carries — p99 at rated
 // load, proportional goodput under overload, admission engaged, bounded
-// retry traffic, zero acked-write loss. On a pass, -bench merges the
-// goodput trajectory into a bench report.
+// retry traffic, zero acked-write loss.
 
 import (
 	"fmt"
@@ -21,7 +20,6 @@ func runLoad(args []string, out io.Writer) error {
 	g := newGate(fs)
 	g.reportFlag(fs)
 	duration := fs.Duration("duration", 0, "total arrival window, split evenly across the rated and overload phases (0: the harness default, 6s)")
-	bench := fs.String("bench", "", "on a pass, merge the load/* rows into this bench report (e.g. BENCH_wire.json)")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -47,32 +45,6 @@ func runLoad(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  breaker:   %d trips (%d on overload), %d fast-fails, %d probes, %d closes, %d open\n",
 			b.Trips, b.OverloadTrips, b.FastFails, b.Probes, b.Closes, b.Open)
 		fmt.Fprintf(out, "  writes:    %d acked, %d lost\n", r.AckedWrites, len(r.LostWrites))
-		if *bench != "" && r.Passed() {
-			err = updateBench(*bench, func(b *benchReport) { b.setLoad(r) })
-		}
 	}
 	return g.finish(out, r, r.Violations, err)
-}
-
-// phaseRow folds one load phase into a bench-report row: throughput is
-// goodput (successful ops per second of arrival window), latency
-// percentiles are over successful ops.
-func phaseRow(p soak.PhaseReport) benchResult {
-	return benchResult{
-		Name:      "load/" + p.Name,
-		Ops:       p.OK,
-		OpsPerSec: p.GoodputRPS,
-		P50Micros: float64(p.P50.Nanoseconds()) / 1e3,
-		P99Micros: float64(p.P99.Nanoseconds()) / 1e3,
-	}
-}
-
-// setLoad replaces the load writer's rows and ratio with this run's
-// trajectory.
-func (b *benchReport) setLoad(r soak.LoadReport) {
-	ratios := map[string]float64{}
-	if r.Rated.GoodputRPS > 0 {
-		ratios["load_goodput_overload_vs_rated"] = r.Overload.GoodputRPS / r.Rated.GoodputRPS
-	}
-	b.replace(isLoad, []benchResult{phaseRow(r.Rated), phaseRow(r.Overload)}, ratios)
 }

@@ -10,12 +10,11 @@
 //	dhtbench ingest  the continuous-ingest soak
 //	dhtbench load    the open-loop overload run and its SLO gate
 //	dhtbench matrix  the indexed churn soak on every substrate
-//	dhtbench bench   the wire fast-path microbenchmarks (-out) or their regression gate (-check)
 //
-// Every subcommand but bench takes -seed, -metrics-out (write the
-// telemetry snapshot) and -metrics-addr (serve it at /metrics after a
-// pass, blocking); soak, ingest and load take -report (the whole report
-// as JSON). Those files are written pass or fail. A run exits 0 when
+// Every subcommand takes -seed, -metrics-out (write the telemetry
+// snapshot) and -metrics-addr (serve it at /metrics after a pass,
+// blocking); soak, ingest and load take -report (the whole report as
+// JSON). Those files are written pass or fail. A run exits 0 when
 // every gate held, 1 on a violation or a harness error, and 2 on a
 // command line it refuses; `dhtbench <subcommand> -h` lists its flags.
 // docs/OBSERVABILITY.md catalogs the metrics and the trace format.
@@ -42,10 +41,9 @@ var subcommands = map[string]func(args []string, out io.Writer) error{
 	"ingest": runIngest,
 	"load":   runLoad,
 	"matrix": runMatrix,
-	"bench":  runBench,
 }
 
-const usage = `usage: dhtbench <sweep|soak|ingest|load|matrix|bench> [flags]
+const usage = `usage: dhtbench <sweep|soak|ingest|load|matrix> [flags]
 run "dhtbench <subcommand> -h" for a subcommand's flags
 `
 
@@ -138,7 +136,7 @@ type gate struct {
 	metricsAddr string
 }
 
-// newGate registers the flags every subcommand but bench takes.
+// newGate registers the flags every subcommand takes.
 func newGate(fs *flag.FlagSet) *gate {
 	g := &gate{reg: telemetry.NewRegistry()}
 	fs.Int64Var(&g.seed, "seed", 1, "deterministic seed")

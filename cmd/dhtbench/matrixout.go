@@ -3,9 +3,7 @@ package main
 // The matrix subcommand: the cross-substrate comparison. It runs the
 // in-process indexed churn soak (soak.RunSubstrate) on Chord, Pastry
 // and Kademlia with one shared configuration, prints the comparison
-// table, and fails if any substrate loses an acked article. On a pass,
-// -bench replaces the substrate matrix in a bench report, next to the
-// wire fast-path and load rows.
+// table, and fails if any substrate loses an acked article.
 
 import (
 	"fmt"
@@ -22,7 +20,6 @@ func runMatrix(args []string, out io.Writer) error {
 	g := newGate(fs)
 	nodes := fs.Int("nodes", 0, "overlay size per substrate (0: the harness default)")
 	ops := fs.Int("ops", 0, "churn-storm operations per substrate (0: the harness default)")
-	bench := fs.String("bench", "", "on a pass, replace the substrate matrix in this bench report (e.g. BENCH_wire.json)")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -50,9 +47,5 @@ func runMatrix(args []string, out io.Writer) error {
 			r.QueryFailures, r.MeanLookupHops, r.P99QueryMicros,
 			r.MaintenanceItems, r.MaintenanceBytes, r.LostArticles)
 	}
-	var err error
-	if *bench != "" && len(violations) == 0 {
-		err = updateBench(*bench, func(b *benchReport) { b.SubstrateMatrix = rows })
-	}
-	return g.finish(out, nil, violations, err)
+	return g.finish(out, nil, violations, nil)
 }

@@ -1,16 +1,12 @@
 // Package lookup implements the iterative α-parallel lookup engine that
-// Kademlia mandates (Maymounkov & Mazières, IPTPS 2002) and that any
-// substrate can opt into: the querying node keeps up to α probes in
-// flight toward the contacts closest to a target, merges every reply's
-// candidates into a distance-sorted shortlist, and terminates when the K
-// closest responsive contacts have all been queried or a probe reports a
-// terminal answer. The metric is pluggable — XOR distance for Kademlia,
-// clockwise ring distance for Chord, absolute ring distance for Pastry —
-// so the engine is shared by all three substrates (internal/kademlia
-// natively, internal/dht and internal/pastry through their LookupAlpha
-// methods).
+// Kademlia mandates (Maymounkov & Mazières, IPTPS 2002): the querying
+// node keeps up to α probes in flight toward the contacts closest to a
+// target, merges every reply's candidates into a distance-sorted
+// shortlist, and terminates when the K closest responsive contacts have
+// all been queried or a probe reports a terminal answer. The metric is
+// pluggable; internal/kademlia runs it with XOR distance.
 //
-// Unlike the recursive routing both ring substrates default to, the
+// Unlike the recursive routing both ring substrates use, the
 // engine never depends on any single intermediate node: an unresponsive
 // contact is marked failed, excluded from the termination window, and
 // routed around, so lookups terminate even when the K closest contacts

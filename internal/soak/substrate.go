@@ -20,7 +20,7 @@ import (
 // substrates, with membership churn between query batches. It is the
 // apples-to-apples companion of the wire soak — same corpus, same
 // query generator, same acked-write-loss bar — used to produce the
-// cross-substrate matrix in BENCH_wire.json.
+// cross-substrate matrix `dhtbench matrix` prints.
 type SubstrateConfig struct {
 	// Substrate selects the overlay: "chord", "pastry" or "kademlia".
 	Substrate string

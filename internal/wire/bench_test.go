@@ -2,8 +2,11 @@ package wire_test
 
 // Wire fast-path benchmarks: the pooled transport's round trip, batched
 // vs sequential cluster puts, batched vs sequential article publish, and
-// parallel vs sequential automated search. These are the numbers behind
-// BENCH_wire.json (dhtbench bench -out) and CI's bench smoke step.
+// parallel vs sequential automated search, timed on loopback TCP (CI's
+// bench smoke step runs each once). What these operations cost in
+// messages and bytes is counted, not timed, by TestCostLedger; the
+// pooled round trip's bytes and allocations are gated by
+// TestPooledCallCost.
 
 import (
 	"context"
@@ -49,6 +52,54 @@ func BenchmarkTransportCall(b *testing.B) {
 			}
 		}
 	})
+}
+
+// Pooled-call budget: a Ping round trip is a 21-byte request frame and
+// a 22-byte reply frame. It allocates 12 times; the cap is 12 × 1.5 + 16,
+// room for the runtime's background allocations.
+const (
+	pooledCallBytes     = 43
+	pooledCallMaxAllocs = 34
+)
+
+// TestPooledCallCost holds a warmed pooled TCP round trip to its exact
+// bytes and to the allocation cap. The allocation count is process-wide,
+// server goroutine included; it is not checked under the race detector.
+func TestPooledCallCost(t *testing.T) {
+	server := wire.NewTCPTransport()
+	addr, closer, err := server.Listen("127.0.0.1:0", benchEcho)
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer closer.Close()
+	client := wire.NewTCPTransport()
+	defer client.CloseConnections()
+	req := wire.Message{Op: wire.OpPing, Addr: "bench"}
+	call := func() {
+		if _, err := client.Call(addr, req); err != nil {
+			t.Fatalf("call: %v", err)
+		}
+	}
+	call() // warm the pool
+
+	const calls = 100
+	before := client.PoolStats()
+	for range calls {
+		call()
+	}
+	after := client.PoolStats()
+	moved := after.BytesSent + after.BytesReceived - before.BytesSent - before.BytesReceived
+	if moved != pooledCallBytes*calls {
+		t.Errorf("%d calls moved %d bytes, want %d per call", calls, moved, pooledCallBytes)
+	}
+	if raceEnabled {
+		return
+	}
+	allocs := testing.AllocsPerRun(500, call)
+	t.Logf("%.1f allocations per call", allocs)
+	if allocs > pooledCallMaxAllocs {
+		t.Errorf("%.1f allocations per call, cap %d", allocs, pooledCallMaxAllocs)
+	}
 }
 
 // startBenchRing boots a converged live TCP ring and returns its

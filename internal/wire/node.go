@@ -70,7 +70,7 @@ type Config struct {
 	// (DESIGN.md §25): each key lives on its owner alone, a handover
 	// moves keys instead of copying them, no repair loop runs, and a
 	// crashed owner's keys are gone — a read of one gets an empty
-	// success. examples/live and `dhtbench bench` run it.
+	// success. examples/live runs it.
 	ReplicationFactor int
 	// RepairEvery is the number of stabilize rounds between anti-entropy
 	// repair rounds (default 4). A repair round also fires immediately
