@@ -89,7 +89,7 @@ const (
 // batch opcodes, OpGetBatch included — is classClient.
 func classOf(op Op) admissionClass {
 	switch op {
-	case OpPing, OpNotify, OpGetPredecessor, OpGetSuccessor, OpRepairSync, OpTransfer, OpStats, OpLeave:
+	case OpPing, OpNotify, OpGetPredecessor, OpGetSuccessor, OpRepairSync, OpTransfer, OpStats:
 		return classMaintenance
 	default:
 		return classClient

@@ -146,7 +146,8 @@ func TestRemoveBatchSweepsEachFollowerOnce(t *testing.T) {
 
 // TestRemoveSweepsEachFollowerOnce is the same rule for the single-key
 // Remove: the follower the owner's reply names is left alone, any other
-// tracked follower gets exactly one key-carrying OpRemoveReplica.
+// tracked follower gets exactly one OpRemoveReplica carrying the key and
+// entry in KV, the form a batch's sweep takes.
 func TestRemoveSweepsEachFollowerOnce(t *testing.T) {
 	for _, tc := range sweepCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -164,9 +165,10 @@ func TestRemoveSweepsEachFollowerOnce(t *testing.T) {
 			if len(swept) != len(want) {
 				t.Fatalf("client swept %d followers, want %v", len(swept), want)
 			}
+			wantKV := []KeyEntries{{Key: it.Key, Entries: []overlay.Entry{it.Entry}}}
 			for _, f := range want {
-				if req, ok := swept[f]; !ok || req.Key != it.Key || req.Entry != it.Entry || len(req.KV) != 0 {
-					t.Fatalf("follower %s was sent %+v (swept: %v); want the removed key and entry", f, req, ok)
+				if req, ok := swept[f]; !ok || !reflect.DeepEqual(req.KV, wantKV) {
+					t.Fatalf("follower %s was sent %+v (swept: %v); want the removed key and entry in KV", f, req, ok)
 				}
 			}
 		})

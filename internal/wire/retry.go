@@ -102,7 +102,6 @@ var retryable = map[Op]bool{
 	OpGet:            true,
 	OpTransfer:       true,
 	OpStats:          true,
-	OpLeave:          true,
 	OpPutReplica:     true,
 	OpRepairSync:     true,
 	// OpPutBatch is a batch of idempotent puts: retrying after a NACK or

@@ -32,7 +32,7 @@ const (
 	OpRemove
 	OpTransfer
 	OpStats
-	OpLeave
+	_ // retired, never sent or served; later opcodes keep their values
 	OpPutReplica
 	OpRemoveReplica
 	OpRepairSync
@@ -65,8 +65,6 @@ func (o Op) String() string {
 		return "transfer"
 	case OpStats:
 		return "stats"
-	case OpLeave:
-		return "leave"
 	case OpPutReplica:
 		return "put-replica"
 	case OpRemoveReplica:
