@@ -76,16 +76,14 @@ type link struct{ from, to string }
 
 // FaultTransport wraps any Transport and injects seeded, deterministic
 // faults: message drops, latency, asymmetric partitions and crash-stop
-// blackholes, with per-op and per-link rule overrides. It is the chaos
-// half of the wire layer's failure model; RetryingTransport is the
-// recovery half.
+// blackholes, with per-op rule overrides. It is the chaos half of the
+// wire layer's failure model; RetryingTransport is the recovery half.
 //
 // Source attribution: the FaultTransport itself implements Transport
 // with an anonymous ("") source, which is all destination-only faults
-// need. Per-link rules and partitions need to know who is calling, so
-// each node should listen and call through its own Endpoint() view —
-// the view learns its address from Listen and stamps outgoing calls
-// with it.
+// need. Partitions need to know who is calling, so each node should
+// listen and call through its own Endpoint() view — the view learns its
+// address from Listen and stamps outgoing calls with it.
 type FaultTransport struct {
 	inner Transport
 
@@ -93,7 +91,6 @@ type FaultTransport struct {
 	rng     *rand.Rand
 	def     FaultRule
 	perOp   map[Op]FaultRule
-	perLink map[link]FaultRule
 	crashed map[string]bool
 	blocked map[link]bool
 	stats   FaultStats
@@ -101,20 +98,19 @@ type FaultTransport struct {
 
 // NewFaultTransport wraps inner with a fault layer seeded for
 // reproducible fault schedules. No faults are injected until a rule is
-// set (SetDefaultRule / SetOpRule / SetLinkRule / Partition / Crash).
+// set (SetDefaultRule / SetOpRule / Partition / Crash).
 func NewFaultTransport(inner Transport, seed int64) *FaultTransport {
 	return &FaultTransport{
 		inner:   inner,
 		rng:     rand.New(rand.NewSource(seed)),
 		perOp:   make(map[Op]FaultRule),
-		perLink: make(map[link]FaultRule),
 		crashed: make(map[string]bool),
 		blocked: make(map[link]bool),
 	}
 }
 
 // SetDefaultRule sets the fault mix applied to every message that has no
-// more specific per-link or per-op rule.
+// per-op rule.
 func (f *FaultTransport) SetDefaultRule(r FaultRule) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -133,15 +129,6 @@ func (f *FaultTransport) ClearOpRule(op Op) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	delete(f.perOp, op)
-}
-
-// SetLinkRule overrides the rule for the directed edge from→to. Rules
-// resolve most-specific-first: link, then op, then default. A from of ""
-// matches calls made through the FaultTransport itself (clients).
-func (f *FaultTransport) SetLinkRule(from, to string, r FaultRule) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.perLink[link{from, to}] = r
 }
 
 // Partition blocks traffic between a and b in both directions until
@@ -303,8 +290,8 @@ func (f *FaultTransport) CallCtx(ctx context.Context, addr string, req Message) 
 }
 
 // Endpoint returns a Transport view that attributes its traffic to the
-// address it listens on, enabling per-link rules and partitions. Give
-// each node its own endpoint:
+// address it listens on, enabling partitions. Give each node its own
+// endpoint:
 //
 //	ft := NewFaultTransport(NewMemTransport(), seed)
 //	n, _ := Start(Config{Transport: ft.Endpoint(), Addr: "mem:0"})
@@ -371,10 +358,7 @@ func (f *FaultTransport) decide(src, dst string, op Op) verdict {
 		f.stats.PartitionBlocked++
 		return verdict{blocked: fmt.Errorf("%w: %s (partitioned from %s)", ErrUnreachable, dst, src)}
 	}
-	rule, ok := f.perLink[link{src, dst}]
-	if !ok {
-		rule, ok = f.perOp[op]
-	}
+	rule, ok := f.perOp[op]
 	if !ok {
 		rule = f.def
 	}

@@ -36,6 +36,7 @@ package wire
 // because unreachability is exactly what a partition looks like.
 
 import (
+	"slices"
 	"sort"
 
 	"dhtindex/internal/telemetry"
@@ -280,7 +281,7 @@ func (n *Node) coordinateMerge(foreign string) {
 	}
 	smaller, larger := theirs, mine
 	if len(mine) < len(theirs) ||
-		(len(mine) == len(theirs) && minString(theirs) < minString(mine)) {
+		(len(mine) == len(theirs) && slices.Min(theirs) < slices.Min(mine)) {
 		smaller, larger = mine, theirs
 	}
 	n.merge.coordinations.Inc()
@@ -345,19 +346,4 @@ func (n *Node) rejoinVia(boot string) bool {
 	// closer predecessor might exist on this side.
 	_, _ = n.cfg.Transport.Call(cand, Message{Op: OpNotify, Addr: n.addr})
 	return true
-}
-
-// minString returns the lexicographically smallest element (empty for
-// an empty slice).
-func minString(ss []string) string {
-	if len(ss) == 0 {
-		return ""
-	}
-	min := ss[0]
-	for _, s := range ss[1:] {
-		if s < min {
-			min = s
-		}
-	}
-	return min
 }
