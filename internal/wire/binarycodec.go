@@ -12,17 +12,34 @@ package wire
 // uvarint length, keys travel as raw 20-byte values and digests as
 // fixed 8-byte big-endian words. Absent fields cost zero bytes: a ping
 // is 3 bytes of payload.
+//
+// Entry lists are front-coded (DESIGN.md §28). Within one message,
+// Entries and then each KV item's entries and tombstones form one chain
+// in encode order, and each entry is coded against the one before it:
+//
+//	kind:  0 (the previous entry's kind) | uvarint len+1, bytes
+//	value: uvarint shared-prefix length | uvarint suffix length, suffix
+//
+// A store keeps a key's entries sorted, so neighbouring values share
+// most of their bytes and a Get reply carries little more than what
+// differs between them.
+//
 // Encoding appends into a caller-owned scratch slice and decoding
 // reads out of the frame buffer in place, so steady-state frames
 // allocate nothing beyond the strings and slices the decoded message
 // itself must own. Every decoded count is validated against the bytes
 // actually remaining before any allocation, so a corrupt or hostile
-// frame cannot make the node allocate past the frame it already read.
+// frame cannot make the node allocate past the frame it already read;
+// and since a shared prefix makes a string longer than the bytes that
+// carry it, the strings a message decodes to are capped in total at the
+// reading connection's frame cap, checked before each one is built.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"strings"
 
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
@@ -32,7 +49,7 @@ import (
 // format's evolution seam: bump it when the field layout changes. A peer
 // on any other version fails decodeMessage on its first frame and the
 // connection closes.
-const binMsgVersion = 1
+const binMsgVersion = 2
 
 // Field-presence bits of the binary encoding, in encode order.
 const (
@@ -55,10 +72,12 @@ const (
 )
 
 // errBinTruncated reports a frame that declares more content than it
-// carries; errBinTrailing the reverse (bytes after the last field).
+// carries; errBinTrailing the reverse (bytes after the last field);
+// errBinTooLarge a frame whose strings add up to more than the cap.
 var (
 	errBinTruncated = errors.New("wire: binary message truncated")
 	errBinTrailing  = errors.New("wire: binary message has trailing bytes")
+	errBinTooLarge  = errors.New("wire: binary message decodes past the size cap")
 )
 
 // appendUvarint appends v in unsigned LEB128.
@@ -83,10 +102,53 @@ func appendEntry(dst []byte, e overlay.Entry) []byte {
 	return appendString(dst, e.Value)
 }
 
-// appendTombstone appends t's entry and removal time.
-func appendTombstone(dst []byte, t Tombstone) []byte {
-	dst = appendEntry(dst, t.Entry)
-	return appendVarint(dst, t.At)
+// entryChain is the encoder's side of one message's front-coded entry
+// chain: the entry coded last, which the next one is coded against.
+type entryChain struct {
+	prev    overlay.Entry
+	started bool
+}
+
+// append appends e coded against the previous entry, which e becomes.
+func (c *entryChain) append(dst []byte, e overlay.Entry) []byte {
+	return c.appendValue(c.appendKind(dst, e.Kind), e.Value)
+}
+
+// appendKind appends kind as a back-reference to the previous entry's
+// kind when it repeats it, else as its length+1 and bytes.
+func (c *entryChain) appendKind(dst []byte, kind string) []byte {
+	repeat := c.started && kind == c.prev.Kind
+	c.prev.Kind, c.started = kind, true
+	if repeat {
+		return append(dst, 0)
+	}
+	dst = appendUvarint(dst, uint64(len(kind))+1)
+	return append(dst, kind...)
+}
+
+// appendValue appends value as the length of the prefix it shares with
+// the previous entry's value, then the rest of it.
+func (c *entryChain) appendValue(dst []byte, value string) []byte {
+	p := sharedPrefix(value, c.prev.Value)
+	c.prev.Value = value
+	dst = appendUvarint(dst, uint64(p))
+	return appendString(dst, value[p:])
+}
+
+// sharedPrefix is the length of the longest common prefix of a and b,
+// compared eight bytes at a time.
+func sharedPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	p := 0
+	for ; p+8 <= n; p += 8 {
+		if x := binary.LittleEndian.Uint64([]byte(a[p:p+8])) ^ binary.LittleEndian.Uint64([]byte(b[p:p+8])); x != 0 {
+			return p + bits.TrailingZeros64(x)/8
+		}
+	}
+	for p < n && a[p] == b[p] {
+		p++
+	}
+	return p
 }
 
 // messageFlags computes m's field-presence bitmap.
@@ -171,10 +233,11 @@ func appendMessage(dst []byte, m *Message) []byte {
 	if flags&binHasEntry != 0 {
 		dst = appendEntry(dst, m.Entry)
 	}
+	var chain entryChain
 	if flags&binHasEntries != 0 {
 		dst = appendUvarint(dst, uint64(len(m.Entries)))
 		for _, e := range m.Entries {
-			dst = appendEntry(dst, e)
+			dst = chain.append(dst, e)
 		}
 	}
 	if flags&binHasKV != 0 {
@@ -184,11 +247,12 @@ func appendMessage(dst []byte, m *Message) []byte {
 			dst = append(dst, kv.Key[:]...)
 			dst = appendUvarint(dst, uint64(len(kv.Entries)))
 			for _, e := range kv.Entries {
-				dst = appendEntry(dst, e)
+				dst = chain.append(dst, e)
 			}
 			dst = appendUvarint(dst, uint64(len(kv.Tombs)))
 			for _, t := range kv.Tombs {
-				dst = appendTombstone(dst, t)
+				dst = chain.append(dst, t.Entry)
+				dst = appendVarint(dst, t.At)
 			}
 		}
 	}
@@ -232,6 +296,21 @@ func appendMessage(dst []byte, m *Message) []byte {
 type binReader struct {
 	data []byte
 	off  int
+	// budget is what is left of the bytes the message's strings may add
+	// up to, shared or not.
+	budget int64
+	// prev is the chain's previous entry; started says there is one.
+	prev    overlay.Entry
+	started bool
+}
+
+// spend charges n string bytes to the budget before they are built.
+func (r *binReader) spend(n uint64) error {
+	if n > uint64(r.budget) {
+		return errBinTooLarge
+	}
+	r.budget -= int64(n)
+	return nil
 }
 
 func (r *binReader) remaining() int { return len(r.data) - r.off }
@@ -285,8 +364,16 @@ func (r *binReader) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return r.strOf(n)
+}
+
+// strOf reads the next n bytes as a string.
+func (r *binReader) strOf(n uint64) (string, error) {
 	if n > uint64(r.remaining()) {
 		return "", errBinTruncated
+	}
+	if err := r.spend(n); err != nil {
+		return "", err
 	}
 	s := string(r.data[r.off : r.off+int(n)])
 	r.off += int(n)
@@ -313,9 +400,59 @@ func (r *binReader) entry() (overlay.Entry, error) {
 	return e, err
 }
 
+// chained decodes the chain's next entry against the previous one.
+func (r *binReader) chained() (overlay.Entry, error) {
+	var e overlay.Entry
+	tag, err := r.uvarint()
+	if err != nil {
+		return e, err
+	}
+	if tag == 0 {
+		if !r.started {
+			return e, errors.New("wire: binary entry repeats the kind of no entry")
+		}
+		if err := r.spend(uint64(len(r.prev.Kind))); err != nil {
+			return e, err
+		}
+		e.Kind = r.prev.Kind
+	} else if e.Kind, err = r.strOf(tag - 1); err != nil {
+		return e, err
+	}
+	p, err := r.uvarint()
+	if err != nil {
+		return e, err
+	}
+	if p > uint64(len(r.prev.Value)) {
+		return e, fmt.Errorf("wire: binary entry shares %d bytes of a %d-byte value", p, len(r.prev.Value))
+	}
+	n, err := r.uvarint()
+	if err != nil {
+		return e, err
+	}
+	if n > uint64(r.remaining()) {
+		return e, errBinTruncated
+	}
+	if err := r.spend(p + n); err != nil {
+		return e, err
+	}
+	if n == 0 {
+		e.Value = r.prev.Value[:p]
+	} else {
+		var b strings.Builder
+		b.Grow(int(p + n))
+		b.WriteString(r.prev.Value[:p])
+		b.Write(r.data[r.off : r.off+int(n)])
+		e.Value = b.String()
+		r.off += int(n)
+	}
+	r.prev, r.started = e, true
+	return e, nil
+}
+
 func (r *binReader) entries() ([]overlay.Entry, error) {
-	// An entry is two strings: at least two length bytes.
-	n, err := r.count(2)
+	// A chained entry is a kind tag, a prefix length and a suffix
+	// length: at least three bytes.
+	n, err := r.count(3)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +461,7 @@ func (r *binReader) entries() ([]overlay.Entry, error) {
 	}
 	out := make([]overlay.Entry, n)
 	for i := range out {
-		if out[i], err = r.entry(); err != nil {
+		if out[i], err = r.chained(); err != nil {
 			return nil, err
 		}
 	}
@@ -332,8 +469,8 @@ func (r *binReader) entries() ([]overlay.Entry, error) {
 }
 
 func (r *binReader) tombstones() ([]Tombstone, error) {
-	// A tombstone is an entry plus a varint: at least three bytes.
-	n, err := r.count(3)
+	// A tombstone is a chained entry plus a varint: at least four bytes.
+	n, err := r.count(4)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +479,7 @@ func (r *binReader) tombstones() ([]Tombstone, error) {
 	}
 	out := make([]Tombstone, n)
 	for i := range out {
-		if out[i].Entry, err = r.entry(); err != nil {
+		if out[i].Entry, err = r.chained(); err != nil {
 			return nil, err
 		}
 		if out[i].At, err = r.varint(); err != nil {
@@ -354,8 +491,9 @@ func (r *binReader) tombstones() ([]Tombstone, error) {
 
 // decodeMessage decodes one binary payload into m, overwriting every
 // field (absent fields reset to their zero values so a reused Message
-// carries nothing over between frames).
-func decodeMessage(data []byte, m *Message) error {
+// carries nothing over between frames). The strings m decodes to may add
+// up to maxBytes, the reading connection's frame cap.
+func decodeMessage(data []byte, m *Message, maxBytes int64) error {
 	*m = Message{}
 	if len(data) == 0 {
 		return errBinTruncated
@@ -363,7 +501,7 @@ func decodeMessage(data []byte, m *Message) error {
 	if data[0] != binMsgVersion {
 		return fmt.Errorf("wire: binary message version %d, want %d", data[0], binMsgVersion)
 	}
-	r := binReader{data: data, off: 1}
+	r := binReader{data: data, off: 1, budget: maxBytes}
 	op, err := r.uvarint()
 	if err != nil {
 		return err

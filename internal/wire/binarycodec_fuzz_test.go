@@ -13,9 +13,14 @@ import (
 // corruptions, so `go test` alone replays them all and `go test -fuzz`
 // starts from meaningful coverage instead of empty bytes.
 
+// fuzzMaxBytes is the cap both targets decode under: small enough that
+// a fuzz-sized input can front-code its way past it.
+const fuzzMaxBytes = 4 << 10
+
 // fuzzSeeds returns the byte-level seed inputs shared by both targets:
-// the encodings of every codecMessages shape, plus systematic
-// corruptions of the richest one.
+// the encodings of every codecMessages shape, systematic corruptions of
+// the richest one, and a frame whose shared prefixes rebuild far more
+// than it carries.
 func fuzzSeeds() [][]byte {
 	var seeds [][]byte
 	for i := range codecMessages() {
@@ -35,7 +40,7 @@ func fuzzSeeds() [][]byte {
 	// A frame that declares a giant element count with no payload behind
 	// it: the decoder must refuse before allocating.
 	seeds = append(seeds, append(appendUvarint(append([]byte{binMsgVersion}, 0), 1<<40), 0x08))
-	return seeds
+	return append(seeds, hostileFrame())
 }
 
 // FuzzMessageRoundTrip drives the decoder with arbitrary bytes and, for
@@ -47,12 +52,12 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
-		if err := decodeMessage(data, &m); err != nil {
+		if err := decodeMessage(data, &m, fuzzMaxBytes); err != nil {
 			return // rejected inputs are FuzzDecodeCorrupt's concern
 		}
 		enc := appendMessage(nil, &m)
 		var back Message
-		if err := decodeMessage(enc, &back); err != nil {
+		if err := decodeMessage(enc, &back, fuzzMaxBytes); err != nil {
 			t.Fatalf("re-encoding of accepted input fails to decode: %v", err)
 		}
 		if !reflect.DeepEqual(m, back) {
@@ -63,22 +68,23 @@ func FuzzMessageRoundTrip(f *testing.F) {
 
 // FuzzDecodeCorrupt feeds the decoder corrupt, truncated and oversized
 // frames. The decoder must return an error or a message — never panic —
-// and must bound its allocations by the input length: a declared element
-// count is only trusted after the remaining bytes prove it payable, so a
-// 12-byte frame cannot make the decoder allocate gigabytes.
+// and must bound its allocations: a declared element count is only
+// trusted after the remaining bytes prove it payable, so a 12-byte frame
+// cannot make the decoder allocate gigabytes, and the strings it builds
+// stay within the cap however much of each other they share.
 func FuzzDecodeCorrupt(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
-		err := decodeMessage(data, &m)
+		err := decodeMessage(data, &m, fuzzMaxBytes)
 		if err != nil {
 			return
 		}
 		// Accepted: the decoded slices must be payable by the input —
 		// each KV element costs at least a key, each entry at least its
-		// two length bytes. A looser bound would mean the count-checked
+		// three tag and length bytes. A looser bound would mean the count-checked
 		// allocation guard regressed.
 		elems := len(m.Entries) + len(m.Addrs) + len(m.Digests) + len(m.EntriesByKind) + len(m.BytesByKind)
 		for _, kv := range m.KV {
@@ -87,7 +93,36 @@ func FuzzDecodeCorrupt(f *testing.F) {
 		if elems > len(data) {
 			t.Fatalf("decoder materialized %d elements from %d input bytes", elems, len(data))
 		}
+		if n := stringBytes(&m); n > fuzzMaxBytes {
+			t.Fatalf("decoder built %d string bytes under a %d-byte cap", n, fuzzMaxBytes)
+		}
 	})
+}
+
+// stringBytes is the total length of the strings m holds.
+func stringBytes(m *Message) int {
+	n := len(m.Addr) + len(m.Err) + len(m.Entry.Kind) + len(m.Entry.Value)
+	for _, e := range m.Entries {
+		n += len(e.Kind) + len(e.Value)
+	}
+	for _, kv := range m.KV {
+		for _, e := range kv.Entries {
+			n += len(e.Kind) + len(e.Value)
+		}
+		for _, t := range kv.Tombs {
+			n += len(t.Entry.Kind) + len(t.Entry.Value)
+		}
+	}
+	for _, a := range m.Addrs {
+		n += len(a)
+	}
+	for k := range m.EntriesByKind {
+		n += len(k)
+	}
+	for k := range m.BytesByKind {
+		n += len(k)
+	}
+	return n
 }
 
 // TestWriteFuzzCorpus materializes fuzzSeeds as committed corpus files

@@ -70,7 +70,8 @@ func startRawPeer(t *testing.T, reply func(payload []byte) []byte) (addr string,
 }
 
 // TestForeignFrameClosesServerConn: a client that writes a well-framed
-// payload the binary decoder rejects — a future format version, or the
+// payload the binary decoder rejects — an older or a future format
+// version, or the
 // type-descriptor preamble a gob stream opens with — gets its connection
 // closed without the handler running, and a pooled caller of the same
 // server is unaffected.
@@ -92,6 +93,7 @@ func TestForeignFrameClosesServerConn(t *testing.T) {
 	}
 
 	for name, payload := range map[string][]byte{
+		"version 1":    {1, byte(OpPing), 0}, // before entry lists were front-coded
 		"next version": {binMsgVersion + 1, byte(OpPing), 0},
 		"gob stream":   append([]byte{0x7f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x07}, "Message"...),
 	} {
@@ -150,7 +152,7 @@ func TestForeignReplyFailsCallFast(t *testing.T) {
 func TestFreshConnCarriesUserFramesFirst(t *testing.T) {
 	addr, firstIDs := startRawPeer(t, func(payload []byte) []byte {
 		var req Message
-		if err := decodeMessage(payload, &req); err != nil {
+		if err := decodeMessage(payload, &req, DefaultMaxMessageSize); err != nil {
 			return nil // an undecodable reply fails the call
 		}
 		return appendMessage(nil, &Message{Op: req.Op, Ok: true, Addr: "echo:" + req.Addr})

@@ -11,6 +11,23 @@ var AppendMessage = appendMessage
 // FrameHeaderSize is the per-frame overhead the ledger adds to it.
 const FrameHeaderSize = frameHeaderSize
 
+// FieldBytes splits the encoding of m's Addr and Entries by field: the
+// bytes that carry Addr, the kinds and the values.
+func FieldBytes(m *Message) (addr, kinds, values int) {
+	if m.Addr != "" {
+		addr = len(appendString(nil, m.Addr))
+	}
+	var chain entryChain
+	var b []byte
+	for _, e := range m.Entries {
+		b = chain.appendKind(b[:0], e.Kind)
+		kinds += len(b)
+		b = chain.appendValue(b[:0], e.Value)
+		values += len(b)
+	}
+	return addr, kinds, values
+}
+
 // StabilizeOnce runs one stabilize round, for tests that drive the
 // maintenance of nodes whose loops never tick by hand.
 func (n *Node) StabilizeOnce() { n.stabilizeOnce() }

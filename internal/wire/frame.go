@@ -103,7 +103,8 @@ func (c *codec) writeFrame(id uint64, msg *Message, timeout time.Duration) error
 // readFrame reads one frame and decodes it in place from the codec's
 // reader-owned scratch; scalar-only frames decode without allocating at
 // all. The declared payload length is validated against the size cap
-// BEFORE any allocation, so a corrupt or hostile peer cannot make the
+// BEFORE any allocation, and the strings the payload decodes to are held
+// within the same cap, so a corrupt or hostile peer cannot make the
 // node allocate unboundedly. The read deadline is the caller's job — the
 // client read loop and the server frame loop have different idle
 // semantics.
@@ -130,7 +131,7 @@ func (c *codec) readFrame() (uint64, Message, error) {
 	}
 	c.bytesIn.Add(frameHeaderSize + n)
 	var msg Message
-	if err := decodeMessage(p, &msg); err != nil {
+	if err := decodeMessage(p, &msg, c.maxMsg); err != nil {
 		return id, Message{}, fmt.Errorf("wire: decode frame: %w", err)
 	}
 	return id, msg, nil

@@ -57,6 +57,7 @@ const ledgerHeader = `# Cost ledger: what the benchmark workloads' operations co
 #   <section> <class> <fact> <n>                facts about the operations
 #   <section> <class> <origin> <opcode> ...     messages sent by the client or by nodes:
 #                                               requests, and their encoded frames' bytes
+#   <section> <class> <origin> <opcode> fields  those replies' bytes by field (DESIGN.md §28)
 #   <section> <class> store <kind> <n>          store mutations, by kind
 #   <section> <class> wal appends=<n> bytes=<n> WAL records written
 #
@@ -120,7 +121,18 @@ type ledger struct {
 	// wal reads the WAL counters of the ring's durable stores (nil on
 	// memory stores).
 	wal func() (appends, bytes int64)
+	// split names the line whose reply bytes are also split by field
+	// (zero: none); fields holds that split.
+	split  ledgerKey
+	fields replyFields
 }
+
+// replyFields splits replies' bytes: frame headers, the fixed head
+// (version, op, presence bits, scalars, counts), Addr, entry kinds and
+// entry values.
+type replyFields struct{ headers, head, addr, kinds, values int64 }
+
+func (f replyFields) sum() int64 { return f.headers + f.head + f.addr + f.kinds + f.values }
 
 // ledgerKey names one line: origin is client, node, store or wal; what
 // is the opcode or the mutation kind.
@@ -181,6 +193,22 @@ func (l *ledger) book(origin, what string, reqBytes, replyBytes int) {
 	c.replyBytes += int64(replyBytes)
 }
 
+// splitReply adds reply's bytes, by field, to the split line when that
+// is the line the reply was booked to.
+func (l *ledger) splitReply(origin, what string, reply wire.Message) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if (ledgerKey{l.class, origin, what}) != l.split {
+		return
+	}
+	addr, kinds, values := wire.FieldBytes(&reply)
+	l.fields.headers += wire.FrameHeaderSize
+	l.fields.addr += int64(addr)
+	l.fields.kinds += int64(kinds)
+	l.fields.values += int64(values)
+	l.fields.head += int64(frameLen(reply) - wire.FrameHeaderSize - addr - kinds - values)
+}
+
 // note adds n to a fact of the running operation's class.
 func (l *ledger) note(fact string, n int) {
 	l.mu.Lock()
@@ -237,6 +265,11 @@ func (l *ledger) render(section, setup string) string {
 					fmt.Fprintf(&b, "%-16s %-10s %-22s requests=%d request_bytes=%d reply_bytes=%d\n",
 						section, class, name, c.n, c.reqBytes, c.replyBytes)
 				}
+				if k == l.split {
+					f := l.fields
+					fmt.Fprintf(&b, "%-16s %-10s %-22s headers=%d head=%d addr=%d kinds=%d values=%d\n",
+						section, class, name+" fields", f.headers, f.head, f.addr, f.kinds, f.values)
+				}
 			}
 		}
 	}
@@ -259,6 +292,9 @@ func (t ledgerTransport) Call(addr string, req wire.Message) (wire.Message, erro
 		reply = frameLen(resp)
 	}
 	t.l.book(t.origin, req.Op.String(), frameLen(req), reply)
+	if err == nil {
+		t.l.splitReply(t.origin, req.Op.String(), resp)
+	}
 	return resp, err
 }
 
@@ -474,11 +510,13 @@ type querySection struct {
 	ops    int
 	// searchEvery makes every n-th operation an automated search.
 	searchEvery int
+	// splitFinds splits the finds' Get reply bytes by field.
+	splitFinds bool
 }
 
 // The read sections mirror query_tcp and query_cached_mem.
 var (
-	queryTCP       = querySection{name: "query_tcp", nodes: 8, articles: 400, policy: cache.None, warmup: 100, ops: 500, searchEvery: 50}
+	queryTCP       = querySection{name: "query_tcp", nodes: 8, articles: 400, policy: cache.None, warmup: 100, ops: 500, searchEvery: 50, splitFinds: true}
 	queryCachedMem = querySection{name: "query_cached_mem", nodes: 32, articles: 1000, policy: cache.LRU, lru: 30, warmup: 1000, ops: 1000, searchEvery: 200}
 )
 
@@ -498,6 +536,10 @@ func memStores(int) wire.ConcurrentStore { return wire.NewShardedMemStore(0) }
 func (s querySection) run(t *testing.T) string {
 	articles := ledgerCorpus(t, s.articles)
 	l := newLedger()
+	findGets := ledgerKey{"find", "client", wire.OpGet.String()}
+	if s.splitFinds {
+		l.split = findGets
+	}
 	reg := telemetry.NewRegistry()
 	svc := index.New(bootLedgerRing(t, l, reg, s.nodes, memStores), s.policy, s.lru)
 	searcher := index.NewSearcher(svc)
@@ -553,6 +595,9 @@ func (s querySection) run(t *testing.T) string {
 		})
 	}
 	checkLedger(t, s.name, l, reg)
+	if c := l.lines[findGets]; s.splitFinds && (c == nil || l.fields.sum() != c.replyBytes) {
+		t.Errorf("%s: the finds' Get reply fields add up to %d bytes, not their reply_bytes", s.name, l.fields.sum())
+	}
 	if s.policy == cache.None {
 		// Every interaction of a directed find is one lookup: one message.
 		if got, want := l.requests("find", "client", ""), l.facts["find"]["interactions"]; got != want {
