@@ -113,8 +113,8 @@ func printSoak(out io.Writer, preset string, r soak.Report) {
 	case "repair":
 		b, rp := r.Breaker, r.Repair
 		fmt.Fprintf(out, "  churn:       %d joins, %d leaves (on top of %d crashes)\n", r.Joins, r.Leaves, r.Crashes)
-		fmt.Fprintf(out, "  repair:      %d rounds, %d syncs, %d pushes, %d forwards, %d drops\n",
-			rp.Rounds, rp.Syncs, rp.Pushes, rp.Forwards, rp.Drops)
+		fmt.Fprintf(out, "  repair:      %d rounds, %d syncs, %d pulls, %d pushes, %d forwards, %d drops\n",
+			rp.Rounds, rp.Syncs, rp.Pulls, rp.Pushes, rp.Forwards, rp.Drops)
 		fmt.Fprintf(out, "  breaker:     %d trips, %d fast-fails, %d probes, %d closes, %d still open\n",
 			b.Trips, b.FastFails, b.Probes, b.Closes, b.Open)
 	case "restart":

@@ -106,9 +106,10 @@ var (
 // here is what keeps the two from ever disagreeing. 0 is the paper's
 // unreplicated ring (DESIGN.md §25): reads are never hedged, and a key
 // whose owner crashed reads as an empty success from the node that
-// inherited its range. A handover copies there as at any replication:
-// the old holder drops its copy in its next repair round, once the new
-// owner has acked it (DESIGN.md §27).
+// inherited its range. Keys move there as at any replication: a new
+// owner pulls its range from its successor by repair exchange, and the
+// old holder drops its copy in its next repair round, once the new
+// owner has acked it (DESIGN.md §27, §29).
 func NewCluster(transport Transport, seed int64, replication int) *Cluster {
 	return &Cluster{
 		transport:   transport,

@@ -549,14 +549,14 @@ func (s *Store) Tombstones(key keyspace.Key) []wire.Tombstone {
 }
 
 // Entomb implements wire.Store: one WAL record covers the batch, then
-// each tombstone deletes its live entry and is merged keeping the
-// latest At.
+// each tombstone deletes its live entry and is merged keeping the latest
+// At. A batch that would change nothing (EntombChanges) writes none.
 func (s *Store) Entomb(key keyspace.Key, tombs []wire.Tombstone) (int, error) {
-	if len(tombs) == 0 {
-		return 0, nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !s.mem.EntombChanges(key, tombs) {
+		return 0, nil
+	}
 	return s.commitLocked(record{op: recTomb, key: key, tombs: tombs})
 }
 

@@ -89,6 +89,45 @@ func TestTombstoneReplaceAndEntombDurability(t *testing.T) {
 	}
 }
 
+// TestEntombUnchangedWritesNoRecord: entombing tombstones the store
+// already holds, at an equal or earlier At, changes nothing and appends
+// no WAL record — a repair round re-adopts a partner's tombstones every
+// time they differ anywhere in the key. A later At, or a tombstone whose
+// entry is live, is a change and is logged.
+func TestEntombUnchangedWritesNoRecord(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{})
+	defer s.Close()
+	key, a, b := k("entomb-twice"), e("index", "a"), e("index", "b")
+	tombs := []wire.Tombstone{{Entry: a, At: 10}, {Entry: b, At: 20}}
+	if fresh, err := s.Entomb(key, tombs); err != nil || fresh != 2 {
+		t.Fatalf("first entomb: fresh=%d err=%v", fresh, err)
+	}
+	appends := s.c.walAppends.Value()
+	for _, again := range [][]wire.Tombstone{tombs, {{Entry: a, At: 5}}, nil} {
+		if fresh, err := s.Entomb(key, again); err != nil || fresh != 0 {
+			t.Fatalf("entomb %v again: fresh=%d err=%v", again, fresh, err)
+		}
+	}
+	if got := s.c.walAppends.Value(); got != appends {
+		t.Fatalf("entombing held tombstones appended %d WAL records", got-appends)
+	}
+	if fresh, err := s.Entomb(key, []wire.Tombstone{{Entry: a, At: 30}}); err != nil || fresh != 1 {
+		t.Fatalf("entomb a later At: fresh=%d err=%v", fresh, err)
+	}
+	// Replace can leave an entry live beside its own tombstone; entombing
+	// that tombstone again kills the entry.
+	if err := s.Replace(key, []overlay.Entry{b}, s.Tombstones(key)); err != nil {
+		t.Fatal(err)
+	}
+	appends = s.c.walAppends.Value()
+	if _, err := s.Entomb(key, []wire.Tombstone{{Entry: b, At: 20}}); err != nil || len(s.Get(key)) != 0 {
+		t.Fatalf("entomb over a live entry: %v, live %v", err, s.Get(key))
+	}
+	if got := s.c.walAppends.Value(); got != appends+1 {
+		t.Fatalf("entomb over a live entry appended %d WAL records, want 1", got-appends)
+	}
+}
+
 // TestTombstoneSnapshotCompaction: WAL compaction must carry
 // tombstone-only keys into the snapshot — a key whose every entry was
 // removed still guards against resurrection after the WAL that held its

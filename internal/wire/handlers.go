@@ -120,82 +120,45 @@ func (n *Node) closestPreceding(key keyspace.Key) string {
 	return n.addr
 }
 
-// handleNotify learns about a possible new predecessor and hands over the
-// keys that now belong to it (everything outside (pred, self]). The
-// handover runs immediately when the predecessor pointer changes — that
-// is an ownership transfer and the new owner must serve its range now —
-// but for an UNCHANGED predecessor only on the repair cadence (every
-// RepairEvery-th notify): re-sending is anti-entropy, and doing it every
-// round would re-ship this node's entire retained replica set each
-// stabilize tick, with the predecessor re-putting every entry through
-// its store (and, for a durable store, re-appending it to the WAL).
-//
-// The handover copies, at every ReplicationFactor: the reply may be
-// lost, so this node keeps its copies, and its next repair round ships
-// the keys to their owner by OpTransfer and drops only what the owner
-// acked (dropStaleCopies). A lost reply costs a duplicate copy, never
-// the keys.
-//
-// A predecessor taken from a notify reply (a hint, see stabilizeOnce)
-// has not notified this node itself, so its first notify still counts as
-// a change and gets the handover. The reply to a notifier that replaced
-// the predecessor names the displaced one in Addr — the notifier's own
-// predecessor — and a lone node, its own predecessor, names itself and
-// takes the notifier as successor at once, closing a two-node ring
-// (DESIGN.md §23).
+// handleNotify learns about a possible new predecessor. It moves ring
+// pointers and nothing else: the keys a new predecessor now owns reach
+// it by its own repair exchange (repair.go), which Join runs at once.
+// The reply to a notifier that replaced the predecessor names the
+// displaced one in Addr — the notifier's own predecessor — and a lone
+// node, its own predecessor, names itself and takes the notifier as
+// successor at once, closing a two-node ring (DESIGN.md §23, §29).
 func (n *Node) handleNotify(req Message) Message {
 	cand := req.Addr
 	if cand == "" || cand == n.addr {
 		return Message{Op: req.Op, Ok: false}
 	}
-	// The predecessor decision is routing state: it stays under n.mu.
-	// The key handover below walks the store and must NOT hold n.mu —
-	// store access is serialized per key stripe instead.
 	n.mu.Lock()
-	changed, displaced := false, ""
+	defer n.mu.Unlock()
+	displaced := ""
 	if n.pred == "" || n.peerID(cand).BetweenOpen(n.peerID(n.pred), n.id) {
 		displaced = n.pred
 		if displaced == "" && n.succs[0] == n.addr {
 			displaced = n.addr
 		}
-		n.pred, changed = cand, true
-	} else if n.pred == cand && n.predHinted {
-		changed = true
+		n.pred = cand
 	}
-	if changed {
-		n.predHinted = false
-	}
-	accepted := n.pred == cand
-	var due bool
-	if accepted {
-		n.notifySeen++
-		due = n.cfg.RepairEvery > 0 && n.notifySeen%n.cfg.RepairEvery == 0
-		if n.succs[0] == n.addr {
-			n.succs[0] = cand
-		}
-	}
-	n.mu.Unlock()
-	if !accepted {
+	if n.pred != cand {
 		return Message{Op: req.Op, Ok: false}
 	}
-	if !changed && !due {
-		return Message{Op: req.Op, Ok: true}
+	if n.succs[0] == n.addr {
+		n.succs[0] = cand
 	}
-	// Hand over keys the new predecessor is responsible for. Keys that
-	// belong even further back migrate hop by hop across handover rounds.
-	predID := n.peerID(cand)
-	kv := n.snapshot(func(k keyspace.Key) bool { return !k.Between(predID, n.id) })
-	return Message{Op: req.Op, Ok: true, KV: kv, Addr: displaced}
+	return Message{Op: req.Op, Ok: true, Addr: displaced}
 }
 
-// replicas lists this node's replication successors: the first
-// ReplicationFactor entries of its successor list other than itself.
-func (n *Node) replicas() []string {
+// firstSuccessors lists the first k entries of this node's successor
+// list other than itself: its replicas at k = ReplicationFactor.
+func (n *Node) firstSuccessors(k int) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var out []string
 	for _, succ := range n.succs {
-		if succ != n.addr && len(out) < n.cfg.ReplicationFactor {
+		if succ != n.addr && len(out) < k {
 			out = append(out, succ)
 		}
 	}
@@ -207,7 +170,7 @@ func (n *Node) replicas() []string {
 // what a lost message leaves behind); the acks are what lets a remove's
 // reply tell the client whom the delete reached.
 func (n *Node) replicate(msg Message) (acked []string) {
-	for _, succ := range n.replicas() {
+	for _, succ := range n.firstSuccessors(n.cfg.ReplicationFactor) {
 		if resp, err := n.cfg.Transport.Call(succ, msg); err == nil && resp.Err == "" {
 			acked = append(acked, succ)
 		}

@@ -108,8 +108,8 @@ func (c mergeCounters) attach(reg *telemetry.Registry) {
 type TombstoneStats struct {
 	// Created counts tombstones recorded by remove handlers.
 	Created int64
-	// Merged counts tombstones learned from peers (repair push-back,
-	// handovers, adopted key ranges).
+	// Merged counts tombstones learned from peers (repair answers,
+	// transfers, replication).
 	Merged int64
 	// Suppressed counts puts refused because a live tombstone covered
 	// the entry.
@@ -139,7 +139,7 @@ func newTombstoneCounters() tombstoneCounters {
 		created: telemetry.NewCounter("wire_tombstones_created_total",
 			"Tombstones recorded by remove handlers."),
 		merged: telemetry.NewCounter("wire_tombstones_merged_total",
-			"Tombstones learned from peers during repair, handover, or adoption."),
+			"Tombstones learned from peers: repair answers, transfers, replication."),
 		suppressed: telemetry.NewCounter("wire_tombstones_suppressed_total",
 			"Puts refused because a live tombstone covered the entry."),
 		gcd: telemetry.NewCounter("wire_tombstones_gcd_total",
@@ -306,8 +306,8 @@ func (n *Node) coordinateMerge(foreign string) {
 }
 
 // handleMerge rejoins this node through the bootstrap named in the
-// request: the overlay equivalent of a fresh Join, minus the handover
-// (anti-entropy reconciles data once pointers zip).
+// request: the overlay equivalent of a fresh Join, minus Join's pull
+// (the repair exchange reconciles data once pointers zip).
 func (n *Node) handleMerge(req Message) Message {
 	if n.rejoinVia(req.Addr) {
 		return Message{Op: OpMerge, Ok: true}
@@ -319,7 +319,9 @@ func (n *Node) handleMerge(req Message) Message {
 // answer if it sits strictly closer than the current successor (or the
 // node is alone). The adopted successor is then notified so its
 // predecessor pointer — and the rest of the zip — follows by
-// stabilization.
+// stabilization. The notify moves no keys: each node's repair round,
+// fired by its changed successor or predecessor, pulls its range once
+// the pointers zip.
 func (n *Node) rejoinVia(boot string) bool {
 	if boot == "" || boot == n.addr {
 		return false

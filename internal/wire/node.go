@@ -71,14 +71,15 @@ type Config struct {
 	// The zero value is the paper's unreplicated model, kept on purpose
 	// (DESIGN.md §25): each key lives on its owner alone, and a crashed
 	// owner's keys are gone — a read of one gets an empty success.
-	// examples/live runs it. A handover copies there as at any R: the
-	// old holder drops its copy in its next repair round, once the owner
-	// has acked it (DESIGN.md §27).
+	// examples/live runs it. Keys still move there as at any R: the
+	// owner pulls its range from its successor by repair exchange, and
+	// the old holder drops its copy in its next repair round, once the
+	// owner has acked it (DESIGN.md §27, §29).
 	ReplicationFactor int
 	// RepairEvery is the number of stabilize rounds between anti-entropy
-	// repair rounds (default 4). A repair round also fires immediately
-	// when the immediate successor changes, so a fresh successor is
-	// readable without waiting out the cadence.
+	// repair rounds (default 4), the only way keys move between
+	// neighbours (DESIGN.md §29). A round also fires at once when the
+	// successor changes or a new predecessor is known (maintenanceLoop).
 	RepairEvery int
 	// Retry, when set, wraps Transport in a RetryingTransport so every
 	// RPC this node issues (stabilization, routing, hand-offs) retries
@@ -146,19 +147,17 @@ type Node struct {
 	// so concurrent gets, digest scans and mutators stop contending
 	// with routing and with each other. Compound read-modify-write
 	// sections over one key's state go through store.Update.
-	mu         sync.Mutex
-	pred       string
-	predHinted bool     // pred came from a notify reply and has not notified us itself
-	succs      []string // succs[0] is the immediate successor (never empty)
-	succFails  int      // consecutive failed stabilize contacts of succs[0]
-	refilled   bool     // succs was refilled from known peers; no successor has answered since
-	notifySeen int      // notifies from the current predecessor (handover cadence)
-	fingers    [keyspace.Bits]string
-	fingerIdx  int
-	known      map[string]bool // bounded known-peers set (merge probing, list refill)
-	rng        *rand.Rand      // seeded from the node id: probe sampling, eviction
-	stopped    bool
-	leftTo     string // peer that accepted the Leave hand-off
+	mu        sync.Mutex
+	pred      string
+	succs     []string // succs[0] is the immediate successor (never empty)
+	succFails int      // consecutive failed stabilize contacts of succs[0]
+	refilled  bool     // succs was refilled from known peers; no successor has answered since
+	fingers   [keyspace.Bits]string
+	fingerIdx int
+	known     map[string]bool // bounded known-peers set (merge probing, list refill)
+	rng       *rand.Rand      // seeded from the node id: probe sampling, eviction
+	stopped   bool
+	leftTo    string // peer that accepted the Leave hand-off
 
 	// store is the node's synchronized data plane (not guarded by mu).
 	store ConcurrentStore
@@ -252,7 +251,9 @@ func (n *Node) ID() keyspace.Key { return n.id }
 // lookup may be a stale successor; the prompt stabilize round walks back
 // from it to the true one, notifies it and takes the predecessor it
 // displaced, so joins made back to back leave every predecessor right
-// and every successor one round from right (DESIGN.md §23).
+// and every successor one round from right (DESIGN.md §23). The repair
+// exchange then pulls the range that predecessor bounds, so the joiner
+// holds its keys when Join returns (DESIGN.md §29).
 func (n *Node) Join(bootstrap string) error {
 	resp, err := n.cfg.Transport.Call(bootstrap, Message{
 		Op: OpFindSuccessor, Key: n.id, TTL: routeTTL,
@@ -267,7 +268,8 @@ func (n *Node) Join(bootstrap string) error {
 	n.succs = []string{resp.Addr}
 	n.notePeersLocked(bootstrap, resp.Addr)
 	n.mu.Unlock()
-	n.stabilizeOnce() // prompt: notify successor, adopt keys
+	n.stabilizeOnce() // prompt: notify the successor, take the predecessor it displaced
+	n.syncReplicas()  // pull the range
 	return nil
 }
 
@@ -292,9 +294,9 @@ func (n *Node) Stop() {
 // peer) and stops. The ring self-heals around the departure via
 // successor lists. HandedOffTo reports which peer accepted the keys.
 //
-// The maintenance loop is halted BEFORE the hand-off: a stabilize round
-// racing with the transfer could receive the just-transferred keys back
-// in a Notify response and take them to the grave.
+// The maintenance loop is halted BEFORE the hand-off: a repair round
+// racing with the transfer could pull the just-transferred keys back
+// from the successor and take them to the grave.
 func (n *Node) Leave() error {
 	n.mu.Lock()
 	if n.stopped {
@@ -359,7 +361,7 @@ func (n *Node) maintenanceLoop() {
 	ticker := time.NewTicker(n.cfg.StabilizeInterval)
 	defer ticker.Stop()
 	round := 0
-	lastSucc := ""
+	lastSucc, lastPred := "", ""
 	for {
 		select {
 		case <-ticker.C:
@@ -367,13 +369,14 @@ func (n *Node) maintenanceLoop() {
 			n.checkPredecessor()
 			n.fixFingers()
 			round++
-			// Repair on cadence, and immediately when the immediate
-			// successor changed: a fresh successor (join, or failover
-			// promotion after a crash) must become readable without
-			// waiting out the repair interval.
-			succ := n.Successor()
-			if succ != lastSucc || round%n.cfg.RepairEvery == 0 {
-				lastSucc = succ
+			// Repair on cadence, and at once when the successor changed
+			// or a new predecessor is known: a fresh successor (join, or
+			// failover promotion) must become readable, and a range
+			// learned from a notify be pulled, without waiting out the
+			// interval.
+			succ, pred := n.Successor(), n.Predecessor()
+			if succ != lastSucc || (pred != lastPred && pred != "") || round%n.cfg.RepairEvery == 0 {
+				lastSucc, lastPred = succ, pred
 				n.repairOnce()
 			}
 			if round%mergeProbeEvery == 0 {
@@ -460,7 +463,7 @@ func (n *Node) stabilizeOnce() {
 		n.mu.Unlock()
 	}
 
-	// Notify the successor; it may hand us keys we now own.
+	// Notify the successor. It moves pointers only; keys move by repair.
 	nresp, err := n.cfg.Transport.Call(succ, Message{Op: OpNotify, Addr: n.addr})
 	if err != nil {
 		if !errors.Is(err, ErrOverload) {
@@ -473,15 +476,12 @@ func (n *Node) stabilizeOnce() {
 	if h := nresp.Addr; h != "" && h != n.addr && n.pred == "" {
 		// The successor took us as its predecessor and named the one we
 		// displaced, which precedes us: our predecessor, provisionally —
-		// checkPredecessor verifies it, and its own first notify still
-		// counts as a change in handleNotify.
-		n.pred, n.predHinted = h, true
+		// checkPredecessor verifies it, and a closer notifier replaces
+		// it. It bounds the range the repair exchange pulls.
+		n.pred = h
 		n.hints.Inc()
 	}
 	n.mu.Unlock()
-	if len(nresp.KV) > 0 {
-		n.adoptKeys(nresp.KV)
-	}
 
 	// Refresh the successor list from the successor's view.
 	sresp, err := n.cfg.Transport.Call(succ, Message{Op: OpGetSuccessor})
@@ -574,7 +574,7 @@ func (n *Node) checkPredecessor() {
 	if _, err := n.cfg.Transport.Call(pred, Message{Op: OpPing}); err != nil && !errors.Is(err, ErrOverload) {
 		n.mu.Lock()
 		if n.pred == pred {
-			n.pred, n.predHinted = "", false
+			n.pred = ""
 		}
 		n.mu.Unlock()
 	}
@@ -600,46 +600,43 @@ func (n *Node) fixFingers() {
 	}
 }
 
-// adoptKeys stores transferred entries locally, honoring tombstones in
-// both directions: tombstones riding with the transfer are entombed
-// first (each kills its matching live entry), and entries suppressed by
-// a local tombstone are refused — a stale copy arriving by transfer or
-// replication must not resurrect a removal. Each key adopts as one
-// atomic critical section (store.Update), so the entomb-then-put order
-// cannot interleave with another mutator of the same key; distinct keys
-// adopt independently. The first store failure is returned (remaining
-// items are still attempted): a durable store that cannot append its
-// WAL must not silently ack a transfer, or the sender would drop its
-// only copy.
+// adoptKeys stores transferred entries, each key as one critical section
+// (store.Update) running adopt. The first store failure is returned once
+// every item has been tried: a durable store that cannot append its WAL
+// must not silently ack a transfer, or the sender would drop its only
+// copy.
 func (n *Node) adoptKeys(kv []KeyEntries) error {
 	var firstErr error
 	for _, item := range kv {
-		item := item
-		err := n.store.Update(item.Key, func(s Store) error {
-			var uerr error
-			if len(item.Tombs) > 0 {
-				fresh, err := s.Entomb(item.Key, item.Tombs)
-				if err != nil {
-					uerr = err
-				}
-				n.tomb.merged.Add(int64(fresh))
-			}
-			for _, e := range item.Entries {
-				added, err := s.Put(item.Key, e)
-				if err != nil && uerr == nil {
-					uerr = err
-				}
-				if !added && err == nil && s.Tombstoned(item.Key, e) {
-					n.tomb.suppressed.Inc()
-				}
-			}
-			return uerr
-		})
+		err := n.store.Update(item.Key, func(s Store) error { return n.adopt(s, item) })
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// adopt merges item into s under the key's critical section, honoring
+// tombstones both ways: the item's tombstones are entombed first (each
+// kills its live entry), and an entry a local tombstone covers is
+// refused — a stale copy must not resurrect a removal. It returns the
+// first store failure once every tombstone and entry has been tried.
+func (n *Node) adopt(s Store, item KeyEntries) (uerr error) {
+	if len(item.Tombs) > 0 {
+		fresh, err := s.Entomb(item.Key, item.Tombs)
+		uerr = err
+		n.tomb.merged.Add(int64(fresh))
+	}
+	for _, e := range item.Entries {
+		added, err := s.Put(item.Key, e)
+		if err != nil && uerr == nil {
+			uerr = err
+		}
+		if !added && err == nil && s.Tombstoned(item.Key, e) {
+			n.tomb.suppressed.Inc()
+		}
+	}
+	return uerr
 }
 
 // Snapshot support for tests and diagnostics.
@@ -697,6 +694,7 @@ func (n *Node) RepairStats() RepairStats {
 	return RepairStats{
 		Rounds:   n.repair.rounds.Value(),
 		Syncs:    n.repair.syncs.Value(),
+		Pulls:    n.repair.pulls.Value(),
 		Pushes:   n.repair.pushes.Value(),
 		Forwards: n.repair.forwards.Value(),
 		Drops:    n.repair.drops.Value(),

@@ -8,34 +8,34 @@ import (
 	"dhtindex/internal/telemetry"
 )
 
-// Anti-entropy repair: instead of blindly re-pushing every owned entry to
-// the successors each round (the PR 1 behaviour), a node periodically
-// recomputes where each stored key belongs on the CURRENT ring and makes
-// the stored state match.
+// Anti-entropy repair: a node periodically recomputes where each stored
+// key belongs on the CURRENT ring and makes the stored state match. It is
+// the only way keys move between neighbours; a notify moves pointers only.
 //
-//  1. Sync: for each owned key, exchange a small (key, digest) pair with
-//     the first ReplicationFactor successors (OpRepairSync). The digest
-//     covers live entries AND tombstone identities. Replicas answer with
-//     the keys whose digest differs — plus their own tombstones for
-//     those keys, which the owner entombs BEFORE shipping: a removal
-//     that only a replica witnessed (the far side of a healed partition)
-//     must reach the owner, or the owner's replace-ship would resurrect
-//     the entry. Divergent keys are then shipped with replace semantics
-//     covering both sets.
+//  1. Sync: the owner offers each partner — its first ReplicationFactor
+//     successors, or at R = 0 its immediate successor — its range
+//     (pred, self] and a (key, digest) pair per owned key (OpRepairSync;
+//     the digest covers live entries AND tombstone identities). The
+//     partner answers with the state of every key whose digest differs
+//     and of every unoffered key it holds in the range. The owner adopts
+//     it first, so a removal or an entry only a replica witnessed (the
+//     far side of a healed partition) reaches it, then ships the merged
+//     state back with replace semantics. A joiner receives its range
+//     this way. At R = 0 only the range is offered and nothing ships.
 //  2. Drop: keys this node no longer owes — outside the window
 //     (p_{R+1}, self], where p_i is the i-th predecessor — are first
 //     forwarded to their routed owner (they may be the only surviving
 //     copy, e.g. a write that landed on a stale owner during a
-//     partition, or a handover whose notify reply was lost) and only
+//     partition, or a range its new owner has not pulled yet) and only
 //     then deleted locally. Tombstone-only keys are forwarded too: the
 //     deletion record may be the only thing standing between a stale
 //     copy elsewhere and a resurrection.
 //
 // Both halves are idempotent and best-effort: a failed RPC leaves the
 // key in place and a later round retries. A converged replica set costs
-// one digest message per successor per round. The drop runs at every
-// ReplicationFactor, R = 0 included: it is how a handover's old holder
-// lets go of the keys (handleNotify only copies them).
+// one digest message per partner per round. The drop runs at every
+// ReplicationFactor, R = 0 included: it is how a range's old holder
+// lets go of the keys (the owner's pull only copies them).
 
 // RepairStats is a point-in-time snapshot of a node's anti-entropy
 // repair work. The counters behind it are atomic, so snapshots taken
@@ -43,8 +43,10 @@ import (
 type RepairStats struct {
 	// Rounds counts repair rounds started.
 	Rounds int64
-	// Syncs counts digest exchanges answered by a replica.
+	// Syncs counts repair offers answered by a partner.
 	Syncs int64
+	// Pulls counts keys adopted from a partner's answer.
+	Pulls int64
 	// Pushes counts keys shipped to a replica that was missing them (or
 	// held a divergent copy).
 	Pushes int64
@@ -60,6 +62,7 @@ type RepairStats struct {
 func (s *RepairStats) Merge(o RepairStats) {
 	s.Rounds += o.Rounds
 	s.Syncs += o.Syncs
+	s.Pulls += o.Pulls
 	s.Pushes += o.Pushes
 	s.Forwards += o.Forwards
 	s.Drops += o.Drops
@@ -69,6 +72,7 @@ func (s *RepairStats) Merge(o RepairStats) {
 type repairCounters struct {
 	rounds   *telemetry.Counter
 	syncs    *telemetry.Counter
+	pulls    *telemetry.Counter
 	pushes   *telemetry.Counter
 	forwards *telemetry.Counter
 	drops    *telemetry.Counter
@@ -79,7 +83,9 @@ func newRepairCounters() repairCounters {
 		rounds: telemetry.NewCounter("wire_repair_rounds_total",
 			"Anti-entropy repair rounds started."),
 		syncs: telemetry.NewCounter("wire_repair_syncs_total",
-			"Digest exchanges answered by a replica."),
+			"Repair offers answered by a partner."),
+		pulls: telemetry.NewCounter("wire_repair_pulls_total",
+			"Keys adopted from a repair partner's answer."),
 		pushes: telemetry.NewCounter("wire_repair_pushes_total",
 			"Keys shipped to a replica that was missing them or held a divergent copy."),
 		forwards: telemetry.NewCounter("wire_repair_forwards_total",
@@ -90,7 +96,7 @@ func newRepairCounters() repairCounters {
 }
 
 func (c repairCounters) attach(reg *telemetry.Registry) {
-	reg.Attach(c.rounds, c.syncs, c.pushes, c.forwards, c.drops)
+	reg.Attach(c.rounds, c.syncs, c.pulls, c.pushes, c.forwards, c.drops)
 }
 
 // FNV-1a, 64 bit (hash/fnv's New64a, written out so a digest allocates
@@ -200,10 +206,10 @@ func (n *Node) localKeys() []keyspace.Key {
 }
 
 // snapshot reads the entries and tombstones of every local key want
-// accepts: the one walk behind handover, the repair drop and Leave. Each
-// key is read under its own read lock, so what ships for a key is a
-// consistent pair even while writers hit other stripes; a key left with
-// neither (a concurrent delete) is skipped.
+// accepts: the one walk behind a repair answer's range, the repair drop
+// and Leave. Each key is read under its own read lock, so what ships for
+// a key is a consistent pair even while writers hit other stripes; a key
+// left with neither (a concurrent delete) is skipped.
 func (n *Node) snapshot(want func(keyspace.Key) bool) []KeyEntries {
 	var kv []KeyEntries
 	for _, k := range n.localKeys() {
@@ -230,77 +236,83 @@ func (n *Node) repairOnce() {
 	n.dropStaleCopies()
 }
 
-// RepairNow runs one synchronous anti-entropy round (replica digest
-// sync, then stale-copy drop with misplaced-key forwarding) outside the
-// background cadence. Harnesses and operators use it to force
-// convergence at a known point — e.g. re-homing entries that landed on
-// an interim owner while overload shedding made the ring route around
-// a busy node — instead of waiting out Config.RepairEvery. Safe to call
-// concurrently with the maintenance loop: repair rounds are idempotent
-// and every store mutation runs in a per-key critical section.
+// RepairNow runs one repair round (sync, then drop) outside the
+// background cadence, for harnesses and operators that need convergence
+// at a known point — e.g. re-homing entries an interim owner took while
+// overload shedding routed around a busy node. Repair rounds are
+// idempotent and mutate each key in its own critical section, so it is
+// safe beside the maintenance loop.
 func (n *Node) RepairNow() { n.repairOnce() }
 
-// syncReplicas digest-syncs the locally-owned keys with the first
-// ReplicationFactor successors and ships only the divergent ones. A
-// replica's answer may carry tombstones the owner has not seen; they
-// are entombed locally before the ship so the merged state — not the
-// owner's stale view — is what replicas converge to.
+// syncReplicas runs the owner's half of the repair exchange with each
+// partner: its replicas, or at R = 0 its immediate successor, which held
+// the range before this node took it. It offers its range and its owned
+// keys' digests, adopts the partner's answer (adoptAnswer) and ships
+// back, with replace semantics, each key whose merged state the partner
+// lacks. At R = 0 the offer is the range alone and nothing ships; a node
+// whose predecessor is unknown has no range to offer.
 func (n *Node) syncReplicas() {
-	replicas := n.replicas()
-	if len(replicas) == 0 {
-		return
-	}
 	n.mu.Lock()
 	pred := n.pred
 	n.mu.Unlock()
-	owned := n.ownedState(pred)
-	if len(owned) == 0 {
+	ship := n.cfg.ReplicationFactor > 0
+	offer := Message{Op: OpRepairSync}
+	if pred != "" && pred != n.addr {
+		offer.Addr, offer.Key = pred, n.id
+	}
+	if ship {
+		offer.Digests = n.ownedState(pred)
+	}
+	if offer.Addr == "" && len(offer.Digests) == 0 {
 		return
 	}
-	for _, succ := range replicas {
-		// Best effort: a dead successor is healed by stabilization and a
-		// later repair round.
-		resp, err := n.cfg.Transport.Call(succ, Message{Op: OpRepairSync, Digests: owned})
+	for _, partner := range n.firstSuccessors(max(n.cfg.ReplicationFactor, 1)) {
+		resp, err := n.cfg.Transport.Call(partner, offer)
 		if err != nil || remoteError(resp) != nil {
-			continue
+			continue // healed by stabilization and a later round
 		}
 		n.repair.syncs.Inc()
-		if len(resp.Digests) == 0 {
-			continue // replica already converged
-		}
-		// Index the replica's pushed-back tombstones by key so each key's
-		// entomb and snapshot happen inside ONE critical section: the
-		// shipped state is guaranteed to include the merged tombstones.
-		pushTombs := make(map[keyspace.Key][]Tombstone, len(resp.KV))
-		for _, item := range resp.KV {
-			if len(item.Tombs) > 0 {
-				pushTombs[item.Key] = item.Tombs
+		if kv := n.adoptAnswer(resp); ship && len(kv) > 0 {
+			if sresp, serr := n.cfg.Transport.Call(partner, Message{Op: OpRepairSync, KV: kv}); serr == nil && remoteError(sresp) == nil {
+				n.repair.pushes.Add(int64(len(kv)))
 			}
 		}
-		kv := make([]KeyEntries, 0, len(resp.Digests))
-		for _, want := range resp.Digests {
-			want := want
-			_ = n.store.Update(want.Key, func(s Store) error {
-				// Tombstone push-back: the replica witnessed removals this
-				// owner missed. Entomb them first — shipping without them
-				// would resurrect the entries on every replica.
-				if ts := pushTombs[want.Key]; len(ts) > 0 {
-					if fresh, terr := s.Entomb(want.Key, ts); terr == nil {
-						n.tomb.merged.Add(int64(fresh))
-					}
+	}
+}
+
+// adoptAnswer adopts each key of a partner's answer (adopt) and reads
+// the merged state in the same critical section, so what ships includes
+// it. It returns the merged state of each key that differs from the
+// partner's; a key whose adoption failed is left out.
+func (n *Node) adoptAnswer(resp Message) []KeyEntries {
+	theirs := make(map[keyspace.Key]KeyEntries, len(resp.KV))
+	for _, item := range resp.KV {
+		theirs[item.Key] = item
+	}
+	var kv []KeyEntries
+	for _, want := range resp.Digests {
+		item, pulled := theirs[want.Key]
+		merged := KeyEntries{Key: want.Key}
+		err := n.store.Update(want.Key, func(s Store) error {
+			if pulled {
+				if err := n.adopt(s, item); err != nil {
+					return err
 				}
-				kv = append(kv, KeyEntries{
-					Key:     want.Key,
-					Entries: s.Get(want.Key),
-					Tombs:   s.Tombstones(want.Key),
-				})
-				return nil
-			})
+			}
+			merged.Entries, merged.Tombs = s.Get(want.Key), s.Tombstones(want.Key)
+			return nil
+		})
+		if err != nil {
+			continue
 		}
-		if sresp, serr := n.cfg.Transport.Call(succ, Message{Op: OpRepairSync, KV: kv}); serr == nil && remoteError(sresp) == nil {
-			n.repair.pushes.Add(int64(len(kv)))
+		if pulled {
+			n.repair.pulls.Inc()
+		}
+		if stateDigest(merged.Entries, merged.Tombs) != stateDigest(item.Entries, item.Tombs) {
+			kv = append(kv, merged)
 		}
 	}
+	return kv
 }
 
 // dropStaleCopies deletes copies this node no longer owes. A node owes a
@@ -369,10 +381,10 @@ func (n *Node) dropStaleCopies() {
 // carrying KV is the ship phase: the owner's entry AND tombstone sets
 // REPLACE the local ones (both empty deletes), so divergent extra
 // entries — e.g. a Remove this replica missed — are corrected, not
-// merged back in. A request carrying only Digests is the offer phase:
-// the response lists the keys whose local digest differs, and carries
-// this replica's tombstones for those keys so the owner can entomb
-// removals it missed before shipping the merged state back.
+// merged back in. Any other request is an offer: the reply lists each
+// offered key whose local digest differs and each key held here in the
+// offered range (Addr, Key] that was not offered, with this node's
+// entries and tombstones for each, for the owner to adopt.
 func (n *Node) handleRepairSync(req Message) Message {
 	if len(req.KV) > 0 {
 		for _, item := range req.KV {
@@ -385,20 +397,30 @@ func (n *Node) handleRepairSync(req Message) Message {
 		return Message{Op: req.Op, Ok: true}
 	}
 	var want []KeyDigest
-	var push []KeyEntries
+	var theirs []KeyEntries
+	answer := func(item KeyEntries) {
+		want = append(want, KeyDigest{Key: item.Key})
+		if len(item.Entries) > 0 || len(item.Tombs) > 0 {
+			theirs = append(theirs, item)
+		}
+	}
+	offered := make(map[keyspace.Key]bool, len(req.Digests))
 	for _, d := range req.Digests {
-		d := d
-		// Per-key View: the digest and the pushed-back tombstones for a
-		// key come from one consistent snapshot.
+		offered[d.Key] = true
+		item := KeyEntries{Key: d.Key}
 		_ = n.store.View(d.Key, func(s Store) error {
-			if stateDigest(s.Get(d.Key), s.Tombstones(d.Key)) != d.Digest {
-				want = append(want, KeyDigest{Key: d.Key})
-				if ts := s.Tombstones(d.Key); len(ts) > 0 {
-					push = append(push, KeyEntries{Key: d.Key, Tombs: ts})
-				}
-			}
+			item.Entries, item.Tombs = s.Get(d.Key), s.Tombstones(d.Key)
 			return nil
 		})
+		if stateDigest(item.Entries, item.Tombs) != d.Digest {
+			answer(item)
+		}
 	}
-	return Message{Op: req.Op, Ok: true, Digests: want, KV: push}
+	if req.Addr != "" {
+		from := n.peerID(req.Addr)
+		for _, item := range n.snapshot(func(k keyspace.Key) bool { return !offered[k] && k.Between(from, req.Key) }) {
+			answer(item)
+		}
+	}
+	return Message{Op: req.Op, Ok: true, Digests: want, KV: theirs}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -281,5 +282,154 @@ func waitReplicaCounts(t *testing.T, transport Transport, cluster *Cluster, aliv
 			t.Fatalf("replica sets did not converge: %s", badKey)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// convergedIdleRing boots count idle nodes at replication rf, joins them
+// back to back and runs the stabilize round that makes every pointer
+// ideal. It returns them in ring order.
+func convergedIdleRing(t *testing.T, transport func() Transport, count, rf int) []*Node {
+	t.Helper()
+	ring := idleNodesAt(t, transport, count, rf)
+	burstJoin(t, startOrder(ring))
+	stabilizeRound(ring, 1)
+	if err := ringErr(ring); err != nil {
+		t.Fatal(err)
+	}
+	return ring
+}
+
+// putKeys writes count keys, one entry each, through a cluster over
+// ring, and returns the cluster and the keys.
+func putKeys(t *testing.T, transport Transport, ring []*Node, rf, count int) (*Cluster, []keyspace.Key) {
+	t.Helper()
+	cluster := NewCluster(transport, 1, rf)
+	for _, n := range ring {
+		cluster.Track(n.addr)
+	}
+	keys := make([]keyspace.Key, count)
+	for i := range keys {
+		keys[i] = keyspace.NewKey(fmt.Sprintf("key-%d", i))
+		if _, err := cluster.Put(keys[i], overlay.Entry{Kind: "d", Value: fmt.Sprint(i)}); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	return cluster, keys
+}
+
+// TestRepairKeepsReplicaOnlyEntry: an entry only the replica holds — a
+// write the owner lost, a partition's far side — survives the owner's
+// repair round and reaches the owner. The owner adopts the replica's
+// answer before it ships; shipping its own smaller set with replace
+// semantics would erase the entry everywhere.
+func TestRepairKeepsReplicaOnlyEntry(t *testing.T) {
+	mt := NewMemTransport()
+	ring := convergedIdleRing(t, func() Transport { return mt }, 3, 1)
+	o, r := ring[1], ring[2]
+	key := keyWhere(t, "replica-only", func(k keyspace.Key) bool { return k.Between(ring[0].id, o.id) })
+	e1, e2 := overlay.Entry{Kind: "d", Value: "e1"}, overlay.Entry{Kind: "d", Value: "e2"}
+	for _, put := range []struct {
+		n *Node
+		e overlay.Entry
+	}{{o, e1}, {r, e1}, {r, e2}} {
+		if _, err := put.n.store.Put(key, put.e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.syncReplicas()
+	for _, n := range []*Node{o, r} {
+		if got := localEntries(t, mt, n.addr, key); !slices.Equal(got, []overlay.Entry{e1, e2}) {
+			t.Fatalf("%s holds %v after the owner's repair round, want [e1 e2]", n.addr, got)
+		}
+	}
+	if got := o.RepairStats().Pulls; got != 1 {
+		t.Fatalf("owner counted %d pulled keys, want 1", got)
+	}
+}
+
+// notifyBytes counts the encoded frames of every notify and its reply,
+// and the replies that carried keys.
+type notifyBytes struct {
+	Transport
+	bytes, withKeys atomic.Int64
+}
+
+func (c *notifyBytes) Call(addr string, req Message) (Message, error) {
+	resp, err := c.Transport.Call(addr, req)
+	if req.Op == OpNotify && err == nil {
+		c.bytes.Add(int64(2*frameHeaderSize + len(appendMessage(nil, &req)) + len(appendMessage(nil, &resp))))
+		if len(resp.KV) > 0 {
+			c.withKeys.Add(1)
+		}
+	}
+	return resp, err
+}
+
+// TestIdleNotifyCarriesNoKeys: on a converged ring, whose predecessors
+// do not change, no notify carries keys, and an idle maintenance
+// period's notifies (RepairEvery stabilize rounds) cost the same bytes
+// whether the ring stores nothing or 2,000 keys.
+func TestIdleNotifyCarriesNoKeys(t *testing.T) {
+	period := func(keys int) int64 {
+		nb := &notifyBytes{Transport: NewMemTransport()}
+		ring := convergedIdleRing(t, func() Transport { return nb }, 8, 1)
+		putKeys(t, nb.Transport, ring, 1, keys)
+		nb.bytes.Store(0)
+		for round := range (Config{}).withDefaults().RepairEvery {
+			stabilizeRound(ring, int64(round))
+		}
+		if got := nb.withKeys.Load(); got > 0 {
+			t.Fatalf("%d notify replies carried keys at %d stored keys", got, keys)
+		}
+		return nb.bytes.Load()
+	}
+	if empty, full := period(0), period(2000); empty != full {
+		t.Fatalf("an idle period's notifies cost %d B at 0 keys and %d B at 2,000", empty, full)
+	}
+}
+
+// TestJoinerHoldsItsRangeOnReturn: Join pulls the joiner's range before
+// it returns — no maintenance tick runs in between — at replication 0,
+// where the successor held the range alone, and at 1. Every key written
+// under the joiner's range, live entries and tombstones both, is on the
+// joiner when Join returns.
+func TestJoinerHoldsItsRangeOnReturn(t *testing.T) {
+	for _, rf := range []int{0, 1} {
+		t.Run(fmt.Sprintf("R=%d", rf), func(t *testing.T) {
+			mt := NewMemTransport()
+			ring := convergedIdleRing(t, func() Transport { return mt }, 4, rf)
+			cluster, keys := putKeys(t, mt, ring, rf, 200)
+			dead := overlay.Entry{Kind: "d", Value: "removed"}
+			for _, k := range keys[:20] {
+				if _, err := cluster.Remove(k, dead); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j := idleNodesAt(t, func() Transport { return mt }, 1, rf)[0]
+			if err := j.Join(ring[0].addr); err != nil {
+				t.Fatal(err)
+			}
+			pred := j.Predecessor()
+			if pred == "" {
+				t.Fatal("the joiner learned no predecessor from its notify reply")
+			}
+			owned := 0
+			for i, k := range keys {
+				if !k.Between(idOf(pred), j.id) {
+					continue
+				}
+				owned++
+				want := []overlay.Entry{{Kind: "d", Value: fmt.Sprint(i)}}
+				if got := localEntries(t, mt, j.addr, k); !slices.Equal(got, want) {
+					t.Fatalf("key %d: the joiner holds %v when Join returns, want %v", i, got, want)
+				}
+				if i < 20 && !j.store.Tombstoned(k, dead) {
+					t.Fatalf("key %d: the joiner lacks the key's tombstone when Join returns", i)
+				}
+			}
+			if owned == 0 {
+				t.Fatal("no key falls in the joiner's range")
+			}
+		})
 	}
 }

@@ -18,9 +18,15 @@ import (
 // returns them in ring order (ascending id).
 func idleNodes(t *testing.T, transport func() Transport, count int) []*Node {
 	t.Helper()
+	return idleNodesAt(t, transport, count, 0)
+}
+
+// idleNodesAt is idleNodes at replication factor rf.
+func idleNodesAt(t *testing.T, transport func() Transport, count, rf int) []*Node {
+	t.Helper()
 	nodes := make([]*Node, count)
 	for i := range nodes {
-		n, err := Start(Config{Transport: transport(), Addr: "mem:0", StabilizeInterval: time.Hour})
+		n, err := Start(Config{Transport: transport(), Addr: "mem:0", StabilizeInterval: time.Hour, ReplicationFactor: rf})
 		if err != nil {
 			t.Fatalf("start node %d: %v", i, err)
 		}
@@ -297,59 +303,74 @@ func TestHintNeverReplacesKnownPredecessor(t *testing.T) {
 	}
 }
 
-// TestHintedPredecessorGetsHandoverOnFirstNotify: a key the notifier
-// holds but the hinted predecessor owns is handed over when that
-// predecessor notifies for the first time, as it is when the predecessor
-// was unknown; the next notify is no change and ships nothing. The
-// handover copies, at replication 0 too: n keeps the key until its drop
-// round has shipped it to p and seen the ack, and then p alone holds it.
-func TestHintedPredecessorGetsHandoverOnFirstNotify(t *testing.T) {
+// TestHintedNodePullsItsRange: a notify moves no keys — not to the
+// notifier, not from a hinted predecessor's first notify. Each node
+// pulls its own range by repair exchange from its successor: n once a
+// notify reply has hinted its predecessor p (before that n knows no
+// range and pulls nothing), and p, the hinted predecessor, from n. The
+// pulls copy: each old holder keeps its key until its drop round has
+// shipped it to the owner and seen the ack, and then the owner alone
+// holds it.
+func TestHintedNodePullsItsRange(t *testing.T) {
 	mt := NewMemTransport()
 	p, n, s := hintRing(t, func() Transport { return mt })
+	p.mu.Lock()
+	p.pred, p.succs = s.addr, []string{n.addr} // close the ring p → n → s → p, so routing finds every owner
+	p.mu.Unlock()
 	s.mu.Lock()
-	s.succs = []string{p.addr} // close the ring p → n → s → p, so routing finds p
+	s.succs = []string{p.addr}
 	s.mu.Unlock()
-	key := keyWhere(t, "hinted", func(k keyspace.Key) bool { return k.Between(s.id, p.id) })
-	entry := overlay.Entry{Kind: "d", Value: "misplaced"}
-	if _, err := n.store.Put(key, entry); err != nil {
-		t.Fatal(err)
+	nKey := keyWhere(t, "n-range", func(k keyspace.Key) bool { return k.Between(p.id, n.id) })
+	pKey := keyWhere(t, "p-range", func(k keyspace.Key) bool { return k.Between(s.id, p.id) })
+	for holder, key := range map[*Node]keyspace.Key{s: nKey, n: pKey} {
+		if _, err := holder.store.Put(key, overlay.Entry{Kind: "d", Value: "v"}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	held := func(node *Node, key keyspace.Key) bool { return len(localEntries(t, mt, node.addr, key)) > 0 }
+	n.syncReplicas()
 	n.stabilizeOnce()
 	if n.Predecessor() != p.addr {
 		t.Fatalf("n.pred = %s, want the hinted %s", n.Predecessor(), p.addr)
 	}
-	notify := Message{Op: OpNotify, Addr: p.addr}
-	resp, err := mt.Call(n.addr, notify)
-	if err != nil || !resp.Ok || len(resp.KV) != 1 || resp.KV[0].Key != key {
-		t.Fatalf("first notify from the hinted predecessor: %+v, %v; want the key %s handed over", resp, err, key.Short())
+	if held(n, nKey) {
+		t.Fatal("n holds its key before any pull: a notify reply carried it, or n pulled with no range known")
 	}
-	if got := localEntries(t, mt, n.addr, key); len(got) != 1 {
-		t.Fatalf("n holds %v after the handover; a handover copies, so it must keep the key", got)
+	for i := range 2 {
+		resp, err := mt.Call(n.addr, Message{Op: OpNotify, Addr: p.addr})
+		if err != nil || !resp.Ok || len(resp.KV) != 0 {
+			t.Fatalf("notify %d from the hinted predecessor: %+v, %v; want an ack carrying no keys", i+1, resp, err)
+		}
 	}
-	if resp, err = mt.Call(n.addr, notify); err != nil || !resp.Ok || len(resp.KV) != 0 {
-		t.Fatalf("second notify: %+v, %v; want an unchanged predecessor and no handover", resp, err)
+	n.syncReplicas()
+	p.syncReplicas()
+	if !held(n, nKey) || !held(s, nKey) || !held(p, pKey) || !held(n, pKey) {
+		t.Fatal("after the pulls the owners and the old holders must all hold the keys: the pull copies")
 	}
+	if got := n.RepairStats().Pulls + p.RepairStats().Pulls; got != 2 {
+		t.Fatalf("%d pulled keys counted, want 2", got)
+	}
+	s.dropStaleCopies()
 	n.dropStaleCopies()
 	for _, node := range []*Node{p, n, s} {
-		want := map[bool]int{true: 1}[node == p]
-		if got := localEntries(t, mt, node.addr, key); len(got) != want {
-			t.Fatalf("after n's drop round %s holds %v; want p (%s) alone to hold the key", node.addr, got, p.addr)
+		if held(node, nKey) != (node == n) || held(node, pKey) != (node == p) {
+			t.Fatalf("after the drop rounds %s holds n's key %v, p's key %v; want each owner alone to hold its key",
+				node.addr, held(node, nKey), held(node, pKey))
 		}
 	}
 }
 
-// lostHandoverReply drops the reply to the first notify that hands over
-// keys: the notified node has run the handover, the notifier never hears
-// of it.
-type lostHandoverReply struct {
+// lostPullReply drops the reply to the first repair offer whose answer
+// carries keys: the partner has answered, the puller never hears of it.
+type lostPullReply struct {
 	Transport
 	mu   sync.Mutex
 	lost bool
 }
 
-func (l *lostHandoverReply) Call(addr string, req Message) (Message, error) {
+func (l *lostPullReply) Call(addr string, req Message) (Message, error) {
 	resp, err := l.Transport.Call(addr, req)
-	if err == nil && req.Op == OpNotify && len(resp.KV) > 0 {
+	if err == nil && req.Op == OpRepairSync && len(resp.KV) > 0 {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		if !l.lost {
@@ -360,13 +381,12 @@ func (l *lostHandoverReply) Call(addr string, req Message) (Message, error) {
 	return resp, err
 }
 
-// TestZeroReplicationHandoverSurvivesLostNotifyReply: at replication 0,
-// A joins B, which holds every key, and the notify reply carrying the
-// keys A now owns is lost. A handover that moved the keys lost all of
-// them with the reply; one that copies leaves B holding them, and B's
-// next repair round ships them to A and drops its own copies only once A
-// has acked.
-func TestZeroReplicationHandoverSurvivesLostNotifyReply(t *testing.T) {
+// TestZeroReplicationLostPullReplyLosesNothing: at replication 0, A
+// joins B, which holds every key, and the reply to A's pull, carrying
+// the keys A now owns, is lost. The pull only copies, so B still holds
+// them, and B's next repair round ships them to A and drops its own
+// copies only once A has acked.
+func TestZeroReplicationLostPullReplyLosesNothing(t *testing.T) {
 	mt := NewMemTransport()
 	start := func(tr Transport) *Node {
 		n, err := Start(Config{Transport: tr, Addr: "mem:0", StabilizeInterval: time.Hour})
@@ -377,7 +397,7 @@ func TestZeroReplicationHandoverSurvivesLostNotifyReply(t *testing.T) {
 		return n
 	}
 	b := start(mt)
-	lossy := &lostHandoverReply{Transport: mt}
+	lossy := &lostPullReply{Transport: mt}
 	a := start(lossy)
 	entry := overlay.Entry{Kind: "d", Value: "v"}
 	keys := make([]keyspace.Key, 64)
@@ -394,7 +414,7 @@ func TestZeroReplicationHandoverSurvivesLostNotifyReply(t *testing.T) {
 	lost := lossy.lost
 	lossy.mu.Unlock()
 	if !lost {
-		t.Fatal("no notify reply carried keys: the scenario did not engage")
+		t.Fatal("no pull reply carried keys: the scenario did not engage")
 	}
 	ring := []*Node{a, b}
 	for round := range 2 {
@@ -413,14 +433,10 @@ func TestZeroReplicationHandoverSurvivesLostNotifyReply(t *testing.T) {
 		t.Fatal("no key falls in a's range")
 	}
 	held := func(n *Node, k keyspace.Key) bool { return len(localEntries(t, mt, n.addr, k)) > 0 }
-	lostKeys := 0
 	for _, k := range owned {
-		if !held(a, k) && !held(b, k) {
-			lostKeys++
+		if held(a, k) || !held(b, k) {
+			t.Fatalf("after the lost pull reply key %s: held by a %v, by b %v; want b alone", k.Short(), held(a, k), held(b, k))
 		}
-	}
-	if lostKeys > 0 {
-		t.Fatalf("%d of the %d keys in a's range are held by no node after the lost notify reply", lostKeys, len(owned))
 	}
 	b.RepairNow()
 	for _, k := range owned {

@@ -338,6 +338,19 @@ func (s *MemStore) Entomb(key keyspace.Key, tombs []Tombstone) (int, error) {
 	return fresh, nil
 }
 
+// EntombChanges reports whether Entomb(key, tombs) would change anything:
+// a tombstone not held, held with an earlier At, or whose entry is live.
+func (s *MemStore) EntombChanges(key keyspace.Key, tombs []Tombstone) bool {
+	held := s.tombs[key]
+	for _, t := range tombs {
+		i, found := slices.BinarySearchFunc(held, t, compareTombstones)
+		if !found || held[i].At < t.At || s.Has(key, t.Entry) {
+			return true
+		}
+	}
+	return false
+}
+
 // ForEachTombstone implements Store.
 func (s *MemStore) ForEachTombstone(fn func(key keyspace.Key, tombs []Tombstone) bool) {
 	for k, tombs := range s.tombs {

@@ -107,7 +107,8 @@ type KeyEntries struct {
 	Key     keyspace.Key
 	Entries []overlay.Entry
 	// Tombs carries the key's tombstones alongside its live entries, so
-	// handovers, transfers and repair ships move deletions with the data.
+	// repair answers and ships, transfers and replication move deletions
+	// with the data.
 	Tombs []Tombstone
 }
 
