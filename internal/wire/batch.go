@@ -60,7 +60,7 @@ func (c *Cluster) PutBatch(ctx context.Context, items []overlay.KeyEntry) error 
 // when the single-key operations' fallback rule (Cluster.fallback) says
 // so.
 func (c *Cluster) mutateGroups(ctx context.Context, groups map[string][]KeyEntries, send func(owner string, kv []KeyEntries) error) error {
-	return forEachOwner(groups, defaultBatchParallelism, func(owner string, kv []KeyEntries) error {
+	return c.forEachOwner(groups, defaultBatchParallelism, func(owner string, kv []KeyEntries) error {
 		err := send(owner, kv)
 		routes, ok := c.fallback(ctx, owner, err, kv, c.batchFallbacks)
 		if !ok {
@@ -70,7 +70,7 @@ func (c *Cluster) mutateGroups(ctx context.Context, groups map[string][]KeyEntri
 		for i, item := range kv {
 			regroups[routes[i].Node] = append(regroups[routes[i].Node], item)
 		}
-		return forEachOwner(regroups, defaultBatchParallelism, send)
+		return c.forEachOwner(regroups, defaultBatchParallelism, send)
 	})
 }
 
@@ -214,7 +214,7 @@ func (c *Cluster) GetBatch(ctx context.Context, keys []keyspace.Key, parallel in
 	c.batchGetRPCs.Add(int64(len(groups)))
 	c.batchGetKeys.Add(int64(len(kv)))
 	// Groups hold disjoint keys, so they write disjoint elements of out.
-	_ = forEachOwner(groups, parallel, func(owner string, kv []KeyEntries) error {
+	_ = c.forEachOwner(groups, parallel, func(owner string, kv []KeyEntries) error {
 		for i, r := range c.getGroup(ctx, owner, kv) {
 			out[at[kv[i].Key]] = r
 		}
@@ -299,10 +299,10 @@ func (c *Cluster) groupPresumed(kv []KeyEntries) (map[string][]KeyEntries, error
 	return groups, nil
 }
 
-// forEachOwner runs fn for every owner group, at most parallel of them
-// at a time, returning the first error. A lone group runs on the
-// caller's goroutine.
-func forEachOwner(groups map[string][]KeyEntries, parallel int, fn func(owner string, kv []KeyEntries) error) error {
+// forEachOwner runs fn for every owner group on the cluster's workers,
+// at most parallel of them at a time, returning the first error. A lone
+// group runs on the caller's goroutine.
+func (c *Cluster) forEachOwner(groups map[string][]KeyEntries, parallel int, fn func(owner string, kv []KeyEntries) error) error {
 	if len(groups) == 1 {
 		for owner, kv := range groups {
 			return fn(owner, kv)
@@ -312,13 +312,13 @@ func forEachOwner(groups map[string][]KeyEntries, parallel int, fn func(owner st
 	errs := make(chan error, len(groups))
 	var wg sync.WaitGroup
 	for owner, kv := range groups {
+		sem <- struct{}{}
 		wg.Add(1)
-		go func(owner string, kv []KeyEntries) {
+		c.workers.run(func() {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
 			errs <- fn(owner, kv)
-		}(owner, kv)
+		})
 	}
 	wg.Wait()
 	close(errs)

@@ -2,8 +2,8 @@ package wire_test
 
 // Wire fast-path benchmarks: the pooled transport's round trip, batched
 // vs sequential cluster puts, batched vs sequential article publish, and
-// parallel vs sequential automated search, timed on loopback TCP (CI's
-// bench smoke step runs each once). What these operations cost in
+// parallel vs sequential automated search, timed on loopback TCP (and
+// publish on MemTransport too; CI's bench smoke step runs each once). What these operations cost in
 // messages and bytes is counted, not timed, by TestCostLedger; the
 // pooled round trip's bytes and allocations are gated by
 // TestPooledCallCost.
@@ -102,17 +102,20 @@ func TestPooledCallCost(t *testing.T) {
 	}
 }
 
-// startBenchRing boots a converged live TCP ring and returns its
-// cluster handle.
-func startBenchRing(b *testing.B, nodes int) (*wire.Cluster, *wire.TCPTransport) {
+// startBenchRing boots a converged live ring over tp (loopback TCP or
+// MemTransport) and returns its cluster handle.
+func startBenchRing(b *testing.B, nodes int, tp wire.Transport) *wire.Cluster {
 	b.Helper()
-	tp := wire.NewTCPTransport()
+	addr := "127.0.0.1:0"
+	if _, mem := tp.(*wire.MemTransport); mem {
+		addr = "mem:0"
+	}
 	cluster := wire.NewCluster(tp, 5, 0)
 	var bootstrap string
 	for i := 0; i < nodes; i++ {
 		n, err := wire.Start(wire.Config{
 			Transport:         tp,
-			Addr:              "127.0.0.1:0",
+			Addr:              addr,
 			StabilizeInterval: 20 * time.Millisecond,
 		})
 		if err != nil {
@@ -129,7 +132,7 @@ func startBenchRing(b *testing.B, nodes int) (*wire.Cluster, *wire.TCPTransport)
 	if err := cluster.WaitConverged(20 * time.Second); err != nil {
 		b.Fatalf("ring never converged: %v", err)
 	}
-	return cluster, tp
+	return cluster
 }
 
 // BenchmarkClusterPutBatch stores 16 distinct keys per iteration over a
@@ -148,7 +151,7 @@ func BenchmarkClusterPutBatch(b *testing.B) {
 		return out
 	}
 	b.Run("batch", func(b *testing.B) {
-		cluster, _ := startBenchRing(b, 4)
+		cluster := startBenchRing(b, 4, wire.NewTCPTransport())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := cluster.PutBatch(context.Background(), items(i)); err != nil {
@@ -157,7 +160,7 @@ func BenchmarkClusterPutBatch(b *testing.B) {
 		}
 	})
 	b.Run("sequential", func(b *testing.B) {
-		cluster, _ := startBenchRing(b, 4)
+		cluster := startBenchRing(b, 4, wire.NewTCPTransport())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, it := range items(i) {
@@ -176,15 +179,17 @@ type seqNet struct{ overlay.Network }
 // BenchmarkPublish publishes one article per iteration with the Complex
 // scheme (1 data entry + 9 distinct index mappings) over a live TCP
 // ring: the batch fast path against the sequential per-mapping inserts.
-// The acceptance bar for the batch path is ≥ 2×.
+// The acceptance bar for the batch path is ≥ 2×. The mem case is the
+// batch path on a MemTransport ring, where each owner group's whole
+// client → owner chain runs on the worker that sends the group.
 func BenchmarkPublish(b *testing.B) {
 	corpus, err := dataset.Generate(dataset.Config{Articles: 64, Seed: 3})
 	if err != nil {
 		b.Fatalf("corpus: %v", err)
 	}
 	arts := corpus.Articles
-	run := func(b *testing.B, wrap func(*wire.Cluster) overlay.Network) {
-		cluster, _ := startBenchRing(b, 4)
+	run := func(b *testing.B, tp wire.Transport, wrap func(*wire.Cluster) overlay.Network) {
+		cluster := startBenchRing(b, 4, tp)
 		svc := index.New(wrap(cluster), cache.None, 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -195,11 +200,15 @@ func BenchmarkPublish(b *testing.B) {
 			}
 		}
 	}
+	batch := func(c *wire.Cluster) overlay.Network { return c }
 	b.Run("batch", func(b *testing.B) {
-		run(b, func(c *wire.Cluster) overlay.Network { return c })
+		run(b, wire.NewTCPTransport(), batch)
 	})
 	b.Run("sequential", func(b *testing.B) {
-		run(b, func(c *wire.Cluster) overlay.Network { return seqNet{c} })
+		run(b, wire.NewTCPTransport(), func(c *wire.Cluster) overlay.Network { return seqNet{c} })
+	})
+	b.Run("mem", func(b *testing.B) {
+		run(b, wire.NewMemTransport(), batch)
 	})
 }
 
@@ -213,7 +222,7 @@ func BenchmarkSearchAllParallel(b *testing.B) {
 		b.Fatalf("corpus: %v", err)
 	}
 	run := func(b *testing.B, parallelism int) {
-		cluster, _ := startBenchRing(b, 4)
+		cluster := startBenchRing(b, 4, wire.NewTCPTransport())
 		svc := index.New(cluster, cache.None, 0)
 		for i, a := range corpus.Articles {
 			if err := svc.PublishArticle(fmt.Sprintf("s-%d.pdf", i), a, index.Complex); err != nil {

@@ -55,6 +55,11 @@ type Cluster struct {
 	members atomic.Pointer[[]member]
 	rng     *rand.Rand
 
+	// workers runs the fan-out of batched operations, fallbacks and
+	// hedged reads. A Cluster has no Close: idle workers exit on their
+	// own (DESIGN.md §30).
+	workers *workers
+
 	ownerReadFailures *telemetry.Counter
 	failoverReads     *telemetry.Counter
 	entryRetries      *telemetry.Counter
@@ -115,6 +120,7 @@ func NewCluster(transport Transport, seed int64, replication int) *Cluster {
 		transport:   transport,
 		replication: replication,
 		rng:         rand.New(rand.NewSource(seed)),
+		workers:     newWorkers(),
 		ownerReadFailures: telemetry.NewCounter("wire_owner_read_failures_total",
 			"Gets whose routed owner could not serve."),
 		failoverReads: telemetry.NewCounter("wire_failover_reads_total",
@@ -348,13 +354,13 @@ func (c *Cluster) fallback(ctx context.Context, owner string, err error, kv []Ke
 	sem := make(chan struct{}, defaultBatchParallelism)
 	var wg sync.WaitGroup
 	for i := range kv {
+		sem <- struct{}{}
 		wg.Add(1)
-		go func() {
+		c.workers.run(func() {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
 			routes[i], errs[i] = c.FindOwnerCtx(ctx, kv[i].Key)
-		}()
+		})
 	}
 	wg.Wait()
 	back := 0
@@ -452,14 +458,14 @@ func (c *Cluster) hedgedGet(ctx context.Context, key keyspace.Key, owner string)
 		hedge   bool
 		err     error
 	}
-	// Buffered so a losing read's goroutine can deliver and exit even
+	// Buffered so a losing read's worker can deliver and move on even
 	// after the winner returned (transports cannot cancel in-flight
 	// sends).
 	ch := make(chan result, 2)
-	go func() {
+	c.workers.run(func() {
 		resp, route, err := c.routedCall(ctx, owner, Message{Op: OpGet, Key: key})
 		ch <- result{entries: trimEntries(resp.Entries), route: route, err: err}
-	}()
+	})
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	outstanding := 1
@@ -489,10 +495,10 @@ func (c *Cluster) hedgedGet(ctx context.Context, key keyspace.Key, owner string)
 			if peer := c.hedgePeer(key, owner); peer != "" {
 				c.hedgedGets.Inc()
 				outstanding++
-				go func() {
+				c.workers.run(func() {
 					entries, err := c.localGet(ctx, peer, key)
 					ch <- result{entries: entries, route: overlay.Route{Node: peer, Hops: 1}, hedge: true, err: err}
-				}()
+				})
 			}
 		case <-ctx.Done():
 			return nil, overlay.Route{}, ctx.Err()

@@ -169,6 +169,7 @@ func (t *TCPTransport) Listen(addr string, handler Handler) (string, io.Closer, 
 		idleTimeout:  t.poolIdleTimeout(),
 		maxMsg:       t.maxMessageSize(),
 		conns:        make(map[net.Conn]struct{}),
+		workers:      newWorkers(),
 	}
 	srv.wg.Add(1)
 	go srv.acceptLoop()
@@ -298,9 +299,10 @@ func (t *TCPTransport) CloseConnections() {
 }
 
 // tcpServer serves framed requests on persistent connections. Each
-// connection has a frame-reader loop; every request frame is handled on
-// its own goroutine so responses complete (and are written back) in any
-// order — that is what lets clients pipeline. Deadlines are
+// connection has a frame-reader loop; every request frame is handed to
+// one of the server's workers (a warm goroutine, DESIGN.md §30) so
+// responses complete (and are written back) in any order — that is what
+// lets clients pipeline. Deadlines are
 // per-request: the read deadline is reset before every frame and each
 // response write carries its own write deadline, so a long-lived
 // connection never inherits a stale deadline from accept time.
@@ -312,6 +314,7 @@ type tcpServer struct {
 	closeTimeout time.Duration
 	idleTimeout  time.Duration
 	maxMsg       int64
+	workers      *workers
 
 	wg        sync.WaitGroup
 	mu        sync.Mutex
@@ -362,7 +365,7 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 			return // client went away, idled out, or sent garbage
 		}
 		inflight.Add(1)
-		go func(id uint64, req Message) {
+		s.workers.run(func() {
 			defer inflight.Done()
 			resp := s.handler(req)
 			if werr := c.writeFrame(id, &resp, s.callTimeout); werr != nil {
@@ -372,13 +375,14 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 				s.t.respEncodeErrors.Inc()
 				_ = conn.Close()
 			}
-		}(id, req)
+		})
 	}
 }
 
 // Close implements io.Closer: stops accepting, nudges connection
 // readers off their blocking reads (in-flight handlers still write
-// their responses), and waits up to closeTimeout before force-closing
+// their responses), and waits up to closeTimeout for the readers, their
+// handlers and then the server's workers to exit before force-closing
 // stragglers. A node shutting down must not hang behind a peer that
 // dribbles bytes.
 func (s *tcpServer) Close() error {
@@ -393,7 +397,8 @@ func (s *tcpServer) Close() error {
 		s.mu.Unlock()
 		drained := make(chan struct{})
 		go func() {
-			s.wg.Wait()
+			s.wg.Wait() // each reader waits for its in-flight handlers
+			s.workers.stop()
 			close(drained)
 		}()
 		select {
