@@ -408,14 +408,13 @@ func findEqual(list []xpath.Query, s string) xpath.Query {
 
 // pickNext selects the most specific index result that covers the target:
 // the user advancing as far down the partial order as the response allows.
+// The first covering entry of the highest constraint count wins, so an
+// entry no more specific than the best so far is not tested for covering.
 func pickNext(results []xpath.Query, target xpath.Query) (xpath.Query, bool) {
 	best := xpath.Query{}
 	bestConstraints := -1
 	for _, r := range results {
-		if !r.Covers(target) {
-			continue
-		}
-		if c := r.Constraints(); c > bestConstraints {
+		if c := r.Constraints(); c > bestConstraints && r.Covers(target) {
 			best, bestConstraints = r, c
 		}
 	}

@@ -61,7 +61,8 @@ func goldenLines(t testing.TB) []string {
 
 // checkDerived holds a query to what its canonical form determines: the
 // key is the SHA-1 of the form, the constraint count is the node count of
-// the tree, and the form parses back to itself.
+// the tree, the signature is a fresh walk's, and the form parses back to
+// itself.
 func checkDerived(t *testing.T, origin string, q xpath.Query) {
 	t.Helper()
 	if got, want := q.Key(), keyspace.NewKey(q.String()); got != want {
@@ -69,6 +70,9 @@ func checkDerived(t *testing.T, origin string, q xpath.Query) {
 	}
 	if got, want := q.Constraints(), xpath.CountNodes(q); got != want {
 		t.Errorf("%s %s: Constraints() = %d, tree has %d nodes", origin, q, got, want)
+	}
+	if got, want := xpath.Signature(q), xpath.DeriveSignature(q); got != want {
+		t.Errorf("%s %s: signature %#x, a fresh derivation gives %#x", origin, q, got, want)
 	}
 	if q.IsZero() {
 		return
@@ -94,8 +98,9 @@ func checkConstructors(t *testing.T, origin string, q xpath.Query) {
 
 // TestDerivedFieldsEveryConstructor: Builder and MostSpecific (the dataset
 // shapes), Parse (their canonical forms), Generalizations and WithValue
-// all freeze the same key and constraint count a fresh derivation gives,
-// and the dataset's canonical forms are the golden file's.
+// all freeze the same key, constraint count and signature a fresh
+// derivation gives, and the dataset's canonical forms are the golden
+// file's.
 func TestDerivedFieldsEveryConstructor(t *testing.T) {
 	lines := datasetQueryLines(t)
 	golden := goldenLines(t)
@@ -120,7 +125,7 @@ func TestDerivedFieldsEveryConstructor(t *testing.T) {
 	checkDerived(t, "zero", xpath.Query{})
 }
 
-// FuzzDerivedFields: whatever parses keeps the same three properties,
+// FuzzDerivedFields: whatever parses keeps the same four properties,
 // through every constructor. The seed corpus is the dataset's query
 // shapes plus dialect corners the dataset never builds.
 func FuzzDerivedFields(f *testing.F) {
@@ -144,6 +149,15 @@ func FuzzDerivedFields(f *testing.F) {
 		}
 		checkConstructors(t, "parse", q)
 	})
+}
+
+// TestPatternSizeClass: the frozen pattern, signature included, fits the
+// 96-byte allocation size class. Every Query a response decodes allocates
+// one, so a field that pushed it to the next class would grow the heap.
+func TestPatternSizeClass(t *testing.T) {
+	if xpath.PatternSize > 96 {
+		t.Fatalf("pattern is %d bytes, want at most 96", xpath.PatternSize)
+	}
 }
 
 // TestMostSpecificAllocCeiling pins the construction cost of an article's

@@ -164,7 +164,26 @@ func matchesAnywhereBelow(n *node, e *descriptor.Element) bool {
 // safe for indexing (an index entry is simply not created).
 //
 // Covers is reflexive and transitive, inducing the partial order of Fig. 3.
+//
+// Before it walks the trees, Covers rejects any pair in which q's
+// constraint signature has a bit that other's lacks (see pattern). That
+// answer is always the walk's: if q ⊒ other, implies maps every signed
+// node of q onto a node of other with the same name path and the same
+// exact value, and that node sets the same bits. Most entries of an index
+// list that do not cover the target fail here, at the cost of one AND.
 func (q Query) Covers(other Query) bool {
+	if q.root == nil || other.root == nil {
+		return false
+	}
+	if q.root.sig&^other.root.sig != 0 {
+		return false
+	}
+	return q.coversWalk(other)
+}
+
+// coversWalk decides q ⊒ other by the pattern homomorphism alone, without
+// the signature test: the reference the tests hold Covers to.
+func (q Query) coversWalk(other Query) bool {
 	if q.root == nil || other.root == nil {
 		return false
 	}

@@ -45,10 +45,22 @@ type Query struct {
 // derives from the canonical form. It sits behind Query's pointer so that a
 // Query stays pointer + string however much is precomputed: responses are
 // []Query and are copied by value.
+//
+// sig is the query's constraint signature, a 64-bit Bloom filter of its
+// exact values: two bits per exact-valued node, hashed from the node's name
+// path and its value. Only nodes on a signed chain count: the root when it
+// is not floating, then child-axis steps named without a wildcard. The chain
+// stops at `*` and `//`, and prefix, suffix and contains values add no bits.
+// q ⊒ other needs every bit of q's signature in other's (see Covers).
+//
+// constraints is an int32 so that it fills the padding after the 20-byte
+// key and the struct fits the 96-byte allocation size class: every Query
+// a response decodes allocates one.
 type pattern struct {
 	node
 	key         keyspace.Key // h(q), the SHA-1 of the canonical form
-	constraints int          // pattern nodes in the tree
+	constraints int32        // pattern nodes in the tree
+	sig         uint64       // constraint signature
 }
 
 // zeroKey is h("") — the key of the zero Query, whose canonical form is
@@ -84,41 +96,54 @@ func (q Query) Constraints() int {
 	if q.root == nil {
 		return 0
 	}
-	return q.root.constraints
+	return int(q.root.constraints)
 }
 
-// newQuery normalizes the pattern and freezes its canonical form, its key
-// and its constraint count.
+// newQuery normalizes the pattern and freezes its canonical form, its key,
+// its constraint count and its constraint signature.
 func newQuery(root *node) Query {
 	if root == nil {
 		return Query{}
 	}
-	str, constraints := canonicalize(root, true)
+	str, constraints, sig := canonicalize(root, true, sigRoot)
 	return Query{
-		root: &pattern{node: *root, key: keyspace.NewKey(str), constraints: constraints},
+		root: &pattern{node: *root, key: keyspace.NewKey(str), constraints: int32(constraints), sig: sig},
 		str:  str,
 	}
 }
 
 // canonicalize sorts n's predicates by canonical form and removes exact
 // duplicate sibling constraints, recursively, and returns n's canonical
-// form and node count. Top-level nodes are prefixed with their axis;
-// predicate heads omit the child-axis slash. Each subtree is rendered
-// once: a parent orders its predicates by the strings they returned and
-// assembles its own form from them.
-func canonicalize(n *node, top bool) (string, int) {
+// form, node count and signature. Top-level nodes are prefixed with their
+// axis; predicate heads omit the child-axis slash. Each subtree is
+// rendered once: a parent orders its predicates by the strings they
+// returned and assembles its own form from them. path is the hash of the
+// parent's name path, or 0 when the parent is off every signed chain.
+func canonicalize(n *node, top bool, path uint64) (string, int, uint64) {
 	type rendered struct {
 		kid   *node
 		str   string
 		count int
+	}
+	var sig uint64
+	if path != 0 && n.name != Wildcard && !n.desc {
+		path = sigPath(path, n.name)
+		if n.value != "" {
+			if _, form := classifyValue(n.value); form == formExact {
+				sig = sigBits(path, n.value)
+			}
+		}
+	} else {
+		path = 0
 	}
 	var buf [8]rendered // most nodes have a handful of predicates: no heap
 	kids := buf[:0]
 	size, count := len(n.name), 1
 	if len(n.kids) > 0 {
 		for _, k := range n.kids {
-			str, c := canonicalize(k, false)
+			str, c, s := canonicalize(k, false, path)
 			kids = append(kids, rendered{kid: k, str: str, count: c})
+			sig |= s
 		}
 		slices.SortStableFunc(kids, func(a, b rendered) int { return strings.Compare(a.str, b.str) })
 		kids = slices.CompactFunc(kids, func(a, b rendered) bool { return a.str == b.str })
@@ -147,7 +172,36 @@ func canonicalize(n *node, top bool) (string, int) {
 		sb.WriteString(r.str)
 		sb.WriteByte(']')
 	}
-	return sb.String(), count
+	return sb.String(), count, sig
+}
+
+// The signature hashes are FNV-1a over the name path, one '/' after each
+// name, continued over the value and finished by a 64-bit mixer.
+const (
+	sigRoot  uint64 = 14695981039346656037 // FNV-1a offset basis: the empty path
+	sigPrime uint64 = 1099511628211
+)
+
+// sigPath extends the hash of a name path by one step. It never returns 0,
+// which canonicalize reserves for "off every signed chain".
+func sigPath(h uint64, name string) uint64 {
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * sigPrime
+	}
+	return (h^'/')*sigPrime | 1
+}
+
+// sigBits returns the two signature bits of the exact value at the name
+// path hashed to h. Equal path and value give equal bits; a collision only
+// sets bits that let a pair through to the full walk.
+func sigBits(h uint64, value string) uint64 {
+	for i := 0; i < len(value); i++ {
+		h = (h ^ uint64(value[i])) * sigPrime
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return 1<<(h&63) | 1<<(h>>6&63)
 }
 
 // clone deep-copies a pattern subtree.
