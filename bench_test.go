@@ -14,11 +14,13 @@ import (
 
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
-	"dhtindex/internal/dht"
+	"dhtindex/internal/descriptor"
 	"dhtindex/internal/index"
 	"dhtindex/internal/keyspace"
+	"dhtindex/internal/overlay"
 	"dhtindex/internal/sim"
 	"dhtindex/internal/stats"
+	"dhtindex/internal/wire"
 	"dhtindex/internal/workload"
 	"dhtindex/internal/xpath"
 )
@@ -326,25 +328,28 @@ func BenchmarkTab1NonIndexed(b *testing.B) {
 
 // --- substrate and core micro-benchmarks (allocation profiles) ---
 
-// BenchmarkDHTLookup measures raw Chord routing.
+// BenchmarkDHTLookup measures raw Chord routing: FindOwner on the live
+// ring, each lookup from a random member.
 func BenchmarkDHTLookup(b *testing.B) {
-	net := dht.NewNetwork(1)
-	nodes, err := net.Populate(benchNodes)
+	ring, err := wire.StartMemRing(benchNodes, 0, benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer ring.Close()
 	keys := make([]keyspace.Key, 256)
 	for i := range keys {
 		keys[i] = keyspace.NewKey(fmt.Sprintf("key-%d", i))
 	}
+	hops := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.Lookup(nodes[i%len(nodes)], keys[i%len(keys)]); err != nil {
+		route, err := ring.FindOwner(keys[i%len(keys)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		hops += route.Hops
 	}
-	m := net.Metrics()
-	b.ReportMetric(float64(m.Hops)/float64(m.Lookups), "hops/lookup")
+	b.ReportMetric(float64(hops)/float64(b.N), "hops/lookup")
 }
 
 // BenchmarkXPathParse measures query parsing.
@@ -370,21 +375,28 @@ func BenchmarkCovers(b *testing.B) {
 	}
 }
 
-// BenchmarkDirectedFind measures one end-to-end indexed lookup.
-func BenchmarkDirectedFind(b *testing.B) {
-	net := dht.NewNetwork(1)
-	if _, err := net.Populate(64); err != nil {
+// benchRing publishes the first 500 articles of the benchmark corpus on
+// a 64-node live ring whose batch interfaces are hidden, so every
+// lookup is one message, and returns the articles and a searcher.
+func benchRing(b *testing.B) ([]descriptor.Article, *index.Searcher) {
+	ring, err := wire.StartMemRing(64, 0, benchSeed)
+	if err != nil {
 		b.Fatal(err)
 	}
-	svc := index.New(dht.AsOverlay(net, 1), cache.None, 0)
-	corpus := fig1Corpus(b)
-	arts := corpus.Articles[:500]
+	b.Cleanup(ring.Close)
+	svc := index.New(struct{ overlay.Network }{ring}, cache.None, 0)
+	arts := fig1Corpus(b).Articles[:500]
 	for i, a := range arts {
 		if err := svc.PublishArticle(fmt.Sprintf("f%d", i), a, index.Simple); err != nil {
 			b.Fatal(err)
 		}
 	}
-	searcher := index.NewSearcher(svc)
+	return arts, index.NewSearcher(svc)
+}
+
+// BenchmarkDirectedFind measures one end-to-end indexed lookup.
+func BenchmarkDirectedFind(b *testing.B) {
+	arts, searcher := benchRing(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := arts[i%len(arts)]
@@ -396,23 +408,10 @@ func BenchmarkDirectedFind(b *testing.B) {
 }
 
 // BenchmarkSearchAll measures one automated search — the level-by-level
-// walk of the index DAG from an author query — over the simulated ring,
-// one lookup at a time (the live ring's batched frontier is
-// BenchmarkSearchAllParallel in internal/wire).
+// walk of the index DAG from an author query — one lookup at a time
+// (the batched frontier is BenchmarkSearchAllParallel in internal/wire).
 func BenchmarkSearchAll(b *testing.B) {
-	net := dht.NewNetwork(1)
-	if _, err := net.Populate(64); err != nil {
-		b.Fatal(err)
-	}
-	svc := index.New(dht.AsOverlay(net, 1), cache.None, 0)
-	corpus := fig1Corpus(b)
-	arts := corpus.Articles[:500]
-	for i, a := range arts {
-		if err := svc.PublishArticle(fmt.Sprintf("f%d", i), a, index.Simple); err != nil {
-			b.Fatal(err)
-		}
-	}
-	searcher := index.NewSearcher(svc)
+	arts, searcher := benchRing(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := arts[i%len(arts)]

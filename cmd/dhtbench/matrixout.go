@@ -38,14 +38,14 @@ func runMatrix(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "substrate matrix (seed %d: %d nodes, %d ops, %d queries)\n",
 		g.seed, rows[0].Nodes, rows[0].Ops, rows[0].Queries)
-	fmt.Fprintf(out, "%-10s %6s %6s %7s %8s %9s %10s %10s %11s %11s %6s\n",
+	fmt.Fprintf(out, "%-10s %6s %6s %7s %8s %9s %10s %10s %11s %6s\n",
 		"substrate", "nodes", "churn", "queries", "found", "failures",
-		"mean hops", "p99 query", "maint items", "maint bytes", "lost")
+		"mean hops", "p99 query", "maint items", "lost")
 	for _, r := range rows {
-		fmt.Fprintf(out, "%-10s %6d %6d %7d %8d %9d %10.2f %9.0fµs %11d %11d %6d\n",
+		fmt.Fprintf(out, "%-10s %6d %6d %7d %8d %9d %10.2f %9.0fµs %11d %6d\n",
 			r.Substrate, r.Nodes, r.Joins+r.Leaves+r.Crashes, r.Queries, r.Found,
 			r.QueryFailures, r.MeanLookupHops, r.P99QueryMicros,
-			r.MaintenanceItems, r.MaintenanceBytes, r.LostArticles)
+			r.MaintenanceItems, r.LostArticles)
 	}
 	return g.finish(out, nil, violations, nil)
 }

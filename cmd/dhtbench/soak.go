@@ -145,6 +145,6 @@ func printSubstrate(out io.Writer, r soak.SubstrateReport) {
 		r.Queries, r.Found, r.CacheHits, r.QueryFailures)
 	fmt.Fprintf(out, "  latency:     p50 %.0fµs, p99 %.0fµs (mean %.2f hops/lookup)\n",
 		r.P50QueryMicros, r.P99QueryMicros, r.MeanLookupHops)
-	fmt.Fprintf(out, "  maintenance: %d items, %d bytes moved\n", r.MaintenanceItems, r.MaintenanceBytes)
+	fmt.Fprintf(out, "  maintenance: %d items moved\n", r.MaintenanceItems)
 	fmt.Fprintf(out, "  data:        %d acked articles, %d lost\n", r.AckedArticles, r.LostArticles)
 }

@@ -1,21 +1,21 @@
 package main
 
 // The sweep subcommand: routing hop counts and key-load balance against
-// network size on one simulated substrate, then a churn test on the
-// simulated Chord ring — the substrate's own promises, measured apart
-// from the index.
+// network size on one substrate, then a churn test on the live Chord
+// ring — the substrate's own promises, measured apart from the index.
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
-	"dhtindex/internal/dht"
 	"dhtindex/internal/kademlia"
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/pastry"
 	"dhtindex/internal/telemetry"
+	"dhtindex/internal/wire"
 )
 
 // The sweep's fixed shape: no caller ever varied these.
@@ -24,11 +24,49 @@ const (
 	sweepChurn   = 0.2  // fraction of nodes the churn test fails
 )
 
-// sweeps maps -substrate to the sweep of one network size.
-var sweeps = map[string]func(out io.Writer, n int, seed int64, reg *telemetry.Registry) error{
-	"chord":    chordSweep,
-	"pastry":   pastrySweep,
-	"kademlia": kademliaSweep,
+// sweepNet is one substrate at one network size: its overlay, a routed
+// lookup returning its hop count, and how to release it.
+type sweepNet struct {
+	ov     overlay.Network
+	lookup func(i int, key keyspace.Key) (hops int, err error)
+	stop   func()
+}
+
+// sweeps maps -substrate to a constructor of n-node sweepNets. Chord's
+// hops are Chord route lengths of FindOwner, each from a random member:
+// the answering node's successor owns the key, so a route counts one
+// hop fewer than the simulations count for the same path. Kademlia's
+// are the α-parallel lookup's probe rounds, which play the role the
+// forwarding hop count plays on the recursive rings.
+var sweeps = map[string]func(n int, seed int64, reg *telemetry.Registry) (sweepNet, error){
+	"chord": func(n int, seed int64, reg *telemetry.Registry) (sweepNet, error) {
+		ring, err := wire.StartMemRing(n, 0, seed)
+		if err != nil {
+			return sweepNet{}, err
+		}
+		ring.Instrument(reg)
+		return sweepNet{ring, func(_ int, key keyspace.Key) (int, error) {
+			route, err := ring.FindOwner(key)
+			return route.Hops, err
+		}, ring.Close}, nil
+	},
+	"pastry": func(n int, seed int64, _ *telemetry.Registry) (sweepNet, error) {
+		net := pastry.NewNetwork()
+		nodes, err := net.Populate(n)
+		return sweepNet{pastry.AsOverlay(net, seed), func(i int, key keyspace.Key) (int, error) {
+			res, err := net.Lookup(nodes[i%len(nodes)], key)
+			return res.Hops, err
+		}, func() {}}, err
+	},
+	"kademlia": func(n int, seed int64, reg *telemetry.Registry) (sweepNet, error) {
+		net := kademlia.NewNetwork(kademlia.Config{Replicas: 1, Seed: seed})
+		nodes, err := net.Populate(n)
+		net.Instrument(reg)
+		return sweepNet{kademlia.AsOverlay(net, seed), func(i int, key keyspace.Key) (int, error) {
+			info, err := net.Lookup(nodes[i%len(nodes)].Addr, key)
+			return info.Hops, err
+		}, func() {}}, err
+	},
 }
 
 func runSweep(args []string, out io.Writer) error {
@@ -39,7 +77,7 @@ func runSweep(args []string, out io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	sweep, ok := sweeps[*substrate]
+	build, ok := sweeps[*substrate]
 	if !ok {
 		return usagef(fs, "unknown substrate %q", *substrate)
 	}
@@ -48,7 +86,7 @@ func runSweep(args []string, out io.Writer) error {
 		"nodes", "mean hops", "max", "log2(N)", "mean keys", "max/mean keys")
 	var err error
 	for n := 16; n <= *maxNodes && err == nil; n *= 4 {
-		err = sweep(out, n, g.seed, g.reg)
+		err = sweep(out, build, n, g.seed, g.reg)
 	}
 	if err == nil {
 		err = churnTest(out, *maxNodes/4, g.seed, g.reg)
@@ -56,149 +94,73 @@ func runSweep(args []string, out io.Writer) error {
 	return g.finish(out, nil, nil, err)
 }
 
-func chordSweep(out io.Writer, n int, seed int64, reg *telemetry.Registry) error {
-	net := dht.NewNetwork(seed)
-	if _, err := net.Populate(n); err != nil {
-		return err
-	}
-	net.Instrument(reg)
-	for i := 0; i < 10*n; i++ {
-		if _, err := net.Put(nil, keyspace.NewKey(fmt.Sprintf("key-%d", i)),
-			dht.Entry{Kind: "data", Value: "x"}); err != nil {
-			return err
-		}
-	}
-	net.ResetMetrics()
-	nodes := net.Nodes()
-	for i := 0; i < sweepLookups; i++ {
-		start := nodes[i%len(nodes)]
-		if _, err := net.Lookup(start, keyspace.NewKey(fmt.Sprintf("probe-%d", i))); err != nil {
-			return err
-		}
-	}
-	m := net.Metrics()
-	load := net.KeyLoad()
-	fmt.Fprintf(out, "%-8d %10.2f %8d %10.2f %10.1f %12.2f\n",
-		n, float64(m.Hops)/float64(m.Lookups), m.MaxHops, math.Log2(float64(n)),
-		load.MeanKeys, float64(load.MaxKeys)/load.MeanKeys)
-	return nil
-}
-
-func pastrySweep(out io.Writer, n int, seed int64, _ *telemetry.Registry) error {
-	net := pastry.NewNetwork()
-	nodes, err := net.Populate(n)
+// sweep measures one network size: key load after 10 puts per node,
+// then the hops of sweepLookups routed lookups.
+func sweep(out io.Writer, build func(int, int64, *telemetry.Registry) (sweepNet, error), n int, seed int64, reg *telemetry.Registry) error {
+	net, err := build(n, seed, reg)
 	if err != nil {
 		return err
 	}
-	ov := pastry.AsOverlay(net, seed)
+	defer net.stop()
 	for i := 0; i < 10*n; i++ {
-		if _, err := ov.Put(keyspace.NewKey(fmt.Sprintf("key-%d", i)),
-			overlay.Entry{Kind: "data", Value: "x"}); err != nil {
+		if _, err := net.ov.Put(keyspace.NewKey(fmt.Sprintf("key-%d", i)), overlay.Entry{Kind: "data", Value: "x"}); err != nil {
 			return err
 		}
 	}
-	keyTotal, keyMax := 0, 0
-	for _, addr := range ov.Addrs() {
-		st, err := ov.StatsOf(addr)
+	keys, maxKeys := 0, 0
+	for _, addr := range net.ov.Addrs() {
+		st, err := net.ov.StatsOf(addr)
 		if err != nil {
 			return err
 		}
-		keyTotal += st.Keys
-		if st.Keys > keyMax {
-			keyMax = st.Keys
-		}
+		keys += st.Keys
+		maxKeys = max(maxKeys, st.Keys)
 	}
-	before := net.Metrics()
+	hops, maxHops := 0, 0
 	for i := 0; i < sweepLookups; i++ {
-		start := nodes[i%len(nodes)]
-		if _, err := net.Lookup(start, keyspace.NewKey(fmt.Sprintf("probe-%d", i))); err != nil {
-			return err
-		}
-	}
-	m := net.Metrics()
-	mean := float64(keyTotal) / float64(n)
-	fmt.Fprintf(out, "%-8d %10.2f %8d %10.2f %10.1f %12.2f\n",
-		n, float64(m.Hops-before.Hops)/float64(m.Lookups-before.Lookups),
-		m.MaxHops, math.Log2(float64(n)), mean, float64(keyMax)/mean)
-	return nil
-}
-
-// kademliaSweep mirrors chordSweep on the iterative XOR substrate: hop
-// depth here is the α-parallel lookup's round count (how many probe
-// waves before the K closest converged), which plays the role the
-// forwarding hop count plays on the recursive rings.
-func kademliaSweep(out io.Writer, n int, seed int64, reg *telemetry.Registry) error {
-	net := kademlia.NewNetwork(kademlia.Config{Replicas: 1, Seed: seed})
-	if _, err := net.Populate(n); err != nil {
-		return err
-	}
-	net.Instrument(reg)
-	ov := kademlia.AsOverlay(net, seed)
-	for i := 0; i < 10*n; i++ {
-		if _, err := ov.Put(keyspace.NewKey(fmt.Sprintf("key-%d", i)),
-			overlay.Entry{Kind: "data", Value: "x"}); err != nil {
-			return err
-		}
-	}
-	keyTotal, keyMax := 0, 0
-	for _, addr := range ov.Addrs() {
-		st, err := ov.StatsOf(addr)
+		h, err := net.lookup(i, keyspace.NewKey(fmt.Sprintf("probe-%d", i)))
 		if err != nil {
 			return err
 		}
-		keyTotal += st.Keys
-		if st.Keys > keyMax {
-			keyMax = st.Keys
-		}
+		hops += h
+		maxHops = max(maxHops, h)
 	}
-	net.ResetMetrics()
-	nodes := net.Nodes()
-	for i := 0; i < sweepLookups; i++ {
-		start := nodes[i%len(nodes)].Addr
-		if _, err := net.Lookup(start, keyspace.NewKey(fmt.Sprintf("probe-%d", i))); err != nil {
-			return err
-		}
-	}
-	m := net.Metrics()
-	mean := float64(keyTotal) / float64(n)
+	mean := float64(keys) / float64(n)
 	fmt.Fprintf(out, "%-8d %10.2f %8d %10.2f %10.1f %12.2f\n",
-		n, float64(m.Rounds)/float64(m.Lookups), m.MaxRounds, math.Log2(float64(n)),
-		mean, float64(keyMax)/mean)
+		n, float64(hops)/sweepLookups, maxHops, math.Log2(float64(n)), mean, float64(maxKeys)/mean)
 	return nil
 }
 
-// churnTest fails a fraction of a replicated network and reports surviving
-// data and post-stabilization routing health.
+// churnTest crashes a fraction of a replicated live ring, lets
+// maintenance settle the survivors, and reports surviving data.
 func churnTest(out io.Writer, n int, seed int64, reg *telemetry.Registry) error {
 	fmt.Fprintf(out, "\nchurn test: %d nodes, replication 2, failing %.0f%%\n", n, 100*sweepChurn)
-	net := dht.NewNetwork(seed)
-	net.ReplicationFactor = 2
-	nodes, err := net.Populate(n)
+	ring, err := wire.StartMemRing(n, 2, seed)
 	if err != nil {
 		return err
 	}
-	net.Instrument(reg)
+	defer ring.Close()
+	ring.Instrument(reg)
 	const keys = 2000
 	for i := 0; i < keys; i++ {
-		if _, err := net.Put(nil, keyspace.NewKey(fmt.Sprintf("doc-%d", i)),
-			dht.Entry{Kind: "data", Value: fmt.Sprintf("v%d", i)}); err != nil {
+		if _, err := ring.Put(keyspace.NewKey(fmt.Sprintf("doc-%d", i)),
+			overlay.Entry{Kind: "data", Value: fmt.Sprintf("v%d", i)}); err != nil {
 			return err
 		}
 	}
-	fail := int(sweepChurn * float64(n))
-	for i := 0; i < fail; i++ {
-		if err := net.FailNode(nodes[i*3%n].Addr); err != nil {
-			// Node may already be gone when the stride wraps; skip.
-			continue
+	nodes := ring.Addrs()
+	slices.Sort(nodes) // boot order: ring positions are hashes
+	for i := 0; i < int(sweepChurn*float64(n)); i++ {
+		if err := ring.Crash(nodes[i*3%n]); err != nil {
+			return err
 		}
 	}
-	net.Stabilize()
-	if err := net.VerifyRing(); err != nil {
-		return fmt.Errorf("ring not converged: %w", err)
+	if err := ring.Settle(); err != nil {
+		return err
 	}
 	survived := 0
 	for i := 0; i < keys; i++ {
-		entries, _, err := net.Get(nil, keyspace.NewKey(fmt.Sprintf("doc-%d", i)))
+		entries, _, err := ring.Get(keyspace.NewKey(fmt.Sprintf("doc-%d", i)))
 		if err != nil {
 			return err
 		}
@@ -206,8 +168,7 @@ func churnTest(out io.Writer, n int, seed int64, reg *telemetry.Registry) error 
 			survived++
 		}
 	}
-	m := net.Metrics()
 	fmt.Fprintf(out, "data survived: %d/%d (%.1f%%), failover reads: %d\n",
-		survived, keys, 100*float64(survived)/keys, m.FailoverReads)
+		survived, keys, 100*float64(survived)/keys, ring.Metrics().FailoverReads)
 	return nil
 }

@@ -12,11 +12,11 @@ import (
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/index"
 	"dhtindex/internal/kademlia"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/pastry"
+	"dhtindex/internal/wire"
 	"dhtindex/internal/xpath"
 )
 
@@ -24,6 +24,7 @@ import (
 type repl struct {
 	out      io.Writer
 	net      overlay.Network
+	stopNet  func() // releases net's nodes
 	svc      *index.Service
 	scheme   index.Scheme
 	searcher *index.Searcher
@@ -36,12 +37,13 @@ type repl struct {
 var errQuit = errors.New("quit")
 
 func newREPL(out io.Writer) *repl {
-	return &repl{out: out, scheme: index.Simple}
+	return &repl{out: out, scheme: index.Simple, stopNet: func() {}}
 }
 
 // run executes commands line by line until EOF or quit.
 func run(in io.Reader, out io.Writer) error {
 	r := newREPL(out)
+	defer func() { r.stopNet() }()
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 64<<10), 64<<10)
 	for scanner.Scan() {
@@ -144,28 +146,32 @@ func (r *repl) network(args []string) error {
 	if len(args) > 1 {
 		substrate = args[1]
 	}
+	var net overlay.Network
+	stop := func() {}
 	switch substrate {
 	case "chord":
-		net := dht.NewNetwork(1)
-		if _, err := net.Populate(nodes); err != nil {
+		ring, err := wire.StartMemRing(nodes, 0, 1)
+		if err != nil {
 			return err
 		}
-		r.net = dht.AsOverlay(net, 1)
+		net, stop = struct{ overlay.Network }{ring}, ring.Close // one message per key
 	case "pastry":
-		net := pastry.NewNetwork()
-		if _, err := net.Populate(nodes); err != nil {
+		p := pastry.NewNetwork()
+		if _, err := p.Populate(nodes); err != nil {
 			return err
 		}
-		r.net = pastry.AsOverlay(net, 1)
+		net = pastry.AsOverlay(p, 1)
 	case "kademlia":
-		net := kademlia.NewNetwork(kademlia.Config{Replicas: 1, Seed: 1})
-		if _, err := net.Populate(nodes); err != nil {
+		k := kademlia.NewNetwork(kademlia.Config{Replicas: 1, Seed: 1})
+		if _, err := k.Populate(nodes); err != nil {
 			return err
 		}
-		r.net = kademlia.AsOverlay(net, 1)
+		net = kademlia.AsOverlay(k, 1)
 	default:
 		return fmt.Errorf("unknown substrate %q", substrate)
 	}
+	r.stopNet()
+	r.net, r.stopNet = net, stop
 	r.resetService(cache.None, 0)
 	fmt.Fprintf(r.out, "network ready: %d %s nodes\n", nodes, substrate)
 	return nil

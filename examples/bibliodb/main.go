@@ -17,8 +17,8 @@ import (
 
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/index"
+	"dhtindex/internal/wire"
 	"dhtindex/internal/xpath"
 )
 
@@ -51,11 +51,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	net := dht.NewNetwork(7)
-	if _, err := net.Populate(100); err != nil {
+	ring, err := wire.StartMemRing(100, 0, 7)
+	if err != nil {
 		return err
 	}
-	svc := index.New(dht.AsOverlay(net, 1), cache.Single, 0)
+	defer ring.Close()
+	svc := index.New(ring, cache.Single, 0)
 	svc.EnableVocabulary()
 	scheme := index.WithKeywords(index.Simple, 4)
 	for i, a := range corpus.Articles {
@@ -65,7 +66,7 @@ func run() error {
 	}
 	st := svc.StorageStats()
 	fmt.Printf("published %d articles on %d nodes: %d index entries (%.1f KB metadata), %.0f entries/node\n\n",
-		len(corpus.Articles), net.Size(), st.IndexEntries,
+		len(corpus.Articles), ring.Size(), st.IndexEntries,
 		float64(st.IndexBytes)/1024, st.MeanEntriesPerNode)
 
 	searcher := index.NewSearcher(svc)

@@ -14,8 +14,8 @@ import (
 
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/index"
+	"dhtindex/internal/wire"
 	"dhtindex/internal/workload"
 )
 
@@ -42,11 +42,11 @@ func run() error {
 	}
 	const totalQueries = 8000
 	for _, cfg := range configs {
-		net := dht.NewNetwork(11)
-		if _, err := net.Populate(80); err != nil {
+		ring, err := wire.StartMemRing(80, 0, 11)
+		if err != nil {
 			return err
 		}
-		svc := index.New(dht.AsOverlay(net, 1), cfg.pol, cfg.lru)
+		svc := index.New(ring, cfg.pol, cfg.lru)
 		for i, a := range corpus.Articles {
 			if err := svc.PublishArticle(fmt.Sprintf("f%04d.pdf", i), a, index.Simple); err != nil {
 				return err
@@ -85,6 +85,7 @@ func run() error {
 			"%.1f cached keys/node (max %d, %.0f%% empty)\n\n",
 			100*float64(hits)/totalQueries, float64(interactions)/totalQueries,
 			cs.MeanKeys, cs.MaxKeys, 100*cs.EmptyFraction)
+		ring.Close()
 	}
 	return nil
 }

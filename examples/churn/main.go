@@ -15,8 +15,8 @@ import (
 
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/index"
+	"dhtindex/internal/wire"
 	"dhtindex/internal/workload"
 )
 
@@ -31,12 +31,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	net := dht.NewNetwork(3)
-	net.ReplicationFactor = 2 // protect entries against crashes
-	if _, err := net.Populate(64); err != nil {
+	// Replication 2 protects entries against crashes.
+	ring, err := wire.StartMemRing(64, 2, 3)
+	if err != nil {
 		return err
 	}
-	svc := index.New(dht.AsOverlay(net, 1), cache.None, 0)
+	defer ring.Close()
+	svc := index.New(ring, cache.None, 0)
 	for i, a := range corpus.Articles {
 		if err := svc.PublishArticle(fmt.Sprintf("f%04d.pdf", i), a, index.Simple); err != nil {
 			return err
@@ -54,18 +55,13 @@ func run() error {
 	}{
 		{"steady state", func(int) error { return nil }},
 		{"graceful departures (1/round)", func(round int) error {
-			return net.RemoveNode(fmt.Sprintf("node-%04d", round))
+			return ring.Leave(fmt.Sprintf("mem-%04d", 1+round))
 		}},
 		{"arrivals (1/round)", func(round int) error {
-			_, err := net.AddNode(fmt.Sprintf("late-%04d", round))
-			return err
+			return ring.Join(fmt.Sprintf("late-%04d", round))
 		}},
 		{"crashes (1/round, replicated)", func(round int) error {
-			if err := net.FailNode(fmt.Sprintf("node-%04d", 20+round)); err != nil {
-				return err
-			}
-			net.Stabilize()
-			return nil
+			return ring.Crash(fmt.Sprintf("mem-%04d", 21+round))
 		}},
 	}
 	const perPhase = 10
@@ -74,6 +70,11 @@ func run() error {
 		ok, fail := 0, 0
 		for round := 0; round < perPhase; round++ {
 			if err := phase.event(round); err != nil {
+				return fmt.Errorf("%s round %d: %w", phase.name, round, err)
+			}
+			// Maintenance rounds until every pointer is ideal again and
+			// repair has nothing left to move.
+			if err := ring.Settle(); err != nil {
 				return fmt.Errorf("%s round %d: %w", phase.name, round, err)
 			}
 			for i := 0; i < queriesPerRound; i++ {
@@ -86,11 +87,8 @@ func run() error {
 			}
 		}
 		fmt.Printf("%-32s %d nodes, lookups ok %d / failed %d (%.2f%%)\n",
-			phase.name+":", net.Size(), ok, fail, 100*float64(fail)/float64(ok+fail))
+			phase.name+":", ring.Size(), ok, fail, 100*float64(fail)/float64(ok+fail))
 	}
-	if err := net.VerifyRing(); err != nil {
-		return fmt.Errorf("final ring check: %w", err)
-	}
-	fmt.Println("final ring invariants hold")
+	fmt.Println("every round settled: pointers ideal, repair quiet")
 	return nil
 }

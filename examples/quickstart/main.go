@@ -15,8 +15,8 @@ import (
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/index"
+	"dhtindex/internal/wire"
 	"dhtindex/internal/xpath"
 )
 
@@ -28,11 +28,12 @@ func main() {
 
 func run() error {
 	// An 8-node Chord ring is plenty for three articles.
-	net := dht.NewNetwork(42)
-	if _, err := net.Populate(8); err != nil {
+	ring, err := wire.StartMemRing(8, 0, 42)
+	if err != nil {
 		return err
 	}
-	svc := index.New(dht.AsOverlay(net, 1), cache.None, 0)
+	defer ring.Close()
+	svc := index.New(ring, cache.None, 0)
 
 	// Publish d1, d2, d3 (Figure 1) under the Figure 4 scheme.
 	files := []string{"x.pdf", "y.pdf", "z.pdf"}

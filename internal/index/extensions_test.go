@@ -4,7 +4,6 @@ import (
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
-	"dhtindex/internal/dht"
 	"fmt"
 	"strings"
 	"testing"
@@ -193,11 +192,8 @@ func TestWithKeywordsScheme(t *testing.T) {
 	if scheme.Name() != "simple+keywords" {
 		t.Fatalf("name = %q", scheme.Name())
 	}
-	net := dht.NewNetwork(1)
-	if _, err := net.Populate(16); err != nil {
-		t.Fatal(err)
-	}
-	svc := New(dht.AsOverlay(net, 1), cache.None, 0)
+	net := testRing(t, 16, 1)
+	svc := New(net, cache.None, 0)
 	arts := []descriptor.Article{
 		{AuthorFirst: "Jane", AuthorLast: "Doe", Title: "Scalable Routing in Overlay Networks",
 			Conf: "ICDCS", Year: 2004, Size: 1000},

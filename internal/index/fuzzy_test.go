@@ -7,18 +7,14 @@ import (
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/xpath"
 )
 
 // fuzzyService is fig1Service with vocabularies enabled.
 func fuzzyService(t *testing.T) (*Service, *Searcher) {
 	t.Helper()
-	net := dht.NewNetwork(1)
-	if _, err := net.Populate(16); err != nil {
-		t.Fatal(err)
-	}
-	svc := New(dht.AsOverlay(net, 1), cache.None, 0)
+	net := testRing(t, 16, 1)
+	svc := New(net, cache.None, 0)
 	svc.EnableVocabulary()
 	files := []string{"x.pdf", "y.pdf", "z.pdf"}
 	for i, a := range descriptor.Fig1Articles() {

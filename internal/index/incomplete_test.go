@@ -10,7 +10,6 @@ import (
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/telemetry"
@@ -49,11 +48,8 @@ func (f *faultyNetwork) Get(key keyspace.Key) ([]overlay.Entry, overlay.Route, e
 // faultyFig1 is fig1Service over a fault-injectable substrate.
 func faultyFig1(t *testing.T) (*Service, *faultyNetwork, []descriptor.Article) {
 	t.Helper()
-	net := dht.NewNetwork(1)
-	if _, err := net.Populate(16); err != nil {
-		t.Fatal(err)
-	}
-	fn := &faultyNetwork{Network: dht.AsOverlay(net, 1)}
+	net := testRing(t, 16, 1)
+	fn := &faultyNetwork{Network: net}
 	svc := New(fn, cache.None, 0)
 	arts := descriptor.Fig1Articles()
 	files := []string{"x.pdf", "y.pdf", "z.pdf"}

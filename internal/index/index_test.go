@@ -8,19 +8,30 @@ import (
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
-	"dhtindex/internal/dht"
+	"dhtindex/internal/overlay"
+	"dhtindex/internal/wire"
 	"dhtindex/internal/xpath"
 )
+
+// testRing boots an n-node live ring for one test and stops it at
+// cleanup. Its batch and deadline extensions are hidden, so the index
+// layer takes its per-key paths: one message per key.
+func testRing(t testing.TB, n int, seed int64) overlay.Network {
+	t.Helper()
+	ring, err := wire.StartMemRing(n, 0, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ring.Close)
+	return struct{ overlay.Network }{ring}
+}
 
 // fig1Service builds a small network publishing the three Fig. 1 articles
 // under the given scheme and cache policy.
 func fig1Service(t *testing.T, scheme Scheme, policy cache.Policy, lruCap int) (*Service, []descriptor.Article) {
 	t.Helper()
-	net := dht.NewNetwork(1)
-	if _, err := net.Populate(16); err != nil {
-		t.Fatal(err)
-	}
-	svc := New(dht.AsOverlay(net, 1), policy, lruCap)
+	net := testRing(t, 16, 1)
+	svc := New(net, policy, lruCap)
 	arts := descriptor.Fig1Articles()
 	files := []string{"x.pdf", "y.pdf", "z.pdf"}
 	for i, a := range arts {
@@ -32,11 +43,8 @@ func fig1Service(t *testing.T, scheme Scheme, policy cache.Policy, lruCap int) (
 }
 
 func TestInsertMappingEnforcesCovering(t *testing.T) {
-	net := dht.NewNetwork(1)
-	if _, err := net.Populate(4); err != nil {
-		t.Fatal(err)
-	}
-	svc := New(dht.AsOverlay(net, 1), cache.None, 0)
+	net := testRing(t, 4, 1)
+	svc := New(net, cache.None, 0)
 	smith := dataset.LastNameQuery("Smith")
 	doeTitle := dataset.AuthorTitleQuery("Alan", "Doe", "Wavelets")
 	if err := svc.InsertMapping(smith, doeTitle); !errors.Is(err, ErrNotCovering) {
@@ -440,11 +448,8 @@ func TestSearchAllPrunesIncompatibleBranches(t *testing.T) {
 }
 
 func TestLRUCacheBounded(t *testing.T) {
-	net := dht.NewNetwork(1)
-	if _, err := net.Populate(2); err != nil {
-		t.Fatal(err)
-	}
-	svc := New(dht.AsOverlay(net, 1), cache.LRU, 3)
+	net := testRing(t, 2, 1)
+	svc := New(net, cache.LRU, 3)
 	searcher := NewSearcher(svc)
 	corpus, err := dataset.Generate(dataset.Config{Articles: 30, Seed: 9})
 	if err != nil {
@@ -476,11 +481,8 @@ func TestStorageStatsBySchemeOrdering(t *testing.T) {
 	}
 	bytesBy := map[string]int64{}
 	for _, scheme := range Schemes() {
-		net := dht.NewNetwork(1)
-		if _, err := net.Populate(16); err != nil {
-			t.Fatal(err)
-		}
-		svc := New(dht.AsOverlay(net, 1), cache.None, 0)
+		net := testRing(t, 16, 1)
+		svc := New(net, cache.None, 0)
 		for i, a := range corpus.Articles {
 			if err := svc.PublishArticle(fmt.Sprintf("f%d", i), a, scheme); err != nil {
 				t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/xpath"
@@ -182,11 +181,8 @@ func (c *opCountingNetwork) Remove(key keyspace.Key, e overlay.Entry) (bool, err
 
 func countingService(t *testing.T) (*Service, *opCountingNetwork) {
 	t.Helper()
-	net := dht.NewNetwork(1)
-	if _, err := net.Populate(8); err != nil {
-		t.Fatal(err)
-	}
-	counting := &opCountingNetwork{Network: dht.AsOverlay(net, 1)}
+	net := testRing(t, 8, 1)
+	counting := &opCountingNetwork{Network: net}
 	return New(counting, cache.None, 0), counting
 }
 

@@ -12,7 +12,6 @@ import (
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/wire"
@@ -256,12 +255,8 @@ func TestSearchAllBudgetSpentMidLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := dht.NewNetwork(1)
-	if _, err := net.Populate(16); err != nil {
-		t.Fatal(err)
-	}
-	sim := dht.AsOverlay(net, 1)
-	pub := New(sim, cache.None, 0)
+	net := testRing(t, 16, 1)
+	pub := New(net, cache.None, 0)
 	for i, a := range corpus.Articles {
 		if err := pub.PublishArticle(fmt.Sprintf("f-%d.pdf", i), a, Complex); err != nil {
 			t.Fatal(err)
@@ -290,7 +285,7 @@ func TestSearchAllBudgetSpentMidLevel(t *testing.T) {
 		t.Helper()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		searcher := NewSearcher(New(&budgetNetwork{Network: sim, left: reads, cancel: cancel}, cache.None, 0))
+		searcher := NewSearcher(New(&budgetNetwork{Network: net, left: reads, cancel: cancel}, cache.None, 0))
 		searcher.Parallelism = parallelism
 		results, trace, err := searcher.SearchAllCtx(ctx, q)
 		if err != nil {
@@ -301,9 +296,6 @@ func TestSearchAllBudgetSpentMidLevel(t *testing.T) {
 	for reads := 1; reads < whole.Interactions; reads++ {
 		want, wantTrace := run(reads, 1)
 		got, gotTrace := run(reads, 8)
-		// The simulated ring enters at a random node on every read, so hop
-		// counts differ from run to run; nothing else does.
-		wantTrace.DHTHops, gotTrace.DHTHops = 0, 0
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotTrace, wantTrace) {
 			t.Fatalf("budget of %d reads: parallel search diverged\n got  %v\n      %+v\n want %v\n      %+v",
 				reads, got, gotTrace, want, wantTrace)

@@ -14,7 +14,6 @@ import (
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/wire"
@@ -146,15 +145,6 @@ func (c *cutShort) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
 	return c.Network.Remove(key, e)
 }
 
-func simOverlay(t *testing.T, seed int64) *dht.Overlay {
-	t.Helper()
-	net := dht.NewNetwork(seed)
-	if _, err := net.Populate(8); err != nil {
-		t.Fatal(err)
-	}
-	return dht.AsOverlay(net, seed)
-}
-
 // indexState reads every key of the universe through the substrate and
 // returns the entries of those that hold any.
 func indexState(t *testing.T, get func(keyspace.Key) ([]overlay.Entry, overlay.Route, error), universe []keyspace.Key) map[keyspace.Key][]overlay.Entry {
@@ -181,12 +171,13 @@ func indexState(t *testing.T, get func(keyspace.Key) ([]overlay.Entry, overlay.R
 // conf+year pairs is published, a random half is unpublished in random
 // order, and what is left must be exactly what publishing only the
 // survivors on a fresh ring leaves: over the live replicated ring,
-// where each level is one Prune, and over the simulated ring, where the
-// same loop runs on per-key removes and probes. A third of the
-// unpublishes run twice and a third are cut short by an injected fault
-// and run again; both must finish the cleanup, which they do because a
-// key's emptiness is read from its state. On the live ring no node,
-// owner or replica, may hold a removed entry afterwards.
+// where each level is one Prune, and over a second ring whose batch
+// interfaces are hidden, where the same loop runs on per-key removes
+// and probes. A third of the unpublishes run twice and a third are cut
+// short by an injected fault and run again; both must finish the
+// cleanup, which they do because a key's emptiness is read from its
+// state. On the replicated ring no node, owner or replica, may hold a
+// removed entry afterwards.
 func TestUnpublishCascadeLeavesOnlySurvivors(t *testing.T) {
 	schemes := []Scheme{Simple, Flat, Complex, Fig4, forkScheme{}, WithKeywords(Complex, 4)}
 	for si, scheme := range schemes {
@@ -213,8 +204,8 @@ func TestUnpublishCascadeLeavesOnlySurvivors(t *testing.T) {
 			}
 
 			ring := newPrunedRing(t, 5)
-			sim := &cutShort{Network: simOverlay(t, seed)}
-			live, adapter, fresh := New(ring, cache.None, 0), New(sim, cache.None, 0), New(simOverlay(t, seed+100), cache.None, 0)
+			perKey := &cutShort{Network: testRing(t, 8, seed)}
+			live, adapter, fresh := New(ring, cache.None, 0), New(perKey, cache.None, 0), New(testRing(t, 8, seed+100), cache.None, 0)
 			rng := rand.New(rand.NewSource(seed))
 			order := rng.Perm(len(arts))
 			gone := order[:len(arts)/2]
@@ -260,10 +251,10 @@ func TestUnpublishCascadeLeavesOnlySurvivors(t *testing.T) {
 			}
 			for _, i := range gone {
 				unpublish(live, i, func(failAt int) { ring.prunes, ring.failAt = 0, failAt })
-				unpublish(adapter, i, func(failAt int) { sim.removes, sim.failAt = 0, failAt })
+				unpublish(adapter, i, func(failAt int) { perKey.removes, perKey.failAt = 0, failAt })
 			}
 			if interrupted[live] == 0 || interrupted[adapter] == 0 {
-				t.Fatalf("unpublishes cut short: %d live, %d simulated; the retry was never exercised", interrupted[live], interrupted[adapter])
+				t.Fatalf("unpublishes cut short: %d pruned, %d per-key; the retry was never exercised", interrupted[live], interrupted[adapter])
 			}
 
 			want := indexState(t, fresh.Network().Get, universe)
@@ -273,8 +264,8 @@ func TestUnpublishCascadeLeavesOnlySurvivors(t *testing.T) {
 			if got := indexState(t, ring.Cluster.Get, universe); !reflect.DeepEqual(got, want) {
 				t.Errorf("live ring holds %d keys after the unpublishes, a ring of the survivors %d%s", len(got), len(want), stateDiff(got, want))
 			}
-			if got := indexState(t, sim.Get, universe); !reflect.DeepEqual(got, want) {
-				t.Errorf("simulated ring holds %d keys after the unpublishes, a ring of the survivors %d%s", len(got), len(want), stateDiff(got, want))
+			if got := indexState(t, perKey.Get, universe); !reflect.DeepEqual(got, want) {
+				t.Errorf("per-key ring holds %d keys after the unpublishes, a ring of the survivors %d%s", len(got), len(want), stateDiff(got, want))
 			}
 			for _, addr := range ring.nodes {
 				for _, k := range universe {

@@ -188,7 +188,6 @@ func (n *Network) republishEntries(origin *Node, key keyspace.Key, entries []ove
 			}
 			n.metricsMu.Lock()
 			n.metrics.Republished++
-			n.metrics.RepublishBytes += int64(len(e.Value))
 			n.metrics.BytesShipped += int64(len(e.Value))
 			n.metricsMu.Unlock()
 		}

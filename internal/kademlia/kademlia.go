@@ -98,10 +98,8 @@ type Metrics struct {
 	// republishes.
 	BytesShipped int64
 	// Republished counts entries re-stored by the republisher (and by
-	// graceful leaves); RepublishBytes their payload volume.
+	// graceful leaves).
 	Republished int
-	// RepublishBytes is the maintenance byte volume behind Republished.
-	RepublishBytes int64
 	// Expired counts entries dropped by TTL expiry.
 	Expired int
 	// BucketRefreshes counts per-bucket liveness sweeps; Evictions the

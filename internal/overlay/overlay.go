@@ -1,11 +1,12 @@
 // Package overlay defines the substrate contract between the indexing
 // layer and the underlying P2P DHT. The paper's techniques "can be
 // layered on top of an arbitrary P2P DHT infrastructure" (§I); this
-// interface is that boundary. Three substrates implement it: Chord
-// (internal/dht) and Pastry (internal/pastry) route recursively on a
-// ring; Kademlia (internal/kademlia) performs α-parallel iterative
-// lookups over an XOR metric. docs/SUBSTRATES.md documents the
-// contract field by field and what adding a fourth substrate takes.
+// interface is that boundary. Three substrates implement it: Chord (the
+// live ring of internal/wire) and the simulated Pastry (internal/pastry)
+// route recursively on a ring; the simulated Kademlia (internal/kademlia)
+// performs α-parallel iterative lookups over an XOR metric.
+// docs/SUBSTRATES.md documents the contract field by field and what
+// adding a fourth substrate takes.
 //
 // Network is the whole required contract. Four optional extensions,
 // each found by type assertion and each with a per-key fallback in the
@@ -13,8 +14,8 @@
 // (deadline-aware reads), BatchNetwork (owner-grouped writes and
 // removes), BatchGetNetwork (owner-grouped reads) and PruneNetwork
 // (owner-grouped removes that report which keys they emptied). Only the
-// live wire.Cluster implements them; the simulated substrates keep the
-// one-message-per-key accounting the evaluation depends on.
+// live wire.Cluster implements them; the evaluation hides them behind a
+// struct{ Network } to keep the one-message-per-key accounting.
 package overlay
 
 import (

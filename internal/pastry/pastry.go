@@ -49,8 +49,6 @@ type Metrics struct {
 	// (join migration and graceful-leave hand-off) — the substrate's
 	// maintenance traffic, compared across substrates by the bench matrix.
 	KeysRehomed int
-	// BytesRehomed sums the payload bytes behind KeysRehomed.
-	BytesRehomed int64
 }
 
 // Node is one Pastry peer.
@@ -148,7 +146,6 @@ func (n *Network) RemoveNode(addr string) error {
 			owner := n.ownerLocked(k)
 			for _, e := range entries {
 				putLocal(owner, k, e)
-				n.metrics.BytesRehomed += int64(len(e.Value))
 			}
 			n.metrics.KeysRehomed++
 		}
@@ -195,7 +192,6 @@ func (n *Network) migrateTo(node *Node) {
 			if n.ownerLocked(k) == node {
 				for _, e := range entries {
 					putLocal(node, k, e)
-					n.metrics.BytesRehomed += int64(len(e.Value))
 				}
 				delete(neighbour.store, k)
 				n.metrics.KeysRehomed++

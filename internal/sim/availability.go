@@ -2,10 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 
 	"dhtindex/internal/dataset"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/index"
+	"dhtindex/internal/overlay"
+	"dhtindex/internal/wire"
 	"dhtindex/internal/workload"
 )
 
@@ -31,8 +34,8 @@ type AvailabilityResult struct {
 }
 
 // Availability crashes failFraction of the nodes of a freshly built
-// indexed network (with the given replication factor) and measures query
-// success afterwards.
+// indexed ring (with the given replication factor), lets maintenance
+// settle the survivors, and measures query success afterwards.
 func Availability(opts Options, failFraction float64, replication int) (AvailabilityResult, error) {
 	opts = opts.withDefaults()
 	if failFraction < 0 || failFraction >= 1 {
@@ -46,13 +49,12 @@ func Availability(opts Options, failFraction float64, replication int) (Availabi
 			return AvailabilityResult{}, fmt.Errorf("sim: corpus: %w", err)
 		}
 	}
-	net := dht.NewNetwork(opts.Seed)
-	net.ReplicationFactor = replication
-	nodes, err := net.Populate(opts.Nodes)
+	ring, err := wire.StartMemRing(opts.Nodes, replication, opts.Seed+2)
 	if err != nil {
-		return AvailabilityResult{}, fmt.Errorf("sim: populate: %w", err)
+		return AvailabilityResult{}, fmt.Errorf("sim: ring: %w", err)
 	}
-	svc := index.New(dht.AsOverlay(net, opts.Seed+2), opts.Policy, opts.LRUCapacity)
+	defer ring.Close()
+	svc := index.New(struct{ overlay.Network }{ring}, opts.Policy, opts.LRUCapacity)
 	for i, a := range corpus.Articles {
 		if err := svc.PublishArticle(fmt.Sprintf("article-%05d.pdf", i), a, opts.Scheme); err != nil {
 			return AvailabilityResult{}, fmt.Errorf("sim: publish: %w", err)
@@ -60,18 +62,21 @@ func Availability(opts Options, failFraction float64, replication int) (Availabi
 	}
 	before := svc.StorageStats()
 
-	// Crash a deterministic, spread-out subset.
-	toFail := int(failFraction * float64(opts.Nodes))
-	failed := 0
-	for i := 0; failed < toFail && i < len(nodes); i++ {
-		idx := (i * 7) % len(nodes) // stride to avoid failing one arc
-		if err := net.FailNode(nodes[idx].Addr); err != nil {
-			continue // already failed via stride collision
+	// Crash a seeded random subset: mass failures strike regardless of
+	// ring position.
+	nodes := ring.Addrs()
+	slices.Sort(nodes)
+	toFail := int(failFraction * float64(len(nodes)))
+	for _, i := range rand.New(rand.NewSource(opts.Seed)).Perm(len(nodes))[:toFail] {
+		if err := ring.Crash(nodes[i]); err != nil {
+			return AvailabilityResult{}, fmt.Errorf("sim: crash: %w", err)
 		}
-		failed++
 	}
-	net.Stabilize()
+	// Copies are counted before maintenance re-replicates what survived.
 	after := svc.StorageStats()
+	if err := ring.Settle(); err != nil {
+		return AvailabilityResult{}, fmt.Errorf("sim: %w", err)
+	}
 
 	gen, err := workload.NewGenerator(corpus.Articles, workload.PaperStructureModel(), opts.Seed+1)
 	if err != nil {

@@ -11,13 +11,13 @@ import (
 
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/index"
 	"dhtindex/internal/kademlia"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/pastry"
 	"dhtindex/internal/stats"
 	"dhtindex/internal/telemetry"
+	"dhtindex/internal/wire"
 	"dhtindex/internal/workload"
 )
 
@@ -40,8 +40,9 @@ type Options struct {
 	// Corpus, when non-nil, is used instead of generating one (lets a
 	// sweep share the corpus across runs).
 	Corpus *dataset.Corpus
-	// Substrate selects the DHT implementation: "chord" (default),
-	// "pastry" or "kademlia". The indexing layer's metrics are
+	// Substrate selects the DHT implementation: "chord" (default: the
+	// live ring of internal/wire on an in-memory transport, maintained
+	// by hand), "pastry" or "kademlia". The indexing layer's metrics are
 	// substrate-independent (§V-E); only placement and hop counts change.
 	Substrate string
 	// PromoteTop short-circuits the N most popular articles with deep
@@ -98,33 +99,35 @@ func (o Options) withDefaults() Options {
 }
 
 // buildSubstrate creates the selected overlay with opts.Nodes live nodes,
-// instrumenting it against opts.Telemetry when set.
-func buildSubstrate(opts Options) (overlay.Network, error) {
+// instrumenting it against opts.Telemetry when set. The caller runs
+// stop when it is done with the overlay.
+func buildSubstrate(opts Options) (ov overlay.Network, stop func(), err error) {
 	switch opts.Substrate {
 	case "chord":
-		net := dht.NewNetwork(opts.Seed)
-		if _, err := net.Populate(opts.Nodes); err != nil {
-			return nil, err
+		ring, err := wire.StartMemRing(opts.Nodes, 0, opts.Seed+2)
+		if err != nil {
+			return nil, nil, err
 		}
-		net.Instrument(opts.Telemetry)
-		return dht.AsOverlay(net, opts.Seed+2), nil
+		ring.Instrument(opts.Telemetry)
+		// Batches hidden: the figures count one message per key.
+		return struct{ overlay.Network }{ring}, ring.Close, nil
 	case "pastry":
 		net := pastry.NewNetwork()
 		if _, err := net.Populate(opts.Nodes); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return pastry.AsOverlay(net, opts.Seed+2), nil
+		return pastry.AsOverlay(net, opts.Seed+2), func() {}, nil
 	case "kademlia":
 		// Replicas=1 keeps storage accounting comparable with the
 		// single-owner ring substrates (§V-E's substrate-independence).
 		net := kademlia.NewNetwork(kademlia.Config{Replicas: 1, Seed: opts.Seed})
 		if _, err := net.Populate(opts.Nodes); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		net.Instrument(opts.Telemetry)
-		return kademlia.AsOverlay(net, opts.Seed+2), nil
+		return kademlia.AsOverlay(net, opts.Seed+2), func() {}, nil
 	default:
-		return nil, fmt.Errorf("sim: unknown substrate %q", opts.Substrate)
+		return nil, nil, fmt.Errorf("sim: unknown substrate %q", opts.Substrate)
 	}
 }
 
@@ -200,10 +203,11 @@ func Run(opts Options) (*Metrics, error) {
 		return nil, errors.New("sim: empty corpus")
 	}
 
-	ov, err := buildSubstrate(opts)
+	ov, stop, err := buildSubstrate(opts)
 	if err != nil {
 		return nil, fmt.Errorf("sim: substrate: %w", err)
 	}
+	defer stop()
 	svc := index.New(ov, opts.Policy, opts.LRUCapacity)
 	if opts.Telemetry != nil {
 		svc.Instrument(opts.Telemetry, telemetry.L("scheme", opts.label()))

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"dhtindex/internal/cache"
@@ -73,11 +75,22 @@ func TestRunDeterministic(t *testing.T) {
 	opts.Corpus = corpus
 	a := run(t, opts)
 	b := run(t, opts)
-	if a.InteractionsPerQuery != b.InteractionsPerQuery ||
-		a.HitRatio != b.HitRatio ||
-		a.NonIndexedQueries != b.NonIndexedQueries ||
-		a.TrafficPerQuery != b.TrafficPerQuery {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same-seed runs diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestRunStopsItsRing: a run stops the nodes of the ring it booted, so
+// the goroutine count returns to where it was (within the slack of
+// runtime and test goroutines that come and go).
+func TestRunStopsItsRing(t *testing.T) {
+	opts := smallOpts(index.Simple, cache.None, 0)
+	opts.Corpus = sharedCorpus(t)
+	opts.Queries = 100
+	before := runtime.NumGoroutine()
+	run(t, opts)
+	if after := runtime.NumGoroutine(); after > before+5 {
+		t.Fatalf("%d goroutines before the %d-node run, %d after", before, opts.Nodes, after)
 	}
 }
 

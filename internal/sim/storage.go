@@ -5,8 +5,9 @@ import (
 
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/index"
+	"dhtindex/internal/overlay"
+	"dhtindex/internal/wire"
 )
 
 // SchemeStorage is one row of the §V-B storage comparison.
@@ -35,17 +36,10 @@ func StorageReport(corpus *dataset.Corpus, nodes int, seed int64) ([]SchemeStora
 	out := make([]SchemeStorage, 0, 3)
 	var simpleBytes int64
 	for _, scheme := range index.Schemes() {
-		net := dht.NewNetwork(seed)
-		if _, err := net.Populate(nodes); err != nil {
-			return nil, fmt.Errorf("sim: populate: %w", err)
+		st, err := schemeStorage(corpus, nodes, seed, scheme)
+		if err != nil {
+			return nil, err
 		}
-		svc := index.New(dht.AsOverlay(net, seed+2), cache.None, 0)
-		for i, a := range corpus.Articles {
-			if err := svc.PublishArticle(fmt.Sprintf("article-%05d.pdf", i), a, scheme); err != nil {
-				return nil, fmt.Errorf("sim: publish under %s: %w", scheme.Name(), err)
-			}
-		}
-		st := svc.StorageStats()
 		row := SchemeStorage{
 			Scheme:       scheme.Name(),
 			IndexBytes:   st.IndexBytes,
@@ -65,4 +59,21 @@ func StorageReport(corpus *dataset.Corpus, nodes int, seed int64) ([]SchemeStora
 		}
 	}
 	return out, nil
+}
+
+// schemeStorage indexes corpus under scheme on a fresh ring, one
+// message per key, and reads back its storage accounting.
+func schemeStorage(corpus *dataset.Corpus, nodes int, seed int64, scheme index.Scheme) (index.StorageStats, error) {
+	ring, err := wire.StartMemRing(nodes, 0, seed+2)
+	if err != nil {
+		return index.StorageStats{}, fmt.Errorf("sim: ring: %w", err)
+	}
+	defer ring.Close()
+	svc := index.New(struct{ overlay.Network }{ring}, cache.None, 0)
+	for i, a := range corpus.Articles {
+		if err := svc.PublishArticle(fmt.Sprintf("article-%05d.pdf", i), a, scheme); err != nil {
+			return index.StorageStats{}, fmt.Errorf("sim: publish under %s: %w", scheme.Name(), err)
+		}
+	}
+	return svc.StorageStats(), nil
 }

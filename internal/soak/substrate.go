@@ -6,17 +6,19 @@ import (
 	"time"
 
 	"dhtindex/internal/dataset"
-	"dhtindex/internal/dht"
 	"dhtindex/internal/index"
 	"dhtindex/internal/kademlia"
+	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/pastry"
 	"dhtindex/internal/stats"
 	"dhtindex/internal/telemetry"
+	"dhtindex/internal/wire"
 )
 
 // SubstrateConfig parameterizes the in-process cross-substrate churn
-// soak: the paper's indexed workload over any of the three simulated
+// soak: the paper's indexed workload over the live Chord ring (driven by
+// hand on an in-memory transport) or the simulated Pastry and Kademlia
 // substrates, with membership churn between query batches. It is the
 // apples-to-apples companion of the wire soak — same corpus, same
 // query generator, same acked-write-loss bar — used to produce the
@@ -89,16 +91,18 @@ type SubstrateReport struct {
 	AckedArticles int `json:"acked_articles"`
 	LostArticles  int `json:"lost_articles"`
 	// MeanLookupHops is the substrate's routed-hop average across the
-	// run (iterative depth for Kademlia — the comparable quantity).
+	// run (iterative depth for Kademlia — the comparable quantity). The
+	// live Chord ring's client addresses each key's owner in one
+	// message, so its row is the Chord route length of FindOwner from a
+	// random member after the final maintenance pass (routedHops).
 	MeanLookupHops float64 `json:"mean_lookup_hops"`
 	// P50/P99QueryMicros summarize end-to-end indexed query latency.
 	P50QueryMicros float64 `json:"p50_query_micros"`
 	P99QueryMicros float64 `json:"p99_query_micros"`
-	// MaintenanceItems counts entries moved by churn repair (rehomed
-	// keys on the rings, republished entries on Kademlia);
-	// MaintenanceBytes their payload volume.
-	MaintenanceItems int   `json:"maintenance_items"`
-	MaintenanceBytes int64 `json:"maintenance_bytes"`
+	// MaintenanceItems counts entries moved by churn repair: keys the
+	// live Chord ring's repair rounds pulled, pushed and forwarded,
+	// keys rehomed on Pastry, entries republished on Kademlia.
+	MaintenanceItems int `json:"maintenance_items"`
 	// Violations lists the soak's broken promises, one line each; empty
 	// is a pass.
 	Violations []string `json:"violations,omitempty"`
@@ -116,13 +120,16 @@ type substrateHarness struct {
 	// crash is nil for substrates whose in-sim durability story is
 	// graceful hand-off only; Kademlia absorbs crashes via replication.
 	crash func(addr string) error
-	// maintain runs the substrate's churn repair (Kademlia: bucket
-	// refresh + republish; the rings repair eagerly on membership change).
-	maintain func()
-	// maintenance reports (items, bytes) of repair traffic so far.
-	maintenance func() (int, int64)
+	// maintain runs the substrate's churn repair (Chord: maintenance
+	// rounds until the ring settles; Kademlia: bucket refresh +
+	// republish; Pastry repairs eagerly on membership change).
+	maintain func() error
+	// maintenance reports the items repair has moved so far.
+	maintenance func() int
 	// meanHops reports the routed-hop average so far.
 	meanHops func() float64
+	// stop releases the substrate's nodes.
+	stop func()
 }
 
 // buildHarness constructs the selected substrate with cfg.Nodes live
@@ -130,26 +137,22 @@ type substrateHarness struct {
 func buildHarness(cfg SubstrateConfig) (*substrateHarness, error) {
 	switch cfg.Substrate {
 	case "chord":
-		net := dht.NewNetwork(cfg.Seed)
-		if _, err := net.Populate(cfg.Nodes); err != nil {
+		ring, err := wire.StartMemRing(cfg.Nodes, 0, cfg.Seed+2)
+		if err != nil {
 			return nil, err
 		}
-		net.Instrument(cfg.Telemetry)
+		ring.Instrument(cfg.Telemetry)
 		return &substrateHarness{
-			ov:       dht.AsOverlay(net, cfg.Seed+2),
-			join:     func(addr string) error { _, err := net.AddNode(addr); return err },
-			leave:    net.RemoveNode,
-			maintain: net.Stabilize,
-			maintenance: func() (int, int64) {
-				return net.Metrics().KeysRehomed, 0
+			ov:       struct{ overlay.Network }{ring},
+			join:     ring.Join,
+			leave:    ring.Leave,
+			maintain: ring.Settle,
+			maintenance: func() int {
+				s := ring.RepairStats()
+				return int(s.Pulls + s.Pushes + s.Forwards)
 			},
-			meanHops: func() float64 {
-				m := net.Metrics()
-				if m.Lookups == 0 {
-					return 0
-				}
-				return float64(m.Hops) / float64(m.Lookups)
-			},
+			meanHops: func() float64 { return routedHops(ring) },
+			stop:     ring.Close,
 		}, nil
 	case "pastry":
 		net := pastry.NewNetwork()
@@ -157,21 +160,16 @@ func buildHarness(cfg SubstrateConfig) (*substrateHarness, error) {
 			return nil, err
 		}
 		return &substrateHarness{
-			ov:       pastry.AsOverlay(net, cfg.Seed+2),
-			join:     func(addr string) error { _, err := net.AddNode(addr); return err },
-			leave:    net.RemoveNode,
-			maintain: func() {},
-			maintenance: func() (int, int64) {
-				m := net.Metrics()
-				return m.KeysRehomed, m.BytesRehomed
-			},
+			ov:          pastry.AsOverlay(net, cfg.Seed+2),
+			join:        func(addr string) error { _, err := net.AddNode(addr); return err },
+			leave:       net.RemoveNode,
+			maintain:    func() error { return nil },
+			maintenance: func() int { return net.Metrics().KeysRehomed },
 			meanHops: func() float64 {
 				m := net.Metrics()
-				if m.Lookups == 0 {
-					return 0
-				}
-				return float64(m.Hops) / float64(m.Lookups)
+				return float64(m.Hops) / float64(max(m.Lookups, 1))
 			},
+			stop: func() {},
 		}, nil
 	case "kademlia":
 		// Replicas=4 with a maintenance pass after every churn event: a
@@ -191,25 +189,34 @@ func buildHarness(cfg SubstrateConfig) (*substrateHarness, error) {
 			join:  func(addr string) error { _, err := net.AddNode(addr); return err },
 			leave: net.RemoveNode,
 			crash: net.FailNode,
-			maintain: func() {
+			maintain: func() error {
 				net.RefreshBuckets()
 				net.RepublishOnce()
+				return nil
 			},
-			maintenance: func() (int, int64) {
-				m := net.Metrics()
-				return m.Republished, m.RepublishBytes
-			},
+			maintenance: func() int { return net.Metrics().Republished },
 			meanHops: func() float64 {
 				m := net.Metrics()
-				if m.Lookups == 0 {
-					return 0
-				}
-				return float64(m.Rounds) / float64(m.Lookups)
+				return float64(m.Rounds) / float64(max(m.Lookups, 1))
 			},
+			stop: func() {},
 		}, nil
 	default:
 		return nil, fmt.Errorf("soak: unknown substrate %q", cfg.Substrate)
 	}
+}
+
+// routedHops is the mean Chord route length of FindOwner, each from a
+// random member of ring, over 200 keys; a failed lookup counts nothing.
+func routedHops(ring *wire.MemRing) float64 {
+	hops, routed := 0, 0
+	for i := 0; i < 200; i++ {
+		if route, err := ring.FindOwner(keyspace.NewKey(fmt.Sprintf("probe-%d", i))); err == nil {
+			hops += route.Hops
+			routed++
+		}
+	}
+	return float64(hops) / float64(max(routed, 1))
 }
 
 // RunSubstrate executes the cross-substrate indexed churn soak. The
@@ -228,6 +235,7 @@ func RunSubstrate(cfg SubstrateConfig) (SubstrateReport, error) {
 	if err != nil {
 		return report, err
 	}
+	defer h.stop()
 
 	svc, err := publishCorpus(h.ov, cfg.Telemetry, "soak/"+cfg.Substrate, "soak", articles)
 	if err != nil {
@@ -272,7 +280,9 @@ func RunSubstrate(cfg SubstrateConfig) (SubstrateReport, error) {
 				report.Crashes++
 			}
 		}
-		h.maintain()
+		if err := h.maintain(); err != nil {
+			return fmt.Errorf("soak: maintenance: %w", err)
+		}
 		return nil
 	}
 
@@ -301,7 +311,9 @@ func RunSubstrate(cfg SubstrateConfig) (SubstrateReport, error) {
 
 	// Final repair pass, then the acked-write-loss sweep: every article
 	// acked at publish time must still resolve.
-	h.maintain()
+	if err := h.maintain(); err != nil {
+		return report, fmt.Errorf("soak: maintenance: %w", err)
+	}
 	for _, a := range articles {
 		trace, err := searcher.Find(dataset.AuthorQuery(a.AuthorFirst, a.AuthorLast), dataset.MSD(a))
 		if err != nil || !trace.Found {
@@ -315,7 +327,7 @@ func RunSubstrate(cfg SubstrateConfig) (SubstrateReport, error) {
 
 	report.Nodes = h.ov.Size()
 	report.MeanLookupHops = h.meanHops()
-	report.MaintenanceItems, report.MaintenanceBytes = h.maintenance()
+	report.MaintenanceItems = h.maintenance()
 	sum := stats.Summarize(latencies)
 	report.P50QueryMicros = sum.P50
 	report.P99QueryMicros = sum.P99

@@ -81,9 +81,8 @@ type Cluster struct {
 }
 
 // ClusterMetrics is a point-in-time snapshot of the cluster adapter's
-// failure handling, the live-wire analogue of the simulation's
-// FailoverReads metric. The live counters behind it are atomic, so
-// taking a snapshot while the cluster serves traffic is race-free.
+// failure handling. The live counters behind it are atomic, so taking a
+// snapshot while the cluster serves traffic is race-free.
 type ClusterMetrics struct {
 	// OwnerReadFailures counts Gets whose routed owner could not serve.
 	OwnerReadFailures int64
@@ -395,8 +394,6 @@ func (c *Cluster) PutCtx(ctx context.Context, key keyspace.Key, e overlay.Entry)
 // crashed, or routing itself failed against a dying ring — the read
 // fails over to the tracked members that follow the key's ideal owner
 // in ring order: exactly the nodes a replicating ring pushes copies to.
-// This is the live-wire analogue of the simulation's replica failover
-// (FailoverReads).
 func (c *Cluster) Get(key keyspace.Key) ([]overlay.Entry, overlay.Route, error) {
 	return c.GetCtx(context.Background(), key)
 }

@@ -170,7 +170,7 @@ func TestSuccessorListWipeHealsViaPredecessor(t *testing.T) {
 // TestFailoverReadServedByReplica: crash the owner of a populated key in
 // a replicated ring and read immediately — before stabilization can
 // heal — so the entry must be served by a replica through the cluster's
-// failover path (the live mirror of the simulation's FailoverReads).
+// failover path.
 func TestFailoverReadServedByReplica(t *testing.T) {
 	transport := NewMemTransport()
 	// A slow stabilize keeps the dead owner routed-to during the read.

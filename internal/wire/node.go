@@ -79,7 +79,7 @@ type Config struct {
 	// RepairEvery is the number of stabilize rounds between anti-entropy
 	// repair rounds (default 4), the only way keys move between
 	// neighbours (DESIGN.md §29). A round also fires at once when the
-	// successor changes or a new predecessor is known (maintenanceLoop).
+	// successor changes or a new predecessor is known (tick).
 	RepairEvery int
 	// Retry, when set, wraps Transport in a RetryingTransport so every
 	// RPC this node issues (stabilization, routing, hand-offs) retries
@@ -355,39 +355,51 @@ func (n *Node) HandedOffTo() string {
 	return n.leftTo
 }
 
-// maintenanceLoop drives stabilization until stopped.
+// maintenanceLoop runs a maintenance round every StabilizeInterval
+// until stopped.
 func (n *Node) maintenanceLoop() {
 	defer n.done.Done()
 	ticker := time.NewTicker(n.cfg.StabilizeInterval)
 	defer ticker.Stop()
-	round := 0
-	lastSucc, lastPred := "", ""
+	var m maintenance
 	for {
 		select {
 		case <-ticker.C:
-			n.stabilizeOnce()
-			n.checkPredecessor()
-			n.fixFingers()
-			round++
-			// Repair on cadence, and at once when the successor changed
-			// or a new predecessor is known: a fresh successor (join, or
-			// failover promotion) must become readable, and a range
-			// learned from a notify be pulled, without waiting out the
-			// interval.
-			succ, pred := n.Successor(), n.Predecessor()
-			if succ != lastSucc || (pred != lastPred && pred != "") || round%n.cfg.RepairEvery == 0 {
-				lastSucc, lastPred = succ, pred
-				n.repairOnce()
-			}
-			if round%mergeProbeEvery == 0 {
-				n.mergeProbe()
-			}
-			if round%n.cfg.RepairEvery == 0 {
-				n.gcTombstones()
-			}
+			n.tick(&m)
 		case <-n.stop:
 			return
 		}
+	}
+}
+
+// maintenance is what one round carries to the next: the round count,
+// and the pointers the last repair round saw.
+type maintenance struct {
+	round              int
+	lastSucc, lastPred string
+}
+
+// tick runs one maintenance round, on the node's ticker or driven by
+// MemRing.Settle: stabilize, check the predecessor, fix fingers, a merge
+// probe every mergeProbeEvery rounds, then repair — on cadence, and at
+// once when the successor changed (a join, or a failover promotion,
+// must become readable) or a new predecessor is known (its range must
+// be pulled).
+func (n *Node) tick(m *maintenance) {
+	n.stabilizeOnce()
+	n.checkPredecessor()
+	n.fixFingers()
+	m.round++
+	if m.round%mergeProbeEvery == 0 {
+		n.mergeProbe()
+	}
+	succ, pred := n.Successor(), n.Predecessor()
+	if succ != m.lastSucc || (pred != m.lastPred && pred != "") || m.round%n.cfg.RepairEvery == 0 {
+		m.lastSucc, m.lastPred = succ, pred
+		n.repairOnce()
+	}
+	if m.round%n.cfg.RepairEvery == 0 {
+		n.gcTombstones()
 	}
 }
 

@@ -68,6 +68,10 @@ func (s *RepairStats) Merge(o RepairStats) {
 	s.Drops += o.Drops
 }
 
+// moved counts the keys the rounds moved: pulled, pushed, forwarded or
+// dropped.
+func (s RepairStats) moved() int64 { return s.Pulls + s.Pushes + s.Forwards + s.Drops }
+
 // repairCounters holds the per-node repair telemetry.
 type repairCounters struct {
 	rounds   *telemetry.Counter

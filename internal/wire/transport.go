@@ -1,11 +1,12 @@
-// Package wire implements a live, message-passing Chord node: the same
-// protocol the simulation computes instantaneously (internal/dht), but as
-// long-running peers that join, stabilize, repair fingers and transfer
-// keys by exchanging messages over a pluggable transport. Two transports
-// are provided — an in-memory one for deterministic tests and a framed
-// TCP one for real deployments — and a Cluster handle adapts a set of live
+// Package wire implements a live, message-passing Chord node: long-running
+// peers that join, stabilize, repair fingers and transfer keys by
+// exchanging messages over a pluggable transport. Two transports are
+// provided — an in-memory one for deterministic tests and a framed TCP
+// one for real deployments — and a Cluster handle adapts a set of live
 // nodes to the overlay contract so the paper's indexing layer runs
-// unchanged on top of a real network.
+// unchanged on top of a real network. A MemRing is such a ring on the
+// in-memory transport whose maintenance runs only when driven by hand:
+// the paper's experiments run on it.
 package wire
 
 import (
