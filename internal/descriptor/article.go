@@ -28,18 +28,32 @@ var ErrNotArticle = errors.New("descriptor: not an article descriptor")
 //	  <author><first>John</first><last>Smith</last></author>
 //	  <title>TCP</title> <conf>SIGCOMM</conf> <year>1989</year> <size>...</size>
 //	</article>
+//
+// The tree is laid out already in normal order (every element name is
+// distinct, so Normalize would order children by name alone) and in one
+// allocation, so New's clone and sort are skipped.
 func (a Article) Descriptor() Descriptor {
-	root := NewNode("article",
-		NewNode("author",
-			NewLeaf("first", a.AuthorFirst),
-			NewLeaf("last", a.AuthorLast),
-		),
-		NewLeaf("title", a.Title),
-		NewLeaf("conf", a.Conf),
-		NewLeaf("year", strconv.Itoa(a.Year)),
-		NewLeaf("size", strconv.FormatInt(a.Size, 10)),
-	)
-	return New(root)
+	t := new(articleTree)
+	e, k := &t.elements, &t.kids
+	*k = [...]*Element{&e[1], &e[4], &e[5], &e[6], &e[7], &e[2], &e[3]}
+	*e = [...]Element{
+		{Name: "article", Children: k[0:5:5]},
+		{Name: "author", Children: k[5:7:7]},
+		{Name: "first", Value: a.AuthorFirst},
+		{Name: "last", Value: a.AuthorLast},
+		{Name: "conf", Value: a.Conf},
+		{Name: "size", Value: strconv.FormatInt(a.Size, 10)},
+		{Name: "title", Value: a.Title},
+		{Name: "year", Value: strconv.Itoa(a.Year)},
+	}
+	return Descriptor{Root: &e[0]}
+}
+
+// articleTree holds an article descriptor's elements, in tree order, and
+// their child pointers.
+type articleTree struct {
+	elements [8]Element
+	kids     [7]*Element
 }
 
 // Author returns "First Last".

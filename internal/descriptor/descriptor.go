@@ -12,7 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -82,15 +82,14 @@ func (e *Element) Normalize() {
 	for _, c := range e.Children {
 		c.Normalize()
 	}
-	sort.SliceStable(e.Children, func(i, j int) bool {
-		a, b := e.Children[i], e.Children[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
+	slices.SortStableFunc(e.Children, func(a, b *Element) int {
+		if c := strings.Compare(a.Name, b.Name); c != 0 {
+			return c
 		}
-		if a.Value != b.Value {
-			return a.Value < b.Value
+		if c := strings.Compare(a.Value, b.Value); c != 0 {
+			return c
 		}
-		return a.canonical() < b.canonical()
+		return strings.Compare(a.canonical(), b.canonical())
 	})
 }
 

@@ -149,6 +149,36 @@ func TestFindDirectedAllSchemes(t *testing.T) {
 	}
 }
 
+// TestFindMetacharacterTitles: an article whose title holds a dialect
+// metacharacter is found by its author like any other. Its MSD's canonical
+// form must parse back to the MSD: a response entry that does not parse is
+// dropped, and one that parses to another query does not cover the
+// target, so the directed search got stuck at the author index.
+func TestFindMetacharacterTitles(t *testing.T) {
+	svc := New(testRing(t, 4, 1), cache.None, 0)
+	searcher := NewSearcher(svc)
+	arts := []descriptor.Article{descriptor.Fig1Articles()[0]}
+	for _, title := range []string{"TCP/IP Illustrated", "Paper [draft]"} {
+		a := arts[0]
+		a.Title = title
+		arts = append(arts, a)
+	}
+	for i, a := range arts {
+		if err := svc.PublishArticle(fmt.Sprintf("%d.pdf", i), a, Simple); err != nil {
+			t.Fatalf("publish %q: %v", a.Title, err)
+		}
+	}
+	for i, a := range arts {
+		trace, err := searcher.Find(dataset.AuthorQuery(a.AuthorFirst, a.AuthorLast), dataset.MSD(a))
+		if err != nil {
+			t.Fatalf("Find(%q): %v", a.Title, err)
+		}
+		if want := fmt.Sprintf("%d.pdf", i); !trace.Found || trace.File != want {
+			t.Fatalf("Find(%q) = %+v, want %s", a.Title, trace, want)
+		}
+	}
+}
+
 func TestFindByEveryIndexedField(t *testing.T) {
 	svc, arts := fig1Service(t, Simple, cache.None, 0)
 	searcher := NewSearcher(svc)

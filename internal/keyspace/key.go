@@ -27,7 +27,14 @@ var ErrBadKeyString = errors.New("keyspace: malformed key string")
 // NewKey hashes an arbitrary textual identifier into the key space.
 // The paper's h(descriptor): identical descriptors (after normalization)
 // always map to the same key.
+//
+// An identifier up to 256 bytes is hashed from a copy on the stack, so
+// NewKey allocates nothing for the canonical forms the index keys on.
 func NewKey(identifier string) Key {
+	var buf [256]byte
+	if len(identifier) <= len(buf) {
+		return Key(sha1.Sum(buf[:copy(buf[:], identifier)]))
+	}
 	return Key(sha1.Sum([]byte(identifier)))
 }
 

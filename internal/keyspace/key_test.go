@@ -1,8 +1,10 @@
 package keyspace
 
 import (
+	"crypto/sha1"
 	"math/big"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -295,5 +297,29 @@ func TestBitLenBasics(t *testing.T) {
 	top[0] = 0x80
 	if got := top.BitLen(); got != Bits {
 		t.Fatalf("BitLen(2^159) = %d", got)
+	}
+}
+
+// TestNewKeyAllocFree: an identifier up to the stack buffer's size hashes
+// without a heap allocation, and one past it hashes to the same key a
+// plain SHA-1 gives.
+func TestNewKeyAllocFree(t *testing.T) {
+	id := strings.Repeat("x", 256)
+	if allocs := testing.AllocsPerRun(100, func() { _ = NewKey(id) }); allocs != 0 {
+		t.Fatalf("NewKey(256 bytes) = %v allocs, want 0", allocs)
+	}
+	for _, n := range []int{0, 255, 256, 257, 1000} {
+		id := strings.Repeat("y", n)
+		if got, want := NewKey(id), Key(sha1.Sum([]byte(id))); got != want {
+			t.Errorf("NewKey(%d bytes) = %s, want %s", n, got, want)
+		}
+	}
+}
+
+func BenchmarkNewKey(b *testing.B) {
+	id := "/article[author[first=John][last=Smith]][conf=SIGCOMM][size=315635][title=TCP][year=1989]"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = NewKey(id)
 	}
 }

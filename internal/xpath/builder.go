@@ -53,5 +53,5 @@ func (b *Builder) descend(path []string) *node {
 // Build freezes the builder into a normalized Query. The builder can keep
 // being used afterwards; Build clones the pattern.
 func (b *Builder) Build() Query {
-	return newQuery(b.root.clone())
+	return freeze(cloneQuery(b.root))
 }

@@ -60,11 +60,15 @@ func goldenLines(t testing.TB) []string {
 }
 
 // checkDerived holds a query to what its canonical form determines: the
-// key is the SHA-1 of the form, the constraint count is the node count of
-// the tree, the signature is a fresh walk's, and the form parses back to
-// itself.
+// form, constraint count and signature are the reference renderer's for
+// the same tree, the key is the SHA-1 of the form, the constraint count is
+// the node count of the tree, the signature is a fresh walk's, and the
+// form parses back to itself.
 func checkDerived(t *testing.T, origin string, q xpath.Query) {
 	t.Helper()
+	if got, ref := built(q), xpath.ReferenceOf(q); got != ref {
+		t.Errorf("%s %s: built %+v, the reference renderer gives %+v", origin, q, got, ref)
+	}
 	if got, want := q.Key(), keyspace.NewKey(q.String()); got != want {
 		t.Errorf("%s %s: Key() = %s, want h(canonical form) = %s", origin, q, got, want)
 	}
@@ -81,6 +85,23 @@ func checkDerived(t *testing.T, origin string, q xpath.Query) {
 	if err != nil || back.String() != q.String() {
 		t.Errorf("%s %s: canonical form parses back to %q, %v", origin, q, back, err)
 	}
+}
+
+// built is what q's constructor froze, in the reference renderer's terms.
+func built(q xpath.Query) xpath.Reference {
+	return xpath.Reference{Form: q.String(), Constraints: q.Constraints(), Sig: xpath.Signature(q)}
+}
+
+// checkMostSpecific holds an article's MSD to the reference renderer's
+// form of the raw tree, node for node as the descriptor lays it out, and
+// then runs checkConstructors on it.
+func checkMostSpecific(t *testing.T, a descriptor.Article) {
+	t.Helper()
+	q := dataset.MSD(a)
+	if got, ref := built(q), xpath.ReferenceMostSpecific(a.Descriptor()); got != ref {
+		t.Errorf("msd %s: built %+v, the reference renderer gives %+v", q, got, ref)
+	}
+	checkConstructors(t, "msd", q)
 }
 
 // checkConstructors runs checkDerived on q and on everything the other
@@ -118,16 +139,58 @@ func TestDerivedFieldsEveryConstructor(t *testing.T) {
 		}
 		checkConstructors(t, shape, q)
 	}
-	for _, a := range descriptor.Fig1Articles() {
-		checkConstructors(t, "msd", xpath.MostSpecific(a.Descriptor()))
+	for _, a := range append(descriptor.Fig1Articles(), metaArticles()...) {
+		checkMostSpecific(t, a)
 		checkConstructors(t, "builder", dataset.AuthorConfYearQuery(a.AuthorFirst, a.AuthorLast, a.Conf, a.Year))
 	}
 	checkDerived(t, "zero", xpath.Query{})
 }
 
-// FuzzDerivedFields: whatever parses keeps the same four properties,
-// through every constructor. The seed corpus is the dataset's query
-// shapes plus dialect corners the dataset never builds.
+// metaTitles are titles holding the dialect's metacharacters, which a
+// canonical form escapes.
+var metaTitles = []string{"TCP/IP Illustrated", "Paper [draft]"}
+
+// metaArticles are Fig. 1's first article under each of metaTitles.
+func metaArticles() []descriptor.Article {
+	var out []descriptor.Article
+	for _, title := range metaTitles {
+		a := descriptor.Fig1Articles()[0]
+		a.Title = title
+		out = append(out, a)
+	}
+	return out
+}
+
+// TestMetacharacterValuesRoundTrip: an article whose title holds a
+// dialect metacharacter has an MSD whose canonical form parses back to
+// the same query, key and descriptor. Before values were escaped, "TCP/IP
+// Illustrated" did not parse and "Paper [draft]" parsed to a title
+// "Paper " under a "draft" predicate.
+func TestMetacharacterValuesRoundTrip(t *testing.T) {
+	for _, a := range metaArticles() {
+		q := dataset.MSD(a)
+		back, err := xpath.Parse(q.String())
+		if err != nil {
+			t.Fatalf("%q: Parse(%s): %v", a.Title, q, err)
+		}
+		if !back.Equal(q) || back.Key() != q.Key() {
+			t.Fatalf("%q: %s parses back to %s", a.Title, q, back)
+		}
+		d, err := back.Descriptor()
+		if err != nil {
+			t.Fatalf("%q: Descriptor(): %v", a.Title, err)
+		}
+		if !d.Equal(a.Descriptor()) {
+			t.Fatalf("%q: descriptor %s, want %s", a.Title, d, a.Descriptor())
+		}
+	}
+}
+
+// FuzzDerivedFields: whatever parses keeps the same properties, through
+// every constructor, and parses to the reference renderer's form of its
+// raw tree. The seed corpus is the dataset's query shapes, dialect corners
+// the dataset never builds, and the MSDs of articles whose titles hold
+// metacharacters.
 func FuzzDerivedFields(f *testing.F) {
 	seen := make(map[string]bool)
 	for _, line := range goldenLines(f) {
@@ -142,10 +205,20 @@ func FuzzDerivedFields(f *testing.F) {
 	} {
 		f.Add(s)
 	}
+	for _, a := range metaArticles() {
+		f.Add(dataset.MSD(a).String())
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		q, err := xpath.Parse(input)
+		ref, refErr := xpath.ReferenceParse(input)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Parse(%q) error %v, reference parse error %v", input, err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if got := built(q); got != ref {
+			t.Errorf("Parse(%q) = %+v, the reference renderer gives %+v", input, got, ref)
 		}
 		checkConstructors(t, "parse", q)
 	})
@@ -163,16 +236,75 @@ func TestPatternSizeClass(t *testing.T) {
 // TestMostSpecificAllocCeiling pins the construction cost of an article's
 // MSD. With every predicate rendered twice per sort comparison it took 55
 // allocations (measured at the commit before PR 16, same article); with
-// one render per subtree it takes 20. The ceiling leaves room for
-// toolchain drift, far below the old count.
+// one render per subtree, 20. Laid out in one node slab and rendered into
+// one stack buffer it takes 4: the pattern, the node slab, the kid-pointer
+// slab and the string. The ceiling leaves room for toolchain drift.
 func TestMostSpecificAllocCeiling(t *testing.T) {
 	const (
-		parentAllocs = 55
-		ceiling      = 24
+		parentAllocs = 20
+		ceiling      = 6
 	)
 	d := descriptor.Fig1Articles()[0].Descriptor()
 	allocs := testing.AllocsPerRun(200, func() { _ = xpath.MostSpecific(d) })
 	if allocs > ceiling || allocs >= parentAllocs {
 		t.Fatalf("MostSpecific(article) = %v allocs, want <= %d (was %d)", allocs, ceiling, parentAllocs)
+	}
+}
+
+// TestConstructorAllocCeilings pins what the constructors a publish and a
+// directed find run cost, on Fig. 1's first article: each ceiling is the
+// count the one-pass build takes plus 2, and "was" the count before it
+// (DESIGN.md §33).
+func TestConstructorAllocCeilings(t *testing.T) {
+	a := descriptor.Fig1Articles()[0]
+	msd := dataset.MSD(a)
+	form := msd.String()
+	for _, c := range []struct {
+		name         string
+		ceiling, was float64
+		build        func()
+	}{
+		{"dataset.MSD", 9, 45, func() { _ = dataset.MSD(a) }},
+		{"Parse(msd)", 18, 24, func() { _, _ = xpath.Parse(form) }},
+		{"AuthorQuery", 12, 18, func() { _ = dataset.AuthorQuery(a.AuthorFirst, a.AuthorLast) }},
+		{"Generalizations(msd)", 11, 84, func() { _ = msd.Generalizations() }},
+	} {
+		if allocs := testing.AllocsPerRun(200, c.build); allocs > c.ceiling {
+			t.Errorf("%s = %v allocs, want <= %v (was %v)", c.name, allocs, c.ceiling, c.was)
+		}
+	}
+}
+
+var sink xpath.Query
+
+func BenchmarkMostSpecific(b *testing.B) {
+	d := descriptor.Fig1Articles()[0].Descriptor()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = xpath.MostSpecific(d)
+	}
+}
+
+func BenchmarkParse(b *testing.B) {
+	form := dataset.MSD(descriptor.Fig1Articles()[0]).String()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink, _ = xpath.Parse(form)
+	}
+}
+
+func BenchmarkBuild(b *testing.B) {
+	a := descriptor.Fig1Articles()[0]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = dataset.AuthorConfYearQuery(a.AuthorFirst, a.AuthorLast, a.Conf, a.Year)
+	}
+}
+
+func BenchmarkGeneralizations(b *testing.B) {
+	msd := dataset.MSD(descriptor.Fig1Articles()[0])
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = msd.Generalizations()[0]
 	}
 }

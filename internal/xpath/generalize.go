@@ -1,6 +1,10 @@
 package xpath
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // Generalizations returns the queries obtained by dropping exactly one
 // top-level predicate from q, ordered most-specific first (most remaining
@@ -11,27 +15,39 @@ import "sort"
 //
 // A query whose root has fewer than two predicates has no useful
 // generalization at this level and yields nil.
+//
+// The generalizations share three allocations: their patterns, and one
+// node slab with its kid pointers. Generalization i holds every node of q
+// below the root but those of the predicate it drops, so the k of them
+// hold k-1 copies of each.
 func (q Query) Generalizations() []Query {
 	if q.root == nil || len(q.root.kids) < 2 {
 		return nil
 	}
-	out := make([]Query, 0, len(q.root.kids))
-	for drop := range q.root.kids {
-		g := &node{name: q.root.name, desc: q.root.desc, value: q.root.value}
-		g.kids = make([]*node, 0, len(q.root.kids)-1)
-		for i, k := range q.root.kids {
-			if i != drop {
-				g.kids = append(g.kids, k.clone())
+	root := &q.root.node
+	k := len(root.kids)
+	pats := make([]pattern, k)
+	s := newSlab((k - 1) * (int(q.root.constraints) - 1))
+	out := make([]Query, k)
+	for drop := range root.kids {
+		p := &pats[drop]
+		p.name, p.desc, p.value = root.name, root.desc, root.value
+		p.kids = s.kidsOf(k - 1)
+		i := 0
+		for j, kid := range root.kids {
+			if j != drop {
+				p.kids[i] = s.next()
+				s.clone(p.kids[i], kid)
+				i++
 			}
 		}
-		out = append(out, newQuery(g))
+		out[drop] = freeze(p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ci, cj := out[i].Constraints(), out[j].Constraints()
-		if ci != cj {
-			return ci > cj
+	slices.SortFunc(out, func(a, b Query) int {
+		if c := cmp.Compare(b.Constraints(), a.Constraints()); c != 0 {
+			return c
 		}
-		return out[i].str < out[j].str
+		return strings.Compare(a.str, b.str)
 	})
 	return out
 }

@@ -25,6 +25,7 @@ func (e *SyntaxError) Error() string {
 //	pred     := '[' axisOpt step ( axis step )* ']'
 //	valueOpt := ( '=' value )?
 //	name     := [A-Za-z0-9_.-]+ | '*'
+//	value    := ( [^\\[\]/=] | '\\' [\\[\]/=] )+
 //
 // Examples: /article[author[first=John][last=Smith]][conf=SIGCOMM],
 // //author[last=Smith], /article/title=TCP (a path is sugar for nesting).
@@ -64,7 +65,7 @@ func parse(input string, isLeaf func(string) bool) (Query, error) {
 	if root == nil {
 		return Query{}, ErrEmptyQuery
 	}
-	return newQuery(root), nil
+	return freeze(&pattern{node: *root}), nil
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -177,14 +178,23 @@ func (p *parser) parseName() (string, error) {
 }
 
 // parseValue reads a value: any run of characters other than the
-// metacharacters `[ ] / =`. Spaces are allowed inside values
-// ("John Smith" as a single element value is legal in descriptors).
+// metacharacters `[ ] / =`, in which a backslash makes the next
+// metacharacter, or a backslash, literal (the escaping canonical forms
+// write, see appendValue). Spaces are allowed inside values ("John Smith"
+// as a single element value is legal in descriptors).
 func (p *parser) parseValue() (string, error) {
 	start := p.pos
+	escaped := false
 	for p.pos < len(p.in) {
 		switch p.in[p.pos] {
 		case '[', ']', '/', '=':
 			goto done
+		case '\\':
+			if p.pos+1 == len(p.in) || !isValueMeta(p.in[p.pos+1]) {
+				return "", p.errf("expected a metacharacter after '\\'")
+			}
+			escaped = true
+			p.pos++
 		}
 		p.pos++
 	}
@@ -192,7 +202,18 @@ done:
 	if p.pos == start {
 		return "", p.errf("expected value after '='")
 	}
-	return p.in[start:p.pos], nil
+	v := p.in[start:p.pos]
+	if !escaped {
+		return v, nil
+	}
+	out := make([]byte, 0, len(v))
+	for i := 0; i < len(v); i++ {
+		if v[i] == '\\' {
+			i++
+		}
+		out = append(out, v[i])
+	}
+	return string(out), nil
 }
 
 // peekAxis reports whether the next token starts a path continuation.

@@ -15,9 +15,9 @@
 package xpath
 
 import (
+	"bytes"
 	"errors"
 	"slices"
-	"strings"
 
 	"dhtindex/internal/descriptor"
 	"dhtindex/internal/keyspace"
@@ -41,7 +41,7 @@ type Query struct {
 	str  string // canonical form, computed at construction
 }
 
-// pattern is a frozen query's root constraint together with what newQuery
+// pattern is a frozen query's root constraint together with what freeze
 // derives from the canonical form. It sits behind Query's pointer so that a
 // Query stays pointer + string however much is precomputed: responses are
 // []Query and are copied by value.
@@ -99,32 +99,39 @@ func (q Query) Constraints() int {
 	return int(q.root.constraints)
 }
 
-// newQuery normalizes the pattern and freezes its canonical form, its key,
-// its constraint count and its constraint signature.
-func newQuery(root *node) Query {
-	if root == nil {
-		return Query{}
-	}
-	str, constraints, sig := canonicalize(root, true, sigRoot)
-	return Query{
-		root: &pattern{node: *root, key: keyspace.NewKey(str), constraints: int32(constraints), sig: sig},
-		str:  str,
-	}
+// freeze normalizes the tree rooted at p's node in place and fills in what
+// its canonical form determines: the key, the constraint count and the
+// constraint signature. The form is rendered into one buffer, on
+// the stack while it fits, and the query's string is the one copy made of
+// it.
+func freeze(p *pattern) Query {
+	var stack [512]byte
+	buf, constraints, sig := canonicalize(stack[:0], &p.node, true, sigRoot)
+	str := string(buf)
+	p.key = keyspace.NewKey(str)
+	p.constraints = int32(constraints)
+	p.sig = sig
+	return Query{root: p, str: str}
 }
 
-// canonicalize sorts n's predicates by canonical form and removes exact
-// duplicate sibling constraints, recursively, and returns n's canonical
-// form, node count and signature. Top-level nodes are prefixed with their
-// axis; predicate heads omit the child-axis slash. Each subtree is
-// rendered once: a parent orders its predicates by the strings they
-// returned and assembles its own form from them. path is the hash of the
+// rendered is one predicate of a node being canonicalized: where its form
+// lies in the render buffer, brackets excluded, and its node count.
+type rendered struct {
+	kid        *node
+	start, end int
+	count      int
+}
+
+// canonicalize appends n's canonical form to buf and returns the buffer,
+// n's node count and its signature. Along the way it sorts n's predicates
+// by canonical form and removes exact duplicate sibling constraints,
+// recursively. Top-level nodes are prefixed with their axis; predicate
+// heads omit the child-axis slash; values are escaped (see appendValue).
+// Each predicate is rendered once, in place: the node orders its
+// predicates by their byte ranges in buf and rewrites its own tail only
+// when they were out of order or repeated. path is the hash of the
 // parent's name path, or 0 when the parent is off every signed chain.
-func canonicalize(n *node, top bool, path uint64) (string, int, uint64) {
-	type rendered struct {
-		kid   *node
-		str   string
-		count int
-	}
+func canonicalize(buf []byte, n *node, top bool, path uint64) ([]byte, int, uint64) {
 	var sig uint64
 	if path != 0 && n.name != Wildcard && !n.desc {
 		path = sigPath(path, n.name)
@@ -136,43 +143,80 @@ func canonicalize(n *node, top bool, path uint64) (string, int, uint64) {
 	} else {
 		path = 0
 	}
-	var buf [8]rendered // most nodes have a handful of predicates: no heap
-	kids := buf[:0]
-	size, count := len(n.name), 1
-	if len(n.kids) > 0 {
-		for _, k := range n.kids {
-			str, c, s := canonicalize(k, false, path)
-			kids = append(kids, rendered{kid: k, str: str, count: c})
-			sig |= s
+	switch {
+	case n.desc:
+		buf = append(buf, "//"...)
+	case top:
+		buf = append(buf, '/')
+	}
+	buf = append(buf, n.name...)
+	if n.value != "" {
+		buf = append(buf, '=')
+		buf = appendValue(buf, n.value)
+	}
+	if len(n.kids) == 0 {
+		return buf, 1, sig
+	}
+	var kbuf [8]rendered // most nodes have a handful of predicates: no heap
+	kids := kbuf[:0]
+	tail := len(buf)
+	for _, k := range n.kids {
+		buf = append(buf, '[')
+		start := len(buf)
+		var c int
+		var s uint64
+		buf, c, s = canonicalize(buf, k, false, path)
+		kids = append(kids, rendered{kid: k, start: start, end: len(buf), count: c})
+		buf = append(buf, ']')
+		sig |= s
+	}
+	compare := func(a, b rendered) int { return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end]) }
+	ordered := true
+	for i := 1; i < len(kids) && ordered; i++ {
+		ordered = compare(kids[i-1], kids[i]) < 0
+	}
+	if !ordered {
+		slices.SortStableFunc(kids, compare)
+		kids = slices.CompactFunc(kids, func(a, b rendered) bool { return compare(a, b) == 0 })
+		end := len(buf)
+		for _, r := range kids {
+			buf = append(buf, buf[r.start-1:r.end+1]...)
 		}
-		slices.SortStableFunc(kids, func(a, b rendered) int { return strings.Compare(a.str, b.str) })
-		kids = slices.CompactFunc(kids, func(a, b rendered) bool { return a.str == b.str })
+		buf = append(buf[:tail], buf[end:]...)
 		n.kids = n.kids[:len(kids)]
 		for i, r := range kids {
 			n.kids[i] = r.kid
-			size += len(r.str) + 2
-			count += r.count
 		}
 	}
-	var sb strings.Builder
-	sb.Grow(size + len(n.value) + 3)
-	switch {
-	case n.desc:
-		sb.WriteString("//")
-	case top:
-		sb.WriteString("/")
-	}
-	sb.WriteString(n.name)
-	if n.value != "" {
-		sb.WriteByte('=')
-		sb.WriteString(n.value)
-	}
+	count := 1
 	for _, r := range kids {
-		sb.WriteByte('[')
-		sb.WriteString(r.str)
-		sb.WriteByte(']')
+		count += r.count
 	}
-	return sb.String(), count, sig
+	return buf, count, sig
+}
+
+// appendValue appends a value with the dialect's metacharacters escaped:
+// a backslash goes before each `\`, `[`, `]`, `/` and `=`, so that any
+// value renders to a form that parses back to it (see parseValue).
+func appendValue(buf []byte, v string) []byte {
+	start := 0
+	for i := 0; i < len(v); i++ {
+		if isValueMeta(v[i]) {
+			buf = append(buf, v[start:i]...)
+			buf = append(buf, '\\')
+			start = i
+		}
+	}
+	return append(buf, v[start:]...)
+}
+
+// isValueMeta reports whether a rendered value escapes b.
+func isValueMeta(b byte) bool {
+	switch b {
+	case '\\', '[', ']', '/', '=':
+		return true
+	}
+	return false
 }
 
 // The signature hashes are FNV-1a over the name path, one '/' after each
@@ -204,16 +248,64 @@ func sigBits(h uint64, value string) uint64 {
 	return 1<<(h&63) | 1<<(h>>6&63)
 }
 
-// clone deep-copies a pattern subtree.
-func (n *node) clone() *node {
-	out := &node{name: n.name, desc: n.desc, value: n.value}
-	if len(n.kids) > 0 {
-		out.kids = make([]*node, len(n.kids))
-		for i, k := range n.kids {
-			out.kids[i] = k.clone()
-		}
+// slab hands out the nodes and kid-pointer slices of pattern trees from
+// two allocations, sized by a count taken before the trees are laid out.
+type slab struct {
+	nodes []node
+	kids  []*node
+}
+
+// newSlab makes room for n nodes below the roots, which live in their
+// patterns: one kid pointer per node.
+func newSlab(n int) slab {
+	return slab{nodes: make([]node, n), kids: make([]*node, n)}
+}
+
+// next takes the next free node.
+func (s *slab) next() *node {
+	n := &s.nodes[0]
+	s.nodes = s.nodes[1:]
+	return n
+}
+
+// kidsOf takes n kid pointers, capped so an append cannot run into the
+// next node's.
+func (s *slab) kidsOf(n int) []*node {
+	k := s.kids[:n:n]
+	s.kids = s.kids[n:]
+	return k
+}
+
+// clone deep-copies the subtree at src into dst, taking every node below
+// dst from the slab.
+func (s *slab) clone(dst, src *node) {
+	*dst = node{name: src.name, desc: src.desc, value: src.value}
+	if len(src.kids) == 0 {
+		return
 	}
-	return out
+	dst.kids = s.kidsOf(len(src.kids))
+	for i, k := range src.kids {
+		dst.kids[i] = s.next()
+		s.clone(dst.kids[i], k)
+	}
+}
+
+// size counts the nodes of a pattern subtree.
+func (n *node) size() int {
+	total := 1
+	for _, k := range n.kids {
+		total += k.size()
+	}
+	return total
+}
+
+// cloneQuery deep-copies the tree rooted at n into a new pattern, all its
+// nodes in one slab. The copy is not frozen yet.
+func cloneQuery(n *node) *pattern {
+	p := &pattern{}
+	s := newSlab(n.size() - 1)
+	s.clone(&p.node, n)
+	return p
 }
 
 // MostSpecific returns the most specific query (MSD) for a descriptor: the
@@ -223,20 +315,34 @@ func MostSpecific(d descriptor.Descriptor) Query {
 	if d.Root == nil {
 		return Query{}
 	}
-	return newQuery(elementToNode(d.Root))
+	p := &pattern{}
+	s := newSlab(elements(d.Root) - 1)
+	s.fromElement(&p.node, d.Root)
+	return freeze(p)
 }
 
-func elementToNode(e *descriptor.Element) *node {
-	n := &node{name: e.Name}
-	if e.IsLeaf() {
-		n.value = e.Value
-		return n
-	}
-	n.kids = make([]*node, 0, len(e.Children))
+// elements counts the elements of a descriptor subtree.
+func elements(e *descriptor.Element) int {
+	total := 1
 	for _, c := range e.Children {
-		n.kids = append(n.kids, elementToNode(c))
+		total += elements(c)
 	}
-	return n
+	return total
+}
+
+// fromElement lays the element subtree at e out as the pattern subtree at
+// dst: a leaf's value becomes its constraint.
+func (s *slab) fromElement(dst *node, e *descriptor.Element) {
+	dst.name = e.Name
+	if e.IsLeaf() {
+		dst.value = e.Value
+		return
+	}
+	dst.kids = s.kidsOf(len(e.Children))
+	for i, c := range e.Children {
+		dst.kids[i] = s.next()
+		s.fromElement(dst.kids[i], c)
+	}
 }
 
 // ErrNotConcrete is returned by Descriptor when the query contains

@@ -40,8 +40,8 @@ func (q Query) WithValue(path []string, value string) Query {
 	if q.root == nil || len(path) == 0 {
 		return q
 	}
-	root := q.root.clone()
-	cur := root
+	p := cloneQuery(&q.root.node)
+	cur := &p.node
 	for _, name := range path {
 		var next *node
 		for _, k := range cur.kids {
@@ -61,5 +61,5 @@ func (q Query) WithValue(path []string, value string) Query {
 		return q // interior node: not a value position
 	}
 	cur.value = value
-	return newQuery(root)
+	return freeze(p)
 }
