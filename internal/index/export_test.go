@@ -1,0 +1,70 @@
+package index
+
+import (
+	"dhtindex/internal/cache"
+	"dhtindex/internal/overlay"
+	"dhtindex/internal/xpath"
+)
+
+// respondPerEntry is the reference respond is held to: the read path
+// before lists were kept per key (DESIGN.md §34). Every index entry is
+// parsed through the memo on every lookup into a fresh Index slice,
+// which is then sorted into canonical order when it arrived out of it.
+func (s *Service) respondPerEntry(q xpath.Query, got overlay.GetResult) (Response, error) {
+	if got.Err != nil {
+		return Response{}, got.Err
+	}
+	entries := got.Entries
+	resp := Response{Node: got.Route.Node, Hops: got.Route.Hops}
+	var shortcuts []string
+	if s.policy != cache.None {
+		s.cacheMu.Lock()
+		if store := s.caches[resp.Node]; store != nil {
+			shortcuts = store.Targets(q.String())
+		}
+		s.cacheMu.Unlock()
+	}
+	nIndex := 0
+	for _, e := range entries {
+		if e.Kind == KindIndex {
+			nIndex++
+		}
+	}
+	if nIndex > 0 {
+		resp.Index = make([]xpath.Query, 0, nIndex)
+	}
+	if len(shortcuts) > 0 {
+		resp.Cached = make([]xpath.Query, 0, len(shortcuts))
+	}
+	s.parsedMu.RLock()
+	for _, e := range entries {
+		switch e.Kind {
+		case KindIndex:
+			if target, ok := s.parseCachedRLocked(e.Value); ok {
+				resp.Index = append(resp.Index, target)
+				resp.Bytes += int64(len(e.Value))
+			}
+		case KindData:
+			resp.Files = append(resp.Files, e.Value)
+			resp.Bytes += int64(len(e.Value))
+		}
+	}
+	for _, tgt := range shortcuts {
+		if target, ok := s.parseCachedRLocked(tgt); ok {
+			resp.Cached = append(resp.Cached, target)
+			resp.CachePortion += int64(len(tgt))
+		}
+	}
+	s.parsedMu.RUnlock()
+	resp.Bytes += resp.CachePortion
+	sortCanonical(resp.Index)
+	sortCanonical(resp.Cached)
+	return resp, nil
+}
+
+// keptList returns the list the service keeps for q's key (nil if none).
+func (s *Service) keptList(q xpath.Query) []xpath.Query {
+	s.listsMu.RLock()
+	defer s.listsMu.RUnlock()
+	return s.lists[q.Key()]
+}

@@ -94,22 +94,56 @@ func TestLookupResponseIndependentOfEntryOrder(t *testing.T) {
 }
 
 // TestLookupAllocCeiling gates the read path's allocation count: a warm
-// lookup of a 16-entry sorted response allocates the Index slice and
-// nothing per entry — no sort scratch, no memo write, no key hash.
+// lookup of a sorted response of two or more entries serves the key's
+// kept list, so it allocates nothing at all — no Index slice, no sort
+// scratch, no memo write, no key hash (DESIGN.md §34). Before lists were
+// kept, each lookup made its own Index slice: 384 B at 16 entries (under
+// a ceiling of 4 allocations), 13.5 KB at 512.
 func TestLookupAllocCeiling(t *testing.T) {
-	q := dataset.ConfQuery("SIGCOMM")
-	svc := New(&cannedNetwork{sets: map[keyspace.Key][]overlay.Entry{q.Key(): confYearEntries("SIGCOMM", 16)}}, cache.LRU, 30)
-	ctx := context.Background()
-	if resp, err := svc.LookupCtx(ctx, q); err != nil || len(resp.Index) != 16 { // warms the memo
-		t.Fatalf("lookup: %+v, %v", resp, err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := svc.LookupCtx(ctx, q); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		entries      int
+		ceiling, was float64
+	}{
+		{16, 0, 1},
+		{512, 0, 1},
+	} {
+		q := dataset.ConfQuery("SIGCOMM")
+		svc := New(&cannedNetwork{sets: map[keyspace.Key][]overlay.Entry{q.Key(): confYearEntries("SIGCOMM", c.entries)}}, cache.LRU, 30)
+		ctx := context.Background()
+		if resp, err := svc.LookupCtx(ctx, q); err != nil || len(resp.Index) != c.entries { // warms the memo and keeps the list
+			t.Fatalf("lookup: %d entries, %v", len(resp.Index), err)
 		}
-	})
-	if allocs > 4 {
-		t.Fatalf("warm 16-entry lookup = %v allocs, want <= 4", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := svc.LookupCtx(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.ceiling {
+			t.Errorf("warm %d-entry lookup = %v allocs, want <= %v (was %v)", c.entries, allocs, c.ceiling, c.was)
+		}
+	}
+}
+
+// BenchmarkLookupWarm times one warm lookup(q) against a canned node
+// serving a sorted list of 1, 16 or 512 index entries: the response
+// assembly respond does above the substrate read.
+func BenchmarkLookupWarm(b *testing.B) {
+	for _, n := range []int{1, 16, 512} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			q := dataset.ConfQuery("SIGCOMM")
+			svc := New(&cannedNetwork{sets: map[keyspace.Key][]overlay.Entry{q.Key(): confYearEntries("SIGCOMM", n)}}, cache.LRU, 30)
+			ctx := context.Background()
+			if resp, err := svc.LookupCtx(ctx, q); err != nil || len(resp.Index) != n {
+				b.Fatalf("lookup: %d entries, %v", len(resp.Index), err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := svc.LookupCtx(ctx, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

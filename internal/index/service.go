@@ -60,22 +60,35 @@ type Service struct {
 	capacity int
 
 	// The parallel search fan-out and concurrent clients issue LookupCtx
-	// calls against one service; the shortcut stores and the memo table
-	// are its only shared mutable state, each behind its own lock, and
-	// neither lock is held across the other, a substrate call or a sort.
+	// calls against one service; the shortcut stores, the memo table and
+	// the kept lists are its only shared mutable state, each behind its
+	// own lock, and no lock is held across another, a substrate call or
+	// a sort.
 
 	// cacheMu guards caches and every store in it (cache.Store is not
 	// safe for concurrent use by itself).
 	cacheMu sync.Mutex
 	caches  map[string]*cache.Store
 
-	// parsed memoizes canonical-form parsing: stored entries are re-read
-	// on every lookup and large result sets would otherwise dominate the
-	// CPU profile. It is read-mostly — once the index is warm every
-	// entry is a hit — so parsedMu is taken shared, once per response,
-	// and exclusively only to record a first-time parse.
+	// parsed memoizes canonical-form parsing: it parses a shortcut
+	// target, and an index entry when its key's list is rebuilt. It is
+	// read-mostly — once the index is warm every entry is a hit — so
+	// parsedMu is taken shared, once per rebuild or shortcut list, and
+	// exclusively only to record a first-time parse. A canonical form
+	// and the query parsed from it share their bytes (xpath.Parse).
 	parsedMu sync.RWMutex
 	parsed   map[string]xpath.Query
+
+	// lists keeps, per key, the parsed index list of the last entry set
+	// read under it that held at least two index entries, all canonical
+	// and in canonical order (the wire stores' order contract). A lookup
+	// whose index entries equal a kept list's forms one for one serves
+	// that list as its Response.Index; any difference rebuilds it from
+	// the memo (DESIGN.md §34). A kept list is never modified: a rebuild
+	// stores a new one. listsMu is taken shared once per lookup of two
+	// or more index entries, and exclusively to store or drop a list.
+	listsMu sync.RWMutex
+	lists   map[keyspace.Key][]xpath.Query
 
 	// vocabulary, when enabled, registers every published descriptor's
 	// values in the field dictionaries used for fuzzy correction (§VI).
@@ -152,7 +165,8 @@ func (t *svcTelemetry) recordFind(trace Trace, err error) {
 }
 
 // New creates an index service over any substrate satisfying the overlay
-// contract (Chord via dht.AsOverlay, Pastry via pastry.AsOverlay, ...).
+// contract (the live Chord ring of wire.StartMemRing or wire.Cluster,
+// Pastry via pastry.AsOverlay, ...).
 // policy and lruCapacity configure the shortcut caches (capacity is used
 // only with cache.LRU).
 func New(net overlay.Network, policy cache.Policy, lruCapacity int) *Service {
@@ -162,6 +176,7 @@ func New(net overlay.Network, policy cache.Policy, lruCapacity int) *Service {
 		capacity: lruCapacity,
 		caches:   make(map[string]*cache.Store),
 		parsed:   make(map[string]xpath.Query),
+		lists:    make(map[keyspace.Key][]xpath.Query),
 	}
 }
 
@@ -259,7 +274,9 @@ type Response struct {
 	// Hops is the DHT routing distance from the contact point.
 	Hops int
 	// Index lists the regular index results: queries covered by the asked
-	// query.
+	// query, in canonical order. It may be shared with other responses
+	// for the same key and is read-only (its cap equals its len, so an
+	// append copies it).
 	Index []xpath.Query
 	// Cached lists shortcut targets from the node's adaptive cache.
 	Cached []xpath.Query
@@ -373,15 +390,16 @@ func (s *Service) getEach(ctx context.Context, keys []keyspace.Key, parallel int
 }
 
 // respond turns one substrate read into the lookup's Response: the
-// node's shortcuts for q, the memoised parse of every index entry,
-// canonical order and the byte accounting. It books the lookup.
-func (s *Service) respond(q xpath.Query, got overlay.GetResult) (Response, error) {
+// node's shortcuts for q, the parsed index entries in canonical order
+// (see indexList), the file references and the byte accounting. It books
+// the lookup.
+func (s *Service) respond(q xpath.Query, got overlay.GetResult) (resp Response, err error) {
 	s.tel.recordLookup()
 	if got.Err != nil {
 		return Response{}, fmt.Errorf("index: lookup %s: %w", q, got.Err)
 	}
 	entries := got.Entries
-	resp := Response{Node: got.Route.Node, Hops: got.Route.Hops}
+	resp.Node, resp.Hops = got.Route.Node, got.Route.Hops
 	var shortcuts []string
 	if s.policy != cache.None {
 		s.cacheMu.Lock()
@@ -392,48 +410,114 @@ func (s *Service) respond(q xpath.Query, got overlay.GetResult) (Response, error
 	}
 	nIndex := 0
 	for _, e := range entries {
-		if e.Kind == KindIndex {
-			nIndex++
-		}
-	}
-	if nIndex > 0 {
-		resp.Index = make([]xpath.Query, 0, nIndex)
-	}
-	if len(shortcuts) > 0 {
-		resp.Cached = make([]xpath.Query, 0, len(shortcuts))
-	}
-	s.parsedMu.RLock()
-	for _, e := range entries {
 		switch e.Kind {
 		case KindIndex:
-			// A corrupted entry must not poison the lookup.
-			if target, ok := s.parseCachedRLocked(e.Value); ok {
-				resp.Index = append(resp.Index, target)
-				resp.Bytes += int64(len(e.Value))
-			}
+			nIndex++
 		case KindData:
 			resp.Files = append(resp.Files, e.Value)
 			resp.Bytes += int64(len(e.Value))
 		}
 	}
-	for _, tgt := range shortcuts {
-		if target, ok := s.parseCachedRLocked(tgt); ok {
-			resp.Cached = append(resp.Cached, target)
-			resp.CachePortion += int64(len(tgt))
+	if nIndex > 0 {
+		var indexBytes int64
+		resp.Index, indexBytes = s.indexList(q, entries, nIndex)
+		resp.Bytes += indexBytes
+	}
+	if len(shortcuts) > 0 {
+		resp.Cached = make([]xpath.Query, 0, len(shortcuts))
+		s.parsedMu.RLock()
+		for _, tgt := range shortcuts {
+			if target, ok := s.parseCachedRLocked(tgt); ok {
+				resp.Cached = append(resp.Cached, target)
+				resp.CachePortion += int64(len(tgt))
+			}
+		}
+		s.parsedMu.RUnlock()
+		// A shortcut store lists targets in map order.
+		sortCanonical(resp.Cached)
+	}
+	resp.Bytes += resp.CachePortion
+	return resp, nil
+}
+
+// indexList returns the parsed index entries of one key's entry set in
+// canonical order, with the bytes of those that parsed; n counts the
+// set's index entries. A set of two or more whose forms equal the key's
+// kept list one for one is served that list, uncopied. A string compare
+// decides it, and on a MemTransport ring the forms are the very strings
+// the list was parsed from, so each compare is a pointer compare.
+//
+// Any other set is parsed entry by entry through the memo. The result
+// is kept for the key when it has at least two entries, all canonical
+// and strictly ascending: the wire stores keep each set in (Kind, Value)
+// order, which for index entries is canonical-form order (DESIGN.md
+// §18). The simulated substrates, foreign nodes and non-canonical stored
+// values are not bound by that contract: their lists get sorted here,
+// so a response reads the same whoever served it, and none is kept.
+func (s *Service) indexList(q xpath.Query, entries []overlay.Entry, n int) ([]xpath.Query, int64) {
+	key := q.Key()
+	var kept []xpath.Query
+	if n >= 2 {
+		s.listsMu.RLock()
+		kept = s.lists[key]
+		s.listsMu.RUnlock()
+		if indexBytes, same := sameForms(kept, entries); same {
+			return kept, indexBytes
 		}
 	}
+	index := make([]xpath.Query, 0, n)
+	var indexBytes int64
+	keep := n >= 2
+	s.parsedMu.RLock()
+	for _, e := range entries {
+		if e.Kind != KindIndex {
+			continue
+		}
+		// A corrupted entry must not poison the lookup.
+		target, ok := s.parseCachedRLocked(e.Value)
+		if !ok {
+			keep = false
+			continue
+		}
+		keep = keep && target.String() == e.Value &&
+			(len(index) == 0 || index[len(index)-1].String() < e.Value)
+		index = append(index, target)
+		indexBytes += int64(len(e.Value))
+	}
 	s.parsedMu.RUnlock()
-	resp.Bytes += resp.CachePortion
-	// The wire stores keep each entry set in (Kind, Value) order, which
-	// for index entries is canonical-form order, so a live ring's answer
-	// arrives sorted and is only verified. The simulated substrates,
-	// foreign nodes and non-canonical stored values are not bound by
-	// that contract, and a shortcut store lists targets in map order:
-	// those get sorted here, so a response reads the same whoever
-	// served it.
-	sortCanonical(resp.Index)
-	sortCanonical(resp.Cached)
-	return resp, nil
+	if keep {
+		// Every entry parsed, so len(index) == cap(index) == n.
+		s.listsMu.Lock()
+		s.lists[key] = index
+		s.listsMu.Unlock()
+		return index, indexBytes
+	}
+	if kept != nil {
+		// The key's set no longer qualifies: its list goes.
+		s.listsMu.Lock()
+		delete(s.lists, key)
+		s.listsMu.Unlock()
+	}
+	sortCanonical(index)
+	return slices.Clip(index), indexBytes
+}
+
+// sameForms reports whether entries' index entries are list's forms one
+// for one and in order, and returns their bytes.
+func sameForms(list []xpath.Query, entries []overlay.Entry) (int64, bool) {
+	i := 0
+	var indexBytes int64
+	for _, e := range entries {
+		if e.Kind != KindIndex {
+			continue
+		}
+		if i == len(list) || e.Value != list[i].String() {
+			return 0, false
+		}
+		indexBytes += int64(len(e.Value))
+		i++
+	}
+	return indexBytes, i == len(list)
 }
 
 // sortCanonical puts qs in canonical-form order, sorting only when a

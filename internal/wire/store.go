@@ -33,13 +33,20 @@ import (
 //
 // Order contract: a key's entry set is kept strictly sorted by
 // CompareEntries — (Kind, Value), no duplicates — at all times. Writers
-// establish it (Put inserts in place, Replace and recovery normalize
-// whatever arrives), so Get and ForEach hand out sorted sets and no
-// reader has to sort: digests hash in one pass and the index layer only
-// verifies the order of a response (DESIGN.md §18).
+// establish it (Put inserts at the entry's position, Replace and
+// recovery normalize whatever arrives), so Get and ForEach hand out
+// sorted sets and no reader has to sort: digests hash in one pass and
+// the index layer only verifies the order of a response (DESIGN.md §18).
+//
+// Sharing contract: a key's entry set is immutable once stored. Every
+// write that changes it stores a fresh set (InsertEntry, DeleteEntry,
+// SortedEntries) and never edits the old one, so Get and ForEach hand
+// out the stored set itself, uncopied: a reader may keep it, across
+// later writes and without a lock, but must not modify it. Sets are
+// clipped (cap == len), so an append to one copies it (DESIGN.md §34).
 type Store interface {
-	// Get returns a copy of the entries stored under key (nil if none),
-	// in CompareEntries order.
+	// Get returns the entry set stored under key (nil if none), in
+	// CompareEntries order. The set is shared and read-only.
 	Get(key keyspace.Key) []overlay.Entry
 	// Put inserts e under key at its CompareEntries position unless an
 	// identical entry is already present or a live tombstone for e
@@ -80,9 +87,8 @@ type Store interface {
 	GCTombstones(before int64) (int, error)
 	// ForEach calls fn for every key with live entries until fn returns
 	// false (keys holding only tombstones are skipped — use
-	// ForEachTombstone). The entries slice is the store's internal
-	// state: callers must copy it before retaining or mutating, and must
-	// not call other Store methods from within fn.
+	// ForEachTombstone). The entries slice is the stored set, shared and
+	// read-only as Get's is; fn must not call other Store methods.
 	ForEach(fn func(key keyspace.Key, entries []overlay.Entry) bool)
 	// Len returns the number of distinct keys with live entries.
 	Len() int
@@ -156,31 +162,41 @@ func CompareEntries(a, b overlay.Entry) int {
 // compareTombstones orders tombstones by the entry they suppress.
 func compareTombstones(a, b Tombstone) int { return CompareEntries(a.Entry, b.Entry) }
 
-// InsertEntry inserts e into the sorted set at its CompareEntries
-// position, reporting false (and returning set as it was) when e is
-// already there. The binary search is the duplicate check.
+// InsertEntry returns a fresh set holding set's entries plus e at its
+// CompareEntries position, reporting false (and returning set as it
+// was) when e is already there. The binary search is the duplicate
+// check. set is never modified, and the result is clipped.
 func InsertEntry(set []overlay.Entry, e overlay.Entry) ([]overlay.Entry, bool) {
 	i, found := slices.BinarySearchFunc(set, e, CompareEntries)
 	if found {
 		return set, false
 	}
-	return slices.Insert(set, i, e), true
+	out := make([]overlay.Entry, len(set)+1)
+	copy(out, set[:i])
+	out[i] = e
+	copy(out[i+1:], set[i:])
+	return out, true
 }
 
-// DeleteEntry removes e from the sorted set, reporting whether it was
-// there. The remaining entries keep their order.
+// DeleteEntry returns a fresh set holding set's entries without e,
+// reporting whether e was there. The remaining entries keep their
+// order; set is never modified, and the result is clipped.
 func DeleteEntry(set []overlay.Entry, e overlay.Entry) ([]overlay.Entry, bool) {
 	i, found := slices.BinarySearchFunc(set, e, CompareEntries)
 	if !found {
 		return set, false
 	}
-	return slices.Delete(set, i, i+1), true
+	out := make([]overlay.Entry, len(set)-1)
+	copy(out, set[:i])
+	copy(out[i:], set[i+1:])
+	return out, true
 }
 
-// SortedEntries returns a copy of entries in CompareEntries order
-// without duplicates (nil when empty): what a store keeps of a set that
-// arrived from outside — a repair ship, a WAL or snapshot record. A set
-// another store shipped is sorted already and is only checked.
+// SortedEntries returns a fresh, clipped copy of entries in
+// CompareEntries order without duplicates (nil when empty): what a
+// store keeps of a set that arrived from outside — a repair ship, a WAL
+// or snapshot record. A set another store shipped is sorted already and
+// is only checked.
 func SortedEntries(entries []overlay.Entry) []overlay.Entry {
 	if len(entries) == 0 {
 		return nil
@@ -189,7 +205,7 @@ func SortedEntries(entries []overlay.Entry) []overlay.Entry {
 	if !slices.IsSortedFunc(out, CompareEntries) {
 		slices.SortFunc(out, CompareEntries)
 	}
-	return slices.Compact(out)
+	return slices.Clip(slices.Compact(out))
 }
 
 // sortedTombstones returns a copy of tombs in CompareEntries order with
@@ -219,7 +235,9 @@ func sortedTombstones(tombs []Tombstone) []Tombstone {
 // machine: the durable store is a write-ahead log in front of a MemStore
 // (DESIGN.md §21). A key's tombstones are kept the way its entries are —
 // one CompareEntries-sorted slice with one record per entry — so reads
-// hand them out without sorting.
+// hand them out without sorting. Entry sets are copy-on-write (see the
+// Store sharing contract); tombstone sets are edited in place and
+// copied out by Tombstones.
 type MemStore struct {
 	m     map[keyspace.Key][]overlay.Entry
 	tombs map[keyspace.Key][]Tombstone
@@ -235,19 +253,10 @@ func NewMemStore() *MemStore {
 	}
 }
 
-// Get implements Store.
-func (s *MemStore) Get(key keyspace.Key) []overlay.Entry {
-	entries := s.m[key]
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make([]overlay.Entry, len(entries))
-	copy(out, entries)
-	return out
-}
+// Get implements Store: the stored set itself, which no write edits.
+func (s *MemStore) Get(key keyspace.Key) []overlay.Entry { return s.m[key] }
 
-// Has reports whether e is a live entry under key, without copying the
-// set.
+// Has reports whether e is a live entry under key.
 func (s *MemStore) Has(key keyspace.Key, e overlay.Entry) bool {
 	_, found := slices.BinarySearchFunc(s.m[key], e, CompareEntries)
 	return found

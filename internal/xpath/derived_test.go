@@ -5,6 +5,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
@@ -254,7 +255,8 @@ func TestMostSpecificAllocCeiling(t *testing.T) {
 // TestConstructorAllocCeilings pins what the constructors a publish and a
 // directed find run cost, on Fig. 1's first article: each ceiling is the
 // count the one-pass build takes plus 2, and "was" the count before it
-// (DESIGN.md §33).
+// (DESIGN.md §33). Parse of a canonical form takes one fewer since it
+// keeps its input as the form instead of copying it (§34).
 func TestConstructorAllocCeilings(t *testing.T) {
 	a := descriptor.Fig1Articles()[0]
 	msd := dataset.MSD(a)
@@ -265,12 +267,49 @@ func TestConstructorAllocCeilings(t *testing.T) {
 		build        func()
 	}{
 		{"dataset.MSD", 9, 45, func() { _ = dataset.MSD(a) }},
-		{"Parse(msd)", 18, 24, func() { _, _ = xpath.Parse(form) }},
+		{"Parse(msd)", 17, 24, func() { _, _ = xpath.Parse(form) }},
 		{"AuthorQuery", 12, 18, func() { _ = dataset.AuthorQuery(a.AuthorFirst, a.AuthorLast) }},
 		{"Generalizations(msd)", 11, 84, func() { _ = msd.Generalizations() }},
 	} {
 		if allocs := testing.AllocsPerRun(200, c.build); allocs > c.ceiling {
 			t.Errorf("%s = %v allocs, want <= %v (was %v)", c.name, allocs, c.ceiling, c.was)
+		}
+	}
+}
+
+// TestParseKeepsCanonicalInput: Parse of a canonical form returns the
+// input's own bytes as the query's String, so a stored entry and the query
+// parsed from it share one copy; any other input gets a fresh string, even
+// when its canonical form is a prefix of it.
+func TestParseKeepsCanonicalInput(t *testing.T) {
+	canonical := strings.Clone(dataset.MSD(descriptor.Fig1Articles()[0]).String())
+	q, err := xpath.Parse(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.String() != canonical || unsafe.StringData(q.String()) != unsafe.StringData(canonical) {
+		t.Fatalf("Parse(canonical) did not keep its input's bytes")
+	}
+	within := func(s, in string) bool {
+		p, start := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(in)))
+		return p >= start && p < start+uintptr(len(in))
+	}
+	for _, in := range []string{
+		"/article[year=1979][conf=SIGCOMM]",         // predicates out of order
+		"/article[conf=SIGCOMM][conf=SIGCOMM]",      // canonical form is a prefix of the input
+		"/article/title=TCP",                        // path sugar
+		"/article[title=a\\=b][conf=SIGCOMM]",       // escaped value, out of order
+		strings.Clone(canonical) + "[conf=SIGCOMM]", // repeated predicate
+	} {
+		q, err := xpath.Parse(in)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", in, err)
+		}
+		if q.String() == in {
+			t.Fatalf("fixture: %q is canonical", in)
+		}
+		if within(q.String(), in) {
+			t.Errorf("Parse(%q) = %q shares the input's bytes", in, q)
 		}
 	}
 }

@@ -29,6 +29,8 @@ func (e *SyntaxError) Error() string {
 //
 // Examples: /article[author[first=John][last=Smith]][conf=SIGCOMM],
 // //author[last=Smith], /article/title=TCP (a path is sugar for nesting).
+// An input that is already canonical becomes the query's String as it
+// is, without a copy.
 func Parse(input string) (Query, error) {
 	return parse(input, nil)
 }
@@ -65,7 +67,7 @@ func parse(input string, isLeaf func(string) bool) (Query, error) {
 	if root == nil {
 		return Query{}, ErrEmptyQuery
 	}
-	return freeze(&pattern{node: *root}), nil
+	return freezeFrom(&pattern{node: *root}, input), nil
 }
 
 func (p *parser) errf(format string, args ...any) error {

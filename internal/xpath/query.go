@@ -104,10 +104,19 @@ func (q Query) Constraints() int {
 // constraint signature. The form is rendered into one buffer, on
 // the stack while it fits, and the query's string is the one copy made of
 // it.
-func freeze(p *pattern) Query {
+func freeze(p *pattern) Query { return freezeFrom(p, "") }
+
+// freezeFrom is freeze for a pattern parsed from input. When input is
+// the canonical form already, as every stored index entry is, the query
+// keeps input itself as its string and makes no copy: a form read from a
+// store and the query parsed from it then share their bytes.
+func freezeFrom(p *pattern, input string) Query {
 	var stack [512]byte
 	buf, constraints, sig := canonicalize(stack[:0], &p.node, true, sigRoot)
-	str := string(buf)
+	str := input
+	if string(buf) != input {
+		str = string(buf)
+	}
 	p.key = keyspace.NewKey(str)
 	p.constraints = int32(constraints)
 	p.sig = sig
