@@ -3,9 +3,8 @@ package main
 // The soak subcommand: the live-wire storm of internal/soak — a
 // message-passing ring under drops, latency, partitions and crashes
 // while the paper's indexed queries keep resolving — under one of its
-// presets. With a non-chord -substrate it is instead the in-process
-// indexed churn soak on that substrate's simulated overlay (joins,
-// leaves and, on Kademlia, hard crashes absorbed by replication).
+// presets. With -substrate pastry it is instead the in-process indexed
+// churn soak on the simulated Pastry overlay (joins and graceful leaves).
 
 import (
 	"errors"
@@ -32,7 +31,7 @@ func runSoak(args []string, out io.Writer) error {
 	g := newGate(fs)
 	g.reportFlag(fs)
 	preset := fs.String("preset", "churn", "storm preset: churn|repair|restart|split-brain")
-	substrate := fs.String("substrate", "chord", "chord storms the live ring; pastry|kademlia run the in-process soak")
+	substrate := fs.String("substrate", "chord", "chord storms the live ring; pastry runs the in-process soak")
 	nodes := fs.Int("nodes", 0, "ring size (0: the harness default)")
 	ops := fs.Int("ops", 0, "storm operations (0: the harness default)")
 	drop := fs.Float64("drop", 0, "per-message drop probability (0: the harness default, 0.10)")
@@ -140,7 +139,7 @@ func printSoak(out io.Writer, preset string, r soak.Report) {
 func printSubstrate(out io.Writer, r soak.SubstrateReport) {
 	fmt.Fprintf(out, "\nsubstrate soak report\n")
 	fmt.Fprintf(out, "  substrate:   %s, %d nodes\n", r.Substrate, r.Nodes)
-	fmt.Fprintf(out, "  churn:       %d joins, %d leaves, %d crashes over %d ops\n", r.Joins, r.Leaves, r.Crashes, r.Ops)
+	fmt.Fprintf(out, "  churn:       %d joins, %d leaves over %d ops\n", r.Joins, r.Leaves, r.Ops)
 	fmt.Fprintf(out, "  queries:     %d issued, %d found, %d cache hits, %d failed\n",
 		r.Queries, r.Found, r.CacheHits, r.QueryFailures)
 	fmt.Fprintf(out, "  latency:     p50 %.0fµs, p99 %.0fµs (mean %.2f hops/lookup)\n",

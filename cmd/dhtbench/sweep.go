@@ -10,7 +10,6 @@ import (
 	"math"
 	"slices"
 
-	"dhtindex/internal/kademlia"
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/pastry"
@@ -35,9 +34,7 @@ type sweepNet struct {
 // sweeps maps -substrate to a constructor of n-node sweepNets. Chord's
 // hops are Chord route lengths of FindOwner, each from a random member:
 // the answering node's successor owns the key, so a route counts one
-// hop fewer than the simulations count for the same path. Kademlia's
-// are the α-parallel lookup's probe rounds, which play the role the
-// forwarding hop count plays on the recursive rings.
+// hop fewer than the simulation counts for the same path.
 var sweeps = map[string]func(n int, seed int64, reg *telemetry.Registry) (sweepNet, error){
 	"chord": func(n int, seed int64, reg *telemetry.Registry) (sweepNet, error) {
 		ring, err := wire.StartMemRing(n, 0, seed)
@@ -58,21 +55,12 @@ var sweeps = map[string]func(n int, seed int64, reg *telemetry.Registry) (sweepN
 			return res.Hops, err
 		}, func() {}}, err
 	},
-	"kademlia": func(n int, seed int64, reg *telemetry.Registry) (sweepNet, error) {
-		net := kademlia.NewNetwork(kademlia.Config{Replicas: 1, Seed: seed})
-		nodes, err := net.Populate(n)
-		net.Instrument(reg)
-		return sweepNet{kademlia.AsOverlay(net, seed), func(i int, key keyspace.Key) (int, error) {
-			info, err := net.Lookup(nodes[i%len(nodes)].Addr, key)
-			return info.Hops, err
-		}, func() {}}, err
-	},
 }
 
 func runSweep(args []string, out io.Writer) error {
 	fs := newFlagSet("sweep", "routing hops and key load at 16, 64, ... nodes up to -max-nodes, then a churn test on -max-nodes/4", out)
 	g := newGate(fs)
-	substrate := fs.String("substrate", "chord", "substrate to sweep: chord|pastry|kademlia")
+	substrate := fs.String("substrate", "chord", "substrate to sweep: chord|pastry")
 	maxNodes := fs.Int("max-nodes", 1024, "largest network size in the sweep")
 	if err := parse(fs, args); err != nil {
 		return err

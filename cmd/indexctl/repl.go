@@ -13,7 +13,6 @@ import (
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
 	"dhtindex/internal/index"
-	"dhtindex/internal/kademlia"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/pastry"
 	"dhtindex/internal/wire"
@@ -106,7 +105,7 @@ func (r *repl) exec(line string) error {
 
 func (r *repl) help() error {
 	fmt.Fprint(r.out, `commands:
-  network <nodes> [chord|pastry|kademlia]  create the overlay network
+  network <nodes> [chord|pastry]        create the overlay network
   scheme <simple|flat|complex|fig4>     select the indexing scheme
   cache <none|multi|single|lru> [cap]   select the cache policy
   add <file> <first> <last> <title...> <conf> <year> <size>
@@ -136,7 +135,7 @@ func (r *repl) requireNetwork() error {
 
 func (r *repl) network(args []string) error {
 	if len(args) < 1 {
-		return errors.New("usage: network <nodes> [chord|pastry|kademlia]")
+		return errors.New("usage: network <nodes> [chord|pastry]")
 	}
 	nodes, err := strconv.Atoi(args[0])
 	if err != nil || nodes < 1 {
@@ -161,12 +160,6 @@ func (r *repl) network(args []string) error {
 			return err
 		}
 		net = pastry.AsOverlay(p, 1)
-	case "kademlia":
-		k := kademlia.NewNetwork(kademlia.Config{Replicas: 1, Seed: 1})
-		if _, err := k.Populate(nodes); err != nil {
-			return err
-		}
-		net = kademlia.AsOverlay(k, 1)
 	default:
 		return fmt.Errorf("unknown substrate %q", substrate)
 	}

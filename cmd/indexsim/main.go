@@ -31,7 +31,7 @@ func main() {
 	flag.IntVar(&cfg.Articles, "articles", 10000, "corpus size")
 	flag.IntVar(&cfg.Queries, "queries", 50000, "workload size")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "deterministic seed")
-	flag.StringVar(&cfg.Substrate, "substrate", "chord", "DHT substrate (chord|pastry|kademlia)")
+	flag.StringVar(&cfg.Substrate, "substrate", "chord", "DHT substrate (chord|pastry)")
 	flag.StringVar(&tracePath, "trace", "", "write every LookupTrace to this JSONL file")
 	flag.StringVar(&replayPath, "replay", "", "regenerate metrics from a JSONL trace file instead of simulating")
 	flag.Parse()

@@ -158,37 +158,6 @@ func (k Key) ClockwiseTo(other Key) Key {
 	return out
 }
 
-// XOR returns the bitwise exclusive-or of two keys — Kademlia's distance
-// metric (Maymounkov & Mazières, IPTPS 2002). Like ClockwiseTo it
-// allocates nothing; compare results with Cmp. XOR distance is symmetric
-// and unidirectional: for any key there is exactly one key at each
-// distance, so the k closest nodes to a key form a well-defined set.
-func (k Key) XOR(other Key) Key {
-	var out Key
-	for i := 0; i < Size; i++ {
-		out[i] = k[i] ^ other[i]
-	}
-	return out
-}
-
-// BitLen returns the minimal number of bits needed to represent k as a
-// big-endian integer (0 for the zero key). Kademlia's k-bucket index for
-// a contact at XOR distance d is BitLen(d)-1: the position of the
-// highest differing bit.
-func (k Key) BitLen() int {
-	for i := 0; i < Size; i++ {
-		if k[i] == 0 {
-			continue
-		}
-		n := 8
-		for b := k[i]; b&0x80 == 0; b <<= 1 {
-			n--
-		}
-		return (Size-1-i)*8 + n
-	}
-	return 0
-}
-
 // Distance returns the clockwise ring distance from k to other as a big
 // integer in [0, 2^160). It is used by tests and load-balance diagnostics.
 func (k Key) Distance(other Key) *big.Int {

@@ -250,56 +250,6 @@ func TestClockwiseToBasics(t *testing.T) {
 	}
 }
 
-// Property: XOR agrees with big-integer xor, is symmetric, and is zero
-// exactly on identical keys.
-func TestXORProperty(t *testing.T) {
-	f := func(a, b uint64) bool {
-		ka := NewKey(strconv.FormatUint(a, 36))
-		kb := NewKey(strconv.FormatUint(b, 36))
-		got := ka.XOR(kb)
-		want := new(big.Int).Xor(
-			new(big.Int).SetBytes(ka[:]), new(big.Int).SetBytes(kb[:]))
-		if new(big.Int).SetBytes(got[:]).Cmp(want) != 0 {
-			return false
-		}
-		if got != kb.XOR(ka) {
-			return false
-		}
-		return (got == Key{}) == (ka == kb)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: BitLen agrees with big.Int.BitLen.
-func TestBitLenProperty(t *testing.T) {
-	f := func(a uint64) bool {
-		ka := NewKey(strconv.FormatUint(a, 36))
-		return ka.BitLen() == new(big.Int).SetBytes(ka[:]).BitLen()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBitLenBasics(t *testing.T) {
-	if got := (Key{}).BitLen(); got != 0 {
-		t.Fatalf("BitLen(0) = %d", got)
-	}
-	if got := keyFromUint(1).BitLen(); got != 1 {
-		t.Fatalf("BitLen(1) = %d", got)
-	}
-	if got := keyFromUint(255).BitLen(); got != 8 {
-		t.Fatalf("BitLen(255) = %d", got)
-	}
-	var top Key
-	top[0] = 0x80
-	if got := top.BitLen(); got != Bits {
-		t.Fatalf("BitLen(2^159) = %d", got)
-	}
-}
-
 // TestNewKeyAllocFree: an identifier up to the stack buffer's size hashes
 // without a heap allocation, and one past it hashes to the same key a
 // plain SHA-1 gives.

@@ -1,12 +1,10 @@
 // Package overlay defines the substrate contract between the indexing
 // layer and the underlying P2P DHT. The paper's techniques "can be
 // layered on top of an arbitrary P2P DHT infrastructure" (§I); this
-// interface is that boundary. Three substrates implement it: Chord (the
-// live ring of internal/wire) and the simulated Pastry (internal/pastry)
-// route recursively on a ring; the simulated Kademlia (internal/kademlia)
-// performs α-parallel iterative lookups over an XOR metric.
-// docs/SUBSTRATES.md documents the contract field by field and what
-// adding a fourth substrate takes.
+// interface is that boundary. Two substrates implement it, both routing
+// recursively on a ring: Chord (the live ring of internal/wire) and the
+// simulated Pastry (internal/pastry). docs/SUBSTRATES.md documents the
+// contract field by field and what adding a third substrate takes.
 //
 // Network is the whole required contract. Four optional extensions,
 // each found by type assertion and each with a per-key fallback in the

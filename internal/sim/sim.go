@@ -12,7 +12,6 @@ import (
 	"dhtindex/internal/cache"
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/index"
-	"dhtindex/internal/kademlia"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/pastry"
 	"dhtindex/internal/stats"
@@ -42,7 +41,7 @@ type Options struct {
 	Corpus *dataset.Corpus
 	// Substrate selects the DHT implementation: "chord" (default: the
 	// live ring of internal/wire on an in-memory transport, maintained
-	// by hand), "pastry" or "kademlia". The indexing layer's metrics are
+	// by hand) or "pastry". The indexing layer's metrics are
 	// substrate-independent (§V-E); only placement and hop counts change.
 	Substrate string
 	// PromoteTop short-circuits the N most popular articles with deep
@@ -117,15 +116,6 @@ func buildSubstrate(opts Options) (ov overlay.Network, stop func(), err error) {
 			return nil, nil, err
 		}
 		return pastry.AsOverlay(net, opts.Seed+2), func() {}, nil
-	case "kademlia":
-		// Replicas=1 keeps storage accounting comparable with the
-		// single-owner ring substrates (§V-E's substrate-independence).
-		net := kademlia.NewNetwork(kademlia.Config{Replicas: 1, Seed: opts.Seed})
-		if _, err := net.Populate(opts.Nodes); err != nil {
-			return nil, nil, err
-		}
-		net.Instrument(opts.Telemetry)
-		return kademlia.AsOverlay(net, opts.Seed+2), func() {}, nil
 	default:
 		return nil, nil, fmt.Errorf("sim: unknown substrate %q", opts.Substrate)
 	}

@@ -27,7 +27,7 @@ type Config struct {
 	Articles   int
 	Queries    int
 	Seed       int64
-	// Substrate selects the DHT implementation (chord|pastry|kademlia).
+	// Substrate selects the DHT implementation (chord|pastry).
 	Substrate string
 	// TraceSink, when non-nil, receives every LookupTrace produced by the
 	// report's simulation runs (cmd/indexsim wires a JSONL file here, so
@@ -461,13 +461,13 @@ func schemeGrid(w io.Writer, r *runner, specs []policySpec, cell func(*sim.Metri
 }
 
 // substrate demonstrates §V-E's layering claim: the same indexed workload
-// over Chord, Pastry and Kademlia yields identical indexing metrics; only
-// substrate routing cost differs.
+// over Chord and Pastry yields identical indexing metrics; only substrate
+// routing cost differs.
 func substrate(w io.Writer, r *runner) error {
-	fmt.Fprintf(w, "\n== §V-E — Substrate independence (Chord vs Pastry vs Kademlia) ==\n")
+	fmt.Fprintf(w, "\n== §V-E — Substrate independence (Chord vs Pastry) ==\n")
 	fmt.Fprintf(w, "%-10s %14s %14s %12s %16s\n",
 		"substrate", "interactions", "traffic B/q", "hit ratio", "hops/interaction")
-	for _, sub := range []string{"chord", "pastry", "kademlia"} {
+	for _, sub := range []string{"chord", "pastry"} {
 		m, err := sim.Run(sim.Options{
 			Nodes:     r.cfg.Nodes,
 			Articles:  r.cfg.Articles,

@@ -18,21 +18,37 @@ func tinyConfig(experiment string) Config {
 	}
 }
 
+// TestRunAllExperiments renders the whole report twice: every section
+// must be present, and the second rendering must repeat the first byte
+// for byte — no cell may depend on scheduling or the wall clock.
 func TestRunAllExperiments(t *testing.T) {
-	var sb strings.Builder
-	if err := Run(&sb, tinyConfig("all")); err != nil {
-		t.Fatal(err)
+	render := func() string {
+		var sb strings.Builder
+		if err := Run(&sb, tinyConfig("all")); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
-	out := sb.String()
+	out := render()
 	for _, want := range []string{
 		"Fig. 7", "Fig. 8", "Fig. 9", "Fig. 10", "§V-B", "Fig. 11",
-		"Fig. 12", "Fig. 13", "Fig. 14", "Fig. 15", "Table I",
+		"Fig. 12", "Fig. 13", "Fig. 14", "Fig. 15", "Table I", "§V-E",
 		"simple", "flat", "complex",
 		"no-cache", "multi-cache", "single-cache", "lru-30",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+	if again := render(); again != out {
+		outLines, againLines := strings.Split(out, "\n"), strings.Split(again, "\n")
+		for i := range min(len(outLines), len(againLines)) {
+			if outLines[i] != againLines[i] {
+				t.Fatalf("report differs between two renderings at line %d:\n first: %s\nsecond: %s",
+					i+1, outLines[i], againLines[i])
+			}
+		}
+		t.Fatalf("report differs between two renderings: %d lines, then %d", len(outLines), len(againLines))
 	}
 }
 

@@ -8,7 +8,8 @@
 // bibliographic corpus published through the ring, indexed queries
 // resolved while it is stormed), RunIngest a continuous document stream,
 // and RunLoad drives an unfaulted ring open-loop past its capacity.
-// RunSubstrate is the in-process companion over the simulated substrates.
+// RunSubstrate is the in-process companion over the hand-driven Chord
+// ring and the simulated Pastry.
 // Every lookup is traced (telemetry.LookupTrace) and every layer —
 // faults, retries, failover, DHT hops, index interactions, cache hits —
 // reports into one telemetry.Registry, so a single run produces both the

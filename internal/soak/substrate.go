@@ -7,7 +7,6 @@ import (
 
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/index"
-	"dhtindex/internal/kademlia"
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/pastry"
@@ -18,13 +17,13 @@ import (
 
 // SubstrateConfig parameterizes the in-process cross-substrate churn
 // soak: the paper's indexed workload over the live Chord ring (driven by
-// hand on an in-memory transport) or the simulated Pastry and Kademlia
-// substrates, with membership churn between query batches. It is the
+// hand on an in-memory transport) or the simulated Pastry substrate,
+// with membership churn between query batches. It is the
 // apples-to-apples companion of the wire soak — same corpus, same
 // query generator, same acked-write-loss bar — used to produce the
 // cross-substrate matrix `dhtbench matrix` prints.
 type SubstrateConfig struct {
-	// Substrate selects the overlay: "chord", "pastry" or "kademlia".
+	// Substrate selects the overlay: "chord" or "pastry".
 	Substrate string
 	// Nodes is the starting overlay size (default 48).
 	Nodes int
@@ -59,9 +58,8 @@ func (c SubstrateConfig) withDefaults() SubstrateConfig {
 }
 
 const (
-	// churnEvery fires a membership event every this many ops: joins and
-	// graceful leaves on every substrate, plus hard crashes on Kademlia,
-	// whose replication is expected to absorb them.
+	// churnEvery fires a membership event every this many ops: one join,
+	// then two graceful leaves, in rotation.
 	churnEvery = 10
 	// substrateQueries is the number of indexed lookups per op.
 	substrateQueries = 2
@@ -75,10 +73,9 @@ type SubstrateReport struct {
 	// Nodes is the final overlay size, Ops the soak length.
 	Nodes int `json:"nodes"`
 	Ops   int `json:"ops"`
-	// Joins, Leaves and Crashes count the churn events applied.
-	Joins   int `json:"joins"`
-	Leaves  int `json:"leaves"`
-	Crashes int `json:"crashes"`
+	// Joins and Leaves count the churn events applied.
+	Joins  int `json:"joins"`
+	Leaves int `json:"leaves"`
 	// Queries/Found/CacheHits/QueryFailures account the storm-time
 	// indexed lookups (failures are tolerated mid-churn and counted).
 	Queries       int `json:"queries"`
@@ -91,8 +88,7 @@ type SubstrateReport struct {
 	AckedArticles int `json:"acked_articles"`
 	LostArticles  int `json:"lost_articles"`
 	// MeanLookupHops is the substrate's routed-hop average across the
-	// run (iterative depth for Kademlia — the comparable quantity). The
-	// live Chord ring's client addresses each key's owner in one
+	// run. The live Chord ring's client addresses each key's owner in one
 	// message, so its row is the Chord route length of FindOwner from a
 	// random member after the final maintenance pass (routedHops).
 	MeanLookupHops float64 `json:"mean_lookup_hops"`
@@ -100,8 +96,8 @@ type SubstrateReport struct {
 	P50QueryMicros float64 `json:"p50_query_micros"`
 	P99QueryMicros float64 `json:"p99_query_micros"`
 	// MaintenanceItems counts entries moved by churn repair: keys the
-	// live Chord ring's repair rounds pulled, pushed and forwarded,
-	// keys rehomed on Pastry, entries republished on Kademlia.
+	// live Chord ring's repair rounds pulled, pushed and forwarded, and
+	// keys rehomed on Pastry.
 	MaintenanceItems int `json:"maintenance_items"`
 	// Violations lists the soak's broken promises, one line each; empty
 	// is a pass.
@@ -117,12 +113,9 @@ type substrateHarness struct {
 	ov    overlay.Network
 	join  func(addr string) error
 	leave func(addr string) error
-	// crash is nil for substrates whose in-sim durability story is
-	// graceful hand-off only; Kademlia absorbs crashes via replication.
-	crash func(addr string) error
 	// maintain runs the substrate's churn repair (Chord: maintenance
-	// rounds until the ring settles; Kademlia: bucket refresh +
-	// republish; Pastry repairs eagerly on membership change).
+	// rounds until the ring settles; Pastry repairs eagerly on
+	// membership change).
 	maintain func() error
 	// maintenance reports the items repair has moved so far.
 	maintenance func() int
@@ -168,36 +161,6 @@ func buildHarness(cfg SubstrateConfig) (*substrateHarness, error) {
 			meanHops: func() float64 {
 				m := net.Metrics()
 				return float64(m.Hops) / float64(max(m.Lookups, 1))
-			},
-			stop: func() {},
-		}, nil
-	case "kademlia":
-		// Replicas=4 with a maintenance pass after every churn event: a
-		// crash between passes kills at most one of four copies, so acked
-		// writes survive without any graceful hand-off.
-		net := kademlia.NewNetwork(kademlia.Config{
-			Replicas:   4,
-			RPCTimeout: 15 * time.Millisecond,
-			Seed:       cfg.Seed,
-		})
-		if _, err := net.Populate(cfg.Nodes); err != nil {
-			return nil, err
-		}
-		net.Instrument(cfg.Telemetry)
-		return &substrateHarness{
-			ov:    kademlia.AsOverlay(net, cfg.Seed+2),
-			join:  func(addr string) error { _, err := net.AddNode(addr); return err },
-			leave: net.RemoveNode,
-			crash: net.FailNode,
-			maintain: func() error {
-				net.RefreshBuckets()
-				net.RepublishOnce()
-				return nil
-			},
-			maintenance: func() int { return net.Metrics().Republished },
-			meanHops: func() float64 {
-				m := net.Metrics()
-				return float64(m.Rounds) / float64(max(m.Lookups, 1))
 			},
 			stop: func() {},
 		}, nil
@@ -248,37 +211,24 @@ func RunSubstrate(cfg SubstrateConfig) (SubstrateReport, error) {
 	var latencies []float64
 	joined := 0
 	churn := func(op int) error {
-		// Rotate join / graceful leave / crash (crash only where the
-		// substrate claims to absorb it).
-		kind := (op / churnEvery) % 3
-		if kind == 2 && h.crash == nil {
-			kind = 1
-		}
-		switch kind {
-		case 0:
+		// Rotate one join, then two graceful leaves.
+		if (op/churnEvery)%3 == 0 {
 			joined++
 			addr := fmt.Sprintf("%s-join-%03d", cfg.Substrate, joined)
 			if err := h.join(addr); err != nil {
 				return fmt.Errorf("soak: join %s: %w", addr, err)
 			}
 			report.Joins++
-		case 1, 2:
+		} else {
 			addrs := h.ov.Addrs()
 			if len(addrs) <= cfg.Nodes/2 {
 				return nil // keep the overlay from draining
 			}
 			victim := addrs[rng.Intn(len(addrs))]
-			if kind == 1 {
-				if err := h.leave(victim); err != nil {
-					return fmt.Errorf("soak: leave %s: %w", victim, err)
-				}
-				report.Leaves++
-			} else {
-				if err := h.crash(victim); err != nil {
-					return fmt.Errorf("soak: crash %s: %w", victim, err)
-				}
-				report.Crashes++
+			if err := h.leave(victim); err != nil {
+				return fmt.Errorf("soak: leave %s: %w", victim, err)
 			}
+			report.Leaves++
 		}
 		if err := h.maintain(); err != nil {
 			return fmt.Errorf("soak: maintenance: %w", err)

@@ -194,7 +194,8 @@ func (g *Gauge) sample() sample { return sample{value: g.Value()} }
 
 // funcMetric is a read-only series whose value is computed at snapshot
 // time — the collector pattern, used to export pre-existing mutex-guarded
-// stats (e.g. kademlia.Metrics, wire.FaultStats) without restructuring them.
+// stats (e.g. wire.FaultStats, an ingest queue's depth) without restructuring
+// them.
 type funcMetric struct {
 	desc Desc
 	kind string
