@@ -6,11 +6,15 @@ package wire_test
 // publish on MemTransport too; CI's bench smoke step runs each once). What these operations cost in
 // messages and bytes is counted, not timed, by TestCostLedger; the
 // pooled round trip's bytes and allocations are gated by
-// TestPooledCallCost.
+// TestPooledCallCost, and the server's share of them by
+// TestServerHandOffCost.
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -55,11 +59,12 @@ func BenchmarkTransportCall(b *testing.B) {
 }
 
 // Pooled-call budget: a Ping round trip is a 21-byte request frame and
-// a 22-byte reply frame. It allocates 12 times; the cap is 12 × 1.5 + 16,
-// room for the runtime's background allocations.
+// a 22-byte reply frame. It allocates twice, the Addr string decoded on
+// each side; the cap is 2 × 1.5 + 16, room for the runtime's background
+// allocations.
 const (
 	pooledCallBytes     = 43
-	pooledCallMaxAllocs = 34
+	pooledCallMaxAllocs = 19
 )
 
 // TestPooledCallCost holds a warmed pooled TCP round trip to its exact
@@ -99,6 +104,50 @@ func TestPooledCallCost(t *testing.T) {
 	t.Logf("%.1f allocations per call", allocs)
 	if allocs > pooledCallMaxAllocs {
 		t.Errorf("%.1f allocations per call, cap %d", allocs, pooledCallMaxAllocs)
+	}
+}
+
+// TestServerHandOffCost pins the server's side of a request: reading its
+// frame, handing it to a worker and writing the reply allocate nothing
+// beyond what the request's decode returns, and a scalar-only request
+// decodes to nothing. The client is a bare socket that writes a prepared
+// frame and reads the reply into a prepared buffer.
+func TestServerHandOffCost(t *testing.T) {
+	server := wire.NewTCPTransport()
+	addr, closer, err := server.Listen("127.0.0.1:0", func(req wire.Message) wire.Message {
+		return wire.Message{Op: req.Op, Ok: true, TTL: req.TTL}
+	})
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer closer.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	frame := func(id uint64, m *wire.Message) []byte {
+		b := wire.AppendMessage(make([]byte, wire.FrameHeaderSize), m)
+		binary.BigEndian.PutUint64(b[0:8], id)
+		binary.BigEndian.PutUint32(b[8:12], uint32(len(b)-wire.FrameHeaderSize))
+		return b
+	}
+	req := frame(1, &wire.Message{Op: wire.OpPing, TTL: 3})
+	reply := make([]byte, len(frame(1, &wire.Message{Op: wire.OpPing, Ok: true, TTL: 3})))
+	call := func() {
+		if _, err := conn.Write(req); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if _, err := io.ReadFull(conn, reply); err != nil {
+			t.Fatalf("read: %v", err)
+		}
+	}
+	call() // warm the server's connection and worker
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(500, call); allocs != 0 {
+		t.Errorf("a scalar request through the server allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -32,7 +32,9 @@ package wire
 // frame cannot make the node allocate past the frame it already read;
 // and since a shared prefix makes a string longer than the bytes that
 // carry it, the strings a message decodes to are capped in total at the
-// reading connection's frame cap, checked before each one is built.
+// reading connection's frame cap, checked before each one is built. An
+// entry list is sized before any of it is built, and its new values
+// share one buffer (DESIGN.md §36).
 
 import (
 	"encoding/binary"
@@ -315,7 +317,19 @@ func (r *binReader) spend(n uint64) error {
 
 func (r *binReader) remaining() int { return len(r.data) - r.off }
 
+// uvarint reads one unsigned varint. Counts, lengths and chain tags
+// mostly fit one byte, and that case inlines.
 func (r *binReader) uvarint() (uint64, error) {
+	if off := r.off; off < len(r.data) {
+		if b := r.data[off]; b < 0x80 {
+			r.off = off + 1
+			return uint64(b), nil
+		}
+	}
+	return r.longUvarint()
+}
+
+func (r *binReader) longUvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.off:])
 	if n <= 0 {
 		return 0, errBinTruncated
@@ -364,20 +378,14 @@ func (r *binReader) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return r.strOf(n)
-}
-
-// strOf reads the next n bytes as a string.
-func (r *binReader) strOf(n uint64) (string, error) {
-	if n > uint64(r.remaining()) {
-		return "", errBinTruncated
+	b, err := r.bytes(n)
+	if err != nil {
+		return "", err
 	}
 	if err := r.spend(n); err != nil {
 		return "", err
 	}
-	s := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
+	return string(b), nil
 }
 
 func (r *binReader) key() (keyspace.Key, error) {
@@ -400,50 +408,116 @@ func (r *binReader) entry() (overlay.Entry, error) {
 	return e, err
 }
 
-// chained decodes the chain's next entry against the previous one.
-func (r *binReader) chained() (overlay.Entry, error) {
-	var e overlay.Entry
+// chainLink is one chained entry as the wire gives it: a new kind, or a
+// back-reference to the previous entry's; how many bytes of the previous
+// value the value starts with; and the bytes that follow them.
+type chainLink struct {
+	repeat bool
+	kind   []byte
+	shared int
+	suffix []byte
+}
+
+// link reads the chain's next entry into l and checks it against the
+// previous one: started says there is one, prevValue is its value's
+// length.
+func (r *binReader) link(l *chainLink, started bool, prevValue int) error {
 	tag, err := r.uvarint()
 	if err != nil {
-		return e, err
+		return err
 	}
-	if tag == 0 {
-		if !r.started {
-			return e, errors.New("wire: binary entry repeats the kind of no entry")
+	l.repeat = tag == 0
+	if l.repeat {
+		if !started {
+			return errors.New("wire: binary entry repeats the kind of no entry")
 		}
-		if err := r.spend(uint64(len(r.prev.Kind))); err != nil {
-			return e, err
-		}
-		e.Kind = r.prev.Kind
-	} else if e.Kind, err = r.strOf(tag - 1); err != nil {
-		return e, err
+	} else if l.kind, err = r.bytes(tag - 1); err != nil {
+		return err
 	}
 	p, err := r.uvarint()
 	if err != nil {
-		return e, err
+		return err
 	}
-	if p > uint64(len(r.prev.Value)) {
-		return e, fmt.Errorf("wire: binary entry shares %d bytes of a %d-byte value", p, len(r.prev.Value))
+	if p > uint64(prevValue) {
+		return fmt.Errorf("wire: binary entry shares %d bytes of a %d-byte value", p, prevValue)
 	}
 	n, err := r.uvarint()
 	if err != nil {
-		return e, err
+		return err
 	}
+	l.shared = int(p)
+	l.suffix, err = r.bytes(n)
+	return err
+}
+
+// bytes reads the next n bytes in place.
+func (r *binReader) bytes(n uint64) ([]byte, error) {
 	if n > uint64(r.remaining()) {
-		return e, errBinTruncated
+		return nil, errBinTruncated
 	}
-	if err := r.spend(p + n); err != nil {
-		return e, err
+	b := r.data[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b, nil
+}
+
+// reserve sizes the next n chained entries — n tombstones, each with its
+// timestamp, when tombs — before any of them is built. A shared prefix
+// makes a value longer than the bytes that carry it, so the strings a
+// list decodes to are only known by walking it: reserve charges them all
+// to the budget, refusing a list that would decode past it before
+// anything is allocated for it, and then grows vals to exactly the bytes
+// the list's new values take, which chained builds them into.
+func (r *binReader) reserve(n int, tombs bool, vals *strings.Builder) error {
+	ahead := *r
+	started, kind, value := r.started, len(r.prev.Kind), len(r.prev.Value)
+	var spend, size uint64
+	var l chainLink
+	for range n {
+		if err := ahead.link(&l, started, value); err != nil {
+			return err
+		}
+		if tombs {
+			if _, err := ahead.varint(); err != nil {
+				return err
+			}
+		}
+		if !l.repeat {
+			kind = len(l.kind)
+		}
+		started, value = true, l.shared+len(l.suffix)
+		spend += uint64(kind + value)
+		if spend > uint64(r.budget) {
+			return errBinTooLarge
+		}
+		if len(l.suffix) > 0 {
+			size += uint64(value)
+		}
 	}
-	if n == 0 {
-		e.Value = r.prev.Value[:p]
+	r.budget -= int64(spend)
+	vals.Grow(int(size))
+	return nil
+}
+
+// chained decodes the chain's next entry against the previous one. Its
+// kind is the previous entry's string when it repeats it; its value is a
+// prefix of the previous value when it adds nothing to it, and otherwise
+// a substring of vals, which reserve sized and charged for.
+func (r *binReader) chained(vals *strings.Builder) (overlay.Entry, error) {
+	var l chainLink
+	if err := r.link(&l, r.started, len(r.prev.Value)); err != nil {
+		return overlay.Entry{}, err
+	}
+	e := r.prev
+	if !l.repeat {
+		e.Kind = string(l.kind)
+	}
+	if len(l.suffix) == 0 {
+		e.Value = r.prev.Value[:l.shared]
 	} else {
-		var b strings.Builder
-		b.Grow(int(p + n))
-		b.WriteString(r.prev.Value[:p])
-		b.Write(r.data[r.off : r.off+int(n)])
-		e.Value = b.String()
-		r.off += int(n)
+		start := vals.Len()
+		vals.WriteString(r.prev.Value[:l.shared])
+		vals.Write(l.suffix)
+		e.Value = vals.String()[start:]
 	}
 	r.prev, r.started = e, true
 	return e, nil
@@ -453,15 +527,16 @@ func (r *binReader) entries() ([]overlay.Entry, error) {
 	// A chained entry is a kind tag, a prefix length and a suffix
 	// length: at least three bytes.
 	n, err := r.count(3)
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
+	var vals strings.Builder
+	if err := r.reserve(n, false, &vals); err != nil {
+		return nil, err
 	}
 	out := make([]overlay.Entry, n)
 	for i := range out {
-		if out[i], err = r.chained(); err != nil {
+		if out[i], err = r.chained(&vals); err != nil {
 			return nil, err
 		}
 	}
@@ -471,15 +546,16 @@ func (r *binReader) entries() ([]overlay.Entry, error) {
 func (r *binReader) tombstones() ([]Tombstone, error) {
 	// A tombstone is a chained entry plus a varint: at least four bytes.
 	n, err := r.count(4)
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
+	var vals strings.Builder
+	if err := r.reserve(n, true, &vals); err != nil {
+		return nil, err
 	}
 	out := make([]Tombstone, n)
 	for i := range out {
-		if out[i].Entry, err = r.chained(); err != nil {
+		if out[i].Entry, err = r.chained(&vals); err != nil {
 			return nil, err
 		}
 		if out[i].At, err = r.varint(); err != nil {

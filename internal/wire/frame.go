@@ -49,7 +49,8 @@ type codec struct {
 	wbuf []byte // frame staging, guarded by wmu
 
 	br   *bufio.Reader
-	rbuf []byte // payload staging, owned by the reader
+	rhdr [frameHeaderSize]byte // header staging, owned by the reader
+	rbuf []byte                // payload staging, owned by the reader
 
 	// bytesIn/bytesOut aggregate wire bytes into the owning transport's
 	// counters (never nil).
@@ -100,23 +101,22 @@ func (c *codec) writeFrame(id uint64, msg *Message, timeout time.Duration) error
 	return nil
 }
 
-// readFrame reads one frame and decodes it in place from the codec's
-// reader-owned scratch; scalar-only frames decode without allocating at
-// all. The declared payload length is validated against the size cap
-// BEFORE any allocation, and the strings the payload decodes to are held
-// within the same cap, so a corrupt or hostile peer cannot make the
-// node allocate unboundedly. The read deadline is the caller's job — the
-// client read loop and the server frame loop have different idle
-// semantics.
-func (c *codec) readFrame() (uint64, Message, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return 0, Message{}, err
+// readFrame reads one frame and decodes it into msg, in place from the
+// codec's reader-owned scratch; scalar-only frames decode without
+// allocating at all. The declared payload length is validated against
+// the size cap BEFORE any allocation, and the strings the payload decodes
+// to are held within the same cap, so a corrupt or hostile peer cannot
+// make the node allocate unboundedly. The read deadline is the caller's
+// job — the client read loop and the server frame loop have different
+// idle semantics. After an error msg holds nothing the caller may use.
+func (c *codec) readFrame(msg *Message) (uint64, error) {
+	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
+		return 0, err
 	}
-	id := binary.BigEndian.Uint64(hdr[0:8])
-	n := int64(binary.BigEndian.Uint32(hdr[8:12]))
+	id := binary.BigEndian.Uint64(c.rhdr[0:8])
+	n := int64(binary.BigEndian.Uint32(c.rhdr[8:12]))
 	if n > c.maxMsg {
-		return 0, Message{}, fmt.Errorf("wire: frame of %d bytes exceeds cap %d", n, c.maxMsg)
+		return 0, fmt.Errorf("wire: frame of %d bytes exceeds cap %d", n, c.maxMsg)
 	}
 	p := c.rbuf
 	if int64(cap(p)) < n {
@@ -127,14 +127,13 @@ func (c *codec) readFrame() (uint64, Message, error) {
 	}
 	p = p[:n]
 	if _, err := io.ReadFull(c.br, p); err != nil {
-		return 0, Message{}, err
+		return 0, err
 	}
 	c.bytesIn.Add(frameHeaderSize + n)
-	var msg Message
-	if err := decodeMessage(p, &msg, c.maxMsg); err != nil {
-		return id, Message{}, fmt.Errorf("wire: decode frame: %w", err)
+	if err := decodeMessage(p, msg, c.maxMsg); err != nil {
+		return id, fmt.Errorf("wire: decode frame: %w", err)
 	}
-	return id, msg, nil
+	return id, nil
 }
 
 // isTimeoutErr reports whether err is a network timeout (an expired

@@ -1,7 +1,13 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"net"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -41,7 +47,8 @@ func TestFrameScratchNotPinnedByLargeFrame(t *testing.T) {
 		if err := w.writeFrame(7, m, time.Second); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		id, got, err := r.readFrame()
+		var got Message
+		id, err := r.readFrame(&got)
 		if err != nil || id != 7 || got.Op != m.Op || len(got.Entries) != len(m.Entries) {
 			t.Fatalf("read: id %d, %+v, %v", id, got.Op, err)
 		}
@@ -60,4 +67,89 @@ func TestFrameScratchNotPinnedByLargeFrame(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("steady-state small frame allocates %v times on the write side, want 0", n)
 	}
+}
+
+// frameSink is a connection that only collects what is written to it.
+type frameSink struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (s *frameSink) Write(p []byte) (int, error) { return s.buf.Write(p) }
+
+// frameBytes is the frame writeFrame sends for m under request ID id.
+func frameBytes(t testing.TB, id uint64, m *Message) []byte {
+	t.Helper()
+	var in, out atomic.Int64
+	sink := &frameSink{}
+	if err := newCodec(sink, fuzzMaxBytes, &in, &out).writeFrame(id, m, 0); err != nil {
+		t.Fatalf("write frame: %v", err)
+	}
+	return sink.buf.Bytes()
+}
+
+// FuzzReadFrame feeds arbitrary byte streams through codec.readFrame:
+// the header, the length cap and the payload's decode, frame after frame
+// until the stream ends or is refused. Reading must never panic; a frame
+// that declares more than the cap is refused, before its payload is
+// allocated; and every frame read goes back through writeFrame into a
+// frame that reads back equal.
+func FuzzReadFrame(f *testing.F) {
+	entries := make([]overlay.Entry, 16)
+	for i := range entries {
+		entries[i] = overlay.Entry{Kind: "index", Value: fmt.Sprintf("/article[author[last/L%02d]]", i)}
+	}
+	ping := frameBytes(f, 1, &Message{Op: OpPing, Addr: "127.0.0.1:7000"})
+	get := frameBytes(f, 2, &Message{Op: OpGet, Ok: true, Entries: entries})
+	f.Add(ping)
+	f.Add(get)
+	f.Add(append(append([]byte(nil), ping...), get...))
+	f.Add(ping[:frameHeaderSize-3]) // truncated header
+	huge := append([]byte(nil), ping...)
+	binary.BigEndian.PutUint32(huge[8:12], 1<<31) // declares 2 GiB
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var in, out atomic.Int64
+		c := newCodec(nil, fuzzMaxBytes, &in, &out)
+		c.br = bufio.NewReader(bytes.NewReader(data))
+		for rest := data; ; {
+			var declared int64 // the frame's length, when the stream holds a header
+			if len(rest) >= frameHeaderSize {
+				declared = int64(binary.BigEndian.Uint32(rest[8:12]))
+			}
+			// A frame declaring a MiB or more must be refused having
+			// allocated less than a MiB; smaller amounts are lost in
+			// what the rest of the process allocates meanwhile.
+			var before, after runtime.MemStats
+			if declared >= 1<<20 {
+				runtime.ReadMemStats(&before)
+			}
+			var m Message
+			id, err := c.readFrame(&m)
+			if declared >= 1<<20 {
+				runtime.ReadMemStats(&after)
+				if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+					t.Fatalf("refusing a frame that declares %d bytes allocated %d bytes", declared, n)
+				}
+			}
+			if declared > fuzzMaxBytes && err == nil {
+				t.Fatalf("a frame declaring %d bytes was read under a %d-byte cap", declared, fuzzMaxBytes)
+			}
+			if err != nil {
+				return
+			}
+			rest = rest[frameHeaderSize+declared:]
+
+			back := newCodec(nil, fuzzMaxBytes, &in, &out)
+			back.br = bufio.NewReader(bytes.NewReader(frameBytes(t, id, &m)))
+			var again Message
+			againID, err := back.readFrame(&again)
+			if err != nil {
+				t.Fatalf("a frame writeFrame produced fails to read: %v", err)
+			}
+			if againID != id || !reflect.DeepEqual(m, again) {
+				t.Fatalf("frame round trip diverged:\n first  %d %+v\n second %d %+v", id, m, againID, again)
+			}
+		}
+	})
 }

@@ -9,6 +9,7 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -23,10 +24,63 @@ type poolResult struct {
 	err error
 }
 
+// errCallTimeout is what await reports when a call outlives its timeout.
+var errCallTimeout = errors.New("wire: call timeout")
+
+// waiter is one call's response slot and call-timeout timer. Waiters are
+// reused from call to call (DESIGN.md §36), so a round trip allocates
+// neither. A waiter goes back to waiterPool only when nothing can still
+// send into it: its response was received, unregister took it out of
+// pending, or release received the one send deliver or teardown is
+// committed to.
+type waiter struct {
+	ch    chan poolResult // buffered: deliver and teardown never block
+	timer *time.Timer     // stopped between calls, its channel empty
+}
+
+var waiterPool = sync.Pool{New: func() any {
+	return &waiter{ch: make(chan poolResult, 1), timer: stoppedTimer()}
+}}
+
+// stoppedTimer returns a timer that is not running.
+func stoppedTimer() *time.Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}
+
+// await waits for w's response until ctx is done or d has passed, and
+// then reports ctx.Err() or errCallTimeout.
+func (w *waiter) await(ctx context.Context, d time.Duration) (poolResult, error) {
+	w.timer.Reset(d)
+	select {
+	case r := <-w.ch:
+		w.disarm()
+		return r, nil
+	case <-ctx.Done():
+		w.disarm()
+		return poolResult{}, ctx.Err()
+	case <-w.timer.C:
+		return poolResult{}, errCallTimeout
+	}
+}
+
+// disarm stops w's timer for the next call. A timer Stop finds already
+// fired is replaced, not drained: go.mod's go 1.22 keeps asynchronous
+// timer channels, whose tick can still land after Stop returns, and a
+// later call must not take it for its own timeout. (Under synchronous
+// channels Stop discards a pending tick, and a blocking drain after a
+// failed Stop would hang.)
+func (w *waiter) disarm() {
+	if !w.timer.Stop() {
+		w.timer = stoppedTimer()
+	}
+}
+
 // persistConn is one pooled client connection. The pending map is the
 // multiplexing heart: callers register a request ID before writing their
 // frame, and the single reader goroutine routes each response frame to
-// the channel registered under its ID. A response whose ID is no longer
+// the waiter registered under its ID. A response whose ID is no longer
 // registered (the caller timed out and left) is dropped on the floor —
 // it can never be delivered to a different caller, because IDs are
 // never reused within a connection.
@@ -41,51 +95,63 @@ type persistConn struct {
 	inflight atomic.Int64
 
 	mu      sync.Mutex
-	pending map[uint64]chan poolResult
+	pending map[uint64]*waiter
 	nextID  uint64
 	broken  bool
 }
 
-// register allocates a fresh request ID and its response channel. It
+// register allocates a fresh request ID and registers w under it. It
 // fails when the connection broke between pool lookup and registration;
 // the caller then grabs another connection.
-func (p *persistConn) register() (uint64, chan poolResult, bool) {
+func (p *persistConn) register(w *waiter) (uint64, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.broken {
-		return 0, nil, false
+		return 0, false
 	}
 	p.nextID++
 	id := p.nextID
-	ch := make(chan poolResult, 1)
-	p.pending[id] = ch
+	p.pending[id] = w
 	p.inflight.Add(1)
-	return id, ch, true
+	return id, true
 }
 
-// unregister abandons a request (caller timeout or write failure). The
-// reader may still receive the late response; it finds no channel and
-// drops it.
-func (p *persistConn) unregister(id uint64) {
+// unregister abandons a request (caller timeout or write failure) and
+// reports whether it was still pending. The reader may still receive the
+// late response; it finds no waiter and drops it.
+func (p *persistConn) unregister(id uint64) bool {
 	p.mu.Lock()
-	if _, ok := p.pending[id]; ok {
-		delete(p.pending, id)
-		p.inflight.Add(-1)
+	defer p.mu.Unlock()
+	if _, ok := p.pending[id]; !ok {
+		return false
 	}
-	p.mu.Unlock()
+	delete(p.pending, id)
+	p.inflight.Add(-1)
+	return true
+}
+
+// release abandons a request whose caller is leaving early and returns
+// its waiter to waiterPool. When the request was no longer pending,
+// deliver or teardown took it and is committed to one send into w, which
+// release receives first: a later call must not find it.
+func (p *persistConn) release(id uint64, w *waiter) {
+	if !p.unregister(id) {
+		<-w.ch
+	}
+	waiterPool.Put(w)
 }
 
 // deliver routes one response frame to its registered caller.
-func (p *persistConn) deliver(id uint64, msg Message) {
+func (p *persistConn) deliver(id uint64, msg *Message) {
 	p.mu.Lock()
-	ch := p.pending[id]
-	if ch != nil {
+	w := p.pending[id]
+	if w != nil {
 		delete(p.pending, id)
 		p.inflight.Add(-1)
 	}
 	p.mu.Unlock()
-	if ch != nil {
-		ch <- poolResult{msg: msg} // buffered: never blocks
+	if w != nil {
+		w.ch <- poolResult{msg: *msg}
 	}
 }
 
@@ -108,8 +174,8 @@ func (p *persistConn) teardown(err error, idle bool) {
 
 	p.t.pool().remove(p)
 	_ = p.conn.Close()
-	for _, ch := range pending {
-		ch <- poolResult{err: err} // buffered: never blocks
+	for _, w := range pending {
+		w.ch <- poolResult{err: err}
 	}
 	if idle {
 		p.t.poolIdleReaps.Inc()
@@ -127,6 +193,7 @@ func (p *persistConn) teardown(err error, idle bool) {
 func (p *persistConn) readLoop() {
 	idleTimeout := p.t.poolIdleTimeout()
 	busyTimeout := p.t.callTimeout() + time.Second
+	var msg Message
 	for {
 		wasIdle := p.inflight.Load() == 0
 		d := busyTimeout
@@ -134,7 +201,7 @@ func (p *persistConn) readLoop() {
 			d = idleTimeout
 		}
 		_ = p.conn.SetReadDeadline(time.Now().Add(d))
-		id, msg, err := p.c.readFrame()
+		id, err := p.c.readFrame(&msg)
 		if err != nil {
 			if isTimeoutErr(err) && p.inflight.Load() == 0 {
 				p.teardown(fmt.Errorf("%w: %s: pooled conn idle-reaped", ErrUnreachable, p.addr), true)
@@ -143,7 +210,7 @@ func (p *persistConn) readLoop() {
 			}
 			return
 		}
-		p.deliver(id, msg)
+		p.deliver(id, &msg)
 	}
 }
 
@@ -236,7 +303,7 @@ func (p *connPool) get(ctx context.Context, addr string) (*persistConn, error) {
 		addr:    addr,
 		conn:    conn,
 		c:       newCodec(conn, p.t.maxMessageSize(), &p.t.bytesIn, &p.t.bytesOut),
-		pending: make(map[uint64]chan poolResult),
+		pending: make(map[uint64]*waiter),
 	}
 	p.peers[addr] = append(p.peers[addr], pc)
 	p.cond.Broadcast()

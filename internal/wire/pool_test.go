@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -355,5 +356,197 @@ func TestPoolGetExpiredCtx(t *testing.T) {
 	cancel()
 	if _, err := tp.pool().get(ctx, "peer:1"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestWaiterReuseMixedEndings runs concurrent callers, each sending a
+// unique tag, over waiters that are reused from call to call while calls
+// end every way one can: a reply; a ctx cancelled before the call, while
+// its request is on the wire, or about when its reply arrives; a call
+// timeout on a reply the handler holds back past CallTimeout, or exactly
+// to it; and CloseConnections tearing the pool down mid-traffic. A call
+// that succeeds must carry its own reply, and one that fails must fail
+// for one of those reasons.
+func TestWaiterReuseMixedEndings(t *testing.T) {
+	const callTimeout = 40 * time.Millisecond
+	server := NewTCPTransport()
+	addr, closer, err := server.Listen("127.0.0.1:0", func(req Message) Message {
+		switch {
+		case strings.HasPrefix(req.Addr, "slow"):
+			time.Sleep(2 * callTimeout)
+		case strings.HasPrefix(req.Addr, "edge"):
+			time.Sleep(callTimeout)
+		}
+		return echoHandler(req)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	tp := NewTCPTransport()
+	tp.CallTimeout = callTimeout
+	defer tp.CloseConnections()
+
+	stop := make(chan struct{})
+	tornDown := make(chan struct{})
+	go func() {
+		defer close(tornDown)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(15 * time.Millisecond):
+				tp.CloseConnections()
+			}
+		}
+	}()
+
+	const callers, calls = 16, 60
+	var ok atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range calls {
+				tag := fmt.Sprintf("c%d-%d", c, i)
+				ctx, cancel := context.WithCancel(context.Background())
+				switch i % 8 {
+				case 1:
+					tag = "slow-" + tag
+				case 2:
+					tag = "edge-" + tag
+				case 3:
+					cancel()
+				case 4: // cancelled while the request is on the wire
+					time.AfterFunc(time.Duration(i%4)*20*time.Microsecond, cancel)
+				case 5: // cancelled about when the reply arrives
+					time.AfterFunc(time.Duration(i%4)*100*time.Microsecond, cancel)
+				}
+				resp, err := tp.CallCtx(ctx, addr, Message{Op: OpPing, Addr: tag})
+				cancel()
+				switch {
+				case err == nil:
+					if resp.Addr != "echo:"+tag {
+						errs <- fmt.Errorf("call %s got the reply for %q", tag, resp.Addr)
+						return
+					}
+					ok.Add(1)
+				case errors.Is(err, ErrUnreachable), errors.Is(err, context.Canceled):
+					if i%8 == 3 && !errors.Is(err, context.Canceled) {
+						errs <- fmt.Errorf("call %s with a cancelled ctx: %v", tag, err)
+						return
+					}
+				default:
+					errs <- fmt.Errorf("call %s: %v", tag, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-tornDown
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if ok.Load() == 0 {
+		t.Fatal("no call succeeded")
+	}
+	if n := tp.PoolStats().InFlight; n != 0 {
+		t.Errorf("%d calls still in flight after every caller returned", n)
+	}
+	// No waiter the pool hands out may hold a reply.
+	for range callers {
+		w := waiterPool.Get().(*waiter)
+		select {
+		case r := <-w.ch:
+			t.Fatalf("a pooled waiter holds a reply: %+v", r)
+		default:
+		}
+	}
+}
+
+// TestCallAfterTimeout: a call that times out gives its waiter back, and
+// the next call, on the same goroutine and so most likely on the same
+// waiter, succeeds instead of timing out on what the first left behind.
+func TestCallAfterTimeout(t *testing.T) {
+	const callTimeout = 50 * time.Millisecond
+	server := NewTCPTransport()
+	addr, closer, err := server.Listen("127.0.0.1:0", func(req Message) Message {
+		if strings.HasPrefix(req.Addr, "slow") {
+			time.Sleep(callTimeout + callTimeout/2)
+		}
+		return echoHandler(req)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	tp := NewTCPTransport()
+	tp.CallTimeout = callTimeout
+	defer tp.CloseConnections()
+	for i := range 10 {
+		if _, err := tp.Call(addr, Message{Op: OpPing, Addr: fmt.Sprintf("slow-%d", i)}); !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("round %d: a reply held past the call timeout: %v, want %v", i, err, ErrUnreachable)
+		}
+		tag := fmt.Sprintf("fast-%d", i)
+		resp, err := tp.Call(addr, Message{Op: OpPing, Addr: tag})
+		if err != nil || resp.Addr != "echo:"+tag {
+			t.Fatalf("round %d: the call after a timeout: %+v, %v", i, resp, err)
+		}
+	}
+}
+
+// TestWaiterDropsFiredTimer: a call whose reply beat a timer that had
+// already fired leaves the tick unreceived; under go 1.22's asynchronous
+// timer channels it may even land after Stop returns. disarm must not
+// block, and the next call on the waiter must not see that tick.
+func TestWaiterDropsFiredTimer(t *testing.T) {
+	w := waiterPool.New().(*waiter)
+	for _, received := range []bool{false, true} {
+		w.timer.Reset(time.Millisecond)
+		time.Sleep(20 * time.Millisecond) // the tick fires
+		if received {
+			<-w.timer.C
+		}
+		done := make(chan struct{})
+		go func() {
+			w.disarm()
+			close(done)
+		}()
+		waitDone(t, done, 5*time.Second, fmt.Sprintf("disarm (tick received %v)", received))
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			w.ch <- poolResult{msg: Message{Ok: true}}
+		}()
+		r, err := w.await(context.Background(), time.Hour)
+		if err != nil || !r.msg.Ok {
+			t.Fatalf("the call after a fired timer (tick received %v): %+v, %v; want the reply", received, r, err)
+		}
+	}
+}
+
+// TestReleaseTakesCommittedSend: a caller leaving early whose request the
+// reader already took must receive the reply deliver is committed to
+// sending before its waiter is reused, or a later call would find it.
+func TestReleaseTakesCommittedSend(t *testing.T) {
+	pc := &persistConn{pending: make(map[uint64]*waiter)}
+	w := waiterPool.New().(*waiter)
+	id, ok := pc.register(w)
+	if !ok {
+		t.Fatal("register on a live connection failed")
+	}
+	pc.deliver(id, &Message{Addr: "late"})
+	pc.release(id, w)
+	select {
+	case r := <-w.ch:
+		t.Fatalf("a released waiter still holds %+v", r)
+	default:
+	}
+	if n := pc.inflight.Load(); n != 0 {
+		t.Fatalf("in-flight %d after deliver and release, want 0", n)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,5 +160,55 @@ func TestTCPCloseBounded(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Close took %v despite a 200ms drain deadline", elapsed)
+	}
+}
+
+// TestTCPCloseUnderLoad: Close nudges every connection's reader off its
+// blocking read, and a reader between two frames must not re-arm its
+// read deadline past the nudge. Under a steady Ping load Close returns
+// well inside its CloseTimeout, in every trial.
+func TestTCPCloseUnderLoad(t *testing.T) {
+	const (
+		trials       = 50
+		closeTimeout = 2 * time.Second
+		callers      = 4
+	)
+	for trial := range trials {
+		server := NewTCPTransport()
+		server.CloseTimeout = closeTimeout
+		addr, closer, err := server.Listen("127.0.0.1:0", echoHandler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := NewTCPTransport()
+		var served atomic.Int64
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := client.Call(addr, Message{Op: OpPing}); err == nil {
+						served.Add(1)
+					}
+				}
+			}()
+		}
+		waitFor(t, 5*time.Second, "pings served", func() bool { return served.Load() >= 20 })
+		start := time.Now()
+		_ = closer.Close()
+		elapsed := time.Since(start)
+		close(stop)
+		wg.Wait()
+		client.CloseConnections()
+		if elapsed > closeTimeout/4 {
+			t.Fatalf("trial %d: Close under load took %v, CloseTimeout %v", trial, elapsed, closeTimeout)
+		}
 	}
 }

@@ -245,47 +245,44 @@ func (t *TCPTransport) CallCtx(ctx context.Context, addr string, req Message) (M
 			}
 			return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
 		}
-		id, ch, ok := pc.register()
+		w := waiterPool.Get().(*waiter)
+		id, ok := pc.register(w)
 		if !ok {
+			waiterPool.Put(w)
 			if attempt == 0 {
 				continue
 			}
 			return Message{}, fmt.Errorf("%w: %s: pooled conn closed", ErrUnreachable, addr)
 		}
-		return t.exchange(ctx, pc, id, ch, addr, req)
+		return t.exchange(ctx, pc, id, w, addr, &req)
 	}
 }
 
 // exchange writes one registered request and waits for its response.
-func (t *TCPTransport) exchange(ctx context.Context, pc *persistConn, id uint64, ch chan poolResult, addr string, req Message) (Message, error) {
+func (t *TCPTransport) exchange(ctx context.Context, pc *persistConn, id uint64, w *waiter, addr string, req *Message) (Message, error) {
 	t.poolInFlight.Add(1)
 	defer t.poolInFlight.Add(-1)
-	if err := pc.c.writeFrame(id, &req, t.callTimeout()); err != nil {
-		pc.unregister(id)
+	if err := pc.c.writeFrame(id, req, t.callTimeout()); err != nil {
+		pc.release(id, w)
 		// A partial frame may be on the wire; nothing on this conn can be
 		// trusted anymore.
 		pc.teardown(fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err), false)
 		return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
 	}
-	timer := time.NewTimer(t.callTimeout())
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return Message{}, r.err
-		}
-		return r.msg, nil
-	case <-ctx.Done():
-		// The caller gave up; the connection is still healthy — the
-		// reader drops the late response by ID, no teardown needed.
-		pc.unregister(id)
-		return Message{}, ctx.Err()
-	case <-timer.C:
-		pc.unregister(id)
-		err := fmt.Errorf("%w: %s: call timeout after %v", ErrUnreachable, addr, t.callTimeout())
-		pc.teardown(err, false)
-		return Message{}, err
+	r, err := w.await(ctx, t.callTimeout())
+	if err == nil {
+		waiterPool.Put(w)
+		return r.msg, r.err
 	}
+	// The caller gave up or timed out. A ctx leaves the connection
+	// healthy — the reader drops the late response by ID — but a timeout
+	// evicts it.
+	pc.release(id, w)
+	if err == errCallTimeout {
+		err = fmt.Errorf("%w: %s: call timeout after %v", ErrUnreachable, addr, t.callTimeout())
+		pc.teardown(err, false)
+	}
+	return Message{}, err
 }
 
 // CloseConnections tears down every pooled client connection. Pending
@@ -316,10 +313,12 @@ type tcpServer struct {
 	maxMsg       int64
 	workers      *workers
 
-	wg        sync.WaitGroup
-	mu        sync.Mutex
-	conns     map[net.Conn]struct{}
-	closing   bool
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+	// closing is set under mu, and read without it by a frame loop each
+	// time it re-arms its read deadline.
+	closing   atomic.Bool
 	closeOnce sync.Once
 }
 
@@ -331,7 +330,7 @@ func (s *tcpServer) acceptLoop() {
 			return // listener closed
 		}
 		s.mu.Lock()
-		if s.closing {
+		if s.closing.Load() {
 			s.mu.Unlock()
 			_ = conn.Close()
 			continue
@@ -343,6 +342,63 @@ func (s *tcpServer) acceptLoop() {
 	}
 }
 
+// serverConn is one accepted connection's serving state: its codec, the
+// requests its workers are still answering, and the records of answered
+// ones, kept for the next frames.
+type serverConn struct {
+	s        *tcpServer
+	conn     net.Conn
+	c        *codec
+	inflight sync.WaitGroup
+
+	mu   sync.Mutex
+	free []*serverReq
+}
+
+// serverReq is one request frame on its way to a worker. A record is
+// reused from request to request and its serve task is bound once, so a
+// hand-off allocates nothing and the decoded request stays in the record
+// (DESIGN.md §36).
+type serverReq struct {
+	sc    *serverConn
+	id    uint64
+	req   Message
+	serve func()
+}
+
+// record takes an answered request's record, or makes one.
+func (sc *serverConn) record() *serverReq {
+	sc.mu.Lock()
+	if n := len(sc.free); n > 0 {
+		r := sc.free[n-1]
+		sc.free = sc.free[:n-1]
+		sc.mu.Unlock()
+		return r
+	}
+	sc.mu.Unlock()
+	r := &serverReq{sc: sc}
+	r.serve = r.run
+	return r
+}
+
+// run answers the request and gives the record back.
+func (r *serverReq) run() {
+	sc := r.sc
+	resp := sc.s.handler(r.req)
+	if err := sc.c.writeFrame(r.id, &resp, sc.s.callTimeout); err != nil {
+		// A response that cannot be delivered must not be silently
+		// swallowed: count it and close the connection so the client
+		// fails fast instead of timing out.
+		sc.s.t.respEncodeErrors.Inc()
+		_ = sc.conn.Close()
+	}
+	r.req = Message{}
+	sc.mu.Lock()
+	sc.free = append(sc.free, r)
+	sc.mu.Unlock()
+	sc.inflight.Done()
+}
+
 func (s *tcpServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -351,31 +407,28 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	c := newCodec(conn, s.maxMsg, &s.t.bytesIn, &s.t.bytesOut)
-	var inflight sync.WaitGroup
-	defer inflight.Wait()
+	sc := &serverConn{s: s, conn: conn, c: newCodec(conn, s.maxMsg, &s.t.bytesIn, &s.t.bytesOut)}
+	defer sc.inflight.Wait()
 	for {
 		// Per-request read deadline: a persistent connection may idle
 		// between frames for as long as the pool's idle timeout allows.
+		// Close nudges the reader with a deadline of now after setting
+		// closing; re-checking closing after arming makes sure a re-arm
+		// cannot undo the nudge.
 		if err := conn.SetReadDeadline(time.Now().Add(s.idleTimeout + time.Second)); err != nil {
 			return
 		}
-		id, req, err := c.readFrame()
+		if s.closing.Load() {
+			return
+		}
+		r := sc.record()
+		id, err := sc.c.readFrame(&r.req)
 		if err != nil {
 			return // client went away, idled out, or sent garbage
 		}
-		inflight.Add(1)
-		s.workers.run(func() {
-			defer inflight.Done()
-			resp := s.handler(req)
-			if werr := c.writeFrame(id, &resp, s.callTimeout); werr != nil {
-				// A response that cannot be delivered must not be
-				// silently swallowed: count it and close the connection
-				// so the client fails fast instead of timing out.
-				s.t.respEncodeErrors.Inc()
-				_ = conn.Close()
-			}
-		})
+		r.id = id
+		sc.inflight.Add(1)
+		s.workers.run(r.serve)
 	}
 }
 
@@ -390,7 +443,7 @@ func (s *tcpServer) Close() error {
 	s.closeOnce.Do(func() {
 		err = s.ln.Close()
 		s.mu.Lock()
-		s.closing = true
+		s.closing.Store(true)
 		for conn := range s.conns {
 			_ = conn.SetReadDeadline(time.Now())
 		}
