@@ -66,5 +66,22 @@ func (s *Service) respondPerEntry(q xpath.Query, got overlay.GetResult) (Respons
 func (s *Service) keptList(q xpath.Query) []xpath.Query {
 	s.listsMu.RLock()
 	defer s.listsMu.RUnlock()
-	return s.lists[q.Key()]
+	return s.lists[q.Key()].index
+}
+
+// keptCount returns how many kept lists the service holds.
+func (s *Service) keptCount() int {
+	s.listsMu.RLock()
+	defer s.listsMu.RUnlock()
+	return len(s.lists)
+}
+
+// spoilDigest makes q's kept list carry a digest its set does not have,
+// so the next conditional lookup of q misses.
+func (s *Service) spoilDigest(q xpath.Query) {
+	s.listsMu.Lock()
+	kept := s.lists[q.Key()]
+	kept.digest++
+	s.lists[q.Key()] = kept
+	s.listsMu.Unlock()
 }

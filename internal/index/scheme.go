@@ -288,8 +288,10 @@ func (s *Service) UnpublishArticle(file string, a descriptor.Article, scheme Sch
 // that predates the extension — gets one Remove per item and then one
 // Get per touched key for which matters reports true; the cascade above
 // asks only about keys some chain maps into, because the emptiness of
-// any other key decides nothing.
+// any other key decides nothing. Every key an item names loses its kept
+// list once the removes are sent.
 func (s *Service) prune(items []overlay.KeyEntry, matters func(keyspace.Key) bool) ([]keyspace.Key, error) {
+	defer s.forget(items...)
 	if pn, ok := s.net.(overlay.PruneNetwork); ok {
 		return pn.Prune(context.Background(), items)
 	}

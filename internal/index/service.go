@@ -84,11 +84,15 @@ type Service struct {
 	// and in canonical order (the wire stores' order contract). A lookup
 	// whose index entries equal a kept list's forms one for one serves
 	// that list as its Response.Index; any difference rebuilds it from
-	// the memo (DESIGN.md §34). A kept list is never modified: a rebuild
-	// stores a new one. listsMu is taken shared once per lookup of two
-	// or more index entries, and exclusively to store or drop a list.
+	// the memo (DESIGN.md §34). With each list goes the digest of the
+	// set it was built from, which a conditional lookup offers the
+	// key's owner: an "unchanged" answer serves the list with no entries
+	// read at all (DESIGN.md §37). A kept list is never modified: a
+	// rebuild stores a new one. listsMu is taken shared once per lookup
+	// of two or more index entries, and exclusively to store or drop a
+	// list; a removal this service makes under a key drops its list.
 	listsMu sync.RWMutex
-	lists   map[keyspace.Key][]xpath.Query
+	lists   map[keyspace.Key]keptList
 
 	// vocabulary, when enabled, registers every published descriptor's
 	// values in the field dictionaries used for fuzzy correction (§VI).
@@ -97,6 +101,16 @@ type Service struct {
 	// tel is nil until Instrument is called; its record methods are
 	// nil-safe no-ops, keeping the hot paths unconditional.
 	tel *svcTelemetry
+}
+
+// keptList is one key's kept index list (see Service.lists).
+type keptList struct {
+	// index is the parsed list, in canonical order, clipped.
+	index []xpath.Query
+	// digest is overlay.Digest of the entry set the list was built
+	// from, or 0 when that set held data entries, which the list does
+	// not carry: such a list is never offered.
+	digest uint64
 }
 
 // svcTelemetry holds the index layer's registry instruments.
@@ -176,7 +190,7 @@ func New(net overlay.Network, policy cache.Policy, lruCapacity int) *Service {
 		capacity: lruCapacity,
 		caches:   make(map[string]*cache.Store),
 		parsed:   make(map[string]xpath.Query),
-		lists:    make(map[keyspace.Key][]xpath.Query),
+		lists:    make(map[keyspace.Key]keptList),
 	}
 }
 
@@ -257,9 +271,10 @@ func (s *Service) InsertMapping(q, target xpath.Query) error {
 }
 
 // RemoveMapping deletes the index entry (q; target), reporting whether it
-// existed.
+// existed, and drops q's kept list.
 func (s *Service) RemoveMapping(q, target xpath.Query) (bool, error) {
 	removed, err := s.net.Remove(q.Key(), overlay.Entry{Kind: KindIndex, Value: target.String()})
+	s.forget(overlay.KeyEntry{Key: q.Key()})
 	if err != nil {
 		return false, fmt.Errorf("index: remove (%s ; %s): %w", q, target, err)
 	}
@@ -307,9 +322,27 @@ func (s *Service) Lookup(q xpath.Query) (Response, error) {
 // ctx check is the best that can be done. Any returned error is
 // transport-level (the substrate read is the only error source), which
 // is what lets the searcher degrade such failures to partial results.
+//
+// When the key has a kept list with a digest and the substrate
+// implements overlay.ConditionalNetwork, the read is conditional: an
+// owner whose set still has that digest answers "unchanged", and the
+// lookup serves the list it offered — that one, whatever a concurrent
+// lookup kept since — without reading an entry.
 func (s *Service) LookupCtx(ctx context.Context, q xpath.Query) (Response, error) {
-	entries, route, err := s.get(ctx, q.Key())
-	return s.respond(q, overlay.GetResult{Entries: entries, Route: route, Err: err})
+	key := q.Key()
+	if cn, ok := s.net.(overlay.ConditionalNetwork); ok {
+		s.listsMu.RLock()
+		kept := s.lists[key]
+		s.listsMu.RUnlock()
+		if kept.digest != 0 {
+			var got overlay.GetResult
+			var unchanged bool
+			got.Entries, got.Route, unchanged, got.Err = cn.GetUnlessCtx(ctx, key, kept.digest)
+			return s.respond(q, got, kept, unchanged)
+		}
+	}
+	entries, route, err := s.get(ctx, key)
+	return s.respond(q, overlay.GetResult{Entries: entries, Route: route, Err: err}, keptList{}, false)
 }
 
 // get is the substrate read behind one lookup.
@@ -364,7 +397,7 @@ func (s *Service) lookupBatch(ctx context.Context, qs []xpath.Query, parallel in
 		gets = s.getEach(ctx, keys, parallel)
 	}
 	for i, q := range qs {
-		outs[i].resp, outs[i].err = s.respond(q, gets[i])
+		outs[i].resp, outs[i].err = s.respond(q, gets[i], keptList{}, false)
 	}
 	return outs
 }
@@ -392,8 +425,11 @@ func (s *Service) getEach(ctx context.Context, keys []keyspace.Key, parallel int
 // respond turns one substrate read into the lookup's Response: the
 // node's shortcuts for q, the parsed index entries in canonical order
 // (see indexList), the file references and the byte accounting. It books
-// the lookup.
-func (s *Service) respond(q xpath.Query, got overlay.GetResult) (resp Response, err error) {
+// the lookup. offered is the kept list a conditional read offered the
+// digest of (zero for any other read); unchanged says the owner
+// answered that the key's set still has that digest, and offered is
+// then served as the key's whole set.
+func (s *Service) respond(q xpath.Query, got overlay.GetResult, offered keptList, unchanged bool) (resp Response, err error) {
 	s.tel.recordLookup()
 	if got.Err != nil {
 		return Response{}, fmt.Errorf("index: lookup %s: %w", q, got.Err)
@@ -418,10 +454,19 @@ func (s *Service) respond(q xpath.Query, got overlay.GetResult) (resp Response, 
 			resp.Bytes += int64(len(e.Value))
 		}
 	}
-	if nIndex > 0 {
+	switch {
+	case unchanged:
+		resp.Index = offered.index
+		for _, q := range offered.index {
+			resp.Bytes += int64(len(q.String()))
+		}
+	case nIndex > 0:
 		var indexBytes int64
-		resp.Index, indexBytes = s.indexList(q, entries, nIndex)
+		resp.Index, indexBytes = s.indexList(q, entries, nIndex, len(resp.Files) == 0, offered.digest != 0)
 		resp.Bytes += indexBytes
+	case offered.digest != 0:
+		// The key holds no index entry now: its list goes.
+		s.forget(overlay.KeyEntry{Key: q.Key()})
 	}
 	if len(shortcuts) > 0 {
 		resp.Cached = make([]xpath.Query, 0, len(shortcuts))
@@ -454,15 +499,28 @@ func (s *Service) respond(q xpath.Query, got overlay.GetResult) (resp Response, 
 // §18). The simulated substrates, foreign nodes and non-canonical stored
 // values are not bound by that contract: their lists get sorted here,
 // so a response reads the same whoever served it, and none is kept.
-func (s *Service) indexList(q xpath.Query, entries []overlay.Entry, n int) ([]xpath.Query, int64) {
+//
+// A list is kept with its set's digest when the set holds no data
+// entry (indexOnly), and hashing the set then is the one time the
+// client hashes it. stale says a conditional read offered the kept
+// list's digest and the owner's set no longer had it: when the forms
+// still match, the set changed outside them, and the list is kept
+// again under the set's new digest so the next offer can match; when
+// the set is down to one index entry, the list goes.
+func (s *Service) indexList(q xpath.Query, entries []overlay.Entry, n int, indexOnly, stale bool) ([]xpath.Query, int64) {
 	key := q.Key()
-	var kept []xpath.Query
-	if n >= 2 {
+	var kept keptList
+	if n >= 2 || stale {
 		s.listsMu.RLock()
 		kept = s.lists[key]
 		s.listsMu.RUnlock()
-		if indexBytes, same := sameForms(kept, entries); same {
-			return kept, indexBytes
+	}
+	if n >= 2 {
+		if indexBytes, same := sameForms(kept.index, entries); same {
+			if stale {
+				s.keep(key, keptList{index: kept.index, digest: keptDigest(entries, indexOnly)})
+			}
+			return kept.index, indexBytes
 		}
 	}
 	index := make([]xpath.Query, 0, n)
@@ -487,12 +545,10 @@ func (s *Service) indexList(q xpath.Query, entries []overlay.Entry, n int) ([]xp
 	s.parsedMu.RUnlock()
 	if keep {
 		// Every entry parsed, so len(index) == cap(index) == n.
-		s.listsMu.Lock()
-		s.lists[key] = index
-		s.listsMu.Unlock()
+		s.keep(key, keptList{index: index, digest: keptDigest(entries, indexOnly)})
 		return index, indexBytes
 	}
-	if kept != nil {
+	if kept.index != nil {
 		// The key's set no longer qualifies: its list goes.
 		s.listsMu.Lock()
 		delete(s.lists, key)
@@ -500,6 +556,35 @@ func (s *Service) indexList(q xpath.Query, entries []overlay.Entry, n int) ([]xp
 	}
 	sortCanonical(index)
 	return slices.Clip(index), indexBytes
+}
+
+// keptDigest is the digest a kept list built from entries is kept
+// with: the set's overlay.Digest when it is index-only, else 0.
+func keptDigest(entries []overlay.Entry, indexOnly bool) uint64 {
+	if !indexOnly {
+		return 0
+	}
+	return overlay.Digest(entries)
+}
+
+// keep stores key's kept list.
+func (s *Service) keep(key keyspace.Key, kept keptList) {
+	s.listsMu.Lock()
+	s.lists[key] = kept
+	s.listsMu.Unlock()
+}
+
+// forget drops the kept lists of the items' keys: the keys this service
+// removes entries under. A list is a cache of what was read, so this is
+// about memory, not correctness — a conditional lookup's digest already
+// catches any change — and a removal must not leave behind a list no
+// lookup may ever read again (ROADMAP item 17).
+func (s *Service) forget(items ...overlay.KeyEntry) {
+	s.listsMu.Lock()
+	for _, it := range items {
+		delete(s.lists, it.Key)
+	}
+	s.listsMu.Unlock()
 }
 
 // sameForms reports whether entries' index entries are list's forms one

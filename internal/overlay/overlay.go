@@ -6,14 +6,16 @@
 // simulated Pastry (internal/pastry). docs/SUBSTRATES.md documents the
 // contract field by field and what adding a third substrate takes.
 //
-// Network is the whole required contract. Four optional extensions,
+// Network is the whole required contract. Five optional extensions,
 // each found by type assertion and each with a per-key fallback in the
 // index layer, let a substrate do better where it can: ContextNetwork
-// (deadline-aware reads), BatchNetwork (owner-grouped writes and
-// removes), BatchGetNetwork (owner-grouped reads) and PruneNetwork
-// (owner-grouped removes that report which keys they emptied). Only the
-// live wire.Cluster implements them; the evaluation hides them behind a
-// struct{ Network } to keep the one-message-per-key accounting.
+// (deadline-aware reads), ConditionalNetwork (reads that answer
+// "unchanged" for a set the caller already holds), BatchNetwork
+// (owner-grouped writes and removes), BatchGetNetwork (owner-grouped
+// reads) and PruneNetwork (owner-grouped removes that report which keys
+// they emptied). Only the live wire.Cluster implements them; the
+// evaluation hides them behind a struct{ Network } to keep the
+// one-message-per-key accounting.
 package overlay
 
 import (
@@ -31,6 +33,42 @@ type Entry struct {
 	Kind string
 	// Value is the opaque payload.
 	Value string
+}
+
+// EntryHash is the 64-bit hash of one entry that Digest sums: FNV-1a
+// over the kind, a zero byte and the value, then a 64-bit finalizer so
+// that every input bit reaches every output bit. It is unseeded, so
+// every process computes the same value.
+func EntryHash(e Entry) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(e.Kind); i++ {
+		h = (h ^ uint64(e.Kind[i])) * prime
+	}
+	h *= prime // the zero byte between kind and value
+	for i := 0; i < len(e.Value); i++ {
+		h = (h ^ uint64(e.Value[i])) * prime
+	}
+	// MurmurHash3's fmix64.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb53cc5a49e63
+	h ^= h >> 33
+	return h
+}
+
+// Digest summarizes an entry set: the sum of its entries' EntryHash,
+// wrapping. A sum does not depend on order, so a store can keep it up
+// to date entry by entry — add an entry's hash when it is stored,
+// subtract it when it goes — and two holders of one set agree on it
+// however the set was built. The empty set digests to 0.
+func Digest(entries []Entry) uint64 {
+	var d uint64
+	for _, e := range entries {
+		d += EntryHash(e)
+	}
+	return d
 }
 
 // Route reports where a routed operation landed and what it cost.
@@ -104,6 +142,23 @@ type BatchNetwork interface {
 type ContextNetwork interface {
 	// GetCtx is Get bounded by ctx.
 	GetCtx(ctx context.Context, key keyspace.Key) ([]Entry, Route, error)
+}
+
+// ConditionalNetwork is the optional conditional-read extension of
+// Network, for a caller that keeps what it read: it offers the Digest
+// of the entry set it holds for a key, and the node that serves the key
+// answers "unchanged" instead of shipping a set with that digest. It is
+// its own interface so that substrates and decorators without it keep
+// compiling; callers type-assert, and substrates without it are read
+// with GetCtx/Get.
+type ConditionalNetwork interface {
+	// GetUnlessCtx is GetCtx for a caller holding a set whose Digest is
+	// digest (never 0). unchanged reports that the key's live set,
+	// non-empty, had that digest when it was read; entries are then nil
+	// and the caller serves what it holds. Otherwise it returns what
+	// GetCtx would. A read that could not be made conditional (a hedge,
+	// a failover) returns entries, never unchanged.
+	GetUnlessCtx(ctx context.Context, key keyspace.Key, digest uint64) (entries []Entry, route Route, unchanged bool, err error)
 }
 
 // GetResult is one key's outcome of a batched read: what Get would have

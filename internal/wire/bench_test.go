@@ -59,12 +59,12 @@ func BenchmarkTransportCall(b *testing.B) {
 }
 
 // Pooled-call budget: a Ping round trip is a 21-byte request frame and
-// a 22-byte reply frame. It allocates twice, the Addr string decoded on
-// each side; the cap is 2 × 1.5 + 16, room for the runtime's background
-// allocations.
+// a 22-byte reply frame. It allocates nothing: each side's connection
+// decodes the Addr it decoded last, which a Ping repeats, to the string
+// it already holds.
 const (
 	pooledCallBytes     = 43
-	pooledCallMaxAllocs = 19
+	pooledCallMaxAllocs = 0
 )
 
 // TestPooledCallCost holds a warmed pooled TCP round trip to its exact

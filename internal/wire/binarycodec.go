@@ -304,6 +304,9 @@ type binReader struct {
 	// prev is the chain's previous entry; started says there is one.
 	prev    overlay.Entry
 	started bool
+	// addr, when not nil, is the Addr the reading connection decoded
+	// last (see addrField).
+	addr *string
 }
 
 // spend charges n string bytes to the budget before they are built.
@@ -386,6 +389,31 @@ func (r *binReader) str() (string, error) {
 		return "", err
 	}
 	return string(b), nil
+}
+
+// addrField reads the Addr field. A connection's frames repeat one
+// Addr — a server names itself in every reply, a client's requests name
+// the same peer — so when the bytes equal the connection's last Addr
+// that string is returned again instead of a new one.
+func (r *binReader) addrField() (string, error) {
+	if r.addr == nil {
+		return r.str()
+	}
+	n, err := r.uvarint()
+	if err != nil {
+		return "", err
+	}
+	b, err := r.bytes(n)
+	if err != nil {
+		return "", err
+	}
+	if err := r.spend(n); err != nil {
+		return "", err
+	}
+	if string(b) != *r.addr {
+		*r.addr = string(b)
+	}
+	return *r.addr, nil
 }
 
 func (r *binReader) key() (keyspace.Key, error) {
@@ -568,8 +596,10 @@ func (r *binReader) tombstones() ([]Tombstone, error) {
 // decodeMessage decodes one binary payload into m, overwriting every
 // field (absent fields reset to their zero values so a reused Message
 // carries nothing over between frames). The strings m decodes to may add
-// up to maxBytes, the reading connection's frame cap.
-func decodeMessage(data []byte, m *Message, maxBytes int64) error {
+// up to maxBytes, the reading connection's frame cap. addr, when not
+// nil, holds the Addr the connection decoded last, which an equal Addr
+// reuses and a different one replaces.
+func decodeMessage(data []byte, m *Message, maxBytes int64, addr *string) error {
 	*m = Message{}
 	if len(data) == 0 {
 		return errBinTruncated
@@ -577,7 +607,7 @@ func decodeMessage(data []byte, m *Message, maxBytes int64) error {
 	if data[0] != binMsgVersion {
 		return fmt.Errorf("wire: binary message version %d, want %d", data[0], binMsgVersion)
 	}
-	r := binReader{data: data, off: 1, budget: maxBytes}
+	r := binReader{data: data, off: 1, budget: maxBytes, addr: addr}
 	op, err := r.uvarint()
 	if err != nil {
 		return err
@@ -596,7 +626,7 @@ func decodeMessage(data []byte, m *Message, maxBytes int64) error {
 		}
 	}
 	if flags&binHasAddr != 0 {
-		if m.Addr, err = r.str(); err != nil {
+		if m.Addr, err = r.addrField(); err != nil {
 			return err
 		}
 	}

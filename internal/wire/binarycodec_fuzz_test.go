@@ -52,12 +52,12 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
-		if err := decodeMessage(data, &m, fuzzMaxBytes); err != nil {
+		if err := decodeMessage(data, &m, fuzzMaxBytes, nil); err != nil {
 			return // rejected inputs are FuzzDecodeCorrupt's concern
 		}
 		enc := appendMessage(nil, &m)
 		var back Message
-		if err := decodeMessage(enc, &back, fuzzMaxBytes); err != nil {
+		if err := decodeMessage(enc, &back, fuzzMaxBytes, nil); err != nil {
 			t.Fatalf("re-encoding of accepted input fails to decode: %v", err)
 		}
 		if !reflect.DeepEqual(m, back) {
@@ -78,7 +78,7 @@ func FuzzDecodeCorrupt(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
-		err := decodeMessage(data, &m, fuzzMaxBytes)
+		err := decodeMessage(data, &m, fuzzMaxBytes, nil)
 		if err != nil {
 			return
 		}

@@ -67,6 +67,10 @@ func codecMessages() []Message {
 			{Key: k1, Entries: []overlay.Entry{{Kind: "index", Value: "/article[title/Notes]"}},
 				Tombs: []Tombstone{{Entry: overlay.Entry{Kind: "index", Value: "/article[title/Notes][year]"}, At: 7}, {Entry: overlay.Entry{Kind: "file", Value: "/article"}, At: -1}}},
 		}},
+		// A conditional get, owner-addressed, offering the digest of the
+		// set the client holds, and the owner's unchanged verdict.
+		{Op: OpGet, Key: k1, TTL: 32, BudgetMicros: 2500, Digests: []KeyDigest{{Key: k1, Digest: 0x8000000000000001}}},
+		{Op: OpGet, Code: CodeUnchanged, Ok: true, Addr: "127.0.0.1:9003", Hops: 1},
 	}
 }
 
@@ -87,7 +91,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	for i, want := range codecMessages() {
 		enc := appendMessage(nil, &want)
 		var got Message
-		if err := decodeMessage(enc, &got, DefaultMaxMessageSize); err != nil {
+		if err := decodeMessage(enc, &got, DefaultMaxMessageSize, nil); err != nil {
 			t.Fatalf("message %d: decode: %v", i, err)
 		}
 		if !reflect.DeepEqual(want, got) {
@@ -100,7 +104,7 @@ func TestBinaryCodecDecodeResetsTarget(t *testing.T) {
 	full := codecMessages()[7] // KV-bearing message
 	enc := appendMessage(nil, &Message{Op: OpPing})
 	got := full
-	if err := decodeMessage(enc, &got, DefaultMaxMessageSize); err != nil {
+	if err := decodeMessage(enc, &got, DefaultMaxMessageSize, nil); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(got, Message{Op: OpPing}) {
@@ -114,22 +118,22 @@ func TestBinaryCodecRejectsCorrupt(t *testing.T) {
 		// Every truncation must error, never panic.
 		for cut := 0; cut < len(enc); cut++ {
 			var got Message
-			if err := decodeMessage(enc[:cut], &got, DefaultMaxMessageSize); err == nil {
+			if err := decodeMessage(enc[:cut], &got, DefaultMaxMessageSize, nil); err == nil {
 				t.Fatalf("message %d: truncation to %d bytes decoded cleanly", i, cut)
 			}
 		}
 		// Trailing garbage must be rejected too: a frame's declared
 		// length is exact.
 		var got Message
-		if err := decodeMessage(append(append([]byte(nil), enc...), 0xff), &got, DefaultMaxMessageSize); err == nil {
+		if err := decodeMessage(append(append([]byte(nil), enc...), 0xff), &got, DefaultMaxMessageSize, nil); err == nil {
 			t.Fatalf("message %d: trailing byte accepted", i)
 		}
 	}
 	var got Message
-	if err := decodeMessage([]byte{binMsgVersion + 1, 1, 0}, &got, DefaultMaxMessageSize); err == nil {
+	if err := decodeMessage([]byte{binMsgVersion + 1, 1, 0}, &got, DefaultMaxMessageSize, nil); err == nil {
 		t.Fatal("wrong version accepted")
 	}
-	if err := decodeMessage(nil, &got, DefaultMaxMessageSize); err == nil {
+	if err := decodeMessage(nil, &got, DefaultMaxMessageSize, nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
 }
@@ -147,7 +151,7 @@ func chainFrame(count int, coded ...byte) []byte {
 func TestBinaryCodecRejectsBadChain(t *testing.T) {
 	var got Message
 	// {k a} twice: a kind back-reference and a whole shared value.
-	if err := decodeMessage(chainFrame(2, 2, 'k', 0, 1, 'a', 0, 1, 0), &got, DefaultMaxMessageSize); err != nil ||
+	if err := decodeMessage(chainFrame(2, 2, 'k', 0, 1, 'a', 0, 1, 0), &got, DefaultMaxMessageSize, nil); err != nil ||
 		!reflect.DeepEqual(got.Entries, []overlay.Entry{{Kind: "k", Value: "a"}, {Kind: "k", Value: "a"}}) {
 		t.Fatalf("well-formed chain: %+v, %v", got.Entries, err)
 	}
@@ -160,7 +164,7 @@ func TestBinaryCodecRejectsBadChain(t *testing.T) {
 		"kind back-reference first":        chainFrame(1, 0, 0, 1, 'a'),
 		"kind back-reference first, in KV": kvFirst,
 	} {
-		if err := decodeMessage(frame, &got, DefaultMaxMessageSize); err == nil {
+		if err := decodeMessage(frame, &got, DefaultMaxMessageSize, nil); err == nil {
 			t.Errorf("%s: decoded to %+v", name, got)
 		}
 	}
@@ -176,14 +180,14 @@ func TestBinaryCodecCapsDecodedBytes(t *testing.T) {
 		t.Fatalf("hostile frame is %d bytes, want about 1.1 MiB", len(frame))
 	}
 	var got Message
-	if err := decodeMessage(frame, &got, 16<<20); err != nil || len(got.Entries) != 10 {
+	if err := decodeMessage(frame, &got, 16<<20, nil); err != nil || len(got.Entries) != 10 {
 		t.Fatalf("under a 16 MiB cap: %d entries, %v", len(got.Entries), err)
 	}
 	got = Message{}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := decodeMessage(frame, &got, DefaultMaxMessageSize)
+	err := decodeMessage(frame, &got, DefaultMaxMessageSize, nil)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, errBinTooLarge) {
 		t.Fatalf("decode under the default cap: %v, want %v", err, errBinTooLarge)
@@ -194,22 +198,39 @@ func TestBinaryCodecCapsDecodedBytes(t *testing.T) {
 }
 
 // TestBinaryCodecEntryDecodeAllocs pins what a front-coded Get reply
-// costs to decode: the slice, the first kind, and one buffer that every
-// value is a substring of; the repeated kinds are shared.
+// costs to decode on a connection: the slice, the first kind, and one
+// buffer that every value is a substring of; the repeated kinds are
+// shared, and the serving node's Addr is the connection's last one. An
+// unchanged reply to a conditional get (DESIGN.md §37) decodes to
+// nothing at all.
 func TestBinaryCodecEntryDecodeAllocs(t *testing.T) {
 	const n = 16
 	entries := make([]overlay.Entry, n)
 	for i := range entries {
 		entries[i] = overlay.Entry{Kind: "index", Value: fmt.Sprintf("/article[author[last/L%02d]]", i)}
 	}
-	enc := appendMessage(nil, &Message{Op: OpGet, Ok: true, Entries: entries})
+	const server = "127.0.0.1:21001"
+	lastAddr := server
 	var got Message
-	if a := testing.AllocsPerRun(100, func() {
-		if err := decodeMessage(enc, &got, DefaultMaxMessageSize); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		reply Message
+		want  float64
+	}{
+		{"16-entry reply", Message{Op: OpGet, Ok: true, Addr: server, Hops: 1, Entries: entries}, 3},
+		{"unchanged reply", Message{Op: OpGet, Code: CodeUnchanged, Ok: true, Addr: server, Hops: 1}, 0},
+	} {
+		enc := appendMessage(nil, &c.reply)
+		if a := testing.AllocsPerRun(100, func() {
+			if err := decodeMessage(enc, &got, DefaultMaxMessageSize, &lastAddr); err != nil {
+				t.Fatal(err)
+			}
+		}); a != c.want {
+			t.Fatalf("%s: decoding allocates %v times, want %v", c.name, a, c.want)
 		}
-	}); a != 3 {
-		t.Fatalf("decoding %d same-kind entries allocates %v times, want 3", n, a)
+		if !reflect.DeepEqual(got, c.reply) {
+			t.Fatalf("%s: decoded %+v, want %+v", c.name, got, c.reply)
+		}
 	}
 }
 
@@ -230,7 +251,7 @@ func TestBinaryCodecSteadyStateAllocs(t *testing.T) {
 	scalar := appendMessage(nil, &Message{Op: OpGet, Key: keyspace.NewKey("k"), BudgetMicros: 1234, TTL: 9, Ok: true})
 	var got Message
 	if n := testing.AllocsPerRun(200, func() {
-		if err := decodeMessage(scalar, &got, DefaultMaxMessageSize); err != nil {
+		if err := decodeMessage(scalar, &got, DefaultMaxMessageSize, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -291,7 +312,7 @@ func BenchmarkBinaryCodecDecode(b *testing.B) {
 			b.SetBytes(int64(len(enc)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := decodeMessage(enc, &got, DefaultMaxMessageSize); err != nil {
+				if err := decodeMessage(enc, &got, DefaultMaxMessageSize, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

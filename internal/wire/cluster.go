@@ -73,6 +73,7 @@ type Cluster struct {
 	batchGetKeys      *telemetry.Counter
 	batchFallbacks    *telemetry.Counter
 	ownerFallbacks    *telemetry.Counter
+	getOffers         *telemetry.Counter
 	// hops and rpcLatency are nil until Instrument sets them, once;
 	// observing on nil histograms is a no-op, so the hot paths stay
 	// unconditional and lock-free.
@@ -100,8 +101,9 @@ type ClusterMetrics struct {
 }
 
 var (
-	_ overlay.Network        = (*Cluster)(nil)
-	_ overlay.ContextNetwork = (*Cluster)(nil)
+	_ overlay.Network            = (*Cluster)(nil)
+	_ overlay.ContextNetwork     = (*Cluster)(nil)
+	_ overlay.ConditionalNetwork = (*Cluster)(nil)
 )
 
 // NewCluster creates a cluster handle over the transport. replication
@@ -146,6 +148,8 @@ func NewCluster(transport Transport, seed int64, replication int) *Cluster {
 			"Per-owner batch groups that fell back from one-hop presumed-owner routing to Chord-routed resolution."),
 		ownerFallbacks: telemetry.NewCounter("wire_owner_fallbacks_total",
 			"Single-key operations that fell back from the presumed owner to Chord-routed resolution."),
+		getOffers: telemetry.NewCounter("wire_get_offers_total",
+			"Conditional gets: reads that offered the owner the digest of a set the client holds."),
 	}
 }
 
@@ -157,7 +161,7 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 	}
 	reg.Attach(c.ownerReadFailures, c.failoverReads, c.entryRetries, c.hedgedGets, c.hedgeWins,
 		c.batchPutRPCs, c.batchPutKeys, c.batchRemoveRPCs, c.batchRemoveKeys, c.batchGetRPCs, c.batchGetKeys,
-		c.batchFallbacks, c.ownerFallbacks)
+		c.batchFallbacks, c.ownerFallbacks, c.getOffers)
 	c.hops.Store(reg.Histogram("dht_lookup_hops",
 		"Forwarding steps taken to reach the owner of a key (0: the presumed owner served).", telemetry.HopBuckets))
 	c.rpcLatency.Store(reg.Histogram("wire_rpc_latency_seconds",
@@ -407,17 +411,34 @@ func (c *Cluster) Get(key keyspace.Key) ([]overlay.Entry, overlay.Route, error) 
 // serves either, the error returned is the owner read's, not the
 // failover's.
 func (c *Cluster) GetCtx(ctx context.Context, key keyspace.Key) ([]overlay.Entry, overlay.Route, error) {
+	entries, route, _, err := c.get(ctx, key, 0)
+	return entries, route, err
+}
+
+// GetUnlessCtx implements overlay.ConditionalNetwork: GetCtx whose
+// owner-addressed reads — to the presumed owner and to the routed one —
+// offer digest, so an owner whose set has it answers CodeUnchanged
+// instead of shipping the set. Hedged and failover reads stay
+// unconditional: they ask a replica for its own copy.
+func (c *Cluster) GetUnlessCtx(ctx context.Context, key keyspace.Key, digest uint64) ([]overlay.Entry, overlay.Route, bool, error) {
+	c.getOffers.Inc()
+	return c.get(ctx, key, digest)
+}
+
+// get is GetCtx, conditional on offer when it is not 0.
+func (c *Cluster) get(ctx context.Context, key keyspace.Key, offer uint64) ([]overlay.Entry, overlay.Route, bool, error) {
 	var entries []overlay.Entry
+	var unchanged bool
 	var presumed string
 	var presumedErr error
 	route, failed, err := c.viaOwner(ctx, key, func(owner string) (route overlay.Route, err error) {
-		entries, route, err = c.hedgedGet(ctx, key, owner)
+		entries, route, unchanged, err = c.hedgedGet(ctx, key, owner, offer)
 		if presumed == "" {
 			presumed, presumedErr = owner, err
 		}
 		return route, err
 	})
-	if err == nil && presumedErr != nil && len(entries) == 0 &&
+	if err == nil && presumedErr != nil && len(entries) == 0 && !unchanged &&
 		!slices.Contains(c.replicaFollowers(key, "", c.replication+2), route.Node) {
 		// The presumed owner failed and routing, over a ring already
 		// healing around it, named a node outside the key's tracked owner
@@ -426,42 +447,77 @@ func (c *Cluster) GetCtx(ctx context.Context, key keyspace.Key) ([]overlay.Entry
 		failed, err = presumed, presumedErr
 	}
 	if err == nil {
-		return entries, route, nil
+		return entries, route, unchanged, nil
 	}
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, route, cerr
+		return nil, route, false, cerr
 	}
 	entries, froute, ferr := c.failoverGet(ctx, key, failed)
 	if ferr != nil {
-		return nil, route, err
+		return nil, route, false, err
 	}
-	return entries, froute, nil
+	return entries, froute, false, nil
 }
 
-// hedgedGet reads key through owner with an owner-addressed Get, racing
-// a hedged replica read if no answer arrived within the hedge delay.
-// Without a deadline it is a plain owner read.
+// errUnofferedVerdict is an unchanged verdict on a read that offered no
+// digest: it names no set, so it cannot be read as one.
+var errUnofferedVerdict = errors.New("wire: unchanged verdict on an unconditional get")
+
+// ownerGet reads key at owner with an owner-addressed OpGet that offers
+// offer when it is not 0, and reads the reply: the key's entries, or
+// the unchanged verdict.
+func (c *Cluster) ownerGet(ctx context.Context, key keyspace.Key, owner string, offer uint64) ([]overlay.Entry, overlay.Route, bool, error) {
+	req := Message{Op: OpGet, Key: key}
+	if offer != 0 {
+		req.Digests = []KeyDigest{{Key: key, Digest: offer}}
+	}
+	resp, route, err := c.routedCall(ctx, owner, req)
+	if err != nil {
+		return nil, route, false, err
+	}
+	entries, unchanged, err := getReply(resp, offer != 0)
+	if err != nil {
+		return nil, overlay.Route{}, false, err
+	}
+	return entries, route, unchanged, nil
+}
+
+// getReply reads an OpGet reply: the key's entries, or, to a request
+// that offered a digest, the unchanged verdict.
+func getReply(resp Message, offered bool) ([]overlay.Entry, bool, error) {
+	if resp.Code != CodeUnchanged {
+		return trimEntries(resp.Entries), false, nil
+	}
+	if !offered {
+		return nil, false, errUnofferedVerdict
+	}
+	return nil, true, nil
+}
+
+// hedgedGet reads key through owner (ownerGet), racing a hedged replica
+// read if no answer arrived within the hedge delay. Without a deadline
+// it is a plain owner read.
 // The hedge is a local read (TTL 0): a replica answers from its own
-// copy and never forwards back to the slow owner.
-func (c *Cluster) hedgedGet(ctx context.Context, key keyspace.Key, owner string) ([]overlay.Entry, overlay.Route, error) {
+// copy, unconditionally, and never forwards back to the slow owner.
+func (c *Cluster) hedgedGet(ctx context.Context, key keyspace.Key, owner string, offer uint64) ([]overlay.Entry, overlay.Route, bool, error) {
 	delay := hedgeDelay(ctx)
 	if delay <= 0 {
-		resp, route, err := c.routedCall(ctx, owner, Message{Op: OpGet, Key: key})
-		return trimEntries(resp.Entries), route, err
+		return c.ownerGet(ctx, key, owner, offer)
 	}
 	type result struct {
-		entries []overlay.Entry
-		route   overlay.Route
-		hedge   bool
-		err     error
+		entries   []overlay.Entry
+		unchanged bool
+		route     overlay.Route
+		hedge     bool
+		err       error
 	}
 	// Buffered so a losing read's worker can deliver and move on even
 	// after the winner returned (transports cannot cancel in-flight
 	// sends).
 	ch := make(chan result, 2)
 	c.workers.run(func() {
-		resp, route, err := c.routedCall(ctx, owner, Message{Op: OpGet, Key: key})
-		ch <- result{entries: trimEntries(resp.Entries), route: route, err: err}
+		entries, route, unchanged, err := c.ownerGet(ctx, key, owner, offer)
+		ch <- result{entries: entries, unchanged: unchanged, route: route, err: err}
 	})
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
@@ -476,13 +532,13 @@ func (c *Cluster) hedgedGet(ctx context.Context, key keyspace.Key, owner string)
 				if r.hedge {
 					c.hedgeWins.Inc()
 				}
-				return r.entries, r.route, nil
+				return r.entries, r.route, r.unchanged, nil
 			}
 			if firstErr == nil {
 				firstErr = r.err
 			}
 			if outstanding == 0 {
-				return nil, overlay.Route{}, firstErr
+				return nil, overlay.Route{}, false, firstErr
 			}
 		case <-timer.C:
 			if hedged {
@@ -498,7 +554,7 @@ func (c *Cluster) hedgedGet(ctx context.Context, key keyspace.Key, owner string)
 				})
 			}
 		case <-ctx.Done():
-			return nil, overlay.Route{}, ctx.Err()
+			return nil, overlay.Route{}, false, ctx.Err()
 		}
 	}
 }
@@ -510,7 +566,11 @@ func (c *Cluster) localGet(ctx context.Context, addr string, key keyspace.Key) (
 	if err == nil {
 		err = remoteError(resp)
 	}
-	return trimEntries(resp.Entries), err
+	if err != nil {
+		return nil, err
+	}
+	entries, _, err := getReply(resp, false)
+	return entries, err
 }
 
 // hedgeDelay is how long to wait for the owner before hedging: half the

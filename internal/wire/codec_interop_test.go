@@ -152,7 +152,7 @@ func TestForeignReplyFailsCallFast(t *testing.T) {
 func TestFreshConnCarriesUserFramesFirst(t *testing.T) {
 	addr, firstIDs := startRawPeer(t, func(payload []byte) []byte {
 		var req Message
-		if err := decodeMessage(payload, &req, DefaultMaxMessageSize); err != nil {
+		if err := decodeMessage(payload, &req, DefaultMaxMessageSize, nil); err != nil {
 			return nil // an undecodable reply fails the call
 		}
 		return appendMessage(nil, &Message{Op: req.Op, Ok: true, Addr: "echo:" + req.Addr})

@@ -498,6 +498,13 @@ func (s *Store) Get(key keyspace.Key) []overlay.Entry {
 	return s.mem.Get(key)
 }
 
+// Digest implements wire.Store.
+func (s *Store) Digest(key keyspace.Key) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.mem.Digest(key)
+}
+
 // Put implements wire.Store: WAL append first, map second. A duplicate
 // and a put suppressed by a live tombstone are refused without touching
 // the log (the suppression is already durable through the tombstone

@@ -51,6 +51,9 @@ type codec struct {
 	br   *bufio.Reader
 	rhdr [frameHeaderSize]byte // header staging, owned by the reader
 	rbuf []byte                // payload staging, owned by the reader
+	// raddr is the Addr the reader decoded last, reused by the next
+	// frame that repeats it (binReader.addrField).
+	raddr string
 
 	// bytesIn/bytesOut aggregate wire bytes into the owning transport's
 	// counters (never nil).
@@ -130,7 +133,7 @@ func (c *codec) readFrame(msg *Message) (uint64, error) {
 		return 0, err
 	}
 	c.bytesIn.Add(frameHeaderSize + n)
-	if err := decodeMessage(p, msg, c.maxMsg); err != nil {
+	if err := decodeMessage(p, msg, c.maxMsg, &c.raddr); err != nil {
 		return id, fmt.Errorf("wire: decode frame: %w", err)
 	}
 	return id, nil

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 )
 
@@ -101,9 +102,15 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	ping := frameBytes(f, 1, &Message{Op: OpPing, Addr: "127.0.0.1:7000"})
 	get := frameBytes(f, 2, &Message{Op: OpGet, Ok: true, Entries: entries})
+	k := keyspace.NewKey("/article[conf/INFOCOM]")
+	offer := frameBytes(f, 3, &Message{Op: OpGet, Key: k, TTL: 32, Digests: []KeyDigest{{Key: k, Digest: 0x9e3779b97f4a7c15}}})
+	unchanged := frameBytes(f, 3, &Message{Op: OpGet, Code: CodeUnchanged, Ok: true, Addr: "127.0.0.1:7000", Hops: 1})
 	f.Add(ping)
 	f.Add(get)
 	f.Add(append(append([]byte(nil), ping...), get...))
+	f.Add(offer)
+	// Two verdicts: the second repeats the first's Addr.
+	f.Add(append(append([]byte(nil), unchanged...), unchanged...))
 	f.Add(ping[:frameHeaderSize-3]) // truncated header
 	huge := append([]byte(nil), ping...)
 	binary.BigEndian.PutUint32(huge[8:12], 1<<31) // declares 2 GiB

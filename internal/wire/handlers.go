@@ -302,12 +302,30 @@ func (n *Node) forwardForeign(req Message) (resp Message, done bool) {
 }
 
 // handleGet serves a read. Store reads take only the key's stripe
-// read-lock — a get never waits behind writes to other stripes.
+// read-lock — a get never waits behind writes to other stripes. A
+// conditional read (offerDigest) whose offer equals the key's stored
+// digest is answered CodeUnchanged, without its entries. The empty set
+// digests to 0, which matches no offer, so an emptied key ships as
+// empty. forwardForeign passes a foreign key's request on as it is,
+// offer included.
 func (n *Node) handleGet(req Message) Message {
 	if resp, done := n.forwardForeign(req); done {
 		return resp
 	}
+	if offer := offerDigest(req); offer != 0 && n.store.Digest(req.Key) == offer {
+		n.getUnchanged.Inc()
+		return Message{Op: req.Op, Code: CodeUnchanged, Ok: true, Addr: n.addr, Hops: req.Hops}
+	}
 	return Message{Op: req.Op, Entries: n.store.Get(req.Key), Ok: true, Addr: n.addr, Hops: req.Hops}
+}
+
+// offerDigest returns the digest a conditional OpGet offers for its
+// key, or 0 when it offers none.
+func offerDigest(req Message) uint64 {
+	if len(req.Digests) != 1 || req.Digests[0].Key != req.Key {
+		return 0
+	}
+	return req.Digests[0].Digest
 }
 
 // handleGetBatch serves the keys of a batched read that this node owns:

@@ -137,6 +137,8 @@ type Node struct {
 	// ownerForwards counts owner-addressed requests this node forwarded
 	// because the key was foreign (forwardForeign).
 	ownerForwards *telemetry.Counter
+	// getUnchanged counts conditional gets answered CodeUnchanged.
+	getUnchanged *telemetry.Counter
 	// adoptions counts successors adopted by stabilize walk steps; hints
 	// counts predecessors taken from a notify reply (DESIGN.md §23).
 	adoptions, hints *telemetry.Counter
@@ -210,6 +212,8 @@ func Start(cfg Config) (*Node, error) {
 		tomb:   newTombstoneCounters(),
 		ownerForwards: telemetry.NewCounter("wire_owner_forwards_total",
 			"Owner-addressed single-key requests forwarded to the routed owner because the key was foreign."),
+		getUnchanged: telemetry.NewCounter("wire_get_unchanged_total",
+			"Conditional gets answered \"unchanged\": the key's set had the digest the client offered, so no entries were shipped."),
 		adoptions: telemetry.NewCounter("wire_stabilize_adoptions_total",
 			"Successors adopted by stabilize walk steps."),
 		hints: telemetry.NewCounter("wire_predecessor_hints_total",
@@ -757,7 +761,7 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 	n.repair.attach(reg)
 	n.merge.attach(reg)
 	n.tomb.attach(reg)
-	reg.Attach(n.ownerForwards, n.adoptions, n.hints)
+	reg.Attach(n.ownerForwards, n.getUnchanged, n.adoptions, n.hints)
 	if n.retry != nil {
 		n.retry.Instrument(reg)
 	}

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"slices"
-
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/telemetry"
@@ -103,69 +101,39 @@ func (c repairCounters) attach(reg *telemetry.Registry) {
 	reg.Attach(c.rounds, c.syncs, c.pulls, c.pushes, c.forwards, c.drops)
 }
 
-// FNV-1a, 64 bit (hash/fnv's New64a, written out so a digest allocates
-// nothing: ownedState digests every owned key every repair round).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// tombSalt is an odd multiplier: tombHash(e) = EntryHash(e)·tombSalt
+// is a bijection of EntryHash, and differs from it for all but a
+// 2^-62 share of entries, so a tombstone never counts as its entry.
+const tombSalt = 0x9e3779b97f4a7c15
 
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+// tombHash is what a tombstone adds to its key's state digest.
+func tombHash(e overlay.Entry) uint64 { return overlay.EntryHash(e) * tombSalt }
 
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = fnvByte(h, s[i])
-	}
-	return h
-}
-
-// fnvEntry folds one entry and a terminator byte into h.
-func fnvEntry(h uint64, e overlay.Entry, term byte) uint64 {
-	return fnvByte(fnvString(fnvByte(fnvString(h, e.Kind), 0), e.Value), term)
-}
-
-// entriesDigest hashes a key's entry set order-independently (FNV-1a
-// over the entries in CompareEntries order), so two replicas agree on
-// the digest no matter what order writes arrived in. Empty sets digest
-// to 0. A set read from a Store is in that order already and is hashed
-// as it stands; one that came off the wire from a node that does not
-// keep the order is sorted first.
-func entriesDigest(entries []overlay.Entry) uint64 {
-	if len(entries) == 0 {
-		return 0
-	}
-	if !slices.IsSortedFunc(entries, CompareEntries) {
-		entries = slices.Clone(entries)
-		slices.SortFunc(entries, CompareEntries)
-	}
-	h := uint64(fnvOffset64)
-	for _, e := range entries {
-		h = fnvEntry(h, e, 0xff)
-	}
-	return h
-}
-
-// stateDigest extends entriesDigest with the key's tombstone
-// identities. At timestamps are excluded: they are local-clock GC
+// stateDigest is a key's repair digest: live, the overlay.Digest of its
+// entry set (Store.Digest keeps it), plus the sum of its tombstones'
+// tombHash. At timestamps are excluded: they are local-clock GC
 // metadata, and two stores holding tombstones for the same entries must
 // agree on the digest regardless of when each learned of the removal.
-func stateDigest(entries []overlay.Entry, tombs []Tombstone) uint64 {
-	if len(tombs) == 0 {
-		return entriesDigest(entries)
-	}
-	if !slices.IsSortedFunc(tombs, compareTombstones) {
-		tombs = slices.Clone(tombs)
-		slices.SortFunc(tombs, compareTombstones)
-	}
-	h := uint64(fnvOffset64)
-	live := entriesDigest(entries)
-	for shift := 0; shift < 64; shift += 8 { // little-endian bytes
-		h = fnvByte(h, byte(live>>shift))
-	}
+// A sum does not depend on order, so neither part needs its set sorted;
+// an empty state digests to 0.
+func stateDigest(live uint64, tombs []Tombstone) uint64 {
 	for _, t := range tombs {
-		h = fnvEntry(h, t.Entry, 0xfe)
+		live += tombHash(t.Entry)
 	}
-	return h
+	return live
+}
+
+// itemDigest is stateDigest of a key's state as it travels or was
+// snapshotted: its entries are hashed, as a store does when it stores
+// them.
+func itemDigest(item KeyEntries) uint64 {
+	return stateDigest(overlay.Digest(item.Entries), item.Tombs)
+}
+
+// heldDigest is stateDigest of key's state in s, read off the stored
+// digest: only the tombstones are hashed.
+func heldDigest(s Store, key keyspace.Key) uint64 {
+	return stateDigest(s.Digest(key), s.Tombstones(key))
 }
 
 // ownedState collects the keys this node owns (live entries or
@@ -181,7 +149,7 @@ func (n *Node) ownedState(pred string) []KeyDigest {
 		}
 		var d uint64
 		_ = n.store.View(k, func(s Store) error {
-			d = stateDigest(s.Get(k), s.Tombstones(k))
+			d = heldDigest(s, k)
 			return nil
 		})
 		owned = append(owned, KeyDigest{Key: k, Digest: d})
@@ -297,6 +265,7 @@ func (n *Node) adoptAnswer(resp Message) []KeyEntries {
 	for _, want := range resp.Digests {
 		item, pulled := theirs[want.Key]
 		merged := KeyEntries{Key: want.Key}
+		var mergedDigest uint64
 		err := n.store.Update(want.Key, func(s Store) error {
 			if pulled {
 				if err := n.adopt(s, item); err != nil {
@@ -304,6 +273,7 @@ func (n *Node) adoptAnswer(resp Message) []KeyEntries {
 				}
 			}
 			merged.Entries, merged.Tombs = s.Get(want.Key), s.Tombstones(want.Key)
+			mergedDigest = stateDigest(s.Digest(want.Key), merged.Tombs)
 			return nil
 		})
 		if err != nil {
@@ -312,7 +282,7 @@ func (n *Node) adoptAnswer(resp Message) []KeyEntries {
 		if pulled {
 			n.repair.pulls.Inc()
 		}
-		if stateDigest(merged.Entries, merged.Tombs) != stateDigest(item.Entries, item.Tombs) {
+		if mergedDigest != itemDigest(item) {
 			kv = append(kv, merged)
 		}
 	}
@@ -370,7 +340,7 @@ func (n *Node) dropStaleCopies() {
 			// The compare and the delete share one critical section so a
 			// write cannot slip between them.
 			_ = n.store.Update(item.Key, func(s Store) error {
-				if stateDigest(s.Get(item.Key), s.Tombstones(item.Key)) == stateDigest(item.Entries, item.Tombs) {
+				if heldDigest(s, item.Key) == itemDigest(item) {
 					if s.Replace(item.Key, nil, nil) == nil {
 						n.repair.drops.Inc()
 					}
@@ -412,11 +382,13 @@ func (n *Node) handleRepairSync(req Message) Message {
 	for _, d := range req.Digests {
 		offered[d.Key] = true
 		item := KeyEntries{Key: d.Key}
+		var held uint64
 		_ = n.store.View(d.Key, func(s Store) error {
 			item.Entries, item.Tombs = s.Get(d.Key), s.Tombstones(d.Key)
+			held = stateDigest(s.Digest(d.Key), item.Tombs)
 			return nil
 		})
-		if stateDigest(item.Entries, item.Tombs) != d.Digest {
+		if held != d.Digest {
 			answer(item)
 		}
 	}

@@ -1,12 +1,10 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,85 +16,79 @@ import (
 func TestEntriesDigest(t *testing.T) {
 	a := []overlay.Entry{{Kind: "k1", Value: "v1"}, {Kind: "k2", Value: "v2"}}
 	b := []overlay.Entry{{Kind: "k2", Value: "v2"}, {Kind: "k1", Value: "v1"}}
-	if entriesDigest(a) != entriesDigest(b) {
+	if overlay.Digest(a) != overlay.Digest(b) {
 		t.Errorf("digest is order-dependent")
 	}
-	if entriesDigest(nil) != 0 {
+	if overlay.Digest(nil) != 0 {
 		t.Errorf("empty set must digest to 0")
 	}
 	c := []overlay.Entry{{Kind: "k1", Value: "v1"}}
-	if entriesDigest(a) == entriesDigest(c) {
+	if overlay.Digest(a) == overlay.Digest(c) {
 		t.Errorf("different sets collided")
 	}
-	// The separator bytes keep (Kind, Value) boundaries unambiguous.
+	// The separator byte keeps (Kind, Value) boundaries unambiguous.
 	d := []overlay.Entry{{Kind: "k1v", Value: "1"}}
 	e := []overlay.Entry{{Kind: "k1", Value: "v1"}}
-	if entriesDigest(d) == entriesDigest(e) {
+	if overlay.Digest(d) == overlay.Digest(e) {
 		t.Errorf("kind/value boundary ambiguity")
 	}
 }
 
-// referenceStateDigest is the digest as first written: copy, sort, then
-// hash/fnv over byte slices. Mixed-version rings compare digests across
-// nodes, so the one-pass form must produce these exact values.
-func referenceStateDigest(entries []overlay.Entry, tombs []Tombstone) uint64 {
-	hashSet := func(seed []byte, set []overlay.Entry, term byte) uint64 {
-		set = slices.Clone(set)
-		sort.Slice(set, func(i, j int) bool {
-			if set[i].Kind != set[j].Kind {
-				return set[i].Kind < set[j].Kind
-			}
-			return set[i].Value < set[j].Value
-		})
-		h := fnv.New64a()
-		_, _ = h.Write(seed)
-		for _, e := range set {
-			_, _ = h.Write([]byte(e.Kind))
-			_, _ = h.Write([]byte{0})
-			_, _ = h.Write([]byte(e.Value))
-			_, _ = h.Write([]byte{term})
-		}
-		return h.Sum64()
-	}
-	var d uint64
-	if len(entries) > 0 {
-		d = hashSet(nil, entries, 0xff)
-	}
-	if len(tombs) == 0 {
-		return d
-	}
-	dead := make([]overlay.Entry, len(tombs))
-	for i, t := range tombs {
-		dead[i] = t.Entry
-	}
-	return hashSet(binary.LittleEndian.AppendUint64(nil, d), dead, 0xfe)
+// referenceEntryHash is overlay.EntryHash written with hash/fnv: FNV-1a
+// over kind, a zero byte and value, then MurmurHash3's fmix64.
+func referenceEntryHash(e overlay.Entry) uint64 {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(e.Kind))
+	_, _ = h.Write([]byte{0})
+	_, _ = h.Write([]byte(e.Value))
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb53cc5a49e63
+	x ^= x >> 33
+	return x
 }
 
-// TestStateDigestOnePass: sorted or shuffled, the digest equals the
-// reference, and a set in store order — the only kind ownedState hashes,
-// once per owned key per repair round — is digested without allocating.
+// TestStateDigestOnePass: sorted or shuffled, a key's repair digest is
+// the sum of its entries' reference hashes plus its tombstones' salted
+// ones, and a stored set's digest — read off the store, as ownedState
+// reads it once per owned key per repair round — costs no allocation
+// and no hashing of the set.
 func TestStateDigestOnePass(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for round := 0; round < 200; round++ {
-		entries := make([]overlay.Entry, rng.Intn(12))
-		for i := range entries {
-			entries[i] = overlay.Entry{Kind: []string{"index", "data"}[rng.Intn(2)], Value: fmt.Sprintf("/q[v=%d]", rng.Intn(1000))}
+		var entries []overlay.Entry
+		for range rng.Intn(12) {
+			e := overlay.Entry{Kind: []string{"index", "data"}[rng.Intn(2)], Value: fmt.Sprintf("/q[v=%d]", rng.Intn(1000))}
+			if !slices.Contains(entries, e) {
+				entries = append(entries, e)
+			}
 		}
 		tombs := make([]Tombstone, rng.Intn(4))
 		for i := range tombs {
 			tombs[i] = Tombstone{Entry: overlay.Entry{Kind: "index", Value: fmt.Sprintf("/dead[v=%d]", rng.Intn(1000))}, At: rng.Int63()}
 		}
-		want := referenceStateDigest(entries, tombs)
-		if got := stateDigest(entries, tombs); got != want {
+		var want uint64
+		for _, e := range entries {
+			want += referenceEntryHash(e)
+		}
+		for _, tb := range tombs {
+			want += referenceEntryHash(tb.Entry) * tombSalt
+		}
+		if got := itemDigest(KeyEntries{Entries: entries, Tombs: tombs}); got != want {
 			t.Fatalf("shuffled: digest %d, reference %d (%v %v)", got, want, entries, tombs)
 		}
-		slices.SortFunc(entries, CompareEntries)
-		slices.SortFunc(tombs, compareTombstones)
-		if got := stateDigest(entries, tombs); got != want {
-			t.Fatalf("sorted: digest %d, reference %d (%v %v)", got, want, entries, tombs)
+		st := NewMemStore()
+		key := keyspace.NewKey(fmt.Sprint(round))
+		if err := st.Replace(key, entries, tombs); err != nil {
+			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(1, func() { _ = stateDigest(entries, tombs) }); allocs != 0 {
-			t.Fatalf("digest of a sorted set allocated %v times", allocs)
+		if got := heldDigest(st, key); got != want {
+			t.Fatalf("stored: digest %d, reference %d (%v %v)", got, want, entries, tombs)
+		}
+		if allocs := testing.AllocsPerRun(1, func() { _ = st.Digest(key) }); allocs != 0 {
+			t.Fatalf("reading a stored digest allocated %v times", allocs)
 		}
 	}
 }
@@ -431,5 +423,37 @@ func TestJoinerHoldsItsRangeOnReturn(t *testing.T) {
 				t.Fatal("no key falls in the joiner's range")
 			}
 		})
+	}
+}
+
+// BenchmarkOwnedState times the digest walk that opens every repair
+// round (ownedState): a node owning 3,500 keys of eight index entries
+// each, one key in ten also holding a tombstone.
+func BenchmarkOwnedState(b *testing.B) {
+	const keys = 3500
+	n, err := Start(Config{Transport: NewMemTransport(), Addr: "mem:0", StabilizeInterval: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n.Stop()
+	for i := 0; i < keys; i++ {
+		key := keyspace.NewKey(fmt.Sprintf("owned-%d", i))
+		for j := 0; j < 8; j++ {
+			if _, err := n.store.Put(key, overlay.Entry{Kind: "index", Value: fmt.Sprintf("/article[conf=C%04d][year=%d]", i, 1990+j)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if i%10 == 0 {
+			if _, err := n.store.Remove(key, overlay.Entry{Kind: "index", Value: "/article[gone]"}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := n.ownedState(""); len(got) != keys {
+			b.Fatalf("%d owned keys, want %d", len(got), keys)
+		}
 	}
 }

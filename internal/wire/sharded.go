@@ -118,6 +118,14 @@ func (st *ShardedStore) Get(key keyspace.Key) []overlay.Entry {
 	return sp.s.Get(key)
 }
 
+// Digest implements Store.
+func (st *ShardedStore) Digest(key keyspace.Key) uint64 {
+	sp := st.stripe(key)
+	sp.mu.RLock()
+	defer sp.mu.RUnlock()
+	return sp.s.Digest(key)
+}
+
 // Put implements Store.
 func (st *ShardedStore) Put(key keyspace.Key, e overlay.Entry) (bool, error) {
 	sp := st.stripe(key)

@@ -189,16 +189,23 @@ func TestMemStoreTombstones(t *testing.T) {
 // but not their At values (local GC clocks must not break agreement).
 func TestStateDigestTombstones(t *testing.T) {
 	entries := []overlay.Entry{{Kind: "d", Value: "v1"}}
-	if stateDigest(entries, nil) != entriesDigest(entries) {
-		t.Fatal("tombstone-free digest must equal the legacy entries digest")
+	live := overlay.Digest(entries)
+	if stateDigest(live, nil) != live {
+		t.Fatal("tombstone-free digest must equal the entries digest")
 	}
 	tomb := []Tombstone{{Entry: overlay.Entry{Kind: "d", Value: "dead"}, At: 1}}
-	if stateDigest(entries, tomb) == stateDigest(entries, nil) {
+	if stateDigest(live, tomb) == stateDigest(live, nil) {
 		t.Fatal("tombstones invisible to the digest")
 	}
 	tombLater := []Tombstone{{Entry: overlay.Entry{Kind: "d", Value: "dead"}, At: 999}}
-	if stateDigest(entries, tomb) != stateDigest(entries, tombLater) {
+	if stateDigest(live, tomb) != stateDigest(live, tombLater) {
 		t.Fatal("At leaked into the digest — local clocks would break agreement")
+	}
+	// An entry and its own tombstone must not count alike: a replica
+	// holding e live and one holding only e's tombstone differ.
+	sameTomb := []Tombstone{{Entry: entries[0]}}
+	if stateDigest(0, sameTomb) == live {
+		t.Fatal("a tombstone digests like its live entry")
 	}
 	reordered := []Tombstone{
 		{Entry: overlay.Entry{Kind: "b", Value: "2"}},
@@ -208,7 +215,7 @@ func TestStateDigestTombstones(t *testing.T) {
 		{Entry: overlay.Entry{Kind: "a", Value: "1"}},
 		{Entry: overlay.Entry{Kind: "b", Value: "2"}},
 	}
-	if stateDigest(nil, reordered) != stateDigest(nil, ordered) {
+	if stateDigest(0, reordered) != stateDigest(0, ordered) {
 		t.Fatal("digest is tombstone-order-dependent")
 	}
 }

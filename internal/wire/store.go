@@ -35,8 +35,8 @@ import (
 // CompareEntries — (Kind, Value), no duplicates — at all times. Writers
 // establish it (Put inserts at the entry's position, Replace and
 // recovery normalize whatever arrives), so Get and ForEach hand out
-// sorted sets and no reader has to sort: digests hash in one pass and
-// the index layer only verifies the order of a response (DESIGN.md §18).
+// sorted sets and no reader has to sort: the index layer only verifies
+// the order of a response (DESIGN.md §18).
 //
 // Sharing contract: a key's entry set is immutable once stored. Every
 // write that changes it stores a fresh set (InsertEntry, DeleteEntry,
@@ -48,6 +48,10 @@ type Store interface {
 	// Get returns the entry set stored under key (nil if none), in
 	// CompareEntries order. The set is shared and read-only.
 	Get(key keyspace.Key) []overlay.Entry
+	// Digest returns overlay.Digest of the entry set stored under key
+	// (0 if none). Every write keeps it up to date, so reading it
+	// hashes nothing.
+	Digest(key keyspace.Key) uint64
 	// Put inserts e under key at its CompareEntries position unless an
 	// identical entry is already present or a live tombstone for e
 	// suppresses the write, reporting whether it was added. A
@@ -237,10 +241,18 @@ func sortedTombstones(tombs []Tombstone) []Tombstone {
 // one CompareEntries-sorted slice with one record per entry — so reads
 // hand them out without sorting. Entry sets are copy-on-write (see the
 // Store sharing contract); tombstone sets are edited in place and
-// copied out by Tombstones.
+// copied out by Tombstones. Each set is stored with its digest, which
+// every write updates by the hashes of the entries it adds or drops
+// (DESIGN.md §37).
 type MemStore struct {
-	m     map[keyspace.Key][]overlay.Entry
+	m     map[keyspace.Key]keySet
 	tombs map[keyspace.Key][]Tombstone
+}
+
+// keySet is one key's live entry set and its overlay.Digest.
+type keySet struct {
+	entries []overlay.Entry
+	digest  uint64
 }
 
 var _ Store = (*MemStore)(nil)
@@ -248,32 +260,36 @@ var _ Store = (*MemStore)(nil)
 // NewMemStore creates an empty in-memory store.
 func NewMemStore() *MemStore {
 	return &MemStore{
-		m:     make(map[keyspace.Key][]overlay.Entry),
+		m:     make(map[keyspace.Key]keySet),
 		tombs: make(map[keyspace.Key][]Tombstone),
 	}
 }
 
 // Get implements Store: the stored set itself, which no write edits.
-func (s *MemStore) Get(key keyspace.Key) []overlay.Entry { return s.m[key] }
+func (s *MemStore) Get(key keyspace.Key) []overlay.Entry { return s.m[key].entries }
+
+// Digest implements Store: the digest stored with the set.
+func (s *MemStore) Digest(key keyspace.Key) uint64 { return s.m[key].digest }
 
 // Has reports whether e is a live entry under key.
 func (s *MemStore) Has(key keyspace.Key, e overlay.Entry) bool {
-	_, found := slices.BinarySearchFunc(s.m[key], e, CompareEntries)
+	_, found := slices.BinarySearchFunc(s.m[key].entries, e, CompareEntries)
 	return found
 }
 
 // Holds reports whether key has live entries: the keys ForEach visits
 // and Len counts.
-func (s *MemStore) Holds(key keyspace.Key) bool { return len(s.m[key]) > 0 }
+func (s *MemStore) Holds(key keyspace.Key) bool { return len(s.m[key].entries) > 0 }
 
 // Put implements Store.
 func (s *MemStore) Put(key keyspace.Key, e overlay.Entry) (bool, error) {
 	if s.Tombstoned(key, e) {
 		return false, nil
 	}
-	set, added := InsertEntry(s.m[key], e)
+	ks := s.m[key]
+	set, added := InsertEntry(ks.entries, e)
 	if added {
-		s.m[key] = set
+		s.m[key] = keySet{entries: set, digest: ks.digest + overlay.EntryHash(e)}
 	}
 	return added, nil
 }
@@ -288,8 +304,9 @@ func (s *MemStore) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
 // entombOne deletes t's live entry under key and records t keeping the
 // latest At, reporting whether the tombstone was new or refreshed.
 func (s *MemStore) entombOne(key keyspace.Key, t Tombstone) bool {
-	if entries, removed := DeleteEntry(s.m[key], t.Entry); removed {
-		s.setEntries(key, entries)
+	ks := s.m[key]
+	if entries, removed := DeleteEntry(ks.entries, t.Entry); removed {
+		s.setEntries(key, keySet{entries: entries, digest: ks.digest - overlay.EntryHash(t.Entry)})
 	}
 	set := s.tombs[key]
 	i, found := slices.BinarySearchFunc(set, t, compareTombstones)
@@ -304,19 +321,20 @@ func (s *MemStore) entombOne(key keyspace.Key, t Tombstone) bool {
 	return true
 }
 
-// setEntries stores key's (sorted) entry set; an empty set deletes the
-// key from the live map.
-func (s *MemStore) setEntries(key keyspace.Key, entries []overlay.Entry) {
-	if len(entries) == 0 {
+// setEntries stores key's (sorted) entry set and its digest; an empty
+// set deletes the key from the live map.
+func (s *MemStore) setEntries(key keyspace.Key, ks keySet) {
+	if len(ks.entries) == 0 {
 		delete(s.m, key)
 	} else {
-		s.m[key] = entries
+		s.m[key] = ks
 	}
 }
 
 // Replace implements Store.
 func (s *MemStore) Replace(key keyspace.Key, entries []overlay.Entry, tombs []Tombstone) error {
-	s.setEntries(key, SortedEntries(entries))
+	set := SortedEntries(entries)
+	s.setEntries(key, keySet{entries: set, digest: overlay.Digest(set)})
 	if len(tombs) == 0 {
 		delete(s.tombs, key)
 	} else {
@@ -399,8 +417,8 @@ func (s *MemStore) GCTombstones(before int64) (int, error) {
 
 // ForEach implements Store.
 func (s *MemStore) ForEach(fn func(key keyspace.Key, entries []overlay.Entry) bool) {
-	for k, entries := range s.m {
-		if !fn(k, entries) {
+	for k, ks := range s.m {
+		if !fn(k, ks.entries) {
 			return
 		}
 	}

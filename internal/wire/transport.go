@@ -125,7 +125,8 @@ type KeyDigest struct {
 // travels as Err text alone (CodeOK); codes distinguish errors the client
 // must treat specially — an overload NACK arrives as a *successful*
 // transport exchange, so without a typed code the retry layer would treat
-// it like any remote failure and retry into the hot node.
+// it like any remote failure and retry into the hot node — and the one
+// verdict a successful reply can carry instead of a payload.
 const (
 	// CodeOK marks a normal response (zero value, never set explicitly).
 	CodeOK = 0
@@ -133,6 +134,11 @@ const (
 	// must not be retried against the same peer and must not count as a
 	// connectivity failure.
 	CodeOverload = 1
+	// CodeUnchanged marks the reply to a conditional OpGet whose key's
+	// live set, non-empty, has the digest the request offered: the
+	// reply carries no entries, and the client serves the set it holds
+	// (DESIGN.md §37).
+	CodeUnchanged = 2
 )
 
 // Message is the single request/response envelope.
@@ -154,14 +160,16 @@ type Message struct {
 	// microseconds (0 = no deadline). Admission control sheds requests
 	// whose budget cannot cover the expected service time.
 	BudgetMicros int64
-	// Code classifies error responses (CodeOK, CodeOverload).
+	// Code classifies responses (CodeOK, CodeOverload, CodeUnchanged).
 	Code    int
 	Entry   overlay.Entry
 	Entries []overlay.Entry
 	KV      []KeyEntries
-	// Digests carries the anti-entropy offer (OpRepairSync requests) and
+	// Digests carries the anti-entropy offer (OpRepairSync requests),
 	// the keys the replica wants shipped (OpRepairSync responses, digest
-	// field unused).
+	// field unused) and a conditional read's offer (OpGet requests: one
+	// element, Key's, with the overlay.Digest of the set the client
+	// holds).
 	Digests []KeyDigest
 	// Addrs carries successor lists.
 	Addrs []string
