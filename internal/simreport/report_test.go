@@ -1,10 +1,12 @@
 package simreport
 
 import (
-	"dhtindex/internal/index"
-
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"dhtindex/internal/index"
 )
 
 // tinyConfig keeps report tests fast.
@@ -19,8 +21,15 @@ func tinyConfig(experiment string) Config {
 }
 
 // TestRunAllExperiments renders the whole report twice: every section
-// must be present, and the second rendering must repeat the first byte
-// for byte — no cell may depend on scheduling or the wall clock.
+// must be present, the first rendering must equal the pinned golden
+// testdata/all-tiny.txt byte for byte, and the second rendering must
+// repeat the first — no cell may depend on scheduling or the wall
+// clock. A change that moves a cell on purpose regenerates the golden
+// with
+//
+//	go run ./cmd/indexsim -nodes 30 -articles 300 -queries 1500 > internal/simreport/testdata/all-tiny.txt
+//
+// and says in its description which cells moved and why.
 func TestRunAllExperiments(t *testing.T) {
 	render := func() string {
 		var sb strings.Builder
@@ -39,6 +48,20 @@ func TestRunAllExperiments(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "all-tiny.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(golden); out != want {
+		outLines, wantLines := strings.Split(out, "\n"), strings.Split(want, "\n")
+		for i := range min(len(outLines), len(wantLines)) {
+			if outLines[i] != wantLines[i] {
+				t.Fatalf("report differs from testdata/all-tiny.txt at line %d:\n got: %s\nwant: %s",
+					i+1, outLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("report differs from testdata/all-tiny.txt: %d lines, want %d", len(outLines), len(wantLines))
 	}
 	if again := render(); again != out {
 		outLines, againLines := strings.Split(out, "\n"), strings.Split(again, "\n")
