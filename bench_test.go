@@ -376,15 +376,15 @@ func BenchmarkCovers(b *testing.B) {
 }
 
 // benchRing publishes the first 500 articles of the benchmark corpus on
-// a 64-node live ring whose batch interfaces are hidden, so every
-// lookup is one message, and returns the articles and a searcher.
+// a 64-node live ring driven through overlay.PerKey, so every lookup is
+// one message, and returns the articles and a searcher.
 func benchRing(b *testing.B) ([]descriptor.Article, *index.Searcher) {
 	ring, err := wire.StartMemRing(64, 0, benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(ring.Close)
-	svc := index.New(struct{ overlay.Network }{ring}, cache.None, 0)
+	svc := index.New(overlay.PerKey(ring), cache.None, 0)
 	arts := fig1Corpus(b).Articles[:500]
 	for i, a := range arts {
 		if err := svc.PublishArticle(fmt.Sprintf("f%d", i), a, index.Simple); err != nil {

@@ -153,7 +153,7 @@ func (r *repl) network(args []string) error {
 		if err != nil {
 			return err
 		}
-		net, stop = struct{ overlay.Network }{ring}, ring.Close // one message per key
+		net, stop = overlay.PerKey(ring), ring.Close // one message per key
 	case "pastry":
 		p := pastry.NewNetwork()
 		if _, err := p.Populate(nodes); err != nil {

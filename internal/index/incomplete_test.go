@@ -17,9 +17,9 @@ import (
 )
 
 // faultyNetwork wraps an overlay.Network and fails Gets for chosen keys,
-// simulating a crash-stopped DHT hop under a specific query. It
-// deliberately does NOT implement overlay.ContextNetwork, so these tests
-// also cover the plain-Network fallback path of Service.LookupCtx.
+// simulating a crash-stopped DHT hop under a specific query. It has
+// nothing but the Network methods, so these tests also cover the reads
+// overlay.PerKey builds from Get.
 type faultyNetwork struct {
 	overlay.Network
 	mu   sync.Mutex

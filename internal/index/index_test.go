@@ -14,16 +14,15 @@ import (
 )
 
 // testRing boots an n-node live ring for one test and stops it at
-// cleanup. Its batch and deadline extensions are hidden, so the index
-// layer takes its per-key paths: one message per key.
-func testRing(t testing.TB, n int, seed int64) overlay.Network {
+// cleanup. It is driven through overlay.PerKey: one message per key.
+func testRing(t testing.TB, n int, seed int64) overlay.Substrate {
 	t.Helper()
 	ring, err := wire.StartMemRing(n, 0, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(ring.Close)
-	return struct{ overlay.Network }{ring}
+	return overlay.PerKey(ring)
 }
 
 // fig1Service builds a small network publishing the three Fig. 1 articles

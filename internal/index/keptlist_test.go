@@ -50,7 +50,7 @@ func checkLookup(t *testing.T, svc *Service, q xpath.Query, when string) Respons
 		t.Fatalf("%s: lookup %s: %v", when, q, err)
 	}
 	var read overlay.GetResult
-	read.Entries, read.Route, read.Err = svc.get(ctx, q.Key())
+	read.Entries, read.Route, read.Err = svc.net.GetCtx(ctx, q.Key())
 	want, err := svc.respondPerEntry(q, read)
 	if err != nil {
 		t.Fatalf("%s: reference lookup %s: %v", when, q, err)

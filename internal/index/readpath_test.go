@@ -222,9 +222,10 @@ func countingService(t *testing.T) (*Service, *opCountingNetwork) {
 
 // TestUnpublishProbesAndRemovesOnce: the Complex scheme's four chains all
 // end in the MSD and two of them share conf+year, so unpublishing a sole
-// article needs 5 distinct probes (msd, author+conf+year, author+conf,
-// author+title, conf+year) and 8 distinct mapping removes — not the 9
-// and 9 of walking every chain on its own.
+// article over overlay.PerKey takes 8 distinct mapping removes — not the
+// 9 of walking every chain on its own — and 9 probes, one per distinct
+// key its prunes touch: msd, author+conf+year, author+title, conf+year,
+// author+conf, title, conf, year and author.
 func TestUnpublishProbesAndRemovesOnce(t *testing.T) {
 	svc, net := countingService(t)
 	a := descriptor.Fig1Articles()[0]
@@ -235,8 +236,8 @@ func TestUnpublishProbesAndRemovesOnce(t *testing.T) {
 	if err := svc.UnpublishArticle("x.pdf", a, Complex); err != nil {
 		t.Fatal(err)
 	}
-	if net.probes != 5 || net.mappingRemoves != 8 {
-		t.Fatalf("unpublish issued %d probes and %d mapping removes, want 5 and 8", net.probes, net.mappingRemoves)
+	if net.probes != 9 || net.mappingRemoves != 8 {
+		t.Fatalf("unpublish issued %d probes and %d mapping removes, want 9 and 8", net.probes, net.mappingRemoves)
 	}
 	if stats := svc.StorageStats(); stats.IndexEntries != 0 || stats.DataEntries != 0 {
 		t.Fatalf("entries left behind: %+v", stats)

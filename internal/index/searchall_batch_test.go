@@ -67,17 +67,6 @@ func liveRing(t *testing.T, nodes int) (*wire.Cluster, *countingTransport) {
 	return cluster, counted
 }
 
-// singleReads hides a substrate's batch read (and nothing else a lookup
-// uses), so a parallel search over it takes the generic adapter.
-type singleReads struct {
-	overlay.Network
-	ctx overlay.ContextNetwork
-}
-
-func (s singleReads) GetCtx(ctx context.Context, key keyspace.Key) ([]overlay.Entry, overlay.Route, error) {
-	return s.ctx.GetCtx(ctx, key)
-}
-
 // searchQueries draws the automated-search workload for a corpus:
 // indexed queries of every breadth, most specific descriptors, queries
 // no scheme indexes (the generalization fallback), and queries that
@@ -134,7 +123,7 @@ func TestSearchAllSameAtAnyParallelism(t *testing.T) {
 				}
 				// The adapter arm is a service of its own over the same ring: it
 				// has its own shortcut caches, filled by the same finds below.
-				adapter := New(singleReads{cluster, cluster}, cache.Multi, 0)
+				adapter := New(overlay.PerKey(cluster), cache.Multi, 0)
 				sequential, batched, concurrent := NewSearcher(svc), NewSearcher(svc), NewSearcher(adapter)
 				batched.Parallelism, concurrent.Parallelism = 8, 8
 
@@ -219,11 +208,10 @@ func TestSearchAllSameAtAnyParallelism(t *testing.T) {
 
 // budgetNetwork serves a fixed number of reads and then cancels the
 // search's context, so a search runs out of budget at an exact point of
-// its walk — in the middle of a level. It offers the batch read too,
-// serving a batch's keys in order, so the point is the same however the
-// level is fetched.
+// its walk — in the middle of a level. Its batch read serves a batch's
+// keys in order, so the point is the same however the level is fetched.
 type budgetNetwork struct {
-	overlay.Network
+	overlay.Substrate
 	left   int
 	cancel context.CancelFunc
 }
@@ -235,7 +223,12 @@ func (b *budgetNetwork) GetCtx(ctx context.Context, key keyspace.Key) ([]overlay
 	if b.left--; b.left == 0 {
 		defer b.cancel()
 	}
-	return b.Network.Get(key)
+	return b.Substrate.Get(key)
+}
+
+func (b *budgetNetwork) GetUnlessCtx(ctx context.Context, key keyspace.Key, _ uint64) ([]overlay.Entry, overlay.Route, bool, error) {
+	entries, route, err := b.GetCtx(ctx, key)
+	return entries, route, false, err
 }
 
 func (b *budgetNetwork) GetBatch(ctx context.Context, keys []keyspace.Key, _ int) []overlay.GetResult {
@@ -285,7 +278,7 @@ func TestSearchAllBudgetSpentMidLevel(t *testing.T) {
 		t.Helper()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		searcher := NewSearcher(New(&budgetNetwork{Network: net, left: reads, cancel: cancel}, cache.None, 0))
+		searcher := NewSearcher(New(&budgetNetwork{Substrate: net, left: reads, cancel: cancel}, cache.None, 0))
 		searcher.Parallelism = parallelism
 		results, trace, err := searcher.SearchAllCtx(ctx, q)
 		if err != nil {

@@ -37,11 +37,11 @@ type Searcher struct {
 	// fallback's probes — reach the substrate. Values ≤ 1 issue them one
 	// at a time, the paper's model, which the simulators and
 	// EXPERIMENTS.md depend on. Higher values fetch the step's keys
-	// together: one message per owning node on a substrate with
-	// overlay.BatchGetNetwork (the live wire Cluster), concurrent single
-	// reads on a thread-safe substrate without it (the simulations are not
-	// thread-safe); the value bounds how many of those messages or reads
-	// are in flight at once. Results and traces are the same either way.
+	// together in one GetBatch: one message per owning node on the live
+	// wire Cluster, concurrent single reads on overlay.PerKey over a
+	// thread-safe network (the simulations are not thread-safe); the
+	// value bounds how many of those messages or reads are in flight at
+	// once. Results and traces are the same either way.
 	Parallelism int
 
 	// MaxFanout bounds the number of index nodes the automated search

@@ -171,9 +171,9 @@ func indexState(t *testing.T, get func(keyspace.Key) ([]overlay.Entry, overlay.R
 // conf+year pairs is published, a random half is unpublished in random
 // order, and what is left must be exactly what publishing only the
 // survivors on a fresh ring leaves: over the live replicated ring,
-// where each level is one Prune, and over a second ring whose batch
-// interfaces are hidden, where the same loop runs on per-key removes
-// and probes. A third of the unpublishes run twice and a third are cut
+// where each level is one Prune, and over a second ring driven through
+// overlay.PerKey, where the same loop runs on per-key removes and
+// probes. A third of the unpublishes run twice and a third are cut
 // short by an injected fault and run again; both must finish the
 // cleanup, which they do because a key's emptiness is read from its
 // state. On the replicated ring no node, owner or replica, may hold a

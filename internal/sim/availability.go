@@ -54,7 +54,7 @@ func Availability(opts Options, failFraction float64, replication int) (Availabi
 		return AvailabilityResult{}, fmt.Errorf("sim: ring: %w", err)
 	}
 	defer ring.Close()
-	svc := index.New(struct{ overlay.Network }{ring}, opts.Policy, opts.LRUCapacity)
+	svc := index.New(overlay.PerKey(ring), opts.Policy, opts.LRUCapacity)
 	for i, a := range corpus.Articles {
 		if err := svc.PublishArticle(fmt.Sprintf("article-%05d.pdf", i), a, opts.Scheme); err != nil {
 			return AvailabilityResult{}, fmt.Errorf("sim: publish: %w", err)

@@ -108,8 +108,8 @@ func buildSubstrate(opts Options) (ov overlay.Network, stop func(), err error) {
 			return nil, nil, err
 		}
 		ring.Instrument(opts.Telemetry)
-		// Batches hidden: the figures count one message per key.
-		return struct{ overlay.Network }{ring}, ring.Close, nil
+		// The figures count one message per key.
+		return overlay.PerKey(ring), ring.Close, nil
 	case "pastry":
 		net := pastry.NewNetwork()
 		if _, err := net.Populate(opts.Nodes); err != nil {

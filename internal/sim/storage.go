@@ -69,7 +69,7 @@ func schemeStorage(corpus *dataset.Corpus, nodes int, seed int64, scheme index.S
 		return index.StorageStats{}, fmt.Errorf("sim: ring: %w", err)
 	}
 	defer ring.Close()
-	svc := index.New(struct{ overlay.Network }{ring}, cache.None, 0)
+	svc := index.New(overlay.PerKey(ring), cache.None, 0)
 	for i, a := range corpus.Articles {
 		if err := svc.PublishArticle(fmt.Sprintf("article-%05d.pdf", i), a, scheme); err != nil {
 			return index.StorageStats{}, fmt.Errorf("sim: publish under %s: %w", scheme.Name(), err)

@@ -136,7 +136,7 @@ func buildHarness(cfg SubstrateConfig) (*substrateHarness, error) {
 		}
 		ring.Instrument(cfg.Telemetry)
 		return &substrateHarness{
-			ov:       struct{ overlay.Network }{ring},
+			ov:       overlay.PerKey(ring),
 			join:     ring.Join,
 			leave:    ring.Leave,
 			maintain: ring.Settle,

@@ -31,24 +31,21 @@ import (
 // fallback owner resolutions) of a PutBatch/RemoveBatch.
 const defaultBatchParallelism = 4
 
-var (
-	_ overlay.BatchNetwork    = (*Cluster)(nil)
-	_ overlay.BatchGetNetwork = (*Cluster)(nil)
-	_ overlay.PruneNetwork    = (*Cluster)(nil)
-)
+var _ overlay.BatchNetwork = (*Cluster)(nil)
 
-// PutBatch implements overlay.BatchNetwork: it stores every item,
+// PutBatch implements overlay.Substrate: it stores every item,
 // grouping by presumed owner so each responsible node receives one
-// OpPutBatch. Batched puts are idempotent end to end — the retry layer
-// retries a NACKed or lost batch, and a failed call here may be retried
-// whole.
+// OpPutBatch that carries each distinct (key, entry) pair once.
+// Batched puts are idempotent end to end — the retry layer retries a
+// NACKed or lost batch, and a failed call here may be retried whole.
 func (c *Cluster) PutBatch(ctx context.Context, items []overlay.KeyEntry) error {
-	groups, err := c.groupPresumed(foldItems(items))
+	kv, pairs := foldItems(items)
+	groups, err := c.groupPresumed(kv)
 	if err != nil || len(groups) == 0 {
 		return err
 	}
 	c.batchPutRPCs.Add(int64(len(groups)))
-	c.batchPutKeys.Add(int64(len(items)))
+	c.batchPutKeys.Add(int64(pairs))
 	return c.mutateGroups(ctx, groups, func(owner string, kv []KeyEntries) error {
 		return c.putGroup(ctx, owner, kv)
 	})
@@ -92,7 +89,7 @@ func (c *Cluster) RemoveBatch(ctx context.Context, items []overlay.KeyEntry) (in
 	return removed, err
 }
 
-// Prune implements overlay.PruneNetwork: RemoveBatch, returning what
+// Prune implements overlay.Substrate: RemoveBatch, returning what
 // the owners' replies say about the keys instead of the count — each
 // key of the batch that holds nothing once its removals are applied,
 // in first-appearance order (DESIGN.md §20).
@@ -105,7 +102,7 @@ func (c *Cluster) Prune(ctx context.Context, items []overlay.KeyEntry) ([]keyspa
 // OpRemoveBatch per presumed owner, with PutBatch's fallback for a
 // group whose owner cannot serve.
 func (c *Cluster) removeBatch(ctx context.Context, items []overlay.KeyEntry) (removed int, emptied []keyspace.Key, err error) {
-	kv := foldItems(items)
+	kv, _ := foldItems(items)
 	groups, err := c.groupPresumed(kv)
 	if err != nil || len(groups) == 0 {
 		return 0, nil, err
@@ -183,7 +180,7 @@ func (c *Cluster) sweepFollowers(ctx context.Context, owner string, kv []KeyEntr
 	}
 }
 
-// GetBatch implements overlay.BatchGetNetwork: every distinct key goes
+// GetBatch implements overlay.Substrate: every distinct key goes
 // to its presumed owner in one OpGetBatch per owner, at most parallel
 // of them in flight. The batch is an optimisation over GetCtx, never a
 // second read protocol: a node answers only the keys it owns, and every
@@ -260,11 +257,12 @@ func (c *Cluster) getGroup(ctx context.Context, owner string, kv []KeyEntries) [
 	return out
 }
 
-// foldItems dedupes a batch into one KeyEntries per distinct key,
-// preserving first-appearance order.
-func foldItems(items []overlay.KeyEntry) []KeyEntries {
+// foldItems folds a batch into one KeyEntries per distinct key, in
+// first-appearance order, keeping each distinct (key, entry) pair once,
+// and returns how many pairs it kept.
+func foldItems(items []overlay.KeyEntry) (kv []KeyEntries, pairs int) {
 	idx := make(map[keyspace.Key]int, len(items))
-	kv := make([]KeyEntries, 0, len(items))
+	kv = make([]KeyEntries, 0, len(items))
 	for _, it := range items {
 		i, ok := idx[it.Key]
 		if !ok {
@@ -272,9 +270,12 @@ func foldItems(items []overlay.KeyEntry) []KeyEntries {
 			idx[it.Key] = i
 			kv = append(kv, KeyEntries{Key: it.Key})
 		}
-		kv[i].Entries = append(kv[i].Entries, it.Entry)
+		if !slices.Contains(kv[i].Entries, it.Entry) {
+			kv[i].Entries = append(kv[i].Entries, it.Entry)
+			pairs++
+		}
 	}
-	return kv
+	return kv, pairs
 }
 
 // groupPresumed groups a folded KV set (one element per distinct key)

@@ -221,12 +221,8 @@ func BenchmarkClusterPutBatch(b *testing.B) {
 	})
 }
 
-// seqNet hides the cluster's BatchNetwork extension, forcing the index
-// layer onto its sequential per-entry path — the publish baseline.
-type seqNet struct{ overlay.Network }
-
 // BenchmarkPublish publishes one article per iteration with the Complex
-// scheme (1 data entry + 9 distinct index mappings) over a live TCP
+// scheme (1 data entry + 8 distinct index mappings) over a live TCP
 // ring: the batch fast path against the sequential per-mapping inserts.
 // The acceptance bar for the batch path is ≥ 2×. The mem case is the
 // batch path on a MemTransport ring, where each owner group's whole
@@ -254,7 +250,7 @@ func BenchmarkPublish(b *testing.B) {
 		run(b, wire.NewTCPTransport(), batch)
 	})
 	b.Run("sequential", func(b *testing.B) {
-		run(b, wire.NewTCPTransport(), func(c *wire.Cluster) overlay.Network { return seqNet{c} })
+		run(b, wire.NewTCPTransport(), func(c *wire.Cluster) overlay.Network { return overlay.PerKey(c) })
 	})
 	b.Run("mem", func(b *testing.B) {
 		run(b, wire.NewMemTransport(), batch)

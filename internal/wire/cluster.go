@@ -100,11 +100,7 @@ type ClusterMetrics struct {
 	HedgeWins int64
 }
 
-var (
-	_ overlay.Network            = (*Cluster)(nil)
-	_ overlay.ContextNetwork     = (*Cluster)(nil)
-	_ overlay.ConditionalNetwork = (*Cluster)(nil)
-)
+var _ overlay.Substrate = (*Cluster)(nil)
 
 // NewCluster creates a cluster handle over the transport. replication
 // must equal the ring nodes' Config.ReplicationFactor — it sizes the
@@ -402,7 +398,7 @@ func (c *Cluster) Get(key keyspace.Key) ([]overlay.Entry, overlay.Route, error) 
 	return c.GetCtx(context.Background(), key)
 }
 
-// GetCtx implements overlay.ContextNetwork: Get with a deadline budget.
+// GetCtx implements overlay.Substrate: Get with a deadline budget.
 // The budget is threaded through the owner read, the routed fallback and
 // failover reads, so a recursive multi-hop search stops burning retries
 // on a dead hop the moment its budget is spent. With a deadline set, an
@@ -415,7 +411,7 @@ func (c *Cluster) GetCtx(ctx context.Context, key keyspace.Key) ([]overlay.Entry
 	return entries, route, err
 }
 
-// GetUnlessCtx implements overlay.ConditionalNetwork: GetCtx whose
+// GetUnlessCtx implements overlay.Substrate: GetCtx whose
 // owner-addressed reads — to the presumed owner and to the routed one —
 // offer digest, so an owner whose set has it answers CodeUnchanged
 // instead of shipping the set. Hedged and failover reads stay

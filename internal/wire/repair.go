@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"slices"
+
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/telemetry"
@@ -139,41 +141,59 @@ func heldDigest(s Store, key keyspace.Key) uint64 {
 // ownedState collects the keys this node owns (live entries or
 // tombstones) and their digests. Each key's digest is computed under
 // that key's read lock, so a digest always describes a consistent
-// (entries, tombstones) pair even while writers hit other keys.
+// (entries, tombstones) pair even while writers hit other keys. One
+// closure serves every key's View: a closure per key would escape to the
+// heap once per key.
 func (n *Node) ownedState(pred string) []KeyDigest {
 	keys := n.localKeys()
-	var owned []KeyDigest
+	owned := make([]KeyDigest, 0, len(keys))
+	var item KeyDigest
+	digest := func(s Store) error {
+		item.Digest = heldDigest(s, item.Key)
+		return nil
+	}
 	for _, k := range keys {
 		if pred != "" && !k.Between(n.peerID(pred), n.id) {
 			continue // a replica held for another owner
 		}
-		var d uint64
-		_ = n.store.View(k, func(s Store) error {
-			d = heldDigest(s, k)
-			return nil
-		})
-		owned = append(owned, KeyDigest{Key: k, Digest: d})
+		item = KeyDigest{Key: k}
+		_ = n.store.View(k, digest)
+		owned = append(owned, item)
 	}
 	return owned
 }
 
 // localKeys lists every key the store holds state for — live entries or
-// tombstones. The store serializes the iteration itself; n.mu is not
-// involved.
+// tombstones — once each: the keys with live entries, then those with
+// tombstones alone. The store serializes the iteration itself; n.mu is
+// not involved.
 func (n *Node) localKeys() []keyspace.Key {
-	var keys []keyspace.Key
-	seen := make(map[keyspace.Key]bool)
+	keys := make([]keyspace.Key, 0, n.store.Len())
 	n.store.ForEach(func(k keyspace.Key, _ []overlay.Entry) bool {
-		seen[k] = true
 		keys = append(keys, k)
 		return true
 	})
+	var tombed []keyspace.Key
 	n.store.ForEachTombstone(func(k keyspace.Key, _ []Tombstone) bool {
-		if !seen[k] {
-			keys = append(keys, k)
-		}
+		tombed = append(tombed, k)
 		return true
 	})
+	if len(tombed) == 0 {
+		return keys
+	}
+	// Strike from tombed, sorted, each key already listed as live.
+	slices.SortFunc(tombed, keyspace.Key.Cmp)
+	listed := make([]bool, len(tombed))
+	for _, k := range keys {
+		if i, found := slices.BinarySearchFunc(tombed, k, keyspace.Key.Cmp); found {
+			listed[i] = true
+		}
+	}
+	for i, k := range tombed {
+		if !listed[i] {
+			keys = append(keys, k)
+		}
+	}
 	return keys
 }
 
