@@ -8,31 +8,40 @@ import (
 	"dhtindex/internal/overlay"
 )
 
-// Overlay adapts a Pastry Network to the substrate contract.
+// Overlay adapts a Pastry Network to the substrate contract. Reads and
+// writes draw their contact nodes from separate seeded streams, so the
+// node a Get starts at does not depend on how many Puts and Removes
+// came before it.
 type Overlay struct {
-	net *Network
-	rng *rand.Rand
+	net    *Network
+	reads  *rand.Rand
+	writes *rand.Rand
 }
 
 var _ overlay.Network = (*Overlay)(nil)
 
 // AsOverlay wraps the network; the seed drives contact-point selection.
 func AsOverlay(net *Network, seed int64) *Overlay {
-	return &Overlay{net: net, rng: rand.New(rand.NewSource(seed))}
+	return &Overlay{
+		net:    net,
+		reads:  rand.New(rand.NewSource(seed)),
+		writes: rand.New(rand.NewSource(^seed)),
+	}
 }
 
-func (o *Overlay) start() *Node {
+// start draws a contact node from rng, one of o's two streams.
+func (o *Overlay) start(rng *rand.Rand) *Node {
 	o.net.mu.Lock()
 	defer o.net.mu.Unlock()
 	if len(o.net.sorted) == 0 {
 		return nil
 	}
-	return o.net.sorted[o.rng.Intn(len(o.net.sorted))]
+	return o.net.sorted[rng.Intn(len(o.net.sorted))]
 }
 
 // Put implements overlay.Network.
 func (o *Overlay) Put(key keyspace.Key, e overlay.Entry) (overlay.Route, error) {
-	start := o.start()
+	start := o.start(o.writes)
 	res, err := o.net.Lookup(start, key)
 	if err != nil {
 		return overlay.Route{}, err
@@ -45,7 +54,7 @@ func (o *Overlay) Put(key keyspace.Key, e overlay.Entry) (overlay.Route, error) 
 
 // Get implements overlay.Network.
 func (o *Overlay) Get(key keyspace.Key) ([]overlay.Entry, overlay.Route, error) {
-	start := o.start()
+	start := o.start(o.reads)
 	res, err := o.net.Lookup(start, key)
 	if err != nil {
 		return nil, overlay.Route{}, err
@@ -63,7 +72,7 @@ func (o *Overlay) Get(key keyspace.Key) ([]overlay.Entry, overlay.Route, error) 
 
 // Remove implements overlay.Network.
 func (o *Overlay) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
-	start := o.start()
+	start := o.start(o.writes)
 	res, err := o.net.Lookup(start, key)
 	if err != nil {
 		return false, err

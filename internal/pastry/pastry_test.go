@@ -175,6 +175,47 @@ func TestOverlayPutIdempotent(t *testing.T) {
 	}
 }
 
+// TestReadContactsIgnoreWrites drives the same Gets over two overlays
+// of one network shape and one seed, one of them with a Put and a Remove
+// before every Get. Every Get must take the same route, owner and hop
+// count, on both: a read's contact node must not depend on how many
+// writes ran before it (docs/SUBSTRATES.md).
+func TestReadContactsIgnoreWrites(t *testing.T) {
+	const seed, reads = 7, 200
+	quietNet, _ := mustNetwork(t, 64)
+	busyNet, _ := mustNetwork(t, 64)
+	quiet, busy := AsOverlay(quietNet, seed), AsOverlay(busyNet, seed)
+	hopsSeen := map[int]bool{}
+	for i := 0; i < reads; i++ {
+		w := keyspace.NewKey(fmt.Sprintf("write-%d", i))
+		e := overlay.Entry{Kind: "index", Value: "w"}
+		if _, err := busy.Put(w, e); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			if _, err := busy.Remove(w, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k := keyspace.NewKey(fmt.Sprintf("read-%d", i))
+		_, want, err := quiet.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := busy.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("get %d routed %+v after writes, %+v without", i, got, want)
+		}
+		hopsSeen[want.Hops] = true
+	}
+	if len(hopsSeen) < 2 {
+		t.Fatalf("every get took the same hop count %v: the check cannot tell contacts apart", hopsSeen)
+	}
+}
+
 func TestGracefulLeaveKeepsData(t *testing.T) {
 	n, _ := mustNetwork(t, 24)
 	ov := AsOverlay(n, 2)
