@@ -1,10 +1,12 @@
 package index
 
 import (
+	"context"
 	"fmt"
 
 	"dhtindex/internal/dataset"
 	"dhtindex/internal/descriptor"
+	"dhtindex/internal/overlay"
 	"dhtindex/internal/xpath"
 )
 
@@ -13,44 +15,47 @@ import (
 // short-circuit some indexes and speed up lookups", e.g. the (q6; d1)
 // entry for the author's most popular publication). Every non-terminal
 // query of the scheme's chains gets a direct mapping to the article's
-// MSD, so any entry point reaches the file in two interactions.
+// MSD, so any entry point reaches the file in two interactions. The
+// mappings go out in one PutBatch.
 func (s *Service) PromoteArticle(a descriptor.Article, scheme Scheme) error {
-	msd := dataset.MSD(a)
-	seen := map[string]bool{}
-	for _, chain := range scheme.Chains(a) {
-		// Skip the final element (the MSD) and the second-to-last (whose
-		// mapping to the MSD already exists).
-		for i := 0; i+2 < len(chain); i++ {
-			q := chain[i]
-			if seen[q.String()] {
-				continue
-			}
-			seen[q.String()] = true
-			if err := s.InsertMapping(q, msd); err != nil {
-				return fmt.Errorf("index: promote: %w", err)
-			}
-		}
+	shortcuts, err := shortCircuits(a, scheme)
+	if err != nil {
+		return fmt.Errorf("index: promote: %w", err)
+	}
+	if err := s.net.PutBatch(context.Background(), shortcuts); err != nil {
+		return fmt.Errorf("index: promote: %w", err)
 	}
 	return nil
 }
 
 // DemoteArticle removes the short-circuit entries PromoteArticle created.
 func (s *Service) DemoteArticle(a descriptor.Article, scheme Scheme) error {
-	msd := dataset.MSD(a)
-	seen := map[string]bool{}
-	for _, chain := range scheme.Chains(a) {
-		for i := 0; i+2 < len(chain); i++ {
-			q := chain[i]
-			if seen[q.String()] {
-				continue
-			}
-			seen[q.String()] = true
-			if _, err := s.RemoveMapping(q, msd); err != nil {
-				return fmt.Errorf("index: demote: %w", err)
-			}
+	shortcuts, err := shortCircuits(a, scheme)
+	if err != nil {
+		return fmt.Errorf("index: demote: %w", err)
+	}
+	for _, it := range shortcuts {
+		_, err := s.net.Remove(it.Key, it.Entry)
+		s.forget(it)
+		if err != nil {
+			return fmt.Errorf("index: demote: %w", err)
 		}
 	}
 	return nil
+}
+
+// shortCircuits lists PromoteArticle's mappings, each once: every query
+// of the scheme's chains but the last two (the MSD, and the query that
+// already maps to it) mapped straight to the MSD.
+func shortCircuits(a descriptor.Article, scheme Scheme) ([]overlay.KeyEntry, error) {
+	msd := dataset.MSD(a)
+	var chains [][]xpath.Query
+	for _, chain := range scheme.Chains(a) {
+		for i := 0; i+2 < len(chain); i++ {
+			chains = append(chains, []xpath.Query{chain[i], msd})
+		}
+	}
+	return mappingItems(nil, scheme.Name(), chains)
 }
 
 // keywordsScheme decorates a base scheme with per-word title indexing:

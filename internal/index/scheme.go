@@ -147,16 +147,17 @@ func (fig4Scheme) Chains(a descriptor.Article) [][]xpath.Query {
 // index entry the scheme prescribes. file is the opaque content reference
 // (e.g. "x.pdf"). Every mapping is validated first (covering
 // requirement, self mappings), so a scheme that breaks either puts
-// nothing; then the data entry and the mappings go out in one PutBatch
-// — one message per owner on the live ring, one routed put per item on
-// overlay.PerKey.
+// nothing; then the data entry and the mappings, each once, go out in
+// one PutBatch — one message per owner on the live ring, one routed put
+// per item on overlay.PerKey.
 func (s *Service) PublishArticle(file string, a descriptor.Article, scheme Scheme) error {
 	d := a.Descriptor()
 	msd := xpath.MostSpecific(d)
 	if msd.IsZero() {
 		return fmt.Errorf("index: publish %q: %w", file, xpath.ErrEmptyQuery)
 	}
-	items, err := mappingItems([]overlay.KeyEntry{{Key: msd.Key(), Entry: overlay.Entry{Kind: KindData, Value: file}}}, a, scheme)
+	data := overlay.KeyEntry{Key: msd.Key(), Entry: overlay.Entry{Kind: KindData, Value: file}}
+	items, err := mappingItems([]overlay.KeyEntry{data}, scheme.Name(), scheme.Chains(a))
 	if err != nil {
 		return err
 	}
@@ -169,37 +170,28 @@ func (s *Service) PublishArticle(file string, a descriptor.Article, scheme Schem
 	return nil
 }
 
-// IndexArticle inserts the scheme's index entries for an article that is
-// already published, in one PutBatch.
-func (s *Service) IndexArticle(a descriptor.Article, scheme Scheme) error {
-	items, err := mappingItems(nil, a, scheme)
-	if err != nil || len(items) == 0 {
-		return err
-	}
-	if err := s.net.PutBatch(context.Background(), items); err != nil {
-		return fmt.Errorf("index: scheme %s: %w", scheme.Name(), err)
-	}
-	return nil
-}
-
-// mappingItems appends a scheme's chains to items as batch items, with
-// the validation InsertMapping applies: every consecutive pair of every
-// chain, in chain order. A pair that occurs in several chains (e.g.
-// conf+year → MSD in both the conf and the year chain) is appended each
-// time: overlay.PerKey then sends the paper's one insert per pair, and
-// dropping the repeat would move a Pastry cell of the evaluation
-// (DESIGN.md §38). A batching substrate stores it once.
-func mappingItems(items []overlay.KeyEntry, a descriptor.Article, scheme Scheme) ([]overlay.KeyEntry, error) {
-	for _, chain := range scheme.Chains(a) {
+// mappingItems appends to items, as batch items, the index entry of
+// every consecutive pair (q; target) of chains, each once, in the order
+// the pairs first appear — a pair that occurs in several chains
+// (conf+year → MSD in both the conf and the year chain) is appended
+// once. It validates them as InsertMapping does: one self mapping or
+// non-covering pair fails the whole list. scheme names the chains'
+// scheme in errors.
+func mappingItems(items []overlay.KeyEntry, scheme string, chains [][]xpath.Query) ([]overlay.KeyEntry, error) {
+	for _, chain := range chains {
 		for i := 0; i+1 < len(chain); i++ {
 			q, target := chain[i], chain[i+1]
+			it := overlay.KeyEntry{Key: q.Key(), Entry: overlay.Entry{Kind: KindIndex, Value: target.String()}}
+			if slices.Contains(items, it) {
+				continue
+			}
 			if q.Equal(target) {
-				return nil, fmt.Errorf("index: scheme %s: %w: %s", scheme.Name(), ErrSelfMapping, q)
+				return nil, fmt.Errorf("index: scheme %s: %w: %s", scheme, ErrSelfMapping, q)
 			}
 			if !q.Covers(target) {
-				return nil, fmt.Errorf("index: scheme %s: %w: (%s ; %s)", scheme.Name(), ErrNotCovering, q, target)
+				return nil, fmt.Errorf("index: scheme %s: %w: (%s ; %s)", scheme, ErrNotCovering, q, target)
 			}
-			items = append(items, overlay.KeyEntry{Key: q.Key(), Entry: overlay.Entry{Kind: KindIndex, Value: target.String()}})
+			items = append(items, it)
 		}
 	}
 	return items, nil
@@ -220,16 +212,16 @@ func mappingItems(items []overlay.KeyEntry, a descriptor.Article, scheme Scheme)
 // interrupted half-way (or one that already ran) walks the same levels
 // over the entries that are left and finishes the cleanup.
 func (s *Service) UnpublishArticle(file string, a descriptor.Article, scheme Scheme) error {
-	// into lists, per target key, the not-yet-removed mappings into it.
+	mappings, err := mappingItems(nil, scheme.Name(), scheme.Chains(a))
+	if err != nil {
+		return fmt.Errorf("index: unpublish %q: %w", file, err)
+	}
+	// into lists, per target key, the not-yet-removed mappings into it;
+	// a mapping's value is its target's canonical form, the key's source.
 	into := make(map[keyspace.Key][]overlay.KeyEntry)
-	for _, chain := range scheme.Chains(a) {
-		for i := 0; i+1 < len(chain); i++ {
-			target := chain[i+1]
-			pair := overlay.KeyEntry{Key: chain[i].Key(), Entry: overlay.Entry{Kind: KindIndex, Value: target.String()}}
-			if !slices.Contains(into[target.Key()], pair) {
-				into[target.Key()] = append(into[target.Key()], pair)
-			}
-		}
+	for _, m := range mappings {
+		target := keyspace.NewKey(m.Entry.Value)
+		into[target] = append(into[target], m)
 	}
 	level := []overlay.KeyEntry{{Key: dataset.MSD(a).Key(), Entry: overlay.Entry{Kind: KindData, Value: file}}}
 	for len(level) > 0 {

@@ -203,9 +203,7 @@ func PerKey(n Network) Substrate { return perKey{Network: n} }
 // AsSubstrate is how the index layer takes a Network: n itself when it
 // is a Substrate, else PerKey(n) with n's own GetCtx (ContextNetwork)
 // and PutBatch (BatchNetwork) in place of the per-key ones, so a
-// decorator that has those makes the calls it has always made. n's
-// PutBatch is handed each repeated item once, as a batching substrate
-// stores it.
+// decorator that has those makes the calls it has always made.
 func AsSubstrate(n Network) Substrate {
 	if s, ok := n.(Substrate); ok {
 		return s
@@ -258,7 +256,7 @@ func (p perKey) GetBatch(ctx context.Context, keys []keyspace.Key, parallel int)
 
 func (p perKey) PutBatch(ctx context.Context, items []KeyEntry) error {
 	if p.batch != nil {
-		return p.batch.PutBatch(ctx, distinct(items))
+		return p.batch.PutBatch(ctx, items)
 	}
 	for _, it := range items {
 		if _, err := p.Put(it.Key, it.Entry); err != nil {
@@ -266,18 +264,6 @@ func (p perKey) PutBatch(ctx context.Context, items []KeyEntry) error {
 		}
 	}
 	return nil
-}
-
-// distinct returns items without their repeats, in first-appearance
-// order.
-func distinct(items []KeyEntry) []KeyEntry {
-	out := make([]KeyEntry, 0, len(items))
-	for _, it := range items {
-		if !slices.Contains(out, it) {
-			out = append(out, it)
-		}
-	}
-	return out
 }
 
 func (p perKey) Prune(ctx context.Context, items []KeyEntry) ([]keyspace.Key, error) {

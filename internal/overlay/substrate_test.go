@@ -100,7 +100,8 @@ type contractRow struct {
 	fail func(key keyspace.Key)
 	// shipped counts the (key, entry) pairs PutBatch has sent so far,
 	// and perItem says whether a repeated pair is sent once per item
-	// (true) or once per batch.
+	// (true) or once per batch. A decorator's own PutBatch is handed the
+	// batch as given, repeats and all.
 	shipped func() int64
 	perItem bool
 	// conditional says whether GetUnlessCtx answers "unchanged".
@@ -151,7 +152,7 @@ func contractRows(t *testing.T) map[string]func(t *testing.T) contractRow {
 		"decorator": func(t *testing.T) contractRow {
 			ring := memRing(t)
 			d := decorator{seam: newSeam(ring), cluster: ring.Cluster, handed: new(atomic.Int64)}
-			return contractRow{sub: overlay.AsSubstrate(d), parallel: 4, fail: d.failKey, shipped: d.handed.Load}
+			return contractRow{sub: overlay.AsSubstrate(d), parallel: 4, fail: d.failKey, shipped: d.handed.Load, perItem: true}
 		},
 	}
 }
