@@ -300,30 +300,50 @@ func (c *Cluster) groupPresumed(kv []KeyEntries) (map[string][]KeyEntries, error
 	return groups, nil
 }
 
-// forEachOwner runs fn for every owner group on the cluster's workers,
-// at most parallel of them at a time, returning the first error. A lone
-// group runs on the caller's goroutine.
+// forEachOwner runs fn for every owner group through fanOut, at most
+// parallel of them at a time, returning the first error.
 func (c *Cluster) forEachOwner(groups map[string][]KeyEntries, parallel int, fn func(owner string, kv []KeyEntries) error) error {
-	if len(groups) == 1 {
-		for owner, kv := range groups {
-			return fn(owner, kv)
-		}
+	owners := make([]string, 0, len(groups))
+	for owner := range groups {
+		owners = append(owners, owner)
 	}
+	return c.fanOut(len(owners), parallel, func(i int) error {
+		return fn(owners[i], groups[owners[i]])
+	})
+}
+
+// fanOut runs task(0), …, task(n-1), every one of them, and returns the
+// first error by index. Over a transport that delivers in process
+// (Cluster.inProcess) the tasks run one after another on the caller's
+// goroutine: each is CPU work with nothing to wait on, and a task
+// handed to a worker would only queue for a core behind the process's
+// other goroutines (DESIGN.md §40). Otherwise each task waits on a
+// network, and up to parallel of them run at a time on the cluster's
+// workers; a lone task runs on the caller.
+func (c *Cluster) fanOut(n, parallel int, task func(i int) error) error {
+	if n == 1 || c.inProcess {
+		var first error
+		for i := 0; i < n; i++ {
+			if err := task(i); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	errs := make([]error, n)
 	sem := make(chan struct{}, max(parallel, 1))
-	errs := make(chan error, len(groups))
 	var wg sync.WaitGroup
-	for owner, kv := range groups {
+	for i := 0; i < n; i++ {
 		sem <- struct{}{}
 		wg.Add(1)
 		c.workers.run(func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs <- fn(owner, kv)
+			errs[i] = task(i)
 		})
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}

@@ -43,6 +43,7 @@ func startBatchRing(t *testing.T, n, replication int) (*Cluster, []*Node, Transp
 		cluster.Track(nd.Addr())
 	}
 	if err := cluster.WaitConverged(20 * time.Second); err != nil {
+		logRingState(t, nodes, nil)
 		t.Fatalf("ring never converged: %v", err)
 	}
 	return cluster, nodes, mt

@@ -3,7 +3,8 @@ package wire_test
 // Wire fast-path benchmarks: the pooled transport's round trip, batched
 // vs sequential cluster puts, batched vs sequential article publish, and
 // parallel vs sequential automated search, timed on loopback TCP (and
-// publish on MemTransport too; CI's bench smoke step runs each once). What these operations cost in
+// publish and a contended search on MemTransport too; CI's bench smoke
+// step runs each once). What these operations cost in
 // messages and bytes is counted, not timed, by TestCostLedger; the
 // pooled round trip's bytes and allocations are gated by
 // TestPooledCallCost, and the server's share of them by
@@ -24,6 +25,8 @@ import (
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/wire"
+	"dhtindex/internal/workload"
+	"dhtindex/internal/xpath"
 )
 
 // benchEcho answers immediately; transport cost dominates.
@@ -160,6 +163,7 @@ func startBenchRing(b *testing.B, nodes int, tp wire.Transport) *wire.Cluster {
 		addr = "mem:0"
 	}
 	cluster := wire.NewCluster(tp, 5, 0)
+	var members []*wire.Node
 	var bootstrap string
 	for i := 0; i < nodes; i++ {
 		n, err := wire.Start(wire.Config{
@@ -177,8 +181,10 @@ func startBenchRing(b *testing.B, nodes int, tp wire.Transport) *wire.Cluster {
 			b.Fatalf("join node %d: %v", i, err)
 		}
 		cluster.Track(n.Addr())
+		members = append(members, n)
 	}
 	if err := cluster.WaitConverged(20 * time.Second); err != nil {
+		wire.LogRingState(b, members, nil)
 		b.Fatalf("ring never converged: %v", err)
 	}
 	return cluster
@@ -225,8 +231,8 @@ func BenchmarkClusterPutBatch(b *testing.B) {
 // scheme (1 data entry + 8 distinct index mappings) over a live TCP
 // ring: the batch fast path against the sequential per-mapping inserts.
 // The acceptance bar for the batch path is ≥ 2×. The mem case is the
-// batch path on a MemTransport ring, where each owner group's whole
-// client → owner chain runs on the worker that sends the group.
+// batch path on a MemTransport ring, where the owner groups' whole
+// client → owner chains run one after another on the caller.
 func BenchmarkPublish(b *testing.B) {
 	corpus, err := dataset.Generate(dataset.Config{Articles: 64, Seed: 3})
 	if err != nil {
@@ -260,23 +266,32 @@ func BenchmarkPublish(b *testing.B) {
 // BenchmarkSearchAllParallel explores the index DAG of a published
 // corpus from a one-constraint query: the walk that looks its frontier
 // up one key at a time (Parallelism 1) against the one that fetches each
-// level in one owner-grouped GetBatch (Parallelism 8).
+// level in one owner-grouped GetBatch (Parallelism 8). The tcp cases
+// run alone on a 4-node loopback ring. The mem cases walk an author's
+// articles on a 32-node MemTransport ring of 2,000 articles while a
+// second client runs directed finds without pause, as
+// query_cached_mem's other client does, so that every core is busy
+// when a level's owner groups are read (DESIGN.md §40).
 func BenchmarkSearchAllParallel(b *testing.B) {
-	corpus, err := dataset.Generate(dataset.Config{Articles: 48, Seed: 4})
+	tcpCorpus, err := dataset.Generate(dataset.Config{Articles: 48, Seed: 4})
 	if err != nil {
 		b.Fatalf("corpus: %v", err)
 	}
-	run := func(b *testing.B, parallelism int) {
-		cluster := startBenchRing(b, 4, wire.NewTCPTransport())
-		svc := index.New(cluster, cache.None, 0)
-		for i, a := range corpus.Articles {
-			if err := svc.PublishArticle(fmt.Sprintf("s-%d.pdf", i), a, index.Complex); err != nil {
-				b.Fatalf("publish: %v", err)
-			}
+	memCorpus, err := dataset.Generate(dataset.Config{Articles: 2000, Seed: 4})
+	if err != nil {
+		b.Fatalf("corpus: %v", err)
+	}
+	// The mem cases search for everything by the corpus's most prolific
+	// author.
+	wrote := make(map[[2]string]int)
+	prolific := memCorpus.Articles[0]
+	for _, a := range memCorpus.Articles {
+		author := [2]string{a.AuthorFirst, a.AuthorLast}
+		if wrote[author]++; wrote[author] > wrote[[2]string{prolific.AuthorFirst, prolific.AuthorLast}] {
+			prolific = a
 		}
-		searcher := index.NewSearcher(svc)
-		searcher.Parallelism = parallelism
-		query := dataset.ConfQuery(corpus.Articles[0].Conf)
+	}
+	search := func(b *testing.B, searcher *index.Searcher, query xpath.Query) {
 		if _, _, err := searcher.SearchAll(query); err != nil {
 			b.Fatalf("warmup search: %v", err)
 		}
@@ -291,6 +306,58 @@ func BenchmarkSearchAllParallel(b *testing.B) {
 			}
 		}
 	}
-	b.Run("sequential", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel-8", func(b *testing.B) { run(b, 8) })
+	tcp := func(b *testing.B, parallelism int) {
+		cluster := startBenchRing(b, 4, wire.NewTCPTransport())
+		svc := index.New(cluster, cache.None, 0)
+		for i, a := range tcpCorpus.Articles {
+			if err := svc.PublishArticle(fmt.Sprintf("s-%d.pdf", i), a, index.Complex); err != nil {
+				b.Fatalf("publish: %v", err)
+			}
+		}
+		searcher := index.NewSearcher(svc)
+		searcher.Parallelism = parallelism
+		search(b, searcher, dataset.ConfQuery(tcpCorpus.Articles[0].Conf))
+	}
+	mem := func(b *testing.B, parallelism int) {
+		ring, err := wire.StartMemRing(32, 1, 5)
+		if err != nil {
+			b.Fatalf("ring: %v", err)
+		}
+		defer ring.Close()
+		arts := memCorpus.Articles
+		svc := index.New(ring, cache.LRU, 30)
+		for i, a := range arts {
+			if err := svc.PublishArticle(fmt.Sprintf("s-%d.pdf", i), a, index.Simple); err != nil {
+				b.Fatalf("publish: %v", err)
+			}
+		}
+		searcher := index.NewSearcher(svc)
+		searcher.Parallelism = parallelism
+		gen, err := workload.NewGenerator(arts, workload.PaperStructureModel(), 6)
+		if err != nil {
+			b.Fatalf("generator: %v", err)
+		}
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := gen.Next()
+				_, _ = searcher.Find(q.Query, dataset.MSD(q.Target))
+			}
+		}()
+		defer func() {
+			close(stop)
+			<-done
+		}()
+		search(b, searcher, dataset.AuthorQuery(prolific.AuthorFirst, prolific.AuthorLast))
+	}
+	b.Run("sequential", func(b *testing.B) { tcp(b, 1) })
+	b.Run("parallel-8", func(b *testing.B) { tcp(b, 8) })
+	b.Run("mem-contended/sequential", func(b *testing.B) { mem(b, 1) })
+	b.Run("mem-contended/parallel-8", func(b *testing.B) { mem(b, 8) })
 }

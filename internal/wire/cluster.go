@@ -57,8 +57,11 @@ type Cluster struct {
 
 	// workers runs the fan-out of batched operations, fallbacks and
 	// hedged reads. A Cluster has no Close: idle workers exit on their
-	// own (DESIGN.md §30).
-	workers *workers
+	// own (DESIGN.md §30). inProcess, fixed at NewCluster, says the
+	// transport runs every call on the caller's goroutine, where fanOut
+	// runs its tasks in turn instead (DESIGN.md §40).
+	workers   *workers
+	inProcess bool
 
 	ownerReadFailures *telemetry.Counter
 	failoverReads     *telemetry.Counter
@@ -118,6 +121,7 @@ func NewCluster(transport Transport, seed int64, replication int) *Cluster {
 		replication: replication,
 		rng:         rand.New(rand.NewSource(seed)),
 		workers:     newWorkers(),
+		inProcess:   deliversInProcess(transport),
 		ownerReadFailures: telemetry.NewCounter("wire_owner_read_failures_total",
 			"Gets whose routed owner could not serve."),
 		failoverReads: telemetry.NewCounter("wire_failover_reads_total",
@@ -332,8 +336,8 @@ func (c *Cluster) viaOwner(ctx context.Context, key keyspace.Key, op func(owner 
 
 // fallback is the one owner-fallback rule of the cluster's single-key
 // and batched operations, for the keys of kv whose call to owner ended
-// with err. It resolves every key through Chord routing, at most
-// defaultBatchParallelism at a time, and returns one route per key. ok
+// with err. It resolves every key through Chord routing (fanOut, at most
+// defaultBatchParallelism at a time) and returns one route per key. ok
 // is false — the operation ends with err — when the call succeeded,
 // when the caller's budget is spent, when owner shed the request
 // (ErrOverload: it is alive, and resolving it again would spend more of
@@ -349,24 +353,14 @@ func (c *Cluster) fallback(ctx context.Context, owner string, err error, kv []Ke
 	}
 	counter.Inc()
 	routes = make([]overlay.Route, len(kv))
-	errs := make([]error, len(kv))
-	sem := make(chan struct{}, defaultBatchParallelism)
-	var wg sync.WaitGroup
-	for i := range kv {
-		sem <- struct{}{}
-		wg.Add(1)
-		c.workers.run(func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			routes[i], errs[i] = c.FindOwnerCtx(ctx, kv[i].Key)
-		})
+	if c.fanOut(len(kv), defaultBatchParallelism, func(i int) (err error) {
+		routes[i], err = c.FindOwnerCtx(ctx, kv[i].Key)
+		return err
+	}) != nil {
+		return nil, false
 	}
-	wg.Wait()
 	back := 0
-	for i, r := range routes {
-		if errs[i] != nil {
-			return nil, false
-		}
+	for _, r := range routes {
 		if r.Node == owner {
 			back++
 		}

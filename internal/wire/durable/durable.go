@@ -555,6 +555,14 @@ func (s *Store) Tombstones(key keyspace.Key) []wire.Tombstone {
 	return s.mem.Tombstones(key)
 }
 
+// HeldTombstones implements wire.Store: the in-memory state's own
+// slice, which the caller reads under key's stripe lock.
+func (s *Store) HeldTombstones(key keyspace.Key) []wire.Tombstone {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.mem.HeldTombstones(key)
+}
+
 // Entomb implements wire.Store: one WAL record covers the batch, then
 // each tombstone deletes its live entry and is merged keeping the latest
 // At. A batch that would change nothing (EntombChanges) writes none.

@@ -28,6 +28,18 @@ func FieldBytes(m *Message) (addr, kinds, values int) {
 	return addr, kinds, values
 }
 
+// FanOut runs the cluster's fan-out helper.
+func (c *Cluster) FanOut(n, parallel int, task func(i int) error) error {
+	return c.fanOut(n, parallel, task)
+}
+
+// WorkersStarted counts the workers the cluster has ever started.
+func (c *Cluster) WorkersStarted() int64 { return c.workers.started.Load() }
+
+// LogRingState logs the given members' view of the ring, for the
+// external ring tests whose WaitConverged fails.
+var LogRingState = logRingState
+
 // StabilizeOnce runs one stabilize round, for tests that drive the
 // maintenance of nodes whose loops never tick by hand.
 func (n *Node) StabilizeOnce() { n.stabilizeOnce() }

@@ -36,6 +36,7 @@ func startRingCfg(t *testing.T, transport func() Transport, count int, base Conf
 		nodes = append(nodes, n)
 	}
 	if err := cluster.WaitConverged(30 * time.Second); err != nil {
+		logRingState(t, nodes, nil)
 		t.Fatal(err)
 	}
 	return cluster, nodes
@@ -155,6 +156,7 @@ func TestSuccessorListWipeHealsViaPredecessor(t *testing.T) {
 		cluster.Untrack(addr)
 	}
 	if err := cluster.WaitConverged(30 * time.Second); err != nil {
+		logRingState(t, nodes, want)
 		t.Fatalf("ring did not heal after losing a full successor list: %v", err)
 	}
 	if got, wantSucc := x.Successor(), ring[1+succListLen]; got != wantSucc {

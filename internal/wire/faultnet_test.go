@@ -211,6 +211,7 @@ func TestFaultyRingSurvivesWithRetries(t *testing.T) {
 	ft.SetDefaultRule(FaultRule{DropProb: 0.08})
 	policy := RetryPolicy{Seed: 5}
 	cluster := NewCluster(NewRetryingTransport(ft, policy), 5, 0)
+	var nodes []*Node
 	var bootstrap string
 	for i := 0; i < 6; i++ {
 		n, err := Start(Config{
@@ -238,8 +239,10 @@ func TestFaultyRingSurvivesWithRetries(t *testing.T) {
 			}
 		}
 		cluster.Track(n.Addr())
+		nodes = append(nodes, n)
 	}
 	if err := cluster.WaitConverged(30 * time.Second); err != nil {
+		logRingState(t, nodes, nil)
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {

@@ -67,6 +67,7 @@ func TestHedgedGetWinsAgainstSlowOwner(t *testing.T) {
 		nodes = append(nodes, n)
 	}
 	if err := cluster.WaitConverged(10 * time.Second); err != nil {
+		logRingState(t, nodes, nil)
 		t.Fatal(err)
 	}
 

@@ -19,6 +19,7 @@ import (
 func TestIndexOverLiveRing(t *testing.T) {
 	transport := wire.NewMemTransport()
 	cluster := wire.NewCluster(transport, 1, 0)
+	var nodes []*wire.Node
 	var bootstrap string
 	for i := 0; i < 8; i++ {
 		n, err := wire.Start(wire.Config{Transport: transport, Addr: "mem:0"})
@@ -32,8 +33,10 @@ func TestIndexOverLiveRing(t *testing.T) {
 			t.Fatal(err)
 		}
 		cluster.Track(n.Addr())
+		nodes = append(nodes, n)
 	}
 	if err := cluster.WaitConverged(10 * time.Second); err != nil {
+		wire.LogRingState(t, nodes, nil)
 		t.Fatal(err)
 	}
 
@@ -112,6 +115,7 @@ func TestIndexOverLiveRingSurvivesChurn(t *testing.T) {
 		nodes = append(nodes, n)
 	}
 	if err := cluster.WaitConverged(10 * time.Second); err != nil {
+		wire.LogRingState(t, nodes, nil)
 		t.Fatal(err)
 	}
 	svc := index.New(cluster, cache.None, 0)
@@ -134,6 +138,7 @@ func TestIndexOverLiveRingSurvivesChurn(t *testing.T) {
 		cluster.Untrack(n.Addr())
 	}
 	if err := cluster.WaitConverged(10 * time.Second); err != nil {
+		wire.LogRingState(t, append(nodes[:3:3], nodes[6:]...), []string{nodes[3].Addr(), nodes[4].Addr(), nodes[5].Addr()})
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(15 * time.Second)

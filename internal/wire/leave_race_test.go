@@ -52,6 +52,7 @@ func TestLeaveRacingRepair(t *testing.T) {
 		cluster.Track(n.Addr())
 	}
 	if err := cluster.WaitConverged(15 * time.Second); err != nil {
+		logRingState(t, ring, nil)
 		t.Fatalf("ring never formed: %v", err)
 	}
 

@@ -48,6 +48,9 @@ func (t *MemTransport) Call(addr string, req Message) (Message, error) {
 	return resp, nil
 }
 
+// inProcess implements inProcessTransport: Call runs the handler itself.
+func (t *MemTransport) inProcess() bool { return true }
+
 type memCloser struct {
 	t    *MemTransport
 	addr string

@@ -300,8 +300,13 @@ func (l *lostForward) Call(addr string, req Message) (Message, error) {
 // member the client does not track), and NACKs. The fallback routes
 // every key: p's own keys route back to p, so p is sent those alone — a
 // request it has not failed — and u the others, and the batch succeeds.
-// Both batched mutations follow the rule.
+// Both batched mutations follow the rule, on either fan-out path.
 func TestBatchFallbackAfterFailedForward(t *testing.T) {
+	t.Run("workers", func(t *testing.T) { testBatchFallbackAfterFailedForward(t, false) })
+	t.Run("in-process", func(t *testing.T) { testBatchFallbackAfterFailedForward(t, true) })
+}
+
+func testBatchFallbackAfterFailedForward(t *testing.T, inProcess bool) {
 	lf := &lostForward{Transport: NewMemTransport(), lost: make(map[Op]bool)}
 	ring := idleNodes(t, func() Transport { return lf }, 5)
 	burstJoin(t, startOrder(ring))
@@ -315,6 +320,7 @@ func TestBatchFallbackAfterFailedForward(t *testing.T) {
 	lf.mu.Unlock()
 	rec := &recordingTransport{Transport: lf}
 	cluster := NewCluster(rec, 1, 0)
+	cluster.inProcess = inProcess // the wrappers hide MemTransport's
 	for _, n := range ring {
 		if n != u {
 			cluster.Track(n.Addr())
@@ -360,6 +366,9 @@ func TestBatchFallbackAfterFailedForward(t *testing.T) {
 	}
 	if got := cluster.batchFallbacks.Value(); got != 2 {
 		t.Fatalf("%d batch fallbacks, want one per mutation", got)
+	}
+	if got := cluster.workers.started.Load(); inProcess && got != 0 {
+		t.Fatalf("in-process fallback started %d workers, want 0", got)
 	}
 }
 

@@ -290,6 +290,7 @@ func TestPooledRingEndToEnd(t *testing.T) {
 		cluster.Track(n.Addr())
 	}
 	if err := cluster.WaitConverged(20 * time.Second); err != nil {
+		logRingState(t, nodes, nil)
 		t.Fatalf("ring never converged: %v", err)
 	}
 	for i := 0; i < 20; i++ {

@@ -133,9 +133,10 @@ func itemDigest(item KeyEntries) uint64 {
 }
 
 // heldDigest is stateDigest of key's state in s, read off the stored
-// digest: only the tombstones are hashed.
+// digest: only the tombstones are hashed, where they are held. The
+// caller holds key's lock (HeldTombstones).
 func heldDigest(s Store, key keyspace.Key) uint64 {
-	return stateDigest(s.Digest(key), s.Tombstones(key))
+	return stateDigest(s.Digest(key), s.HeldTombstones(key))
 }
 
 // ownedState collects the keys this node owns (live entries or

@@ -153,7 +153,7 @@ func TestRepairConvergence(t *testing.T) {
 			}
 			var departed []string
 			if err := cluster.WaitConverged(10 * time.Second); err != nil {
-				logRingState(t, alive, departed)
+				logRingState(t, nodesOf(alive), departed)
 				t.Fatal(err)
 			}
 
@@ -180,12 +180,12 @@ func TestRepairConvergence(t *testing.T) {
 				if i >= tc.leaves {
 					victim.Stop() // no handoff: a crash loses the local store
 				} else if err := victim.Leave(); err != nil {
-					logRingState(t, alive, departed)
+					logRingState(t, nodesOf(alive), departed)
 					t.Fatalf("leave %s: %v", victim.Addr(), err)
 				}
 			}
 			if err := cluster.WaitConverged(10 * time.Second); err != nil {
-				logRingState(t, alive, departed)
+				logRingState(t, nodesOf(alive), departed)
 				t.Fatalf("ring did not re-converge after churn: %v", err)
 			}
 
@@ -196,24 +196,6 @@ func TestRepairConvergence(t *testing.T) {
 			waitReplicaCounts(t, transport, cluster, alive, keys, expected)
 		})
 	}
-}
-
-// logRingState logs what each live member knows of the ring — its
-// predecessor, successor list and known peers — and the members that
-// departed, in order, so that a ring that fails to converge or a leave
-// that finds no taker names its own shape.
-func logRingState(t *testing.T, alive map[string]*Node, departed []string) {
-	t.Helper()
-	addrs := make([]string, 0, len(alive))
-	for addr := range alive {
-		addrs = append(addrs, addr)
-	}
-	slices.Sort(addrs)
-	for _, addr := range addrs {
-		n := alive[addr]
-		t.Logf("member %s: predecessor %q, successors %v, known peers %v", addr, n.Predecessor(), n.Successors(), n.KnownPeers())
-	}
-	t.Logf("departed: %v", departed)
 }
 
 // pickAnyAlive returns an arbitrary live node (map order is fine — the

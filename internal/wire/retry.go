@@ -219,6 +219,10 @@ func (t *RetryingTransport) Listen(addr string, handler Handler) (string, io.Clo
 	return t.inner.Listen(addr, handler)
 }
 
+// inProcess implements inProcessTransport: the retry layer adds no
+// network of its own, so the inner transport decides.
+func (t *RetryingTransport) inProcess() bool { return deliversInProcess(t.inner) }
+
 // Stats returns a snapshot of the retry counters. The counters are
 // atomic, so this is safe to call while the transport is live.
 func (t *RetryingTransport) Stats() RetryStats {

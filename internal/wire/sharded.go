@@ -166,6 +166,11 @@ func (st *ShardedStore) Tombstones(key keyspace.Key) []Tombstone {
 	return sp.s.Tombstones(key)
 }
 
+// HeldTombstones implements Store: a copy, since the stripe's lock is
+// released before the caller reads it. Under View or Update, the
+// stripe's own store lends its slice.
+func (st *ShardedStore) HeldTombstones(key keyspace.Key) []Tombstone { return st.Tombstones(key) }
+
 // Entomb implements Store.
 func (st *ShardedStore) Entomb(key keyspace.Key, tombs []Tombstone) (int, error) {
 	sp := st.stripe(key)

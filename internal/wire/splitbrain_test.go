@@ -251,6 +251,7 @@ func startFaultRing(t *testing.T, n, rf int) (*Cluster, *FaultTransport, map[str
 		nodes[node.Addr()] = node
 	}
 	if err := cluster.WaitConverged(15 * time.Second); err != nil {
+		logRingState(t, nodesOf(nodes), nil)
 		t.Fatal(err)
 	}
 	return cluster, ft, nodes
@@ -295,6 +296,7 @@ func TestOneWayPartitionKeepsSuccessor(t *testing.T) {
 		nodes[node.Addr()] = node
 	}
 	if err := cluster.WaitConverged(15 * time.Second); err != nil {
+		logRingState(t, nodesOf(nodes), nil)
 		t.Fatal(err)
 	}
 
@@ -330,6 +332,7 @@ func TestOneWayPartitionKeepsSuccessor(t *testing.T) {
 
 	ft.HealLink(succ, pred)
 	if err := cluster.WaitConverged(15 * time.Second); err != nil {
+		logRingState(t, nodesOf(nodes), nil)
 		t.Fatalf("ring did not re-converge after healing the one-way link: %v", err)
 	}
 }
@@ -423,6 +426,7 @@ func TestRingMergeAfterGroupPartition(t *testing.T) {
 		}
 	}
 	if err := cluster.WaitConverged(30 * time.Second); err != nil {
+		logRingState(t, nodesOf(nodes), nil)
 		t.Fatalf("rings never merged after healing: %v", err)
 	}
 	var total MergeStats
@@ -505,6 +509,7 @@ func TestRepairAntiResurrection(t *testing.T) {
 		ft.HealLink(holder, r)
 	}
 	if err := cluster.WaitConverged(30 * time.Second); err != nil {
+		logRingState(t, nodesOf(nodes), nil)
 		t.Fatalf("holder never merged back: %v", err)
 	}
 	// The tombstone must win: the entry disappears from every node,

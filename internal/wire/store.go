@@ -77,6 +77,13 @@ type Store interface {
 	Tombstoned(key keyspace.Key, e overlay.Entry) bool
 	// Tombstones returns a copy of key's tombstones (nil if none).
 	Tombstones(key keyspace.Key) []Tombstone
+	// HeldTombstones returns key's tombstones as the store holds them,
+	// uncopied (nil if none). Later writes edit them in place, so the
+	// caller reads them under key's lock — inside ConcurrentStore.View
+	// or Update — and neither keeps nor modifies them. A
+	// ConcurrentStore, whose lock its callers cannot hold, returns a
+	// copy.
+	HeldTombstones(key keyspace.Key) []Tombstone
 	// Entomb merges foreign tombstones into key: each one removes its
 	// matching live entry if present and is recorded keeping the latest
 	// At. It returns how many tombstones were newly recorded or
@@ -240,10 +247,10 @@ func sortedTombstones(tombs []Tombstone) []Tombstone {
 // (DESIGN.md §21). A key's tombstones are kept the way its entries are —
 // one CompareEntries-sorted slice with one record per entry — so reads
 // hand them out without sorting. Entry sets are copy-on-write (see the
-// Store sharing contract); tombstone sets are edited in place and
-// copied out by Tombstones. Each set is stored with its digest, which
-// every write updates by the hashes of the entries it adds or drops
-// (DESIGN.md §37).
+// Store sharing contract); tombstone sets are edited in place, copied
+// out by Tombstones and lent under the key's lock by HeldTombstones.
+// Each set is stored with its digest, which every write updates by the
+// hashes of the entries it adds or drops (DESIGN.md §37).
 type MemStore struct {
 	m     map[keyspace.Key]keySet
 	tombs map[keyspace.Key][]Tombstone
@@ -353,6 +360,9 @@ func (s *MemStore) Tombstoned(key keyspace.Key, e overlay.Entry) bool {
 func (s *MemStore) Tombstones(key keyspace.Key) []Tombstone {
 	return slices.Clone(s.tombs[key])
 }
+
+// HeldTombstones implements Store: the stored slice itself.
+func (s *MemStore) HeldTombstones(key keyspace.Key) []Tombstone { return s.tombs[key] }
 
 // Entomb implements Store.
 func (s *MemStore) Entomb(key keyspace.Key, tombs []Tombstone) (int, error) {

@@ -39,6 +39,7 @@ func TestTCPRingEndToEnd(t *testing.T) {
 		nodes = append(nodes, n)
 	}
 	if err := cluster.WaitConverged(15 * time.Second); err != nil {
+		logRingState(t, nodes, nil)
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -60,6 +61,7 @@ func TestTCPRingEndToEnd(t *testing.T) {
 	}
 	cluster.Untrack(nodes[2].Addr())
 	if err := cluster.WaitConverged(15 * time.Second); err != nil {
+		logRingState(t, nodes, []string{nodes[2].Addr()})
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {

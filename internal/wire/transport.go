@@ -194,6 +194,21 @@ type Transport interface {
 	Call(addr string, req Message) (Message, error)
 }
 
+// inProcessTransport is implemented by the transports whose calls run
+// the handler on the caller's goroutine and wait on nothing but it:
+// MemTransport, and RetryingTransport over one. A wrapper that does not
+// implement it hides the property, and the cluster then fans out as
+// over a network.
+type inProcessTransport interface {
+	inProcess() bool
+}
+
+// deliversInProcess reports whether calls through t run in process.
+func deliversInProcess(t Transport) bool {
+	ip, ok := t.(inProcessTransport)
+	return ok && ip.inProcess()
+}
+
 // Errors of the wire layer.
 var (
 	// ErrUnreachable is returned when a peer cannot be contacted.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,6 +32,7 @@ func startRing(t *testing.T, transport Transport, count int) (*Cluster, []*Node)
 		nodes = append(nodes, n)
 	}
 	if err := cluster.WaitConverged(10 * time.Second); err != nil {
+		logRingState(t, nodes, nil)
 		t.Fatal(err)
 	}
 	return cluster, nodes
@@ -173,8 +175,10 @@ func TestLateJoinTakesOverKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 		cluster.Track(n.Addr())
+		nodes = append(nodes, n)
 	}
 	if err := cluster.WaitConverged(10 * time.Second); err != nil {
+		logRingState(t, nodes, nil)
 		t.Fatal(err)
 	}
 	// Give key migration a few stabilization rounds, then verify every
@@ -214,6 +218,7 @@ func TestGracefulLeave(t *testing.T) {
 		cluster.Untrack(n.Addr())
 	}
 	if err := cluster.WaitConverged(10 * time.Second); err != nil {
+		logRingState(t, slices.Concat(nodes[:2], nodes[4:]), []string{nodes[2].Addr(), nodes[3].Addr()})
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
@@ -242,6 +247,7 @@ func TestCrashHealing(t *testing.T) {
 	nodes[4].Stop()
 	cluster.Untrack(nodes[4].Addr())
 	if err := cluster.WaitConverged(10 * time.Second); err != nil {
+		logRingState(t, slices.Concat(nodes[:1], nodes[2:4], nodes[5:]), []string{nodes[1].Addr(), nodes[4].Addr()})
 		t.Fatal(err)
 	}
 	// Routing still works for arbitrary keys.
@@ -343,6 +349,7 @@ func TestReplicationSurvivesCrash(t *testing.T) {
 		nodes = append(nodes, n)
 	}
 	if err := cluster.WaitConverged(10 * time.Second); err != nil {
+		logRingState(t, nodes, nil)
 		t.Fatal(err)
 	}
 	const keys = 40
@@ -361,6 +368,7 @@ func TestReplicationSurvivesCrash(t *testing.T) {
 		cluster.Untrack(victim.Addr())
 	}
 	if err := cluster.WaitConverged(10 * time.Second); err != nil {
+		logRingState(t, slices.Concat(nodes[:1], nodes[2:5], nodes[6:]), []string{nodes[1].Addr(), nodes[5].Addr()})
 		t.Fatal(err)
 	}
 	// Every key must still be retrievable (replicas serve or re-own).
@@ -385,6 +393,7 @@ func TestReplicationSurvivesCrash(t *testing.T) {
 func TestReplicatedRemovePropagates(t *testing.T) {
 	transport := NewMemTransport()
 	cluster := NewCluster(transport, 1, 2)
+	var nodes []*Node
 	var bootstrap string
 	for i := 0; i < 5; i++ {
 		n, err := Start(Config{Transport: transport, Addr: "mem:0", ReplicationFactor: 2})
@@ -398,8 +407,10 @@ func TestReplicatedRemovePropagates(t *testing.T) {
 			t.Fatal(err)
 		}
 		cluster.Track(n.Addr())
+		nodes = append(nodes, n)
 	}
 	if err := cluster.WaitConverged(10 * time.Second); err != nil {
+		logRingState(t, nodes, nil)
 		t.Fatal(err)
 	}
 	key := keyspace.NewKey("zombie")

@@ -182,6 +182,7 @@ func TestStopNodeEndsServerWorkers(t *testing.T) {
 		nodes = append(nodes, n)
 	}
 	if err := cluster.WaitConverged(15 * time.Second); err != nil {
+		logRingState(t, nodes, nil)
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
