@@ -55,16 +55,17 @@ func TestServiceAccessors(t *testing.T) {
 	if err != nil || !trace.Found {
 		t.Fatalf("find with default depth: %+v, %v", trace, err)
 	}
-	// CacheStore: present after a shortcut was created on that node.
+	// A node's store exists, and holds a shortcut, after a shortcut was
+	// created on that node.
 	resp, err := svc.Lookup(dataset.TitleQuery(a.Title))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.CacheStore(resp.Node) == nil {
-		t.Fatal("CacheStore missing after shortcut creation")
+	if n, ok := svc.shortcutCount(resp.Node); !ok || n == 0 {
+		t.Fatalf("shortcut store after shortcut creation: %d pairs, present %v", n, ok)
 	}
-	if svc.CacheStore("ghost-node") != nil {
-		t.Fatal("CacheStore for unknown node")
+	if _, ok := svc.shortcutCount("ghost-node"); ok {
+		t.Fatal("shortcut store for unknown node")
 	}
 }
 

@@ -18,11 +18,11 @@ func (s *Service) respondPerEntry(q xpath.Query, got overlay.GetResult) (Respons
 	resp := Response{Node: got.Route.Node, Hops: got.Route.Hops}
 	var shortcuts []string
 	if s.policy != cache.None {
-		s.cacheMu.Lock()
-		if store := s.caches[resp.Node]; store != nil {
-			shortcuts = store.Targets(q.String())
+		if nc := s.nodeCache(resp.Node); nc != nil {
+			nc.mu.Lock()
+			shortcuts = nc.store.Targets(q.String())
+			nc.mu.Unlock()
 		}
-		s.cacheMu.Unlock()
 	}
 	nIndex := 0
 	for _, e := range entries {
@@ -36,11 +36,10 @@ func (s *Service) respondPerEntry(q xpath.Query, got overlay.GetResult) (Respons
 	if len(shortcuts) > 0 {
 		resp.Cached = make([]xpath.Query, 0, len(shortcuts))
 	}
-	s.parsedMu.RLock()
 	for _, e := range entries {
 		switch e.Kind {
 		case KindIndex:
-			if target, ok := s.parseCachedRLocked(e.Value); ok {
+			if target, ok := s.parseCached(e.Value); ok {
 				resp.Index = append(resp.Index, target)
 				resp.Bytes += int64(len(e.Value))
 			}
@@ -50,12 +49,11 @@ func (s *Service) respondPerEntry(q xpath.Query, got overlay.GetResult) (Respons
 		}
 	}
 	for _, tgt := range shortcuts {
-		if target, ok := s.parseCachedRLocked(tgt); ok {
+		if target, ok := s.parseCached(tgt); ok {
 			resp.Cached = append(resp.Cached, target)
 			resp.CachePortion += int64(len(tgt))
 		}
 	}
-	s.parsedMu.RUnlock()
 	resp.Bytes += resp.CachePortion
 	sortCanonical(resp.Index)
 	sortCanonical(resp.Cached)
@@ -64,24 +62,40 @@ func (s *Service) respondPerEntry(q xpath.Query, got overlay.GetResult) (Respons
 
 // keptList returns the list the service keeps for q's key (nil if none).
 func (s *Service) keptList(q xpath.Query) []xpath.Query {
-	s.listsMu.RLock()
-	defer s.listsMu.RUnlock()
-	return s.lists[q.Key()].index
+	return s.kept(q.Key()).index
 }
 
 // keptCount returns how many kept lists the service holds.
 func (s *Service) keptCount() int {
-	s.listsMu.RLock()
-	defer s.listsMu.RUnlock()
-	return len(s.lists)
+	n := 0
+	for i := range s.lists {
+		sh := &s.lists[i]
+		sh.mu.RLock()
+		n += len(sh.lists)
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 // spoilDigest makes q's kept list carry a digest its set does not have,
 // so the next conditional lookup of q misses.
 func (s *Service) spoilDigest(q xpath.Query) {
-	s.listsMu.Lock()
-	kept := s.lists[q.Key()]
+	sh := s.listShard(q.Key())
+	sh.mu.Lock()
+	kept := sh.lists[q.Key()]
 	kept.digest++
-	s.lists[q.Key()] = kept
-	s.listsMu.Unlock()
+	sh.lists[q.Key()] = kept
+	sh.mu.Unlock()
+}
+
+// shortcutCount returns how many shortcut pairs a node's store holds,
+// and whether the node has a store at all.
+func (s *Service) shortcutCount(nodeAddr string) (int, bool) {
+	nc := s.nodeCache(nodeAddr)
+	if nc == nil {
+		return 0, false
+	}
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	return nc.store.Len(), true
 }

@@ -16,9 +16,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dhtindex/internal/cache"
 	"dhtindex/internal/descriptor"
@@ -60,39 +62,41 @@ type Service struct {
 	capacity int
 
 	// The parallel search fan-out and concurrent clients issue LookupCtx
-	// calls against one service; the shortcut stores, the memo table and
-	// the kept lists are its only shared mutable state, each behind its
-	// own lock, and no lock is held across another, a substrate call or
-	// a sort.
+	// calls against one service. Its shared mutable state is split so
+	// that two lookups meet on a lock only when they touch the same
+	// node's shortcuts or the same shard: each node's shortcut store has
+	// its own lock, and the parse memo and the kept lists are each
+	// stateShards shards with a lock apiece. A lock is held for one
+	// store call or one map access, never across another lock, a
+	// substrate call, a list or a sort.
 
-	// cacheMu guards caches and every store in it (cache.Store is not
-	// safe for concurrent use by itself).
-	cacheMu sync.Mutex
-	caches  map[string]*cache.Store
+	// caches maps a node's address to its shortcut store. Lookups load it
+	// without a lock; a node's first shortcut publishes a copy with its
+	// store added, under cachesMu.
+	cachesMu sync.Mutex
+	caches   atomic.Pointer[map[string]*nodeCache]
 
-	// parsed memoizes canonical-form parsing: it parses a shortcut
-	// target, and an index entry when its key's list is rebuilt. It is
-	// read-mostly — once the index is warm every entry is a hit — so
-	// parsedMu is taken shared, once per rebuild or shortcut list, and
+	// memo memoizes canonical-form parsing, sharded by a hash of the
+	// form: it parses a shortcut target, and an index entry when its
+	// key's list is rebuilt. It is read-mostly — once the index is warm
+	// every entry is a hit — so a shard is taken shared for a lookup and
 	// exclusively only to record a first-time parse. A canonical form
 	// and the query parsed from it share their bytes (xpath.Parse).
-	parsedMu sync.RWMutex
-	parsed   map[string]xpath.Query
+	memo [stateShards]memoShard
 
 	// lists keeps, per key, the parsed index list of the last entry set
 	// read under it that held at least two index entries, all canonical
-	// and in canonical order (the wire stores' order contract). A lookup
-	// whose index entries equal a kept list's forms one for one serves
-	// that list as its Response.Index; any difference rebuilds it from
-	// the memo (DESIGN.md §34). With each list goes the digest of the
-	// set it was built from, which a conditional lookup offers the
-	// key's owner: an "unchanged" answer serves the list with no entries
-	// read at all (DESIGN.md §37). A kept list is never modified: a
-	// rebuild stores a new one. listsMu is taken shared once per lookup
-	// of two or more index entries, and exclusively to store or drop a
-	// list; a removal this service makes under a key drops its list.
-	listsMu sync.RWMutex
-	lists   map[keyspace.Key]keptList
+	// and in canonical order (the wire stores' order contract), sharded
+	// by the key's first byte. A lookup whose index entries equal a kept
+	// list's forms one for one serves that list as its Response.Index;
+	// any difference rebuilds it from the memo (DESIGN.md §34). With
+	// each list goes the digest of the set it was built from, which a
+	// conditional lookup offers the key's owner: an "unchanged" answer
+	// serves the list with no entries read at all (DESIGN.md §37). A
+	// kept list is never modified: a rebuild stores a new one. A shard
+	// is taken shared to read a list, and exclusively to store or drop
+	// one; a removal this service makes under a key drops its list.
+	lists [stateShards]listShard
 
 	// vocabulary, when enabled, registers every published descriptor's
 	// values in the field dictionaries used for fuzzy correction (§VI).
@@ -101,6 +105,40 @@ type Service struct {
 	// tel is nil until Instrument is called; its record methods are
 	// nil-safe no-ops, keeping the hot paths unconditional.
 	tel *svcTelemetry
+}
+
+// stateShards is how many shards the parse memo and the kept lists are
+// each split into (a power of two).
+const stateShards = 64
+
+// memoSeed hashes a canonical form to its memo shard.
+var memoSeed = maphash.MakeSeed()
+
+// nodeCache is one node's shortcut store and the lock that guards it
+// (cache.Store is not safe for concurrent use by itself).
+type nodeCache struct {
+	mu    sync.Mutex
+	store *cache.Store
+}
+
+// memoShard is one shard of Service.memo. The padding keeps two shards'
+// locks off one cache line.
+type memoShard struct {
+	mu     sync.RWMutex
+	parsed map[string]xpath.Query
+	_      [32]byte
+}
+
+// listShard is one shard of Service.lists, padded as memoShard is.
+type listShard struct {
+	mu    sync.RWMutex
+	lists map[keyspace.Key]keptList
+	_     [32]byte
+}
+
+// listShard returns the shard that holds key's kept list.
+func (s *Service) listShard(key keyspace.Key) *listShard {
+	return &s.lists[key[0]%stateShards]
 }
 
 // keptList is one key's kept index list (see Service.lists).
@@ -186,14 +224,17 @@ func (t *svcTelemetry) recordFind(trace Trace, err error) {
 // policy and lruCapacity configure the shortcut caches (capacity is used
 // only with cache.LRU).
 func New(net overlay.Network, policy cache.Policy, lruCapacity int) *Service {
-	return &Service{
+	s := &Service{
 		net:      overlay.AsSubstrate(net),
 		policy:   policy,
 		capacity: lruCapacity,
-		caches:   make(map[string]*cache.Store),
-		parsed:   make(map[string]xpath.Query),
-		lists:    make(map[keyspace.Key]keptList),
 	}
+	s.caches.Store(&map[string]*nodeCache{})
+	for i := range s.memo {
+		s.memo[i].parsed = make(map[string]xpath.Query)
+		s.lists[i].lists = make(map[keyspace.Key]keptList)
+	}
+	return s
 }
 
 // Instrument starts publishing the index layer's counters and the
@@ -330,9 +371,7 @@ func (s *Service) Lookup(q xpath.Query) (Response, error) {
 // lookup kept since — without reading an entry.
 func (s *Service) LookupCtx(ctx context.Context, q xpath.Query) (Response, error) {
 	key := q.Key()
-	s.listsMu.RLock()
-	kept := s.lists[key]
-	s.listsMu.RUnlock()
+	kept := s.kept(key)
 	var got overlay.GetResult
 	var unchanged bool
 	if kept.digest != 0 {
@@ -400,11 +439,11 @@ func (s *Service) respond(q xpath.Query, got overlay.GetResult, offered keptList
 	resp.Node, resp.Hops = got.Route.Node, got.Route.Hops
 	var shortcuts []string
 	if s.policy != cache.None {
-		s.cacheMu.Lock()
-		if store := s.caches[resp.Node]; store != nil {
-			shortcuts = store.Targets(q.String())
+		if nc := s.nodeCache(resp.Node); nc != nil {
+			nc.mu.Lock()
+			shortcuts = nc.store.Targets(q.String())
+			nc.mu.Unlock()
 		}
-		s.cacheMu.Unlock()
 	}
 	nIndex := 0
 	for _, e := range entries {
@@ -432,14 +471,12 @@ func (s *Service) respond(q xpath.Query, got overlay.GetResult, offered keptList
 	}
 	if len(shortcuts) > 0 {
 		resp.Cached = make([]xpath.Query, 0, len(shortcuts))
-		s.parsedMu.RLock()
 		for _, tgt := range shortcuts {
-			if target, ok := s.parseCachedRLocked(tgt); ok {
+			if target, ok := s.parseCached(tgt); ok {
 				resp.Cached = append(resp.Cached, target)
 				resp.CachePortion += int64(len(tgt))
 			}
 		}
-		s.parsedMu.RUnlock()
 		// A shortcut store lists targets in map order.
 		sortCanonical(resp.Cached)
 	}
@@ -475,9 +512,7 @@ func (s *Service) indexList(q xpath.Query, entries []overlay.Entry, n int, index
 	key := q.Key()
 	var kept keptList
 	if n >= 2 || stale {
-		s.listsMu.RLock()
-		kept = s.lists[key]
-		s.listsMu.RUnlock()
+		kept = s.kept(key)
 	}
 	if n >= 2 {
 		if indexBytes, same := sameForms(kept.index, entries); same {
@@ -490,13 +525,12 @@ func (s *Service) indexList(q xpath.Query, entries []overlay.Entry, n int, index
 	index := make([]xpath.Query, 0, n)
 	var indexBytes int64
 	keep := n >= 2
-	s.parsedMu.RLock()
 	for _, e := range entries {
 		if e.Kind != KindIndex {
 			continue
 		}
 		// A corrupted entry must not poison the lookup.
-		target, ok := s.parseCachedRLocked(e.Value)
+		target, ok := s.parseCached(e.Value)
 		if !ok {
 			keep = false
 			continue
@@ -506,7 +540,6 @@ func (s *Service) indexList(q xpath.Query, entries []overlay.Entry, n int, index
 		index = append(index, target)
 		indexBytes += int64(len(e.Value))
 	}
-	s.parsedMu.RUnlock()
 	if keep {
 		// Every entry parsed, so len(index) == cap(index) == n.
 		s.keep(key, keptList{index: index, digest: keptDigest(entries, indexOnly)})
@@ -514,9 +547,7 @@ func (s *Service) indexList(q xpath.Query, entries []overlay.Entry, n int, index
 	}
 	if kept.index != nil {
 		// The key's set no longer qualifies: its list goes.
-		s.listsMu.Lock()
-		delete(s.lists, key)
-		s.listsMu.Unlock()
+		s.forget(overlay.KeyEntry{Key: key})
 	}
 	sortCanonical(index)
 	return slices.Clip(index), indexBytes
@@ -531,11 +562,21 @@ func keptDigest(entries []overlay.Entry, indexOnly bool) uint64 {
 	return overlay.Digest(entries)
 }
 
+// kept returns key's kept list (the zero keptList if none).
+func (s *Service) kept(key keyspace.Key) keptList {
+	sh := s.listShard(key)
+	sh.mu.RLock()
+	kept := sh.lists[key]
+	sh.mu.RUnlock()
+	return kept
+}
+
 // keep stores key's kept list.
 func (s *Service) keep(key keyspace.Key, kept keptList) {
-	s.listsMu.Lock()
-	s.lists[key] = kept
-	s.listsMu.Unlock()
+	sh := s.listShard(key)
+	sh.mu.Lock()
+	sh.lists[key] = kept
+	sh.mu.Unlock()
 }
 
 // forget drops the kept lists of the items' keys: the keys this service
@@ -544,11 +585,12 @@ func (s *Service) keep(key keyspace.Key, kept keptList) {
 // catches any change — and a removal must not leave behind a list no
 // lookup may ever read again (ROADMAP item 17).
 func (s *Service) forget(items ...overlay.KeyEntry) {
-	s.listsMu.Lock()
 	for _, it := range items {
-		delete(s.lists, it.Key)
+		sh := s.listShard(it.Key)
+		sh.mu.Lock()
+		delete(sh.lists, it.Key)
+		sh.mu.Unlock()
 	}
-	s.listsMu.Unlock()
 }
 
 // sameForms reports whether entries' index entries are list's forms one
@@ -579,21 +621,50 @@ func sortCanonical(qs []xpath.Query) {
 
 func compareForms(a, b xpath.Query) int { return strings.Compare(a.String(), b.String()) }
 
-// parseCachedRLocked parses a canonical query string through the memo
-// table. The caller holds parsedMu shared and holds it shared again on
-// return; a first-time parse gives it up to record the result.
-func (s *Service) parseCachedRLocked(canonical string) (xpath.Query, bool) {
-	q, known := s.parsed[canonical]
+// parseCached parses a canonical query string through the memo table.
+// No lock is held while it parses.
+func (s *Service) parseCached(canonical string) (xpath.Query, bool) {
+	sh := &s.memo[maphash.String(memoSeed, canonical)%stateShards]
+	sh.mu.RLock()
+	q, known := sh.parsed[canonical]
+	sh.mu.RUnlock()
 	if !known {
-		s.parsedMu.RUnlock()
 		// An unparsable string memoizes the zero query (negative cache).
 		q, _ = xpath.Parse(canonical)
-		s.parsedMu.Lock()
-		s.parsed[canonical] = q
-		s.parsedMu.Unlock()
-		s.parsedMu.RLock()
+		sh.mu.Lock()
+		sh.parsed[canonical] = q
+		sh.mu.Unlock()
 	}
 	return q, !q.IsZero()
+}
+
+// nodeCache returns the shortcut store of a node (nil if none exists).
+func (s *Service) nodeCache(nodeAddr string) *nodeCache {
+	return (*s.caches.Load())[nodeAddr]
+}
+
+// addNodeCache returns the shortcut store of a node, creating it if none
+// exists.
+func (s *Service) addNodeCache(nodeAddr string) *nodeCache {
+	s.cachesMu.Lock()
+	defer s.cachesMu.Unlock()
+	old := *s.caches.Load()
+	if nc := old[nodeAddr]; nc != nil {
+		return nc
+	}
+	capacity := 0
+	if s.policy == cache.LRU {
+		capacity = s.capacity
+	}
+	nc := &nodeCache{store: cache.NewStore(capacity)}
+	nc.store.SetEvictionCounter(s.tel.evictionCounter())
+	caches := make(map[string]*nodeCache, len(old)+1)
+	for addr, c := range old {
+		caches[addr] = c
+	}
+	caches[nodeAddr] = nc
+	s.caches.Store(&caches)
+	return nc
 }
 
 // AddShortcut installs the cache entry (q → target) on the given node,
@@ -603,19 +674,14 @@ func (s *Service) AddShortcut(nodeAddr string, q xpath.Query, target string) (bo
 	if s.policy == cache.None {
 		return false, 0
 	}
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	store := s.caches[nodeAddr]
-	if store == nil {
-		capacity := 0
-		if s.policy == cache.LRU {
-			capacity = s.capacity
-		}
-		store = cache.NewStore(capacity)
-		store.SetEvictionCounter(s.tel.evictionCounter())
-		s.caches[nodeAddr] = store
+	nc := s.nodeCache(nodeAddr)
+	if nc == nil {
+		nc = s.addNodeCache(nodeAddr)
 	}
-	if store.Add(q.String(), target) {
+	nc.mu.Lock()
+	added := nc.store.Add(q.String(), target)
+	nc.mu.Unlock()
+	if added {
 		s.tel.recordShortcut()
 		return true, int64(len(target))
 	}
@@ -624,18 +690,11 @@ func (s *Service) AddShortcut(nodeAddr string, q xpath.Query, target string) (bo
 
 // TouchShortcut freshens a followed shortcut's LRU recency.
 func (s *Service) TouchShortcut(nodeAddr string, q xpath.Query, target string) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	if store := s.caches[nodeAddr]; store != nil {
-		store.Touch(q.String(), target)
+	if nc := s.nodeCache(nodeAddr); nc != nil {
+		nc.mu.Lock()
+		nc.store.Touch(q.String(), target)
+		nc.mu.Unlock()
 	}
-}
-
-// CacheStore returns the shortcut store of a node (nil if none exists).
-func (s *Service) CacheStore(nodeAddr string) *cache.Store {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	return s.caches[nodeAddr]
 }
 
 // CacheStats summarizes the distributed cache state (Fig. 14's metrics).
@@ -656,6 +715,8 @@ type CacheStats struct {
 }
 
 // CacheStats computes Fig. 14's cache-occupancy metrics over live nodes.
+// It reads each node's store under that store's own lock, one node after
+// another: while lookups run, the sums are not one snapshot across nodes.
 func (s *Service) CacheStats() CacheStats {
 	addrs := s.net.Addrs()
 	stats := CacheStats{Nodes: len(addrs)}
@@ -663,20 +724,17 @@ func (s *Service) CacheStats() CacheStats {
 		return stats
 	}
 	full, empty := 0, 0
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
 	for _, addr := range addrs {
-		store := s.caches[addr]
-		if store == nil || store.Len() == 0 {
+		n, isFull := s.occupancy(addr)
+		if n == 0 {
 			empty++
 			continue
 		}
-		n := store.Len()
 		stats.TotalKeys += n
 		if n > stats.MaxKeys {
 			stats.MaxKeys = n
 		}
-		if store.Full() {
+		if isFull {
 			full++
 		}
 	}
@@ -684,6 +742,18 @@ func (s *Service) CacheStats() CacheStats {
 	stats.FullFraction = float64(full) / float64(stats.Nodes)
 	stats.EmptyFraction = float64(empty) / float64(stats.Nodes)
 	return stats
+}
+
+// occupancy returns how many shortcut pairs a node's store holds and
+// whether it is at capacity (0 and false for a node with no store).
+func (s *Service) occupancy(nodeAddr string) (n int, full bool) {
+	nc := s.nodeCache(nodeAddr)
+	if nc == nil {
+		return 0, false
+	}
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	return nc.store.Len(), nc.store.Full()
 }
 
 // StorageStats summarizes regular (non-cache) storage (§V-B and Fig. 14's

@@ -4,7 +4,8 @@ package wire_test
 // vs sequential cluster puts, batched vs sequential article publish, and
 // parallel vs sequential automated search, timed on loopback TCP (and
 // publish and a contended search on MemTransport too; CI's bench smoke
-// step runs each once). What these operations cost in
+// step runs each once), and concurrent directed finds on MemTransport.
+// What these operations cost in
 // messages and bytes is counted, not timed, by TestCostLedger; the
 // pooled round trip's bytes and allocations are gated by
 // TestPooledCallCost, and the server's share of them by
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -360,4 +362,60 @@ func BenchmarkSearchAllParallel(b *testing.B) {
 	b.Run("parallel-8", func(b *testing.B) { tcp(b, 8) })
 	b.Run("mem-contended/sequential", func(b *testing.B) { mem(b, 1) })
 	b.Run("mem-contended/parallel-8", func(b *testing.B) { mem(b, 8) })
+}
+
+// BenchmarkFindConcurrent runs directed finds from the paper's query
+// structure model against one index service on a 32-node MemTransport
+// ring of 2,000 articles (simple scheme, LRU-30 caches), from as many
+// clients as -cpu allows, each with its own query stream. Run it at
+// -cpu 1,2: the second client adds finds per second only when the
+// clients do not queue on a lock they all take (DESIGN.md §41).
+func BenchmarkFindConcurrent(b *testing.B) {
+	corpus, err := dataset.Generate(dataset.Config{Articles: 2000, Seed: 4})
+	if err != nil {
+		b.Fatalf("corpus: %v", err)
+	}
+	arts := corpus.Articles
+	ring, err := wire.StartMemRing(32, 1, 5)
+	if err != nil {
+		b.Fatalf("ring: %v", err)
+	}
+	defer ring.Close()
+	svc := index.New(ring, cache.LRU, 30)
+	for i, a := range arts {
+		if err := svc.PublishArticle(fmt.Sprintf("s-%d.pdf", i), a, index.Simple); err != nil {
+			b.Fatalf("publish: %v", err)
+		}
+	}
+	// clientFinds returns a client's find loop over its own query stream.
+	clientFinds := func(seed int64) (func(), error) {
+		gen, err := workload.NewGenerator(arts, workload.PaperStructureModel(), seed)
+		searcher := index.NewSearcher(svc)
+		return func() {
+			q := gen.Next()
+			if _, err := searcher.Find(q.Query, dataset.MSD(q.Target)); err != nil {
+				b.Errorf("find: %v", err)
+			}
+		}, err
+	}
+	warm, err := clientFinds(6)
+	if err != nil {
+		b.Fatalf("generator: %v", err)
+	}
+	for i := 0; i < 2000; i++ {
+		warm()
+	}
+	var seeds atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		find, err := clientFinds(7 + seeds.Add(1))
+		if err != nil {
+			b.Errorf("generator: %v", err)
+			return
+		}
+		for pb.Next() {
+			find()
+		}
+	})
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "finds/s")
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dhtindex/internal/telemetry"
@@ -90,6 +91,10 @@ type breakerSet struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	peers map[string]*breakerState
+	// tracked is len(peers), stored under mu whenever peers changes. While
+	// it reads 0 no peer has breaker state, so allow and a success's
+	// onResult return without taking mu: the healthy path shares no lock.
+	tracked atomic.Int64
 
 	trips         *telemetry.Counter
 	overloadTrips *telemetry.Counter
@@ -118,6 +123,9 @@ func newBreakerSet(policy BreakerPolicy) *breakerSet {
 // allow reports whether a call to addr may proceed. A false return means
 // the circuit is open and no probe was drawn — the caller must fail fast.
 func (b *breakerSet) allow(addr string) bool {
+	if b.tracked.Load() == 0 {
+		return true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	st := b.peers[addr]
@@ -139,22 +147,22 @@ func (b *breakerSet) allow(addr string) bool {
 
 // onResult records a completed call's outcome (after retries) for addr.
 func (b *breakerSet) onResult(addr string, err error) {
+	if err == nil && b.tracked.Load() == 0 {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := b.peers[addr]
 	if err == nil {
-		if st != nil {
+		if st := b.peers[addr]; st != nil {
 			if st.open {
 				b.closes.Inc()
 			}
 			delete(b.peers, addr)
+			b.tracked.Store(int64(len(b.peers)))
 		}
 		return
 	}
-	if st == nil {
-		st = &breakerState{}
-		b.peers[addr] = st
-	}
+	st := b.state(addr)
 	st.overloads = 0 // a connectivity failure ends any overload streak
 	if st.open {
 		st.lastOpen = time.Now()
@@ -169,6 +177,18 @@ func (b *breakerSet) onResult(addr string, err error) {
 	}
 }
 
+// state returns addr's breaker state, creating it if addr has none. The
+// caller holds mu.
+func (b *breakerSet) state(addr string) *breakerState {
+	st := b.peers[addr]
+	if st == nil {
+		st = &breakerState{}
+		b.peers[addr] = st
+		b.tracked.Store(int64(len(b.peers)))
+	}
+	return st
+}
+
 // onOverload records an overload NACK from addr. Overload streaks are
 // tracked apart from connectivity failures: they need a (much higher)
 // breakerOverloadThreshold to open the circuit, and the opened circuit
@@ -177,11 +197,7 @@ func (b *breakerSet) onResult(addr string, err error) {
 func (b *breakerSet) onOverload(addr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := b.peers[addr]
-	if st == nil {
-		st = &breakerState{}
-		b.peers[addr] = st
-	}
+	st := b.state(addr)
 	st.fails = 0 // the peer answered: it is reachable
 	if st.open {
 		st.lastOpen = time.Now()

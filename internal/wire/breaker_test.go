@@ -216,3 +216,81 @@ func TestBreakerIgnoresSpentBudget(t *testing.T) {
 		t.Fatalf("spent budget tripped the breaker: %+v", s)
 	}
 }
+
+// callsWithoutLocks reports whether a successful call to addr returns
+// while the breaker's and the budget's locks are held elsewhere, that
+// is, whether the healthy path takes neither.
+func callsWithoutLocks(t *testing.T, rt *RetryingTransport, addr string) bool {
+	t.Helper()
+	rt.breaker.mu.Lock()
+	rt.budget.mu.Lock()
+	defer rt.breaker.mu.Unlock()
+	defer rt.budget.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.Call(addr, Message{Op: singleShot})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("healthy call: %v", err)
+		}
+		return true
+	case <-time.After(2 * time.Second):
+		// Unlocking lets the call finish before the test returns.
+		return false
+	}
+}
+
+// TestBreakerClosedCircuitTakesNoLock opens a circuit under concurrent
+// callers, heals the peer so that a probe closes it, and checks that
+// the breaker is then back on its lock-free path: no circuit open, no
+// peer tracked, and a healthy call completes while the breaker's and
+// the budget's locks are held.
+func TestBreakerClosedCircuitTakesNoLock(t *testing.T) {
+	const callers = 4
+	ft := &flakyTransport{}
+	rt := NewRetryingTransport(ft, RetryPolicy{Breaker: &BreakerPolicy{Seed: 3}, Budget: &RetryBudget{}})
+	if !callsWithoutLocks(t, rt, "peer-a") {
+		t.Fatal("a healthy call on a fresh transport took the breaker's or the budget's lock")
+	}
+
+	ft.setFailing(true)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2*breakerThreshold; i++ {
+				rt.Call("peer-a", Message{Op: singleShot})
+			}
+		}()
+	}
+	wg.Wait()
+	if s := rt.BreakerStats(); s.Trips != 1 || s.Open != 1 || rt.breaker.tracked.Load() != 1 {
+		t.Fatalf("after concurrent failures: %+v, %d peers tracked; want one open circuit", s, rt.breaker.tracked.Load())
+	}
+
+	ft.setFailing(false)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if _, err := rt.Call("peer-a", Message{Op: singleShot}); err == nil {
+					return
+				}
+			}
+			t.Errorf("caller %d: no call got through in 1000", c)
+		}(c)
+	}
+	wg.Wait()
+	if s := rt.BreakerStats(); s.Open != 0 || s.Closes != 1 || rt.breaker.tracked.Load() != 0 {
+		t.Fatalf("after a probe closed the circuit: %+v, %d peers tracked; want it closed once and nothing tracked",
+			s, rt.breaker.tracked.Load())
+	}
+	if !callsWithoutLocks(t, rt, "peer-a") {
+		t.Fatal("a healthy call after the circuit closed took the breaker's or the budget's lock")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dhtindex/internal/telemetry"
@@ -62,17 +63,27 @@ type RetryBudget struct{}
 type retryBudget struct {
 	mu     sync.Mutex
 	tokens float64
+	// full says tokens == retryBudgetBurst. It is stored under mu
+	// whenever tokens changes, so that earn on a full bucket, the
+	// healthy path, returns without taking mu.
+	full atomic.Bool
 }
 
 func newRetryBudget() *retryBudget {
 	// Start full: the first failures after startup may retry.
-	return &retryBudget{tokens: retryBudgetBurst}
+	b := &retryBudget{tokens: retryBudgetBurst}
+	b.full.Store(true)
+	return b
 }
 
 // earn credits a fresh logical call.
 func (b *retryBudget) earn() {
+	if b.full.Load() {
+		return
+	}
 	b.mu.Lock()
 	b.tokens = min(b.tokens+retryBudgetRatio, retryBudgetBurst)
+	b.full.Store(b.tokens == retryBudgetBurst)
 	b.mu.Unlock()
 }
 
@@ -84,6 +95,7 @@ func (b *retryBudget) spend() bool {
 		return false
 	}
 	b.tokens--
+	b.full.Store(false)
 	return true
 }
 

@@ -194,3 +194,61 @@ func TestNodeExposesRetryStats(t *testing.T) {
 		t.Fatalf("attempts %d should exceed calls %d once retries fired", s.Attempts, s.Calls)
 	}
 }
+
+// TestRetryBudgetEarnsStayWithinBurst runs earns from several
+// goroutines against spends from another: the bucket never holds more
+// than retryBudgetBurst tokens, and once the spends stop the earns fill
+// it to exactly the burst.
+func TestRetryBudgetEarnsStayWithinBurst(t *testing.T) {
+	b := newRetryBudget()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				b.earn()
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			b.spend()
+			b.mu.Lock()
+			tokens, full := b.tokens, b.full.Load()
+			b.mu.Unlock()
+			if tokens > retryBudgetBurst || full != (tokens == retryBudgetBurst) {
+				t.Errorf("spend %d: %v tokens, full %v", i, tokens, full)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	for i := 0; i < 10*retryBudgetBurst/retryBudgetRatio; i++ {
+		b.earn()
+	}
+	if b.tokens != retryBudgetBurst || !b.full.Load() {
+		t.Fatalf("after the earns: %v tokens, full %v; want %d and full", b.tokens, b.full.Load(), retryBudgetBurst)
+	}
+}
+
+// TestRetryBudgetSpendAfterFastEarn spends right after an earn that
+// found the bucket full and returned without locking: the spend sees
+// every token, and the next earn credits the bucket again.
+func TestRetryBudgetSpendAfterFastEarn(t *testing.T) {
+	b := newRetryBudget()
+	b.earn()
+	spent := 0
+	for b.spend() {
+		spent++
+	}
+	if spent != retryBudgetBurst {
+		t.Fatalf("a full bucket gave %d retries after a fast earn, want %d", spent, retryBudgetBurst)
+	}
+	b.earn()
+	if b.tokens != retryBudgetRatio || b.full.Load() {
+		t.Fatalf("an earn on an empty bucket left %v tokens, full %v; want %v", b.tokens, b.full.Load(), retryBudgetRatio)
+	}
+}
