@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,8 +17,8 @@ import (
 	"dhtindex/internal/xpath"
 )
 
-// verdicts is a live cluster that counts the verdicts of its
-// conditional reads (DESIGN.md §37).
+// verdicts is a live cluster that counts the offers and verdicts of its
+// conditional reads, single and batched (DESIGN.md §37, §42).
 type verdicts struct {
 	*wire.Cluster
 	offers, unchanged atomic.Int64
@@ -30,6 +31,19 @@ func (v *verdicts) GetUnlessCtx(ctx context.Context, key keyspace.Key, digest ui
 		v.unchanged.Add(1)
 	}
 	return entries, route, unchanged, err
+}
+
+func (v *verdicts) GetBatch(ctx context.Context, keys []keyspace.Key, offers []uint64, parallel int) []overlay.GetResult {
+	got := v.Cluster.GetBatch(ctx, keys, offers, parallel)
+	for i, r := range got {
+		if offers != nil && offers[i] != 0 {
+			v.offers.Add(1)
+		}
+		if r.Unchanged {
+			v.unchanged.Add(1)
+		}
+	}
+	return got
 }
 
 // take returns the offers and unchanged verdicts since the last take.
@@ -80,7 +94,7 @@ func memRing(t testing.TB, n int) *verdicts {
 // TestConditionalLookupMatchesPerEntryReference publishes a corpus on a
 // loopback-TCP ring and looks every key its chains use up twice. Both
 // lookups must equal the per-entry reference in every field; the second
-// of every key with a kept list — two or more index entries and no data
+// of every key with a kept list — one or more index entries and no data
 // — must be served "unchanged" and equal the first field for field, and
 // no other lookup may be offered.
 func TestConditionalLookupMatchesPerEntryReference(t *testing.T) {
@@ -113,7 +127,7 @@ func TestConditionalLookupMatchesPerEntryReference(t *testing.T) {
 		}
 		second := checkLookup(t, svc, q, "second lookup")
 		offers, unchanged := net.take()
-		conditional := len(first.Index) >= 2 && len(first.Files) == 0
+		conditional := len(first.Index) >= 1 && len(first.Files) == 0
 		if want := map[bool]int64{true: 1}[conditional]; offers != want || unchanged != want {
 			t.Fatalf("lookup %s (%d index entries, %d files): %d offers, %d unchanged; want %d", q, len(first.Index), len(first.Files), offers, unchanged, want)
 		}
@@ -137,7 +151,8 @@ func TestConditionalLookupMatchesPerEntryReference(t *testing.T) {
 // one swapped for another of the same count, loses entries, empties and
 // fills again between lookups. The first lookup after each change must
 // never be served unchanged and must follow the store at once; the
-// second is served unchanged exactly when a list is kept.
+// second is served unchanged exactly when a list is kept, which is
+// whenever the key holds an index entry.
 func TestConditionalLookupFollowsStore(t *testing.T) {
 	net := memRing(t, 4)
 	svc := New(net, cache.None, 0)
@@ -184,12 +199,12 @@ func TestConditionalLookupFollowsStore(t *testing.T) {
 				}
 			}
 			_, unchanged := net.take()
-			if want := round == 1 && len(step.want) >= 2; (unchanged == 1) != want || unchanged > 1 {
+			if want := round == 1 && len(step.want) >= 1; (unchanged == 1) != want || unchanged > 1 {
 				t.Fatalf("%s, round %d: %d lookups served unchanged, want %v", step.name, round, unchanged, want)
 			}
 		}
-		if len(step.want) < 2 && svc.keptList(conf) != nil {
-			t.Fatalf("%s: a list is still kept for a key of %d entries", step.name, len(step.want))
+		if len(step.want) == 0 && svc.keptList(conf) != nil {
+			t.Fatalf("%s: a list is still kept for an empty key", step.name)
 		}
 	}
 }
@@ -308,6 +323,61 @@ func TestConditionalLookupSeesAckedWrites(t *testing.T) {
 	}
 }
 
+// TestConditionalSearchAllBatch: an automated search at Parallelism 8
+// reads each frontier level in one batch, and each key of it that has a
+// kept list offers that list's digest. Searched twice over an unchanged
+// index, every read of the second search offers and is answered
+// unchanged, and both searches return what the sequential search
+// returns. After a second service publishes more articles under the
+// query, the next search returns them too.
+func TestConditionalSearchAllBatch(t *testing.T) {
+	corpus, err := dataset.Generate(dataset.Config{Articles: 300, Conferences: 4, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := memRing(t, 8)
+	writer := New(net, cache.None, 0)
+	for i, a := range corpus.Articles[:200] {
+		if err := writer.PublishArticle(fmt.Sprintf("b%03d.pdf", i), a, Simple); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := dataset.ConfQuery(corpus.Articles[0].Conf)
+	svc := New(net, cache.None, 0)
+	par := NewSearcher(svc)
+	par.Parallelism = 8
+	search := func(s *Searcher) ([]Result, Trace) {
+		t.Helper()
+		results, trace, err := s.SearchAll(q)
+		if err != nil || trace.Incomplete {
+			t.Fatalf("search at parallelism %d: %v, %+v", s.Parallelism, err, trace.Unresolved)
+		}
+		return results, trace
+	}
+	same := func(when string) {
+		t.Helper()
+		want, wantTrace := search(NewSearcher(New(net, cache.None, 0)))
+		got, gotTrace := search(par)
+		if !reflect.DeepEqual(got, want) || gotTrace.Interactions != wantTrace.Interactions || gotTrace.ResponseBytes != wantTrace.ResponseBytes {
+			t.Fatalf("%s: parallel search returned %d results in %d interactions, the sequential one %d in %d",
+				when, len(got), gotTrace.Interactions, len(want), wantTrace.Interactions)
+		}
+	}
+	same("first search")
+	net.take()
+	same("second search")
+	offers, unchanged := net.take()
+	if offers == 0 || unchanged != offers {
+		t.Fatalf("second search over an unchanged index: %d offers, %d unchanged", offers, unchanged)
+	}
+	for i, a := range corpus.Articles[200:] {
+		if err := writer.PublishArticle(fmt.Sprintf("c%03d.pdf", i), a, Simple); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("after more articles")
+}
+
 // TestUnpublishForgetsKeptLists runs publish → find → unpublish rounds:
 // finds keep lists for the keys they read, and unpublishing every
 // article removes a mapping under each of those keys, which drops its
@@ -358,14 +428,14 @@ func TestUnpublishForgetsKeptLists(t *testing.T) {
 }
 
 // BenchmarkLookupTCP times one lookup(q) over loopback TCP against a
-// one-node ring holding a conference query's list of 16 or 512 index
+// one-node ring holding a conference query's list of 1, 16 or 512 index
 // entries. "unchanged" is a warm conditional lookup, which the owner
 // answers with its verdict alone. "changed" is one whose offer misses:
 // the owner ships the list, and the client decodes it, compares it with
 // its kept list and keeps that list again under the set's digest, which
 // is what every warm lookup cost before lookups were conditional.
 func BenchmarkLookupTCP(b *testing.B) {
-	for _, n := range []int{16, 512} {
+	for _, n := range []int{1, 16, 512} {
 		net, _ := tcpRing(b, 1, 0)
 		svc := New(net, cache.None, 0)
 		q := dataset.ConfQuery("SIGCOMM")

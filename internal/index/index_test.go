@@ -503,6 +503,56 @@ func TestLRUCacheBounded(t *testing.T) {
 	}
 }
 
+// TestFirstNodeHitFreshensItsShortcut pins the LRU order a first-node
+// hit leaves: the followed pair becomes the node's most recent, so the
+// next shortcut the full store takes evicts the other pair. It holds on
+// success, where installShortcuts' refresh is the hit's one, and when
+// the target lost its data after the shortcut was made and the search
+// fails after the jump.
+func TestFirstNodeHitFreshensItsShortcut(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("target-lost=%v", fail), func(t *testing.T) {
+			net := testRing(t, 1, 1) // one node: one store holds every shortcut
+			svc := New(net, cache.LRU, 2)
+			searcher := NewSearcher(svc)
+			arts := descriptor.Fig1Articles()
+			for i, a := range arts {
+				if err := svc.PublishArticle(fmt.Sprintf("%d.pdf", i), a, Simple); err != nil {
+					t.Fatal(err)
+				}
+			}
+			author := func(i int) xpath.Query { return dataset.AuthorQuery(arts[i].AuthorFirst, arts[i].AuthorLast) }
+			find := func(i int) Trace {
+				t.Helper()
+				trace, err := searcher.Find(author(i), dataset.MSD(arts[i]))
+				if err != nil && !(fail && i == 0) {
+					t.Fatalf("find %d: %v", i, err)
+				}
+				return trace
+			}
+			find(0)
+			find(1) // the store holds (author 1, 1) and, older, (author 0, 0)
+			if fail {
+				data := overlay.Entry{Kind: KindData, Value: "0.pdf"}
+				if removed, err := net.Remove(dataset.MSD(arts[0]).Key(), data); err != nil || !removed {
+					t.Fatalf("remove: %v, %v", removed, err)
+				}
+			}
+			if trace := find(0); !trace.FirstNodeHit || trace.Found == fail {
+				t.Fatalf("second find of 0: %+v", trace)
+			}
+			find(2) // the full store evicts its least recent pair
+			node := svc.Network().Addrs()[0]
+			nc := svc.nodeCache(node)
+			for i, want := range []bool{true, false, true} {
+				if got := nc.store.Contains(author(i).String(), dataset.MSD(arts[i]).String()); got != want {
+					t.Errorf("shortcut (author %d, %d) held = %v, want %v", i, i, got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestStorageStatsBySchemeOrdering(t *testing.T) {
 	corpus, err := dataset.Generate(dataset.Config{Articles: 300, Seed: 21})
 	if err != nil {

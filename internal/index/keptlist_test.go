@@ -68,8 +68,8 @@ func checkLookup(t *testing.T, svc *Service, q xpath.Query, when string) Respons
 // on a live ring and looks every key its chains use up twice: the first
 // lookup builds the key's list, the second serves it. Both must equal the
 // per-entry reference in every field, with shortcuts installed on a third
-// of the keys between the two, and every list of two or more entries must
-// be served uncopied the second time.
+// of the keys between the two, and every list, one-entry lists included,
+// must be served uncopied the second time.
 func TestRespondMatchesPerEntryReference(t *testing.T) {
 	corpus, err := dataset.Generate(dataset.Config{Articles: 10000, Seed: 2004})
 	if err != nil {
@@ -98,7 +98,7 @@ func TestRespondMatchesPerEntryReference(t *testing.T) {
 			svc.AddShortcut(first.Node, q, first.Index[len(first.Index)-1].String())
 		}
 		second := checkLookup(t, svc, q, "second lookup")
-		if len(second.Index) >= 2 {
+		if len(second.Index) >= 1 {
 			if &second.Index[0] != &first.Index[0] {
 				t.Fatalf("lookup %s: %d-entry list rebuilt on an unchanged store", q, len(second.Index))
 			}
@@ -106,7 +106,7 @@ func TestRespondMatchesPerEntryReference(t *testing.T) {
 		}
 	}
 	if served == 0 {
-		t.Fatal("no list of two or more entries was served from its kept list")
+		t.Fatal("no list was served from its kept list")
 	}
 	t.Logf("%d keys looked up twice, %d served a kept list", len(queries), served)
 }

@@ -94,16 +94,18 @@ func TestLookupResponseIndependentOfEntryOrder(t *testing.T) {
 }
 
 // TestLookupAllocCeiling gates the read path's allocation count: a warm
-// lookup of a sorted response of two or more entries serves the key's
-// kept list, so it allocates nothing at all — no Index slice, no sort
-// scratch, no memo write, no key hash (DESIGN.md §34). Before lists were
-// kept, each lookup made its own Index slice: 384 B at 16 entries (under
-// a ceiling of 4 allocations), 13.5 KB at 512.
+// lookup of a sorted response serves the key's kept list, so it
+// allocates nothing at all — no Index slice, no sort scratch, no memo
+// write, no key hash (DESIGN.md §34). Before lists were kept, each
+// lookup made its own Index slice: 384 B at 16 entries (under a ceiling
+// of 4 allocations), 13.5 KB at 512; a one-entry list was not kept
+// until DESIGN.md §42, and its lookup made a one-element slice.
 func TestLookupAllocCeiling(t *testing.T) {
 	for _, c := range []struct {
 		entries      int
 		ceiling, was float64
 	}{
+		{1, 0, 1},
 		{16, 0, 1},
 		{512, 0, 1},
 	} {

@@ -231,7 +231,7 @@ func (b *budgetNetwork) GetUnlessCtx(ctx context.Context, key keyspace.Key, _ ui
 	return entries, route, false, err
 }
 
-func (b *budgetNetwork) GetBatch(ctx context.Context, keys []keyspace.Key, _ int) []overlay.GetResult {
+func (b *budgetNetwork) GetBatch(ctx context.Context, keys []keyspace.Key, _ []uint64, _ int) []overlay.GetResult {
 	out := make([]overlay.GetResult, len(keys))
 	for i, k := range keys {
 		out[i].Entries, out[i].Route, out[i].Err = b.GetCtx(ctx, k)

@@ -232,9 +232,20 @@ func (s *Searcher) FindCtx(ctx context.Context, q, target xpath.Query) (trace Tr
 		if !hit.IsZero() {
 			trace.CacheHit = true
 			if depth == 0 {
+				// A first-node hit is path[0], whose pair installShortcuts
+				// freshens once the target is retrieved: only a search
+				// that fails after the jump freshens it here, so the hit
+				// takes the node's lock once either way.
 				trace.FirstNodeHit = true
+				node, from := resp.Node, current
+				defer func() {
+					if !trace.Found {
+						s.svc.TouchShortcut(node, from, targetStr)
+					}
+				}()
+			} else {
+				s.svc.TouchShortcut(resp.Node, current, targetStr)
 			}
-			s.svc.TouchShortcut(resp.Node, current, targetStr)
 			current = target
 			continue
 		}

@@ -85,8 +85,8 @@ type Service struct {
 	memo [stateShards]memoShard
 
 	// lists keeps, per key, the parsed index list of the last entry set
-	// read under it that held at least two index entries, all canonical
-	// and in canonical order (the wire stores' order contract), sharded
+	// read under it that held index entries, all canonical and in
+	// canonical order (the wire stores' order contract), sharded
 	// by the key's first byte. A lookup whose index entries equal a kept
 	// list's forms one for one serves that list as its Response.Index;
 	// any difference rebuilds it from the memo (DESIGN.md §34). With
@@ -373,13 +373,12 @@ func (s *Service) LookupCtx(ctx context.Context, q xpath.Query) (Response, error
 	key := q.Key()
 	kept := s.kept(key)
 	var got overlay.GetResult
-	var unchanged bool
 	if kept.digest != 0 {
-		got.Entries, got.Route, unchanged, got.Err = s.net.GetUnlessCtx(ctx, key, kept.digest)
+		got.Entries, got.Route, got.Unchanged, got.Err = s.net.GetUnlessCtx(ctx, key, kept.digest)
 	} else {
 		got.Entries, got.Route, got.Err = s.net.GetCtx(ctx, key)
 	}
-	return s.respond(q, got, kept, unchanged)
+	return s.respond(q, got, kept)
 }
 
 // lookupOut is one lookup's outcome within a batch.
@@ -395,9 +394,11 @@ type lookupOut struct {
 // issues nothing further once ctx is spent. Otherwise the substrate
 // reads happen together, in one GetBatch: one message per owner on the
 // live ring, up to parallel concurrent single reads on overlay.PerKey.
-// Either way every response is built by the function LookupCtx uses, so
+// Each read offers the digest of its key's kept list, as LookupCtx's
+// does, and every response is built by the function LookupCtx uses, so
 // what a query's lookup returns does not depend on how its entries were
-// fetched.
+// fetched. The queries of a batch are distinct (a frontier level, a
+// wave of generalizations), so no key repeats with two offers.
 func (s *Service) lookupBatch(ctx context.Context, qs []xpath.Query, parallel int) []lookupOut {
 	outs := make([]lookupOut, len(qs))
 	if len(qs) == 1 || parallel <= 1 {
@@ -413,12 +414,21 @@ func (s *Service) lookupBatch(ctx context.Context, qs []xpath.Query, parallel in
 		return outs
 	}
 	keys := make([]keyspace.Key, len(qs))
+	kept := make([]keptList, len(qs))
+	var offers []uint64
 	for i, q := range qs {
 		keys[i] = q.Key()
+		kept[i] = s.kept(keys[i])
+		if kept[i].digest != 0 {
+			if offers == nil {
+				offers = make([]uint64, len(qs))
+			}
+			offers[i] = kept[i].digest
+		}
 	}
-	gets := s.net.GetBatch(ctx, keys, parallel)
+	gets := s.net.GetBatch(ctx, keys, offers, parallel)
 	for i, q := range qs {
-		outs[i].resp, outs[i].err = s.respond(q, gets[i], keptList{}, false)
+		outs[i].resp, outs[i].err = s.respond(q, gets[i], kept[i])
 	}
 	return outs
 }
@@ -426,11 +436,11 @@ func (s *Service) lookupBatch(ctx context.Context, qs []xpath.Query, parallel in
 // respond turns one substrate read into the lookup's Response: the
 // node's shortcuts for q, the parsed index entries in canonical order
 // (see indexList), the file references and the byte accounting. It books
-// the lookup. offered is the kept list a conditional read offered the
-// digest of (zero for any other read); unchanged says the owner
-// answered that the key's set still has that digest, and offered is
-// then served as the key's whole set.
-func (s *Service) respond(q xpath.Query, got overlay.GetResult, offered keptList, unchanged bool) (resp Response, err error) {
+// the lookup. kept is q's kept list as it stood when the read was
+// issued, which offered its digest when that is not 0; got.Unchanged
+// says the owner answered that the key's set still has that digest, and
+// kept is then served as the key's whole set.
+func (s *Service) respond(q xpath.Query, got overlay.GetResult, kept keptList) (resp Response, err error) {
 	s.tel.recordLookup()
 	if got.Err != nil {
 		return Response{}, fmt.Errorf("index: lookup %s: %w", q, got.Err)
@@ -456,16 +466,16 @@ func (s *Service) respond(q xpath.Query, got overlay.GetResult, offered keptList
 		}
 	}
 	switch {
-	case unchanged:
-		resp.Index = offered.index
-		for _, q := range offered.index {
+	case got.Unchanged:
+		resp.Index = kept.index
+		for _, q := range kept.index {
 			resp.Bytes += int64(len(q.String()))
 		}
 	case nIndex > 0:
 		var indexBytes int64
-		resp.Index, indexBytes = s.indexList(q, entries, nIndex, len(resp.Files) == 0, offered.digest != 0)
+		resp.Index, indexBytes = s.indexList(q, entries, nIndex, len(resp.Files) == 0, kept)
 		resp.Bytes += indexBytes
-	case offered.digest != 0:
+	case kept.index != nil:
 		// The key holds no index entry now: its list goes.
 		s.forget(overlay.KeyEntry{Key: q.Key()})
 	}
@@ -485,46 +495,42 @@ func (s *Service) respond(q xpath.Query, got overlay.GetResult, offered keptList
 }
 
 // indexList returns the parsed index entries of one key's entry set in
-// canonical order, with the bytes of those that parsed; n counts the
-// set's index entries. A set of two or more whose forms equal the key's
-// kept list one for one is served that list, uncopied. A string compare
-// decides it, and on a MemTransport ring the forms are the very strings
-// the list was parsed from, so each compare is a pointer compare.
+// canonical order, with the bytes of those that parsed; n (at least 1)
+// counts the set's index entries. A set whose forms equal kept, the
+// key's kept list when the read was issued, one for one is served that
+// list, uncopied. A string compare decides it, and on a MemTransport
+// ring the forms are the very strings the list was parsed from, so each
+// compare is a pointer compare.
 //
 // Any other set is parsed entry by entry through the memo. The result
-// is kept for the key when it has at least two entries, all canonical
-// and strictly ascending: the wire stores keep each set in (Kind, Value)
-// order, which for index entries is canonical-form order (DESIGN.md
-// §18). The simulated substrates, foreign nodes and non-canonical stored
-// values are not bound by that contract: their lists get sorted here,
-// so a response reads the same whoever served it, and none is kept.
+// is kept for the key when its entries are all canonical and strictly
+// ascending: the wire stores keep each set in (Kind, Value) order, which
+// for index entries is canonical-form order (DESIGN.md §18). A set of
+// one entry is kept too: a kept list is what makes the key's next read
+// conditional (DESIGN.md §42). The simulated substrates, foreign nodes
+// and non-canonical stored values are not bound by that contract: their
+// lists get sorted here, so a response reads the same whoever served
+// it, and none is kept.
 //
 // A list is kept with its set's digest when the set holds no data
 // entry (indexOnly), and hashing the set then is the one time the
-// client hashes it. stale says a conditional read offered the kept
-// list's digest and got the set back (an owner whose set no longer has
-// it, or overlay.PerKey, which never answers "unchanged"): when the
-// forms still match, only entries outside them can have changed the
-// digest, and a set that holds such entries is kept again under its
-// new digest so the next offer can match; when the set is down to one
-// index entry, the list goes.
-func (s *Service) indexList(q xpath.Query, entries []overlay.Entry, n int, indexOnly, stale bool) ([]xpath.Query, int64) {
+// client hashes it. When kept's digest was offered and the set came
+// back anyway (an owner whose set no longer has it, or overlay.PerKey,
+// which never answers "unchanged") and the forms still match, only
+// entries outside them can have changed the digest: a set that holds
+// such entries is kept again under its new digest so the next offer
+// can match.
+func (s *Service) indexList(q xpath.Query, entries []overlay.Entry, n int, indexOnly bool, kept keptList) ([]xpath.Query, int64) {
 	key := q.Key()
-	var kept keptList
-	if n >= 2 || stale {
-		kept = s.kept(key)
-	}
-	if n >= 2 {
-		if indexBytes, same := sameForms(kept.index, entries); same {
-			if stale && len(entries) != n {
-				s.keep(key, keptList{index: kept.index, digest: keptDigest(entries, indexOnly)})
-			}
-			return kept.index, indexBytes
+	if indexBytes, same := sameForms(kept.index, entries); same {
+		if kept.digest != 0 && len(entries) != n {
+			s.keep(key, keptList{index: kept.index, digest: keptDigest(entries, indexOnly)})
 		}
+		return kept.index, indexBytes
 	}
 	index := make([]xpath.Query, 0, n)
 	var indexBytes int64
-	keep := n >= 2
+	keep := true
 	for _, e := range entries {
 		if e.Kind != KindIndex {
 			continue

@@ -140,13 +140,19 @@ type ContextNetwork interface {
 	GetCtx(ctx context.Context, key keyspace.Key) ([]Entry, Route, error)
 }
 
-// GetResult is one key's outcome of a batched read: what Get would have
+// GetResult is one key's outcome of a batched read: what GetCtx, or
+// GetUnlessCtx for a key the batch offered a digest for, would have
 // returned for that key alone.
 type GetResult struct {
 	// Entries are the entries stored under the key.
 	Entries []Entry
 	// Route names the node that answered for the key.
 	Route Route
+	// Unchanged reports that the key's live set, non-empty, had the
+	// digest the batch offered for it; Entries is then nil and the
+	// caller serves the set it holds. It is never set for a key the
+	// batch offered nothing for.
+	Unchanged bool
 	// Err is the key's own failure; other keys of the batch are
 	// unaffected by it.
 	Err error
@@ -156,7 +162,10 @@ type GetResult struct {
 // Network plus one method per operation the layer makes over many keys,
 // over a deadline, or against a set it already holds. The index layer
 // makes exactly one call per operation; whether that call is one
-// message per owner or one per key is the substrate's business.
+// message per owner or one per key is the substrate's business. Every
+// read the layer makes of a key it keeps a list for offers that list's
+// digest, alone (GetUnlessCtx) or in a batch (GetBatch); a substrate
+// may always ignore the offer and read the set.
 type Substrate interface {
 	Network
 	// GetCtx is Get bounded by ctx.
@@ -168,12 +177,14 @@ type Substrate interface {
 	// GetCtx would. A substrate may always read unconditionally.
 	GetUnlessCtx(ctx context.Context, key keyspace.Key, digest uint64) (entries []Entry, route Route, unchanged bool, err error)
 	// GetBatch reads every key, with at most parallel reads or messages
-	// in flight. The result has one element per key, in the order given
-	// (a repeated key gets the same answer at each position). A key
-	// fails alone: its error never hides another key's entries, and a
-	// key that could not be read reports an error, never an empty
-	// success.
-	GetBatch(ctx context.Context, keys []keyspace.Key, parallel int) []GetResult
+	// in flight. offers is nil, or holds one digest per key: a non-zero
+	// one makes that key's read conditional, as GetUnlessCtx's, so its
+	// result may be Unchanged. The result has one element per key, in
+	// the order given (a repeated key, which must repeat its offer, gets
+	// the same answer at each position). A key fails alone: its error
+	// never hides another key's entries, and a key that could not be
+	// read reports an error, never an empty success.
+	GetBatch(ctx context.Context, keys []keyspace.Key, offers []uint64, parallel int) []GetResult
 	// PutBatch stores every item (same idempotency contract as Put), so
 	// a caller may retry a failed batch whole. An item may repeat; it is
 	// stored once either way.
@@ -191,7 +202,8 @@ type Substrate interface {
 // PerKey returns n as a Substrate made of n's single-key calls alone:
 //   - GetCtx checks ctx once, then is one Get;
 //   - GetUnlessCtx is GetCtx: it never answers "unchanged";
-//   - GetBatch is one GetCtx per key, at most parallel at a time;
+//   - GetBatch is one GetCtx per key, at most parallel at a time: it
+//     ignores the offers and never answers "unchanged" either;
 //   - PutBatch is one Put per item, in order, stopping at the first
 //     failure;
 //   - Prune is one Remove per item, then one Get per distinct key.
@@ -237,7 +249,7 @@ func (p perKey) GetUnlessCtx(ctx context.Context, key keyspace.Key, _ uint64) ([
 	return entries, route, false, err
 }
 
-func (p perKey) GetBatch(ctx context.Context, keys []keyspace.Key, parallel int) []GetResult {
+func (p perKey) GetBatch(ctx context.Context, keys []keyspace.Key, _ []uint64, parallel int) []GetResult {
 	out := make([]GetResult, len(keys))
 	sem := make(chan struct{}, max(parallel, 1))
 	var wg sync.WaitGroup

@@ -193,7 +193,7 @@ func TestSubstrateContract(t *testing.T) {
 			b := store(t, row.sub, "b", "b1")
 			c := store(t, row.sub, "c", "c1", "c2", "c3")
 			keys := []keyspace.Key{c, key("empty"), a, b, a, c}
-			got := row.sub.GetBatch(ctx, keys, row.parallel)
+			got := row.sub.GetBatch(ctx, keys, nil, row.parallel)
 			if len(got) != len(keys) {
 				t.Fatalf("%d results for %d keys", len(got), len(keys))
 			}
@@ -219,7 +219,7 @@ func TestSubstrateContract(t *testing.T) {
 			bad := store(t, row.sub, "broken", "x1")
 			b := store(t, row.sub, "ok-b", "b1", "b2")
 			row.fail(bad)
-			got := row.sub.GetBatch(ctx, []keyspace.Key{a, bad, b, bad}, row.parallel)
+			got := row.sub.GetBatch(ctx, []keyspace.Key{a, bad, b, bad}, nil, row.parallel)
 			if !errors.Is(got[1].Err, errFault) || !errors.Is(got[3].Err, errFault) {
 				t.Errorf("the broken key read %v / %v, want the fault", got[1], got[3])
 			}
@@ -281,6 +281,28 @@ func TestSubstrateContract(t *testing.T) {
 				t.Errorf("an unconditional answer read %v, want %v", entries, held)
 			case unchanged && entries != nil:
 				t.Errorf("an unchanged answer shipped %v", entries)
+			}
+		}},
+		{"get-batch-unless", func(t *testing.T, row contractRow) {
+			held := store(t, row.sub, "batch-held", "h1", "h2")
+			plain := store(t, row.sub, "batch-plain", "p1")
+			heldSet, _, err := row.sub.GetCtx(ctx, held)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := row.sub.GetBatch(ctx, []keyspace.Key{held, plain, key("batch-empty")},
+				[]uint64{overlay.Digest(heldSet), 0, 0}, row.parallel)
+			if r := got[0]; r.Err != nil || r.Unchanged != row.conditional ||
+				(r.Unchanged && r.Entries != nil) || (!r.Unchanged && !slices.Equal(sorted(r.Entries), sorted(heldSet))) {
+				t.Errorf("the offered key read %+v, want unchanged = %v", r, row.conditional)
+			}
+			for _, r := range got[1:] {
+				if r.Err != nil || r.Unchanged {
+					t.Errorf("a key offered nothing read %+v", r)
+				}
+			}
+			if len(got[1].Entries) != 1 || len(got[2].Entries) != 0 {
+				t.Errorf("unoffered keys read %v and %v", got[1].Entries, got[2].Entries)
 			}
 		}},
 	}

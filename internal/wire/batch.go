@@ -182,23 +182,30 @@ func (c *Cluster) sweepFollowers(ctx context.Context, owner string, kv []KeyEntr
 
 // GetBatch implements overlay.Substrate: every distinct key goes
 // to its presumed owner in one OpGetBatch per owner, at most parallel
-// of them in flight. The batch is an optimisation over GetCtx, never a
-// second read protocol: a node answers only the keys it owns, and every
-// key left unanswered — the owner disclaimed it, or the group's RPC
-// failed — is read again through the single-key GetCtx, which brings
-// its node-side forwarding, routed fallback, replica failover and
-// hedging along. A key therefore fails exactly when GetCtx fails for
-// it, and an empty result always means an owner (or replica) said so.
-func (c *Cluster) GetBatch(ctx context.Context, keys []keyspace.Key, parallel int) []overlay.GetResult {
+// of them in flight, and a key with a non-zero offer offers its owner
+// that digest, as GetUnlessCtx does. The batch is an optimisation over
+// the single-key read, never a second read protocol: a node answers
+// only the keys it owns, and every key left unanswered — the owner
+// disclaimed it, or the group's RPC failed — is read again through the
+// single-key path, conditional on the same offer, which brings its
+// node-side forwarding, routed fallback, replica failover and hedging
+// along. A key therefore fails exactly when GetCtx fails for it, and an
+// empty result always means an owner (or replica) said so. A repeated
+// key is read once, with the offer at its first position.
+func (c *Cluster) GetBatch(ctx context.Context, keys []keyspace.Key, offers []uint64, parallel int) []overlay.GetResult {
 	out := make([]overlay.GetResult, len(keys))
 	// at maps each distinct key to its first position in keys; results
 	// are written there and copied to the key's repeats at the end.
 	at := make(map[keyspace.Key]int, len(keys))
 	kv := make([]KeyEntries, 0, len(keys))
+	offered := 0
 	for i, k := range keys {
 		if _, dup := at[k]; !dup {
 			at[k] = i
 			kv = append(kv, KeyEntries{Key: k})
+			if offers != nil && offers[i] != 0 {
+				offered++
+			}
 		}
 	}
 	groups, err := c.groupPresumed(kv)
@@ -210,10 +217,19 @@ func (c *Cluster) GetBatch(ctx context.Context, keys []keyspace.Key, parallel in
 	}
 	c.batchGetRPCs.Add(int64(len(groups)))
 	c.batchGetKeys.Add(int64(len(kv)))
+	c.getOffers.Add(int64(offered))
 	// Groups hold disjoint keys, so they write disjoint elements of out.
 	_ = c.forEachOwner(groups, parallel, func(owner string, kv []KeyEntries) error {
-		for i, r := range c.getGroup(ctx, owner, kv) {
-			out[at[kv[i].Key]] = r
+		plain, digests := kv, []KeyDigest(nil)
+		if offered > 0 {
+			plain, digests = splitOffers(kv, func(k keyspace.Key) uint64 { return offers[at[k]] })
+		}
+		for i, r := range c.getGroup(ctx, owner, plain, digests) {
+			if i < len(plain) {
+				out[at[plain[i].Key]] = r
+			} else {
+				out[at[digests[i-len(plain)].Key]] = r
+			}
 		}
 		return nil
 	})
@@ -223,35 +239,84 @@ func (c *Cluster) GetBatch(ctx context.Context, keys []keyspace.Key, parallel in
 	return out
 }
 
+// splitOffers splits one owner's keys, in order, into those read
+// plainly and those offered a digest (offerOf not 0).
+func splitOffers(kv []KeyEntries, offerOf func(keyspace.Key) uint64) (plain []KeyEntries, offered []KeyDigest) {
+	n := 0
+	for _, item := range kv {
+		if offerOf(item.Key) != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return kv, nil
+	}
+	plain, offered = make([]KeyEntries, 0, len(kv)-n), make([]KeyDigest, 0, n)
+	for _, item := range kv {
+		if offer := offerOf(item.Key); offer != 0 {
+			offered = append(offered, KeyDigest{Key: item.Key, Digest: offer})
+		} else {
+			plain = append(plain, item)
+		}
+	}
+	return plain, offered
+}
+
 // getGroup reads one owner's keys with a single OpGetBatch and returns
-// one result per element of kv. The reply lists the keys the node owns
-// in request order; whatever it leaves out takes the single-key path.
-func (c *Cluster) getGroup(ctx context.Context, owner string, kv []KeyEntries) []overlay.GetResult {
-	resp, err := c.callCtx(ctx, owner, Message{Op: OpGetBatch, KV: kv})
+// one result per key, the plain keys' first and the offered keys'
+// after, in the order given. Each key travels once: a plain key in the
+// request's KV, an offered one with its digest in its Digests. The
+// reply's KV lists the keys the node owns and answers with their
+// entries, in request order: the plain keys, then the offered keys
+// whose set changed. Its Digests lists, in request order and with the
+// digest echoed, the offered keys whose set still has it, so an owned
+// key that holds nothing (listed in KV, empty) cannot read as
+// unchanged. A verdict on a key that offered nothing, or on another
+// digest, is refused (errUnofferedVerdict). Whatever the reply leaves
+// out takes the single-key path.
+func (c *Cluster) getGroup(ctx context.Context, owner string, plain []KeyEntries, offered []KeyDigest) []overlay.GetResult {
+	resp, err := c.callCtx(ctx, owner, Message{Op: OpGetBatch, KV: plain, Digests: offered})
 	if err == nil {
 		err = remoteError(resp)
 	}
 	var answered []KeyEntries
+	var verdicts []KeyDigest
 	if err == nil {
-		answered = resp.KV
+		answered, verdicts = resp.KV, resp.Digests
 	}
 	hops := c.hops.Load()
-	out := make([]overlay.GetResult, len(kv))
-	for i, item := range kv {
+	out := make([]overlay.GetResult, len(plain)+len(offered))
+	for i := range out {
+		var key keyspace.Key
+		var offer uint64
+		if i < len(plain) {
+			key = plain[i].Key
+		} else {
+			key, offer = offered[i-len(plain)].Key, offered[i-len(plain)].Digest
+		}
 		r := &out[i]
 		switch {
-		case len(answered) > 0 && answered[0].Key == item.Key:
+		case len(verdicts) > 0 && verdicts[0].Key == key:
+			if offer == 0 || verdicts[0].Digest != offer {
+				r.Err = errUnofferedVerdict
+			} else {
+				r.Unchanged, r.Route.Node = true, resp.Addr
+				hops.Observe(0)
+			}
+			verdicts = verdicts[1:]
+		case len(answered) > 0 && answered[0].Key == key:
 			r.Entries, r.Route.Node = trimEntries(answered[0].Entries), resp.Addr
 			answered = answered[1:]
 			hops.Observe(0)
 		case errors.Is(err, ErrOverload):
 			// The owner is alive and shedding: as in GetCtx, it is neither
-			// asked again nor routed around — its replicas are read.
-			if r.Entries, r.Route, r.Err = c.failoverGet(ctx, item.Key, owner); r.Err != nil {
+			// asked again nor routed around — its replicas are read,
+			// unconditionally.
+			if r.Entries, r.Route, r.Err = c.failoverGet(ctx, key, owner); r.Err != nil {
 				r.Err = err
 			}
 		default:
-			r.Entries, r.Route, r.Err = c.GetCtx(ctx, item.Key)
+			r.Entries, r.Route, r.Unchanged, r.Err = c.get(ctx, key, offer)
 		}
 	}
 	return out

@@ -69,7 +69,7 @@ func TestGetBatchOneRPCPerOwner(t *testing.T) {
 		owners[route.Node] = true
 	}
 
-	got := cluster.GetBatch(context.Background(), keys, 8)
+	got := cluster.GetBatch(context.Background(), keys, nil, 8)
 
 	sent := rec.take()
 	if counts := opCounts(sent); len(sent) != len(owners) || counts[OpGetBatch] != len(owners) {
@@ -98,11 +98,11 @@ func TestGetBatchOneRPCPerOwner(t *testing.T) {
 		t.Fatalf("dht_lookup_hops: %d observations summing to %v, want %d of 0 hops", h.Count(), h.Sum(), distinct)
 	}
 
-	if got := cluster.GetBatch(context.Background(), nil, 8); len(got) != 0 || len(rec.take()) != 0 {
+	if got := cluster.GetBatch(context.Background(), nil, nil, 8); len(got) != 0 || len(rec.take()) != 0 {
 		t.Fatalf("an empty batch returned %v or sent something", got)
 	}
 	empty := NewCluster(mt, 1, 0)
-	for _, r := range empty.GetBatch(context.Background(), keys[:2], 8) {
+	for _, r := range empty.GetBatch(context.Background(), keys[:2], nil, 8) {
 		if !errors.Is(r.Err, errNoMembers) {
 			t.Fatalf("a memberless cluster answered %+v", r)
 		}
@@ -136,7 +136,7 @@ func TestGetBatchStaleView(t *testing.T) {
 	}
 	before := totalForwards(nodes)
 
-	got := stale.GetBatch(context.Background(), keys, 8)
+	got := stale.GetBatch(context.Background(), keys, nil, 8)
 
 	for i, k := range keys {
 		route, _ := full.FindOwner(k)
@@ -184,7 +184,7 @@ func TestGetBatchCrashedOwner(t *testing.T) {
 				ft.Crash(addr)
 			}
 
-			got := cluster.GetBatch(context.Background(), keys, 8)
+			got := cluster.GetBatch(context.Background(), keys, nil, 8)
 
 			lost := 0
 			for i, k := range keys {
@@ -243,7 +243,7 @@ func TestGetBatchOverloadedOwner(t *testing.T) {
 		cluster.Track(addr)
 	}
 
-	got := cluster.GetBatch(context.Background(), keys, 8)
+	got := cluster.GetBatch(context.Background(), keys, nil, 8)
 
 	shed := 0
 	for i, k := range keys {
@@ -277,7 +277,7 @@ func TestGetBatchOverloadedOwner(t *testing.T) {
 	for _, addr := range full.Addrs() {
 		all.Track(addr)
 	}
-	for i, r := range all.GetBatch(context.Background(), keys[:4], 8) {
+	for i, r := range all.GetBatch(context.Background(), keys[:4], nil, 8) {
 		if !errors.Is(r.Err, ErrOverload) {
 			t.Fatalf("key %d on an all-shedding ring: %+v, want ErrOverload", i, r)
 		}
@@ -302,7 +302,7 @@ func TestGetBatchIgnoresUnaskedReplyKeys(t *testing.T) {
 	})
 	cluster := NewCluster(ft, 1, 0)
 	cluster.Track("only-member")
-	for i, r := range cluster.GetBatch(context.Background(), asked, 8) {
+	for i, r := range cluster.GetBatch(context.Background(), asked, nil, 8) {
 		if r.Err != nil || len(r.Entries) != 1 || r.Entries[0] != real {
 			t.Fatalf("key %d: %+v, want the single-key path's entry", i, r)
 		}

@@ -269,7 +269,10 @@ func BenchmarkPublish(b *testing.B) {
 // corpus from a one-constraint query: the walk that looks its frontier
 // up one key at a time (Parallelism 1) against the one that fetches each
 // level in one owner-grouped GetBatch (Parallelism 8). The tcp cases
-// run alone on a 4-node loopback ring. The mem cases walk an author's
+// run alone on a 4-node loopback ring, and report the bytes the client
+// sends and receives per search (B/search: every read offers the digest
+// of the list it keeps, so a warm search ships verdicts, not lists,
+// DESIGN.md §42). The mem cases walk an author's
 // articles on a 32-node MemTransport ring of 2,000 articles while a
 // second client runs directed finds without pause, as
 // query_cached_mem's other client does, so that every core is busy
@@ -293,9 +296,15 @@ func BenchmarkSearchAllParallel(b *testing.B) {
 			prolific = a
 		}
 	}
-	search := func(b *testing.B, searcher *index.Searcher, query xpath.Query) {
+	// search times query; wireBytes, when set, counts the client's
+	// bytes on the wire.
+	search := func(b *testing.B, searcher *index.Searcher, query xpath.Query, wireBytes func() int64) {
 		if _, _, err := searcher.SearchAll(query); err != nil {
 			b.Fatalf("warmup search: %v", err)
+		}
+		var before int64
+		if wireBytes != nil {
+			before = wireBytes()
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -307,9 +316,20 @@ func BenchmarkSearchAllParallel(b *testing.B) {
 				b.Fatal("search returned nothing")
 			}
 		}
+		if wireBytes != nil {
+			b.ReportMetric(float64(wireBytes()-before)/float64(b.N), "B/search")
+		}
 	}
 	tcp := func(b *testing.B, parallelism int) {
-		cluster := startBenchRing(b, 4, wire.NewTCPTransport())
+		ring := startBenchRing(b, 4, wire.NewTCPTransport())
+		// The client has a transport of its own, so its byte counts
+		// leave out the ring's maintenance traffic.
+		client := wire.NewTCPTransport()
+		b.Cleanup(client.CloseConnections)
+		cluster := wire.NewCluster(client, 5, 0)
+		for _, addr := range ring.Addrs() {
+			cluster.Track(addr)
+		}
 		svc := index.New(cluster, cache.None, 0)
 		for i, a := range tcpCorpus.Articles {
 			if err := svc.PublishArticle(fmt.Sprintf("s-%d.pdf", i), a, index.Complex); err != nil {
@@ -318,7 +338,10 @@ func BenchmarkSearchAllParallel(b *testing.B) {
 		}
 		searcher := index.NewSearcher(svc)
 		searcher.Parallelism = parallelism
-		search(b, searcher, dataset.ConfQuery(tcpCorpus.Articles[0].Conf))
+		search(b, searcher, dataset.ConfQuery(tcpCorpus.Articles[0].Conf), func() int64 {
+			stats := client.PoolStats()
+			return stats.BytesSent + stats.BytesReceived
+		})
 	}
 	mem := func(b *testing.B, parallelism int) {
 		ring, err := wire.StartMemRing(32, 1, 5)
@@ -356,7 +379,7 @@ func BenchmarkSearchAllParallel(b *testing.B) {
 			close(stop)
 			<-done
 		}()
-		search(b, searcher, dataset.AuthorQuery(prolific.AuthorFirst, prolific.AuthorLast))
+		search(b, searcher, dataset.AuthorQuery(prolific.AuthorFirst, prolific.AuthorLast), nil)
 	}
 	b.Run("sequential", func(b *testing.B) { tcp(b, 1) })
 	b.Run("parallel-8", func(b *testing.B) { tcp(b, 8) })

@@ -71,6 +71,14 @@ func codecMessages() []Message {
 		// set the client holds, and the owner's unchanged verdict.
 		{Op: OpGet, Key: k1, TTL: 32, BudgetMicros: 2500, Digests: []KeyDigest{{Key: k1, Digest: 0x8000000000000001}}},
 		{Op: OpGet, Code: CodeUnchanged, Ok: true, Addr: "127.0.0.1:9003", Hops: 1},
+		// A conditional batched read: each offered key travels once, in
+		// Digests, the others in KV. The reply lists the unoffered and
+		// changed keys with their entries in KV, and the unchanged ones
+		// in Digests, each with the digest it was offered.
+		{Op: OpGetBatch, BudgetMicros: 900, KV: []KeyEntries{{Key: k2}}, Digests: []KeyDigest{{Key: k1, Digest: 0x8000000000000001}}},
+		{Op: OpGetBatch, Ok: true, Addr: "127.0.0.1:9002",
+			KV:      []KeyEntries{{Key: k2, Entries: []overlay.Entry{{Kind: "index", Value: "/article[author[last/Turing]]"}}}},
+			Digests: []KeyDigest{{Key: k1, Digest: 0x8000000000000001}}},
 	}
 }
 

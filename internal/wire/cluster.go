@@ -149,7 +149,7 @@ func NewCluster(transport Transport, seed int64, replication int) *Cluster {
 		ownerFallbacks: telemetry.NewCounter("wire_owner_fallbacks_total",
 			"Single-key operations that fell back from the presumed owner to Chord-routed resolution."),
 		getOffers: telemetry.NewCounter("wire_get_offers_total",
-			"Conditional gets: reads that offered the owner the digest of a set the client holds."),
+			"Conditional gets: keys read, alone or in a batch, with an offer to the owner of the digest of a set the client holds."),
 	}
 }
 

@@ -188,7 +188,9 @@ func (v verdictTransport) Call(addr string, req Message) (Message, error) {
 
 // TestUnofferedVerdictIsRefused: an unchanged verdict to a read that
 // offered nothing names no set; it must fail the read, never read as
-// an empty key.
+// an empty key. In a batch the verdict is per key: one on a key the
+// batch offered nothing for, or one naming a digest other than the
+// key's offer, fails that key alone.
 func TestUnofferedVerdictIsRefused(t *testing.T) {
 	_, nodes, mt := startBatchRing(t, 3, 0)
 	key := keyspace.NewKey("unoffered")
@@ -206,6 +208,12 @@ func TestUnofferedVerdictIsRefused(t *testing.T) {
 	if entries, _, err := faulty.Get(key); !errors.Is(err, errUnofferedVerdict) {
 		t.Fatalf("unoffered verdict read as %v, %v; want %v", entries, err, errUnofferedVerdict)
 	}
+	var members []string
+	for _, n := range nodes {
+		members = append(members, n.Addr())
+	}
+	checkBatchVerdictsRefused(t, mt, members, false)
+	checkBatchVerdictsRefused(t, mt, members, true)
 }
 
 // TestRepairFindsDivergence: the repair digest, read off the stores,

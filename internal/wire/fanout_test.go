@@ -114,7 +114,7 @@ func TestInProcessBatchesStartNoWorker(t *testing.T) {
 	if err := cluster.PutBatch(ctx, items); err != nil {
 		t.Fatalf("PutBatch: %v", err)
 	}
-	for i, r := range cluster.GetBatch(ctx, keys, 8) {
+	for i, r := range cluster.GetBatch(ctx, keys, nil, 8) {
 		if r.Err != nil || len(r.Entries) != 1 {
 			t.Fatalf("key %d: %v %v", i, r.Entries, r.Err)
 		}
@@ -139,7 +139,7 @@ func TestNetworkGroupsOverlap(t *testing.T) {
 	_, keys := spreadItems(t, cluster, "overlap", len(nodes))
 	ft.SetDefaultRule(wire.FaultRule{Latency: latency})
 	start := time.Now()
-	for i, r := range cluster.GetBatch(context.Background(), keys, 8) {
+	for i, r := range cluster.GetBatch(context.Background(), keys, nil, 8) {
 		if r.Err != nil {
 			t.Fatalf("key %d: %v", i, r.Err)
 		}

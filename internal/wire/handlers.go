@@ -312,11 +312,22 @@ func (n *Node) handleGet(req Message) Message {
 	if resp, done := n.forwardForeign(req); done {
 		return resp
 	}
-	if offer := offerDigest(req); offer != 0 && n.store.Digest(req.Key) == offer {
-		n.getUnchanged.Inc()
+	entries, unchanged := n.readUnless(req.Key, offerDigest(req))
+	if unchanged {
 		return Message{Op: req.Op, Code: CodeUnchanged, Ok: true, Addr: n.addr, Hops: req.Hops}
 	}
-	return Message{Op: req.Op, Entries: n.store.Get(req.Key), Ok: true, Addr: n.addr, Hops: req.Hops}
+	return Message{Op: req.Op, Entries: entries, Ok: true, Addr: n.addr, Hops: req.Hops}
+}
+
+// readUnless reads key for a get that offers offer (0 for none): nil
+// and true when the offer equals the key's stored digest, else the
+// key's entries.
+func (n *Node) readUnless(key keyspace.Key, offer uint64) ([]overlay.Entry, bool) {
+	if offer != 0 && n.store.Digest(key) == offer {
+		n.getUnchanged.Inc()
+		return nil, true
+	}
+	return n.store.Get(key), false
 }
 
 // offerDigest returns the digest a conditional OpGet offers for its
@@ -328,20 +339,37 @@ func offerDigest(req Message) uint64 {
 	return req.Digests[0].Digest
 }
 
-// handleGetBatch serves the keys of a batched read that this node owns:
-// the reply's KV lists each key in (pred, self] with its entries — an
-// owned key that holds nothing is listed empty — in request order, and
-// Addr names this node. Foreign keys are left out, not forwarded: the
-// client re-reads each unanswered key through the single-key OpGet,
-// whose forwarding, fallback and failover already cover a stale view,
-// so a batch never fans out a second time from inside the ring.
+// handleGetBatch serves the keys of a batched read that this node owns,
+// in request order, and names this node in Addr. The reply's KV lists
+// each owned key of the request's KV with its entries (an owned key
+// that holds nothing is listed empty), then each owned key of the
+// request's Digests — keys that offer a digest, as a conditional OpGet
+// does — whose set no longer has it. The reply's Digests lists the
+// offered keys whose set still has it, the digest echoed, with no
+// entries. Foreign keys are left out, not forwarded: the client re-reads
+// each unanswered key through the single-key OpGet, whose forwarding,
+// fallback and failover already cover a stale view, so a batch never
+// fans out a second time from inside the ring.
 func (n *Node) handleGetBatch(req Message) Message {
 	owned, _ := n.splitForeign(req.KV)
-	kv := make([]KeyEntries, len(owned))
+	resp := Message{Op: req.Op, Ok: true, Addr: n.addr, KV: make([]KeyEntries, len(owned))}
 	for i, item := range owned {
-		kv[i] = KeyEntries{Key: item.Key, Entries: n.store.Get(item.Key)}
+		resp.KV[i] = KeyEntries{Key: item.Key, Entries: n.store.Get(item.Key)}
 	}
-	return Message{Op: req.Op, Ok: true, Addr: n.addr, KV: kv}
+	if len(req.Digests) > 0 {
+		resp.Digests = make([]KeyDigest, 0, len(req.Digests))
+	}
+	for _, offer := range req.Digests {
+		if !n.owns(offer.Key) {
+			continue
+		}
+		if entries, unchanged := n.readUnless(offer.Key, offer.Digest); unchanged {
+			resp.Digests = append(resp.Digests, offer)
+		} else {
+			resp.KV = append(resp.KV, KeyEntries{Key: offer.Key, Entries: entries})
+		}
+	}
+	return resp
 }
 
 // handlePut stores one entry at its owner and replicates it: the

@@ -485,7 +485,7 @@ type levelNet struct {
 	l   *ledger
 }
 
-func (n *levelNet) GetBatch(ctx context.Context, keys []keyspace.Key, parallel int) []overlay.GetResult {
+func (n *levelNet) GetBatch(ctx context.Context, keys []keyspace.Key, offers []uint64, parallel int) []overlay.GetResult {
 	owners := make(map[keyspace.Key]bool)
 	for _, k := range keys {
 		i := sort.Search(len(n.ids), func(i int) bool { return n.ids[i].Cmp(k) >= 0 })
@@ -493,7 +493,7 @@ func (n *levelNet) GetBatch(ctx context.Context, keys []keyspace.Key, parallel i
 	}
 	n.l.note("batched_reads", 1)
 	n.l.note("owner_groups", len(owners))
-	return n.Cluster.GetBatch(ctx, keys, parallel)
+	return n.Cluster.GetBatch(ctx, keys, offers, parallel)
 }
 
 // querySection is one read workload: the paper's query mix over a

@@ -213,7 +213,7 @@ func Start(cfg Config) (*Node, error) {
 		ownerForwards: telemetry.NewCounter("wire_owner_forwards_total",
 			"Owner-addressed single-key requests forwarded to the routed owner because the key was foreign."),
 		getUnchanged: telemetry.NewCounter("wire_get_unchanged_total",
-			"Conditional gets answered \"unchanged\": the key's set had the digest the client offered, so no entries were shipped."),
+			"Conditional gets answered \"unchanged\", batched keys included: the key's set had the digest the client offered, so no entries were shipped."),
 		adoptions: telemetry.NewCounter("wire_stabilize_adoptions_total",
 			"Successors adopted by stabilize walk steps."),
 		hints: telemetry.NewCounter("wire_predecessor_hints_total",
