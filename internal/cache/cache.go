@@ -7,6 +7,8 @@ package cache
 
 import (
 	"container/list"
+	"slices"
+	"strings"
 
 	"dhtindex/internal/telemetry"
 )
@@ -46,13 +48,17 @@ func (p Policy) String() string {
 }
 
 // Store holds the shortcut entries of one node. A "cached key" in the
-// paper's accounting is one (query → target) pair. The zero Store is not
-// usable; construct with NewStore.
-type Store struct {
+// paper's accounting is one (query → target) pair, named by the
+// canonical forms of both; a target is kept as a T of form form(t).
+// The zero Store is not usable; construct with NewStore or NewStoreOf.
+type Store[T any] struct {
 	capacity int // 0 = unbounded
+	form     func(T) string
 	order    *list.List
 	byPair   map[pair]*list.Element
-	byQuery  map[string]map[string]bool // query -> set of targets
+	// byQuery holds each query's targets in canonical-form order, cap ==
+	// len. A stored slice is replaced, never modified.
+	byQuery map[string][]T
 	// evictions is nil unless SetEvictionCounter was called; Inc on a
 	// nil counter is a no-op.
 	evictions *telemetry.Counter
@@ -62,14 +68,20 @@ type pair struct {
 	query, target string
 }
 
-// NewStore creates a shortcut store. capacity 0 means unbounded; the
-// paper's LRU policies use 10, 20 and 30.
-func NewStore(capacity int) *Store {
-	return &Store{
+// NewStore creates a shortcut store of canonical forms. capacity 0 means
+// unbounded; the paper's LRU policies use 10, 20 and 30.
+func NewStore(capacity int) *Store[string] {
+	return NewStoreOf(capacity, func(s string) string { return s })
+}
+
+// NewStoreOf creates a shortcut store of T values, as NewStore does.
+func NewStoreOf[T any](capacity int, form func(T) string) *Store[T] {
+	return &Store[T]{
 		capacity: capacity,
+		form:     form,
 		order:    list.New(),
 		byPair:   make(map[pair]*list.Element),
-		byQuery:  make(map[string]map[string]bool),
+		byQuery:  make(map[string][]T),
 	}
 }
 
@@ -77,8 +89,8 @@ func NewStore(capacity int) *Store {
 // entry was created (false when the pair was already cached, in which case
 // it is only freshened). When the store is full, the least-recently-used
 // entry is evicted first.
-func (s *Store) Add(query, target string) bool {
-	p := pair{query: query, target: target}
+func (s *Store[T]) Add(query string, target T) bool {
+	p := pair{query: query, target: s.form(target)}
 	if el, ok := s.byPair[p]; ok {
 		s.order.MoveToFront(el)
 		return false
@@ -86,75 +98,56 @@ func (s *Store) Add(query, target string) bool {
 	if s.capacity > 0 && s.order.Len() >= s.capacity {
 		s.evictOldest()
 	}
-	el := s.order.PushFront(p)
-	s.byPair[p] = el
+	s.byPair[p] = s.order.PushFront(p)
 	targets := s.byQuery[query]
-	if targets == nil {
-		targets = make(map[string]bool)
-		s.byQuery[query] = targets
-	}
-	targets[target] = true
+	i, _ := slices.BinarySearchFunc(targets, p.target, s.compareForm)
+	s.byQuery[query] = slices.Clip(slices.Concat(targets[:i], []T{target}, targets[i:]))
 	return true
 }
 
+func (s *Store[T]) compareForm(t T, form string) int { return strings.Compare(s.form(t), form) }
+
 // SetEvictionCounter makes the store count LRU evictions on c (pass the
 // shared telemetry counter; nil disables counting again).
-func (s *Store) SetEvictionCounter(c *telemetry.Counter) { s.evictions = c }
+func (s *Store[T]) SetEvictionCounter(c *telemetry.Counter) { s.evictions = c }
 
-func (s *Store) evictOldest() {
-	back := s.order.Back()
-	if back == nil {
-		return
-	}
-	p, ok := back.Value.(pair)
-	if !ok {
-		return
-	}
+func (s *Store[T]) evictOldest() {
+	p := s.order.Remove(s.order.Back()).(pair)
 	s.evictions.Inc()
-	s.order.Remove(back)
 	delete(s.byPair, p)
-	if targets := s.byQuery[p.query]; targets != nil {
-		delete(targets, p.target)
-		if len(targets) == 0 {
-			delete(s.byQuery, p.query)
-		}
+	targets := s.byQuery[p.query]
+	if len(targets) == 1 {
+		delete(s.byQuery, p.query)
+		return
 	}
+	i, _ := slices.BinarySearchFunc(targets, p.target, s.compareForm)
+	s.byQuery[p.query] = slices.Clip(slices.Concat(targets[:i], targets[i+1:]))
 }
 
-// Targets returns the cached target descriptors for a query (the node's
-// response from its cache). The result order is unspecified; callers that
-// serialize responses should sort. Reading does not refresh recency — only
-// Touch does, when a shortcut is actually followed.
-func (s *Store) Targets(query string) []string {
-	targets := s.byQuery[query]
-	if len(targets) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(targets))
-	for tgt := range targets {
-		out = append(out, tgt)
-	}
-	return out
-}
+// Targets returns the cached targets for a query (the node's response
+// from its cache) in canonical-form order. The slice is the store's own,
+// read-only, and stays unchanged whatever the store does later. Reading
+// does not refresh recency — only Touch does, when a shortcut is
+// actually followed.
+func (s *Store[T]) Targets(query string) []T { return s.byQuery[query] }
 
-// Contains reports whether the exact shortcut pair is cached.
-func (s *Store) Contains(query, target string) bool {
+// Contains reports whether the exact shortcut pair is cached; target is
+// its canonical form.
+func (s *Store[T]) Contains(query, target string) bool {
 	_, ok := s.byPair[pair{query: query, target: target}]
 	return ok
 }
 
-// Touch freshens the recency of a shortcut that was just followed.
-func (s *Store) Touch(query, target string) {
+// Touch freshens the recency of a shortcut that was just followed;
+// target is its canonical form.
+func (s *Store[T]) Touch(query, target string) {
 	if el, ok := s.byPair[pair{query: query, target: target}]; ok {
 		s.order.MoveToFront(el)
 	}
 }
 
 // Len returns the number of cached shortcut pairs ("cached keys").
-func (s *Store) Len() int { return s.order.Len() }
+func (s *Store[T]) Len() int { return s.order.Len() }
 
 // Full reports whether a bounded store is at capacity.
-func (s *Store) Full() bool { return s.capacity > 0 && s.order.Len() >= s.capacity }
-
-// Capacity returns the configured bound (0 = unbounded).
-func (s *Store) Capacity() int { return s.capacity }
+func (s *Store[T]) Full() bool { return s.capacity > 0 && s.order.Len() >= s.capacity }

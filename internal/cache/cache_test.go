@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -95,6 +96,37 @@ func TestEvictionMaintainsQueryIndex(t *testing.T) {
 	if len(got) != 1 || got[0] != "t2" {
 		t.Fatalf("Targets after eviction = %v, want [t2]", got)
 	}
+}
+
+// TestHeldTargetsNeverChange: a Targets slice is the store's own, so a
+// holder must see it unchanged after a later Add to the same query and
+// an eviction from it, which store new slices; each slice is in
+// canonical order with no spare capacity an append could write into.
+func TestHeldTargetsNeverChange(t *testing.T) {
+	s := NewStore(5)
+	s.Add("q", "t2")
+	s.Add("q", "t4")
+	s.Add("q", "t1")
+	s.Add("x", "u")
+	type held struct {
+		got, want []string
+	}
+	var holds []held
+	hold := func(when string, want ...string) {
+		t.Helper()
+		got := s.Targets("q")
+		holds = append(holds, held{got, want})
+		for _, h := range holds {
+			if !slices.Equal(h.got, h.want) || cap(h.got) != len(h.got) {
+				t.Fatalf("%s: held %v (cap %d), want %v (cap %d)", when, h.got, cap(h.got), h.want, len(h.want))
+			}
+		}
+	}
+	hold("three adds", "t1", "t2", "t4")
+	s.Add("q", "t3")
+	hold("an add inside the list", "t1", "t2", "t3", "t4")
+	s.Add("x", "v") // evicts (q, t2)
+	hold("an eviction", "t1", "t3", "t4")
 }
 
 func TestUnboundedNeverFull(t *testing.T) {

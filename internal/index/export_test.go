@@ -7,9 +7,12 @@ import (
 )
 
 // respondPerEntry is the reference respond is held to: the read path
-// before lists were kept per key (DESIGN.md §34). Every index entry is
-// parsed through the memo on every lookup into a fresh Index slice,
-// which is then sorted into canonical order when it arrived out of it.
+// before lists were kept per key (DESIGN.md §34) and before shortcut
+// stores held parsed targets (DESIGN.md §43). Every index entry is
+// parsed through the memo on every lookup into a fresh Index slice, and
+// every shortcut target's form is parsed anew into a fresh Cached
+// slice; both are then sorted into canonical order when they arrived
+// out of it.
 func (s *Service) respondPerEntry(q xpath.Query, got overlay.GetResult) (Response, error) {
 	if got.Err != nil {
 		return Response{}, got.Err
@@ -20,7 +23,9 @@ func (s *Service) respondPerEntry(q xpath.Query, got overlay.GetResult) (Respons
 	if s.policy != cache.None {
 		if nc := s.nodeCache(resp.Node); nc != nil {
 			nc.mu.Lock()
-			shortcuts = nc.store.Targets(q.String())
+			for _, target := range nc.store.Targets(q.String()) {
+				shortcuts = append(shortcuts, target.String())
+			}
 			nc.mu.Unlock()
 		}
 	}
@@ -49,7 +54,7 @@ func (s *Service) respondPerEntry(q xpath.Query, got overlay.GetResult) (Respons
 		}
 	}
 	for _, tgt := range shortcuts {
-		if target, ok := s.parseCached(tgt); ok {
+		if target, err := xpath.Parse(tgt); err == nil {
 			resp.Cached = append(resp.Cached, target)
 			resp.CachePortion += int64(len(tgt))
 		}

@@ -461,6 +461,38 @@ func TestSearchAllNonIndexedQuery(t *testing.T) {
 	}
 }
 
+// TestSearchAllGeneralizesPastShortcut: a find from a non-indexed
+// author+conference query leaves a shortcut on that key, to the article
+// it retrieved. An automated search of the same query must still
+// generalize and return the author's other article at that conference.
+func TestSearchAllGeneralizesPastShortcut(t *testing.T) {
+	svc, arts := fig1Service(t, Simple, cache.Single, 0)
+	second := arts[0]
+	second.Title, second.Year = "Multicast", 1995
+	if err := svc.PublishArticle("w.pdf", second, Simple); err != nil {
+		t.Fatal(err)
+	}
+	searcher := NewSearcher(svc)
+	q := dataset.AuthorConfQuery(second.AuthorFirst, second.AuthorLast, second.Conf)
+	if trace, err := searcher.Find(q, dataset.MSD(arts[0])); err != nil || !trace.Found {
+		t.Fatalf("find: %+v, %v", trace, err)
+	}
+	if resp, err := svc.Lookup(q); err != nil || len(resp.Index)+len(resp.Files) != 0 || len(resp.Cached) != 1 {
+		t.Fatalf("fixture: %s should hold one shortcut and nothing else: %+v, %v", q, resp, err)
+	}
+	results, trace, err := searcher.SearchAll(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, r := range results {
+		files = append(files, r.File)
+	}
+	if !trace.NonIndexed || fmt.Sprint(files) != "[w.pdf x.pdf]" {
+		t.Fatalf("search %s = %v (non-indexed %v), want [w.pdf x.pdf]", q, files, trace.NonIndexed)
+	}
+}
+
 func TestSearchAllPrunesIncompatibleBranches(t *testing.T) {
 	svc, _ := fig1Service(t, Simple, cache.None, 0)
 	searcher := NewSearcher(svc)

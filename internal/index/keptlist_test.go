@@ -95,7 +95,7 @@ func TestRespondMatchesPerEntryReference(t *testing.T) {
 	for i, q := range queries {
 		first := checkLookup(t, svc, q, "first lookup")
 		if i%3 == 0 && len(first.Index) > 0 {
-			svc.AddShortcut(first.Node, q, first.Index[len(first.Index)-1].String())
+			svc.AddShortcut(first.Node, q, first.Index[len(first.Index)-1])
 		}
 		second := checkLookup(t, svc, q, "second lookup")
 		if len(second.Index) >= 1 {

@@ -19,7 +19,7 @@ import (
 // the articles, which of them are live, and the (key, entry) pairs the
 // Simple scheme puts on the ring for them.
 //
-// Three rules the paper does not state are written down here:
+// Two rules the paper does not state are written down here:
 //   - A removal is final. An unpublish removes entries, and the ring
 //     keeps a tombstone for each, so a later put of the same pair is
 //     suppressed (DESIGN.md §15). An article is never published twice.
@@ -29,9 +29,6 @@ import (
 //     reach it.
 //   - A shortcut may outlive its target. Following one to an
 //     unpublished MSD finds no file, so it never yields a result.
-//   - A shortcut on a key that holds no index entry stops the automated
-//     search's generalization fallback: such a search returns what the
-//     shortcuts reach, and only its soundness is checked.
 type scanModel struct {
 	arts     []descriptor.Article
 	state    []int // unpublished (never published), live or removed
@@ -188,7 +185,7 @@ func oracleArticles(t *testing.T) []descriptor.Article {
 //   - Lookup(q) returns the index entries and files the model holds
 //     under q's key.
 //   - SearchAll(q) returns every live article q matches that is not
-//     shadowed (unless a shortcut stops the fallback), and nothing that is not live or that q does not match;
+//     shadowed, and nothing that is not live or that q does not match;
 //     nothing is left unresolved.
 //   - Find(q, t) retrieves t when t is live and not shadowed, and never
 //     retrieves an article that is not live.
@@ -254,15 +251,15 @@ func TestIndexAgainstScan(t *testing.T) {
 						i := rng.Intn(len(m.arts))
 						qs := oracleQueries(m.arts[i])
 						q := qs[rng.Intn(len(qs))]
-						complete := checkScanLookup(t, op, reader, m, q)
+						checkScanLookup(t, op, reader, m, q)
 						if r < 14 {
 							checkScanFind(t, op, seq, m, q, i)
 							count[2]++
 						} else {
 							// The batched search goes first, so the lists it
 							// offers are as stale as the sequence left them.
-							checkScanSearch(t, op, par, m, q, complete)
-							checkScanSearch(t, op, seq, m, q, complete)
+							checkScanSearch(t, op, par, m, q)
+							checkScanSearch(t, op, seq, m, q)
 							count[3]++
 						}
 					}
@@ -274,12 +271,8 @@ func TestIndexAgainstScan(t *testing.T) {
 	}
 }
 
-// checkScanLookup checks reader's lookup of q against the model, and
-// reports whether an automated search of q must be complete: a query
-// whose key holds no index entry or file is searched by generalizing
-// it, unless the key holds a shortcut, which stops the fallback at the
-// shortcut's targets.
-func checkScanLookup(t *testing.T, op int, svc *Service, m *scanModel, q xpath.Query) (complete bool) {
+// checkScanLookup checks reader's lookup of q against the model.
+func checkScanLookup(t *testing.T, op int, svc *Service, m *scanModel, q xpath.Query) {
 	t.Helper()
 	resp, err := svc.Lookup(q)
 	if err != nil {
@@ -295,12 +288,11 @@ func checkScanLookup(t *testing.T, op int, svc *Service, m *scanModel, q xpath.Q
 	if !slices.Equal(index, wantIndex) || !slices.Equal(files, wantFiles) {
 		t.Fatalf("op %d: lookup %s = index %q files %q, the model holds %q and %q", op, q, index, files, wantIndex, wantFiles)
 	}
-	return len(index)+len(files) > 0 || len(resp.Cached) == 0
 }
 
-// checkScanSearch checks one automated search against the model;
-// complete says whether it must return every live match.
-func checkScanSearch(t *testing.T, op int, searcher *Searcher, m *scanModel, q xpath.Query, complete bool) {
+// checkScanSearch checks one automated search against the model: it
+// must return every live match that is not shadowed, and nothing else.
+func checkScanSearch(t *testing.T, op int, searcher *Searcher, m *scanModel, q xpath.Query) {
 	t.Helper()
 	results, trace, err := searcher.SearchAll(q)
 	if err != nil || len(trace.Unresolved) > 0 {
@@ -315,7 +307,7 @@ func checkScanSearch(t *testing.T, op int, searcher *Searcher, m *scanModel, q x
 		}
 	}
 	for i, a := range m.arts {
-		if complete && m.state[i] == live && !m.shadowed[i] && q.Matches(a.Descriptor()) && !got[oracleFile(i)] {
+		if m.state[i] == live && !m.shadowed[i] && q.Matches(a.Descriptor()) && !got[oracleFile(i)] {
 			t.Fatalf("op %d: search %s at parallelism %d missed live %s (%s)", op, q, searcher.Parallelism, oracleFile(i), dataset.MSD(a))
 		}
 	}

@@ -99,21 +99,32 @@ func TestLookupResponseIndependentOfEntryOrder(t *testing.T) {
 // write, no key hash (DESIGN.md §34). Before lists were kept, each
 // lookup made its own Index slice: 384 B at 16 entries (under a ceiling
 // of 4 allocations), 13.5 KB at 512; a one-entry list was not kept
-// until DESIGN.md §42, and its lookup made a one-element slice.
+// until DESIGN.md §42, and its lookup made a one-element slice. The
+// serving node's shortcuts for q are served as its store holds them
+// (DESIGN.md §43); before, each lookup copied their forms out of the
+// store and parsed them into a fresh Cached slice.
 func TestLookupAllocCeiling(t *testing.T) {
 	for _, c := range []struct {
-		entries      int
-		ceiling, was float64
+		entries, shortcuts int
+		ceiling, was       float64
 	}{
-		{1, 0, 1},
-		{16, 0, 1},
-		{512, 0, 1},
+		{1, 0, 0, 1},
+		{16, 0, 0, 1},
+		{512, 0, 0, 1},
+		{16, 3, 0, 2},
 	} {
 		q := dataset.ConfQuery("SIGCOMM")
 		svc := New(&cannedNetwork{sets: map[keyspace.Key][]overlay.Entry{q.Key(): confYearEntries("SIGCOMM", c.entries)}}, cache.LRU, 30)
 		ctx := context.Background()
-		if resp, err := svc.LookupCtx(ctx, q); err != nil || len(resp.Index) != c.entries { // warms the memo and keeps the list
+		resp, err := svc.LookupCtx(ctx, q) // warms the memo and keeps the list
+		if err != nil || len(resp.Index) != c.entries {
 			t.Fatalf("lookup: %d entries, %v", len(resp.Index), err)
+		}
+		for _, target := range resp.Index[:c.shortcuts] {
+			svc.AddShortcut(resp.Node, q, target)
+		}
+		if resp, err := svc.LookupCtx(ctx, q); err != nil || len(resp.Cached) != c.shortcuts {
+			t.Fatalf("lookup: %d shortcuts, %v", len(resp.Cached), err)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
 			if _, err := svc.LookupCtx(ctx, q); err != nil {
@@ -121,7 +132,7 @@ func TestLookupAllocCeiling(t *testing.T) {
 			}
 		})
 		if allocs > c.ceiling {
-			t.Errorf("warm %d-entry lookup = %v allocs, want <= %v (was %v)", c.entries, allocs, c.ceiling, c.was)
+			t.Errorf("warm %d-entry lookup with %d shortcuts = %v allocs, want <= %v (was %v)", c.entries, c.shortcuts, allocs, c.ceiling, c.was)
 		}
 	}
 }
@@ -176,7 +187,7 @@ func TestServiceConcurrentReadPath(t *testing.T) {
 					t.Errorf("lookup %s: %d entries, %v", q, len(resp.Index), err)
 					return
 				}
-				target := resp.Index[g%years].String()
+				target := resp.Index[g%years]
 				svc.AddShortcut(resp.Node, q, target)
 				svc.TouchShortcut(resp.Node, q, target)
 				if stats := svc.CacheStats(); stats.Nodes != 1 {

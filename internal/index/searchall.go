@@ -87,8 +87,9 @@ walk:
 				}
 				trace.Found = true
 			}
-			if level == 0 && len(resp.Index)+len(resp.Cached)+len(resp.Files) == 0 {
-				// Original query not indexed: generalize, keep filtering by q.
+			if level == 0 && len(resp.Index)+len(resp.Files) == 0 {
+				// Original query not indexed: generalize, keep filtering by
+				// q, and follow the key's shortcuts too.
 				trace.NonIndexed = true
 				for _, g := range q.Generalizations() {
 					if form := g.String(); !seen[form] {
@@ -96,7 +97,6 @@ walk:
 						frontier = append(frontier, g)
 					}
 				}
-				continue
 			}
 			for _, next := range [2][]xpath.Query{resp.Index, resp.Cached} {
 				for _, cand := range next {

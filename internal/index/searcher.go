@@ -240,11 +240,11 @@ func (s *Searcher) FindCtx(ctx context.Context, q, target xpath.Query) (trace Tr
 				node, from := resp.Node, current
 				defer func() {
 					if !trace.Found {
-						s.svc.TouchShortcut(node, from, targetStr)
+						s.svc.TouchShortcut(node, from, target)
 					}
 				}()
 			} else {
-				s.svc.TouchShortcut(resp.Node, current, targetStr)
+				s.svc.TouchShortcut(resp.Node, current, target)
 			}
 			current = target
 			continue
@@ -276,7 +276,7 @@ func (s *Searcher) FindCtx(ctx context.Context, q, target xpath.Query) (trace Tr
 				path = append(path, visit{query: gen, node: resp.Node})
 				if hit := findEqual(resp.Cached, targetStr); !hit.IsZero() {
 					trace.CacheHit = true
-					s.svc.TouchShortcut(resp.Node, gen, targetStr)
+					s.svc.TouchShortcut(resp.Node, gen, target)
 					current = target
 					continue
 				}
@@ -388,13 +388,13 @@ func (s *Searcher) installShortcuts(trace *Trace, original xpath.Query, path []v
 			if v.query.String() == targetStr {
 				continue
 			}
-			if created, bytes := s.svc.AddShortcut(v.node, v.query, targetStr); created {
+			if created, bytes := s.svc.AddShortcut(v.node, v.query, target); created {
 				trace.CacheBytes += bytes
 			}
 		}
 	case cache.Single, cache.LRU:
 		if len(path) > 0 && path[0].query.String() != targetStr {
-			if created, bytes := s.svc.AddShortcut(path[0].node, path[0].query, targetStr); created {
+			if created, bytes := s.svc.AddShortcut(path[0].node, path[0].query, target); created {
 				trace.CacheBytes += bytes
 			}
 		}

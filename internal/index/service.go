@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
@@ -65,10 +64,10 @@ type Service struct {
 	// calls against one service. Its shared mutable state is split so
 	// that two lookups meet on a lock only when they touch the same
 	// node's shortcuts or the same shard: each node's shortcut store has
-	// its own lock, and the parse memo and the kept lists are each
-	// stateShards shards with a lock apiece. A lock is held for one
-	// store call or one map access, never across another lock, a
-	// substrate call, a list or a sort.
+	// its own lock, and the kept lists are stateShards shards with a
+	// lock apiece. The parse memo has one lock, which no warm lookup
+	// takes. A lock is held for one store call or one map access, never
+	// across another lock, a substrate call, a parse or a sort.
 
 	// caches maps a node's address to its shortcut store. Lookups load it
 	// without a lock; a node's first shortcut publishes a copy with its
@@ -76,20 +75,20 @@ type Service struct {
 	cachesMu sync.Mutex
 	caches   atomic.Pointer[map[string]*nodeCache]
 
-	// memo memoizes canonical-form parsing, sharded by a hash of the
-	// form: it parses a shortcut target, and an index entry when its
-	// key's list is rebuilt. It is read-mostly — once the index is warm
-	// every entry is a hit — so a shard is taken shared for a lookup and
-	// exclusively only to record a first-time parse. A canonical form
+	// memo interns parsed queries by form, so that kept lists and
+	// shortcut stores share one parse of a form: it parses an index entry
+	// when its key's list is rebuilt, and an installed shortcut keeps its
+	// parse of the target. Warm lookups do not read it. A canonical form
 	// and the query parsed from it share their bytes (xpath.Parse).
-	memo [stateShards]memoShard
+	memoMu sync.Mutex
+	memo   map[string]xpath.Query
 
 	// lists keeps, per key, the parsed index list of the last entry set
 	// read under it that held index entries, all canonical and in
 	// canonical order (the wire stores' order contract), sharded
 	// by the key's first byte. A lookup whose index entries equal a kept
 	// list's forms one for one serves that list as its Response.Index;
-	// any difference rebuilds it from the memo (DESIGN.md §34). With
+	// any difference rebuilds it through the memo (DESIGN.md §34). With
 	// each list goes the digest of the set it was built from, which a
 	// conditional lookup offers the key's owner: an "unchanged" answer
 	// serves the list with no entries read at all (DESIGN.md §37). A
@@ -107,29 +106,19 @@ type Service struct {
 	tel *svcTelemetry
 }
 
-// stateShards is how many shards the parse memo and the kept lists are
-// each split into (a power of two).
+// stateShards is how many shards the kept lists are split into (a power
+// of two).
 const stateShards = 64
-
-// memoSeed hashes a canonical form to its memo shard.
-var memoSeed = maphash.MakeSeed()
 
 // nodeCache is one node's shortcut store and the lock that guards it
 // (cache.Store is not safe for concurrent use by itself).
 type nodeCache struct {
 	mu    sync.Mutex
-	store *cache.Store
+	store *cache.Store[xpath.Query]
 }
 
-// memoShard is one shard of Service.memo. The padding keeps two shards'
+// listShard is one shard of Service.lists. The padding keeps two shards'
 // locks off one cache line.
-type memoShard struct {
-	mu     sync.RWMutex
-	parsed map[string]xpath.Query
-	_      [32]byte
-}
-
-// listShard is one shard of Service.lists, padded as memoShard is.
 type listShard struct {
 	mu    sync.RWMutex
 	lists map[keyspace.Key]keptList
@@ -228,10 +217,10 @@ func New(net overlay.Network, policy cache.Policy, lruCapacity int) *Service {
 		net:      overlay.AsSubstrate(net),
 		policy:   policy,
 		capacity: lruCapacity,
+		memo:     make(map[string]xpath.Query),
 	}
 	s.caches.Store(&map[string]*nodeCache{})
-	for i := range s.memo {
-		s.memo[i].parsed = make(map[string]xpath.Query)
+	for i := range s.lists {
 		s.lists[i].lists = make(map[keyspace.Key]keptList)
 	}
 	return s
@@ -336,7 +325,8 @@ type Response struct {
 	// for the same key and is read-only (its cap equals its len, so an
 	// append copies it).
 	Index []xpath.Query
-	// Cached lists shortcut targets from the node's adaptive cache.
+	// Cached lists shortcut targets from the node's adaptive cache, in
+	// canonical order. Like Index, it may be shared and is read-only.
 	Cached []xpath.Query
 	// Files lists file references when the asked query is a published MSD.
 	Files []string
@@ -434,9 +424,9 @@ func (s *Service) lookupBatch(ctx context.Context, qs []xpath.Query, parallel in
 }
 
 // respond turns one substrate read into the lookup's Response: the
-// node's shortcuts for q, the parsed index entries in canonical order
-// (see indexList), the file references and the byte accounting. It books
-// the lookup. kept is q's kept list as it stood when the read was
+// node's shortcuts for q as its store holds them, the parsed index
+// entries in canonical order (see indexList), the file references and
+// the byte accounting. It books the lookup. kept is q's kept list as it stood when the read was
 // issued, which offered its digest when that is not 0; got.Unchanged
 // says the owner answered that the key's set still has that digest, and
 // kept is then served as the key's whole set.
@@ -447,11 +437,10 @@ func (s *Service) respond(q xpath.Query, got overlay.GetResult, kept keptList) (
 	}
 	entries := got.Entries
 	resp.Node, resp.Hops = got.Route.Node, got.Route.Hops
-	var shortcuts []string
 	if s.policy != cache.None {
 		if nc := s.nodeCache(resp.Node); nc != nil {
 			nc.mu.Lock()
-			shortcuts = nc.store.Targets(q.String())
+			resp.Cached = nc.store.Targets(q.String())
 			nc.mu.Unlock()
 		}
 	}
@@ -479,16 +468,8 @@ func (s *Service) respond(q xpath.Query, got overlay.GetResult, kept keptList) (
 		// The key holds no index entry now: its list goes.
 		s.forget(overlay.KeyEntry{Key: q.Key()})
 	}
-	if len(shortcuts) > 0 {
-		resp.Cached = make([]xpath.Query, 0, len(shortcuts))
-		for _, tgt := range shortcuts {
-			if target, ok := s.parseCached(tgt); ok {
-				resp.Cached = append(resp.Cached, target)
-				resp.CachePortion += int64(len(tgt))
-			}
-		}
-		// A shortcut store lists targets in map order.
-		sortCanonical(resp.Cached)
+	for _, target := range resp.Cached {
+		resp.CachePortion += int64(len(target.String()))
 	}
 	resp.Bytes += resp.CachePortion
 	return resp, nil
@@ -627,21 +608,30 @@ func sortCanonical(qs []xpath.Query) {
 
 func compareForms(a, b xpath.Query) int { return strings.Compare(a.String(), b.String()) }
 
-// parseCached parses a canonical query string through the memo table.
-// No lock is held while it parses.
-func (s *Service) parseCached(canonical string) (xpath.Query, bool) {
-	sh := &s.memo[maphash.String(memoSeed, canonical)%stateShards]
-	sh.mu.RLock()
-	q, known := sh.parsed[canonical]
-	sh.mu.RUnlock()
+// parseCached parses a query string through the memo. No lock is held
+// while it parses.
+func (s *Service) parseCached(value string) (xpath.Query, bool) {
+	s.memoMu.Lock()
+	q, known := s.memo[value]
+	s.memoMu.Unlock()
 	if !known {
 		// An unparsable string memoizes the zero query (negative cache).
-		q, _ = xpath.Parse(canonical)
-		sh.mu.Lock()
-		sh.parsed[canonical] = q
-		sh.mu.Unlock()
+		parsed, _ := xpath.Parse(value)
+		q = s.intern(value, parsed)
 	}
 	return q, !q.IsZero()
+}
+
+// intern returns the memo's query for value, first recording q there if
+// the memo holds none.
+func (s *Service) intern(value string, q xpath.Query) xpath.Query {
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	if have, ok := s.memo[value]; ok {
+		return have
+	}
+	s.memo[value] = q
+	return q
 }
 
 // nodeCache returns the shortcut store of a node (nil if none exists).
@@ -662,7 +652,7 @@ func (s *Service) addNodeCache(nodeAddr string) *nodeCache {
 	if s.policy == cache.LRU {
 		capacity = s.capacity
 	}
-	nc := &nodeCache{store: cache.NewStore(capacity)}
+	nc := &nodeCache{store: cache.NewStoreOf(capacity, xpath.Query.String)}
 	nc.store.SetEvictionCounter(s.tel.evictionCounter())
 	caches := make(map[string]*nodeCache, len(old)+1)
 	for addr, c := range old {
@@ -675,8 +665,8 @@ func (s *Service) addNodeCache(nodeAddr string) *nodeCache {
 
 // AddShortcut installs the cache entry (q → target) on the given node,
 // returning whether a new entry was created and the bytes of cache
-// traffic it generated.
-func (s *Service) AddShortcut(nodeAddr string, q xpath.Query, target string) (bool, int64) {
+// traffic it generated. The store keeps the memo's parse of target.
+func (s *Service) AddShortcut(nodeAddr string, q, target xpath.Query) (bool, int64) {
 	if s.policy == cache.None {
 		return false, 0
 	}
@@ -684,21 +674,22 @@ func (s *Service) AddShortcut(nodeAddr string, q xpath.Query, target string) (bo
 	if nc == nil {
 		nc = s.addNodeCache(nodeAddr)
 	}
+	target = s.intern(target.String(), target)
 	nc.mu.Lock()
 	added := nc.store.Add(q.String(), target)
 	nc.mu.Unlock()
 	if added {
 		s.tel.recordShortcut()
-		return true, int64(len(target))
+		return true, int64(len(target.String()))
 	}
 	return false, 0
 }
 
 // TouchShortcut freshens a followed shortcut's LRU recency.
-func (s *Service) TouchShortcut(nodeAddr string, q xpath.Query, target string) {
+func (s *Service) TouchShortcut(nodeAddr string, q, target xpath.Query) {
 	if nc := s.nodeCache(nodeAddr); nc != nil {
 		nc.mu.Lock()
-		nc.store.Touch(q.String(), target)
+		nc.store.Touch(q.String(), target.String())
 		nc.mu.Unlock()
 	}
 }

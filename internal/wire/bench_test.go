@@ -26,6 +26,7 @@ import (
 	"dhtindex/internal/index"
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
+	"dhtindex/internal/telemetry"
 	"dhtindex/internal/wire"
 	"dhtindex/internal/workload"
 	"dhtindex/internal/xpath"
@@ -269,16 +270,19 @@ func BenchmarkPublish(b *testing.B) {
 // corpus from a one-constraint query: the walk that looks its frontier
 // up one key at a time (Parallelism 1) against the one that fetches each
 // level in one owner-grouped GetBatch (Parallelism 8). The tcp cases
-// run alone on a 4-node loopback ring, and report the bytes the client
-// sends and receives per search (B/search: every read offers the digest
-// of the list it keeps, so a warm search ships verdicts, not lists,
-// DESIGN.md §42). The mem cases walk an author's
+// search a conference of a 48-article corpus on three venues, whose
+// levels hold several queries, alone on a 4-node loopback ring. They
+// report the bytes the client sends and receives per search (B/search:
+// every read offers the digest of the list it keeps, so a warm search
+// ships verdicts, not lists, DESIGN.md §42), and the OpGetBatch
+// messages and the keys in them (batches/search, batchkeys/search),
+// which only parallel-8 sends. The mem cases walk an author's
 // articles on a 32-node MemTransport ring of 2,000 articles while a
 // second client runs directed finds without pause, as
 // query_cached_mem's other client does, so that every core is busy
 // when a level's owner groups are read (DESIGN.md §40).
 func BenchmarkSearchAllParallel(b *testing.B) {
-	tcpCorpus, err := dataset.Generate(dataset.Config{Articles: 48, Seed: 4})
+	tcpCorpus, err := dataset.Generate(dataset.Config{Articles: 48, Conferences: 3, Seed: 4})
 	if err != nil {
 		b.Fatalf("corpus: %v", err)
 	}
@@ -296,15 +300,15 @@ func BenchmarkSearchAllParallel(b *testing.B) {
 			prolific = a
 		}
 	}
-	// search times query; wireBytes, when set, counts the client's
-	// bytes on the wire.
-	search := func(b *testing.B, searcher *index.Searcher, query xpath.Query, wireBytes func() int64) {
+	// search times query, and reports how much each of counters rose
+	// per search, under the counter's unit.
+	search := func(b *testing.B, searcher *index.Searcher, query xpath.Query, counters map[string]func() int64) {
 		if _, _, err := searcher.SearchAll(query); err != nil {
 			b.Fatalf("warmup search: %v", err)
 		}
-		var before int64
-		if wireBytes != nil {
-			before = wireBytes()
+		before := make(map[string]int64, len(counters))
+		for unit, count := range counters {
+			before[unit] = count()
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -316,8 +320,8 @@ func BenchmarkSearchAllParallel(b *testing.B) {
 				b.Fatal("search returned nothing")
 			}
 		}
-		if wireBytes != nil {
-			b.ReportMetric(float64(wireBytes()-before)/float64(b.N), "B/search")
+		for unit, count := range counters {
+			b.ReportMetric(float64(count()-before[unit])/float64(b.N), unit)
 		}
 	}
 	tcp := func(b *testing.B, parallelism int) {
@@ -330,6 +334,8 @@ func BenchmarkSearchAllParallel(b *testing.B) {
 		for _, addr := range ring.Addrs() {
 			cluster.Track(addr)
 		}
+		reg := telemetry.NewRegistry()
+		cluster.Instrument(reg)
 		svc := index.New(cluster, cache.None, 0)
 		for i, a := range tcpCorpus.Articles {
 			if err := svc.PublishArticle(fmt.Sprintf("s-%d.pdf", i), a, index.Complex); err != nil {
@@ -338,9 +344,13 @@ func BenchmarkSearchAllParallel(b *testing.B) {
 		}
 		searcher := index.NewSearcher(svc)
 		searcher.Parallelism = parallelism
-		search(b, searcher, dataset.ConfQuery(tcpCorpus.Articles[0].Conf), func() int64 {
-			stats := client.PoolStats()
-			return stats.BytesSent + stats.BytesReceived
+		search(b, searcher, dataset.ConfQuery(tcpCorpus.Articles[0].Conf), map[string]func() int64{
+			"B/search": func() int64 {
+				stats := client.PoolStats()
+				return stats.BytesSent + stats.BytesReceived
+			},
+			"batches/search":   reg.Counter("wire_batch_get_rpcs_total", "").Value,
+			"batchkeys/search": reg.Counter("wire_batch_get_keys_total", "").Value,
 		})
 	}
 	mem := func(b *testing.B, parallelism int) {
