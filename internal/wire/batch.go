@@ -135,18 +135,97 @@ func (c *Cluster) removeBatch(ctx context.Context, items []overlay.KeyEntry) (re
 	return removed, emptied, err
 }
 
-// removeGroup ships one per-owner remove batch, sweeps the followers
-// its reply leaves out, and returns the reply.
+// removeGroup ships one per-owner remove batch, naming each entry by
+// digest and re-sending whole what the owner could not resolve
+// (sendRemoval), sweeps the followers the replies leave out, and
+// returns the replies folded into one.
 func (c *Cluster) removeGroup(ctx context.Context, owner string, kv []KeyEntries) (Message, error) {
-	resp, err := c.callCtx(ctx, owner, Message{Op: OpRemoveBatch, KV: kv, TTL: routeTTL})
-	if err == nil {
-		err = remoteError(resp)
-	}
+	whole, digests := nameByDigest(kv)
+	resp, err := sendRemoval(func(req Message) (Message, error) {
+		resp, err := c.callCtx(ctx, owner, req)
+		if err == nil {
+			err = remoteError(resp)
+		}
+		return resp, err
+	}, Message{Op: OpRemoveBatch, KV: whole, Digests: digests, TTL: routeTTL}, kv)
 	if err != nil {
 		return resp, err
 	}
 	c.sweepFollowers(ctx, owner, kv, resp.Addrs)
 	return resp, nil
+}
+
+// nameByDigest names each entry of kv by its key and overlay.EntryHash,
+// for a remove request's Digests (DESIGN.md §44): the receiver holds the
+// entries, so a digest is all it needs to find one. A key two of whose
+// entries hash alike could not have them told apart, so its entries
+// stay whole, in the returned KV.
+func nameByDigest(kv []KeyEntries) (whole []KeyEntries, digests []KeyDigest) {
+	n := 0
+	for _, item := range kv {
+		n += len(item.Entries)
+	}
+	digests = make([]KeyDigest, 0, n)
+	for _, item := range kv {
+		from := len(digests)
+		for _, e := range item.Entries {
+			d := KeyDigest{Key: item.Key, Digest: overlay.EntryHash(e)}
+			if slices.Contains(digests[from:], d) {
+				digests = digests[:from]
+				whole = append(whole, item)
+				break
+			}
+			digests = append(digests, d)
+		}
+	}
+	return whole, digests
+}
+
+// namedEntries lists whole the entries of kv that digests name, grouped
+// by key in kv's order. A digest that names no entry of kv is dropped.
+func namedEntries(kv []KeyEntries, digests []KeyDigest) []KeyEntries {
+	var out []KeyEntries
+	for _, item := range kv {
+		var entries []overlay.Entry
+		for _, e := range item.Entries {
+			h := overlay.EntryHash(e)
+			if slices.Contains(digests, KeyDigest{Key: item.Key, Digest: h}) {
+				entries = append(entries, e)
+			}
+		}
+		if entries != nil {
+			out = append(out, KeyEntries{Key: item.Key, Entries: entries})
+		}
+	}
+	return out
+}
+
+// sendRemoval sends req, a remove request naming kv's entries
+// (nameByDigest), through call, then re-sends whole, in one more
+// request of the same kind, the entries the reply lists unresolved in
+// its Digests. It returns the replies folded into one: Keys summed, the
+// emptied keys of both in KV, and in Addrs only the successors both
+// name — a replica counts as reached only once it has applied every
+// entry. A failure of either call is returned.
+func sendRemoval(call func(Message) (Message, error), req Message, kv []KeyEntries) (Message, error) {
+	resp, err := call(req)
+	if err != nil || len(resp.Digests) == 0 {
+		return resp, err
+	}
+	resend := namedEntries(kv, resp.Digests)
+	resp.Digests = nil
+	if len(resend) == 0 {
+		return resp, nil
+	}
+	again, err := call(Message{Op: req.Op, KV: resend, TTL: req.TTL})
+	if err != nil {
+		return again, err
+	}
+	again.Ok = again.Ok || resp.Ok
+	again.Keys += resp.Keys
+	again.KV = append(resp.KV, again.KV...)
+	again.Addrs = slices.DeleteFunc(again.Addrs, func(a string) bool { return !slices.Contains(resp.Addrs, a) })
+	return again, nil
 }
 
 // sweepFollowers completes a remove that owner served. The owner

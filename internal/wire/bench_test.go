@@ -158,22 +158,49 @@ func TestServerHandOffCost(t *testing.T) {
 }
 
 // startBenchRing boots a converged live ring over tp (loopback TCP or
-// MemTransport) and returns its cluster handle.
+// MemTransport) and returns its cluster handle. The nodes listen on
+// ports the system picks.
 func startBenchRing(b *testing.B, nodes int, tp wire.Transport) *wire.Cluster {
 	b.Helper()
 	addr := "127.0.0.1:0"
 	if _, mem := tp.(*wire.MemTransport); mem {
 		addr = "mem:0"
 	}
+	addrs := make([]string, nodes)
+	for i := range addrs {
+		addrs[i] = addr
+	}
+	return startBenchRingAt(b, tp, addrs, 0)
+}
+
+// spreadPorts are loopback addresses whose ring positions lie a quarter
+// of the ring apart, so that a four-node ring on them splits the key
+// space evenly and the same way on every boot.
+var spreadPorts = []string{"127.0.0.1:41000", "127.0.0.1:41162", "127.0.0.1:41311", "127.0.0.1:41250"}
+
+// startBenchRingAt is startBenchRing with one node listening on each of
+// addrs, each replicating its keys to replication successors. A node
+// whose fixed port is busy listens on one the system picks instead, and
+// says so in the log: that run's ring, and the rows that depend on it,
+// differ from the others'.
+func startBenchRingAt(b *testing.B, tp wire.Transport, addrs []string, replication int) *wire.Cluster {
+	b.Helper()
 	cluster := wire.NewCluster(tp, 5, 0)
 	var members []*wire.Node
 	var bootstrap string
-	for i := 0; i < nodes; i++ {
-		n, err := wire.Start(wire.Config{
+	for i, addr := range addrs {
+		cfg := wire.Config{
 			Transport:         tp,
 			Addr:              addr,
 			StabilizeInterval: 20 * time.Millisecond,
-		})
+			ReplicationFactor: replication,
+		}
+		n, err := wire.Start(cfg)
+		if host, port, _ := net.SplitHostPort(addr); err != nil && port != "0" {
+			b.Logf("node %d: %s is busy (%v); it listens on a port the system picks", i, addr, err)
+			cfg.Addr = net.JoinHostPort(host, "0")
+			n, err = wire.Start(cfg)
+		}
 		if err != nil {
 			b.Fatalf("start node %d: %v", i, err)
 		}
@@ -266,6 +293,65 @@ func BenchmarkPublish(b *testing.B) {
 	})
 }
 
+// BenchmarkUnpublishTCP is the layer row of an unpublish: the §IV-C
+// cascade's batched removals (DESIGN.md §20, §44) on a 4-node loopback
+// ring at replication 1, the deployment publish_durable runs, with 32
+// articles published under the complex scheme. Each iteration publishes
+// one more article, untimed, and times the unpublish of the oldest, so
+// the live set stays at 32. It reports the bytes the client sends and
+// receives per unpublish (B/unpublish) and the bytes the ring's own
+// transport moves meanwhile (ring-B/unpublish): the client's requests
+// and replies as the owners see them, each owner's propagation to its
+// replica counted at both ends, and whatever maintenance falls inside
+// the unpublish.
+func BenchmarkUnpublishTCP(b *testing.B) {
+	const live = 32
+	corpus, err := dataset.Generate(dataset.Config{Articles: live + b.N, Seed: 5})
+	if err != nil {
+		b.Fatalf("corpus: %v", err)
+	}
+	arts := corpus.Articles
+	ringTP := wire.NewTCPTransport()
+	ring := startBenchRingAt(b, ringTP, spreadPorts, 1)
+	client := wire.NewTCPTransport()
+	b.Cleanup(client.CloseConnections)
+	cluster := wire.NewCluster(client, 5, 1)
+	for _, addr := range ring.Addrs() {
+		cluster.Track(addr)
+	}
+	svc := index.New(cluster, cache.None, 0)
+	file := func(i int) string { return fmt.Sprintf("u-%d.pdf", i) }
+	publish := func(i int) {
+		if err := svc.PublishArticle(file(i), arts[i], index.Complex); err != nil {
+			b.Fatalf("publish: %v", err)
+		}
+	}
+	for i := 0; i < live; i++ {
+		publish(i)
+	}
+	bytes := func(tp *wire.TCPTransport) int64 {
+		stats := tp.PoolStats()
+		return stats.BytesSent + stats.BytesReceived
+	}
+	var clientBytes, ringBytes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		publish(live + i)
+		c0, r0 := bytes(client), bytes(ringTP)
+		b.StartTimer()
+		if err := svc.UnpublishArticle(file(i), arts[i], index.Complex); err != nil {
+			b.Fatalf("unpublish: %v", err)
+		}
+		b.StopTimer()
+		clientBytes += bytes(client) - c0
+		ringBytes += bytes(ringTP) - r0
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(clientBytes)/float64(b.N), "B/unpublish")
+	b.ReportMetric(float64(ringBytes)/float64(b.N), "ring-B/unpublish")
+}
+
 // BenchmarkSearchAllParallel explores the index DAG of a published
 // corpus from a one-constraint query: the walk that looks its frontier
 // up one key at a time (Parallelism 1) against the one that fetches each
@@ -325,7 +411,7 @@ func BenchmarkSearchAllParallel(b *testing.B) {
 		}
 	}
 	tcp := func(b *testing.B, parallelism int) {
-		ring := startBenchRing(b, 4, wire.NewTCPTransport())
+		ring := startBenchRingAt(b, wire.NewTCPTransport(), spreadPorts, 0)
 		// The client has a transport of its own, so its byte counts
 		// leave out the ring's maintenance traffic.
 		client := wire.NewTCPTransport()

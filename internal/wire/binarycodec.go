@@ -50,8 +50,10 @@ import (
 // binMsgVersion is the binary codec's format version byte, the wire
 // format's evolution seam: bump it when the field layout changes. A peer
 // on any other version fails decodeMessage on its first frame and the
-// connection closes.
-const binMsgVersion = 2
+// connection closes. Version 3 changed no layout but a meaning: a remove
+// batch and its replication name entries by digest (DESIGN.md §44), and
+// a version-2 peer would read such a request as empty and ack it.
+const binMsgVersion = 3
 
 // Field-presence bits of the binary encoding, in encode order.
 const (

@@ -79,6 +79,15 @@ func codecMessages() []Message {
 		{Op: OpGetBatch, Ok: true, Addr: "127.0.0.1:9002",
 			KV:      []KeyEntries{{Key: k2, Entries: []overlay.Entry{{Kind: "index", Value: "/article[author[last/Turing]]"}}}},
 			Digests: []KeyDigest{{Key: k1, Digest: 0x8000000000000001}}},
+		// A remove batch naming two entries of one key by digest and, as
+		// the fallback, one entry whole; and an owner's reply: the count,
+		// the emptied key, the acked replica and the digest it could not
+		// resolve, for a whole re-send (DESIGN.md §44).
+		{Op: OpRemoveBatch, TTL: 32,
+			KV:      []KeyEntries{{Key: k2, Entries: []overlay.Entry{{Kind: "index", Value: "/article[author[last/Turing]]"}}}},
+			Digests: []KeyDigest{{Key: k1, Digest: 0x243f6a8885a308d3}, {Key: k1, Digest: 0x13198a2e03707344}}},
+		{Op: OpRemoveBatch, Ok: true, Keys: 1, KV: []KeyEntries{{Key: k2}}, Addrs: []string{"127.0.0.1:9004"},
+			Digests: []KeyDigest{{Key: k1, Digest: 0x13198a2e03707344}}},
 	}
 }
 

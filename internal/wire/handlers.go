@@ -43,12 +43,13 @@ func (n *Node) handle(req Message) Message {
 		return n.handleRemoveBatch(req)
 	case OpRemoveReplica:
 		// A replica copy targets exactly this node: no forward, no
-		// propagation.
-		removed, err := n.removeEntries(req.KV, nil)
+		// propagation. The reply lists the digests this copy could not
+		// resolve, for the sender to re-send whole.
+		removed, _, unresolved, err := n.removeEntries(req.KV, req.Digests, nil)
 		if err != nil {
 			return Message{Op: req.Op, Err: err.Error(), Keys: removed}
 		}
-		return Message{Op: req.Op, Ok: removed > 0, Keys: removed}
+		return Message{Op: req.Op, Ok: removed > 0, Keys: removed, Digests: unresolved}
 	case OpGetBatch:
 		return n.handleGetBatch(req)
 	case OpRepairSync:
@@ -171,7 +172,23 @@ func (n *Node) firstSuccessors(k int) []string {
 // reply tell the client whom the delete reached.
 func (n *Node) replicate(msg Message) (acked []string) {
 	for _, succ := range n.firstSuccessors(n.cfg.ReplicationFactor) {
-		if resp, err := n.cfg.Transport.Call(succ, msg); err == nil && resp.Err == "" {
+		if _, err := n.call(succ, msg); err == nil {
+			acked = append(acked, succ)
+		}
+	}
+	return acked
+}
+
+// replicateRemoval is replicate for the removal of kv's entries, which
+// names each entry by digest (nameByDigest) and re-sends whole to a
+// replica whatever it could not resolve (sendRemoval). A replica is
+// acknowledged only once it has applied every entry.
+func (n *Node) replicateRemoval(kv []KeyEntries) (acked []string) {
+	whole, digests := nameByDigest(kv)
+	req := Message{Op: OpRemoveReplica, KV: whole, Digests: digests}
+	for _, succ := range n.firstSuccessors(n.cfg.ReplicationFactor) {
+		call := func(req Message) (Message, error) { return n.call(succ, req) }
+		if _, err := sendRemoval(call, req, kv); err == nil {
 			acked = append(acked, succ)
 		}
 	}
@@ -201,29 +218,38 @@ func (n *Node) route(key keyspace.Key) Message {
 	return n.handleFindSuccessor(Message{Op: OpFindSuccessor, Key: key, TTL: routeTTL})
 }
 
-// ownerGroup is the share of a batch bound for one routed owner.
+// ownerGroup is the share of a batch bound for one routed owner: the
+// items named whole in kv and, for a remove batch, the entries named
+// by digest in digests.
 type ownerGroup struct {
-	owner string
-	kv    []KeyEntries
+	owner   string
+	kv      []KeyEntries
+	digests []KeyDigest
 }
 
-// routeForeign splits kv (splitForeign) and groups the foreign items by
-// the owner this node's own Chord routing names, in the order the owners
-// were first routed to: the one grouping by routed owner in the node,
-// behind both batch handlers and the repair drop. An item that routes
-// back to this node (the predecessor pointer, not the sender, was stale)
-// joins owned. The first routing failure ends the walk.
-func (n *Node) routeForeign(kv []KeyEntries) (owned []KeyEntries, groups []ownerGroup, err error) {
-	owned, foreign := n.splitForeign(kv)
+// routeForeign splits a batch — its whole items kv and its digests —
+// into the share this node owns (keys in (pred, self], as splitForeign
+// decides) and the foreign shares grouped by the owner this node's own
+// Chord routing names, in the order the owners were first routed to:
+// the one grouping by routed owner in the node, behind both batch
+// handlers and the repair drop. An item that routes back to this node
+// (the predecessor pointer, not the sender, was stale) joins owned. A
+// run of digests under one key is routed once. The first routing
+// failure ends the walk.
+func (n *Node) routeForeign(kv []KeyEntries, digests []KeyDigest) (owned ownerGroup, groups []ownerGroup, err error) {
 	at := make(map[string]int)
-	for _, item := range foreign {
-		r := n.route(item.Key)
+	// dest returns the index in groups of key's routed owner, or -1 when
+	// this node serves key.
+	dest := func(key keyspace.Key) (int, error) {
+		if n.owns(key) {
+			return -1, nil
+		}
+		r := n.route(key)
 		if r.Err != "" {
-			return nil, nil, errors.New(r.Err)
+			return 0, errors.New(r.Err)
 		}
 		if r.Addr == "" || r.Addr == n.addr {
-			owned = append(owned, item)
-			continue
+			return -1, nil
 		}
 		i, ok := at[r.Addr]
 		if !ok {
@@ -231,7 +257,31 @@ func (n *Node) routeForeign(kv []KeyEntries) (owned []KeyEntries, groups []owner
 			at[r.Addr] = i
 			groups = append(groups, ownerGroup{owner: r.Addr})
 		}
-		groups[i].kv = append(groups[i].kv, item)
+		return i, nil
+	}
+	for _, item := range kv {
+		i, err := dest(item.Key)
+		switch {
+		case err != nil:
+			return ownerGroup{}, nil, err
+		case i < 0:
+			owned.kv = append(owned.kv, item)
+		default:
+			groups[i].kv = append(groups[i].kv, item)
+		}
+	}
+	i := -1
+	for j, d := range digests {
+		if j == 0 || d.Key != digests[j-1].Key {
+			if i, err = dest(d.Key); err != nil {
+				return ownerGroup{}, nil, err
+			}
+		}
+		if i < 0 {
+			owned.digests = append(owned.digests, d)
+		} else {
+			groups[i].digests = append(groups[i].digests, d)
+		}
 	}
 	return owned, groups, nil
 }
@@ -243,7 +293,12 @@ func (n *Node) forward(req Message, g ownerGroup) (Message, error) {
 	if req.TTL <= 0 {
 		return Message{}, ErrTTLExceeded
 	}
-	resp, err := n.cfg.Transport.Call(g.owner, Message{Op: req.Op, KV: g.kv, TTL: req.TTL - 1})
+	return n.call(g.owner, Message{Op: req.Op, KV: g.kv, Digests: g.digests, TTL: req.TTL - 1})
+}
+
+// call sends req to addr, a NACK folded into the error.
+func (n *Node) call(addr string, req Message) (Message, error) {
+	resp, err := n.cfg.Transport.Call(addr, req)
 	if err == nil && resp.Err != "" {
 		err = errors.New(resp.Err)
 	}
@@ -413,9 +468,9 @@ func (n *Node) putOwned(kv []KeyEntries) error {
 // already-applied prefix deduplicates. Forwarded items replicate at
 // their true owner.
 func (n *Node) handlePutBatch(req Message) Message {
-	owned, groups, err := n.routeForeign(req.KV)
+	owned, groups, err := n.routeForeign(req.KV, nil)
 	if err == nil {
-		err = n.putOwned(owned)
+		err = n.putOwned(owned.kv)
 	}
 	for _, g := range groups {
 		if err != nil {
@@ -430,12 +485,16 @@ func (n *Node) handlePutBatch(req Message) Message {
 }
 
 // handleRemoveBatch deletes a batch of (key, entry) pairs, each key's
-// removals under that key's own critical section. The response's Keys
-// field carries how many entries were actually removed. It forwards
-// keys this node does not own to their Chord-routed owners like
-// handlePutBatch (summing their removed counts into the response) and
-// propagates its local deletions to the replica set as one KV-carrying
-// OpRemoveReplica (removeOwned).
+// removals under that key's own critical section. The request names an
+// entry by digest — its key and overlay.EntryHash, in Digests — or, as
+// a fallback, whole in KV (DESIGN.md §44). The response's Keys field
+// carries how many entries were actually removed, and its Digests the
+// digests no held entry, or more than one, answers: nothing is guessed,
+// and the sender re-sends those entries whole. It forwards keys this
+// node does not own to their Chord-routed owners like handlePutBatch
+// (summing their removed counts and their unresolved digests into the
+// response) and propagates its local deletions to the replica set
+// (removeOwned).
 //
 // The reply also answers the two questions its sender would otherwise
 // spend messages on (DESIGN.md §20). KV lists, key only and in request
@@ -443,17 +502,20 @@ func (n *Node) handlePutBatch(req Message) Message {
 // applied — decided inside the key's critical section, so no concurrent
 // put can fall between the removal and the verdict, and as the key's
 // state rather than the batch's effect: a key that was empty before is
-// listed too, and the keys forwarded owners report are merged in. Addrs names the successors that acknowledged the
+// listed too, and the keys forwarded owners report are merged in. A key
+// with an unresolved digest gets its verdict with its whole re-send,
+// not here. Addrs names the successors that acknowledged the
 // propagated OpRemoveReplica, and is set only when every key of the
 // request was served here: whoever is named there has applied the whole
 // batch's deletions and need not be sent them again.
 func (n *Node) handleRemoveBatch(req Message) Message {
 	removed := 0
 	var acked []string
-	emptied := make(map[keyspace.Key]bool, len(req.KV))
-	owned, groups, err := n.routeForeign(req.KV)
+	var unresolved []KeyDigest
+	emptied := make(map[keyspace.Key]bool, len(req.KV)+len(req.Digests))
+	owned, groups, err := n.routeForeign(req.KV, req.Digests)
 	if err == nil {
-		removed, acked, err = n.removeOwned(owned, emptied)
+		removed, acked, unresolved, err = n.removeOwned(owned.kv, owned.digests, emptied)
 	}
 	for _, g := range groups {
 		if err != nil {
@@ -462,6 +524,7 @@ func (n *Node) handleRemoveBatch(req Message) Message {
 		var resp Message
 		if resp, err = n.forward(req, g); err == nil {
 			removed += resp.Keys
+			unresolved = append(unresolved, resp.Digests...)
 			for _, item := range resp.KV {
 				emptied[item.Key] = true
 			}
@@ -470,55 +533,87 @@ func (n *Node) handleRemoveBatch(req Message) Message {
 	if err != nil {
 		return Message{Op: req.Op, Err: err.Error(), Keys: removed}
 	}
-	reply := Message{Op: req.Op, Ok: removed > 0, Keys: removed}
+	reply := Message{Op: req.Op, Ok: removed > 0, Keys: removed, Digests: unresolved}
 	if len(groups) == 0 {
 		reply.Addrs = acked
 	}
-	for _, item := range req.KV {
-		if emptied[item.Key] {
-			reply.KV = append(reply.KV, KeyEntries{Key: item.Key})
+	for _, d := range unresolved {
+		delete(emptied, d.Key)
+	}
+	verdict := func(key keyspace.Key) {
+		if emptied[key] {
+			reply.KV = append(reply.KV, KeyEntries{Key: key})
+			delete(emptied, key)
 		}
+	}
+	for _, item := range req.KV {
+		verdict(item.Key)
+	}
+	for _, d := range req.Digests {
+		verdict(d.Key)
 	}
 	return reply
 }
 
 // handleRemove deletes one entry at the key's owner: the one-item form
-// of handleRemoveBatch's local step. The reply names in Addrs the
-// successors that acknowledged the propagated delete, as
-// handleRemoveBatch's does.
+// of handleRemoveBatch's local step. The entry travels whole, and is
+// propagated whole. The reply names in Addrs the successors that
+// acknowledged the propagated delete, as handleRemoveBatch's does.
 func (n *Node) handleRemove(req Message) Message {
 	if resp, done := n.forwardForeign(req); done {
 		return resp
 	}
-	removed, acked, err := n.removeOwned([]KeyEntries{{Key: req.Key, Entries: []overlay.Entry{req.Entry}}}, nil)
+	kv := []KeyEntries{{Key: req.Key, Entries: []overlay.Entry{req.Entry}}}
+	removed, _, _, err := n.removeEntries(kv, nil, nil)
 	if err != nil {
 		return Message{Op: req.Op, Err: err.Error()}
+	}
+	var acked []string
+	if removed > 0 {
+		acked = n.replicate(Message{Op: OpRemoveReplica, KV: kv})
 	}
 	return Message{Op: req.Op, Ok: removed > 0, Addr: n.addr, Hops: req.Hops, Addrs: acked}
 }
 
-// removeOwned is the delete an owner applies for every remove it serves:
-// removeEntries, then, if any entry went, one KV-carrying OpRemoveReplica
-// to the successor set. It returns the successors that acknowledged it.
-func (n *Node) removeOwned(kv []KeyEntries, emptied map[keyspace.Key]bool) (removed int, acked []string, err error) {
-	removed, err = n.removeEntries(kv, emptied)
+// removeOwned is the delete an owner applies for a remove batch it
+// serves: removeEntries, then, if any entry went, the propagation of
+// every entry it applied to the successor set (replicateRemoval). It
+// returns the successors that applied it, and the digests it could not
+// resolve.
+func (n *Node) removeOwned(kv []KeyEntries, digests []KeyDigest, emptied map[keyspace.Key]bool) (removed int, acked []string, unresolved []KeyDigest, err error) {
+	removed, resolved, unresolved, err := n.removeEntries(kv, digests, emptied)
 	if err == nil && removed > 0 {
-		acked = n.replicate(Message{Op: OpRemoveReplica, KV: kv})
+		acked = n.replicateRemoval(append(slices.Clip(kv), resolved...))
 	}
-	return removed, acked, err
+	return removed, acked, unresolved, err
 }
 
 // removeEntries deletes each item's entries from this node's copy, every
 // key under its own critical section, and returns how many entries
-// went. A non-nil emptied gets every key left without a live entry,
-// decided inside that key's section. The first store failure is
-// returned; the remaining items are still attempted.
-func (n *Node) removeEntries(kv []KeyEntries, emptied map[keyspace.Key]bool) (removed int, firstErr error) {
-	for _, item := range kv {
-		err := n.store.Update(item.Key, func(s Store) error {
+// went. kv names entries whole; digests names them by key and
+// overlay.EntryHash, and each run of digests under one key is resolved
+// inside that key's section (resolveDigests): the entries it resolves
+// are removed as if named whole, and returned in resolved, and the
+// digests it cannot resolve are returned in unresolved, untouched. A
+// non-nil emptied gets every key left without a live entry, decided
+// inside that key's section. The first store failure is returned; the
+// remaining items are still attempted.
+func (n *Node) removeEntries(kv []KeyEntries, digests []KeyDigest, emptied map[keyspace.Key]bool) (removed int, resolved []KeyEntries, unresolved []KeyDigest, firstErr error) {
+	remove := func(key keyspace.Key, entries []overlay.Entry, named []KeyDigest) {
+		err := n.store.Update(key, func(s Store) error {
+			if len(named) > 0 {
+				var missed []KeyDigest
+				entries, missed = resolveDigests(s, key, named)
+				n.digestsResolved.Add(int64(len(entries)))
+				n.digestsUnresolved.Add(int64(len(missed)))
+				if len(entries) > 0 {
+					resolved = append(resolved, KeyEntries{Key: key, Entries: entries})
+				}
+				unresolved = append(unresolved, missed...)
+			}
 			var uerr error
-			for _, e := range item.Entries {
-				ok, err := s.Remove(item.Key, e)
+			for _, e := range entries {
+				ok, err := s.Remove(key, e)
 				if err != nil && uerr == nil {
 					uerr = err
 				}
@@ -529,8 +624,8 @@ func (n *Node) removeEntries(kv []KeyEntries, emptied map[keyspace.Key]bool) (re
 					removed++
 				}
 			}
-			if emptied != nil && len(s.Get(item.Key)) == 0 {
-				emptied[item.Key] = true
+			if emptied != nil && len(s.Get(key)) == 0 {
+				emptied[key] = true
 			}
 			return uerr
 		})
@@ -538,7 +633,48 @@ func (n *Node) removeEntries(kv []KeyEntries, emptied map[keyspace.Key]bool) (re
 			firstErr = err
 		}
 	}
-	return removed, firstErr
+	for _, item := range kv {
+		remove(item.Key, item.Entries, nil)
+	}
+	for len(digests) > 0 {
+		run := 1
+		for run < len(digests) && digests[run].Key == digests[0].Key {
+			run++
+		}
+		remove(digests[0].Key, nil, digests[:run])
+		digests = digests[run:]
+	}
+	return removed, resolved, unresolved, firstErr
+}
+
+// resolveDigests finds, among the entries s holds under key — its live
+// entries first, then its tombstones — the one entry each digest names
+// by overlay.EntryHash. A digest that matches no held entry, or more
+// than one, is never guessed: it is returned in missed.
+func resolveDigests(s Store, key keyspace.Key, named []KeyDigest) (found []overlay.Entry, missed []KeyDigest) {
+	live, tombs := s.Get(key), s.HeldTombstones(key)
+	for _, d := range named {
+		var match overlay.Entry
+		matches := 0
+		see := func(e overlay.Entry) {
+			if (matches == 0 || e != match) && overlay.EntryHash(e) == d.Digest {
+				match = e
+				matches++
+			}
+		}
+		for _, e := range live {
+			see(e)
+		}
+		for _, t := range tombs {
+			see(t.Entry)
+		}
+		if matches == 1 {
+			found = append(found, match)
+		} else {
+			missed = append(missed, d)
+		}
+	}
+	return found, missed
 }
 
 func (n *Node) handleStats(req Message) Message {

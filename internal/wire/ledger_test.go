@@ -386,6 +386,7 @@ func bootLedgerRing(t *testing.T, l *ledger, reg *telemetry.Registry, count int,
 			t.Fatalf("start node %d: %v", i, err)
 		}
 		t.Cleanup(n.Stop)
+		n.Instrument(reg)
 		nodes[i] = n
 	}
 	for i, n := range nodes[1:] {
@@ -648,10 +649,16 @@ func runPublishSection(t *testing.T) string {
 		})
 		old := i - live
 		l.op("unpublish", func() {
+			// Removals name their entries by digest (DESIGN.md §44): how
+			// many the nodes resolved, and how many they sent back for a
+			// whole re-send.
+			resolved, unresolved := metricValue(reg, "wire_remove_digests_resolved_total"), metricValue(reg, "wire_remove_digests_unresolved_total")
 			if err := svc.UnpublishArticle(ledgerFile("pub", old), articles[old], index.Complex); err != nil {
 				t.Errorf("%s: unpublish: %v", section, err)
 			}
 			l.note("ops", 1)
+			l.note("digests_resolved", int(metricValue(reg, "wire_remove_digests_resolved_total")-resolved))
+			l.note("digests_unresolved", int(metricValue(reg, "wire_remove_digests_unresolved_total")-unresolved))
 		})
 	}
 	checkLedger(t, section, l, reg)

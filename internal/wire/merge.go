@@ -37,7 +37,6 @@ package wire
 
 import (
 	"slices"
-	"sort"
 
 	"dhtindex/internal/telemetry"
 )
@@ -154,25 +153,28 @@ func (c tombstoneCounters) attach(reg *telemetry.Registry) {
 // notePeersLocked folds addresses into the bounded known-peers set.
 // Caller holds n.mu. Peers are never removed on probe failure — during
 // a partition the unreachable side is exactly the memory a later merge
-// needs — only random eviction keeps the set bounded.
+// needs — only random eviction keeps the set bounded. The set is a
+// sorted slice with room for one peer past the bound, so an insert and
+// an eviction move strings within it and allocate nothing.
 func (n *Node) notePeersLocked(addrs ...string) {
 	for _, a := range addrs {
-		if a == "" || a == n.addr || n.known[a] {
+		if a == "" || a == n.addr {
 			continue
 		}
-		n.known[a] = true
+		i, found := slices.BinarySearch(n.known, a)
+		if found {
+			continue
+		}
+		n.known = slices.Insert(n.known, i, a)
 		if len(n.known) > knownPeersMax {
-			// Evict a uniformly random victim (reservoir over map order
-			// would bias toward iteration artifacts; n.rng keeps the
-			// choice deterministic per node).
-			victims := make([]string, 0, len(n.known))
-			for p := range n.known {
-				if p != a {
-					victims = append(victims, p)
-				}
+			// Evict a uniformly random victim other than a, drawn by index
+			// into the sorted set (n.rng keeps the choice deterministic
+			// per node).
+			v := n.rng.Intn(len(n.known) - 1)
+			if v >= i {
+				v++
 			}
-			sort.Strings(victims)
-			delete(n.known, victims[n.rng.Intn(len(victims))])
+			n.known = slices.Delete(n.known, v, v+1)
 		}
 	}
 }
@@ -195,7 +197,7 @@ func (n *Node) mergeProbe() {
 		view[f] = true
 	}
 	outside := make([]string, 0, len(n.known))
-	for p := range n.known {
+	for _, p := range n.known {
 		if !view[p] {
 			outside = append(outside, p)
 		}
@@ -204,7 +206,6 @@ func (n *Node) mergeProbe() {
 		n.mu.Unlock()
 		return
 	}
-	sort.Strings(outside)
 	peer := outside[n.rng.Intn(len(outside))]
 	n.mu.Unlock()
 

@@ -139,6 +139,10 @@ type Node struct {
 	ownerForwards *telemetry.Counter
 	// getUnchanged counts conditional gets answered CodeUnchanged.
 	getUnchanged *telemetry.Counter
+	// digestsResolved and digestsUnresolved count the digests of remove
+	// requests this node resolved to a held entry, and those it listed
+	// back for a whole re-send (DESIGN.md §44).
+	digestsResolved, digestsUnresolved *telemetry.Counter
 	// adoptions counts successors adopted by stabilize walk steps; hints
 	// counts predecessors taken from a notify reply (DESIGN.md §23).
 	adoptions, hints *telemetry.Counter
@@ -156,8 +160,8 @@ type Node struct {
 	refilled  bool     // succs was refilled from known peers; no successor has answered since
 	fingers   [keyspace.Bits]string
 	fingerIdx int
-	known     map[string]bool // bounded known-peers set (merge probing, list refill)
-	rng       *rand.Rand      // seeded from the node id: probe sampling, eviction
+	known     []string   // bounded known-peers set, sorted (merge probing, list refill)
+	rng       *rand.Rand // seeded from the node id: probe sampling, eviction
 	stopped   bool
 	leftTo    string // peer that accepted the Leave hand-off
 
@@ -214,11 +218,15 @@ func Start(cfg Config) (*Node, error) {
 			"Owner-addressed single-key requests forwarded to the routed owner because the key was foreign."),
 		getUnchanged: telemetry.NewCounter("wire_get_unchanged_total",
 			"Conditional gets answered \"unchanged\", batched keys included: the key's set had the digest the client offered, so no entries were shipped."),
+		digestsResolved: telemetry.NewCounter("wire_remove_digests_resolved_total",
+			"Entries named by digest in a remove batch or its replication that this node resolved to the one entry it holds under the key, live or tombstoned."),
+		digestsUnresolved: telemetry.NewCounter("wire_remove_digests_unresolved_total",
+			"Digests of remove requests that matched no entry this node holds under the key, or more than one, listed back for the sender to re-send whole."),
 		adoptions: telemetry.NewCounter("wire_stabilize_adoptions_total",
 			"Successors adopted by stabilize walk steps."),
 		hints: telemetry.NewCounter("wire_predecessor_hints_total",
 			"Predecessors taken from a notify reply."),
-		known: make(map[string]bool),
+		known: make([]string, 0, knownPeersMax+1),
 	}
 	if cfg.Retry != nil {
 		n.retry = NewRetryingTransport(cfg.Transport, *cfg.Retry)
@@ -569,7 +577,7 @@ func (n *Node) advanceSuccessor() {
 // in ring order from this node. Caller holds n.mu.
 func (n *Node) nextKnownLocked(skip []string) []string {
 	var out []string
-	for p := range n.known {
+	for _, p := range n.known {
 		if !slices.Contains(skip, p) {
 			out = append(out, p)
 		}
@@ -744,11 +752,7 @@ func (n *Node) TombstoneStats() TombstoneStats {
 func (n *Node) KnownPeers() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.known))
-	for p := range n.known {
-		out = append(out, p)
-	}
-	return out
+	return slices.Clone(n.known)
 }
 
 // Instrument attaches the node's retry and repair counters to reg. All
@@ -761,7 +765,7 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 	n.repair.attach(reg)
 	n.merge.attach(reg)
 	n.tomb.attach(reg)
-	reg.Attach(n.ownerForwards, n.getUnchanged, n.adoptions, n.hints)
+	reg.Attach(n.ownerForwards, n.getUnchanged, n.digestsResolved, n.digestsUnresolved, n.adoptions, n.hints)
 	if n.retry != nil {
 		n.retry.Instrument(reg)
 	}

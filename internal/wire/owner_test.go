@@ -348,18 +348,18 @@ func testBatchFallbackAfterFailedForward(t *testing.T, inProcess bool) {
 			t.Fatalf("%s: u holds %d of its key, p %d of its own; want %d each",
 				op.name, holds(u, items[0]), holds(p, items[1]), op.want)
 		}
-		var toP [][]KeyEntries
+		var toP [][]keyspace.Key
 		toU := 0
 		for _, s := range rec.take() {
 			switch {
 			case s.req.Op == OpFindSuccessor:
 			case s.addr == p.addr:
-				toP = append(toP, s.req.KV)
+				toP = append(toP, batchKeys(s.req))
 			case s.addr == u.addr:
 				toU++
 			}
 		}
-		if len(toP) != 2 || len(toP[0]) != 2 || len(toP[1]) != 1 || toP[1][0].Key != items[1].Key || toU != 1 {
+		if len(toP) != 2 || len(toP[0]) != 2 || len(toP[1]) != 1 || toP[1][0] != items[1].Key || toU != 1 {
 			t.Fatalf("%s: p was sent %v and u %d batches; want p the group, then its own key alone, and u its key once",
 				op.name, toP, toU)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"dhtindex/internal/keyspace"
@@ -50,6 +51,23 @@ func newSweepRing(t *testing.T, reply func(owner string, req Message) Message) *
 		t.Fatalf("followers of %s: %v", r.owner, r.followers)
 	}
 	return r
+}
+
+// batchKeys lists the distinct keys a batch request names, whole in KV
+// or by digest in Digests, in request order.
+func batchKeys(req Message) []keyspace.Key {
+	var keys []keyspace.Key
+	for _, item := range req.KV {
+		if !slices.Contains(keys, item.Key) {
+			keys = append(keys, item.Key)
+		}
+	}
+	for _, d := range req.Digests {
+		if !slices.Contains(keys, d.Key) {
+			keys = append(keys, d.Key)
+		}
+	}
+	return keys
 }
 
 // sweepCases are the sweep rule's outcomes: a tracked follower is sent
@@ -112,7 +130,7 @@ func TestRemoveBatchSweepsEachFollowerOnce(t *testing.T) {
 				r = newSweepRing(t, func(_ string, req Message) Message {
 					resp := Message{Op: req.Op, Ok: tc.removed, Addrs: tc.acked(r.followers)}
 					if tc.removed {
-						resp.Keys = len(req.KV)
+						resp.Keys = len(batchKeys(req))
 					}
 					return resp
 				})
@@ -183,12 +201,13 @@ func TestPruneOrdersAndFiltersTheVerdicts(t *testing.T) {
 	items := batchItems("prune-order", 12, 2) // every key twice, under two entries
 	stillHeld := items[4].Key
 	ft := newFuncTransport(func(_ int, addr string, req Message) (Message, error) {
-		resp := Message{Op: req.Op, Ok: true, Addr: addr, Keys: len(req.KV)}
+		keys := batchKeys(req)
+		resp := Message{Op: req.Op, Ok: true, Addr: addr, Keys: len(keys)}
 		if req.Op == OpRemoveBatch {
 			resp.KV = []KeyEntries{{Key: keyspace.NewKey("never-asked")}}
-			for i := len(req.KV) - 1; i >= 0; i-- {
-				if req.KV[i].Key != stillHeld {
-					resp.KV = append(resp.KV, KeyEntries{Key: req.KV[i].Key})
+			for i := len(keys) - 1; i >= 0; i-- {
+				if keys[i] != stillHeld {
+					resp.KV = append(resp.KV, KeyEntries{Key: keys[i]})
 				}
 			}
 		}
@@ -378,5 +397,207 @@ func TestPruneOnALiveRingIsOneRPCPerOwner(t *testing.T) {
 		if entries, _, err := full.Get(it.Key); err != nil || len(entries) != 2 {
 			t.Fatalf("an untouched key reads %v, %v", entries, err)
 		}
+	}
+}
+
+// refuseWhole NACKs every whole (KV-carrying) OpRemoveReplica sent to
+// the address it is armed with.
+type refuseWhole struct {
+	Transport
+	mu   sync.Mutex
+	addr string
+}
+
+func (r *refuseWhole) arm(addr string) {
+	r.mu.Lock()
+	r.addr = addr
+	r.mu.Unlock()
+}
+
+func (r *refuseWhole) Call(addr string, req Message) (Message, error) {
+	r.mu.Lock()
+	refuse := addr == r.addr && req.Op == OpRemoveReplica && len(req.KV) > 0
+	r.mu.Unlock()
+	if refuse {
+		return Message{Op: req.Op, Err: "refused"}, nil
+	}
+	return r.Transport.Call(addr, req)
+}
+
+// newDigestRing is a converged, idle four-node ring at replication 1
+// and a client tracking every node, all sending through rec.
+func newDigestRing(t *testing.T) (cluster *Cluster, ring []*Node, rec *recordingTransport, refuse *refuseWhole) {
+	t.Helper()
+	refuse = &refuseWhole{Transport: NewMemTransport()}
+	rec = &recordingTransport{Transport: refuse}
+	ring = idleNodesAt(t, func() Transport { return rec }, 4, 1)
+	burstJoin(t, startOrder(ring))
+	stabilizeRound(ring, 1)
+	if err := ringErr(ring); err != nil {
+		t.Fatal(err)
+	}
+	cluster = NewCluster(rec, 1, 1)
+	for _, n := range ring {
+		cluster.Track(n.Addr())
+	}
+	rec.take()
+	return cluster, ring, rec, refuse
+}
+
+// holdOnly stores e under key in n's own copy and nowhere else.
+func holdOnly(t *testing.T, n *Node, key keyspace.Key, entries ...overlay.Entry) {
+	t.Helper()
+	if resp := n.handle(Message{Op: OpPutReplica, KV: []KeyEntries{{Key: key, Entries: entries}}}); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+}
+
+// tombstoned reports whether n holds a tombstone for e under key.
+func tombstoned(n *Node, key keyspace.Key, e overlay.Entry) bool {
+	return slices.ContainsFunc(n.store.Tombstones(key), func(ts Tombstone) bool { return ts.Entry == e })
+}
+
+// TestRemoveBeforePutIsResentWhole: a removal that reaches the owner
+// before the put it undoes names, by digest, entries the owner does not
+// hold. The owner resolves none of them and lists every digest back;
+// the client re-sends the entries whole, the owner records their
+// tombstones, and the late put is refused everywhere.
+func TestRemoveBeforePutIsResentWhole(t *testing.T) {
+	cluster, ring, rec, _ := newDigestRing(t)
+	owner, follower := ring[1], ring[2]
+	var items []overlay.KeyEntry
+	for i := 0; i < 3; i++ {
+		key := keyWhere(t, fmt.Sprint("early-remove-", i), func(k keyspace.Key) bool { return k.Between(ring[0].id, owner.id) })
+		items = append(items, overlay.KeyEntry{Key: key, Entry: overlay.Entry{Kind: "index", Value: fmt.Sprint("early-", i)}})
+	}
+	removed, err := cluster.RemoveBatch(context.Background(), items)
+	if err != nil || removed != 0 {
+		t.Fatalf("RemoveBatch = %d, %v; want 0 removed", removed, err)
+	}
+	var toOwner []Message
+	for _, s := range rec.take() {
+		if s.addr == owner.Addr() && s.req.Op == OpRemoveBatch {
+			toOwner = append(toOwner, s.req)
+		}
+	}
+	if len(toOwner) != 2 || len(toOwner[0].Digests) != 3 || toOwner[0].KV != nil ||
+		len(toOwner[1].KV) != 3 || toOwner[1].Digests != nil {
+		t.Fatalf("the owner was sent %+v; want the three digests, then the three entries whole", toOwner)
+	}
+	if got := owner.digestsUnresolved.Value(); got != 3 {
+		t.Fatalf("the owner listed %d digests unresolved, want 3", got)
+	}
+	if err := cluster.PutBatch(context.Background(), items); err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items {
+		for _, n := range []*Node{owner, follower} {
+			if !tombstoned(n, it.Key, it.Entry) {
+				t.Fatalf("%s holds no tombstone for %v", n.Addr(), it.Entry)
+			}
+			if got := localEntries(t, rec, n.Addr(), it.Key); len(got) != 0 {
+				t.Fatalf("%s took the late put: holds %v", n.Addr(), got)
+			}
+		}
+	}
+}
+
+// TestDigestMatchingTwoEntriesIsUnresolved: EntryHash does not separate
+// a kind's bytes from a value's, so {"a\x00", "x"} and {"a", "\x00x"}
+// share a digest. A digest two held entries answer — two live ones, or
+// a live one and a tombstone — is listed back unresolved and removes
+// nothing; the client re-sends its entry whole, and a client batch
+// holding both names them whole from the start.
+func TestDigestMatchingTwoEntriesIsUnresolved(t *testing.T) {
+	cluster, ring, rec, _ := newDigestRing(t)
+	owner := ring[1]
+	e1, e2 := overlay.Entry{Kind: "a\x00", Value: "x"}, overlay.Entry{Kind: "a", Value: "\x00x"}
+	h := overlay.EntryHash(e1)
+	if overlay.EntryHash(e2) != h || e1 == e2 {
+		t.Fatal("the entries do not collide")
+	}
+	key := keyWhere(t, "collide", func(k keyspace.Key) bool { return k.Between(ring[0].id, owner.id) })
+	holdOnly(t, owner, key, e1, e2)
+	named := []KeyDigest{{Key: key, Digest: h}}
+	for _, held := range []string{"two live entries", "a live entry and a tombstone"} {
+		resp := owner.handle(Message{Op: OpRemoveBatch, TTL: 8, Digests: named})
+		if resp.Err != "" || !reflect.DeepEqual(resp.Digests, named) || resp.Keys != 0 || resp.KV != nil {
+			t.Fatalf("%s: reply %+v; want the digest back, nothing removed and no verdict", held, resp)
+		}
+		if held == "two live entries" {
+			if got := localEntries(t, rec, owner.Addr(), key); len(got) != 2 {
+				t.Fatalf("an unresolved digest removed something: %v", got)
+			}
+			removed, err := cluster.RemoveBatch(context.Background(), []overlay.KeyEntry{{Key: key, Entry: e1}})
+			if err != nil || removed != 1 {
+				t.Fatalf("RemoveBatch = %d, %v; want e1 removed by its whole re-send", removed, err)
+			}
+			if got := localEntries(t, rec, owner.Addr(), key); !reflect.DeepEqual(got, []overlay.Entry{e2}) {
+				t.Fatalf("the owner holds %v, want e2 alone", got)
+			}
+		}
+	}
+	whole, digests := nameByDigest([]KeyEntries{{Key: key, Entries: []overlay.Entry{e1, e2}}})
+	if len(whole) != 1 || len(whole[0].Entries) != 2 || len(digests) != 0 {
+		t.Fatalf("nameByDigest named a colliding pair as %v and %v; want both whole", whole, digests)
+	}
+}
+
+// TestReplicaMissingTheEntryGetsItWhole: the owner names a removal to
+// its replica by digest; a replica that never received the entry lists
+// the digest back, and the owner re-sends it whole. The owner's reply
+// names the replica in Addrs only once that re-send is applied: when
+// the replica refuses it, the reply names nobody.
+func TestReplicaMissingTheEntryGetsItWhole(t *testing.T) {
+	_, ring, rec, refuse := newDigestRing(t)
+	owner, replica := ring[1], ring[2]
+	for _, refused := range []bool{false, true} {
+		e := overlay.Entry{Kind: "index", Value: fmt.Sprint("owner-only-", refused)}
+		key := keyWhere(t, fmt.Sprint("owner-only-", refused), func(k keyspace.Key) bool { return k.Between(ring[0].id, owner.id) })
+		holdOnly(t, owner, key, e)
+		if refused {
+			refuse.arm(replica.Addr())
+		}
+		resp := owner.handle(Message{Op: OpRemoveBatch, TTL: 8, Digests: []KeyDigest{{Key: key, Digest: overlay.EntryHash(e)}}})
+		if resp.Err != "" || resp.Keys != 1 || resp.Digests != nil {
+			t.Fatalf("refused=%v: reply %+v; want the entry removed", refused, resp)
+		}
+		sent := rec.take()
+		if len(sent) != 2 || sent[0].addr != replica.Addr() || sent[0].req.Op != OpRemoveReplica || len(sent[0].req.Digests) != 1 ||
+			sent[1].addr != replica.Addr() || sent[1].req.Op != OpRemoveReplica ||
+			!reflect.DeepEqual(sent[1].req.KV, []KeyEntries{{Key: key, Entries: []overlay.Entry{e}}}) {
+			t.Fatalf("refused=%v: the owner sent %+v; want the digest to its replica, then the entry whole", refused, sent)
+		}
+		if want := []string{replica.Addr()}; refused && resp.Addrs != nil || !refused && !reflect.DeepEqual(resp.Addrs, want) {
+			t.Fatalf("refused=%v: the reply names %v as acked", refused, resp.Addrs)
+		}
+		if got := tombstoned(replica, key, e); got == refused {
+			t.Fatalf("refused=%v: the replica holds a tombstone: %v", refused, got)
+		}
+	}
+}
+
+// TestResentRemovalAcksOnlyWhomBothRepliesName: the client folds the
+// owner's reply to the digests and its reply to the whole re-send into
+// one. The removed counts add up, and a follower counts as reached only
+// if both replies name it: the other is swept with the group's items.
+func TestResentRemovalAcksOnlyWhomBothRepliesName(t *testing.T) {
+	var r *sweepRing
+	r = newSweepRing(t, func(_ string, req Message) Message {
+		if len(req.Digests) > 0 {
+			return Message{Op: req.Op, Ok: true, Keys: len(req.Digests) - 1, Addrs: r.followers, Digests: req.Digests[:1]}
+		}
+		return Message{Op: req.Op, Ok: true, Keys: len(req.KV), Addrs: r.followers[:1]}
+	})
+	removed, err := r.cluster.RemoveBatch(context.Background(), r.items)
+	if err != nil || removed != len(r.items) {
+		t.Fatalf("RemoveBatch = %d, %v; want %d", removed, err, len(r.items))
+	}
+	sent := r.rec.take()
+	first := r.items[0]
+	if len(sent) != 3 || sent[0].addr != r.owner || len(sent[0].req.Digests) != len(r.items) ||
+		sent[1].addr != r.owner || !reflect.DeepEqual(sent[1].req.KV, []KeyEntries{{Key: first.Key, Entries: []overlay.Entry{first.Entry}}}) ||
+		sent[2].addr != r.followers[1] || sent[2].req.Op != OpRemoveReplica || len(sent[2].req.KV) != len(r.items) {
+		t.Fatalf("sent %+v; want the digests, the first entry whole, then a sweep of %s alone", sent, r.followers[1])
 	}
 }

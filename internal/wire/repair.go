@@ -345,7 +345,7 @@ func (n *Node) dropStaleCopies() {
 	// Each stale key's snapshot is both what ships and what the drop
 	// below compares the key against.
 	stale := n.snapshot(func(k keyspace.Key) bool { return !k.Between(windowFrom, n.id) })
-	_, groups, err := n.routeForeign(stale)
+	_, groups, err := n.routeForeign(stale, nil)
 	if err != nil {
 		return
 	}

@@ -2,6 +2,10 @@ package wire
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -549,5 +553,58 @@ func TestRepairAntiResurrection(t *testing.T) {
 				t.Fatalf("entry resurrected on %s after settling", addr)
 			}
 		}
+	}
+}
+
+// TestKnownPeersEvictionAllocatesNothing: past knownPeersMax a new peer
+// evicts a random other one without copying or sorting the set — no
+// allocation — and the victim is the one the earlier map-based set
+// chose: the same n.rng draw over the same sorted order of the other
+// peers.
+func TestKnownPeersEvictionAllocatesNothing(t *testing.T) {
+	n := idleNodes(t, func() Transport { return NewMemTransport() }, 1)[0]
+	addrs := make([]string, 4*knownPeersMax)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("peer-%03d:%d", (i*37)%len(addrs), i)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.known = n.known[:0]
+	n.rng = rand.New(rand.NewSource(7))
+	// reference is the map-based set, evicting over a sorted copy.
+	reference, refRNG := make(map[string]bool), rand.New(rand.NewSource(7))
+	for _, a := range addrs {
+		n.notePeersLocked(a)
+		reference[a] = true
+		if len(reference) > knownPeersMax {
+			var victims []string
+			for p := range reference {
+				if p != a {
+					victims = append(victims, p)
+				}
+			}
+			sort.Strings(victims)
+			delete(reference, victims[refRNG.Intn(len(victims))])
+		}
+	}
+	want := make([]string, 0, len(reference))
+	for p := range reference {
+		want = append(want, p)
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(n.known, want) {
+		t.Fatalf("known peers %v, want %v", n.known, want)
+	}
+	next := 0
+	fresh := make([]string, 1000)
+	for i := range fresh {
+		fresh[i] = fmt.Sprintf("fresh-%04d", i)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		n.notePeersLocked(fresh[next%len(fresh)])
+		next++
+	})
+	if allocs != 0 || len(n.known) != knownPeersMax {
+		t.Fatalf("an eviction allocated %.1f times and left %d peers; want 0 and %d", allocs, len(n.known), knownPeersMax)
 	}
 }
