@@ -49,6 +49,9 @@ func runSnapshot(args []string, out io.Writer) error {
 	if sum.TornTail {
 		fmt.Fprintln(out, "wal tail:     TORN — recovery would truncate to the last complete record")
 	}
+	if len(sum.TempFiles) > 0 {
+		fmt.Fprintf(out, "temp files:   %s — a compaction was cut short; recovery ignores them and an open removes them\n", strings.Join(sum.TempFiles, " "))
+	}
 	fmt.Fprintf(out, "last seq:     %d\n", sum.LastSeq)
 	fmt.Fprintf(out, "recovers to:  %d keys, %d entries\n", len(sum.Keys), sum.TotalEntries)
 

@@ -14,6 +14,14 @@
 // append whose error was reported may still have reached the disk,
 // replay is at-least-once: records are idempotent (dedup on put,
 // replace semantics otherwise), so double-apply is harmless.
+//
+// Compaction: every SnapshotEvery records the store encodes its state
+// under its lock, then writes, fsyncs and renames the snapshot and
+// rotates the WAL onto it on a goroutine, so writes go on while the
+// files are written. At any instant wal.log is either the old log, whose
+// records the snapshot covers are skipped at replay, or the new one
+// based at the snapshot's sequence, renamed in only after the snapshot
+// is in place and the directory synced.
 package durable
 
 import (
@@ -31,16 +39,32 @@ import (
 )
 
 const (
-	walFile  = "wal.log"
-	snapFile = "snapshot.db"
-	tmpFile  = "snapshot.tmp"
+	walFile     = "wal.log"
+	snapFile    = "snapshot.db"
+	snapTmpFile = "snapshot.tmp"
+	walTmpFile  = "wal.tmp"
 
 	defaultSnapshotEvery = 1024
+
+	// maxKeptScratch is the largest frame buffer a store keeps for its
+	// next append. Smaller than a wire connection's: a node has a store
+	// per stripe, and a rare large record (a repair's shipped set) must
+	// not stay resident in each.
+	maxKeptScratch = 4 << 10
 )
+
+// tempFiles are the files a compaction writes before renaming them in.
+var tempFiles = []string{snapTmpFile, walTmpFile}
+
+// snapBufs holds snapshot encode buffers between compactions. A buffer
+// kept per store would pin a snapshot's size in every stripe; a pooled
+// one is shared by the few compactions in flight at once.
+var snapBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Faults injects storage-level failures, mirroring what wire's
 // FaultTransport does for the network. Both hooks may be called with
-// the store's lock held and must not call back into the store.
+// the store's lock held, or from a compaction's goroutine, and must not
+// call back into the store.
 type Faults struct {
 	// AppendErr, when non-nil, is consulted before every WAL append; a
 	// non-nil result fails the append before anything is written.
@@ -54,7 +78,9 @@ type Faults struct {
 type Options struct {
 	// SnapshotEvery compacts the WAL into a fresh snapshot once it holds
 	// this many records (default 1024; negative disables automatic
-	// compaction — Snapshot can still be called explicitly).
+	// compaction — Snapshot can still be called explicitly). The write
+	// that reaches the bound encodes the snapshot; the file work runs in
+	// the background, one compaction per store at a time.
 	SnapshotEvery int
 	// FsyncEvery fsyncs the WAL every N appends. 0 (the default) never
 	// fsyncs on the write path: appends reach the kernel immediately and
@@ -79,24 +105,43 @@ type Store struct {
 	mem        *wire.MemStore
 	wal        logFile
 	walEnd     int64 // offset just past the last complete record: where the next append lands
-	broken     error // sticky: a failed append or rotation left bytes in the WAL that nothing may follow
+	syncedEnd  int64 // offset the last successful WAL fsync covered
+	broken     error // sticky: a failed append left bytes in the WAL that nothing may follow
 	seq        uint64
 	walRecords int
 	sinceSync  int
+	scratch    []byte // the last append's frame buffer, reused while small
+	compaction *compaction
+	dirDirty   bool // wal.log was renamed in and the directory not fsynced since
 	closed     bool
 	recovery   wire.RecoveryStats
 	c          counters
+	// createLog creates the rotation's new log (wal.tmp); a test wraps
+	// the file to watch what the rotation does to it.
+	createLog func(path string) (logFile, error)
 }
 
 // logFile is what the store asks of its open WAL: an *os.File, or a test's
 // stand-in that fails where a disk would.
 type logFile interface {
 	io.Writer
-	io.WriterAt
+	io.ReaderAt
 	io.Seeker
 	Truncate(size int64) error
 	Sync() error
 	Close() error
+}
+
+// compaction is one snapshot-and-rotation in flight: the snapshot
+// encoded under the lock, and where in the old log the records it
+// covers end.
+type compaction struct {
+	seq     uint64  // the last sequence the snapshot covers
+	from    int64   // the old log's offset just past record seq
+	records int     // the old log's record count at seq
+	snap    *[]byte // the encoded snapshot file (from snapBufs)
+	done    chan struct{}
+	err     error // set before done is closed
 }
 
 var (
@@ -155,11 +200,17 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
+	// A crash mid-compaction leaves its temp files; replay reads neither.
+	// One that cannot be removed is truncated by the next compaction.
+	for _, name := range tempFiles {
+		_ = os.Remove(filepath.Join(dir, name))
+	}
 	r, err := replay(dir)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, mem: r.mem, seq: r.LastSeq, walRecords: r.WALRecords, c: newCounters()}
+	s := &Store{dir: dir, opts: opts, mem: r.mem, seq: r.LastSeq, walRecords: r.WALRecords, c: newCounters(),
+		createLog: func(path string) (logFile, error) { return os.Create(path) }}
 	s.recovery = wire.RecoveryStats{
 		SnapshotKeys:    int64(r.SnapshotKeys),
 		ReplayedRecords: int64(r.WALRecords - r.SkippedRecords),
@@ -200,6 +251,11 @@ type replayed struct {
 // frame is where replay stops.
 func replay(dir string) (replayed, error) {
 	r := replayed{Summary: Summary{Dir: dir}, mem: wire.NewMemStore()}
+	for _, name := range tempFiles {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			r.TempFiles = append(r.TempFiles, name)
+		}
+	}
 	path := filepath.Join(dir, snapFile)
 	snap, err := os.ReadFile(path)
 	switch {
@@ -267,7 +323,7 @@ func (s *Store) openWAL(r replayed) error {
 		// snapshot covers everything up to s.seq, so resetting the WAL
 		// loses nothing that was ever acked from a complete record.
 		if err := f.Truncate(0); err == nil {
-			_, err = f.WriteAt(encodeHeader(walMagic, s.seq), 0)
+			_, err = f.WriteAt(appendHeader(nil, walMagic, s.seq), 0)
 		}
 		if err != nil {
 			_ = f.Close()
@@ -317,11 +373,11 @@ func apply(m *wire.MemStore, rec record) (n int) {
 }
 
 // forEachKey calls fn once for every key m holds anything under — live
-// entries, tombstones or both. The slices may be m's own: fn keeps them
+// entries, tombstones or both. The slices are m's own: fn keeps them
 // only if nothing will change m again (Dump).
 func forEachKey(m *wire.MemStore, fn func(key keyspace.Key, entries []overlay.Entry, tombs []wire.Tombstone)) {
 	m.ForEach(func(k keyspace.Key, entries []overlay.Entry) bool {
-		fn(k, entries, m.Tombstones(k))
+		fn(k, entries, m.HeldTombstones(k))
 		return true
 	})
 	m.ForEachTombstone(func(k keyspace.Key, tombs []wire.Tombstone) bool {
@@ -365,7 +421,10 @@ func (s *Store) appendLocked(rec record) error {
 			return err
 		}
 	}
-	frame := encodeRecord(rec)
+	frame := appendFrame(s.scratch[:0], rec)
+	if cap(frame) <= maxKeptScratch {
+		s.scratch = frame
+	}
 	if _, err := s.wal.Write(frame); err != nil {
 		s.c.walAppendErrs.Inc()
 		rerr := s.wal.Truncate(s.walEnd)
@@ -393,95 +452,191 @@ func (s *Store) appendLocked(rec record) error {
 	return nil
 }
 
-// maybeCompactLocked snapshots when the WAL has grown past the
-// configured bound. Compaction failure is deliberately swallowed: the
-// WAL stays long but correct, and a later mutation retries.
+// maybeCompactLocked starts a compaction when the WAL has grown past the
+// configured bound and none is in flight. A failed one is deliberately
+// swallowed: the WAL stays long but correct, and a later mutation
+// retries.
 func (s *Store) maybeCompactLocked() {
-	if s.opts.SnapshotEvery > 0 && s.walRecords >= s.opts.SnapshotEvery {
-		_ = s.snapshotLocked()
+	if s.opts.SnapshotEvery > 0 && s.walRecords >= s.opts.SnapshotEvery && s.compaction == nil {
+		s.startCompactionLocked()
 	}
 }
 
-// syncWALLocked fsyncs the WAL, honouring injected sync faults.
+// syncWALLocked fsyncs the WAL, honouring injected sync faults. A log
+// renamed in by a rotation is durable only once the directory is, so
+// that is synced first.
 func (s *Store) syncWALLocked() error {
 	s.sinceSync = 0
-	if f := s.opts.Faults.SyncErr; f != nil {
-		if err := f(); err != nil {
-			s.c.walFsyncErrs.Inc()
-			return err
-		}
+	if s.dirDirty {
+		s.syncDir()
+		s.dirDirty = false
 	}
-	if err := s.wal.Sync(); err != nil {
+	if err := s.fsync(s.wal); err != nil {
 		s.c.walFsyncErrs.Inc()
 		return err
 	}
+	s.syncedEnd = s.walEnd
 	s.c.walFsyncs.Inc()
 	return nil
 }
 
-// snapshotLocked writes the whole map to a temp file, renames it over
-// snapshot.db and resets the WAL to an empty file based at the
-// snapshot's sequence. Crash windows are covered by sequence skipping:
-// after the rename but before the rotation, the old WAL's records are
-// all ≤ the snapshot sequence and replay ignores them.
-func (s *Store) snapshotLocked() error {
-	fail := func(err error) error {
-		s.c.snapWriteErrs.Inc()
-		_ = os.Remove(filepath.Join(s.dir, tmpFile))
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	tmp := filepath.Join(s.dir, tmpFile)
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fail(err)
-	}
-	buf := encodeHeader(snapMagic, s.seq)
-	forEachKey(s.mem, func(k keyspace.Key, entries []overlay.Entry, tombs []wire.Tombstone) {
-		buf = append(buf, encodeRecord(record{op: recReplaceFull, key: k, entries: entries, tombs: tombs})...)
-	})
-	if _, err := f.Write(buf); err != nil {
-		_ = f.Close()
-		return fail(err)
-	}
+// fsync syncs f after consulting the injected sync fault.
+func (s *Store) fsync(f interface{ Sync() error }) error {
 	if sf := s.opts.Faults.SyncErr; sf != nil {
 		if err := sf(); err != nil {
-			_ = f.Close()
-			return fail(err)
+			return err
 		}
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapFile)); err != nil {
-		return fail(err)
-	}
-	s.syncDir()
-	// Rotate the WAL under the snapshot.
-	if err := s.wal.Truncate(0); err != nil {
-		return fail(err)
-	}
-	_, err = s.wal.WriteAt(encodeHeader(walMagic, s.seq), 0)
+	return f.Sync()
+}
+
+// startCompactionLocked is the part of a compaction that needs the lock:
+// it encodes the whole map as a snapshot file covering s.seq into a
+// pooled buffer, notes where that sequence ends in the log, and hands
+// the file work to a goroutine. The caller has checked that no other
+// compaction is in flight.
+func (s *Store) startCompactionLocked() *compaction {
+	bp := snapBufs.Get().(*[]byte)
+	buf := appendHeader((*bp)[:0], snapMagic, s.seq)
+	forEachKey(s.mem, func(k keyspace.Key, entries []overlay.Entry, tombs []wire.Tombstone) {
+		buf = appendFrame(buf, record{op: recReplaceFull, key: k, entries: entries, tombs: tombs})
+	})
+	*bp = buf
+	c := &compaction{seq: s.seq, from: s.walEnd, records: s.walRecords, snap: bp, done: make(chan struct{})}
+	s.compaction = c
+	go s.compact(c)
+	return c
+}
+
+// compact is a compaction's file work, run without the lock: the
+// snapshot goes into place first, then the WAL is rotated onto it. If
+// either step fails the old log stays whole and in use.
+func (s *Store) compact(c *compaction) {
+	err := s.writeSnapshot(*c.snap)
+	snapBufs.Put(c.snap)
 	if err == nil {
-		_, err = s.wal.Seek(headerSize, 0)
+		err = s.rotateWAL(c)
+	}
+	s.mu.Lock()
+	if err != nil {
+		s.c.snapWriteErrs.Inc()
+		c.err = fmt.Errorf("durable: snapshot: %w", err)
+	} else {
+		s.c.snapWrites.Inc()
+	}
+	s.compaction = nil
+	s.mu.Unlock()
+	close(c.done)
+}
+
+// writeSnapshot writes snap to a temp file, fsyncs it, renames it over
+// snapshot.db and syncs the directory, so the rename is durable before
+// any log that relies on it is renamed in.
+func (s *Store) writeSnapshot(snap []byte) error {
+	tmp := filepath.Join(s.dir, snapTmpFile)
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(snap)
+	if err == nil {
+		err = s.fsync(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(s.dir, snapFile))
 	}
 	if err != nil {
-		// An emptied WAL with no header, or appends landing past a hole:
-		// either reads as an unusable WAL at the next open.
-		s.broken = fmt.Errorf("durable: wal closed to appends: rotation failed: %w", err)
-		return fail(err)
+		_ = os.Remove(tmp)
+		return err
 	}
-	s.walEnd = headerSize
-	s.walRecords = 0
-	s.c.snapWrites.Inc()
+	s.syncDir()
 	return nil
 }
 
-// syncDir best-effort-fsyncs the data directory so the snapshot rename
-// itself is durable.
+// rotateWAL replaces wal.log with a log based at c.seq that holds the
+// old log's records after it. The records already written are copied
+// without the lock (bytes before walEnd no longer change); the lock is
+// taken only to copy what arrived since, rename the new log over the old
+// one and swap the handle. The new log is fsynced before the rename
+// whenever a record after c.seq was, so a record made durable stays so.
+// A failure before the rename leaves the old log whole and in use.
+func (s *Store) rotateWAL(c *compaction) error {
+	path := filepath.Join(s.dir, walTmpFile)
+	f, err := s.createLog(path)
+	if err != nil {
+		return err
+	}
+	abandon := func(err error) error {
+		_ = f.Close()
+		_ = os.Remove(path)
+		return err
+	}
+	if _, err := f.Write(appendHeader(nil, walMagic, c.seq)); err != nil {
+		return abandon(err)
+	}
+	s.mu.Lock()
+	old, end := s.wal, s.walEnd
+	s.mu.Unlock()
+	if err := copyRange(f, old, c.from, end); err != nil {
+		return abandon(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := copyRange(f, s.wal, end, s.walEnd); err != nil {
+		return abandon(err)
+	}
+	synced := s.syncedEnd > c.from
+	if synced {
+		if err := s.fsync(f); err != nil {
+			return abandon(err)
+		}
+	}
+	if err := os.Rename(path, filepath.Join(s.dir, walFile)); err != nil {
+		return abandon(err)
+	}
+	_ = s.wal.Close() // renamed away: nothing reads or writes it again
+	s.wal = f
+	s.walEnd = headerSize + s.walEnd - c.from
+	s.syncedEnd = 0
+	if synced {
+		s.syncedEnd = s.walEnd
+	}
+	s.walRecords -= c.records
+	// Until the directory is synced a power cut may bring back the old
+	// log, which holds everything up to now; the next fsync of the WAL
+	// syncs the directory first (syncWALLocked).
+	s.dirDirty = true
+	return nil
+}
+
+// copyRange appends src's bytes [from, to) to dst.
+func copyRange(dst io.Writer, src io.ReaderAt, from, to int64) error {
+	b := make([]byte, to-from)
+	if _, err := src.ReadAt(b, from); err != nil {
+		return err
+	}
+	_, err := dst.Write(b)
+	return err
+}
+
+// waitCompaction waits for the compaction in flight, if any, and
+// returns its error.
+func (s *Store) waitCompaction() error {
+	s.mu.Lock()
+	c := s.compaction
+	s.mu.Unlock()
+	if c == nil {
+		return nil
+	}
+	<-c.done
+	return c.err
+}
+
+// syncDir best-effort-fsyncs the data directory so a rename into it is
+// itself durable.
 func (s *Store) syncDir() {
 	d, err := os.Open(s.dir)
 	if err != nil {
@@ -620,25 +775,43 @@ func (s *Store) Sync() error {
 	return s.syncWALLocked()
 }
 
-// Snapshot forces a compaction now, regardless of SnapshotEvery.
+// Snapshot forces a compaction now, regardless of SnapshotEvery, and
+// waits for it: once it returns nil, the snapshot covers every write
+// acked before the call. A compaction already in flight is waited out
+// first, since it may cover less.
 func (s *Store) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return os.ErrClosed
+	for {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return os.ErrClosed
+		}
+		c, running := s.compaction, s.compaction != nil
+		if !running {
+			c = s.startCompactionLocked()
+		}
+		s.mu.Unlock()
+		<-c.done
+		if !running {
+			return c.err
+		}
 	}
-	return s.snapshotLocked()
 }
 
-// Close implements wire.Store: flush, then release the WAL handle. The
-// directory can be re-opened afterwards to restart the node.
+// Close implements wire.Store: wait for a compaction in flight, flush,
+// then release the WAL handle. The directory can be re-opened
+// afterwards to restart the node.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	s.closed = true // refuses appends, so no compaction starts after this
+	s.mu.Unlock()
+	_ = s.waitCompaction() // a failed one left the old log whole
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	serr := s.syncWALLocked()
 	cerr := s.wal.Close()
 	if serr != nil {
@@ -666,7 +839,7 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 		c.walFsyncErrs, c.snapWrites, c.snapWriteErrs,
 		c.recoveryRuns, c.recoveryReplays, c.recoveryTorn)
 	reg.GaugeFunc("wire_wal_records",
-		"Records currently in the WAL (resets at each compaction).",
+		"Records currently in wal.log (a compaction's rotation drops those its snapshot covers).",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()

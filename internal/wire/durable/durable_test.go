@@ -212,6 +212,9 @@ func TestSnapshotCompactionAndSeqSkip(t *testing.T) {
 	}
 }
 
+// TestAutoCompaction: the write that brings the WAL to SnapshotEvery
+// records starts a compaction, which runs in the background; the test
+// waits for each one, so they fire at records 4 and 8.
 func TestAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{SnapshotEvery: 4})
@@ -219,12 +222,15 @@ func TestAutoCompaction(t *testing.T) {
 		if err := s.Replace(k("x"), []overlay.Entry{e("index", string(rune('0'+i)))}, nil); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.waitCompaction(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s.mu.Lock()
 	walRecords := s.walRecords
 	s.mu.Unlock()
-	if walRecords >= 4 {
-		t.Fatalf("WAL not compacted: %d records", walRecords)
+	if walRecords != 2 || s.c.snapWrites.Value() != 2 {
+		t.Fatalf("WAL not compacted: %d records after %d snapshots, want 2 after 2", walRecords, s.c.snapWrites.Value())
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -278,12 +284,12 @@ func TestAppendErrorRefusesWrite(t *testing.T) {
 
 // cutWriter is a WAL file whose next failWrites writes stop half-way
 // through the frame and report an error — a disk filling up — and whose
-// Truncate and WriteAt can be made to fail too.
+// Truncate and ReadAt can be made to fail too.
 type cutWriter struct {
 	*os.File
 	failWrites   int
 	failTruncate bool
-	failWriteAt  bool
+	failReadAt   bool
 }
 
 var errDiskFull = errors.New("disk full")
@@ -304,11 +310,11 @@ func (w *cutWriter) Truncate(size int64) error {
 	return w.File.Truncate(size)
 }
 
-func (w *cutWriter) WriteAt(b []byte, off int64) (int, error) {
-	if w.failWriteAt {
-		return 0, errDiskFull
+func (w *cutWriter) ReadAt(b []byte, off int64) (int, error) {
+	if w.failReadAt {
+		return 0, errors.New("read: I/O error")
 	}
-	return w.File.WriteAt(b, off)
+	return w.File.ReadAt(b, off)
 }
 
 // TestFailedWALWriteIsRolledBack: a write that fails mid-frame must not
@@ -397,28 +403,39 @@ func TestFailedWALWriteIsRolledBack(t *testing.T) {
 			t.Fatalf("acked put lost: %v", got)
 		}
 	})
-	// A rotation that empties the WAL and then cannot write its header
-	// leaves a file the next open resets: nothing may be acked into it.
-	t.Run("no ack after a failed rotation", func(t *testing.T) {
+	// A rotation builds the new log beside the old one and renames it in
+	// last: one that fails on the way leaves the old log whole, in use,
+	// and no wal.tmp behind.
+	t.Run("a failed rotation leaves the old log whole", func(t *testing.T) {
 		dir := t.TempDir()
 		s := mustOpen(t, dir, Options{SnapshotEvery: -1})
 		if err := put(t, s, "before"); err != nil {
 			t.Fatal(err)
 		}
-		s.wal = &cutWriter{File: s.wal.(*os.File), failWriteAt: true}
-		if err := s.Snapshot(); !errors.Is(err, errDiskFull) {
-			t.Fatalf("Snapshot over a failing rotation: err=%v", err)
+		s.wal = &cutWriter{File: s.wal.(*os.File), failReadAt: true}
+		if err := s.Snapshot(); err == nil {
+			t.Fatal("Snapshot over a failing rotation reported success")
 		}
-		if err := put(t, s, "after"); err == nil {
-			t.Fatal("put acked into a WAL with no header")
+		if _, err := os.Stat(filepath.Join(dir, walTmpFile)); !os.IsNotExist(err) {
+			t.Fatalf("failed rotation left %s behind: %v", walTmpFile, err)
+		}
+		if err := put(t, s, "after"); err != nil {
+			t.Fatalf("put after a failed rotation: %v", err)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 		r := mustOpen(t, dir, Options{})
 		defer r.Close()
-		if got := r.Get(k("before")); len(got) != 1 {
-			t.Fatalf("acked put lost: %v", got)
+		// The snapshot went in before the rotation failed: the old log's
+		// first record is covered by it, the second is replayed.
+		if st := r.RecoveryStats(); st.SkippedRecords != 1 || st.ReplayedRecords != 1 || st.TornRecords != 0 {
+			t.Fatalf("recovery stats: %+v, want 1 skipped, 1 replayed", st)
+		}
+		for _, name := range []string{"before", "after"} {
+			if got := r.Get(k(name)); len(got) != 1 {
+				t.Fatalf("acked put %s lost: %v", name, got)
+			}
 		}
 	})
 }

@@ -33,6 +33,10 @@ type Summary struct {
 	TornTail bool
 	// LastSeq is the sequence number recovery would resume from.
 	LastSeq uint64
+	// TempFiles names the compaction temp files present (snapshot.tmp,
+	// wal.tmp): a crash mid-compaction leaves them, recovery ignores
+	// them and Open removes them.
+	TempFiles []string
 	// Keys lists the recovered keys sorted by ring position.
 	Keys []KeySummary
 	// TotalEntries sums entry counts across all recovered keys.

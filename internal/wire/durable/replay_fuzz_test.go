@@ -68,9 +68,9 @@ func replaySeeds(tb testing.TB) []replaySeed {
 	// the snapshot covers already (a crash between rename and rotation).
 	a, b := e("index", "a"), e("index", "b")
 	file := func(magic string, seq uint64, recs ...record) []byte {
-		out := encodeHeader(magic, seq)
+		out := appendHeader(nil, magic, seq)
 		for _, rec := range recs {
-			out = append(out, encodeRecord(rec)...)
+			out = appendFrame(out, rec)
 		}
 		return out
 	}
@@ -96,8 +96,8 @@ func replaySeeds(tb testing.TB) []replaySeed {
 	}
 	for _, op := range []byte{recPut, recTomb, recReplaceFull} {
 		seeds = append(seeds,
-			replaySeed{nil, append(encodeHeader(walMagic, 0), huge(op)...)},
-			replaySeed{append(encodeHeader(snapMagic, 0), huge(op)...), nil})
+			replaySeed{nil, append(appendHeader(nil, walMagic, 0), huge(op)...)},
+			replaySeed{append(appendHeader(nil, snapMagic, 0), huge(op)...), nil})
 	}
 	return seeds
 }

@@ -84,12 +84,10 @@ type record struct {
 	gcBefore int64
 }
 
-// encodeHeader renders a 16-byte magic+sequence file header.
-func encodeHeader(magic string, seq uint64) []byte {
-	buf := make([]byte, headerSize)
-	copy(buf[:8], magic)
-	binary.LittleEndian.PutUint64(buf[8:], seq)
-	return buf
+// appendHeader appends a 16-byte magic+sequence file header to b.
+func appendHeader(b []byte, magic string, seq uint64) []byte {
+	b = append(b, magic...)
+	return binary.LittleEndian.AppendUint64(b, seq)
 }
 
 // parseHeader validates a file's 16-byte header and returns its
@@ -103,27 +101,29 @@ func parseHeader(b []byte, magic string) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[8:headerSize]), nil
 }
 
-// encodeRecord renders one record as a complete frame (length prefix,
-// checksum, payload).
-func encodeRecord(rec record) []byte {
-	payload := make([]byte, 0, 1+keyspace.Size+8)
-	payload = append(payload, rec.op)
-	payload = append(payload, rec.key[:]...)
+// appendFrame appends rec to b as one complete frame (length prefix,
+// checksum, payload). The payload is encoded in place behind a reserved
+// prefix that is filled in last, so a b with room allocates nothing.
+func appendFrame(b []byte, rec record) []byte {
+	start := len(b)
+	b = binary.LittleEndian.AppendUint64(b, 0) // length and checksum, once the payload is known
+	b = append(b, rec.op)
+	b = append(b, rec.key[:]...)
 	switch rec.op {
 	case recTombGC:
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(rec.gcBefore))
+		b = binary.LittleEndian.AppendUint64(b, uint64(rec.gcBefore))
 	case recTomb:
-		payload = appendTombs(payload, rec.tombs)
+		b = appendTombs(b, rec.tombs)
 	case recReplaceFull:
-		payload = appendEntries(payload, rec.entries)
-		payload = appendTombs(payload, rec.tombs)
+		b = appendEntries(b, rec.entries)
+		b = appendTombs(b, rec.tombs)
 	default:
-		payload = appendEntries(payload, rec.entries)
+		b = appendEntries(b, rec.entries)
 	}
-	frame := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	return append(frame, payload...)
+	payload := b[start+8:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
+	return b
 }
 
 // appendEntries encodes a uvarint count followed by the entries.
