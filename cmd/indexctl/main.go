@@ -9,7 +9,7 @@
 // The `snapshot` subcommand inspects a durable node's data directory
 // offline instead of starting the shell:
 //
-//	indexctl snapshot [-keys] <data-dir>
+//	indexctl snapshot [-keys] [-tombstones] <data-dir>
 //
 // The `queue` subcommand inspects an ingest pipeline's durable spool
 // offline — pending, published and quarantined documents:

@@ -37,16 +37,24 @@ type Entry struct {
 }
 
 // EntryHash is the 64-bit hash of one entry that Digest sums: FNV-1a
-// over the kind, a zero byte and the value, then a 64-bit finalizer so
-// that every input bit reaches every output bit. It is unseeded, so
-// every process computes the same value.
+// over the kind's length as a uvarint, the kind and the value, then a
+// 64-bit finalizer so that every input bit reaches every output bit.
+// The length prefix makes the hashed bytes decode to one (kind, value)
+// pair, so two entries share a hash only by a 64-bit collision, never
+// because a kind's bytes run into its value's ({"a\x00", "x"} and
+// {"a", "\x00x"} differ). It is unseeded, so every process computes the
+// same value.
 func EntryHash(e Entry) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
+	n := uint64(len(e.Kind))
+	for ; n >= 0x80; n >>= 7 {
+		h = (h ^ (n&0x7f | 0x80)) * prime
+	}
+	h = (h ^ n) * prime
 	for i := 0; i < len(e.Kind); i++ {
 		h = (h ^ uint64(e.Kind[i])) * prime
 	}
-	h *= prime // the zero byte between kind and value
 	for i := 0; i < len(e.Value); i++ {
 		h = (h ^ uint64(e.Value[i])) * prime
 	}

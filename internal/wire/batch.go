@@ -169,7 +169,7 @@ func nameByDigest(kv []KeyEntries) (whole []KeyEntries, digests []KeyDigest) {
 	for _, item := range kv {
 		from := len(digests)
 		for _, e := range item.Entries {
-			d := KeyDigest{Key: item.Key, Digest: overlay.EntryHash(e)}
+			d := KeyDigest{Key: item.Key, Digest: entryHash(e)}
 			if slices.Contains(digests[from:], d) {
 				digests = digests[:from]
 				whole = append(whole, item)
@@ -188,7 +188,7 @@ func namedEntries(kv []KeyEntries, digests []KeyDigest) []KeyEntries {
 	for _, item := range kv {
 		var entries []overlay.Entry
 		for _, e := range item.Entries {
-			h := overlay.EntryHash(e)
+			h := entryHash(e)
 			if slices.Contains(digests, KeyDigest{Key: item.Key, Digest: h}) {
 				entries = append(entries, e)
 			}

@@ -14,15 +14,17 @@ package wire
 // is 3 bytes of payload.
 //
 // Entry lists are front-coded (DESIGN.md §28). Within one message,
-// Entries and then each KV item's entries and tombstones form one chain
-// in encode order, and each entry is coded against the one before it:
+// Entries and then each KV item's entries form one chain in encode
+// order, and each entry is coded against the one before it:
 //
 //	kind:  0 (the previous entry's kind) | uvarint len+1, bytes
 //	value: uvarint shared-prefix length | uvarint suffix length, suffix
 //
 // A store keeps a key's entries sorted, so neighbouring values share
 // most of their bytes and a Get reply carries little more than what
-// differs between them.
+// differs between them. A tombstone is no entry: it travels as its
+// digest, a fixed 8-byte big-endian word, and a zigzag varint At
+// (DESIGN.md §46).
 //
 // Encoding appends into a caller-owned scratch slice and decoding
 // reads out of the frame buffer in place, so steady-state frames
@@ -53,7 +55,9 @@ import (
 // connection closes. Version 3 changed no layout but a meaning: a remove
 // batch and its replication name entries by digest (DESIGN.md §44), and
 // a version-2 peer would read such a request as empty and ack it.
-const binMsgVersion = 3
+// Version 4 sends a tombstone as its digest and At, not its entry
+// (DESIGN.md §46), and hashes entries with the kind length-prefixed.
+const binMsgVersion = 4
 
 // Field-presence bits of the binary encoding, in encode order.
 const (
@@ -255,7 +259,7 @@ func appendMessage(dst []byte, m *Message) []byte {
 			}
 			dst = appendUvarint(dst, uint64(len(kv.Tombs)))
 			for _, t := range kv.Tombs {
-				dst = chain.append(dst, t.Entry)
+				dst = binary.BigEndian.AppendUint64(dst, t.Hash)
 				dst = appendVarint(dst, t.At)
 			}
 		}
@@ -490,14 +494,14 @@ func (r *binReader) bytes(n uint64) ([]byte, error) {
 	return b, nil
 }
 
-// reserve sizes the next n chained entries — n tombstones, each with its
-// timestamp, when tombs — before any of them is built. A shared prefix
+// reserve sizes the next n chained entries before any of them is built.
+// A shared prefix
 // makes a value longer than the bytes that carry it, so the strings a
 // list decodes to are only known by walking it: reserve charges them all
 // to the budget, refusing a list that would decode past it before
 // anything is allocated for it, and then grows vals to exactly the bytes
 // the list's new values take, which chained builds them into.
-func (r *binReader) reserve(n int, tombs bool, vals *strings.Builder) error {
+func (r *binReader) reserve(n int, vals *strings.Builder) error {
 	ahead := *r
 	started, kind, value := r.started, len(r.prev.Kind), len(r.prev.Value)
 	var spend, size uint64
@@ -505,11 +509,6 @@ func (r *binReader) reserve(n int, tombs bool, vals *strings.Builder) error {
 	for range n {
 		if err := ahead.link(&l, started, value); err != nil {
 			return err
-		}
-		if tombs {
-			if _, err := ahead.varint(); err != nil {
-				return err
-			}
 		}
 		if !l.repeat {
 			kind = len(l.kind)
@@ -561,7 +560,7 @@ func (r *binReader) entries() ([]overlay.Entry, error) {
 		return nil, err
 	}
 	var vals strings.Builder
-	if err := r.reserve(n, false, &vals); err != nil {
+	if err := r.reserve(n, &vals); err != nil {
 		return nil, err
 	}
 	out := make([]overlay.Entry, n)
@@ -574,18 +573,14 @@ func (r *binReader) entries() ([]overlay.Entry, error) {
 }
 
 func (r *binReader) tombstones() ([]Tombstone, error) {
-	// A tombstone is a chained entry plus a varint: at least four bytes.
-	n, err := r.count(4)
+	// A tombstone is an 8-byte digest and a varint: at least nine bytes.
+	n, err := r.count(9)
 	if err != nil || n == 0 {
-		return nil, err
-	}
-	var vals strings.Builder
-	if err := r.reserve(n, true, &vals); err != nil {
 		return nil, err
 	}
 	out := make([]Tombstone, n)
 	for i := range out {
-		if out[i].Entry, err = r.chained(&vals); err != nil {
+		if out[i].Hash, err = r.digest(); err != nil {
 			return nil, err
 		}
 		if out[i].At, err = r.varint(); err != nil {
@@ -593,6 +588,16 @@ func (r *binReader) tombstones() ([]Tombstone, error) {
 		}
 	}
 	return out, nil
+}
+
+// digest reads one fixed 8-byte big-endian digest.
+func (r *binReader) digest() (uint64, error) {
+	if r.remaining() < 8 {
+		return 0, errBinTruncated
+	}
+	d := binary.BigEndian.Uint64(r.data[r.off:])
+	r.off += 8
+	return d, nil
 }
 
 // decodeMessage decodes one binary payload into m, overwriting every
@@ -694,11 +699,9 @@ func decodeMessage(data []byte, m *Message, maxBytes int64, addr *string) error 
 				if m.Digests[i].Key, err = r.key(); err != nil {
 					return err
 				}
-				if r.remaining() < 8 {
-					return errBinTruncated
+				if m.Digests[i].Digest, err = r.digest(); err != nil {
+					return err
 				}
-				m.Digests[i].Digest = binary.BigEndian.Uint64(r.data[r.off:])
-				r.off += 8
 			}
 		}
 	}

@@ -109,9 +109,6 @@ func stringBytes(m *Message) int {
 		for _, e := range kv.Entries {
 			n += len(e.Kind) + len(e.Value)
 		}
-		for _, t := range kv.Tombs {
-			n += len(t.Entry.Kind) + len(t.Entry.Value)
-		}
 	}
 	for _, a := range m.Addrs {
 		n += len(a)

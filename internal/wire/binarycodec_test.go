@@ -32,7 +32,7 @@ func codecMessages() []Message {
 		{Op: OpPut, Code: CodeOverload, Err: "shed: queue full"},
 		{Op: OpTransfer, KV: []KeyEntries{
 			{Key: k1, Entries: []overlay.Entry{{Kind: "a", Value: "v"}}},
-			{Key: k2, Tombs: []Tombstone{{Entry: overlay.Entry{Kind: "t", Value: "w"}, At: -7}, {Entry: overlay.Entry{}, At: 1 << 60}}},
+			{Key: k2, Tombs: []Tombstone{TombstoneOf(overlay.Entry{Kind: "t", Value: "w"}, -7), TombstoneOf(overlay.Entry{}, 1<<60)}},
 		}},
 		{Op: OpRepairSync, Digests: []KeyDigest{{Key: k1, Digest: 0xdeadbeefcafef00d}, {Key: k2}}},
 		{Op: OpGetSuccessor, Ok: true, Addrs: []string{"a:1", "b:2", ""}},
@@ -61,11 +61,12 @@ func codecMessages() []Message {
 			{Key: k1, Entries: []overlay.Entry{{Kind: "index", Value: "/article[author[last/Lovelace]]"}}},
 			{Key: k2, Entries: []overlay.Entry{{Kind: "index", Value: "/article[author[last/Turing]]"}, {Kind: "index", Value: "/article[author[last/Turing]]/x"}}},
 		}},
-		// A hand-over whose tombstones share prefixes with the entries
-		// before them, and with each other.
+		// A hand-over carrying tombstones beside an entry: each a digest
+		// and an At, and the entry chain runs on past them.
 		{Op: OpTransfer, KV: []KeyEntries{
 			{Key: k1, Entries: []overlay.Entry{{Kind: "index", Value: "/article[title/Notes]"}},
-				Tombs: []Tombstone{{Entry: overlay.Entry{Kind: "index", Value: "/article[title/Notes][year]"}, At: 7}, {Entry: overlay.Entry{Kind: "file", Value: "/article"}, At: -1}}},
+				Tombs: []Tombstone{TombstoneOf(overlay.Entry{Kind: "index", Value: "/article[title/Notes][year]"}, 7), {Hash: 0, At: -1}}},
+			{Key: k2, Entries: []overlay.Entry{{Kind: "index", Value: "/article[title/Notes][year=1843]"}}},
 		}},
 		// A conditional get, owner-addressed, offering the digest of the
 		// set the client holds, and the owner's unchanged verdict.

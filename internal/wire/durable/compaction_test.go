@@ -16,43 +16,78 @@ import (
 )
 
 // TestCompactionDoesNotStallWrites: a compaction's file work runs off the
-// store's lock, so a write to the same store does not wait for the
-// snapshot's fsync (held here for 100 ms).
+// store's lock, so a write to the same store waits neither for the
+// snapshot's fsync nor for the close of the log the rotation retired
+// (each held here for 100 ms; on ext4 that close frees the old log's
+// blocks).
 func TestCompactionDoesNotStallWrites(t *testing.T) {
-	inFsync := make(chan struct{})
-	var armed atomic.Bool
-	s := mustOpen(t, t.TempDir(), Options{SnapshotEvery: 8, Faults: Faults{SyncErr: func() error {
-		if armed.CompareAndSwap(true, false) {
-			close(inFsync)
-			time.Sleep(100 * time.Millisecond)
-		}
-		return nil
-	}}})
-	defer s.Close()
-	armed.Store(true)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 8; i++ { // the 8th write starts the compaction
-			if _, err := s.Put(k(fmt.Sprint("key-", i)), e("index", "v")); err != nil {
-				t.Error(err)
-				return
+	for _, stage := range []string{"snapshot fsync", "retired log close"} {
+		t.Run(stage, func(t *testing.T) {
+			entered := make(chan struct{})
+			var armed atomic.Bool
+			stall := func() {
+				if armed.CompareAndSwap(true, false) {
+					close(entered)
+					time.Sleep(100 * time.Millisecond)
+				}
 			}
-		}
-	}()
-	select {
-	case <-inFsync:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no compaction reached the snapshot's fsync")
+			opts := Options{SnapshotEvery: 8}
+			if stage == "snapshot fsync" {
+				opts.Faults.SyncErr = func() error { stall(); return nil }
+			}
+			s := mustOpen(t, t.TempDir(), opts)
+			defer s.Close()
+			s.createLog = func(path string) (logFile, error) {
+				f, err := os.Create(path)
+				if err != nil {
+					return nil, err
+				}
+				return &slowClose{File: f, stall: stall}, nil
+			}
+			if stage == "retired log close" {
+				// The log open now came from Open; after one rotation it
+				// is a slowClose, which the next rotation retires.
+				if err := s.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			armed.Store(true)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < 8; i++ { // the 8th write starts the compaction
+					if _, err := s.Put(k(fmt.Sprint("key-", i)), e("index", "v")); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			select {
+			case <-entered:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("no compaction reached the %s", stage)
+			}
+			start := time.Now()
+			if _, err := s.Put(k("during"), e("index", "v")); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d > 10*time.Millisecond {
+				t.Fatalf("a write during the %s took %v", stage, d)
+			}
+			<-done
+		})
 	}
-	start := time.Now()
-	if _, err := s.Put(k("during"), e("index", "v")); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 10*time.Millisecond {
-		t.Fatalf("a write during the snapshot's fsync took %v", d)
-	}
-	<-done
+}
+
+// slowClose is a log file whose Close first calls stall.
+type slowClose struct {
+	*os.File
+	stall func()
+}
+
+func (f *slowClose) Close() error {
+	f.stall()
+	return f.File.Close()
 }
 
 // copyDir copies a data directory while its store runs, the way a crash

@@ -346,14 +346,15 @@ func (s *Store) openWAL(r replayed) error {
 }
 
 // apply folds one record into m. It is the one way the state changes —
-// at replay, and on the write path once the record is in the log — so
-// what a restart recovers is what the running store held. It returns how
-// many entries the record added, or tombstones it recorded, refreshed
-// or collected; MemStore's mutators never fail, so their errors are
-// dropped. Replay is order-faithful, so a put logged before an
-// entomb of the same entry re-converges to the entombed state; a record
-// written before entry sets were kept in order carries its set as the
-// writes arrived, and MemStore normalizes it.
+// at replay, and on the write path once the record is in the log (a
+// Remove, which knows its entry, applies it without hashing: see
+// Remove) — so what a restart recovers is what the running store held.
+// It returns how many entries the record added, or tombstones it
+// recorded, refreshed or collected; MemStore's mutators never fail, so
+// their errors are dropped. Replay is order-faithful, so a put logged
+// before an entomb of the same entry re-converges to the entombed
+// state; a record written before entry sets were kept in order carries
+// its set as the writes arrived, and MemStore normalizes it.
 func apply(m *wire.MemStore, rec record) (n int) {
 	switch rec.op {
 	case recPut:
@@ -362,9 +363,9 @@ func apply(m *wire.MemStore, rec record) (n int) {
 				n++
 			}
 		}
-	case recReplace, recReplaceFull:
+	case recReplace, recReplaceFull, recReplaceDigests:
 		_ = m.Replace(rec.key, rec.entries, rec.tombs)
-	case recTomb:
+	case recTomb, recTombDigests:
 		n, _ = m.Entomb(rec.key, rec.tombs)
 	case recTombGC:
 		n, _ = m.GCTombstones(rec.gcBefore)
@@ -499,7 +500,7 @@ func (s *Store) startCompactionLocked() *compaction {
 	bp := snapBufs.Get().(*[]byte)
 	buf := appendHeader((*bp)[:0], snapMagic, s.seq)
 	forEachKey(s.mem, func(k keyspace.Key, entries []overlay.Entry, tombs []wire.Tombstone) {
-		buf = appendFrame(buf, record{op: recReplaceFull, key: k, entries: entries, tombs: tombs})
+		buf = appendFrame(buf, record{op: recReplaceDigests, key: k, entries: entries, tombs: tombs})
 	})
 	*bp = buf
 	c := &compaction{seq: s.seq, from: s.walEnd, records: s.walRecords, snap: bp, done: make(chan struct{})}
@@ -560,9 +561,12 @@ func (s *Store) writeSnapshot(snap []byte) error {
 // old log's records after it. The records already written are copied
 // without the lock (bytes before walEnd no longer change); the lock is
 // taken only to copy what arrived since, rename the new log over the old
-// one and swap the handle. The new log is fsynced before the rename
-// whenever a record after c.seq was, so a record made durable stays so.
-// A failure before the rename leaves the old log whole and in use.
+// one and swap the handle (swapLogLocked). The old log is closed after
+// the lock is released: the close frees the renamed-away file's blocks,
+// which takes long enough to stall a write. The new log is fsynced
+// before the rename whenever a record after c.seq was, so a record made
+// durable stays so. A failure before the rename leaves the old log whole
+// and in use.
 func (s *Store) rotateWAL(c *compaction) error {
 	path := filepath.Join(s.dir, walTmpFile)
 	f, err := s.createLog(path)
@@ -584,20 +588,33 @@ func (s *Store) rotateWAL(c *compaction) error {
 		return abandon(err)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := copyRange(f, s.wal, end, s.walEnd); err != nil {
+	retired, err := s.swapLogLocked(c, f, path, end)
+	s.mu.Unlock()
+	if err != nil {
 		return abandon(err)
+	}
+	_ = retired.Close() // renamed away: nothing reads or writes it again
+	return nil
+}
+
+// swapLogLocked is the part of rotateWAL that holds the lock: it copies
+// the records appended to the old log since end into f, renames f (at
+// path) over wal.log and makes it the store's log, returning the old
+// one. A failure leaves the old log in use.
+func (s *Store) swapLogLocked(c *compaction, f logFile, path string, end int64) (logFile, error) {
+	if err := copyRange(f, s.wal, end, s.walEnd); err != nil {
+		return nil, err
 	}
 	synced := s.syncedEnd > c.from
 	if synced {
 		if err := s.fsync(f); err != nil {
-			return abandon(err)
+			return nil, err
 		}
 	}
 	if err := os.Rename(path, filepath.Join(s.dir, walFile)); err != nil {
-		return abandon(err)
+		return nil, err
 	}
-	_ = s.wal.Close() // renamed away: nothing reads or writes it again
+	retired := s.wal
 	s.wal = f
 	s.walEnd = headerSize + s.walEnd - c.from
 	s.syncedEnd = 0
@@ -609,7 +626,7 @@ func (s *Store) rotateWAL(c *compaction) error {
 	// log, which holds everything up to now; the next fsync of the WAL
 	// syncs the directory first (syncWALLocked).
 	s.dirDirty = true
-	return nil
+	return retired, nil
 }
 
 // copyRange appends src's bytes [from, to) to dst.
@@ -674,17 +691,22 @@ func (s *Store) Put(key keyspace.Key, e overlay.Entry) (bool, error) {
 	return n > 0, err
 }
 
-// Remove implements wire.Store: the WAL records a tombstone whose
-// replay both deletes the live entry and re-records the suppression,
-// so a restarted node cannot resurrect the entry from a stale copy.
+// Remove implements wire.Store: the WAL records e's tombstone, its
+// digest, whose replay both deletes the live entry that digest names and
+// re-records the suppression, so a restarted node cannot resurrect the
+// entry from a stale copy. Here, where e is known, it is deleted by
+// comparison (MemStore.Bury) rather than found by hashing the key's set;
+// the two differ only for a second live entry sharing e's 64-bit hash,
+// which replay deletes too (DESIGN.md §46).
 func (s *Store) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	removed := s.mem.Has(key, e)
-	t := wire.Tombstone{Entry: e, At: time.Now().UnixNano()}
-	if _, err := s.commitLocked(record{op: recTomb, key: key, tombs: []wire.Tombstone{t}}); err != nil {
+	t := wire.TombstoneOf(e, time.Now().UnixNano())
+	if err := s.appendLocked(record{op: recTombDigests, key: key, tombs: []wire.Tombstone{t}}); err != nil {
 		return false, err
 	}
+	removed := s.mem.Bury(key, e, t)
+	s.maybeCompactLocked()
 	return removed, nil
 }
 
@@ -692,7 +714,7 @@ func (s *Store) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
 func (s *Store) Replace(key keyspace.Key, entries []overlay.Entry, tombs []wire.Tombstone) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := s.commitLocked(record{op: recReplaceFull, key: key, entries: wire.SortedEntries(entries), tombs: tombs})
+	_, err := s.commitLocked(record{op: recReplaceDigests, key: key, entries: wire.SortedEntries(entries), tombs: tombs})
 	return err
 }
 
@@ -727,7 +749,7 @@ func (s *Store) Entomb(key keyspace.Key, tombs []wire.Tombstone) (int, error) {
 	if !s.mem.EntombChanges(key, tombs) {
 		return 0, nil
 	}
-	return s.commitLocked(record{op: recTomb, key: key, tombs: tombs})
+	return s.commitLocked(record{op: recTombDigests, key: key, tombs: tombs})
 }
 
 // ForEachTombstone implements wire.Store.

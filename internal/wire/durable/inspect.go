@@ -66,7 +66,9 @@ type DumpedKey struct {
 	Key keyspace.Key
 	// Entries are the recovered entries, in wire.CompareEntries order.
 	Entries []overlay.Entry
-	// Tombstones are the key's recovered deletion records.
+	// Tombstones are the key's recovered deletion records, in digest
+	// order: each the removed entry's overlay.EntryHash, which prints in
+	// hex, and its At.
 	Tombstones []wire.Tombstone
 }
 

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
 	"dhtindex/internal/wire"
 )
@@ -40,8 +41,10 @@ func frameEnds(file []byte) []int {
 // replaySeeds returns the data directory package wire's order test
 // recovers (written before entry sets were kept sorted: a snapshot and a
 // WAL tail), the same directory with either file cut at every frame
-// boundary and one byte to each side of it, and a hand-built directory
-// holding the record kinds the old one predates.
+// boundary and one byte to each side of it, and hand-built directories
+// holding the record kinds the old one predates: tombstones written
+// whole, as stores wrote them before tombstones were digests, and as
+// digests.
 func replaySeeds(tb testing.TB) []replaySeed {
 	tb.Helper()
 	read := func(name string) []byte {
@@ -66,26 +69,11 @@ func replaySeeds(tb testing.TB) []replaySeed {
 
 	// Tombstones, a shipped set, a GC round; the WAL's first record is one
 	// the snapshot covers already (a crash between rename and rotation).
+	// These frames hold their tombstones' entries whole.
 	a, b := e("index", "a"), e("index", "b")
-	file := func(magic string, seq uint64, recs ...record) []byte {
-		out := appendHeader(nil, magic, seq)
-		for _, rec := range recs {
-			out = appendFrame(out, rec)
-		}
-		return out
-	}
-	modernSnap := file(snapMagic, 7,
-		record{op: recReplaceFull, key: k("x"), entries: []overlay.Entry{a, b}, tombs: []wire.Tombstone{{Entry: e("data", "gone"), At: 40}}},
-		record{op: recReplaceFull, key: k("y"), tombs: []wire.Tombstone{{Entry: a, At: 10}, {Entry: b, At: 90}}})
-	modernWAL := file(walMagic, 6,
-		record{op: recPut, key: k("x"), entries: []overlay.Entry{a}},
-		record{op: recTomb, key: k("x"), tombs: []wire.Tombstone{{Entry: a, At: 50}, {Entry: a, At: 20}}},
-		record{op: recPut, key: k("x"), entries: []overlay.Entry{a}},
-		record{op: recTombGC, gcBefore: 45},
-		record{op: recReplace, key: k("z"), entries: []overlay.Entry{b, a, b}},
-		record{op: recPut, key: k("y"), entries: []overlay.Entry{b}})
-	seeds = append(seeds, replaySeed{modernSnap, modernWAL}, replaySeed{nil, modernWAL},
-		replaySeed{modernSnap, []byte("garbage")}, replaySeed{[]byte("garbage"), modernWAL})
+	legacySnap, legacyWAL := legacyDir()
+	seeds = append(seeds, replaySeed{legacySnap, legacyWAL}, replaySeed{nil, legacyWAL},
+		replaySeed{legacySnap, []byte("garbage")}, replaySeed{[]byte("garbage"), legacyWAL})
 
 	// Frames with a good checksum that declare far more entries or
 	// tombstones than their few bytes could hold: refused before the
@@ -99,7 +87,85 @@ func replaySeeds(tb testing.TB) []replaySeed {
 			replaySeed{nil, append(appendHeader(nil, walMagic, 0), huge(op)...)},
 			replaySeed{append(appendHeader(nil, snapMagic, 0), huge(op)...), nil})
 	}
+
+	// The same directory as the legacy one, written as digests, with
+	// a snapshot holding an entry live beside its own tombstone (Replace
+	// can leave one) that a WAL tombstone then kills.
+	digestSnap := file(snapMagic, 7,
+		record{op: recReplaceDigests, key: k("x"), entries: []overlay.Entry{a, b}, tombs: []wire.Tombstone{wire.TombstoneOf(e("data", "gone"), 40)}},
+		record{op: recReplaceDigests, key: k("y"), tombs: []wire.Tombstone{wire.TombstoneOf(a, 10), wire.TombstoneOf(b, 90)}},
+		record{op: recReplaceDigests, key: k("w"), entries: []overlay.Entry{a, b}, tombs: []wire.Tombstone{wire.TombstoneOf(b, 30)}})
+	digestWAL := file(walMagic, 6,
+		record{op: recPut, key: k("x"), entries: []overlay.Entry{a}},
+		record{op: recTombDigests, key: k("x"), tombs: []wire.Tombstone{wire.TombstoneOf(a, 50), wire.TombstoneOf(a, 20)}},
+		record{op: recPut, key: k("x"), entries: []overlay.Entry{a}},
+		record{op: recTombGC, gcBefore: 45},
+		record{op: recReplace, key: k("z"), entries: []overlay.Entry{b, a, b}},
+		record{op: recPut, key: k("y"), entries: []overlay.Entry{b}},
+		record{op: recTombDigests, key: k("w"), tombs: []wire.Tombstone{wire.TombstoneOf(b, 60)}})
+	seeds = append(seeds, replaySeed{digestSnap, digestWAL}, replaySeed{nil, digestWAL},
+		replaySeed{digestSnap, []byte("garbage")}, replaySeed{[]byte("garbage"), digestWAL})
+	for _, op := range []byte{recTombDigests, recReplaceDigests} {
+		seeds = append(seeds,
+			replaySeed{nil, append(appendHeader(nil, walMagic, 0), huge(op)...)},
+			replaySeed{append(appendHeader(nil, snapMagic, 0), huge(op)...), nil})
+	}
 	return seeds
+}
+
+// file is a snapshot or WAL file holding recs after its header.
+func file(magic string, seq uint64, recs ...record) []byte {
+	out := appendHeader(nil, magic, seq)
+	for _, rec := range recs {
+		out = appendFrame(out, rec)
+	}
+	return out
+}
+
+// legacyTomb is a tombstone as recTomb and recReplaceFull frames hold
+// it: the removed entry whole, and its At.
+type legacyTomb struct {
+	entry overlay.Entry
+	at    int64
+}
+
+// legacyFrame encodes a recTomb frame (entries nil) or a recReplaceFull
+// one the way stores wrote them before tombstones were digests: each
+// tombstone its entry's length-prefixed strings and an 8-byte At.
+func legacyFrame(op byte, key keyspace.Key, entries []overlay.Entry, tombs ...legacyTomb) []byte {
+	payload := append([]byte{op}, key[:]...)
+	if op == recReplaceFull {
+		payload = appendEntries(payload, entries)
+	}
+	payload = binary.AppendUvarint(payload, uint64(len(tombs)))
+	for _, t := range tombs {
+		payload = binary.AppendUvarint(payload, uint64(len(t.entry.Kind)))
+		payload = append(payload, t.entry.Kind...)
+		payload = binary.AppendUvarint(payload, uint64(len(t.entry.Value)))
+		payload = append(payload, t.entry.Value...)
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(t.at))
+	}
+	return frameOf(payload)
+}
+
+// legacyDir is a data directory written before tombstones were digests:
+// a snapshot of two keys, one holding only tombstones, and a WAL that
+// puts, entombs, collects, ships a set and puts again. Its first record
+// is one the snapshot covers already (a crash between rename and
+// rotation).
+func legacyDir() (snapshot, wal []byte) {
+	a, b := e("index", "a"), e("index", "b")
+	snapshot = appendHeader(nil, snapMagic, 7)
+	snapshot = append(snapshot, legacyFrame(recReplaceFull, k("x"), []overlay.Entry{a, b}, legacyTomb{e("data", "gone"), 40})...)
+	snapshot = append(snapshot, legacyFrame(recReplaceFull, k("y"), nil, legacyTomb{a, 10}, legacyTomb{b, 90})...)
+	wal = appendHeader(nil, walMagic, 6)
+	wal = appendFrame(wal, record{op: recPut, key: k("x"), entries: []overlay.Entry{a}})
+	wal = append(wal, legacyFrame(recTomb, k("x"), nil, legacyTomb{a, 50}, legacyTomb{a, 20})...)
+	wal = appendFrame(wal, record{op: recPut, key: k("x"), entries: []overlay.Entry{a}})
+	wal = appendFrame(wal, record{op: recTombGC, gcBefore: 45})
+	wal = appendFrame(wal, record{op: recReplace, key: k("z"), entries: []overlay.Entry{b, a, b}})
+	wal = appendFrame(wal, record{op: recPut, key: k("y"), entries: []overlay.Entry{b}})
+	return snapshot, wal
 }
 
 // frameOf wraps an arbitrary payload in a well-formed frame: its length

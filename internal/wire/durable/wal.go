@@ -3,6 +3,7 @@ package durable
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 
 	"dhtindex/internal/keyspace"
@@ -23,10 +24,17 @@ import (
 //
 //	uint32 LE payload length | uint32 LE CRC-32 (IEEE) of payload | payload
 //
-// A frame's payload is one record: an op byte (recPut adds a single
-// entry, recReplace sets a key's whole entry set — zero entries means
-// delete), the 20-byte ring key, then a uvarint entry count followed by
-// uvarint-length-prefixed kind and value strings per entry.
+// A frame's payload is one record: an op byte, the 20-byte ring key,
+// then the op's body. An entry list is a uvarint count followed by
+// uvarint-length-prefixed kind and value strings per entry (recPut adds
+// a single entry, recReplace sets a key's whole entry set — zero
+// entries means delete). A tombstone list is a uvarint count followed by
+// 16 bytes per tombstone: the removed entry's overlay.EntryHash and its
+// At, each a uint64 little-endian (recTombDigests; recReplaceDigests
+// carries an entry list and then a tombstone list). The ops written
+// before tombstones were digests, recTomb and recReplaceFull, carry each
+// tombstone's entry strings instead; replay still reads them, and keeps
+// the digest of each (DESIGN.md §46).
 //
 // Replay reads frames until end of file. A short frame, an impossible
 // length, or a checksum mismatch marks the frame — and therefore
@@ -48,27 +56,35 @@ const (
 	// clears its tombstones. Legacy: written before deletion records
 	// existed; still replayed so old data directories open cleanly.
 	recReplace = 2
-	// recTomb merges tombstones into a key: each removes its matching
-	// live entry and is recorded keeping the latest At. Removes and
-	// Entomb log this.
+	// recTomb is recTombDigests with each tombstone's entry whole.
+	// Legacy: replayed, never written.
 	recTomb = 3
-	// recReplaceFull sets a key's whole entry set AND tombstone set at
-	// once (repair-sync ship semantics; also the snapshot record).
+	// recReplaceFull is recReplaceDigests with each tombstone's entry
+	// whole. Legacy: replayed, never written.
 	recReplaceFull = 4
 	// recTombGC drops every tombstone older than the payload's cutoff
 	// (the key field is unused), so a collection survives restart.
 	recTombGC = 5
+	// recTombDigests merges tombstones into a key: each removes the live
+	// entries whose hash it names and is recorded keeping the latest At.
+	// Removes and Entomb log this.
+	recTombDigests = 6
+	// recReplaceDigests sets a key's whole entry set AND tombstone set
+	// at once (repair-sync ship semantics; also the snapshot record).
+	recReplaceDigests = 7
 
 	// maxRecordSize bounds a frame payload; anything larger is treated
 	// as a torn length prefix rather than an allocation request.
 	maxRecordSize = 16 << 20
 
-	// minEntrySize and minTombSize are the least an encoded entry (its
-	// two length prefixes) and tombstone (those plus At) take. A declared
-	// count is trusted — and allocated for — only if the bytes behind it
-	// could pay for that many.
-	minEntrySize = 2
-	minTombSize  = minEntrySize + 8
+	// minEntrySize, tombSize and minLegacyTombSize are the least an
+	// encoded entry (its two length prefixes), tombstone (digest and At)
+	// and legacy tombstone (an entry plus At) take. A declared count is
+	// trusted — and allocated for — only if the bytes behind it could pay
+	// for that many.
+	minEntrySize      = 2
+	tombSize          = 16
+	minLegacyTombSize = minEntrySize + 8
 )
 
 // errTorn marks a torn or corrupt frame found during replay.
@@ -112,13 +128,15 @@ func appendFrame(b []byte, rec record) []byte {
 	switch rec.op {
 	case recTombGC:
 		b = binary.LittleEndian.AppendUint64(b, uint64(rec.gcBefore))
-	case recTomb:
+	case recTombDigests:
 		b = appendTombs(b, rec.tombs)
-	case recReplaceFull:
+	case recReplaceDigests:
 		b = appendEntries(b, rec.entries)
 		b = appendTombs(b, rec.tombs)
+	case recPut, recReplace:
+		b = appendEntries(b, rec.entries)
 	default:
-		b = appendEntries(b, rec.entries)
+		panic(fmt.Sprintf("durable: no encoding for record op %d", rec.op))
 	}
 	payload := b[start+8:]
 	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
@@ -138,15 +156,12 @@ func appendEntries(payload []byte, entries []overlay.Entry) []byte {
 	return payload
 }
 
-// appendTombs encodes a uvarint count followed by the tombstones (entry
-// strings plus an 8-byte little-endian At).
+// appendTombs encodes a uvarint count followed by the tombstones, each
+// its digest and At as 8-byte little-endian words.
 func appendTombs(payload []byte, tombs []wire.Tombstone) []byte {
 	payload = binary.AppendUvarint(payload, uint64(len(tombs)))
 	for _, t := range tombs {
-		payload = binary.AppendUvarint(payload, uint64(len(t.Entry.Kind)))
-		payload = append(payload, t.Entry.Kind...)
-		payload = binary.AppendUvarint(payload, uint64(len(t.Entry.Value)))
-		payload = append(payload, t.Entry.Value...)
+		payload = binary.LittleEndian.AppendUint64(payload, t.Hash)
 		payload = binary.LittleEndian.AppendUint64(payload, uint64(t.At))
 	}
 	return payload
@@ -192,12 +207,19 @@ func decodePayload(payload []byte) (record, error) {
 		}
 		rec.gcBefore = int64(binary.LittleEndian.Uint64(rest))
 		rest = nil
-	case recTomb:
+	case recTombDigests:
 		rec.tombs, rest, err = readTombs(rest)
-	case recReplaceFull:
+	case recReplaceDigests:
 		rec.entries, rest, err = readEntries(rest)
 		if err == nil {
 			rec.tombs, rest, err = readTombs(rest)
+		}
+	case recTomb:
+		rec.tombs, rest, err = readLegacyTombs(rest)
+	case recReplaceFull:
+		rec.entries, rest, err = readEntries(rest)
+		if err == nil {
+			rec.tombs, rest, err = readLegacyTombs(rest)
 		}
 	case recPut, recReplace:
 		rec.entries, rest, err = readEntries(rest)
@@ -239,7 +261,23 @@ func readEntries(b []byte) ([]overlay.Entry, []byte, error) {
 // readTombs decodes a uvarint-counted tombstone list.
 func readTombs(b []byte) ([]wire.Tombstone, []byte, error) {
 	count, n := binary.Uvarint(b)
-	if n <= 0 || count > uint64(len(b)-n)/minTombSize {
+	if n <= 0 || count > uint64(len(b)-n)/tombSize {
+		return nil, nil, errTorn
+	}
+	b = b[n:]
+	tombs := make([]wire.Tombstone, count)
+	for i := range tombs {
+		tombs[i] = wire.Tombstone{Hash: binary.LittleEndian.Uint64(b), At: int64(binary.LittleEndian.Uint64(b[8:]))}
+		b = b[tombSize:]
+	}
+	return tombs, b, nil
+}
+
+// readLegacyTombs decodes a uvarint-counted list of legacy tombstones,
+// each an entry's strings and an At, into the digests of the entries.
+func readLegacyTombs(b []byte) ([]wire.Tombstone, []byte, error) {
+	count, n := binary.Uvarint(b)
+	if n <= 0 || count > uint64(len(b)-n)/minLegacyTombSize {
 		return nil, nil, errTorn
 	}
 	b = b[n:]
@@ -258,7 +296,7 @@ func readTombs(b []byte) ([]wire.Tombstone, []byte, error) {
 		}
 		at := int64(binary.LittleEndian.Uint64(rem))
 		b = rem[8:]
-		tombs = append(tombs, wire.Tombstone{Entry: overlay.Entry{Kind: kind, Value: value}, At: at})
+		tombs = append(tombs, wire.TombstoneOf(overlay.Entry{Kind: kind, Value: value}, at))
 	}
 	return tombs, b, nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"slices"
+	"time"
 
 	"dhtindex/internal/keyspace"
 	"dhtindex/internal/overlay"
@@ -44,12 +45,12 @@ func (n *Node) handle(req Message) Message {
 	case OpRemoveReplica:
 		// A replica copy targets exactly this node: no forward, no
 		// propagation. The reply lists the digests this copy could not
-		// resolve, for the sender to re-send whole.
-		removed, _, unresolved, err := n.removeEntries(req.KV, req.Digests, nil)
+		// settle, for the sender to re-send whole.
+		r, err := n.removeEntries(req.KV, req.Digests, nil)
 		if err != nil {
-			return Message{Op: req.Op, Err: err.Error(), Keys: removed}
+			return Message{Op: req.Op, Err: err.Error(), Keys: r.removed}
 		}
-		return Message{Op: req.Op, Ok: removed > 0, Keys: removed, Digests: unresolved}
+		return Message{Op: req.Op, Ok: r.removed > 0, Keys: r.removed, Digests: r.unresolved}
 	case OpGetBatch:
 		return n.handleGetBatch(req)
 	case OpRepairSync:
@@ -179,13 +180,14 @@ func (n *Node) replicate(msg Message) (acked []string) {
 	return acked
 }
 
-// replicateRemoval is replicate for the removal of kv's entries, which
-// names each entry by digest (nameByDigest) and re-sends whole to a
-// replica whatever it could not resolve (sendRemoval). A replica is
+// replicateRemoval is replicate for the removal of kv's entries and of
+// the entries planted names by digest alone, which names each entry of
+// kv by digest too (nameByDigest) and re-sends whole to a replica
+// whatever of kv it could not settle (sendRemoval). A replica is
 // acknowledged only once it has applied every entry.
-func (n *Node) replicateRemoval(kv []KeyEntries) (acked []string) {
+func (n *Node) replicateRemoval(kv []KeyEntries, planted []KeyDigest) (acked []string) {
 	whole, digests := nameByDigest(kv)
-	req := Message{Op: OpRemoveReplica, KV: whole, Digests: digests}
+	req := Message{Op: OpRemoveReplica, KV: whole, Digests: append(digests, planted...)}
 	for _, succ := range n.firstSuccessors(n.cfg.ReplicationFactor) {
 		call := func(req Message) (Message, error) { return n.call(succ, req) }
 		if _, err := sendRemoval(call, req, kv); err == nil {
@@ -564,54 +566,72 @@ func (n *Node) handleRemove(req Message) Message {
 		return resp
 	}
 	kv := []KeyEntries{{Key: req.Key, Entries: []overlay.Entry{req.Entry}}}
-	removed, _, _, err := n.removeEntries(kv, nil, nil)
+	r, err := n.removeEntries(kv, nil, nil)
 	if err != nil {
 		return Message{Op: req.Op, Err: err.Error()}
 	}
 	var acked []string
-	if removed > 0 {
+	if r.removed > 0 {
 		acked = n.replicate(Message{Op: OpRemoveReplica, KV: kv})
 	}
-	return Message{Op: req.Op, Ok: removed > 0, Addr: n.addr, Hops: req.Hops, Addrs: acked}
+	return Message{Op: req.Op, Ok: r.removed > 0, Addr: n.addr, Hops: req.Hops, Addrs: acked}
 }
 
 // removeOwned is the delete an owner applies for a remove batch it
 // serves: removeEntries, then, if any entry went, the propagation of
-// every entry it applied to the successor set (replicateRemoval). It
-// returns the successors that applied it, and the digests it could not
-// resolve.
+// every entry it applied and every tombstone it planted to the
+// successor set (replicateRemoval). It returns the successors that
+// applied it, and the digests it could not settle.
 func (n *Node) removeOwned(kv []KeyEntries, digests []KeyDigest, emptied map[keyspace.Key]bool) (removed int, acked []string, unresolved []KeyDigest, err error) {
-	removed, resolved, unresolved, err := n.removeEntries(kv, digests, emptied)
-	if err == nil && removed > 0 {
-		acked = n.replicateRemoval(append(slices.Clip(kv), resolved...))
+	r, err := n.removeEntries(kv, digests, emptied)
+	if err == nil && r.removed > 0 {
+		acked = n.replicateRemoval(append(slices.Clip(kv), r.found...), r.planted)
 	}
-	return removed, acked, unresolved, err
+	return r.removed, acked, r.unresolved, err
+}
+
+// removal is what removeEntries did to this node's copy.
+type removal struct {
+	// removed counts the live entries deleted.
+	removed int
+	// found lists whole the entries digests named that were live, each
+	// the one live entry its digest answered: removed as if named whole.
+	found []KeyEntries
+	// planted lists the digests no live entry answered: each one's
+	// tombstone was recorded directly.
+	planted []KeyDigest
+	// unresolved lists the digests two or more live entries answered,
+	// untouched: only the entry whole can say which one goes.
+	unresolved []KeyDigest
 }
 
 // removeEntries deletes each item's entries from this node's copy, every
-// key under its own critical section, and returns how many entries
-// went. kv names entries whole; digests names them by key and
-// overlay.EntryHash, and each run of digests under one key is resolved
-// inside that key's section (resolveDigests): the entries it resolves
-// are removed as if named whole, and returned in resolved, and the
-// digests it cannot resolve are returned in unresolved, untouched. A
-// non-nil emptied gets every key left without a live entry, decided
-// inside that key's section. The first store failure is returned; the
-// remaining items are still attempted.
-func (n *Node) removeEntries(kv []KeyEntries, digests []KeyDigest, emptied map[keyspace.Key]bool) (removed int, resolved []KeyEntries, unresolved []KeyDigest, firstErr error) {
+// key under its own critical section. kv names entries whole; digests
+// names them by key and overlay.EntryHash, and each run of digests under
+// one key is settled inside that key's section (resolveDigests), as
+// removal lists. A non-nil emptied gets every key left without a live
+// entry, decided inside that key's section. The first store failure is
+// returned; the remaining items are still attempted.
+func (n *Node) removeEntries(kv []KeyEntries, digests []KeyDigest, emptied map[keyspace.Key]bool) (r removal, firstErr error) {
 	remove := func(key keyspace.Key, entries []overlay.Entry, named []KeyDigest) {
 		err := n.store.Update(key, func(s Store) error {
-			if len(named) > 0 {
-				var missed []KeyDigest
-				entries, missed = resolveDigests(s, key, named)
-				n.digestsResolved.Add(int64(len(entries)))
-				n.digestsUnresolved.Add(int64(len(missed)))
-				if len(entries) > 0 {
-					resolved = append(resolved, KeyEntries{Key: key, Entries: entries})
-				}
-				unresolved = append(unresolved, missed...)
-			}
 			var uerr error
+			if len(named) > 0 {
+				var absent, ambiguous []KeyDigest
+				entries, absent, ambiguous = resolveDigests(s, key, named)
+				n.digestsResolved.Add(int64(len(entries) + len(absent)))
+				n.digestsUnresolved.Add(int64(len(ambiguous)))
+				if len(entries) > 0 {
+					r.found = append(r.found, KeyEntries{Key: key, Entries: entries})
+				}
+				r.unresolved = append(r.unresolved, ambiguous...)
+				if len(absent) > 0 {
+					uerr = n.plant(s, key, absent)
+					if uerr == nil {
+						r.planted = append(r.planted, absent...)
+					}
+				}
+			}
 			for _, e := range entries {
 				ok, err := s.Remove(key, e)
 				if err != nil && uerr == nil {
@@ -621,7 +641,7 @@ func (n *Node) removeEntries(kv []KeyEntries, digests []KeyDigest, emptied map[k
 					n.tomb.created.Inc()
 				}
 				if ok {
-					removed++
+					r.removed++
 				}
 			}
 			if emptied != nil && len(s.Get(key)) == 0 {
@@ -644,37 +664,50 @@ func (n *Node) removeEntries(kv []KeyEntries, digests []KeyDigest, emptied map[k
 		remove(digests[0].Key, nil, digests[:run])
 		digests = digests[run:]
 	}
-	return removed, resolved, unresolved, firstErr
+	return r, firstErr
 }
 
-// resolveDigests finds, among the entries s holds under key — its live
-// entries first, then its tombstones — the one entry each digest names
-// by overlay.EntryHash. A digest that matches no held entry, or more
-// than one, is never guessed: it is returned in missed.
-func resolveDigests(s Store, key keyspace.Key, named []KeyDigest) (found []overlay.Entry, missed []KeyDigest) {
-	live, tombs := s.Get(key), s.HeldTombstones(key)
+// plant records under key, in s, a tombstone for each of digests, which
+// name entries s does not hold live: a removal that overtook its put,
+// or a replica that missed the put, keeps the entry out all the same.
+func (n *Node) plant(s Store, key keyspace.Key, digests []KeyDigest) error {
+	now := time.Now().UnixNano()
+	tombs := make([]Tombstone, len(digests))
+	for i, d := range digests {
+		tombs[i] = Tombstone{Hash: d.Digest, At: now}
+	}
+	fresh, err := s.Entomb(key, tombs)
+	n.tomb.created.Add(int64(fresh))
+	return err
+}
+
+// resolveDigests matches each digest, by overlay.EntryHash, against the
+// live entries s holds under key: the one entry a digest answers is
+// returned in found, a digest none answers in absent, and one that two
+// or more answer, which is never guessed, in ambiguous. A tombstone is
+// its digest, so a removal needs the entry only to delete a live copy
+// (DESIGN.md §46).
+func resolveDigests(s Store, key keyspace.Key, named []KeyDigest) (found []overlay.Entry, absent, ambiguous []KeyDigest) {
+	live := s.Get(key)
 	for _, d := range named {
 		var match overlay.Entry
 		matches := 0
-		see := func(e overlay.Entry) {
-			if (matches == 0 || e != match) && overlay.EntryHash(e) == d.Digest {
+		for _, e := range live {
+			if entryHash(e) == d.Digest {
 				match = e
 				matches++
 			}
 		}
-		for _, e := range live {
-			see(e)
-		}
-		for _, t := range tombs {
-			see(t.Entry)
-		}
-		if matches == 1 {
+		switch matches {
+		case 0:
+			absent = append(absent, d)
+		case 1:
 			found = append(found, match)
-		} else {
-			missed = append(missed, d)
+		default:
+			ambiguous = append(ambiguous, d)
 		}
 	}
-	return found, missed
+	return found, absent, ambiguous
 }
 
 func (n *Node) handleStats(req Message) Message {

@@ -140,8 +140,10 @@ type Node struct {
 	// getUnchanged counts conditional gets answered CodeUnchanged.
 	getUnchanged *telemetry.Counter
 	// digestsResolved and digestsUnresolved count the digests of remove
-	// requests this node resolved to a held entry, and those it listed
-	// back for a whole re-send (DESIGN.md §44).
+	// requests this node settled — it removed the one live entry a digest
+	// named, or planted the digest's tombstone — and those two or more
+	// live entries answered, which it listed back for a whole re-send
+	// (DESIGN.md §44, §46).
 	digestsResolved, digestsUnresolved *telemetry.Counter
 	// adoptions counts successors adopted by stabilize walk steps; hints
 	// counts predecessors taken from a notify reply (DESIGN.md §23).
@@ -219,9 +221,9 @@ func Start(cfg Config) (*Node, error) {
 		getUnchanged: telemetry.NewCounter("wire_get_unchanged_total",
 			"Conditional gets answered \"unchanged\", batched keys included: the key's set had the digest the client offered, so no entries were shipped."),
 		digestsResolved: telemetry.NewCounter("wire_remove_digests_resolved_total",
-			"Entries named by digest in a remove batch or its replication that this node resolved to the one entry it holds under the key, live or tombstoned."),
+			"Digests of remove batches or their replication that this node settled: it removed the one live entry under the key with that digest, or, holding none, planted the digest's tombstone."),
 		digestsUnresolved: telemetry.NewCounter("wire_remove_digests_unresolved_total",
-			"Digests of remove requests that matched no entry this node holds under the key, or more than one, listed back for the sender to re-send whole."),
+			"Digests of remove requests that two or more live entries under the key answer, listed back for the sender to re-send whole."),
 		adoptions: telemetry.NewCounter("wire_stabilize_adoptions_total",
 			"Successors adopted by stabilize walk steps."),
 		hints: telemetry.NewCounter("wire_predecessor_hints_total",

@@ -454,15 +454,15 @@ func holdOnly(t *testing.T, n *Node, key keyspace.Key, entries ...overlay.Entry)
 
 // tombstoned reports whether n holds a tombstone for e under key.
 func tombstoned(n *Node, key keyspace.Key, e overlay.Entry) bool {
-	return slices.ContainsFunc(n.store.Tombstones(key), func(ts Tombstone) bool { return ts.Entry == e })
+	return slices.ContainsFunc(n.store.Tombstones(key), func(ts Tombstone) bool { return ts.Hash == entryHash(e) })
 }
 
-// TestRemoveBeforePutIsResentWhole: a removal that reaches the owner
+// TestRemoveBeforePutPlantsTombstone: a removal that reaches the owner
 // before the put it undoes names, by digest, entries the owner does not
-// hold. The owner resolves none of them and lists every digest back;
-// the client re-sends the entries whole, the owner records their
-// tombstones, and the late put is refused everywhere.
-func TestRemoveBeforePutIsResentWhole(t *testing.T) {
+// hold. A tombstone is a digest, so the owner plants one for each digest
+// at once — nothing is listed back, nothing re-sent whole — and the late
+// put is refused everywhere.
+func TestRemoveBeforePutPlantsTombstone(t *testing.T) {
 	cluster, ring, rec, _ := newDigestRing(t)
 	owner, follower := ring[1], ring[2]
 	var items []overlay.KeyEntry
@@ -480,12 +480,11 @@ func TestRemoveBeforePutIsResentWhole(t *testing.T) {
 			toOwner = append(toOwner, s.req)
 		}
 	}
-	if len(toOwner) != 2 || len(toOwner[0].Digests) != 3 || toOwner[0].KV != nil ||
-		len(toOwner[1].KV) != 3 || toOwner[1].Digests != nil {
-		t.Fatalf("the owner was sent %+v; want the three digests, then the three entries whole", toOwner)
+	if len(toOwner) != 1 || len(toOwner[0].Digests) != 3 || toOwner[0].KV != nil {
+		t.Fatalf("the owner was sent %+v; want the three digests alone", toOwner)
 	}
-	if got := owner.digestsUnresolved.Value(); got != 3 {
-		t.Fatalf("the owner listed %d digests unresolved, want 3", got)
+	if got, planted := owner.digestsUnresolved.Value(), owner.digestsResolved.Value(); got != 0 || planted != 3 {
+		t.Fatalf("the owner listed %d digests unresolved and settled %d, want 0 and 3", got, planted)
 	}
 	if err := cluster.PutBatch(context.Background(), items); err != nil {
 		t.Fatal(err)
@@ -502,40 +501,56 @@ func TestRemoveBeforePutIsResentWhole(t *testing.T) {
 	}
 }
 
-// TestDigestMatchingTwoEntriesIsUnresolved: EntryHash does not separate
-// a kind's bytes from a value's, so {"a\x00", "x"} and {"a", "\x00x"}
-// share a digest. A digest two held entries answer — two live ones, or
-// a live one and a tombstone — is listed back unresolved and removes
-// nothing; the client re-sends its entry whole, and a client batch
-// holding both names them whole from the start.
+// collide makes entryHash give b the hash of a until the test ends. It
+// runs before the test starts a node, and the hash is restored after
+// they have stopped.
+func collide(t *testing.T, a, b overlay.Entry) {
+	t.Helper()
+	entryHash = func(e overlay.Entry) uint64 {
+		if e == b {
+			e = a
+		}
+		return overlay.EntryHash(e)
+	}
+	t.Cleanup(func() { entryHash = overlay.EntryHash })
+}
+
+// TestDigestMatchingTwoEntriesIsUnresolved: two live entries of one key
+// that share a digest (made to, here: EntryHash length-prefixes the
+// kind, so only a 64-bit collision could) make that digest ambiguous. It
+// is listed back unresolved and removes nothing; the client re-sends its
+// entry whole, which removes that entry alone. Once one live entry
+// answers the digest, it settles to that entry. A client batch holding
+// both names them whole from the start.
 func TestDigestMatchingTwoEntriesIsUnresolved(t *testing.T) {
+	e1, e2 := overlay.Entry{Kind: "a", Value: "x1"}, overlay.Entry{Kind: "a", Value: "x2"}
+	collide(t, e1, e2)
 	cluster, ring, rec, _ := newDigestRing(t)
 	owner := ring[1]
-	e1, e2 := overlay.Entry{Kind: "a\x00", Value: "x"}, overlay.Entry{Kind: "a", Value: "\x00x"}
-	h := overlay.EntryHash(e1)
-	if overlay.EntryHash(e2) != h || e1 == e2 {
+	h := entryHash(e1)
+	if entryHash(e2) != h || e1 == e2 {
 		t.Fatal("the entries do not collide")
 	}
 	key := keyWhere(t, "collide", func(k keyspace.Key) bool { return k.Between(ring[0].id, owner.id) })
 	holdOnly(t, owner, key, e1, e2)
 	named := []KeyDigest{{Key: key, Digest: h}}
-	for _, held := range []string{"two live entries", "a live entry and a tombstone"} {
-		resp := owner.handle(Message{Op: OpRemoveBatch, TTL: 8, Digests: named})
-		if resp.Err != "" || !reflect.DeepEqual(resp.Digests, named) || resp.Keys != 0 || resp.KV != nil {
-			t.Fatalf("%s: reply %+v; want the digest back, nothing removed and no verdict", held, resp)
-		}
-		if held == "two live entries" {
-			if got := localEntries(t, rec, owner.Addr(), key); len(got) != 2 {
-				t.Fatalf("an unresolved digest removed something: %v", got)
-			}
-			removed, err := cluster.RemoveBatch(context.Background(), []overlay.KeyEntry{{Key: key, Entry: e1}})
-			if err != nil || removed != 1 {
-				t.Fatalf("RemoveBatch = %d, %v; want e1 removed by its whole re-send", removed, err)
-			}
-			if got := localEntries(t, rec, owner.Addr(), key); !reflect.DeepEqual(got, []overlay.Entry{e2}) {
-				t.Fatalf("the owner holds %v, want e2 alone", got)
-			}
-		}
+	resp := owner.handle(Message{Op: OpRemoveBatch, TTL: 8, Digests: named})
+	if resp.Err != "" || !reflect.DeepEqual(resp.Digests, named) || resp.Keys != 0 || resp.KV != nil {
+		t.Fatalf("reply %+v; want the digest back, nothing removed and no verdict", resp)
+	}
+	if got := localEntries(t, rec, owner.Addr(), key); len(got) != 2 {
+		t.Fatalf("an unresolved digest removed something: %v", got)
+	}
+	removed, err := cluster.RemoveBatch(context.Background(), []overlay.KeyEntry{{Key: key, Entry: e1}})
+	if err != nil || removed != 1 {
+		t.Fatalf("RemoveBatch = %d, %v; want e1 removed by its whole re-send", removed, err)
+	}
+	if got := localEntries(t, rec, owner.Addr(), key); !reflect.DeepEqual(got, []overlay.Entry{e2}) {
+		t.Fatalf("the owner holds %v, want e2 alone", got)
+	}
+	resp = owner.handle(Message{Op: OpRemoveBatch, TTL: 8, Digests: named})
+	if resp.Err != "" || resp.Digests != nil || resp.Keys != 1 {
+		t.Fatalf("reply %+v; want the one live entry the digest answers removed", resp)
 	}
 	whole, digests := nameByDigest([]KeyEntries{{Key: key, Entries: []overlay.Entry{e1, e2}}})
 	if len(whole) != 1 || len(whole[0].Entries) != 2 || len(digests) != 0 {
@@ -543,22 +558,54 @@ func TestDigestMatchingTwoEntriesIsUnresolved(t *testing.T) {
 	}
 }
 
-// TestReplicaMissingTheEntryGetsItWhole: the owner names a removal to
-// its replica by digest; a replica that never received the entry lists
-// the digest back, and the owner re-sends it whole. The owner's reply
-// names the replica in Addrs only once that re-send is applied: when
-// the replica refuses it, the reply names nobody.
-func TestReplicaMissingTheEntryGetsItWhole(t *testing.T) {
+// TestReplicaMissingTheEntryPlantsTombstone: the owner names a removal
+// to its replica by digest; a replica that never received the entry
+// plants its tombstone from the digest, with no whole re-send, and the
+// owner's reply names it as acked.
+func TestReplicaMissingTheEntryPlantsTombstone(t *testing.T) {
+	_, ring, rec, _ := newDigestRing(t)
+	owner, replica := ring[1], ring[2]
+	e := overlay.Entry{Kind: "index", Value: "owner-only"}
+	key := keyWhere(t, "owner-only", func(k keyspace.Key) bool { return k.Between(ring[0].id, owner.id) })
+	holdOnly(t, owner, key, e)
+	resp := owner.handle(Message{Op: OpRemoveBatch, TTL: 8, Digests: []KeyDigest{{Key: key, Digest: overlay.EntryHash(e)}}})
+	if resp.Err != "" || resp.Keys != 1 || resp.Digests != nil {
+		t.Fatalf("reply %+v; want the entry removed", resp)
+	}
+	sent := rec.take()
+	if len(sent) != 1 || sent[0].addr != replica.Addr() || sent[0].req.Op != OpRemoveReplica ||
+		len(sent[0].req.Digests) != 1 || sent[0].req.KV != nil {
+		t.Fatalf("the owner sent %+v; want the digest to its replica alone", sent)
+	}
+	if want := []string{replica.Addr()}; !reflect.DeepEqual(resp.Addrs, want) {
+		t.Fatalf("the reply names %v as acked, want %v", resp.Addrs, want)
+	}
+	if !tombstoned(replica, key, e) {
+		t.Fatal("the replica planted no tombstone")
+	}
+	if added, _ := replica.store.Put(key, e); added {
+		t.Fatal("the replica took a stale put past the planted tombstone")
+	}
+}
+
+// TestAmbiguousReplicaGetsTheEntryWhole: a replica holding two live
+// entries that share the removed entry's digest lists it back, and the
+// owner re-sends the entry whole, which removes it alone. The owner's
+// reply names the replica in Addrs only once that re-send is applied:
+// when the replica refuses it, the reply names nobody.
+func TestAmbiguousReplicaGetsTheEntryWhole(t *testing.T) {
+	e, twin := overlay.Entry{Kind: "index", Value: "removed"}, overlay.Entry{Kind: "index", Value: "twin"}
+	collide(t, e, twin)
 	_, ring, rec, refuse := newDigestRing(t)
 	owner, replica := ring[1], ring[2]
 	for _, refused := range []bool{false, true} {
-		e := overlay.Entry{Kind: "index", Value: fmt.Sprint("owner-only-", refused)}
-		key := keyWhere(t, fmt.Sprint("owner-only-", refused), func(k keyspace.Key) bool { return k.Between(ring[0].id, owner.id) })
+		key := keyWhere(t, fmt.Sprint("ambiguous-", refused), func(k keyspace.Key) bool { return k.Between(ring[0].id, owner.id) })
 		holdOnly(t, owner, key, e)
+		holdOnly(t, replica, key, e, twin)
 		if refused {
 			refuse.arm(replica.Addr())
 		}
-		resp := owner.handle(Message{Op: OpRemoveBatch, TTL: 8, Digests: []KeyDigest{{Key: key, Digest: overlay.EntryHash(e)}}})
+		resp := owner.handle(Message{Op: OpRemoveBatch, TTL: 8, Digests: []KeyDigest{{Key: key, Digest: entryHash(e)}}})
 		if resp.Err != "" || resp.Keys != 1 || resp.Digests != nil {
 			t.Fatalf("refused=%v: reply %+v; want the entry removed", refused, resp)
 		}
@@ -571,8 +618,12 @@ func TestReplicaMissingTheEntryGetsItWhole(t *testing.T) {
 		if want := []string{replica.Addr()}; refused && resp.Addrs != nil || !refused && !reflect.DeepEqual(resp.Addrs, want) {
 			t.Fatalf("refused=%v: the reply names %v as acked", refused, resp.Addrs)
 		}
-		if got := tombstoned(replica, key, e); got == refused {
-			t.Fatalf("refused=%v: the replica holds a tombstone: %v", refused, got)
+		want := []overlay.Entry{twin}
+		if refused {
+			want = []overlay.Entry{e, twin}
+		}
+		if got := replica.store.Get(key); !reflect.DeepEqual(got, want) {
+			t.Fatalf("refused=%v: the replica holds %v, want %v", refused, got, want)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 //  1. Sync: the owner offers each partner — its first ReplicationFactor
 //     successors, or at R = 0 its immediate successor — its range
 //     (pred, self] and a (key, digest) pair per owned key (OpRepairSync;
-//     the digest covers live entries AND tombstone identities). The
+//     the digest covers live entries AND tombstone digests). The
 //     partner answers with the state of every key whose digest differs
 //     and of every unoffered key it holds in the range. The owner adopts
 //     it first, so a removal or an entry only a replica witnessed (the
@@ -103,13 +103,14 @@ func (c repairCounters) attach(reg *telemetry.Registry) {
 	reg.Attach(c.rounds, c.syncs, c.pulls, c.pushes, c.forwards, c.drops)
 }
 
-// tombSalt is an odd multiplier: tombHash(e) = EntryHash(e)·tombSalt
-// is a bijection of EntryHash, and differs from it for all but a
-// 2^-62 share of entries, so a tombstone never counts as its entry.
+// tombSalt is an odd multiplier: tombHash(t) = t.Hash·tombSalt is a
+// bijection of the removed entry's EntryHash, and differs from it for
+// all but a 2^-62 share of entries, so a tombstone never counts as its
+// entry.
 const tombSalt = 0x9e3779b97f4a7c15
 
 // tombHash is what a tombstone adds to its key's state digest.
-func tombHash(e overlay.Entry) uint64 { return overlay.EntryHash(e) * tombSalt }
+func tombHash(t Tombstone) uint64 { return t.Hash * tombSalt }
 
 // stateDigest is a key's repair digest: live, the overlay.Digest of its
 // entry set (Store.Digest keeps it), plus the sum of its tombstones'
@@ -120,7 +121,7 @@ func tombHash(e overlay.Entry) uint64 { return overlay.EntryHash(e) * tombSalt }
 // an empty state digests to 0.
 func stateDigest(live uint64, tombs []Tombstone) uint64 {
 	for _, t := range tombs {
-		live += tombHash(t.Entry)
+		live += tombHash(t)
 	}
 	return live
 }
@@ -129,7 +130,7 @@ func stateDigest(live uint64, tombs []Tombstone) uint64 {
 // snapshotted: its entries are hashed, as a store does when it stores
 // them.
 func itemDigest(item KeyEntries) uint64 {
-	return stateDigest(overlay.Digest(item.Entries), item.Tombs)
+	return stateDigest(setDigest(item.Entries), item.Tombs)
 }
 
 // heldDigest is stateDigest of key's state in s, read off the stored

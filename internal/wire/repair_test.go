@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -26,7 +27,7 @@ func TestEntriesDigest(t *testing.T) {
 	if overlay.Digest(a) == overlay.Digest(c) {
 		t.Errorf("different sets collided")
 	}
-	// The separator byte keeps (Kind, Value) boundaries unambiguous.
+	// The kind's length prefix keeps (Kind, Value) boundaries unambiguous.
 	d := []overlay.Entry{{Kind: "k1v", Value: "1"}}
 	e := []overlay.Entry{{Kind: "k1", Value: "v1"}}
 	if overlay.Digest(d) == overlay.Digest(e) {
@@ -35,11 +36,12 @@ func TestEntriesDigest(t *testing.T) {
 }
 
 // referenceEntryHash is overlay.EntryHash written with hash/fnv: FNV-1a
-// over kind, a zero byte and value, then MurmurHash3's fmix64.
+// over the kind's uvarint length, the kind and the value, then
+// MurmurHash3's fmix64.
 func referenceEntryHash(e overlay.Entry) uint64 {
 	h := fnv.New64a()
+	_, _ = h.Write(binary.AppendUvarint(nil, uint64(len(e.Kind))))
 	_, _ = h.Write([]byte(e.Kind))
-	_, _ = h.Write([]byte{0})
 	_, _ = h.Write([]byte(e.Value))
 	x := h.Sum64()
 	x ^= x >> 33
@@ -67,14 +69,14 @@ func TestStateDigestOnePass(t *testing.T) {
 		}
 		tombs := make([]Tombstone, rng.Intn(4))
 		for i := range tombs {
-			tombs[i] = Tombstone{Entry: overlay.Entry{Kind: "index", Value: fmt.Sprintf("/dead[v=%d]", rng.Intn(1000))}, At: rng.Int63()}
+			tombs[i] = TombstoneOf(overlay.Entry{Kind: "index", Value: fmt.Sprintf("/dead[v=%d]", rng.Intn(1000))}, rng.Int63())
 		}
 		var want uint64
 		for _, e := range entries {
 			want += referenceEntryHash(e)
 		}
 		for _, tb := range tombs {
-			want += referenceEntryHash(tb.Entry) * tombSalt
+			want += tb.Hash * tombSalt
 		}
 		if got := itemDigest(KeyEntries{Entries: entries, Tombs: tombs}); got != want {
 			t.Fatalf("shuffled: digest %d, reference %d (%v %v)", got, want, entries, tombs)

@@ -143,16 +143,16 @@ func TestMemStoreTombstones(t *testing.T) {
 	if _, err := s.Put(k2, e3); err != nil {
 		t.Fatal(err)
 	}
-	if fresh, _ := s.Entomb(k2, []Tombstone{{Entry: e3, At: 100}}); fresh != 1 {
+	if fresh, _ := s.Entomb(k2, []Tombstone{TombstoneOf(e3, 100)}); fresh != 1 {
 		t.Fatalf("entomb fresh=%d, want 1", fresh)
 	}
 	if got := s.Get(k2); len(got) != 0 {
 		t.Fatalf("entomb left the live entry: %v", got)
 	}
-	if fresh, _ := s.Entomb(k2, []Tombstone{{Entry: e3, At: 50}}); fresh != 0 {
+	if fresh, _ := s.Entomb(k2, []Tombstone{TombstoneOf(e3, 50)}); fresh != 0 {
 		t.Fatal("an older At refreshed a newer tombstone")
 	}
-	if fresh, _ := s.Entomb(k2, []Tombstone{{Entry: e3, At: 200}}); fresh != 1 {
+	if fresh, _ := s.Entomb(k2, []Tombstone{TombstoneOf(e3, 200)}); fresh != 1 {
 		t.Fatal("a newer At did not refresh the tombstone")
 	}
 	if got := s.Tombstones(k2); len(got) != 1 || got[0].At != 200 {
@@ -171,13 +171,13 @@ func TestMemStoreTombstones(t *testing.T) {
 	}
 
 	// Replace installs entries and tombstones wholesale.
-	if err := s.Replace(k, []overlay.Entry{e3}, []Tombstone{{Entry: e, At: 7}}); err != nil {
+	if err := s.Replace(k, []overlay.Entry{e3}, []Tombstone{TombstoneOf(e, 7)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Get(k); len(got) != 1 || got[0] != e3 {
 		t.Fatalf("replace entries: %v", got)
 	}
-	if got := s.Tombstones(k); len(got) != 1 || got[0].Entry != e || got[0].At != 7 {
+	if got := s.Tombstones(k); len(got) != 1 || got[0] != TombstoneOf(e, 7) {
 		t.Fatalf("replace tombs: %v", got)
 	}
 	if err := s.Replace(k, nil, nil); err != nil {
@@ -189,7 +189,7 @@ func TestMemStoreTombstones(t *testing.T) {
 }
 
 // TestStateDigestTombstones: the repair digest covers tombstone
-// identities (two replicas disagreeing only in deletions must diverge)
+// digests (two replicas disagreeing only in deletions must diverge)
 // but not their At values (local GC clocks must not break agreement).
 func TestStateDigestTombstones(t *testing.T) {
 	entries := []overlay.Entry{{Kind: "d", Value: "v1"}}
@@ -197,28 +197,23 @@ func TestStateDigestTombstones(t *testing.T) {
 	if stateDigest(live, nil) != live {
 		t.Fatal("tombstone-free digest must equal the entries digest")
 	}
-	tomb := []Tombstone{{Entry: overlay.Entry{Kind: "d", Value: "dead"}, At: 1}}
+	tomb := []Tombstone{TombstoneOf(overlay.Entry{Kind: "d", Value: "dead"}, 1)}
 	if stateDigest(live, tomb) == stateDigest(live, nil) {
 		t.Fatal("tombstones invisible to the digest")
 	}
-	tombLater := []Tombstone{{Entry: overlay.Entry{Kind: "d", Value: "dead"}, At: 999}}
+	tombLater := []Tombstone{TombstoneOf(overlay.Entry{Kind: "d", Value: "dead"}, 999)}
 	if stateDigest(live, tomb) != stateDigest(live, tombLater) {
 		t.Fatal("At leaked into the digest — local clocks would break agreement")
 	}
 	// An entry and its own tombstone must not count alike: a replica
 	// holding e live and one holding only e's tombstone differ.
-	sameTomb := []Tombstone{{Entry: entries[0]}}
+	sameTomb := []Tombstone{TombstoneOf(entries[0], 0)}
 	if stateDigest(0, sameTomb) == live {
 		t.Fatal("a tombstone digests like its live entry")
 	}
-	reordered := []Tombstone{
-		{Entry: overlay.Entry{Kind: "b", Value: "2"}},
-		{Entry: overlay.Entry{Kind: "a", Value: "1"}},
-	}
-	ordered := []Tombstone{
-		{Entry: overlay.Entry{Kind: "a", Value: "1"}},
-		{Entry: overlay.Entry{Kind: "b", Value: "2"}},
-	}
+	a, b := overlay.Entry{Kind: "a", Value: "1"}, overlay.Entry{Kind: "b", Value: "2"}
+	reordered := []Tombstone{TombstoneOf(b, 0), TombstoneOf(a, 0)}
+	ordered := []Tombstone{TombstoneOf(a, 0), TombstoneOf(b, 0)}
 	if stateDigest(0, reordered) != stateDigest(0, ordered) {
 		t.Fatal("digest is tombstone-order-dependent")
 	}

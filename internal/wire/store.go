@@ -73,7 +73,8 @@ type Store interface {
 	// may arrive in any order and with repeats: the store keeps the
 	// sorted, duplicate-free set.
 	Replace(key keyspace.Key, entries []overlay.Entry, tombs []Tombstone) error
-	// Tombstoned reports whether a live tombstone suppresses e under key.
+	// Tombstoned reports whether a live tombstone suppresses e under key:
+	// whether key holds a tombstone for e's overlay.EntryHash.
 	Tombstoned(key keyspace.Key, e overlay.Entry) bool
 	// Tombstones returns a copy of key's tombstones (nil if none).
 	Tombstones(key keyspace.Key) []Tombstone
@@ -84,10 +85,10 @@ type Store interface {
 	// ConcurrentStore, whose lock its callers cannot hold, returns a
 	// copy.
 	HeldTombstones(key keyspace.Key) []Tombstone
-	// Entomb merges foreign tombstones into key: each one removes its
-	// matching live entry if present and is recorded keeping the latest
-	// At. It returns how many tombstones were newly recorded or
-	// refreshed to a later At.
+	// Entomb merges foreign tombstones into key: each one removes the
+	// live entries whose overlay.EntryHash it names, if any, and is
+	// recorded keeping the latest At. It returns how many tombstones were
+	// newly recorded or refreshed to a later At.
 	Entomb(key keyspace.Key, tombs []Tombstone) (int, error)
 	// ForEachTombstone calls fn for every key holding tombstones until
 	// fn returns false, under the same aliasing rules as ForEach.
@@ -170,8 +171,28 @@ func CompareEntries(a, b overlay.Entry) int {
 	return strings.Compare(a.Value, b.Value)
 }
 
-// compareTombstones orders tombstones by the entry they suppress.
-func compareTombstones(a, b Tombstone) int { return CompareEntries(a.Entry, b.Entry) }
+// entryHash is overlay.EntryHash: the hash a key's set digest sums, a
+// tombstone keeps of its entry and a removal names an entry by. Tests
+// replace it to build two entries that share a hash.
+var entryHash = overlay.EntryHash
+
+// setDigest is overlay.Digest of entries, summed through entryHash.
+func setDigest(entries []overlay.Entry) uint64 {
+	var d uint64
+	for _, e := range entries {
+		d += entryHash(e)
+	}
+	return d
+}
+
+// compareTombstones orders tombstones by the digest they suppress.
+func compareTombstones(a, b Tombstone) int { return cmp.Compare(a.Hash, b.Hash) }
+
+// holdsHash reports whether tombs, sorted by digest, holds one for h.
+func holdsHash(tombs []Tombstone, h uint64) bool {
+	_, found := slices.BinarySearchFunc(tombs, h, func(t Tombstone, h uint64) int { return cmp.Compare(t.Hash, h) })
+	return found
+}
 
 // InsertEntry returns a fresh set holding set's entries plus e at its
 // CompareEntries position, reporting false (and returning set as it
@@ -219,15 +240,15 @@ func SortedEntries(entries []overlay.Entry) []overlay.Entry {
 	return slices.Clip(slices.Compact(out))
 }
 
-// sortedTombstones returns a copy of tombs in CompareEntries order with
-// one record per entry, the one with the latest At (nil when empty):
-// what a store keeps of a shipped or replayed tombstone set.
+// sortedTombstones returns a copy of tombs in digest order with one
+// record per digest, the one with the latest At (nil when empty): what a
+// store keeps of a shipped or replayed tombstone set.
 func sortedTombstones(tombs []Tombstone) []Tombstone {
 	if len(tombs) == 0 {
 		return nil
 	}
 	latestFirst := func(a, b Tombstone) int {
-		if c := CompareEntries(a.Entry, b.Entry); c != 0 {
+		if c := compareTombstones(a, b); c != 0 {
 			return c
 		}
 		return cmp.Compare(b.At, a.At)
@@ -236,7 +257,7 @@ func sortedTombstones(tombs []Tombstone) []Tombstone {
 	if !slices.IsSortedFunc(out, latestFirst) {
 		slices.SortFunc(out, latestFirst)
 	}
-	return slices.CompactFunc(out, func(a, b Tombstone) bool { return a.Entry == b.Entry })
+	return slices.CompactFunc(out, func(a, b Tombstone) bool { return a.Hash == b.Hash })
 }
 
 // MemStore is the default Store: plain in-memory maps with no
@@ -244,12 +265,12 @@ func sortedTombstones(tombs []Tombstone) []Tombstone {
 // is exactly the behaviour the replicated ring's anti-entropy repair is
 // sized for. It is also the one implementation of the per-key state
 // machine: the durable store is a write-ahead log in front of a MemStore
-// (DESIGN.md §21). A key's tombstones are kept the way its entries are —
-// one CompareEntries-sorted slice with one record per entry — so reads
-// hand them out without sorting. Entry sets are copy-on-write (see the
-// Store sharing contract); tombstone sets are edited in place, copied
-// out by Tombstones and lent under the key's lock by HeldTombstones.
-// Each set is stored with its digest, which every write updates by the
+// (DESIGN.md §21). A key's tombstones are one slice sorted by digest,
+// one record per digest (DESIGN.md §46), so reads hand them out without
+// sorting and a lookup is a binary search. Entry sets are copy-on-write
+// (see the Store sharing contract); tombstone sets are edited in place,
+// copied out by Tombstones and lent under the key's lock by
+// HeldTombstones. Each set is stored with its digest, which every write updates by the
 // hashes of the entries it adds or drops (DESIGN.md §37).
 type MemStore struct {
 	m     map[keyspace.Key]keySet
@@ -296,25 +317,33 @@ func (s *MemStore) Put(key keyspace.Key, e overlay.Entry) (bool, error) {
 	ks := s.m[key]
 	set, added := InsertEntry(ks.entries, e)
 	if added {
-		s.m[key] = keySet{entries: set, digest: ks.digest + overlay.EntryHash(e)}
+		s.m[key] = keySet{entries: set, digest: ks.digest + entryHash(e)}
 	}
 	return added, nil
 }
 
 // Remove implements Store.
 func (s *MemStore) Remove(key keyspace.Key, e overlay.Entry) (bool, error) {
-	removed := s.Has(key, e)
-	s.entombOne(key, Tombstone{Entry: e, At: time.Now().UnixNano()})
-	return removed, nil
+	return s.Bury(key, e, TombstoneOf(e, time.Now().UnixNano())), nil
 }
 
-// entombOne deletes t's live entry under key and records t keeping the
-// latest At, reporting whether the tombstone was new or refreshed.
-func (s *MemStore) entombOne(key keyspace.Key, t Tombstone) bool {
+// Bury is Remove with e's tombstone t given: it deletes e itself from
+// key's live set, found by comparison and not by hash, and records t
+// keeping the latest At, reporting whether e was live. A durable store
+// logs t before it buries e.
+func (s *MemStore) Bury(key keyspace.Key, e overlay.Entry, t Tombstone) bool {
 	ks := s.m[key]
-	if entries, removed := DeleteEntry(ks.entries, t.Entry); removed {
-		s.setEntries(key, keySet{entries: entries, digest: ks.digest - overlay.EntryHash(t.Entry)})
+	entries, removed := DeleteEntry(ks.entries, e)
+	if removed {
+		s.setEntries(key, keySet{entries: entries, digest: ks.digest - t.Hash})
 	}
+	s.record(key, t)
+	return removed
+}
+
+// record records t under key keeping the latest At, reporting whether
+// the tombstone was new or refreshed.
+func (s *MemStore) record(key keyspace.Key, t Tombstone) bool {
 	set := s.tombs[key]
 	i, found := slices.BinarySearchFunc(set, t, compareTombstones)
 	if !found {
@@ -326,6 +355,28 @@ func (s *MemStore) entombOne(key keyspace.Key, t Tombstone) bool {
 	}
 	set[i].At = t.At
 	return true
+}
+
+// named returns the positions, ascending, of key's live entries whose
+// hash one of tombs names. The live set is hashed once, whatever the
+// number of tombstones, and each hash looked up among them.
+func (s *MemStore) named(key keyspace.Key, tombs []Tombstone) []int {
+	live := s.m[key].entries
+	if len(live) == 0 || len(tombs) == 0 {
+		return nil
+	}
+	sorted := tombs
+	if !slices.IsSortedFunc(sorted, compareTombstones) {
+		sorted = slices.Clone(tombs)
+		slices.SortFunc(sorted, compareTombstones)
+	}
+	var out []int
+	for i, e := range live {
+		if holdsHash(sorted, entryHash(e)) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // setEntries stores key's (sorted) entry set and its digest; an empty
@@ -341,7 +392,7 @@ func (s *MemStore) setEntries(key keyspace.Key, ks keySet) {
 // Replace implements Store.
 func (s *MemStore) Replace(key keyspace.Key, entries []overlay.Entry, tombs []Tombstone) error {
 	set := SortedEntries(entries)
-	s.setEntries(key, keySet{entries: set, digest: overlay.Digest(set)})
+	s.setEntries(key, keySet{entries: set, digest: setDigest(set)})
 	if len(tombs) == 0 {
 		delete(s.tombs, key)
 	} else {
@@ -350,10 +401,11 @@ func (s *MemStore) Replace(key keyspace.Key, entries []overlay.Entry, tombs []To
 	return nil
 }
 
-// Tombstoned implements Store.
+// Tombstoned implements Store: e is hashed only when key holds
+// tombstones.
 func (s *MemStore) Tombstoned(key keyspace.Key, e overlay.Entry) bool {
-	_, dead := slices.BinarySearchFunc(s.tombs[key], Tombstone{Entry: e}, compareTombstones)
-	return dead
+	tombs := s.tombs[key]
+	return len(tombs) > 0 && holdsHash(tombs, entryHash(e))
 }
 
 // Tombstones implements Store.
@@ -364,11 +416,26 @@ func (s *MemStore) Tombstones(key keyspace.Key) []Tombstone {
 // HeldTombstones implements Store: the stored slice itself.
 func (s *MemStore) HeldTombstones(key keyspace.Key) []Tombstone { return s.tombs[key] }
 
-// Entomb implements Store.
+// Entomb implements Store: the live entries tombs name go in one new
+// set, and each tombstone is recorded.
 func (s *MemStore) Entomb(key keyspace.Key, tombs []Tombstone) (int, error) {
+	if dead := s.named(key, tombs); len(dead) > 0 {
+		ks := s.m[key]
+		entries := make([]overlay.Entry, 0, len(ks.entries)-len(dead))
+		digest := ks.digest
+		for i, e := range ks.entries {
+			if len(dead) > 0 && dead[0] == i {
+				dead = dead[1:]
+				digest -= entryHash(e)
+				continue
+			}
+			entries = append(entries, e)
+		}
+		s.setEntries(key, keySet{entries: entries, digest: digest})
+	}
 	fresh := 0
 	for _, t := range tombs {
-		if s.entombOne(key, t) {
+		if s.record(key, t) {
 			fresh++
 		}
 	}
@@ -376,16 +443,16 @@ func (s *MemStore) Entomb(key keyspace.Key, tombs []Tombstone) (int, error) {
 }
 
 // EntombChanges reports whether Entomb(key, tombs) would change anything:
-// a tombstone not held, held with an earlier At, or whose entry is live.
+// a tombstone not held, held with an earlier At, or naming a live entry.
 func (s *MemStore) EntombChanges(key keyspace.Key, tombs []Tombstone) bool {
 	held := s.tombs[key]
 	for _, t := range tombs {
 		i, found := slices.BinarySearchFunc(held, t, compareTombstones)
-		if !found || held[i].At < t.At || s.Has(key, t.Entry) {
+		if !found || held[i].At < t.At {
 			return true
 		}
 	}
-	return false
+	return len(s.named(key, tombs)) > 0
 }
 
 // ForEachTombstone implements Store.

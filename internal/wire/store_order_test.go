@@ -175,7 +175,7 @@ func TestStoreKeepsEntrySetsSorted(t *testing.T) {
 				case r < 16:
 					other := pool[rng.Intn(len(pool))]
 					now := time.Now().UnixNano()
-					_, err := st.Entomb(k, []wire.Tombstone{{Entry: e, At: now}, {Entry: other, At: now}})
+					_, err := st.Entomb(k, []wire.Tombstone{wire.TombstoneOf(e, now), wire.TombstoneOf(other, now)})
 					must(err)
 					for _, dead := range []overlay.Entry{e, other} {
 						delete(m.live[k], dead)
@@ -190,7 +190,7 @@ func TestStoreKeepsEntrySetsSorted(t *testing.T) {
 					if len(set) > 0 {
 						set = append(set, set[0])
 					}
-					tomb := wire.Tombstone{Entry: e, At: time.Now().UnixNano()}
+					tomb := wire.TombstoneOf(e, time.Now().UnixNano())
 					must(st.Replace(k, set, []wire.Tombstone{tomb}))
 					m.live[k], m.tombs[k] = map[overlay.Entry]bool{}, map[overlay.Entry]bool{e: true}
 					for _, have := range set {
@@ -248,7 +248,7 @@ func foldLocal(tombs []wire.Tombstone) []wire.Tombstone {
 
 // stateOf reads every key's state through the Store interface, failing
 // the test if Tombstones, Tombstoned and ForEachTombstone disagree with
-// one another or a tombstone set is not strictly CompareEntries-sorted.
+// one another or a tombstone set is not strictly sorted by digest.
 func stateOf(t *testing.T, st wire.Store, when string) map[keyspace.Key]keyState {
 	t.Helper()
 	state := make(map[keyspace.Key]keyState)
@@ -266,12 +266,12 @@ func stateOf(t *testing.T, st wire.Store, when string) map[keyspace.Key]keyState
 			t.Fatalf("%s: Tombstones(%s) = %v, ForEachTombstone gave %v", when, k.Short(), tombs, walked[k])
 		}
 		for i := 1; i < len(tombs); i++ {
-			if wire.CompareEntries(tombs[i-1].Entry, tombs[i].Entry) >= 0 {
+			if tombs[i-1].Hash >= tombs[i].Hash {
 				t.Fatalf("%s: Tombstones(%s) not strictly sorted: %v", when, k.Short(), tombs)
 			}
 		}
 		for _, e := range orderPool() {
-			held := slices.ContainsFunc(tombs, func(t wire.Tombstone) bool { return t.Entry == e })
+			held := slices.ContainsFunc(tombs, func(t wire.Tombstone) bool { return t.Hash == overlay.EntryHash(e) })
 			if st.Tombstoned(k, e) != held {
 				t.Fatalf("%s: Tombstoned(%s, %v) = %v, Tombstones lists it: %v", when, k.Short(), e, !held, held)
 			}
@@ -289,20 +289,20 @@ func stateOf(t *testing.T, st wire.Store, when string) map[keyspace.Key]keyState
 
 // driveReference applies one seeded sequence of every mutator to st — the
 // same sequence whatever st answers — and returns the tombstones it must
-// leave behind: per key and entry the latest At given (localAt where a
-// Remove's stamp is the latest), less what a GC round collected.
-func driveReference(t *testing.T, st wire.Store) map[keyspace.Key]map[overlay.Entry]int64 {
+// leave behind: per key and entry digest the latest At given (localAt
+// where a Remove's stamp is the latest), less what a GC round collected.
+func driveReference(t *testing.T, st wire.Store) map[keyspace.Key]map[uint64]int64 {
 	t.Helper()
 	keys, pool := orderKeys(), orderPool()
 	rng := rand.New(rand.NewSource(19))
-	want := make(map[keyspace.Key]map[overlay.Entry]int64)
+	want := make(map[keyspace.Key]map[uint64]int64)
 	entomb := func(k keyspace.Key, tombs []wire.Tombstone) {
 		if want[k] == nil {
-			want[k] = make(map[overlay.Entry]int64)
+			want[k] = make(map[uint64]int64)
 		}
 		for _, tomb := range tombs {
-			if at, ok := want[k][tomb.Entry]; !ok || tomb.At > at {
-				want[k][tomb.Entry] = tomb.At
+			if at, ok := want[k][tomb.Hash]; !ok || tomb.At > at {
+				want[k][tomb.Hash] = tomb.At
 			}
 		}
 	}
@@ -315,9 +315,9 @@ func driveReference(t *testing.T, st wire.Store) map[keyspace.Key]map[overlay.En
 			if rng.Intn(2) == 0 {
 				at += lateAt
 			}
-			out = append(out, wire.Tombstone{Entry: pool[rng.Intn(len(pool))], At: at})
+			out = append(out, wire.TombstoneOf(pool[rng.Intn(len(pool))], at))
 		}
-		return append(out, wire.Tombstone{Entry: out[0].Entry, At: out[0].At + rng.Int63n(100) - 50})
+		return append(out, wire.Tombstone{Hash: out[0].Hash, At: out[0].At + rng.Int63n(100) - 50})
 	}
 	for op := 0; op < 1200; op++ {
 		k, e := keys[rng.Intn(len(keys))], pool[rng.Intn(len(pool))]
@@ -327,7 +327,7 @@ func driveReference(t *testing.T, st wire.Store) map[keyspace.Key]map[overlay.En
 			_, err = st.Put(k, e) // a duplicate or a suppressed put, often
 		case r < 11:
 			_, err = st.Remove(k, e)
-			entomb(k, []wire.Tombstone{{Entry: e, At: localAt}})
+			entomb(k, []wire.Tombstone{wire.TombstoneOf(e, localAt)})
 		case r < 15:
 			ts := tombs(1 + rng.Intn(3))
 			_, err = st.Entomb(k, ts)
@@ -382,9 +382,9 @@ func TestStoreOrderMatchesReference(t *testing.T) {
 	refState := stateOf(t, ref, "reference")
 	kept := 0
 	for _, k := range orderKeys() {
-		got := make(map[overlay.Entry]int64)
+		got := make(map[uint64]int64)
 		for _, tomb := range refState[k].Tombs {
-			got[tomb.Entry] = tomb.At
+			got[tomb.Hash] = tomb.At
 		}
 		if len(got) != len(want[k]) {
 			t.Fatalf("reference key %s holds tombstones %v, want %v", k.Short(), got, want[k])

@@ -50,12 +50,12 @@ func TestGetResultOutlivesWrites(t *testing.T) {
 				{"Put", func() { _, err := st.Put(key, entry("index", 4)); must(err) }},
 				{"Remove", func() { _, err := st.Remove(key, entry("index", 3)); must(err) }},
 				{"Entomb", func() {
-					_, err := st.Entomb(key, []wire.Tombstone{{Entry: entry("index", 5), At: now}})
+					_, err := st.Entomb(key, []wire.Tombstone{wire.TombstoneOf(entry("index", 5), now)})
 					must(err)
 				}},
 				{"Replace", func() {
 					must(st.Replace(key, []overlay.Entry{entry("index", 9), entry("index", 2), entry("index", 9)},
-						[]wire.Tombstone{{Entry: entry("index", 3), At: now}}))
+						[]wire.Tombstone{wire.TombstoneOf(entry("index", 3), now)}))
 				}},
 				{"GCTombstones", func() { _, err := st.GCTombstones(now + 1); must(err) }},
 				{"Put after GC", func() { _, err := st.Put(key, entry("index", 6)); must(err) }},

@@ -92,15 +92,29 @@ func (o Op) String() string {
 // entry is suppressed everywhere; tombstones are garbage-collected
 // after tombstoneTTL, which must exceed the longest partition or
 // downtime a stale copy can hide behind.
+//
+// A tombstone names the removed entry by its overlay.EntryHash, not
+// whole: every reader of it only asks whether an entry's hash matches,
+// so the record is 16 bytes in memory, on disk and on the wire
+// (DESIGN.md §46). Two entries of one key sharing a hash within the TTL
+// is a 64-bit collision, which the design accepts.
 type Tombstone struct {
-	// Entry is the removed entry.
-	Entry overlay.Entry
+	// Hash is overlay.EntryHash of the removed entry.
+	Hash uint64
 	// At is the removal's wall-clock time in Unix nanoseconds. It only
 	// schedules garbage collection — conflict resolution never compares
 	// clocks across nodes; merges keep the latest At so a tombstone's
 	// TTL restarts when it is re-asserted.
 	At int64
 }
+
+// TombstoneOf is the tombstone recording e's removal at at.
+func TombstoneOf(e overlay.Entry, at int64) Tombstone {
+	return Tombstone{Hash: entryHash(e), At: at}
+}
+
+// String prints the tombstone's digest in hex and its time.
+func (t Tombstone) String() string { return fmt.Sprintf("%016x@%d", t.Hash, t.At) }
 
 // KeyEntries carries one key's entries (and deletion records) in a
 // transfer.
